@@ -17,9 +17,7 @@ from .gamma_core import (
     gamma_negative,
     gamma_ratio,
     recip_gamma,
-    recip_gamma_log_form,
     recip_gamma_neg_reflection,
-    recip_gamma_power_subst,
 )
 from .hankel import (
     ComplexValue,
@@ -32,11 +30,8 @@ from .hankel import (
 )
 from .kernel import (
     ArgDecomposition,
-    KernelEval,
     decompose,
     exp_remainder,
-    exp_remainder_eval,
-    falling_factorial,
     kernel_ratio,
     regularized_integrand,
     truncated_exp,
@@ -61,7 +56,6 @@ __all__ = [
     "HankelContour",
     "IntegerArgument",
     "IntegralResult",
-    "KernelEval",
     "MethodTag",
     "NonPositiveArgument",
     "PoleError",
@@ -70,8 +64,6 @@ __all__ = [
     "arc_contribution",
     "decompose",
     "exp_remainder",
-    "exp_remainder_eval",
-    "falling_factorial",
     "gamma",
     "gamma_cauchy_saalschutz",
     "gamma_negative",
@@ -85,9 +77,7 @@ __all__ = [
     "ray_difference_kernel",
     "ray_kernel",
     "recip_gamma",
-    "recip_gamma_log_form",
     "recip_gamma_neg_reflection",
-    "recip_gamma_power_subst",
     "regularized_integrand",
     "truncated_exp",
     "__version__",

@@ -20,7 +20,7 @@ one reflection step so the quadrature only ever sees z > 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .errors import NonPositiveArgument, PoleError
@@ -29,6 +29,7 @@ from .quadrature import (
     ConditionFlag,
     IntegralResult,
     QuadratureConfig,
+    combine,
     exponential_tail,
     geometric_breakpoints,
     integrate_finite,
@@ -79,19 +80,6 @@ def _exact_recip_factorial(m: int) -> float:
     return 1 / math.factorial(m - 1)
 
 
-def _sum_results(value: float, parts: list[IntegralResult], z: float, eps_rel: float
-                 ) -> IntegralResult:
-    err = sum(p.abs_error_estimate for p in parts)
-    evals = sum(p.evaluations for p in parts)
-    if any(p.condition_flag is ConditionFlag.TOLERANCE_NOT_MET for p in parts):
-        flag = ConditionFlag.TOLERANCE_NOT_MET
-    elif near_integer_amplified(z, eps_rel):
-        flag = ConditionFlag.NEAR_INTEGER_AMPLIFICATION
-    else:
-        flag = ConditionFlag.OK
-    return IntegralResult(value, err, evals, flag)
-
-
 def _power_subst_integral(arg: ArgDecomposition, cfg: QuadratureConfig) -> IntegralResult:
     """int_0^inf u^{1/z-2} (e^{-u^{1/z}} - e_{n-1} at -u^{1/z}) du.
 
@@ -135,16 +123,12 @@ def _power_subst_integral(arg: ArgDecomposition, cfg: QuadratureConfig) -> Integ
         middle, s_u, U, sub, breakpoints=geometric_breakpoints(s_u, U)
     )
 
-    tail_poly = z * polynomial_tail_closed_form(arg, X)
+    tail_poly = IntegralResult(z * polynomial_tail_closed_form(arg, X), 0.0, 0)
     res_c = exponential_tail(z, X, sub)
-    res_c = IntegralResult(
-        z * res_c.value,
-        z * res_c.abs_error_estimate,
-        res_c.evaluations,
-        res_c.condition_flag,
+    res_c = replace(res_c, value=z * res_c.value, abs_error_estimate=z * res_c.abs_error_estimate)
+    return combine(
+        [res_a, res_b, tail_poly, res_c], amplified=near_integer_amplified(z, cfg.eps_rel)
     )
-    value = res_a.value + res_b.value + tail_poly + res_c.value
-    return _sum_results(value, [res_a, res_b, res_c], z, cfg.eps_rel)
 
 
 def _log_form_integral(arg: ArgDecomposition, cfg: QuadratureConfig) -> IntegralResult:
@@ -184,10 +168,11 @@ def _log_form_integral(arg: ArgDecomposition, cfg: QuadratureConfig) -> Integral
         middle, u0, u1, sub, breakpoints=geometric_breakpoints(u0, u1)
     )
 
-    tail_poly = polynomial_tail_closed_form(arg, X)
+    tail_poly = IntegralResult(polynomial_tail_closed_form(arg, X), 0.0, 0)
     res_c = exponential_tail(z, X, sub)
-    value = res_a.value + res_b.value + tail_poly + res_c.value
-    return _sum_results(value, [res_a, res_b, res_c], z, cfg.eps_rel)
+    return combine(
+        [res_a, res_b, tail_poly, res_c], amplified=near_integer_amplified(z, cfg.eps_rel)
+    )
 
 
 def _euler_gamma_integral(A: float, cfg: QuadratureConfig) -> IntegralResult:
@@ -201,7 +186,6 @@ def _euler_gamma_integral(A: float, cfg: QuadratureConfig) -> IntegralResult:
     if not A > 0.0:
         raise NonPositiveArgument(f"Euler integral needs A > 0, got {A!r}")
     X = tail_radius(cfg)
-    span = max(60.0, 3.0 * A)
     v1 = math.exp(-1.0)
     v0 = math.exp(-X)
     inv_A = 1.0 / A
@@ -223,30 +207,8 @@ def _euler_gamma_integral(A: float, cfg: QuadratureConfig) -> IntegralResult:
         middle, v0, v1, sub, breakpoints=geometric_breakpoints(v0, v1)
     )
 
-    def tail(x: float) -> float:
-        return math.exp((A - 1.0) * math.log(x) - x)
-
-    top = X + span
-    res_c = integrate_finite(
-        tail, X, top, sub, breakpoints=[X + 5.0, X + 15.0, X + 30.0]
-    )
-    bound = math.exp((A - 1.0) * math.log(top) - top)
-
-    value = res_a.value + res_b.value + res_c.value
-    err = (
-        res_a.abs_error_estimate
-        + res_b.abs_error_estimate
-        + res_c.abs_error_estimate
-        + bound
-    )
-    evals = res_a.evaluations + res_b.evaluations + res_c.evaluations
-    flags = (res_a.condition_flag, res_b.condition_flag, res_c.condition_flag)
-    flag = (
-        ConditionFlag.TOLERANCE_NOT_MET
-        if ConditionFlag.TOLERANCE_NOT_MET in flags
-        else ConditionFlag.OK
-    )
-    return IntegralResult(value, err, evals, flag)
+    # the incomplete-Gamma stretch is the exponential tail with z = 1 - A
+    return combine([res_a, res_b, exponential_tail(1.0 - A, X, sub)])
 
 
 def recip_gamma(
@@ -303,14 +265,6 @@ def recip_gamma_neg_reflection(z: float, cfg: QuadratureConfig | None = None) ->
     return GammaValue(value, base.method, base.quadrature)
 
 
-def recip_gamma_power_subst(z: float, cfg: QuadratureConfig | None = None) -> GammaValue:
-    return recip_gamma(z, cfg, MethodTag.POWER_SUBST)
-
-
-def recip_gamma_log_form(z: float, cfg: QuadratureConfig | None = None) -> GammaValue:
-    return recip_gamma(z, cfg, MethodTag.LOG_FORM)
-
-
 def gamma_negative(z: float, cfg: QuadratureConfig | None = None) -> GammaValue:
     """Gamma(-z) = -(1/z) int_0^inf (e^{-x} - e_{n-1}(-x)) x^{-z} dx, z > 0."""
     arg = decompose(z)
@@ -354,22 +308,10 @@ def gamma_ratio(A: float, B: float, cfg: QuadratureConfig | None = None) -> Gamm
     e_a = _euler_gamma_integral(A, cfg)
     value = rg_b.value * e_a.value
 
-    rel = e_a.abs_error_estimate / abs(e_a.value) if e_a.value else 0.0
-    evals = e_a.evaluations
-    flags = [e_a.condition_flag]
-    if rg_b.quadrature is not None:
-        qb = rg_b.quadrature
-        if qb.value:
-            rel += qb.abs_error_estimate / abs(qb.value)
-        evals += qb.evaluations
-        flags.append(qb.condition_flag)
-    if ConditionFlag.TOLERANCE_NOT_MET in flags:
-        flag = ConditionFlag.TOLERANCE_NOT_MET
-    elif ConditionFlag.NEAR_INTEGER_AMPLIFICATION in flags:
-        flag = ConditionFlag.NEAR_INTEGER_AMPLIFICATION
-    else:
-        flag = ConditionFlag.OK
-    res = IntegralResult(value, abs(value) * rel, evals, flag)
+    # the factors multiply, so their relative errors add
+    parts = [e_a] if rg_b.quadrature is None else [e_a, rg_b.quadrature]
+    rel = sum(p.abs_error_estimate / abs(p.value) for p in parts if p.value)
+    res = replace(combine(parts), value=value, abs_error_estimate=abs(value) * rel)
     return GammaValue(value, MethodTag.LOG_FORM, res)
 
 

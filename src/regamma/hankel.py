@@ -12,6 +12,10 @@ r0^{1-frac}), which is exactly what makes the truncation order n = [z]
 the right one.  Beyond the truncation radius the polynomial part of each
 ray has an elementary antiderivative (added in closed form) and the
 exponential part is integrated over one further stretch.
+
+Every segment is integrated by the same adaptive engine as the real-line
+routes (quadrature.integrate_finite, with complex values) and the segments
+are summed by quadrature.combine.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass, replace
 from . import gamma_core
 from .errors import ContourDegenerate
 from .kernel import decompose
-from .quadrature import ConditionFlag, IntegralResult, QuadratureConfig
+from .quadrature import IntegralResult, QuadratureConfig, combine, integrate_finite
 
 _EPS = 2.0 ** -53
 _MAX_TERMS = 500
@@ -124,79 +128,7 @@ def ray_difference_kernel(r: float, delta: float, z: float, n: int) -> ComplexVa
     return ComplexValue(0.0, -2.0 * bracket * math.exp(-z * math.log(r)))
 
 
-def _gk15_complex(f, a: float, b: float):
-    # same embedded 7/15 pair as the real engine, with |.| the complex modulus
-    from .quadrature import _WG, _WG_CENTER, _WGK, _WGK_CENTER, _XGK
-
-    center = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    fc = f(center)
-    resk = _WGK_CENTER * fc
-    resg = _WG_CENTER * fc
-    fv = []
-    for i, x in enumerate(_XGK):
-        dx = half * x
-        f1 = f(center - dx)
-        f2 = f(center + dx)
-        fv.append((f1, f2))
-        resk += _WGK[i] * (f1 + f2)
-        if i % 2 == 1:
-            resg += _WG[i // 2] * (f1 + f2)
-    reskh = 0.5 * resk
-    resasc = _WGK_CENTER * abs(fc - reskh)
-    for i, (f1, f2) in enumerate(fv):
-        resasc += _WGK[i] * (abs(f1 - reskh) + abs(f2 - reskh))
-    resasc *= abs(half)
-    value = resk * half
-    err = abs((resk - resg) * half)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    return value, err
-
-
-def _integrate_complex(f, a, b, eps_rel, eps_abs, max_subdivisions, breakpoints=None):
-    """Worst-panel-first adaptive integration of a complex integrand."""
-    edges = [a]
-    if breakpoints:
-        edges.extend(x for x in sorted(breakpoints) if a < x < b)
-    edges.append(b)
-    panels = []
-    evaluations = 0
-    for left, right in zip(edges, edges[1:]):
-        val, err = _gk15_complex(f, left, right)
-        panels.append([err, left, right, val])
-        evaluations += 15
-    nsub = 0
-    flag = ConditionFlag.OK
-    while True:
-        total_val = sum(p[3] for p in panels)
-        total_err = sum(p[0] for p in panels)
-        if total_err <= max(eps_abs, eps_rel * abs(total_val)):
-            break
-        if nsub >= max_subdivisions:
-            flag = ConditionFlag.TOLERANCE_NOT_MET
-            break
-        worst = max(panels, key=lambda p: p[0])
-        left, right = worst[1], worst[2]
-        mid = 0.5 * (left + right)
-        if not left < mid < right:
-            flag = ConditionFlag.TOLERANCE_NOT_MET
-            break
-        panels.remove(worst)
-        for lo, hi in ((left, mid), (mid, right)):
-            val, err = _gk15_complex(f, lo, hi)
-            panels.append([err, lo, hi, val])
-        evaluations += 30
-        nsub += 1
-    return (
-        sum(p[3] for p in panels),
-        sum(p[0] for p in panels),
-        evaluations,
-        flag,
-    )
-
-
-def _ray_breakpoints(r0: float, R: float, width_cap: float) -> list[float]:
+def _ray_breakpoints(r0: float, R: float, width_cap: float, max_panels: int) -> list[float]:
     # geometric growth near the origin, capped panels once oscillation matters
     pts = []
     x = r0
@@ -205,6 +137,10 @@ def _ray_breakpoints(r0: float, R: float, width_cap: float) -> list[float]:
         if x >= R:
             return pts
         pts.append(x)
+        if len(pts) >= max_panels:
+            raise ContourDegenerate(
+                f"ray from {r0!r} to {R!r} needs more than {max_panels} panels"
+            )
 
 
 def _auto_truncation(contour: HankelContour, scale: float) -> float:
@@ -214,36 +150,15 @@ def _auto_truncation(contour: HankelContour, scale: float) -> float:
     return max(4.0 * contour.r0, 45.0 / decay)
 
 
-def _contour_eval(
-    order: int,
-    z_exp: float,
-    scale: float,
-    contour: HankelContour,
-    cfg: QuadratureConfig,
-):
-    """(1/2 pi i) contour integral of (e^{a s} - e_{order-1}(a s)) / s^{z_exp}.
+def _segment_config(cfg: QuadratureConfig, contour: HankelContour) -> QuadratureConfig:
+    return replace(cfg, eps_rel=cfg.eps_rel / 8.0, max_subdivisions=contour.nodes)
 
-    Returns (complex value, abs error, evaluations, flag).
-    """
-    _validate(contour)
+
+def _arc(
+    order: int, z_exp: float, scale: float, contour: HankelContour, sub: QuadratureConfig
+) -> IntegralResult:
+    """Integral of (e^{a s} - e_{order-1}(a s)) / s^{z_exp} over the arc |s| = r0."""
     delta, r0 = contour.delta, contour.r0
-    R = _auto_truncation(contour, scale)
-    if R - r0 <= 1e-12 * r0:
-        raise ContourDegenerate(f"computed truncation radius {R!r} too close to arc")
-    eps_rel = cfg.eps_rel / 8.0
-    eps_abs = cfg.eps_abs
-    budget = contour.nodes
-    width_cap = math.pi / (scale * abs(math.sin(delta)))
-    seeds = _ray_breakpoints(r0, R, width_cap)
-
-    phase_out = cmath.exp(1j * delta)
-    phase_in = cmath.exp(-1j * delta)
-
-    def outgoing(r: float) -> complex:
-        return phase_out * ray_kernel(r, delta, z_exp, order, scale)
-
-    def incoming(r: float) -> complex:
-        return -phase_in * ray_kernel(r, -delta, z_exp, order, scale)
 
     def arc(theta: float) -> complex:
         tau = r0 * cmath.exp(1j * theta)
@@ -254,14 +169,37 @@ def _contour_eval(
             * cmath.exp(-z_exp * complex(math.log(r0), theta))
         )
 
-    parts = []
-    parts.append(_integrate_complex(incoming, r0, R, eps_rel, eps_abs, budget, seeds))
-    parts.append(
-        _integrate_complex(
-            arc, -delta, delta, eps_rel, eps_abs, budget, [-0.5 * delta, 0.0, 0.5 * delta]
-        )
-    )
-    parts.append(_integrate_complex(outgoing, r0, R, eps_rel, eps_abs, budget, seeds))
+    return integrate_finite(arc, -delta, delta, sub, [-0.5 * delta, 0.0, 0.5 * delta])
+
+
+def _contour_eval(
+    order: int,
+    z_exp: float,
+    scale: float,
+    contour: HankelContour,
+    cfg: QuadratureConfig,
+) -> IntegralResult:
+    """(1/2 pi i) contour integral of (e^{a s} - e_{order-1}(a s)) / s^{z_exp}.
+
+    The result's value is complex.
+    """
+    _validate(contour)
+    delta, r0 = contour.delta, contour.r0
+    R = _auto_truncation(contour, scale)
+    if R - r0 <= 1e-12 * r0:
+        raise ContourDegenerate(f"computed truncation radius {R!r} too close to arc")
+    sub = _segment_config(cfg, contour)
+    width_cap = math.pi / (scale * abs(math.sin(delta)))
+    seeds = _ray_breakpoints(r0, R, width_cap, contour.nodes)
+
+    phase_out = cmath.exp(1j * delta)
+    phase_in = cmath.exp(-1j * delta)
+
+    def outgoing(r: float) -> complex:
+        return phase_out * ray_kernel(r, delta, z_exp, order, scale)
+
+    def incoming(r: float) -> complex:
+        return -phase_in * ray_kernel(r, -delta, z_exp, order, scale)
 
     # exponential part of the rays beyond R, integrated over one stretch
     span = 50.0 / (scale * abs(math.cos(delta)))
@@ -278,8 +216,6 @@ def _contour_eval(
         )
 
     tail_seeds = [R + span * s for s in (0.1, 0.3, 0.6)]
-    parts.append(_integrate_complex(incoming_exp, R, top, eps_rel, eps_abs, budget, tail_seeds))
-    parts.append(_integrate_complex(outgoing_exp, R, top, eps_rel, eps_abs, budget, tail_seeds))
 
     # polynomial part of the rays beyond R, in closed form (the two rays
     # combine into 2i times a real sum; each exponent k - z_exp + 1 < 0)
@@ -289,29 +225,28 @@ def _contour_eval(
         expo = k - z_exp + 1.0
         poly += coeff * math.exp(expo * math.log(R)) * math.sin(delta * expo) / expo
         coeff *= scale / (k + 1)
-    raw = 2j * poly
-    raw_err = 0.0
-    evaluations = 0
-    flags = []
-    for val, err, evals, flag in parts:
-        raw += val
-        raw_err += err
-        evaluations += evals
-        flags.append(flag)
 
     # neglected exponential remainder past R + span, both rays
     neglect = 2.0 * math.exp(
         scale * top * math.cos(delta) - z_exp * math.log(top)
     ) / (scale * abs(math.cos(delta)))
 
-    value = raw / (2j * math.pi)
-    err = (raw_err + neglect) / _TWO_PI
-    flag = (
-        ConditionFlag.TOLERANCE_NOT_MET
-        if ConditionFlag.TOLERANCE_NOT_MET in flags
-        else ConditionFlag.OK
+    raw = combine(
+        [
+            IntegralResult(2j * poly, 0.0, 0),
+            integrate_finite(incoming, r0, R, sub, seeds),
+            _arc(order, z_exp, scale, contour, sub),
+            integrate_finite(outgoing, r0, R, sub, seeds),
+            integrate_finite(incoming_exp, R, top, sub, tail_seeds),
+            integrate_finite(outgoing_exp, R, top, sub, tail_seeds),
+        ],
+        extra_error=neglect,
     )
-    return value, err, evaluations, flag
+    return replace(
+        raw,
+        value=raw.value / (2j * math.pi),
+        abs_error_estimate=raw.abs_error_estimate / _TWO_PI,
+    )
 
 
 def hankel_recip_gamma(
@@ -328,7 +263,7 @@ def hankel_recip_gamma(
     arg = decompose(z)
     contour = contour or HankelContour()
     cfg = cfg or QuadratureConfig()
-    value, _, _, _ = _contour_eval(arg.n, z, 1.0, contour, cfg)
+    value = _contour_eval(arg.n, z, 1.0, contour, cfg).value
     return ComplexValue(value.real, value.imag)
 
 
@@ -336,9 +271,9 @@ def recip_gamma_via_contour(z: float, cfg: QuadratureConfig | None = None) -> ga
     """GammaValue wrapper used by the method dispatch in gamma_core."""
     arg = decompose(z)
     cfg = cfg or QuadratureConfig()
-    value, err, evaluations, flag = _contour_eval(arg.n, z, 1.0, HankelContour(), cfg)
-    res = IntegralResult(value.real, err, evaluations, flag)
-    return gamma_core.GammaValue(value.real, gamma_core.MethodTag.HANKEL, res)
+    res = _contour_eval(arg.n, z, 1.0, HankelContour(), cfg)
+    res = replace(res, value=res.value.real)
+    return gamma_core.GammaValue(res.value, gamma_core.MethodTag.HANKEL, res)
 
 
 def arc_contribution(
@@ -358,27 +293,7 @@ def arc_contribution(
     cfg = cfg or QuadratureConfig()
     _validate(contour)
     n = arg.n if order is None else order
-    delta, r0 = contour.delta, contour.r0
-
-    def arc(theta: float) -> complex:
-        tau = r0 * cmath.exp(1j * theta)
-        return (
-            1j
-            * tau
-            * _cremainder(tau, n)
-            * cmath.exp(-z * complex(math.log(r0), theta))
-        )
-
-    val, _, _, _ = _integrate_complex(
-        arc,
-        -delta,
-        delta,
-        cfg.eps_rel,
-        cfg.eps_abs,
-        contour.nodes,
-        [-0.5 * delta, 0.0, 0.5 * delta],
-    )
-    val /= 2j * math.pi
+    val = _arc(n, z, 1.0, contour, _segment_config(cfg, contour)).value / (2j * math.pi)
     return ComplexValue(val.real, val.imag)
 
 
@@ -400,5 +315,5 @@ def inverse_laplace_monomial(
     contour = contour or HankelContour()
     cfg = cfg or QuadratureConfig()
     gamma_k1 = gamma_core.gamma(k + 1.0, cfg).value
-    value, _, _, _ = _contour_eval(arg.n + 1, k + 1.0, t, contour, cfg)
+    value = _contour_eval(arg.n + 1, k + 1.0, t, contour, cfg).value
     return gamma_k1 * value.real

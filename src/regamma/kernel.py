@@ -28,15 +28,6 @@ class ArgDecomposition:
     frac: float
 
 
-@dataclass(frozen=True)
-class KernelEval:
-    """Diagnostic record of a remainder evaluation."""
-
-    x: float
-    value: float
-    method_used: str  # "series-tail" or "direct"
-
-
 def decompose(z: float) -> ArgDecomposition:
     """Split z > 0 into integer part n = floor(z) and fractional part.
 
@@ -64,16 +55,6 @@ def truncated_exp(x: float, n: int) -> float:
         term *= x / k
         total += term
     return total
-
-
-def falling_factorial(z: float, n: int) -> float:
-    """Product z (z-1) ... (z-n+1); empty product (n = 0) is 1."""
-    if n < 0:
-        raise ValueError(f"order must be >= 0, got {n}")
-    out = 1.0
-    for k in range(n):
-        out *= z - k
-    return out
 
 
 def _remainder_series(x: float, n: int) -> float:
@@ -112,16 +93,6 @@ def exp_remainder(x: float, n: int) -> float:
     if _use_series(x, n):
         return _remainder_series(x, n)
     return math.exp(x) - truncated_exp(x, n - 1)
-
-
-def exp_remainder_eval(x: float, n: int) -> KernelEval:
-    """exp_remainder plus a record of which evaluation path was used."""
-    value = exp_remainder(x, n)
-    if n == 0 or x == 0.0 or not _use_series(x, n):
-        method = "direct"
-    else:
-        method = "series-tail"
-    return KernelEval(x=x, value=value, method_used=method)
 
 
 def kernel_ratio(x: float, n: int) -> float:

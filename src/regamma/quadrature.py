@@ -1,4 +1,10 @@
-"""Adaptive quadrature for the regularized kernel on [0, inf).
+"""The adaptive quadrature engine and the real-line assembly of I(z).
+
+integrate_finite is the package's only adaptive engine: an embedded 7/15
+Gauss-Kronrod pair with worst-panel bisection and the classical QUADPACK
+error scaling.  It takes real or complex integrands alike, so the same
+engine sums the real-line parts below and the Hankel contour segments.
+combine() sums the parts of a composite integral and decides its flag.
 
 The semi-infinite integral I(z) = int_0^inf (e^{-x} - e_{n-1}(-x)) x^{-z} dx
 is assembled from three parts:
@@ -18,9 +24,6 @@ is assembled from three parts:
 All three parts share the sign (-1)^n (the Lagrange form of the Taylor
 remainder of e^{-x} is single-signed on x > 0), so per-part relative error
 control gives global relative control without cancellation surprises.
-
-The panel rule is an embedded 7/15 Gauss-Kronrod pair with worst-panel
-bisection; the error model follows the classical QUADPACK scaling.
 """
 
 from __future__ import annotations
@@ -89,7 +92,6 @@ class QuadratureConfig:
     eps_abs: float = 1e-300
     max_subdivisions: int = 200
     split_point: float = 1.0
-    tail_truncation_radius: float | None = None  # None -> automatic
 
     def __post_init__(self) -> None:
         if not 0.0 < self.eps_rel < 1.0:
@@ -102,15 +104,26 @@ class QuadratureConfig:
 
 @dataclass(frozen=True)
 class IntegralResult:
-    """Value, error estimate and diagnostics of one integration."""
+    """Value, error estimate and diagnostics of one integration.
 
-    value: float
+    value is complex exactly when the integrand is.
+    """
+
+    value: float | complex
     abs_error_estimate: float
     evaluations: int
     condition_flag: ConditionFlag = ConditionFlag.OK
 
 
-def _gk15(f: Callable[[float], float], a: float, b: float):
+def _fsum(values: list) -> float | complex:
+    """math.fsum, taken over the real and imaginary parts of complex values."""
+    try:
+        return math.fsum(values)
+    except TypeError:
+        return complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))
+
+
+def _gk15(f: Callable[[float], float | complex], a: float, b: float):
     """One 15-point Kronrod panel: (value, error estimate)."""
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
@@ -144,7 +157,7 @@ def _gk15(f: Callable[[float], float], a: float, b: float):
 
 
 def integrate_finite(
-    f: Callable[[float], float],
+    f: Callable[[float], float | complex],
     a: float,
     b: float,
     cfg: QuadratureConfig,
@@ -152,6 +165,7 @@ def integrate_finite(
 ) -> IntegralResult:
     """Adaptive Gauss-Kronrod integration of f over the finite [a, b].
 
+    f may be real or complex valued; |.| is then the complex modulus.
     Optional breakpoints seed the initial panel layout (useful for
     integrands living on many length scales); they must lie inside (a, b).
     The worst panel is bisected until the summed error estimate meets
@@ -175,7 +189,7 @@ def integrate_finite(
     nsub = 0
     flag = ConditionFlag.OK
     while True:
-        total_val = math.fsum(p[3] for p in panels)
+        total_val = _fsum([p[3] for p in panels])
         total_err = math.fsum(p[0] for p in panels)
         if total_err <= max(cfg.eps_abs, cfg.eps_rel * abs(total_val)):
             break
@@ -197,7 +211,7 @@ def integrate_finite(
         nsub += 1
 
     return IntegralResult(
-        value=math.fsum(p[3] for p in panels),
+        value=_fsum([p[3] for p in panels]),
         abs_error_estimate=math.fsum(p[0] for p in panels),
         evaluations=evaluations,
         condition_flag=flag,
@@ -235,24 +249,21 @@ def polynomial_tail_closed_form(arg: ArgDecomposition, R: float) -> float:
 
 
 def exponential_tail(z: float, X: float, cfg: QuadratureConfig) -> IntegralResult:
-    """int_X^inf e^{-x} x^{-z} dx for X > 0, z > 0.
+    """int_X^inf e^{-x} x^{-z} dx for X > 0 and any real z.
 
-    Integrated numerically over [X, X + span]; the neglected remainder is
-    bounded by e^{-(X+span)} (X+span)^{-z} and added to the error estimate.
+    Integrated numerically over [X, X + span], span = max(60, 3 (1 - z)),
+    which keeps the stretch well past the peak at x = -z; the neglected
+    remainder is bounded by e^{-(X+span)} (X+span)^{-z} and added to the
+    error estimate.
     """
-    top = X + _EXP_TAIL_SPAN
+    top = X + max(_EXP_TAIL_SPAN, 3.0 * (1.0 - z))
 
     def f(x: float) -> float:
         return math.exp(-x - z * math.log(x))
 
     res = integrate_finite(f, X, top, cfg, breakpoints=[X + 5.0, X + 15.0, X + 30.0])
     bound = math.exp(-top - z * math.log(top))
-    return IntegralResult(
-        value=res.value,
-        abs_error_estimate=res.abs_error_estimate + bound,
-        evaluations=res.evaluations,
-        condition_flag=res.condition_flag,
-    )
+    return replace(res, abs_error_estimate=res.abs_error_estimate + bound)
 
 
 def near_integer_amplified(z: float, eps_rel: float) -> bool:
@@ -260,17 +271,34 @@ def near_integer_amplified(z: float, eps_rel: float) -> bool:
     return abs(math.sin(math.pi * z)) < math.pi * eps_rel / _AMPLIFICATION_LIMIT
 
 
-def _merge_flags(z: float, eps_rel: float, *flags: ConditionFlag) -> ConditionFlag:
+def combine(
+    parts: Sequence[IntegralResult], extra_error: float = 0.0, amplified: bool = False
+) -> IntegralResult:
+    """The sum of the parts of a composite integral, and its flag.
+
+    Values, error estimates and evaluations add up in the order given; a
+    closed-form term enters as a part with no error and no evaluations.
+    extra_error is a bound on what the parts leave out.  The flag is
+    tolerance_not_met if any part missed its tolerance, otherwise
+    near_integer_amplification if a part carries it or amplified is set
+    (the caller's sin(pi z)/pi product loses accuracy), otherwise ok.
+    """
+    flags = {p.condition_flag for p in parts}
     if ConditionFlag.TOLERANCE_NOT_MET in flags:
-        return ConditionFlag.TOLERANCE_NOT_MET
-    if near_integer_amplified(z, eps_rel):
-        return ConditionFlag.NEAR_INTEGER_AMPLIFICATION
-    return ConditionFlag.OK
+        flag = ConditionFlag.TOLERANCE_NOT_MET
+    elif amplified or ConditionFlag.NEAR_INTEGER_AMPLIFICATION in flags:
+        flag = ConditionFlag.NEAR_INTEGER_AMPLIFICATION
+    else:
+        flag = ConditionFlag.OK
+    return IntegralResult(
+        value=sum(p.value for p in parts),
+        abs_error_estimate=sum(p.abs_error_estimate for p in parts) + extra_error,
+        evaluations=sum(p.evaluations for p in parts),
+        condition_flag=flag,
+    )
 
 
 def tail_radius(cfg: QuadratureConfig) -> float:
-    if cfg.tail_truncation_radius is not None:
-        return cfg.tail_truncation_radius
     return max(2.0 * cfg.split_point, _TAIL_RADIUS)
 
 
@@ -313,17 +341,8 @@ def integrate_regularized_kernel(
     )
 
     # (c) analytic polynomial tail plus numeric exponential tail
-    tail_poly = polynomial_tail_closed_form(arg, R)
+    tail_poly = IntegralResult(polynomial_tail_closed_form(arg, R), 0.0, 0)
     res_c = exponential_tail(z, R, sub)
-
-    flag = _merge_flags(
-        z, cfg.eps_rel, res_a.condition_flag, res_b.condition_flag, res_c.condition_flag
-    )
-    return IntegralResult(
-        value=res_a.value + res_b.value + tail_poly + res_c.value,
-        abs_error_estimate=res_a.abs_error_estimate
-        + res_b.abs_error_estimate
-        + res_c.abs_error_estimate,
-        evaluations=res_a.evaluations + res_b.evaluations + res_c.evaluations,
-        condition_flag=flag,
+    return combine(
+        [res_a, res_b, tail_poly, res_c], amplified=near_integer_amplified(z, cfg.eps_rel)
     )

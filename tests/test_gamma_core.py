@@ -10,9 +10,7 @@ from regamma.gamma_core import (
     gamma_negative,
     gamma_ratio,
     recip_gamma,
-    recip_gamma_log_form,
     recip_gamma_neg_reflection,
-    recip_gamma_power_subst,
 )
 from regamma.oracle import gamma_lanczos
 from regamma.quadrature import ConditionFlag, QuadratureConfig
@@ -88,29 +86,29 @@ class TestNegReflection:
 
 class TestPowerSubstitution:
     def test_half(self):
-        gv = recip_gamma_power_subst(0.5, CFG)
+        gv = recip_gamma(0.5, CFG, MethodTag.POWER_SUBST)
         assert gv.value == pytest.approx(INV_SQRT_PI, rel=1e-9)
 
     @pytest.mark.parametrize("z", [4.5, 9.7])
     def test_matches_real_axis_for_large_arguments(self, z):
-        a = recip_gamma_power_subst(z, CFG).value
+        a = recip_gamma(z, CFG, MethodTag.POWER_SUBST).value
         b = recip_gamma(z, CFG).value
         assert abs(a - b) / abs(b) <= 10.0 * CFG.eps_rel
 
 
 class TestLogForm:
     def test_half(self):
-        gv = recip_gamma_log_form(0.5, CFG)
+        gv = recip_gamma(0.5, CFG, MethodTag.LOG_FORM)
         assert gv.value == pytest.approx(INV_SQRT_PI, rel=1e-9)
 
     def test_matches_real_axis(self):
-        a = recip_gamma_log_form(2.3, CFG).value
+        a = recip_gamma(2.3, CFG, MethodTag.LOG_FORM).value
         b = recip_gamma(2.3, CFG).value
         assert abs(a - b) / abs(b) <= 10.0 * CFG.eps_rel
 
     @pytest.mark.parametrize("z", [1.0 + 1e-6, 1.0 - 1e-6])
     def test_continuity_across_one(self, z):
-        gv = recip_gamma_log_form(z, CFG)
+        gv = recip_gamma(z, CFG, MethodTag.LOG_FORM)
         assert math.isfinite(gv.value)
         assert abs(gv.value - 1.0) < 1e-3
         assert gv.value == pytest.approx(1.0 / gamma_lanczos(z), rel=1e-4)

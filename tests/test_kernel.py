@@ -8,8 +8,6 @@ from regamma.kernel import (
     _remainder_series,
     decompose,
     exp_remainder,
-    exp_remainder_eval,
-    falling_factorial,
     kernel_ratio,
     regularized_integrand,
     truncated_exp,
@@ -63,20 +61,6 @@ class TestTruncatedExp:
         assert truncated_exp(x, 60) == pytest.approx(math.exp(x), rel=1e-14)
 
 
-class TestFallingFactorial:
-    def test_values(self):
-        assert falling_factorial(5.0, 3) == 60.0
-        assert falling_factorial(0.5, 1) == 0.5
-        assert falling_factorial(2.5, 0) == 1.0
-
-    def test_recursion(self):
-        z = 3.7
-        for n in range(1, 6):
-            assert falling_factorial(z, n) == pytest.approx(
-                falling_factorial(z, n - 1) * (z - n + 1), rel=1e-15
-            )
-
-
 class TestExpRemainder:
     def test_order_zero_is_exp(self):
         for x in (-3.0, 0.7, 10.0):
@@ -116,14 +100,6 @@ class TestExpRemainder:
         h = 1e-6
         fd = (exp_remainder(x + h, n + 1) - exp_remainder(x - h, n + 1)) / (2 * h)
         assert fd == pytest.approx(exp_remainder(x, n), rel=1e-6)
-
-    def test_eval_records_path(self):
-        assert exp_remainder_eval(-0.25, 3).method_used == "series-tail"
-        assert exp_remainder_eval(-9.0, 3).method_used == "direct"
-        assert exp_remainder_eval(1.0, 0).method_used == "direct"
-        rec = exp_remainder_eval(-0.25, 3)
-        assert rec.value == exp_remainder(-0.25, 3)
-        assert math.isfinite(rec.value)
 
 
 class TestKernelRatio:
