@@ -77,7 +77,7 @@ def _default_eps_rel() -> float:
 
 
 def _config(args) -> QuadratureConfig:
-    eps = args.eps_rel if getattr(args, "eps_rel", None) else _default_eps_rel()
+    eps = args.eps_rel if getattr(args, "eps_rel", None) is not None else _default_eps_rel()
     return QuadratureConfig(eps_rel=eps)
 
 
@@ -112,16 +112,7 @@ def _evaluate(args, cfg: QuadratureConfig) -> GammaValue | float:
 
 
 def cmd_eval(args) -> int:
-    cfg = _config(args)
-    try:
-        out = _evaluate(args, cfg)
-    except RegammaError as exc:
-        print(f"regamma: error: {exc}", file=sys.stderr)
-        return 1
-    except OverflowError as exc:
-        print(f"regamma: error: {exc}", file=sys.stderr)
-        return 1
-
+    out = _evaluate(args, _config(args))
     if isinstance(out, float):  # inv-laplace returns a bare real value
         print(f"value  = {_fmt(out)}")
         print("method = hankel")
@@ -454,7 +445,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    # domain errors, bad tolerances and non-finite inputs exit 1 with one line
+    try:
+        return args.func(args)
+    except (RegammaError, OverflowError, ValueError) as exc:
+        print(f"regamma: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

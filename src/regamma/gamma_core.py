@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .errors import NonPositiveArgument, PoleError
-from .kernel import ArgDecomposition, decompose, exp_remainder, kernel_ratio
+from .kernel import ArgDecomposition, decompose, exp_remainder, kernel_ratio, sinpi
 from .quadrature import (
     ConditionFlag,
     IntegralResult,
@@ -42,6 +42,8 @@ from .quadrature import (
 
 # largest m with (m-1)! representable in double precision
 _MAX_EXACT_FACTORIAL_ARG = 171
+# first m at which 1/(m-1)! rounds to 0.0
+_RECIP_FACTORIAL_ZERO_ARG = 179
 
 
 class MethodTag(str, Enum):
@@ -76,7 +78,10 @@ class GammaValue:
 
 
 def _exact_recip_factorial(m: int) -> float:
-    # big-int division rounds correctly and degrades to subnormals/0.0
+    # big-int division rounds correctly and degrades to subnormals; past
+    # that, skip building (m-1)!, which is slow for large m
+    if m >= _RECIP_FACTORIAL_ZERO_ARG:
+        return 0.0
     return 1 / math.factorial(m - 1)
 
 
@@ -230,7 +235,7 @@ def recip_gamma(
         return GammaValue(_exact_recip_factorial(m), method, None)
     if z < 0.0:
         base = recip_gamma(1.0 - z, cfg, method)
-        value = math.sin(math.pi * z) / math.pi / base.value
+        value = sinpi(z) / math.pi / base.value
         return GammaValue(value, method, base.quadrature)
     if method is MethodTag.HANKEL:
         from . import hankel
@@ -238,7 +243,7 @@ def recip_gamma(
         return hankel.recip_gamma_via_contour(z, cfg)
 
     arg = decompose(z)
-    sin_over_pi = math.sin(math.pi * z) / math.pi
+    sin_over_pi = sinpi(z) / math.pi
     if method is MethodTag.REAL_AXIS:
         res = integrate_regularized_kernel(arg, cfg)
         value = sin_over_pi * res.value
@@ -261,7 +266,7 @@ def recip_gamma_neg_reflection(z: float, cfg: QuadratureConfig | None = None) ->
     decompose(z)  # validates the domain
     cfg = cfg or QuadratureConfig()
     base = recip_gamma(z + 1.0, cfg)
-    value = -math.sin(math.pi * z) / math.pi / base.value
+    value = -sinpi(z) / math.pi / base.value
     return GammaValue(value, base.method, base.quadrature)
 
 

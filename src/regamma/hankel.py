@@ -310,8 +310,8 @@ def inverse_laplace_monomial(
     Gamma(k+1) (e^{ts} - e_{[k]}(ts)) / s^{k+1} over the same contour.
     """
     arg = decompose(k)
-    if not t > 0.0:
-        raise ValueError(f"time must be > 0, got {t!r}")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"time must be finite and > 0, got {t!r}")
     contour = contour or HankelContour()
     cfg = cfg or QuadratureConfig()
     gamma_k1 = gamma_core.gamma(k + 1.0, cfg).value

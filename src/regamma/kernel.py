@@ -57,6 +57,18 @@ def truncated_exp(x: float, n: int) -> float:
     return total
 
 
+def sinpi(z: float) -> float:
+    """sin(pi z) with exact argument reduction.
+
+    r = z - round(z) is exact, so the result keeps full relative accuracy
+    next to the integers, where sin(pi * z) loses it to the rounding of
+    pi * z.
+    """
+    k = round(z)
+    s = math.sin(math.pi * (z - k))
+    return -s if k % 2 else s
+
+
 def _remainder_series(x: float, n: int) -> float:
     # sum_{k=n}^inf x^k/k!, the Taylor tail of e^x past degree n-1
     term = 1.0

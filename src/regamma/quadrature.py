@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Sequence
 
-from .kernel import ArgDecomposition, kernel_ratio, regularized_integrand
+from .kernel import ArgDecomposition, kernel_ratio, regularized_integrand, sinpi
 
 # 7/15 Gauss-Kronrod abscissae and weights (positive half; node 0 last).
 # Odd-indexed abscissae carry the embedded 7-point Gauss rule.
@@ -268,7 +268,7 @@ def exponential_tail(z: float, X: float, cfg: QuadratureConfig) -> IntegralResul
 
 def near_integer_amplified(z: float, eps_rel: float) -> bool:
     """True when the final sin(pi z)/pi product cannot be trusted to 1e-6."""
-    return abs(math.sin(math.pi * z)) < math.pi * eps_rel / _AMPLIFICATION_LIMIT
+    return abs(sinpi(z)) < math.pi * eps_rel / _AMPLIFICATION_LIMIT
 
 
 def combine(

@@ -64,6 +64,31 @@ class TestEval:
         assert max(values) - min(values) <= 1e-7
 
 
+class TestInputErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "nan"),
+            ("eval", "0.5", "--eps-rel", "2"),
+            ("eval", "0.5", "--eps-rel", "0"),
+            ("eval", "1.5", "--fn", "inv-laplace", "--t", "inf"),
+            ("bench", "--eps-rel", "2", "--min", "0.5", "--max", "0.5"),
+        ],
+    )
+    def test_one_error_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("regamma: error: ") and err.count("\n") == 1
+
+    def test_env_tolerance_out_of_range(self, capsys, monkeypatch):
+        monkeypatch.setenv("REGAMMA_EPS_REL", "2")
+        code, out, err = run(capsys, "eval", "0.5")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("regamma: error: ") and err.count("\n") == 1
+
+
 class TestSweep:
     def test_fig3_preset(self, capsys, tmp_path):
         out_path = tmp_path / "fig3.csv"

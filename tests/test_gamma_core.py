@@ -1,5 +1,7 @@
 import math
+import time
 
+import mpmath
 import pytest
 
 from regamma.errors import IntegerArgument, NonPositiveArgument, PoleError
@@ -60,10 +62,42 @@ class TestRecipGamma:
     def test_large_integer_underflows_to_zero(self):
         assert recip_gamma(500.0).value == 0.0
 
+    def test_huge_integers_return_zero_at_once(self):
+        for m in range(1, 201):
+            assert recip_gamma(float(m)).value == 1 / math.factorial(m - 1)
+        start = time.perf_counter()
+        assert recip_gamma(1e7).value == 0.0
+        assert time.perf_counter() - start < 0.5
+
     def test_near_integer_flagged(self):
         gv = recip_gamma(2.0 + 1e-3, CFG)
         assert gv.condition_flag is ConditionFlag.NEAR_INTEGER_AMPLIFICATION
         assert gv.value == pytest.approx(1.0 / gamma_lanczos(2.0 + 1e-3), rel=1e-8)
+
+
+class TestNearIntegerSine:
+    """sin(pi z) is reduced exactly, so the product keeps its accuracy."""
+
+    CFG10 = QuadratureConfig(eps_rel=1e-10)
+
+    @staticmethod
+    def rel_err(value, ref):
+        return abs(value - float(ref)) / abs(float(ref))
+
+    @pytest.mark.parametrize(
+        "method",
+        [MethodTag.REAL_AXIS, MethodTag.POWER_SUBST, MethodTag.LOG_FORM,
+         MethodTag.CAUCHY_SAALSCHUTZ],
+    )
+    @pytest.mark.parametrize("z", [1.0 + 1e-12, 2.0 + 1e-9, -3.0 + 1e-10])
+    def test_recip_gamma_against_mpmath(self, z, method):
+        gv = recip_gamma(z, self.CFG10, method)
+        assert self.rel_err(gv.value, mpmath.rgamma(z)) <= 1e-10
+
+    def test_neg_reflection_against_mpmath(self):
+        z = 2.0 + 1e-9
+        gv = recip_gamma_neg_reflection(z, self.CFG10)
+        assert self.rel_err(gv.value, mpmath.rgamma(-z)) <= 1e-10
 
 
 class TestNegReflection:

@@ -73,6 +73,8 @@ class TestHankelRecipGamma:
             hankel_recip_gamma(0.5, HankelContour(r0=-1.0), CFG)
         with pytest.raises(ContourDegenerate):
             hankel_recip_gamma(0.5, HankelContour(r0=2.0, R=2.0), CFG)
+        with pytest.raises(ContourDegenerate):  # more ray panels than nodes
+            hankel_recip_gamma(1.5, HankelContour(nodes=4), CFG)
 
 
 class TestRayDifferenceKernel:
@@ -166,8 +168,15 @@ class TestInverseLaplace:
     def test_domain_errors(self):
         with pytest.raises(IntegerArgument):
             inverse_laplace_monomial(2.0, 1.0, HankelContour(), CFG)
-        with pytest.raises(ValueError):
-            inverse_laplace_monomial(1.5, 0.0, HankelContour(), CFG)
+        for t in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                inverse_laplace_monomial(1.5, t, HankelContour(), CFG)
+
+    @pytest.mark.parametrize("t", [1e15, 1e17])
+    def test_huge_time_exceeds_panel_budget(self, t):
+        # the panel width cap pi/(t sin delta) no longer moves the ray seeds
+        with pytest.raises(ContourDegenerate):
+            inverse_laplace_monomial(1.5, t, HankelContour(), CFG)
 
 
 class TestComplexValue:

@@ -10,6 +10,7 @@ from regamma.kernel import (
     exp_remainder,
     kernel_ratio,
     regularized_integrand,
+    sinpi,
     truncated_exp,
 )
 
@@ -59,6 +60,22 @@ class TestTruncatedExp:
     @pytest.mark.parametrize("x", [-3.0, -0.5, 0.2, 4.0])
     def test_approaches_exp(self, x):
         assert truncated_exp(x, 60) == pytest.approx(math.exp(x), rel=1e-14)
+
+
+class TestSinPi:
+    @pytest.mark.parametrize("k", [-3, -1, 0, 1, 2, 7, 2**60])
+    def test_exact_zeros(self, k):
+        assert sinpi(float(k)) == 0.0
+
+    @pytest.mark.parametrize("z", [0.5, 1.5, -0.5, 2.25, -7.75, 3.1])
+    def test_matches_sin(self, z):
+        assert sinpi(z) == pytest.approx(math.sin(math.pi * z), rel=1e-14, abs=1e-15)
+
+    @pytest.mark.parametrize("z", [1.0 + 1e-12, 4.0 - 3e-11, -2.0 + 1e-9])
+    def test_relative_accuracy_near_integers(self, z):
+        with mp.workdps(40):
+            ref = mp.sinpi(mpf(z))
+        assert abs(sinpi(z) - ref) / abs(ref) <= 4e-16
 
 
 class TestExpRemainder:

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import pytest
@@ -61,6 +62,30 @@ class TestIntegrateFinite:
     def test_bad_interval(self):
         with pytest.raises(ValueError):
             integrate_finite(lambda x: x, 1.0, 0.0, CFG)
+
+    def test_complex_integrand_matches_its_parts(self):
+        # a fixed complex multiple of a real integrand adapts exactly like it
+        c = 1.0 - 2.0j
+        f = lambda x: math.sqrt(x) * math.exp(-x)
+        cfg = QuadratureConfig(eps_rel=1e-10)
+        whole = integrate_finite(lambda x: c * f(x), 0.0, 4.0, cfg, breakpoints=[1.0])
+        re = integrate_finite(lambda x: c.real * f(x), 0.0, 4.0, cfg, breakpoints=[1.0])
+        im = integrate_finite(lambda x: c.imag * f(x), 0.0, 4.0, cfg, breakpoints=[1.0])
+        assert isinstance(whole.value, complex)
+        assert whole.value.real == pytest.approx(re.value, rel=1e-14)
+        assert whole.value.imag == pytest.approx(im.value, rel=1e-14)
+        assert whole.evaluations == re.evaluations == im.evaluations > 15
+        assert whole.condition_flag is re.condition_flag is im.condition_flag
+        assert whole.condition_flag is ConditionFlag.OK
+
+    def test_oscillatory_complex_integrand(self):
+        whole = integrate_finite(lambda x: cmath.exp(3j * x), 0.0, 5.0, CFG)
+        re = integrate_finite(lambda x: math.cos(3.0 * x), 0.0, 5.0, CFG)
+        im = integrate_finite(lambda x: math.sin(3.0 * x), 0.0, 5.0, CFG)
+        assert whole.value.real == pytest.approx(re.value, rel=1e-10)
+        assert whole.value.imag == pytest.approx(im.value, rel=1e-10)
+        assert whole.value == pytest.approx((cmath.exp(15j) - 1.0) / 3j, rel=1e-10)
+        assert whole.condition_flag is ConditionFlag.OK
 
 
 class TestRegularizedKernel:
