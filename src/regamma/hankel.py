@@ -13,6 +13,14 @@ the right one.  Beyond the truncation radius the polynomial part of each
 ray has an elementary antiderivative (added in closed form) and the
 exponential part is integrated over one further stretch.
 
+For real z the integrand at conj(tau) is the conjugate of the one at tau,
+so the contour integral is 2i times the imaginary part of its upper half;
+only that half is evaluated, and its parts are divided by pi once at the
+end.  The arc's share is the real integrand Re(tau f(tau)).  Each ray stays
+a complex integral of which the imaginary part is kept, so its tolerance is
+relative to the whole ray: past R the imaginary part alone, oscillating and
+some 1e-37 of the result, would not meet a relative tolerance.
+
 Every segment is integrated by the same adaptive engine as the real-line
 routes (quadrature.integrate_finite, with complex values) and the segments
 are summed by quadrature.combine.
@@ -31,7 +39,6 @@ from .quadrature import IntegralResult, QuadratureConfig, combine, integrate_fin
 
 _EPS = 2.0 ** -53
 _MAX_TERMS = 500
-_TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -157,19 +164,19 @@ def _segment_config(cfg: QuadratureConfig, contour: HankelContour) -> Quadrature
 def _arc(
     order: int, z_exp: float, scale: float, contour: HankelContour, sub: QuadratureConfig
 ) -> IntegralResult:
-    """Integral of (e^{a s} - e_{order-1}(a s)) / s^{z_exp} over the arc |s| = r0."""
+    """(1/2i) times the integral of f(s) = (e^{a s} - e_{order-1}(a s)) / s^{z_exp}
+    over the arc |s| = r0, which is that of Re(tau f(tau)) over theta in [0, delta]."""
     delta, r0 = contour.delta, contour.r0
 
-    def arc(theta: float) -> complex:
+    def arc(theta: float) -> float:
         tau = r0 * cmath.exp(1j * theta)
         return (
-            1j
-            * tau
+            tau
             * _cremainder(scale * tau, order)
             * cmath.exp(-z_exp * complex(math.log(r0), theta))
-        )
+        ).real
 
-    return integrate_finite(arc, -delta, delta, sub, [-0.5 * delta, 0.0, 0.5 * delta])
+    return integrate_finite(arc, 0.0, delta, sub, [0.5 * delta])
 
 
 def _contour_eval(
@@ -181,7 +188,7 @@ def _contour_eval(
 ) -> IntegralResult:
     """(1/2 pi i) contour integral of (e^{a s} - e_{order-1}(a s)) / s^{z_exp}.
 
-    The result's value is complex.
+    The value is real: Im of the upper half's integral, over pi.
     """
     _validate(contour)
     delta, r0 = contour.delta, contour.r0
@@ -191,34 +198,24 @@ def _contour_eval(
     sub = _segment_config(cfg, contour)
     width_cap = math.pi / (scale * abs(math.sin(delta)))
     seeds = _ray_breakpoints(r0, R, width_cap, contour.nodes)
+    phase = cmath.exp(1j * delta)
 
-    phase_out = cmath.exp(1j * delta)
-    phase_in = cmath.exp(-1j * delta)
+    def ray(r: float) -> complex:
+        return phase * ray_kernel(r, delta, z_exp, order, scale)
 
-    def outgoing(r: float) -> complex:
-        return phase_out * ray_kernel(r, delta, z_exp, order, scale)
-
-    def incoming(r: float) -> complex:
-        return -phase_in * ray_kernel(r, -delta, z_exp, order, scale)
-
-    # exponential part of the rays beyond R, integrated over one stretch
+    # exponential part of the ray beyond R, integrated over one stretch
     span = 50.0 / (scale * abs(math.cos(delta)))
     top = R + span
 
-    def outgoing_exp(r: float) -> complex:
-        return phase_out * cmath.exp(
-            scale * r * phase_out - z_exp * complex(math.log(r), delta)
-        )
+    def ray_exp(r: float) -> complex:
+        return phase * cmath.exp(scale * r * phase - z_exp * complex(math.log(r), delta))
 
-    def incoming_exp(r: float) -> complex:
-        return -phase_in * cmath.exp(
-            scale * r * phase_in - z_exp * complex(math.log(r), -delta)
-        )
+    def imaginary_part(f, a: float, b: float, seeds: list[float]) -> IntegralResult:
+        res = integrate_finite(f, a, b, sub, seeds)
+        return replace(res, value=res.value.imag)
 
-    tail_seeds = [R + span * s for s in (0.1, 0.3, 0.6)]
-
-    # polynomial part of the rays beyond R, in closed form (the two rays
-    # combine into 2i times a real sum; each exponent k - z_exp + 1 < 0)
+    # polynomial part of the ray beyond R, in closed form (its imaginary
+    # part; each exponent k - z_exp + 1 < 0)
     poly = 0.0
     coeff = 1.0  # scale^k / k!
     for k in range(order):
@@ -226,26 +223,22 @@ def _contour_eval(
         poly += coeff * math.exp(expo * math.log(R)) * math.sin(delta * expo) / expo
         coeff *= scale / (k + 1)
 
-    # neglected exponential remainder past R + span, both rays
-    neglect = 2.0 * math.exp(
+    # neglected exponential remainder of the ray past R + span
+    neglect = math.exp(
         scale * top * math.cos(delta) - z_exp * math.log(top)
     ) / (scale * abs(math.cos(delta)))
 
     raw = combine(
         [
-            IntegralResult(2j * poly, 0.0, 0),
-            integrate_finite(incoming, r0, R, sub, seeds),
+            IntegralResult(poly, 0.0, 0),
+            imaginary_part(ray, r0, R, seeds),
             _arc(order, z_exp, scale, contour, sub),
-            integrate_finite(outgoing, r0, R, sub, seeds),
-            integrate_finite(incoming_exp, R, top, sub, tail_seeds),
-            integrate_finite(outgoing_exp, R, top, sub, tail_seeds),
+            imaginary_part(ray_exp, R, top, [R + span * s for s in (0.1, 0.3, 0.6)]),
         ],
         extra_error=neglect,
     )
     return replace(
-        raw,
-        value=raw.value / (2j * math.pi),
-        abs_error_estimate=raw.abs_error_estimate / _TWO_PI,
+        raw, value=raw.value / math.pi, abs_error_estimate=raw.abs_error_estimate / math.pi
     )
 
 
@@ -256,15 +249,14 @@ def hankel_recip_gamma(
 ) -> ComplexValue:
     """1/Gamma(z) as the regularized contour integral, z > 0 non-integer.
 
-    The real part approximates 1/Gamma(z); the imaginary part should
-    vanish to within the quadrature tolerance and is returned as a
-    consistency diagnostic rather than forced to zero.
+    The imaginary part is 0.0 by construction (only the upper half of the
+    contour is evaluated); the route's consistency check is invariance of
+    the value under changes of delta, r0 and R.
     """
     arg = decompose(z)
     contour = contour or HankelContour()
     cfg = cfg or QuadratureConfig()
-    value = _contour_eval(arg.n, z, 1.0, contour, cfg).value
-    return ComplexValue(value.real, value.imag)
+    return ComplexValue(_contour_eval(arg.n, z, 1.0, contour, cfg).value, 0.0)
 
 
 def recip_gamma_via_contour(z: float, cfg: QuadratureConfig | None = None) -> gamma_core.GammaValue:
@@ -272,7 +264,6 @@ def recip_gamma_via_contour(z: float, cfg: QuadratureConfig | None = None) -> ga
     arg = decompose(z)
     cfg = cfg or QuadratureConfig()
     res = _contour_eval(arg.n, z, 1.0, HankelContour(), cfg)
-    res = replace(res, value=res.value.real)
     return gamma_core.GammaValue(res.value, gamma_core.MethodTag.HANKEL, res)
 
 
@@ -282,7 +273,7 @@ def arc_contribution(
     cfg: QuadratureConfig | None = None,
     order: int | None = None,
 ) -> ComplexValue:
-    """The (1/2 pi i)-normalized integral over the arc alone.
+    """The (1/2 pi i)-normalized integral over the arc alone, a real number.
 
     With the regularizing order n = [z] (the default) the magnitude decays
     like r0^{1-frac} as the arc shrinks; passing order=0 reproduces the
@@ -293,8 +284,8 @@ def arc_contribution(
     cfg = cfg or QuadratureConfig()
     _validate(contour)
     n = arg.n if order is None else order
-    val = _arc(n, z, 1.0, contour, _segment_config(cfg, contour)).value / (2j * math.pi)
-    return ComplexValue(val.real, val.imag)
+    arc = _arc(n, z, 1.0, contour, _segment_config(cfg, contour))
+    return ComplexValue(arc.value / math.pi, 0.0)
 
 
 def inverse_laplace_monomial(
@@ -315,5 +306,4 @@ def inverse_laplace_monomial(
     contour = contour or HankelContour()
     cfg = cfg or QuadratureConfig()
     gamma_k1 = gamma_core.gamma(k + 1.0, cfg).value
-    value = _contour_eval(arg.n + 1, k + 1.0, t, contour, cfg).value
-    return gamma_k1 * value.real
+    return gamma_k1 * _contour_eval(arg.n + 1, k + 1.0, t, contour, cfg).value
