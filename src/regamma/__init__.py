@@ -5,6 +5,7 @@ cross-validating Hankel-contour route and classical testing oracles."""
 from .errors import (
     ContourDegenerate,
     IntegerArgument,
+    NonFiniteArgument,
     NonPositiveArgument,
     PoleError,
     RegammaError,
@@ -24,6 +25,7 @@ from .hankel import (
     HankelContour,
     arc_contribution,
     hankel_recip_gamma,
+    inverse_laplace,
     inverse_laplace_monomial,
     ray_difference_kernel,
     ray_kernel,
@@ -57,6 +59,7 @@ __all__ = [
     "IntegerArgument",
     "IntegralResult",
     "MethodTag",
+    "NonFiniteArgument",
     "NonPositiveArgument",
     "PoleError",
     "QuadratureConfig",
@@ -71,6 +74,7 @@ __all__ = [
     "hankel_recip_gamma",
     "integrate_finite",
     "integrate_regularized_kernel",
+    "inverse_laplace",
     "inverse_laplace_monomial",
     "kernel_ratio",
     "polynomial_tail_closed_form",

@@ -28,7 +28,7 @@ from .gamma_core import (
     recip_gamma,
     recip_gamma_neg_reflection,
 )
-from .hankel import HankelContour, hankel_recip_gamma, inverse_laplace_monomial
+from .hankel import HankelContour, hankel_recip_gamma, inverse_laplace
 from .quadrature import ConditionFlag, QuadratureConfig
 
 _METHODS = {
@@ -89,7 +89,7 @@ def _fmt(x: float) -> str:
 # eval
 # ---------------------------------------------------------------------------
 
-def _evaluate(args, cfg: QuadratureConfig) -> GammaValue | float:
+def _evaluate(args, cfg: QuadratureConfig) -> GammaValue:
     z = args.z
     method = _METHODS[args.method]
     if args.fn == "recip-gamma":
@@ -107,18 +107,12 @@ def _evaluate(args, cfg: QuadratureConfig) -> GammaValue | float:
             raise RegammaError("--fn gamma-ratio requires --b <denominator>")
         return gamma_ratio(z, args.b, cfg)
     if args.fn == "inv-laplace":
-        return inverse_laplace_monomial(z, args.t, HankelContour(), cfg)
+        return inverse_laplace(z, args.t, HankelContour(), cfg)
     raise RegammaError(f"unknown function {args.fn!r}")
 
 
 def cmd_eval(args) -> int:
     out = _evaluate(args, _config(args))
-    if isinstance(out, float):  # inv-laplace returns a bare real value
-        print(f"value  = {_fmt(out)}")
-        print("method = hankel")
-        print("flag   = ok")
-        return 0
-
     print(f"value  = {_fmt(out.value)}")
     print(f"method = {out.method.value}")
     if out.quadrature is None:

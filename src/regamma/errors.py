@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finiteness check."""
+
+import math
 
 
 class RegammaError(Exception):
@@ -19,3 +21,13 @@ class PoleError(RegammaError):
 
 class ContourDegenerate(RegammaError):
     """Raised when a Hankel contour cannot be resolved numerically."""
+
+
+class NonFiniteArgument(RegammaError):
+    """Raised when an argument is infinite or NaN."""
+
+
+def require_finite(value: float, name: str = "argument") -> None:
+    """Raise NonFiniteArgument unless value is a finite number."""
+    if not math.isfinite(value):
+        raise NonFiniteArgument(f"{name} must be finite, got {value!r}")

@@ -23,13 +23,14 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .errors import NonPositiveArgument, PoleError
+from .errors import NonPositiveArgument, PoleError, require_finite
 from .kernel import ArgDecomposition, decompose, exp_remainder, kernel_ratio, sinpi
 from .quadrature import (
     ConditionFlag,
     IntegralResult,
     QuadratureConfig,
     combine,
+    combine_product,
     exponential_tail,
     geometric_breakpoints,
     integrate_finite,
@@ -224,9 +225,13 @@ def recip_gamma(
     """1/Gamma(z) for any real z.
 
     Positive integers return the exact 1/(m-1)!; zero and negative integers
-    return exactly 0.  Negative non-integer z reflects once to 1-z > 0.
-    Non-integer positive z goes through the representation named by method.
+    return exactly 0, and so does +inf, the limit.  Negative non-integer z
+    reflects once to 1-z > 0.  Non-integer positive z goes through the
+    representation named by method.  NaN and -inf raise NonFiniteArgument.
     """
+    if z == math.inf:
+        return GammaValue(0.0, method, None)
+    require_finite(z)
     cfg = cfg or QuadratureConfig()
     if z == math.floor(z):
         m = int(z)
@@ -304,6 +309,8 @@ def gamma_ratio(A: float, B: float, cfg: QuadratureConfig | None = None) -> Gamm
     one-dimensional integrals; both factors are evaluated here, with the
     reciprocal factor going through the unit-interval log form.
     """
+    require_finite(A, "A")
+    require_finite(B, "B")
     if not A > 0.0:
         raise NonPositiveArgument(f"A must be > 0, got {A!r}")
     if not B > 0.0:
@@ -312,12 +319,7 @@ def gamma_ratio(A: float, B: float, cfg: QuadratureConfig | None = None) -> Gamm
     rg_b = recip_gamma(B, cfg, MethodTag.LOG_FORM)
     e_a = _euler_gamma_integral(A, cfg)
     value = rg_b.value * e_a.value
-
-    # the factors multiply, so their relative errors add
-    parts = [e_a] if rg_b.quadrature is None else [e_a, rg_b.quadrature]
-    rel = sum(p.abs_error_estimate / abs(p.value) for p in parts if p.value)
-    res = replace(combine(parts), value=value, abs_error_estimate=abs(value) * rel)
-    return GammaValue(value, MethodTag.LOG_FORM, res)
+    return GammaValue(value, MethodTag.LOG_FORM, combine_product(value, [e_a, rg_b.quadrature]))
 
 
 def gamma(
@@ -327,9 +329,13 @@ def gamma(
 ) -> GammaValue:
     """Gamma(z) = 1/recip_gamma(z); exact factorials at positive integers.
 
-    Raises PoleError at non-positive integers and OverflowError once the
-    value exceeds double precision (integer z > 171).
+    Raises PoleError at non-positive integers, OverflowError once the
+    value exceeds double precision (integer z > 171, and z = +inf) and
+    NonFiniteArgument at NaN and -inf.
     """
+    if z == math.inf:
+        raise OverflowError(f"Gamma({z!r}) overflows double precision")
+    require_finite(z)
     if z == math.floor(z):
         m = int(z)
         if m <= 0:

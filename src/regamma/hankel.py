@@ -35,7 +35,14 @@ from dataclasses import dataclass, replace
 from . import gamma_core
 from .errors import ContourDegenerate
 from .kernel import decompose
-from .quadrature import IntegralResult, QuadratureConfig, combine, integrate_finite
+from .quadrature import (
+    ConditionFlag,
+    IntegralResult,
+    QuadratureConfig,
+    combine,
+    combine_product,
+    integrate_finite,
+)
 
 _EPS = 2.0 ** -53
 _MAX_TERMS = 500
@@ -237,8 +244,13 @@ def _contour_eval(
         ],
         extra_error=neglect,
     )
-    return replace(
-        raw, value=raw.value / math.pi, abs_error_estimate=raw.abs_error_estimate / math.pi
+    flag = raw.condition_flag
+    # each part meets its own tolerance, but the parts can cancel (the
+    # value is about z as z -> 0), so the sum is checked as well
+    if raw.abs_error_estimate > cfg.eps_rel * abs(raw.value):
+        flag = ConditionFlag.TOLERANCE_NOT_MET
+    return IntegralResult(
+        raw.value / math.pi, raw.abs_error_estimate / math.pi, raw.evaluations, flag
     )
 
 
@@ -288,22 +300,39 @@ def arc_contribution(
     return ComplexValue(arc.value / math.pi, 0.0)
 
 
-def inverse_laplace_monomial(
+def inverse_laplace(
     k: float,
     t: float,
     contour: HankelContour | None = None,
     cfg: QuadratureConfig | None = None,
-) -> float:
+) -> gamma_core.GammaValue:
     """Invert Gamma(k+1)/s^{k+1} at time t; the exact answer is t^k.
 
     The image function has a branch point at s = 0, and the regularized
     contour integral converges without any Bromwich shift: the kernel is
     Gamma(k+1) (e^{ts} - e_{[k]}(ts)) / s^{k+1} over the same contour.
+    The result's diagnostics are those of the product: the relative
+    errors of the contour integral and of Gamma(k+1) add, and the flag
+    combines theirs.
     """
     arg = decompose(k)
     if not 0.0 < t < math.inf:
         raise ValueError(f"time must be finite and > 0, got {t!r}")
     contour = contour or HankelContour()
     cfg = cfg or QuadratureConfig()
-    gamma_k1 = gamma_core.gamma(k + 1.0, cfg).value
-    return gamma_k1 * _contour_eval(arg.n + 1, k + 1.0, t, contour, cfg).value
+    gamma_k1 = gamma_core.gamma(k + 1.0, cfg)
+    res = _contour_eval(arg.n + 1, k + 1.0, t, contour, cfg)
+    value = gamma_k1.value * res.value
+    return gamma_core.GammaValue(
+        value, gamma_core.MethodTag.HANKEL, combine_product(value, [res, gamma_k1.quadrature])
+    )
+
+
+def inverse_laplace_monomial(
+    k: float,
+    t: float,
+    contour: HankelContour | None = None,
+    cfg: QuadratureConfig | None = None,
+) -> float:
+    """The value of inverse_laplace: t^k from the contour integral."""
+    return inverse_laplace(k, t, contour, cfg).value

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import IntegerArgument, NonPositiveArgument
+from .errors import IntegerArgument, NonPositiveArgument, require_finite
 
 # 2^-53, the stopping threshold for tail-series accumulation
 _EPS = 2.0 ** -53
@@ -35,6 +35,7 @@ def decompose(z: float) -> ArgDecomposition:
     Near-integer conditioning is reported downstream by the quadrature
     diagnostics rather than hidden by rounding here.
     """
+    require_finite(z)
     if not z > 0.0:
         raise NonPositiveArgument(f"argument must be > 0, got {z!r}")
     n = math.floor(z)

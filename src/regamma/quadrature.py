@@ -298,6 +298,17 @@ def combine(
     )
 
 
+def combine_product(value: float, factors: Sequence[IntegralResult | None]) -> IntegralResult:
+    """The diagnostics of value, a product of factors computed by quadrature.
+
+    The relative errors of the factors add; evaluations add and the flag
+    is decided as in combine.  An exact factor (None) contributes nothing.
+    """
+    parts = [f for f in factors if f is not None]
+    rel = sum(p.abs_error_estimate / abs(p.value) for p in parts if p.value)
+    return replace(combine(parts), value=value, abs_error_estimate=abs(value) * rel)
+
+
 def tail_radius(cfg: QuadratureConfig) -> float:
     return max(2.0 * cfg.split_point, _TAIL_RADIUS)
 

@@ -44,6 +44,17 @@ class TestEval:
         code, out, _ = run(capsys, "eval", "1.5", "--fn", "inv-laplace", "--t", "2")
         assert code == 0
         assert "2.8284271247" in out
+        assert "method = hankel" in out
+        assert "abs_err = " in out
+        assert "flag   = ok" in out
+        assert "evals  = " in out
+
+    def test_inverse_laplace_reports_contour_flag(self, capsys):
+        code, out, _ = run(
+            capsys, "eval", "1.5", "--fn", "inv-laplace", "--t", "2", "--eps-rel", "1e-14"
+        )
+        assert code == 2
+        assert "flag   = tolerance_not_met" in out
 
     def test_pole_reports_error(self, capsys):
         code, _, err = run(capsys, "eval", "-2", "--fn", "gamma")
@@ -69,6 +80,7 @@ class TestInputErrors:
         "argv",
         [
             ("eval", "nan"),
+            ("eval", "inf", "--fn", "gamma"),
             ("eval", "0.5", "--eps-rel", "2"),
             ("eval", "0.5", "--eps-rel", "0"),
             ("eval", "1.5", "--fn", "inv-laplace", "--t", "inf"),

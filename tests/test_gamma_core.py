@@ -4,7 +4,7 @@ import time
 import mpmath
 import pytest
 
-from regamma.errors import IntegerArgument, NonPositiveArgument, PoleError
+from regamma.errors import IntegerArgument, NonFiniteArgument, NonPositiveArgument, PoleError
 from regamma.gamma_core import (
     MethodTag,
     gamma,
@@ -14,6 +14,8 @@ from regamma.gamma_core import (
     recip_gamma,
     recip_gamma_neg_reflection,
 )
+from regamma.hankel import hankel_recip_gamma, inverse_laplace_monomial
+from regamma.kernel import decompose
 from regamma.oracle import gamma_lanczos
 from regamma.quadrature import ConditionFlag, QuadratureConfig
 
@@ -249,3 +251,44 @@ class TestFunctionalEquations:
         for i in range(len(vals)):
             for j in range(i + 1, len(vals)):
                 assert abs(vals[i] - vals[j]) <= 10.0 * CFG.eps_rel * abs(vals[i])
+
+
+NON_FINITE_ENTRY_POINTS = {
+    "decompose": decompose,
+    "recip_gamma": recip_gamma,
+    "recip_gamma_hankel": lambda x: recip_gamma(x, CFG, MethodTag.HANKEL),
+    "gamma": gamma,
+    "gamma_negative": gamma_negative,
+    "gamma_cauchy_saalschutz": gamma_cauchy_saalschutz,
+    "recip_gamma_neg_reflection": recip_gamma_neg_reflection,
+    "gamma_ratio_A": lambda x: gamma_ratio(x, 2.5, CFG),
+    "gamma_ratio_B": lambda x: gamma_ratio(2.5, x, CFG),
+    "hankel_recip_gamma": hankel_recip_gamma,
+    "inverse_laplace_monomial": lambda x: inverse_laplace_monomial(x, 1.0),
+}
+# 1/Gamma(+inf) is exactly 0, and Gamma(+inf) overflows
+DEFINED_AT_PLUS_INF = ("recip_gamma", "recip_gamma_hankel", "gamma")
+
+
+class TestNonFinite:
+    def test_recip_gamma_at_infinity_is_zero(self):
+        for method in MethodTag:
+            gv = recip_gamma(math.inf, CFG, method)
+            assert gv.value == 0.0 and gv.is_exact
+
+    def test_gamma_at_infinity_overflows(self):
+        with pytest.raises(OverflowError):
+            gamma(math.inf)
+
+    @pytest.mark.parametrize(
+        "name,x",
+        [
+            (name, x)
+            for name in NON_FINITE_ENTRY_POINTS
+            for x in (math.nan, -math.inf, math.inf)
+            if not (x == math.inf and name in DEFINED_AT_PLUS_INF)
+        ],
+    )
+    def test_rejected(self, name, x):
+        with pytest.raises(NonFiniteArgument):
+            NON_FINITE_ENTRY_POINTS[name](x)

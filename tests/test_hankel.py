@@ -1,19 +1,29 @@
 import cmath
 import math
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regamma.errors import ContourDegenerate, IntegerArgument
-from regamma.gamma_core import recip_gamma
+from regamma.gamma_core import MethodTag, recip_gamma
 from regamma.hankel import (
     HankelContour,
+    _contour_eval,
     arc_contribution,
     hankel_recip_gamma,
+    inverse_laplace,
     inverse_laplace_monomial,
     ray_difference_kernel,
     ray_kernel,
 )
-from regamma.quadrature import QuadratureConfig, geometric_breakpoints, integrate_finite
+from regamma.quadrature import (
+    ConditionFlag,
+    QuadratureConfig,
+    geometric_breakpoints,
+    integrate_finite,
+)
 
 CFG = QuadratureConfig()
 REFERENCE_CONTOUR = HankelContour(delta=0.75 * math.pi, r0=0.5, R=40.0)
@@ -127,6 +137,61 @@ class TestArcContribution:
         assert slope <= 0.0
 
 
+class TestConjugateFold:
+    @pytest.mark.parametrize("z", [0.5, 1.5, 3.3, 7.7])
+    @pytest.mark.parametrize("delta,r0", [(0.75 * math.pi, 0.5), (2.0, 0.25), (3.0, 1.0)])
+    def test_half_arc_matches_full_arc(self, z, delta, r0):
+        n = math.floor(z)
+
+        def arc(theta):
+            return 1j * r0 * cmath.exp(1j * theta) * ray_kernel(r0, theta, z, n)
+
+        sub = QuadratureConfig(eps_rel=CFG.eps_rel / 8.0)
+        full = integrate_finite(arc, -delta, delta, sub, [-0.5 * delta, 0.0, 0.5 * delta])
+        full = full.value / (2j * math.pi)
+        folded = arc_contribution(z, HankelContour(delta=delta, r0=r0), CFG)
+        assert folded.im == 0.0
+        assert abs(folded.re - full.real) <= 1e-13 * abs(full.real)
+
+    @pytest.mark.parametrize("z", [0.5, 2.5, 7.7])
+    def test_upper_half_only(self, z):
+        # the two-ray-plus-arc path over both halves takes 870 evaluations
+        gv = recip_gamma(z, QuadratureConfig(), MethodTag.HANKEL)
+        assert gv.quadrature.evaluations <= 435
+
+
+class TestContourProperty:
+    """The contour route against mpmath over a box of contours and times.
+
+    (1/2 pi i) times the contour integral of e^{ts} / s^z, regularized at
+    order [z], is t^{z-1} / Gamma(z).  A result flagged ok must be within
+    10 eps_rel of it; another flag, or a contour that cannot be resolved
+    within its node budget, is an allowed outcome.
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        z=st.floats(0.0, 15.0, exclude_min=True, exclude_max=True).filter(
+            lambda z: z != math.floor(z)
+        ),
+        delta=st.floats(1.65, 3.12),
+        r0=st.floats(0.05, 2.5),
+        t=st.floats(0.2, 10.0),
+        eps=st.sampled_from([1e-6, 1e-8, 1e-10]),
+    )
+    def test_ok_results_meet_tolerance(self, z, delta, r0, t, eps):
+        contour = HankelContour(delta=delta, r0=r0)
+        try:
+            res = _contour_eval(math.floor(z), z, t, contour, QuadratureConfig(eps_rel=eps))
+        except ContourDegenerate:
+            return
+        if res.condition_flag is not ConditionFlag.OK:
+            return
+        with mpmath.workdps(30):
+            ref = mpmath.power(t, z - 1) * mpmath.rgamma(z)
+            assert abs(res.value - ref) <= 10.0 * eps * abs(ref)
+
+
 class TestDeltaToPiLimit:
     @pytest.mark.parametrize("z", [0.5, 1.5])
     def test_two_ray_integral_approaches_real_representation(self, z):
@@ -164,6 +229,23 @@ class TestInverseLaplace:
     def test_monomial_pairs(self, k, t):
         val = inverse_laplace_monomial(k, t, HankelContour(), CFG)
         assert val == pytest.approx(t**k, rel=1e-6)
+
+    def test_result_carries_diagnostics(self):
+        gv = inverse_laplace(1.5, 2.0, HankelContour(), CFG)
+        assert gv.value == inverse_laplace_monomial(1.5, 2.0, HankelContour(), CFG)
+        assert gv.method is MethodTag.HANKEL
+        assert gv.condition_flag is ConditionFlag.OK
+        assert 0.0 < gv.quadrature.abs_error_estimate <= 1e-8 * gv.value
+        assert gv.quadrature.evaluations > 0
+
+    def test_flag_combines_contour_and_gamma(self):
+        # below the estimator floor the contour misses its tolerance
+        cfg = QuadratureConfig(eps_rel=1e-14)
+        contour = _contour_eval(2, 2.5, 2.0, HankelContour(), cfg)
+        assert contour.condition_flag is ConditionFlag.TOLERANCE_NOT_MET
+        gv = inverse_laplace(1.5, 2.0, HankelContour(), cfg)
+        assert gv.condition_flag is ConditionFlag.TOLERANCE_NOT_MET
+        assert gv.quadrature.evaluations > contour.evaluations
 
     def test_domain_errors(self):
         with pytest.raises(IntegerArgument):
