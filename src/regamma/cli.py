@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -48,6 +49,8 @@ _PRESETS = {
 
 _BENCH_GRID = (0.1, 9.9, 0.2)
 
+_NEGATIVE_FLOAT = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -60,6 +63,12 @@ class SweepSpec:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a '-' argument that starts like a float (-1e-3, -.5, -inf) is a
+        # value; argparse alone takes only plain decimals such as -2.5
+        self._negative_number_matcher = _NEGATIVE_FLOAT
+
     # usage errors exit 1, reserving 2 for tolerance_not_met results
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -89,30 +98,30 @@ def _fmt(x: float) -> str:
 # eval
 # ---------------------------------------------------------------------------
 
-def _evaluate(args, cfg: QuadratureConfig) -> GammaValue:
-    z = args.z
-    method = _METHODS[args.method]
-    if args.fn == "recip-gamma":
+def _evaluate(
+    fn: str, z: float, method: MethodTag, cfg: QuadratureConfig, b=None, t=1.0
+) -> GammaValue:
+    if fn == "recip-gamma":
         return recip_gamma(z, cfg, method)
-    if args.fn == "gamma":
+    if fn == "gamma":
         return gamma(z, cfg, method)
-    if args.fn == "gamma-neg":
+    if fn == "gamma-neg":
         if method is MethodTag.CAUCHY_SAALSCHUTZ:
             return gamma_cauchy_saalschutz(z, cfg)
         return gamma_negative(z, cfg)
-    if args.fn == "recip-gamma-neg":
+    if fn == "recip-gamma-neg":
         return recip_gamma_neg_reflection(z, cfg)
-    if args.fn == "gamma-ratio":
-        if args.b is None:
+    if fn == "gamma-ratio":
+        if b is None:
             raise RegammaError("--fn gamma-ratio requires --b <denominator>")
-        return gamma_ratio(z, args.b, cfg)
-    if args.fn == "inv-laplace":
-        return inverse_laplace(z, args.t, HankelContour(), cfg)
-    raise RegammaError(f"unknown function {args.fn!r}")
+        return gamma_ratio(z, b, cfg)
+    if fn == "inv-laplace":
+        return inverse_laplace(z, t, HankelContour(), cfg)
+    raise RegammaError(f"unknown function {fn!r}")
 
 
 def cmd_eval(args) -> int:
-    out = _evaluate(args, _config(args))
+    out = _evaluate(args.fn, args.z, _METHODS[args.method], _config(args), args.b, args.t)
     print(f"value  = {_fmt(out.value)}")
     print(f"method = {out.method.value}")
     if out.quadrature is None:
@@ -154,17 +163,7 @@ def _sweep_row(z: float, spec: SweepSpec, cfg: QuadratureConfig) -> tuple:
             return (z, 0.0, 0.0, spec.method.value, "exact")
         if spec.fn == "gamma-neg":
             return (z, math.nan, math.nan, spec.method.value, "pole")
-    if spec.fn == "recip-gamma":
-        gv = recip_gamma(z, cfg, spec.method)
-    elif spec.fn == "recip-gamma-neg":
-        gv = recip_gamma_neg_reflection(z, cfg)
-    elif spec.fn == "gamma-neg":
-        if spec.method is MethodTag.CAUCHY_SAALSCHUTZ:
-            gv = gamma_cauchy_saalschutz(z, cfg)
-        else:
-            gv = gamma_negative(z, cfg)
-    else:
-        raise RegammaError(f"unknown sweep function {spec.fn!r}")
+    gv = _evaluate(spec.fn, z, spec.method, cfg)
     err = 0.0 if gv.quadrature is None else gv.quadrature.abs_error_estimate
     flag = "exact" if gv.quadrature is None else gv.quadrature.condition_flag.value
     return (z, gv.value, err, gv.method.value, flag)

@@ -7,20 +7,23 @@ a divergent integral into a convergent one.  Four interchangeable routes
 are exposed (selected by MethodTag):
 
   real_axis         sin(pi z)/pi * int_0^inf (e^{-x} - e_{n-1}(-x)) x^{-z} dx
-  power_subst       the same integral after u = x^z, useful for large z
+  power_subst       the same integral, its middle stretch after u = x^z
   log_form          the same integral folded onto (0, 1) via u = e^{-x}
   cauchy_saalschutz the order-n regularization of Gamma(-z), reflected back
 
-plus `hankel`, resolved by the hankel module.  Positive integers use the
-exact factorial; zero and negative integers return the exact zeros of the
-entire function 1/Gamma.  Negative non-integer arguments are routed through
-one reflection step so the quadrature only ever sees z > 0.
+plus `hankel`, resolved by the hankel module.  The first three only state
+their change of variables as segments; quadrature.regularized_integral
+assembles them with the shared tail and decides the flag.  Positive
+integers use the exact factorial; zero and negative integers return the
+exact zeros of the entire function 1/Gamma.  Negative non-integer arguments
+are routed through one reflection step so the quadrature only ever sees
+z > 0.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import NonPositiveArgument, PoleError, require_finite
@@ -29,14 +32,15 @@ from .quadrature import (
     ConditionFlag,
     IntegralResult,
     QuadratureConfig,
+    Segment,
     combine,
     combine_product,
     exponential_tail,
     geometric_breakpoints,
     integrate_finite,
     integrate_regularized_kernel,
-    near_integer_amplified,
-    polynomial_tail_closed_form,
+    origin_segment,
+    regularized_integral,
     subdivide_config,
     tail_radius,
 )
@@ -87,73 +91,42 @@ def _exact_recip_factorial(m: int) -> float:
 
 
 def _power_subst_integral(arg: ArgDecomposition, cfg: QuadratureConfig) -> IntegralResult:
-    """int_0^inf u^{1/z-2} (e^{-u^{1/z}} - e_{n-1} at -u^{1/z}) du.
+    """I(z) with the middle stretch mapped by u = x^z.
 
-    This is the real-axis integral after u = x^z, scaled by z.  The origin
-    exponent is (n+1)/z - 2; when negative it is flattened by one more
-    power substitution, which lands on the same smooth kernel ratio.  The
-    tails map back to the x-space closed forms exactly (scaled by z).
+    There the integrand is u^{1/z-2} (e^{-u^{1/z}} - e_{n-1} at -u^{1/z})
+    times the Jacobian 1/z, over [split^z, R^z].  The origin stretch and the
+    tails are the real-axis route's.
     """
-    n, z, frac = arg.n, arg.z, arg.frac
-    X = tail_radius(cfg)
-    if z * math.log(X) > 690.0:
-        raise OverflowError(
-            f"power-substitution upper split {X}^{z} overflows double precision"
-        )
-    s_u = cfg.split_point**z
-    U = X**z
-    sub = subdivide_config(cfg)
+    n, z = arg.n, arg.z
     inv_z = 1.0 / z
-
-    alpha = (n + 1.0) * inv_z - 2.0
-    if alpha < 0.0:
-        p_v = 1.0 / (1.0 + alpha)
-        q = 1.0 / (1.0 - frac)
-
-        def origin(v: float) -> float:
-            return p_v * kernel_ratio(v**q, n)
-
-        res_a = integrate_finite(origin, 0.0, cfg.split_point ** (1.0 - frac), sub)
-    else:
-        # only reachable for n = 0, z <= 1/2: integrand is bounded at 0
-        def origin(u: float) -> float:
-            return math.exp(-(u**inv_z)) * u ** (inv_z - 2.0)
-
-        res_a = integrate_finite(origin, 0.0, s_u, sub)
 
     def middle(u: float) -> float:
         x = math.exp(math.log(u) * inv_z)
-        return exp_remainder(-x, n) * math.exp((inv_z - 2.0) * math.log(u))
+        return exp_remainder(-x, n) * math.exp((inv_z - 2.0) * math.log(u)) * inv_z
 
-    res_b = integrate_finite(
-        middle, s_u, U, sub, breakpoints=geometric_breakpoints(s_u, U)
-    )
+    def segments(split: float, R: float) -> list[Segment]:
+        if z * math.log(R) > 690.0:
+            raise OverflowError(
+                f"power-substitution upper split {R}^{z} overflows double precision"
+            )
+        s_u, U = split**z, R**z
+        return [origin_segment(arg, split), (middle, s_u, U, geometric_breakpoints(s_u, U))]
 
-    tail_poly = IntegralResult(z * polynomial_tail_closed_form(arg, X), 0.0, 0)
-    res_c = exponential_tail(z, X, sub)
-    res_c = replace(res_c, value=z * res_c.value, abs_error_estimate=z * res_c.abs_error_estimate)
-    return combine(
-        [res_a, res_b, tail_poly, res_c], amplified=near_integer_amplified(z, cfg.eps_rel)
-    )
+    return regularized_integral(arg, cfg, segments)
 
 
 def _log_form_integral(arg: ArgDecomposition, cfg: QuadratureConfig) -> IntegralResult:
-    """int_0^1 (1 - e_{n-1}(log u)/u) / (log(1/u))^z du on the unit interval.
+    """I(z) over x in [0, R] folded onto the unit interval by u = e^{-x}.
 
-    The numerator is the exponential remainder at log u, so it is evaluated
-    through the cancellation-safe kernel.  Near u = 1 the integrand behaves
-    like (1-u)^{-frac}; the substitution u = 1 - t^{1/(1-frac)} removes it.
-    Near u = 0 the polynomial terms decay only like powers of 1/log(1/u),
-    so the stretch below e^{-X} is added via the same closed-form tail as
-    the real-axis route (u = e^{-x} is an exact change of variables there).
+    There the integrand is (1 - e_{n-1}(log u)/u) / (log(1/u))^z, whose
+    numerator is the exponential remainder at log u, so it is evaluated
+    through the cancellation-safe kernel.  Near u = 1 it behaves like
+    (1-u)^{-frac}; the substitution u = 1 - t^{1/(1-frac)} removes that.
+    The stretch below e^{-R} is the shared closed-form tail (u = e^{-x} is
+    an exact change of variables there).
     """
-    n, z, frac = arg.n, arg.z, arg.frac
-    X = tail_radius(cfg)
-    x1 = cfg.split_point
-    u1 = math.exp(-x1)
-    u0 = math.exp(-X)
+    n, frac = arg.n, arg.frac
     q = 1.0 / (1.0 - frac)
-    sub = subdivide_config(cfg)
     limit = q * (-1.0) ** n / math.factorial(n)
 
     def near_one(t: float) -> float:
@@ -164,21 +137,18 @@ def _log_form_integral(arg: ArgDecomposition, cfg: QuadratureConfig) -> Integral
         rho = w / x  # -> 1 as u -> 1
         return q * kernel_ratio(x, n) * rho**frac / (1.0 - w)
 
-    res_a = integrate_finite(near_one, 0.0, (1.0 - u1) ** (1.0 - frac), sub)
-
     def middle(u: float) -> float:
         x = -math.log(u)
         return kernel_ratio(x, n) * math.exp(-frac * math.log(x)) / u
 
-    res_b = integrate_finite(
-        middle, u0, u1, sub, breakpoints=geometric_breakpoints(u0, u1)
-    )
+    def segments(split: float, R: float) -> list[Segment]:
+        u1, u0 = math.exp(-split), math.exp(-R)
+        return [
+            (near_one, 0.0, (1.0 - u1) ** (1.0 - frac), None),
+            (middle, u0, u1, geometric_breakpoints(u0, u1)),
+        ]
 
-    tail_poly = IntegralResult(polynomial_tail_closed_form(arg, X), 0.0, 0)
-    res_c = exponential_tail(z, X, sub)
-    return combine(
-        [res_a, res_b, tail_poly, res_c], amplified=near_integer_amplified(z, cfg.eps_rel)
-    )
+    return regularized_integral(arg, cfg, segments)
 
 
 def _euler_gamma_integral(A: float, cfg: QuadratureConfig) -> IntegralResult:
@@ -217,6 +187,14 @@ def _euler_gamma_integral(A: float, cfg: QuadratureConfig) -> IntegralResult:
     return combine([res_a, res_b, exponential_tail(1.0 - A, X, sub)])
 
 
+# The routes of I(z), each giving 1/Gamma(z) = sin(pi z)/pi * I(z).
+_REAL_LINE_ROUTES = {
+    MethodTag.REAL_AXIS: integrate_regularized_kernel,
+    MethodTag.POWER_SUBST: _power_subst_integral,
+    MethodTag.LOG_FORM: _log_form_integral,
+}
+
+
 def recip_gamma(
     z: float,
     cfg: QuadratureConfig | None = None,
@@ -249,30 +227,20 @@ def recip_gamma(
 
     arg = decompose(z)
     sin_over_pi = sinpi(z) / math.pi
-    if method is MethodTag.REAL_AXIS:
-        res = integrate_regularized_kernel(arg, cfg)
-        value = sin_over_pi * res.value
-    elif method is MethodTag.POWER_SUBST:
-        res = _power_subst_integral(arg, cfg)
-        value = sin_over_pi / z * res.value
-    elif method is MethodTag.LOG_FORM:
-        res = _log_form_integral(arg, cfg)
-        value = sin_over_pi * res.value
-    elif method is MethodTag.CAUCHY_SAALSCHUTZ:
+    if method is MethodTag.CAUCHY_SAALSCHUTZ:
         res = _cauchy_saalschutz_integral(arg, cfg)
-        value = -z * sin_over_pi * res.value
-    else:  # pragma: no cover - exhaustive enum
-        raise ValueError(f"unknown method {method!r}")
-    return GammaValue(value, method, res)
+        return GammaValue(-z * sin_over_pi * res.value, method, res)
+    res = _REAL_LINE_ROUTES[method](arg, cfg)
+    return GammaValue(sin_over_pi * res.value, method, res)
 
 
 def recip_gamma_neg_reflection(z: float, cfg: QuadratureConfig | None = None) -> GammaValue:
-    """1/Gamma(-z) = -sin(pi z)/pi * Gamma(z+1) for z > 0 non-integer."""
+    """1/Gamma(-z) = -sin(pi z)/pi * Gamma(z+1) for z > 0 non-integer.
+
+    That is recip_gamma(-z), whose reflection step evaluates Gamma(z+1).
+    """
     decompose(z)  # validates the domain
-    cfg = cfg or QuadratureConfig()
-    base = recip_gamma(z + 1.0, cfg)
-    value = -sinpi(z) / math.pi / base.value
-    return GammaValue(value, base.method, base.quadrature)
+    return recip_gamma(-z, cfg)
 
 
 def gamma_negative(z: float, cfg: QuadratureConfig | None = None) -> GammaValue:

@@ -158,6 +158,7 @@ def _ray_breakpoints(r0: float, R: float, width_cap: float, max_panels: int) -> 
 
 
 def _auto_truncation(contour: HankelContour, scale: float) -> float:
+    # clears the arc: _validate checks an explicit R, the automatic one is >= 4 r0
     if contour.R is not None:
         return contour.R
     decay = scale * abs(math.cos(contour.delta))
@@ -200,8 +201,6 @@ def _contour_eval(
     _validate(contour)
     delta, r0 = contour.delta, contour.r0
     R = _auto_truncation(contour, scale)
-    if R - r0 <= 1e-12 * r0:
-        raise ContourDegenerate(f"computed truncation radius {R!r} too close to arc")
     sub = _segment_config(cfg, contour)
     width_cap = math.pi / (scale * abs(math.sin(delta)))
     seeds = _ray_breakpoints(r0, R, width_cap, contour.nodes)

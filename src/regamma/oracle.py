@@ -33,7 +33,6 @@ _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 @dataclass(frozen=True)
 class OracleConfig:
     product_terms: int = 100_000
-    brute_panels: int = 100_000
 
 
 def gamma_lanczos(z: float) -> float:

@@ -1,4 +1,4 @@
-"""The adaptive quadrature engine and the real-line assembly of I(z).
+"""The adaptive quadrature engine and the one assembly of I(z).
 
 integrate_finite is the package's only adaptive engine: an embedded 7/15
 Gauss-Kronrod pair with worst-panel bisection and the classical QUADPACK
@@ -7,23 +7,25 @@ engine sums the real-line parts below and the Hankel contour segments.
 combine() sums the parts of a composite integral and decides its flag.
 
 The semi-infinite integral I(z) = int_0^inf (e^{-x} - e_{n-1}(-x)) x^{-z} dx
-is assembled from three parts:
+is assembled once, by regularized_integral.  A route states only its change
+of variables, as segments (integrand, a, b, seeds) that cover x in [0, R];
+the real-axis route (integrate_regularized_kernel) has two:
 
-  (a) [0, split]     -- substitute u = x^{1-frac}; the algebraic x^{-frac}
-                        endpoint singularity cancels exactly and the
-                        transformed integrand is bounded with limit
-                        (-1)^n / ((1-frac) n!) at u = 0;
-  (b) [split, R]     -- the raw integrand, adapted over geometrically
-                        seeded panels;
-  (c) [R, inf)       -- the polynomial part -e_{n-1}(-x) x^{-z} decays only
-                        like x^{-1-frac}, so its tail is added in closed
-                        form; the exponentially small e^{-x} x^{-z} tail is
-                        integrated numerically over one more stretch and
-                        the neglected remainder is bounded analytically.
+  [0, split]  -- substitute u = x^{1-frac} (origin_segment); the algebraic
+                 x^{-frac} endpoint singularity cancels exactly and the
+                 transformed integrand is bounded with limit
+                 (-1)^n / ((1-frac) n!) at u = 0;
+  [split, R]  -- the raw integrand, over geometrically seeded panels.
 
-All three parts share the sign (-1)^n (the Lagrange form of the Taylor
+Every route shares the tail past R: the polynomial part -e_{n-1}(-x) x^{-z}
+decays only like x^{-1-frac}, so its tail is added in closed form; the
+exponentially small e^{-x} x^{-z} tail is integrated numerically over one
+more stretch and the neglected remainder is bounded analytically.
+
+All parts share the sign (-1)^n (the Lagrange form of the Taylor
 remainder of e^{-x} is single-signed on x > 0), so per-part relative error
 control gives global relative control without cancellation surprises.
+The near-integer flag of the sin(pi z)/pi product is decided here too.
 """
 
 from __future__ import annotations
@@ -67,6 +69,9 @@ _WG_CENTER = 0.417959183673469387755102040816327
 _EPMACH = sys.float_info.epsilon
 _UFLOW = sys.float_info.min
 
+# Absolute error floor of every integration, below any relative target.
+EPS_ABS = 1e-300
+
 # Past this radius the polynomial tail is summed analytically and the
 # exponential tail integrated over one further stretch of this length.
 _TAIL_RADIUS = 36.0
@@ -89,7 +94,6 @@ class QuadratureConfig:
     """Tolerances and budgets for the adaptive engine."""
 
     eps_rel: float = 1e-8
-    eps_abs: float = 1e-300
     max_subdivisions: int = 200
     split_point: float = 1.0
 
@@ -169,7 +173,7 @@ def integrate_finite(
     Optional breakpoints seed the initial panel layout (useful for
     integrands living on many length scales); they must lie inside (a, b).
     The worst panel is bisected until the summed error estimate meets
-    max(eps_abs, eps_rel * |value|) or the subdivision budget runs out,
+    max(EPS_ABS, eps_rel * |value|) or the subdivision budget runs out,
     in which case the best value is returned with the flag set.
     """
     if not a < b:
@@ -191,7 +195,7 @@ def integrate_finite(
     while True:
         total_val = _fsum([p[3] for p in panels])
         total_err = math.fsum(p[0] for p in panels)
-        if total_err <= max(cfg.eps_abs, cfg.eps_rel * abs(total_val)):
+        if total_err <= max(EPS_ABS, cfg.eps_rel * abs(total_val)):
             break
         if nsub >= cfg.max_subdivisions:
             flag = ConditionFlag.TOLERANCE_NOT_MET
@@ -315,7 +319,46 @@ def tail_radius(cfg: QuadratureConfig) -> float:
 
 def subdivide_config(cfg: QuadratureConfig, parts: int = 2) -> QuadratureConfig:
     """Tolerance for one of several same-sign parts of a composite integral."""
-    return replace(cfg, eps_rel=cfg.eps_rel / parts, eps_abs=cfg.eps_abs / (2 * parts))
+    return replace(cfg, eps_rel=cfg.eps_rel / parts)
+
+
+# One stretch of a route's integral: (integrand, a, b, panel seeds or None).
+Segment = tuple[Callable[[float], float], float, float, Sequence[float] | None]
+
+
+def origin_segment(arg: ArgDecomposition, split: float) -> Segment:
+    """I(z) over [0, split] after u = x^{1-frac}: p * kernel_ratio(u^p, n)."""
+    n = arg.n
+    p = 1.0 / (1.0 - arg.frac)
+
+    def origin(u: float) -> float:
+        return p * kernel_ratio(u**p, n)
+
+    return origin, 0.0, split ** (1.0 - arg.frac), None
+
+
+def regularized_integral(
+    arg: ArgDecomposition,
+    cfg: QuadratureConfig,
+    segments: Callable[[float, float], Sequence[Segment]],
+) -> IntegralResult:
+    """I(z) from a route's segments over [0, R] and the shared tail past R.
+
+    segments(split, R) states the route's change of variables: the
+    stretches that together cover x in [0, R].  The closed-form polynomial
+    tail and the exponential tail follow them, in that order.  The result
+    carries near_integer_amplification when z is close enough to an
+    integer that the downstream sin(pi z)/pi product loses accuracy.
+    """
+    R = tail_radius(cfg)
+    sub = subdivide_config(cfg)
+    parts = [
+        integrate_finite(f, a, b, sub, seeds)
+        for f, a, b, seeds in segments(cfg.split_point, R)
+    ]
+    parts.append(IntegralResult(polynomial_tail_closed_form(arg, R), 0.0, 0))
+    parts.append(exponential_tail(arg.z, R, sub))
+    return combine(parts, amplified=near_integer_amplified(arg.z, cfg.eps_rel))
 
 
 def integrate_regularized_kernel(
@@ -323,37 +366,12 @@ def integrate_regularized_kernel(
 ) -> IntegralResult:
     """I(z) = int_0^inf (e^{-x} - e_{n-1}(-x)) x^{-z} dx with n = [z].
 
-    See the module docstring for the three-part strategy.  The result
-    carries near_integer_amplification when z is close enough to an
-    integer that the downstream sin(pi z)/pi product loses accuracy.
+    The real-axis route: origin_segment on [0, split], then the raw
+    integrand on [split, R]; see regularized_integral for the rest.
     """
-    if cfg is None:
-        cfg = QuadratureConfig()
-    n, z, frac = arg.n, arg.z, arg.frac
-    split = cfg.split_point
-    R = tail_radius(cfg)
-    sub = subdivide_config(cfg)
 
-    # (a) origin: u = x^{1-frac} maps the integrand to p * kernel_ratio(u^p, n)
-    p = 1.0 / (1.0 - frac)
+    def segments(split: float, R: float) -> list[Segment]:
+        middle = (lambda x: regularized_integrand(x, arg), split, R, geometric_breakpoints(split, R))
+        return [origin_segment(arg, split), middle]
 
-    def origin(u: float) -> float:
-        return p * kernel_ratio(u**p, n)
-
-    res_a = integrate_finite(origin, 0.0, split ** (1.0 - frac), sub)
-
-    # (b) middle stretch of the raw integrand
-    res_b = integrate_finite(
-        lambda x: regularized_integrand(x, arg),
-        split,
-        R,
-        sub,
-        breakpoints=geometric_breakpoints(split, R),
-    )
-
-    # (c) analytic polynomial tail plus numeric exponential tail
-    tail_poly = IntegralResult(polynomial_tail_closed_form(arg, R), 0.0, 0)
-    res_c = exponential_tail(z, R, sub)
-    return combine(
-        [res_a, res_b, tail_poly, res_c], amplified=near_integer_amplified(z, cfg.eps_rel)
-    )
+    return regularized_integral(arg, cfg or QuadratureConfig(), segments)

@@ -101,6 +101,56 @@ class TestInputErrors:
         assert err.startswith("regamma: error: ") and err.count("\n") == 1
 
 
+class TestNegativeArguments:
+    """Every float argument takes what float() takes, a leading '-' included."""
+
+    @pytest.mark.parametrize(
+        "argv, plain",
+        [
+            (("eval", "-1e-3"), ("eval", "--", "-1e-3")),
+            (("eval", "-2.5e0"), ("eval", "-2.5")),
+            (("eval", "-1E-3", "--fn", "gamma"), ("eval", "--fn", "gamma", "--", "-0.001")),
+        ],
+    )
+    def test_exponent_forms_are_values(self, capsys, argv, plain):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert (code, out, err) == run(capsys, *plain)
+
+    def test_double_dash_still_works(self, capsys):
+        code, out, _ = run(capsys, "eval", "--", "-1e-3")
+        assert code == 0
+        assert float(out.splitlines()[0].split("=")[1]) == pytest.approx(
+            -0.000999422128499185, rel=1e-8
+        )
+
+    @pytest.mark.parametrize("text", ["-inf", "-nan"])
+    def test_non_finite_is_one_error_line(self, capsys, text):
+        code, out, err = run(capsys, "eval", text)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("regamma: error: ") and err.count("\n") == 1
+        assert "finite" in err
+
+    def test_option_value(self, capsys):
+        code, out, err = run(capsys, "eval", "2.5", "--fn", "gamma-ratio", "--b", "-1e-3")
+        assert code == 1
+        assert out == ""
+        assert err == "regamma: error: B must be > 0, got -0.001\n"
+
+    def test_sweep_range(self, capsys, tmp_path):
+        out_path = tmp_path / "neg.csv"
+        code, _, err = run(
+            capsys, "sweep", "--min", "-1e-3", "--max", "1", "--step", "0.25",
+            "--out", str(out_path),
+        )
+        assert (code, err) == (0, "")
+        lines = out_path.read_text().splitlines()
+        assert [float(l.split(",")[0]) for l in lines[1:]] == pytest.approx(
+            [0.249, 0.499, 0.749, 0.999]
+        )
+
+
 class TestSweep:
     def test_fig3_preset(self, capsys, tmp_path):
         out_path = tmp_path / "fig3.csv"

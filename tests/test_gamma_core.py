@@ -3,6 +3,8 @@ import time
 
 import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from regamma.errors import IntegerArgument, NonFiniteArgument, NonPositiveArgument, PoleError
 from regamma.gamma_core import (
@@ -292,3 +294,36 @@ class TestNonFinite:
     def test_rejected(self, name, x):
         with pytest.raises(NonFiniteArgument):
             NON_FINITE_ENTRY_POINTS[name](x)
+
+
+class TestRealLineProperty:
+    """The real-line routes against mpmath on the domain the benchmark covers.
+
+    |z| is log-uniform on [1e-2, 50) with either sign and at least 1e-2 from
+    every integer.  A result flagged ok must be within 10 eps_rel of
+    1/Gamma(z); another flag is an allowed outcome.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        method=st.sampled_from(
+            [
+                MethodTag.REAL_AXIS,
+                MethodTag.POWER_SUBST,
+                MethodTag.LOG_FORM,
+                MethodTag.CAUCHY_SAALSCHUTZ,
+            ]
+        ),
+        log_abs_z=st.floats(-2.0, math.log10(50.0), exclude_max=True),
+        negative=st.booleans(),
+        eps=st.sampled_from([1e-8, 1e-10, 1e-12]),
+    )
+    def test_ok_results_meet_tolerance(self, method, log_abs_z, negative, eps):
+        z = -(10.0**log_abs_z) if negative else 10.0**log_abs_z
+        assume(abs(z - round(z)) >= 1e-2)
+        gv = recip_gamma(z, QuadratureConfig(eps_rel=eps), method)
+        if gv.condition_flag is not ConditionFlag.OK:
+            return
+        with mpmath.workdps(30):
+            ref = mpmath.rgamma(z)
+            assert abs(gv.value - ref) <= 10.0 * eps * abs(ref)

@@ -6,6 +6,7 @@ import pytest
 from regamma.kernel import decompose, regularized_integrand, truncated_exp
 from regamma.oracle import brute_force_integral
 from regamma.quadrature import (
+    EPS_ABS,
     ConditionFlag,
     QuadratureConfig,
     exponential_tail,
@@ -56,7 +57,7 @@ class TestIntegrateFinite:
         assert res.abs_error_estimate >= 0.0
         assert (
             res.abs_error_estimate
-            <= CFG.eps_rel * abs(res.value) + CFG.eps_abs
+            <= CFG.eps_rel * abs(res.value) + EPS_ABS
         )
 
     def test_bad_interval(self):
