@@ -21,7 +21,6 @@ from .gamma_core import (
     recip_gamma_neg_reflection,
 )
 from .hankel import (
-    ComplexValue,
     HankelContour,
     arc_contribution,
     hankel_recip_gamma,
@@ -51,7 +50,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArgDecomposition",
-    "ComplexValue",
     "ConditionFlag",
     "ContourDegenerate",
     "GammaValue",

@@ -190,8 +190,8 @@ def cmd_sweep(args) -> int:
             )
             return 1
         z_min, z_max, step, fn = args.min, args.max, args.step, args.fn
-    if not step > 0 or not z_min < z_max:
-        print("regamma: error: need step > 0 and min < max", file=sys.stderr)
+    if not step > 0 or not z_min < z_max or not math.isfinite(z_max - z_min):
+        print("regamma: error: need step > 0 and finite min < max", file=sys.stderr)
         return 1
     spec = SweepSpec(
         z_min=z_min,
@@ -268,25 +268,37 @@ def _check_zeros(cfg):
     return "entire_function_zeros", ok, "exact zeros at 0, -1, -2, -3"
 
 
+def _contour_check(name, results, ok, detail):
+    # a contour result that is not ok fails the check and names its flag
+    flags = sorted({gv.condition_flag.value for gv in results} - {ConditionFlag.OK.value})
+    if flags:
+        return name, False, f"{detail} flag={','.join(flags)}"
+    return name, ok, detail
+
+
 def _check_hankel_agreement(cfg):
-    worst = 0.0
-    for z in (0.5, 1.5, 3.3):
-        cv = hankel_recip_gamma(z, HankelContour(), cfg)
-        worst = max(worst, abs(cv.re - recip_gamma(z, cfg).value))
-    return "hankel_real_axis_agreement", worst <= 1e-6, f"max_dre={worst:.3e}"
+    results = {z: hankel_recip_gamma(z, HankelContour(), cfg) for z in (0.5, 1.5, 3.3)}
+    worst = max(abs(gv.value - recip_gamma(z, cfg).value) for z, gv in results.items())
+    return _contour_check(
+        "hankel_real_axis_agreement", results.values(), worst <= 1e-6, f"max_dre={worst:.3e}"
+    )
 
 
 def _check_contour_invariance(cfg):
     worst = 0.0
+    results = []
     for z in (0.5, 1.5, 3.3):
-        vals = []
-        for delta in (2.0, 2.5, 3.0):
-            for r0 in (0.25, 0.5, 1.0):
-                c = HankelContour(delta=delta, r0=r0)
-                vals.append(hankel_recip_gamma(z, c, cfg).re)
-        spread = (max(vals) - min(vals)) / abs(vals[0])
-        worst = max(worst, spread)
-    return "hankel_contour_invariance", worst <= 1e-6, f"max_spread={worst:.3e}"
+        row = [
+            hankel_recip_gamma(z, HankelContour(delta=delta, r0=r0), cfg)
+            for delta in (2.0, 2.5, 3.0)
+            for r0 in (0.25, 0.5, 1.0)
+        ]
+        vals = [gv.value for gv in row]
+        worst = max(worst, (max(vals) - min(vals)) / abs(vals[0]))
+        results += row
+    return _contour_check(
+        "hankel_contour_invariance", results, worst <= 1e-6, f"max_spread={worst:.3e}"
+    )
 
 
 def _report_near_integer(cfg):
@@ -337,6 +349,9 @@ def cmd_bench(args) -> int:
     lo = args.min if args.min is not None else _BENCH_GRID[0]
     hi = args.max if args.max is not None else _BENCH_GRID[1]
     step = args.step if args.step is not None else _BENCH_GRID[2]
+    if not step > 0 or not lo <= hi or not math.isfinite(hi - lo):
+        print("regamma: error: need step > 0 and finite min <= max", file=sys.stderr)
+        return 1
     grid = []
     z = lo
     while z <= hi + 1e-12:

@@ -223,7 +223,7 @@ def recip_gamma(
     if method is MethodTag.HANKEL:
         from . import hankel
 
-        return hankel.recip_gamma_via_contour(z, cfg)
+        return hankel.hankel_recip_gamma(z, hankel.HankelContour(), cfg)
 
     arg = decompose(z)
     sin_over_pi = sinpi(z) / math.pi

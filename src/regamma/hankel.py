@@ -23,7 +23,14 @@ some 1e-37 of the result, would not meet a relative tolerance.
 
 Every segment is integrated by the same adaptive engine as the real-line
 routes (quadrature.integrate_finite, with complex values) and the segments
-are summed by quadrature.combine.
+are summed by quadrature.combine.  A contour is set by delta and r0 alone:
+the truncation radius follows from the decay rate on the rays, and each
+segment gets the same node budget.
+
+The contour route returns a GammaValue (method hankel) like every other
+route.  inverse_laplace reuses the same evaluator: s = tau/t maps the
+Bromwich kernel at time t onto the one of 1/Gamma on the contour with arc
+radius r0 t, times t^k.
 """
 
 from __future__ import annotations
@@ -46,29 +53,16 @@ from .quadrature import (
 
 _EPS = 2.0 ** -53
 _MAX_TERMS = 500
+# adaptive subdivisions allowed per segment, and ray panels per layout
+_NODES = 128
 
 
 @dataclass(frozen=True)
 class HankelContour:
-    """Ray angle, arc radius, outer truncation and per-segment budget."""
+    """Ray angle and arc radius."""
 
     delta: float = 0.75 * math.pi
     r0: float = 0.5
-    R: float | None = None  # None -> automatic from the decay rate
-    nodes: int = 128
-
-
-@dataclass(frozen=True)
-class ComplexValue:
-    re: float
-    im: float
-
-    def __complex__(self) -> complex:
-        return complex(self.re, self.im)
-
-    @property
-    def magnitude(self) -> float:
-        return math.hypot(self.re, self.im)
 
 
 def _validate(contour: HankelContour) -> None:
@@ -76,14 +70,8 @@ def _validate(contour: HankelContour) -> None:
         raise ContourDegenerate(
             f"ray angle must lie in (pi/2, pi), got {contour.delta!r}"
         )
-    if not contour.r0 > 0.0:
-        raise ContourDegenerate(f"arc radius must be > 0, got {contour.r0!r}")
-    if contour.R is not None and contour.R - contour.r0 <= 1e-12 * contour.r0:
-        raise ContourDegenerate(
-            f"truncation radius {contour.R!r} does not clear the arc radius"
-        )
-    if contour.nodes < 1:
-        raise ContourDegenerate("node budget must be >= 1")
+    if not 0.0 < contour.r0 < math.inf:
+        raise ContourDegenerate(f"arc radius must be finite and > 0, got {contour.r0!r}")
 
 
 def _cremainder(w: complex, order: int) -> complex:
@@ -113,13 +101,13 @@ def _cremainder(w: complex, order: int) -> complex:
     return cmath.exp(w) - poly
 
 
-def ray_kernel(r: float, delta: float, z: float, n: int, scale: float = 1.0) -> complex:
-    """(e^{a tau} - e_{n-1}(a tau)) / tau^z at tau = r e^{i delta}, a = scale."""
+def ray_kernel(r: float, delta: float, z: float, n: int) -> complex:
+    """(e^tau - e_{n-1}(tau)) / tau^z at tau = r e^{i delta}."""
     tau = r * cmath.exp(1j * delta)
-    return _cremainder(scale * tau, n) * cmath.exp(-z * complex(math.log(r), delta))
+    return _cremainder(tau, n) * cmath.exp(-z * complex(math.log(r), delta))
 
 
-def ray_difference_kernel(r: float, delta: float, z: float, n: int) -> ComplexValue:
+def ray_difference_kernel(r: float, delta: float, z: float, n: int) -> complex:
     """Closed form of Ker(r e^{i delta}) - Ker(r e^{-i delta}).
 
     The difference of the two ray integrands collapses to a purely
@@ -139,10 +127,10 @@ def ray_difference_kernel(r: float, delta: float, z: float, n: int) -> ComplexVa
         - s_cos * math.sin(delta * z)
         + s_sin * math.cos(delta * z)
     )
-    return ComplexValue(0.0, -2.0 * bracket * math.exp(-z * math.log(r)))
+    return complex(0.0, -2.0 * bracket * math.exp(-z * math.log(r)))
 
 
-def _ray_breakpoints(r0: float, R: float, width_cap: float, max_panels: int) -> list[float]:
+def _ray_breakpoints(r0: float, R: float, width_cap: float) -> list[float]:
     # geometric growth near the origin, capped panels once oscillation matters
     pts = []
     x = r0
@@ -151,94 +139,77 @@ def _ray_breakpoints(r0: float, R: float, width_cap: float, max_panels: int) -> 
         if x >= R:
             return pts
         pts.append(x)
-        if len(pts) >= max_panels:
+        if len(pts) >= _NODES:
             raise ContourDegenerate(
-                f"ray from {r0!r} to {R!r} needs more than {max_panels} panels"
+                f"ray from {r0!r} to {R!r} needs more than {_NODES} panels"
             )
 
 
-def _auto_truncation(contour: HankelContour, scale: float) -> float:
-    # clears the arc: _validate checks an explicit R, the automatic one is >= 4 r0
-    if contour.R is not None:
-        return contour.R
-    decay = scale * abs(math.cos(contour.delta))
-    return max(4.0 * contour.r0, 45.0 / decay)
+def _segment_config(cfg: QuadratureConfig) -> QuadratureConfig:
+    return replace(cfg, eps_rel=cfg.eps_rel / 8.0, max_subdivisions=_NODES)
 
 
-def _segment_config(cfg: QuadratureConfig, contour: HankelContour) -> QuadratureConfig:
-    return replace(cfg, eps_rel=cfg.eps_rel / 8.0, max_subdivisions=contour.nodes)
-
-
-def _arc(
-    order: int, z_exp: float, scale: float, contour: HankelContour, sub: QuadratureConfig
-) -> IntegralResult:
-    """(1/2i) times the integral of f(s) = (e^{a s} - e_{order-1}(a s)) / s^{z_exp}
-    over the arc |s| = r0, which is that of Re(tau f(tau)) over theta in [0, delta]."""
+def _arc(order: int, z: float, contour: HankelContour, sub: QuadratureConfig) -> IntegralResult:
+    """(1/2i) times the integral of f(s) = (e^s - e_{order-1}(s)) / s^z over
+    the arc |s| = r0, which is that of Re(tau f(tau)) over theta in [0, delta]."""
     delta, r0 = contour.delta, contour.r0
 
     def arc(theta: float) -> float:
         tau = r0 * cmath.exp(1j * theta)
         return (
-            tau
-            * _cremainder(scale * tau, order)
-            * cmath.exp(-z_exp * complex(math.log(r0), theta))
+            tau * _cremainder(tau, order) * cmath.exp(-z * complex(math.log(r0), theta))
         ).real
 
     return integrate_finite(arc, 0.0, delta, sub, [0.5 * delta])
 
 
 def _contour_eval(
-    order: int,
-    z_exp: float,
-    scale: float,
-    contour: HankelContour,
-    cfg: QuadratureConfig,
+    order: int, z: float, contour: HankelContour, cfg: QuadratureConfig
 ) -> IntegralResult:
-    """(1/2 pi i) contour integral of (e^{a s} - e_{order-1}(a s)) / s^{z_exp}.
+    """(1/2 pi i) contour integral of (e^s - e_{order-1}(s)) / s^z.
 
     The value is real: Im of the upper half's integral, over pi.
     """
     _validate(contour)
     delta, r0 = contour.delta, contour.r0
-    R = _auto_truncation(contour, scale)
-    sub = _segment_config(cfg, contour)
-    width_cap = math.pi / (scale * abs(math.sin(delta)))
-    seeds = _ray_breakpoints(r0, R, width_cap, contour.nodes)
+    decay = abs(math.cos(delta))
+    # the truncation radius clears the arc: it is at least 4 r0
+    R = max(4.0 * r0, 45.0 / decay)
+    sub = _segment_config(cfg)
+    seeds = _ray_breakpoints(r0, R, math.pi / math.sin(delta))
     phase = cmath.exp(1j * delta)
 
     def ray(r: float) -> complex:
-        return phase * ray_kernel(r, delta, z_exp, order, scale)
+        return phase * ray_kernel(r, delta, z, order)
 
     # exponential part of the ray beyond R, integrated over one stretch
-    span = 50.0 / (scale * abs(math.cos(delta)))
+    span = 50.0 / decay
     top = R + span
 
     def ray_exp(r: float) -> complex:
-        return phase * cmath.exp(scale * r * phase - z_exp * complex(math.log(r), delta))
+        return phase * cmath.exp(r * phase - z * complex(math.log(r), delta))
 
     def imaginary_part(f, a: float, b: float, seeds: list[float]) -> IntegralResult:
         res = integrate_finite(f, a, b, sub, seeds)
         return replace(res, value=res.value.imag)
 
     # polynomial part of the ray beyond R, in closed form (its imaginary
-    # part; each exponent k - z_exp + 1 < 0)
+    # part; each exponent k - z + 1 < 0)
     poly = 0.0
-    coeff = 1.0  # scale^k / k!
+    coeff = 1.0  # 1 / k!
     for k in range(order):
-        expo = k - z_exp + 1.0
+        expo = k - z + 1.0
         poly += coeff * math.exp(expo * math.log(R)) * math.sin(delta * expo) / expo
-        coeff *= scale / (k + 1)
+        coeff *= 1.0 / (k + 1)
 
     # neglected exponential remainder of the ray past R + span
-    neglect = math.exp(
-        scale * top * math.cos(delta) - z_exp * math.log(top)
-    ) / (scale * abs(math.cos(delta)))
+    neglect = math.exp(top * math.cos(delta) - z * math.log(top)) / decay
 
     raw = combine(
         [
             IntegralResult(poly, 0.0, 0),
             imaginary_part(ray, r0, R, seeds),
-            _arc(order, z_exp, scale, contour, sub),
+            _arc(order, z, contour, sub),
             imaginary_part(ray_exp, R, top, [R + span * s for s in (0.1, 0.3, 0.6)]),
         ],
         extra_error=neglect,
@@ -257,24 +228,16 @@ def hankel_recip_gamma(
     z: float,
     contour: HankelContour | None = None,
     cfg: QuadratureConfig | None = None,
-) -> ComplexValue:
+) -> gamma_core.GammaValue:
     """1/Gamma(z) as the regularized contour integral, z > 0 non-integer.
 
-    The imaginary part is 0.0 by construction (only the upper half of the
-    contour is evaluated); the route's consistency check is invariance of
-    the value under changes of delta, r0 and R.
+    The value is real by construction (only the upper half of the contour
+    is evaluated) and carries the contour integral's diagnostics; the
+    route's consistency check is invariance of the value under changes of
+    delta and r0.
     """
     arg = decompose(z)
-    contour = contour or HankelContour()
-    cfg = cfg or QuadratureConfig()
-    return ComplexValue(_contour_eval(arg.n, z, 1.0, contour, cfg).value, 0.0)
-
-
-def recip_gamma_via_contour(z: float, cfg: QuadratureConfig | None = None) -> gamma_core.GammaValue:
-    """GammaValue wrapper used by the method dispatch in gamma_core."""
-    arg = decompose(z)
-    cfg = cfg or QuadratureConfig()
-    res = _contour_eval(arg.n, z, 1.0, HankelContour(), cfg)
+    res = _contour_eval(arg.n, z, contour or HankelContour(), cfg or QuadratureConfig())
     return gamma_core.GammaValue(res.value, gamma_core.MethodTag.HANKEL, res)
 
 
@@ -283,7 +246,7 @@ def arc_contribution(
     contour: HankelContour | None = None,
     cfg: QuadratureConfig | None = None,
     order: int | None = None,
-) -> ComplexValue:
+) -> float:
     """The (1/2 pi i)-normalized integral over the arc alone, a real number.
 
     With the regularizing order n = [z] (the default) the magnitude decays
@@ -295,8 +258,7 @@ def arc_contribution(
     cfg = cfg or QuadratureConfig()
     _validate(contour)
     n = arg.n if order is None else order
-    arc = _arc(n, z, 1.0, contour, _segment_config(cfg, contour))
-    return ComplexValue(arc.value / math.pi, 0.0)
+    return _arc(n, z, contour, _segment_config(cfg)).value / math.pi
 
 
 def inverse_laplace(
@@ -309,10 +271,13 @@ def inverse_laplace(
 
     The image function has a branch point at s = 0, and the regularized
     contour integral converges without any Bromwich shift: the kernel is
-    Gamma(k+1) (e^{ts} - e_{[k]}(ts)) / s^{k+1} over the same contour.
-    The result's diagnostics are those of the product: the relative
-    errors of the contour integral and of Gamma(k+1) add, and the flag
-    combines theirs.
+    Gamma(k+1) (e^{ts} - e_{[k]}(ts)) / s^{k+1} over the contour.  The
+    substitution s = tau/t turns it into Gamma(k+1) t^k times
+    hankel_recip_gamma(k+1) on the contour with arc radius r0 t; the ray
+    angle is unchanged, and the truncation radius, panel layout and tail
+    stretch all scale with t.  The result's diagnostics are those of the
+    product: the relative errors of the contour integral and of
+    Gamma(k+1) add, and the flag combines theirs.
     """
     arg = decompose(k)
     if not 0.0 < t < math.inf:
@@ -320,8 +285,9 @@ def inverse_laplace(
     contour = contour or HankelContour()
     cfg = cfg or QuadratureConfig()
     gamma_k1 = gamma_core.gamma(k + 1.0, cfg)
-    res = _contour_eval(arg.n + 1, k + 1.0, t, contour, cfg)
-    value = gamma_k1.value * res.value
+    scaled = HankelContour(contour.delta, contour.r0 * t)
+    res = _contour_eval(arg.n + 1, k + 1.0, scaled, cfg)
+    value = gamma_k1.value * t**k * res.value
     return gamma_core.GammaValue(
         value, gamma_core.MethodTag.HANKEL, combine_product(value, [res, gamma_k1.quadrature])
     )

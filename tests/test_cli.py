@@ -198,6 +198,14 @@ class TestSweep:
         assert code == 1
         assert "preset" in err
 
+    def test_infinite_range_is_one_error_line(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, "sweep", "--min", "0", "--max", "inf", "--step", "1",
+            "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 1
+        assert err.startswith("regamma: error:") and err.count("\n") == 1
+
     def test_unwritable_path_reports_context(self, capsys):
         code, _, err = run(
             capsys, "sweep", "--preset", "fig4", "--out", "/nonexistent/dir/x.csv"
@@ -223,6 +231,14 @@ class TestVerify:
         assert code == 0
         assert "hankel_contour_invariance" in out
         assert "hankel_real_axis_agreement" in out
+
+    def test_hankel_flag_fails_the_check(self, capsys):
+        # below the estimator floor the contour results are not ok
+        code, out, _ = run(capsys, "verify", "--hankel", "--eps-rel", "1e-14")
+        assert code == 1
+        fails = [l for l in out.splitlines() if l.startswith("FAIL")]
+        assert len(fails) == 2
+        assert all("flag=tolerance_not_met" in l for l in fails)
 
 
 class TestBench:
@@ -257,6 +273,22 @@ class TestBench:
         # reflects the oracle gap rather than quadrature noise
         last_cols = [l.split() for l in out.splitlines()[2:]]
         assert all(1e-7 < float(cols[-1]) < 1e-3 for cols in last_cols)
+
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            ("--step", "0"),
+            ("--step", "-0.1"),
+            ("--min", "3", "--max", "1"),
+            ("--max", "inf"),
+        ],
+    )
+    def test_bad_grid_is_one_error_line(self, capsys, grid):
+        code, out, err = run(capsys, "bench", *grid)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("regamma: error:") and err.count("\n") == 1
 
 
 class TestEnvOverride:

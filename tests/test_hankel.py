@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regamma.errors import ContourDegenerate, IntegerArgument
-from regamma.gamma_core import MethodTag, recip_gamma
+from regamma.gamma_core import MethodTag, gamma, recip_gamma
 from regamma.hankel import (
     HankelContour,
-    _contour_eval,
     arc_contribution,
     hankel_recip_gamma,
     inverse_laplace,
@@ -26,12 +25,12 @@ from regamma.quadrature import (
 )
 
 CFG = QuadratureConfig()
-REFERENCE_CONTOUR = HankelContour(delta=0.75 * math.pi, r0=0.5, R=40.0)
+REFERENCE_CONTOUR = HankelContour(delta=0.75 * math.pi, r0=0.5)
 
 
 def fitted_arc_exponent(z, radii, order=None):
     mags = [
-        arc_contribution(z, HankelContour(r0=r0), CFG, order=order).magnitude
+        abs(arc_contribution(z, HankelContour(r0=r0), CFG, order=order))
         for r0 in radii
     ]
     return (math.log(mags[0]) - math.log(mags[-1])) / (
@@ -41,25 +40,25 @@ def fitted_arc_exponent(z, radii, order=None):
 
 class TestHankelRecipGamma:
     def test_half(self):
-        cv = hankel_recip_gamma(0.5, REFERENCE_CONTOUR, CFG)
-        assert cv.re == pytest.approx(0.56418958354775628695, rel=1e-8)
-        assert abs(cv.im) <= 1e-10
+        gv = hankel_recip_gamma(0.5, REFERENCE_CONTOUR, CFG)
+        assert gv.value == pytest.approx(0.56418958354775628695, rel=1e-8)
+        assert gv.condition_flag is ConditionFlag.OK
 
     def test_matches_real_axis_at_five_halves(self):
-        cv = hankel_recip_gamma(2.5, REFERENCE_CONTOUR, CFG)
+        gv = hankel_recip_gamma(2.5, REFERENCE_CONTOUR, CFG)
         ref = recip_gamma(2.5, CFG).value
-        assert abs(cv.re - ref) <= 1e-6
-        assert abs(cv.im) <= 1e-8
+        assert abs(gv.value - ref) <= 1e-6
+        assert gv.condition_flag is ConditionFlag.OK
 
     def test_arc_radius_invariance(self):
         a = hankel_recip_gamma(1.5, HankelContour(r0=0.5), CFG)
         b = hankel_recip_gamma(1.5, HankelContour(r0=1.0), CFG)
-        assert abs(a.re - b.re) <= 1e-8
+        assert abs(a.value - b.value) <= 1e-8
 
     @pytest.mark.parametrize("z", [0.5, 1.5, 3.3])
     def test_contour_invariance(self, z):
         vals = [
-            hankel_recip_gamma(z, HankelContour(delta=delta, r0=r0), CFG).re
+            hankel_recip_gamma(z, HankelContour(delta=delta, r0=r0), CFG).value
             for delta in (2.0, 2.5, 3.0)
             for r0 in (0.25, 0.5, 1.0)
         ]
@@ -68,9 +67,9 @@ class TestHankelRecipGamma:
 
     @pytest.mark.parametrize("z", [0.5, 1.5, 3.3])
     def test_real_axis_agreement(self, z):
-        cv = hankel_recip_gamma(z, HankelContour(), CFG)
-        assert abs(cv.re - recip_gamma(z, CFG).value) <= 1e-6
-        assert abs(cv.im) <= 1e-7
+        gv = hankel_recip_gamma(z, HankelContour(), CFG)
+        assert abs(gv.value - recip_gamma(z, CFG).value) <= 1e-6
+        assert gv.condition_flag is ConditionFlag.OK
 
     def test_integer_rejected(self):
         with pytest.raises(IntegerArgument):
@@ -82,23 +81,31 @@ class TestHankelRecipGamma:
         with pytest.raises(ContourDegenerate):
             hankel_recip_gamma(0.5, HankelContour(r0=-1.0), CFG)
         with pytest.raises(ContourDegenerate):
-            hankel_recip_gamma(0.5, HankelContour(r0=2.0, R=2.0), CFG)
-        with pytest.raises(ContourDegenerate):  # more ray panels than nodes
-            hankel_recip_gamma(1.5, HankelContour(nodes=4), CFG)
+            hankel_recip_gamma(0.5, HankelContour(r0=math.inf), CFG)
+
+    def test_carries_contour_diagnostics(self):
+        # below the estimator floor the contour misses its tolerance, and
+        # the recip_gamma dispatch returns the same result
+        cfg = QuadratureConfig(eps_rel=1e-14)
+        gv = hankel_recip_gamma(2.5, HankelContour(), cfg)
+        assert gv.method is MethodTag.HANKEL
+        assert gv.condition_flag is ConditionFlag.TOLERANCE_NOT_MET
+        assert gv.quadrature.evaluations > 0
+        assert recip_gamma(2.5, cfg, MethodTag.HANKEL) == gv
 
 
 class TestRayDifferenceKernel:
     def test_closed_form_at_delta_pi(self):
         # collapses to -2i e^{-1} at r=1, z=0.5, n=0
         cv = ray_difference_kernel(1.0, math.pi, 0.5, 0)
-        assert cv.re == 0.0
-        assert cv.im == pytest.approx(-2.0 * math.exp(-1.0), rel=1e-12)
+        assert cv.real == 0.0
+        assert cv.imag == pytest.approx(-2.0 * math.exp(-1.0), rel=1e-12)
 
     @pytest.mark.parametrize("r", [0.2, 1.0, 3.7])
     def test_integer_z_structure_at_delta_pi(self, r):
         # at delta = pi every surviving term carries sin(pi z) = 0
         cv = ray_difference_kernel(r, math.pi, 2.0, 2)
-        assert abs(cv.im) <= 1e-12
+        assert abs(cv.imag) <= 1e-12
 
     @pytest.mark.parametrize(
         "r,delta,z,n",
@@ -106,8 +113,7 @@ class TestRayDifferenceKernel:
     )
     def test_matches_direct_ray_difference(self, r, delta, z, n):
         direct = ray_kernel(r, delta, z, n) - ray_kernel(r, -delta, z, n)
-        cv = ray_difference_kernel(r, delta, z, n)
-        assert complex(cv.re, cv.im) == pytest.approx(direct, rel=1e-12)
+        assert ray_difference_kernel(r, delta, z, n) == pytest.approx(direct, rel=1e-12)
 
     @pytest.mark.parametrize("r", [0.1, 0.5, 1.0, 2.5, 7.0])
     def test_conjugate_symmetry_pointwise(self, r):
@@ -128,9 +134,9 @@ class TestArcContribution:
         # |arc(r0)| <= C r0^{1-frac} with C measured at the reference radius
         frac = 0.5
         ref = arc_contribution(0.5, HankelContour(r0=1e-1), CFG)
-        C = ref.magnitude / (1e-1) ** (1.0 - frac)
+        C = abs(ref) / (1e-1) ** (1.0 - frac)
         small = arc_contribution(0.5, HankelContour(r0=1e-2), CFG)
-        assert small.magnitude <= 2.0 * C * (1e-2) ** (1.0 - frac)
+        assert abs(small) <= 2.0 * C * (1e-2) ** (1.0 - frac)
 
     def test_unregularized_arc_does_not_vanish(self):
         slope = fitted_arc_exponent(1.5, (1e-1, 1e-2, 1e-3), order=0)
@@ -150,8 +156,7 @@ class TestConjugateFold:
         full = integrate_finite(arc, -delta, delta, sub, [-0.5 * delta, 0.0, 0.5 * delta])
         full = full.value / (2j * math.pi)
         folded = arc_contribution(z, HankelContour(delta=delta, r0=r0), CFG)
-        assert folded.im == 0.0
-        assert abs(folded.re - full.real) <= 1e-13 * abs(full.real)
+        assert abs(folded - full.real) <= 1e-13 * abs(full.real)
 
     @pytest.mark.parametrize("z", [0.5, 2.5, 7.7])
     def test_upper_half_only(self, z):
@@ -164,9 +169,10 @@ class TestContourProperty:
     """The contour route against mpmath over a box of contours and times.
 
     (1/2 pi i) times the contour integral of e^{ts} / s^z, regularized at
-    order [z], is t^{z-1} / Gamma(z).  A result flagged ok must be within
-    10 eps_rel of it; another flag, or a contour that cannot be resolved
-    within its node budget, is an allowed outcome.
+    order [z], is t^{z-1} / Gamma(z).  With s = tau/t it is t^{z-1} times
+    the contour value of 1/Gamma(z) on the arc radius r0 t.  A result flagged
+    ok must be within 10 eps_rel of it; another flag, or a contour that
+    cannot be resolved within its node budget, is an allowed outcome.
     """
 
     @settings(max_examples=100, deadline=None)
@@ -180,16 +186,17 @@ class TestContourProperty:
         eps=st.sampled_from([1e-6, 1e-8, 1e-10]),
     )
     def test_ok_results_meet_tolerance(self, z, delta, r0, t, eps):
-        contour = HankelContour(delta=delta, r0=r0)
+        contour = HankelContour(delta=delta, r0=r0 * t)
         try:
-            res = _contour_eval(math.floor(z), z, t, contour, QuadratureConfig(eps_rel=eps))
+            gv = hankel_recip_gamma(z, contour, QuadratureConfig(eps_rel=eps))
         except ContourDegenerate:
             return
-        if res.condition_flag is not ConditionFlag.OK:
+        if gv.condition_flag is not ConditionFlag.OK:
             return
+        value = t ** (z - 1.0) * gv.value
         with mpmath.workdps(30):
             ref = mpmath.power(t, z - 1) * mpmath.rgamma(z)
-            assert abs(res.value - ref) <= 10.0 * eps * abs(ref)
+            assert abs(value - ref) <= 10.0 * eps * abs(ref)
 
 
 class TestDeltaToPiLimit:
@@ -200,7 +207,7 @@ class TestDeltaToPiLimit:
         cfg = QuadratureConfig(eps_rel=1e-9, max_subdivisions=600)
         R = 1e4
         res = integrate_finite(
-            lambda r: ray_difference_kernel(r, delta, z, n).im,
+            lambda r: ray_difference_kernel(r, delta, z, n).imag,
             1e-12,
             R,
             cfg,
@@ -241,11 +248,25 @@ class TestInverseLaplace:
     def test_flag_combines_contour_and_gamma(self):
         # below the estimator floor the contour misses its tolerance
         cfg = QuadratureConfig(eps_rel=1e-14)
-        contour = _contour_eval(2, 2.5, 2.0, HankelContour(), cfg)
+        contour = hankel_recip_gamma(2.5, HankelContour(r0=0.5 * 2.0), cfg)
         assert contour.condition_flag is ConditionFlag.TOLERANCE_NOT_MET
         gv = inverse_laplace(1.5, 2.0, HankelContour(), cfg)
         assert gv.condition_flag is ConditionFlag.TOLERANCE_NOT_MET
-        assert gv.quadrature.evaluations > contour.evaluations
+        assert gv.quadrature.evaluations > contour.quadrature.evaluations
+
+    @pytest.mark.parametrize(
+        "k,t,delta,r0",
+        [(1.5, 2.0, 0.75 * math.pi, 0.5), (0.3, 0.2, 2.0, 2.5), (7.7, 9.0, 3.1, 0.05)],
+    )
+    def test_runs_on_the_time_scaled_contour(self, k, t, delta, r0):
+        # s = tau/t: the contour of 1/Gamma(k+1) with arc radius r0 t
+        gv = inverse_laplace(k, t, HankelContour(delta, r0), CFG)
+        contour = hankel_recip_gamma(k + 1.0, HankelContour(delta, r0 * t), CFG)
+        gamma_k1 = gamma(k + 1.0, CFG)
+        assert gv.quadrature.evaluations == (
+            contour.quadrature.evaluations + gamma_k1.quadrature.evaluations
+        )
+        assert gv.condition_flag is ConditionFlag.OK
 
     def test_domain_errors(self):
         with pytest.raises(IntegerArgument):
@@ -259,12 +280,3 @@ class TestInverseLaplace:
         # the panel width cap pi/(t sin delta) no longer moves the ray seeds
         with pytest.raises(ContourDegenerate):
             inverse_laplace_monomial(1.5, t, HankelContour(), CFG)
-
-
-class TestComplexValue:
-    def test_round_trip(self):
-        cv = hankel_recip_gamma(1.5, REFERENCE_CONTOUR, CFG)
-        as_c = complex(cv)
-        assert as_c.real == cv.re and as_c.imag == cv.im
-        assert cv.magnitude == pytest.approx(abs(as_c))
-        assert math.isfinite(cv.re) and math.isfinite(cv.im)
