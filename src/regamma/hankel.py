@@ -287,7 +287,9 @@ def inverse_laplace(
     gamma_k1 = gamma_core.gamma(k + 1.0, cfg)
     scaled = HankelContour(contour.delta, contour.r0 * t)
     res = _contour_eval(arg.n + 1, k + 1.0, scaled, cfg)
-    value = gamma_k1.value * t**k * res.value
+    # Gamma(k+1) and the contour's 1/Gamma(k+1) cancel first, so the product
+    # overflows only where t^k itself does
+    value = gamma_k1.value * res.value * t**k
     return gamma_core.GammaValue(
         value, gamma_core.MethodTag.HANKEL, combine_product(value, [res, gamma_k1.quadrature])
     )

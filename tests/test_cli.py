@@ -274,6 +274,13 @@ class TestBench:
         last_cols = [l.split() for l in out.splitlines()[2:]]
         assert all(1e-7 < float(cols[-1]) < 1e-3 for cols in last_cols)
 
+    def test_step_below_float_spacing_ends(self, capsys):
+        # 10 + 1e-16 == 10, so an accumulated grid would never pass --max
+        code, out, _ = run(
+            capsys, "bench", "--min", "10", "--max", "10", "--step", "1e-16",
+        )
+        assert code == 0
+        assert out.count("real ") == 1
 
     @pytest.mark.parametrize(
         "grid",

@@ -268,6 +268,14 @@ class TestInverseLaplace:
         )
         assert gv.condition_flag is ConditionFlag.OK
 
+    @pytest.mark.parametrize("k, t", [(20.5, 1e15), (60.5, 1e4)])
+    def test_no_overflow_where_t_power_is_finite(self, k, t):
+        # Gamma(k+1) t^k exceeds the float range, t^k does not; r0 = 0.5/t
+        # puts the scaled contour at arc radius 0.5
+        gv = inverse_laplace(k, t, HankelContour(r0=0.5 / t), CFG)
+        assert gv.value == pytest.approx(t**k, rel=1e-12)
+        assert gv.condition_flag is ConditionFlag.OK
+
     def test_domain_errors(self):
         with pytest.raises(IntegerArgument):
             inverse_laplace_monomial(2.0, 1.0, HankelContour(), CFG)
@@ -277,6 +285,7 @@ class TestInverseLaplace:
 
     @pytest.mark.parametrize("t", [1e15, 1e17])
     def test_huge_time_exceeds_panel_budget(self, t):
-        # the panel width cap pi/(t sin delta) no longer moves the ray seeds
+        # with arc radius r0 t the ray from r0 t to 4 r0 t needs more than
+        # the node budget of panels capped at width pi / sin(delta)
         with pytest.raises(ContourDegenerate):
             inverse_laplace_monomial(1.5, t, HankelContour(), CFG)
