@@ -26,7 +26,6 @@ from .hankel import (
     hankel_recip_gamma,
     inverse_laplace,
     inverse_laplace_monomial,
-    ray_difference_kernel,
     ray_kernel,
 )
 from .kernel import (
@@ -76,7 +75,6 @@ __all__ = [
     "inverse_laplace_monomial",
     "kernel_ratio",
     "polynomial_tail_closed_form",
-    "ray_difference_kernel",
     "ray_kernel",
     "recip_gamma",
     "recip_gamma_neg_reflection",

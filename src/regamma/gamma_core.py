@@ -184,7 +184,8 @@ def _euler_gamma_integral(A: float, cfg: QuadratureConfig) -> IntegralResult:
     )
 
     # the incomplete-Gamma stretch is the exponential tail with z = 1 - A
-    return combine([res_a, res_b, exponential_tail(1.0 - A, X, sub)])
+    tail = exponential_tail(1.0 - A, X, sub, res_a.value + res_b.value)
+    return combine([res_a, res_b, tail])
 
 
 # The routes of I(z), each giving 1/Gamma(z) = sin(pi z)/pi * I(z).

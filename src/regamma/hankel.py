@@ -10,8 +10,11 @@ Because the numerator is the regularized remainder e^tau - e_{n-1}(tau),
 the integrand is integrable over the shrinking arc (it vanishes like
 r0^{1-frac}), which is exactly what makes the truncation order n = [z]
 the right one.  Beyond the truncation radius the polynomial part of each
-ray has an elementary antiderivative (added in closed form) and the
-exponential part is integrated over one further stretch.
+ray has an elementary antiderivative (added in closed form).  The
+exponential part is bounded by e^{R cos delta} R^{-z} / |cos delta| and
+left out, the bound kept as error, when quadrature.tail_negligible says so
+next to the rest of the contour; otherwise it is integrated over one
+further stretch.
 
 For real z the integrand at conj(tau) is the conjugate of the one at tau,
 so the contour integral is 2i times the imaginary part of its upper half;
@@ -49,6 +52,7 @@ from .quadrature import (
     combine,
     combine_product,
     integrate_finite,
+    tail_negligible,
 )
 
 _EPS = 2.0 ** -53
@@ -107,29 +111,6 @@ def ray_kernel(r: float, delta: float, z: float, n: int) -> complex:
     return _cremainder(tau, n) * cmath.exp(-z * complex(math.log(r), delta))
 
 
-def ray_difference_kernel(r: float, delta: float, z: float, n: int) -> complex:
-    """Closed form of Ker(r e^{i delta}) - Ker(r e^{-i delta}).
-
-    The difference of the two ray integrands collapses to a purely
-    imaginary combination of one exponential-cosine term and two short
-    trigonometric-weighted polynomial sums; as delta -> pi it reduces to
-    -2i sin(pi z) (e^{-r} - e_{n-1}(-r)) / r^z.
-    """
-    s_cos = 0.0
-    s_sin = 0.0
-    term = 1.0  # r^k / k!
-    for k in range(n):
-        s_cos += math.cos(delta * k) * term
-        s_sin += math.sin(delta * k) * term
-        term *= r / (k + 1)
-    bracket = (
-        math.exp(math.cos(delta) * r) * math.sin(delta * z - math.sin(delta) * r)
-        - s_cos * math.sin(delta * z)
-        + s_sin * math.cos(delta * z)
-    )
-    return complex(0.0, -2.0 * bracket * math.exp(-z * math.log(r)))
-
-
 def _ray_breakpoints(r0: float, R: float, width_cap: float) -> list[float]:
     # geometric growth near the origin, capped panels once oscillation matters
     pts = []
@@ -182,10 +163,6 @@ def _contour_eval(
     def ray(r: float) -> complex:
         return phase * ray_kernel(r, delta, z, order)
 
-    # exponential part of the ray beyond R, integrated over one stretch
-    span = 50.0 / decay
-    top = R + span
-
     def ray_exp(r: float) -> complex:
         return phase * cmath.exp(r * phase - z * complex(math.log(r), delta))
 
@@ -202,18 +179,25 @@ def _contour_eval(
         poly += coeff * math.exp(expo * math.log(R)) * math.sin(delta * expo) / expo
         coeff *= 1.0 / (k + 1)
 
-    # neglected exponential remainder of the ray past R + span
-    neglect = math.exp(top * math.cos(delta) - z * math.log(top)) / decay
+    parts = [
+        IntegralResult(poly, 0.0, 0),
+        imaginary_part(ray, r0, R, seeds),
+        _arc(order, z, contour, sub),
+    ]
+    # the exponential part of the ray beyond R is at most
+    # e^{R cos delta} R^{-z} / |cos delta| (z > 0); it is skipped when that
+    # bound is negligible, else integrated over one stretch and the
+    # remainder past it bounded the same way
+    neglect = math.exp(R * math.cos(delta) - z * math.log(R)) / decay
+    if not tail_negligible(neglect, sub, sum(p.value for p in parts)):
+        span = 50.0 / decay
+        top = R + span
+        parts.append(
+            imaginary_part(ray_exp, R, top, [R + span * s for s in (0.1, 0.3, 0.6)])
+        )
+        neglect = math.exp(top * math.cos(delta) - z * math.log(top)) / decay
 
-    raw = combine(
-        [
-            IntegralResult(poly, 0.0, 0),
-            imaginary_part(ray, r0, R, seeds),
-            _arc(order, z, contour, sub),
-            imaginary_part(ray_exp, R, top, [R + span * s for s in (0.1, 0.3, 0.6)]),
-        ],
-        extra_error=neglect,
-    )
+    raw = combine(parts, extra_error=neglect)
     flag = raw.condition_flag
     # each part meets its own tolerance, but the parts can cancel (the
     # value is about z as z -> 0), so the sum is checked as well

@@ -4,6 +4,8 @@ integrate_finite is the package's only adaptive engine: an embedded 7/15
 Gauss-Kronrod pair with worst-panel bisection and the classical QUADPACK
 error scaling.  It takes real or complex integrands alike, so the same
 engine sums the real-line parts below and the Hankel contour segments.
+Like QUADPACK's round-off detection it stops bisecting once the panels'
+round-off floors alone exceed the target, and flags the result.
 combine() sums the parts of a composite integral and decides its flag.
 
 The semi-infinite integral I(z) = int_0^inf (e^{-x} - e_{n-1}(-x)) x^{-z} dx
@@ -18,9 +20,11 @@ the real-axis route (integrate_regularized_kernel) has two:
   [split, R]  -- the raw integrand, over geometrically seeded panels.
 
 Every route shares the tail past R: the polynomial part -e_{n-1}(-x) x^{-z}
-decays only like x^{-1-frac}, so its tail is added in closed form; the
-exponentially small e^{-x} x^{-z} tail is integrated numerically over one
-more stretch and the neglected remainder is bounded analytically.
+decays only like x^{-1-frac}, so its tail is added in closed form.  The
+exponentially small e^{-x} x^{-z} tail has an analytic bound; when that is
+below the tolerance on the rest of I(z) by a wide margin the tail is left
+out and the bound kept as its error, otherwise it is integrated
+numerically over one more stretch and the remainder past it bounded.
 
 All parts share the sign (-1)^n (the Lagrange form of the Taylor
 remainder of e^{-x} is single-signed on x > 0), so per-part relative error
@@ -72,10 +76,19 @@ _UFLOW = sys.float_info.min
 # Absolute error floor of every integration, below any relative target.
 EPS_ABS = 1e-300
 
-# Past this radius the polynomial tail is summed analytically and the
-# exponential tail integrated over one further stretch of this length.
+# Past this radius the polynomial tail is summed analytically; the
+# exponential tail is bounded, or integrated over one further stretch of
+# this length.
 _TAIL_RADIUS = 36.0
 _EXP_TAIL_SPAN = 60.0
+
+# An exponential tail whose analytic bound is at most this share of the
+# tolerance on the rest of the integral is skipped, its bound kept as error.
+_TAIL_NEGLIGIBLE = 0.01
+
+# At the round-off floor, integrate_finite refines until its estimate is
+# within this factor of the floor sum, then stops.
+_FLOOR_MARGIN = 2.0
 
 # The sin(pi z)/pi prefactor cancels the near-integer growth of I(z)
 # analytically, but the product's achievable relative accuracy is about
@@ -128,7 +141,11 @@ def _fsum(values: list) -> float | complex:
 
 
 def _gk15(f: Callable[[float], float | complex], a: float, b: float):
-    """One 15-point Kronrod panel: (value, error estimate)."""
+    """One 15-point Kronrod panel: (value, error estimate, round-off floor).
+
+    The floor is 50 eps resabs, the least error the estimate admits; it is
+    0 where resabs is too small for that bound to apply.
+    """
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
     fc = f(center)
@@ -155,9 +172,11 @@ def _gk15(f: Callable[[float], float | complex], a: float, b: float):
     err = abs((resk - resg) * half)
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    floor = 0.0
     if resabs > _UFLOW / (50.0 * _EPMACH):
-        err = max(_EPMACH * 50.0 * resabs, err)
-    return value, err
+        floor = _EPMACH * 50.0 * resabs
+        err = max(floor, err)
+    return value, err, floor
 
 
 def integrate_finite(
@@ -175,6 +194,12 @@ def integrate_finite(
     The worst panel is bisected until the summed error estimate meets
     max(EPS_ABS, eps_rel * |value|) or the subdivision budget runs out,
     in which case the best value is returned with the flag set.
+
+    No panel's estimate falls below its round-off floor (see _gk15), so
+    once the floors alone sum past the target, bisection cannot meet it:
+    the worst panels are then refined only until the estimate is within
+    _FLOOR_MARGIN times the floor sum, and the result is returned with
+    the flag set and an estimate near the floor.
     """
     if not a < b:
         raise ValueError(f"need a < b, got a={a!r}, b={b!r}")
@@ -185,9 +210,11 @@ def integrate_finite(
 
     panels = []
     evaluations = 0
+    floor_sum = 0.0
     for left, right in zip(edges, edges[1:]):
-        val, err = _gk15(f, left, right)
-        panels.append([err, left, right, val])
+        val, err, floor = _gk15(f, left, right)
+        panels.append([err, left, right, val, floor])
+        floor_sum += floor
         evaluations += 15
 
     nsub = 0
@@ -195,7 +222,12 @@ def integrate_finite(
     while True:
         total_val = _fsum([p[3] for p in panels])
         total_err = math.fsum(p[0] for p in panels)
-        if total_err <= max(EPS_ABS, cfg.eps_rel * abs(total_val)):
+        target = max(EPS_ABS, cfg.eps_rel * abs(total_val))
+        if total_err <= target:
+            break
+        if floor_sum > target and total_err <= _FLOOR_MARGIN * floor_sum:
+            # at the round-off floor: further bisection cannot certify
+            flag = ConditionFlag.TOLERANCE_NOT_MET
             break
         if nsub >= cfg.max_subdivisions:
             flag = ConditionFlag.TOLERANCE_NOT_MET
@@ -208,9 +240,11 @@ def integrate_finite(
             flag = ConditionFlag.TOLERANCE_NOT_MET
             break
         panels.remove(worst)
+        floor_sum -= worst[4]
         for lo, hi in ((left, mid), (mid, right)):
-            val, err = _gk15(f, lo, hi)
-            panels.append([err, lo, hi, val])
+            val, err, floor = _gk15(f, lo, hi)
+            panels.append([err, lo, hi, val, floor])
+            floor_sum += floor
         evaluations += 30
         nsub += 1
 
@@ -252,14 +286,31 @@ def polynomial_tail_closed_form(arg: ArgDecomposition, R: float) -> float:
     return total
 
 
-def exponential_tail(z: float, X: float, cfg: QuadratureConfig) -> IntegralResult:
+def tail_negligible(bound: float, cfg: QuadratureConfig, rest: float | complex) -> bool:
+    """True when a tail bounded by bound cannot matter at cfg's tolerance
+    next to the rest of its integral."""
+    return bound <= _TAIL_NEGLIGIBLE * cfg.eps_rel * abs(rest)
+
+
+def exponential_tail(z: float, X: float, cfg: QuadratureConfig, rest: float) -> IntegralResult:
     """int_X^inf e^{-x} x^{-z} dx for X > 0 and any real z.
 
-    Integrated numerically over [X, X + span], span = max(60, 3 (1 - z)),
-    which keeps the stretch well past the peak at x = -z; the neglected
-    remainder is bounded by e^{-(X+span)} (X+span)^{-z} and added to the
-    error estimate.
+    rest is the value of the parts of the integral before X.  For X + z > 0
+    the tail is at most B = e^{-X} X^{-z} max(1, X / (X + z)): x^{-z} is
+    decreasing for z >= 0, and for z < 0 the log-derivative of the
+    integrand stays below -(X + z)/X.  When tail_negligible(B, cfg, rest)
+    the tail is not integrated: the result is 0 with error B.
+
+    Otherwise it is integrated numerically over [X, X + span], span =
+    max(60, 3 (1 - z)), which keeps the stretch well past the peak at
+    x = -z; the neglected remainder is bounded by e^{-(X+span)} (X+span)^{-z}
+    and added to the error estimate.
     """
+    if X + z > 0.0:
+        bound = math.exp(-X - z * math.log(X)) * max(1.0, X / (X + z))
+        if tail_negligible(bound, cfg, rest):
+            return IntegralResult(0.0, bound, 0)
+
     top = X + max(_EXP_TAIL_SPAN, 3.0 * (1.0 - z))
 
     def f(x: float) -> float:
@@ -357,7 +408,8 @@ def regularized_integral(
         for f, a, b, seeds in segments(cfg.split_point, R)
     ]
     parts.append(IntegralResult(polynomial_tail_closed_form(arg, R), 0.0, 0))
-    parts.append(exponential_tail(arg.z, R, sub))
+    rest = sum(p.value for p in parts)
+    parts.append(exponential_tail(arg.z, R, sub, rest))
     return combine(parts, amplified=near_integer_amplified(arg.z, cfg.eps_rel))
 
 

@@ -236,9 +236,26 @@ class TestVerify:
         # below the estimator floor the contour results are not ok
         code, out, _ = run(capsys, "verify", "--hankel", "--eps-rel", "1e-14")
         assert code == 1
-        fails = [l for l in out.splitlines() if l.startswith("FAIL")]
+        fails = [l for l in out.splitlines() if l.startswith("FAIL hankel_")]
         assert len(fails) == 2
         assert all("flag=tolerance_not_met" in l for l in fails)
+
+    def test_real_line_flag_fails_the_check(self, capsys):
+        # below the round-off floor the real-line results are not ok either
+        code, out, _ = run(capsys, "verify", "--eps-rel", "1e-14")
+        assert code == 1
+        fails = [l.split()[1] for l in out.splitlines() if l.startswith("FAIL")]
+        assert fails == [
+            "recurrence",
+            "reflection",
+            "representation_equivalence",
+            "cauchy_saalschutz",
+            "gamma_negative_sign_pattern",
+        ]
+        assert all(
+            l.endswith("flag=tolerance_not_met") for l in out.splitlines() if l.startswith("FAIL")
+        )
+        assert "PASS entire_function_zeros" in out
 
 
 class TestBench:

@@ -14,7 +14,6 @@ from regamma.hankel import (
     hankel_recip_gamma,
     inverse_laplace,
     inverse_laplace_monomial,
-    ray_difference_kernel,
     ray_kernel,
 )
 from regamma.quadrature import (
@@ -26,6 +25,29 @@ from regamma.quadrature import (
 
 CFG = QuadratureConfig()
 REFERENCE_CONTOUR = HankelContour(delta=0.75 * math.pi, r0=0.5)
+
+
+def ray_difference_kernel(r: float, delta: float, z: float, n: int) -> complex:
+    """Closed form of ray_kernel(r, delta, z, n) - ray_kernel(r, -delta, z, n).
+
+    The difference of the two ray integrands collapses to a purely
+    imaginary combination of one exponential-cosine term and two short
+    trigonometric-weighted polynomial sums; as delta -> pi it reduces to
+    -2i sin(pi z) (e^{-r} - e_{n-1}(-r)) / r^z.
+    """
+    s_cos = 0.0
+    s_sin = 0.0
+    term = 1.0  # r^k / k!
+    for k in range(n):
+        s_cos += math.cos(delta * k) * term
+        s_sin += math.sin(delta * k) * term
+        term *= r / (k + 1)
+    bracket = (
+        math.exp(math.cos(delta) * r) * math.sin(delta * z - math.sin(delta) * r)
+        - s_cos * math.sin(delta * z)
+        + s_sin * math.cos(delta * z)
+    )
+    return complex(0.0, -2.0 * bracket * math.exp(-z * math.log(r)))
 
 
 def fitted_arc_exponent(z, radii, order=None):
@@ -164,6 +186,14 @@ class TestConjugateFold:
         gv = recip_gamma(z, QuadratureConfig(), MethodTag.HANKEL)
         assert gv.quadrature.evaluations <= 435
 
+    @pytest.mark.parametrize("z", [0.5, 2.5, 7.7])
+    def test_ray_tail_skipped_under_its_bound(self, z):
+        # past R = 45/|cos delta| the ray is below e^{-45}: not integrated
+        gv = recip_gamma(z, QuadratureConfig(), MethodTag.HANKEL)
+        assert gv.condition_flag is ConditionFlag.OK
+        assert gv.quadrature.evaluations <= 285
+        assert gv.value == pytest.approx(float(mpmath.rgamma(z)), rel=CFG.eps_rel)
+
 
 class TestContourProperty:
     """The contour route against mpmath over a box of contours and times.
@@ -253,6 +283,15 @@ class TestInverseLaplace:
         gv = inverse_laplace(1.5, 2.0, HankelContour(), cfg)
         assert gv.condition_flag is ConditionFlag.TOLERANCE_NOT_MET
         assert gv.quadrature.evaluations > contour.quadrature.evaluations
+
+    def test_arc_at_its_round_off_floor_stops_early(self):
+        # the arc integrand reaches e^{t r0 cos theta} ~ 1e9 against an arc
+        # integral of 46, so its floor is above the tolerance; bisecting to
+        # the node budget would take 4,515 evaluations in all
+        cfg = QuadratureConfig(eps_rel=1e-10)
+        gv = inverse_laplace(1.421, 9.455, HankelContour(2.874, 2.319), cfg)
+        assert gv.condition_flag is ConditionFlag.TOLERANCE_NOT_MET
+        assert gv.quadrature.evaluations <= 1500
 
     @pytest.mark.parametrize(
         "k,t,delta,r0",

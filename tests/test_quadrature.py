@@ -1,8 +1,12 @@
 import cmath
 import math
+import sys
 
+import mpmath
 import pytest
 
+from regamma import quadrature
+from regamma.gamma_core import recip_gamma
 from regamma.kernel import decompose, regularized_integrand, truncated_exp
 from regamma.oracle import brute_force_integral
 from regamma.quadrature import (
@@ -174,12 +178,76 @@ class TestExponentialTail:
     def test_against_gamma_tail(self):
         # int_X^inf e^{-x} x^{-z} dx at z=0.5, X=1 equals
         # Gamma(0.5, 1) = sqrt(pi) erfc(1); frozen 50-digit value
-        res = exponential_tail(0.5, 1.0, CFG)
+        res = exponential_tail(0.5, 1.0, CFG, 0.0)
         assert res.value == pytest.approx(0.27880558528066197650, rel=1e-9)
 
     def test_negligible_for_large_radius(self):
-        res = exponential_tail(1.5, 36.0, CFG)
+        res = exponential_tail(1.5, 36.0, CFG, 0.0)
         assert abs(res.value) < 1e-16
+
+    @pytest.mark.parametrize("z", [-35.0, -10.0, -1.0, 0.0, 0.5, 5.0, 49.9])
+    def test_skipped_tail_error_bounds_the_tail(self, z):
+        # a huge rest makes the tail negligible; the error it reports must
+        # bound int_36^inf e^{-x} x^{-z} dx = Gamma(1 - z, 36)
+        res = exponential_tail(z, 36.0, CFG, 1e300)
+        assert res.value == 0.0
+        assert res.evaluations == 0
+        with mpmath.workdps(30):
+            exact = float(mpmath.gammainc(1 - mpmath.mpf(z), 36))
+        assert exact <= res.abs_error_estimate * (1.0 + 1e-12)
+        assert res.abs_error_estimate <= 5.0 * exact
+
+    def test_regularized_integral_skips_a_negligible_tail(self):
+        # the tail past R = 36 is about 1e-20 of I(2.5); integrating it
+        # would take 90 more evaluations
+        gv = recip_gamma(2.5, CFG)
+        assert gv.condition_flag is ConditionFlag.OK
+        assert gv.quadrature.evaluations <= 105
+        assert gv.value == pytest.approx(float(mpmath.rgamma(2.5)), rel=CFG.eps_rel)
+
+    def test_tail_above_the_tolerance_is_integrated(self, monkeypatch):
+        # at z = 0.05 the bound e^{-36} 36^{-z} is above 1e-16 of I(z)
+        tails = []
+
+        def spy(*args):
+            tails.append(exponential_tail(*args))
+            return tails[-1]
+
+        monkeypatch.setattr(quadrature, "exponential_tail", spy)
+        recip_gamma(0.05, QuadratureConfig(eps_rel=1e-14))
+        assert len(tails) == 1
+        assert tails[0].evaluations > 0
+
+
+class TestRoundOffFloor:
+    """Below 50 eps, the least error a GK15 panel admits, the engine stops."""
+
+    def test_stops_near_the_floor(self):
+        # positive integrand: the panels' resabs sum to the value, so the
+        # floor sum is 50 eps |value|, above the 1e-15 target
+        cfg = QuadratureConfig(eps_rel=1e-15)
+        res = integrate_finite(lambda x: 1.0 / (1e-2 + x * x), -1.0, 1.0, cfg)
+        assert res.condition_flag is ConditionFlag.TOLERANCE_NOT_MET
+        assert res.evaluations <= 600
+        floor_sum = 50.0 * sys.float_info.epsilon * res.value
+        assert res.abs_error_estimate <= 2.0 * floor_sum * (1.0 + 1e-9)
+        assert res.value == pytest.approx(20.0 * math.atan(10.0), rel=1e-14)
+
+    def test_tolerance_above_the_floor_is_met(self):
+        cfg = QuadratureConfig(eps_rel=1e-13)
+        res = integrate_finite(lambda x: 1.0 / (1e-2 + x * x), -1.0, 1.0, cfg)
+        assert res.condition_flag is ConditionFlag.OK
+
+    def test_recip_gamma_below_the_floor(self):
+        # bisecting to the budget would take 18,165 evaluations
+        cfg = QuadratureConfig(eps_rel=1e-14)
+        gv = recip_gamma(2.5, cfg)
+        assert gv.condition_flag is ConditionFlag.TOLERANCE_NOT_MET
+        assert gv.quadrature.evaluations <= 500
+        # the estimate is near the floor and still honest
+        res = gv.quadrature
+        exact = float(mpmath.pi / (mpmath.sinpi(2.5) * mpmath.gamma(2.5)))
+        assert abs(res.value - exact) <= res.abs_error_estimate <= 10.0 * cfg.eps_rel * abs(exact)
 
 
 class TestConfigValidation:
