@@ -464,9 +464,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     # domain errors, bad tolerances and non-finite inputs exit 1 with one line
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (RegammaError, OverflowError, ValueError) as exc:
         print(f"regamma: error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader left early (`regamma verify | head -n 1`): point stdout
+        # at devnull so the flush at exit cannot fail again, and exit quietly
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
 
 

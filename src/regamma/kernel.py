@@ -21,7 +21,12 @@ _MAX_TERMS = 500
 
 @dataclass(frozen=True)
 class ArgDecomposition:
-    """A positive non-integer argument split as z = n + frac, 0 < frac < 1."""
+    """A positive non-integer argument split as z = n + frac, 0 < frac < 1.
+
+    decompose builds those.  The one other use is n = 0 with frac = z < 1:
+    the polynomial is then empty and I(z) is Euler's integral for
+    Gamma(1 - z).
+    """
 
     z: float
     n: int

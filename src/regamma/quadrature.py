@@ -10,14 +10,18 @@ combine() sums the parts of a composite integral and decides its flag.
 
 The semi-infinite integral I(z) = int_0^inf (e^{-x} - e_{n-1}(-x)) x^{-z} dx
 is assembled once, by regularized_integral.  A route states only its change
-of variables, as segments (integrand, a, b, seeds) that cover x in [0, R];
-the real-axis route (integrate_regularized_kernel) has two:
+of variables, as segments (integrand, a, b, seeds) that cover x in [0, R],
+split at x = 1 and R = 36; the real axis (real_axis_segments) has two:
 
   [0, split]  -- substitute u = x^{1-frac} (origin_segment); the algebraic
                  x^{-frac} endpoint singularity cancels exactly and the
                  transformed integrand is bounded with limit
                  (-1)^n / ((1-frac) n!) at u = 0;
   [split, R]  -- the raw integrand, over geometrically seeded panels.
+
+At order n = 0 the polynomial is empty and I(1 - A) is Euler's integral
+for Gamma(A), A > 0; gamma_ratio takes its Gamma(A) factor that way, on the
+real-axis segments (for small A as I(-A) = Gamma(1 + A), over A).
 
 Every route shares the tail past R: the polynomial part -e_{n-1}(-x) x^{-z}
 decays only like x^{-1-frac}, so its tail is added in closed form.  The
@@ -29,7 +33,8 @@ numerically over one more stretch and the remainder past it bounded.
 All parts share the sign (-1)^n (the Lagrange form of the Taylor
 remainder of e^{-x} is single-signed on x > 0), so per-part relative error
 control gives global relative control without cancellation surprises.
-The near-integer flag of the sin(pi z)/pi product is decided here too.
+The near-integer flag of the sin(pi z)/pi product that turns I(z) into
+1/Gamma(z) is decided here too, unless no such product follows.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 from typing import Callable, Sequence
 
 from .kernel import ArgDecomposition, kernel_ratio, regularized_integrand, sinpi
@@ -76,9 +82,10 @@ _UFLOW = sys.float_info.min
 # Absolute error floor of every integration, below any relative target.
 EPS_ABS = 1e-300
 
-# Past this radius the polynomial tail is summed analytically; the
-# exponential tail is bounded, or integrated over one further stretch of
-# this length.
+# Every route splits its integral at x = _SPLIT_POINT.  Past _TAIL_RADIUS
+# the polynomial tail is summed analytically; the exponential tail is
+# bounded, or integrated over one further stretch of _EXP_TAIL_SPAN.
+_SPLIT_POINT = 1.0
 _TAIL_RADIUS = 36.0
 _EXP_TAIL_SPAN = 60.0
 
@@ -108,15 +115,12 @@ class QuadratureConfig:
 
     eps_rel: float = 1e-8
     max_subdivisions: int = 200
-    split_point: float = 1.0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.eps_rel < 1.0:
             raise ValueError(f"eps_rel must be in (0, 1), got {self.eps_rel!r}")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-        if not self.split_point > 0.0:
-            raise ValueError("split_point must be > 0")
 
 
 @dataclass(frozen=True)
@@ -256,15 +260,15 @@ def integrate_finite(
     )
 
 
-def geometric_breakpoints(a: float, b: float, factor: float = 2.0) -> list[float]:
-    """Panel seeds a*factor^k inside (a, b), for many-scale integrands."""
-    if not (a > 0.0 and factor > 1.0):
-        raise ValueError("geometric seeding needs a > 0 and factor > 1")
+def geometric_breakpoints(a: float, b: float) -> list[float]:
+    """Panel seeds a*2^k inside (a, b), for many-scale integrands."""
+    if not a > 0.0:
+        raise ValueError("geometric seeding needs a > 0")
     pts = []
-    x = a * factor
+    x = 2.0 * a
     while x < b:
         pts.append(x)
-        x *= factor
+        x *= 2.0
     return pts
 
 
@@ -336,7 +340,8 @@ def combine(
     extra_error is a bound on what the parts leave out.  The flag is
     tolerance_not_met if any part missed its tolerance, otherwise
     near_integer_amplification if a part carries it or amplified is set
-    (the caller's sin(pi z)/pi product loses accuracy), otherwise ok.
+    (a sin(pi z)/pi factor that multiplies the sum loses accuracy next to
+    an integer z), otherwise ok.
     """
     flags = {p.condition_flag for p in parts}
     if ConditionFlag.TOLERANCE_NOT_MET in flags:
@@ -364,15 +369,6 @@ def combine_product(value: float, factors: Sequence[IntegralResult | None]) -> I
     return replace(combine(parts), value=value, abs_error_estimate=abs(value) * rel)
 
 
-def tail_radius(cfg: QuadratureConfig) -> float:
-    return max(2.0 * cfg.split_point, _TAIL_RADIUS)
-
-
-def subdivide_config(cfg: QuadratureConfig, parts: int = 2) -> QuadratureConfig:
-    """Tolerance for one of several same-sign parts of a composite integral."""
-    return replace(cfg, eps_rel=cfg.eps_rel / parts)
-
-
 # One stretch of a route's integral: (integrand, a, b, panel seeds or None).
 Segment = tuple[Callable[[float], float], float, float, Sequence[float] | None]
 
@@ -388,42 +384,45 @@ def origin_segment(arg: ArgDecomposition, split: float) -> Segment:
     return origin, 0.0, split ** (1.0 - arg.frac), None
 
 
+def real_axis_segments(arg: ArgDecomposition, split: float, R: float) -> list[Segment]:
+    """The real-axis route: origin_segment on [0, split], then the raw
+    integrand on [split, R] over geometrically seeded panels."""
+    middle = (lambda x: regularized_integrand(x, arg), split, R, geometric_breakpoints(split, R))
+    return [origin_segment(arg, split), middle]
+
+
 def regularized_integral(
     arg: ArgDecomposition,
     cfg: QuadratureConfig,
     segments: Callable[[float, float], Sequence[Segment]],
+    *,
+    near_integer_flag: bool = True,
 ) -> IntegralResult:
     """I(z) from a route's segments over [0, R] and the shared tail past R.
 
     segments(split, R) states the route's change of variables: the
     stretches that together cover x in [0, R].  The closed-form polynomial
-    tail and the exponential tail follow them, in that order.  The result
-    carries near_integer_amplification when z is close enough to an
-    integer that the downstream sin(pi z)/pi product loses accuracy.
+    tail and the exponential tail follow them, in that order; each part
+    gets half the tolerance.  With near_integer_flag (the default) the
+    result carries near_integer_amplification when z is close enough to an
+    integer that the sin(pi z)/pi product turning I(z) into 1/Gamma(z)
+    loses accuracy; a caller after I(z) itself turns it off.
     """
-    R = tail_radius(cfg)
-    sub = subdivide_config(cfg)
+    sub = replace(cfg, eps_rel=cfg.eps_rel / 2.0)
     parts = [
         integrate_finite(f, a, b, sub, seeds)
-        for f, a, b, seeds in segments(cfg.split_point, R)
+        for f, a, b, seeds in segments(_SPLIT_POINT, _TAIL_RADIUS)
     ]
-    parts.append(IntegralResult(polynomial_tail_closed_form(arg, R), 0.0, 0))
+    parts.append(IntegralResult(polynomial_tail_closed_form(arg, _TAIL_RADIUS), 0.0, 0))
     rest = sum(p.value for p in parts)
-    parts.append(exponential_tail(arg.z, R, sub, rest))
-    return combine(parts, amplified=near_integer_amplified(arg.z, cfg.eps_rel))
+    parts.append(exponential_tail(arg.z, _TAIL_RADIUS, sub, rest))
+    amplified = near_integer_flag and near_integer_amplified(arg.z, cfg.eps_rel)
+    return combine(parts, amplified=amplified)
 
 
 def integrate_regularized_kernel(
     arg: ArgDecomposition, cfg: QuadratureConfig | None = None
 ) -> IntegralResult:
-    """I(z) = int_0^inf (e^{-x} - e_{n-1}(-x)) x^{-z} dx with n = [z].
-
-    The real-axis route: origin_segment on [0, split], then the raw
-    integrand on [split, R]; see regularized_integral for the rest.
-    """
-
-    def segments(split: float, R: float) -> list[Segment]:
-        middle = (lambda x: regularized_integrand(x, arg), split, R, geometric_breakpoints(split, R))
-        return [origin_segment(arg, split), middle]
-
-    return regularized_integral(arg, cfg or QuadratureConfig(), segments)
+    """I(z) = int_0^inf (e^{-x} - e_{n-1}(-x)) x^{-z} dx with n = [z],
+    over real_axis_segments; see regularized_integral for the rest."""
+    return regularized_integral(arg, cfg or QuadratureConfig(), partial(real_axis_segments, arg))

@@ -1,4 +1,6 @@
+import io
 import math
+import sys
 
 import pytest
 
@@ -38,7 +40,16 @@ class TestEval:
     def test_gamma_ratio(self, capsys):
         code, out, _ = run(capsys, "eval", "2.5", "--fn", "gamma-ratio", "--b", "1.5")
         assert code == 0
-        assert "1.5000000" in out
+        value = float(out.splitlines()[0].split("=")[1])
+        assert abs(value - 1.5) <= 1e-8
+
+    def test_gamma_ratio_tiny_numerator(self, capsys):
+        # Gamma(1e-17)/Gamma(1.5) = 1e17 / Gamma(1.5) to within 6e-17
+        code, out, _ = run(capsys, "eval", "1e-17", "--fn", "gamma-ratio", "--b", "1.5")
+        assert code == 0
+        value = float(out.splitlines()[0].split("=")[1])
+        assert abs(value - 2.0e17 / math.sqrt(math.pi)) <= 1e-8 * value
+        assert "flag   = ok" in out
 
     def test_inverse_laplace(self, capsys):
         code, out, _ = run(capsys, "eval", "1.5", "--fn", "inv-laplace", "--t", "2")
@@ -313,6 +324,24 @@ class TestBench:
         assert code == 1
         assert out == ""
         assert err.startswith("regamma: error:") and err.count("\n") == 1
+
+
+class TestBrokenPipe:
+    def test_closed_reader_exits_quietly(self, capsys, monkeypatch, tmp_path):
+        # `regamma verify | head -n 1`: every write after the reader left fails
+        with open(tmp_path / "sink", "w") as sink:
+
+            class ClosedPipe(io.TextIOBase):
+                def write(self, text):
+                    raise BrokenPipeError(32, "Broken pipe")
+
+                def fileno(self):
+                    return sink.fileno()
+
+            monkeypatch.setattr(sys, "stdout", ClosedPipe())
+            code = main(["verify"])
+        assert code == 1
+        assert capsys.readouterr().err == ""
 
 
 class TestEnvOverride:

@@ -19,7 +19,7 @@ from regamma.gamma_core import (
 from regamma.hankel import hankel_recip_gamma, inverse_laplace_monomial
 from regamma.kernel import decompose
 from regamma.oracle import gamma_lanczos
-from regamma.quadrature import ConditionFlag, QuadratureConfig
+from regamma.quadrature import ConditionFlag, QuadratureConfig, near_integer_amplified
 
 CFG = QuadratureConfig()
 
@@ -207,6 +207,35 @@ class TestGammaRatio:
         gv = gamma_ratio(2.5, 3.0, CFG)
         assert gv.value == pytest.approx(GAMMA_25 / 2.0, rel=1e-7)
 
+    @pytest.mark.parametrize("A,B", [(1.0001, 2.5), (2.005, 1.5)])
+    def test_near_integer_numerator_is_not_flagged(self, A, B):
+        # no sin(pi z)/pi product follows Gamma(A), so A next to an integer
+        # loses nothing
+        gv = gamma_ratio(A, B, CFG)
+        assert gv.condition_flag is ConditionFlag.OK
+        with mpmath.workdps(30):
+            ref = mpmath.gamma(A) / mpmath.gamma(B)
+            assert abs(gv.value - ref) <= 10.0 * CFG.eps_rel * abs(ref)
+
+    @pytest.mark.parametrize("A", [1e-17, 1e-9, 1e-4, 0.00999, 0.01])
+    @pytest.mark.parametrize("eps", [1e-8, 1e-12])
+    def test_tiny_numerator(self, A, eps):
+        # Gamma(A) switches to Gamma(1 + A)/A below A = 0.01; both sides of
+        # the switch, and A below 2^-54, where 1 - A rounds to 1
+        gv = gamma_ratio(A, 1.5, QuadratureConfig(eps_rel=eps))
+        assert gv.condition_flag is ConditionFlag.OK
+        with mpmath.workdps(30):
+            ref = mpmath.gamma(mpmath.mpf(A)) / mpmath.gamma(mpmath.mpf(1.5))
+            assert abs(gv.value - ref) <= 10.0 * eps * abs(ref)
+
+    def test_overflow(self):
+        with pytest.raises(OverflowError):
+            gamma_ratio(1e-310, 1.5, CFG)
+        # 1/Gamma(B) is taken first, so a finite ratio survives a tiny A
+        assert gamma_ratio(1e-310, 40.5, CFG).value == pytest.approx(
+            float(mpmath.gamma(mpmath.mpf(1e-310)) / mpmath.gamma(40.5)), rel=1e-7
+        )
+
     def test_domain_errors(self):
         with pytest.raises(NonPositiveArgument):
             gamma_ratio(-1.0, 2.5, CFG)
@@ -326,4 +355,33 @@ class TestRealLineProperty:
             return
         with mpmath.workdps(30):
             ref = mpmath.rgamma(z)
+            assert abs(gv.value - ref) <= 10.0 * eps * abs(ref)
+
+
+class TestGammaRatioProperty:
+    """gamma_ratio against mpmath on the benchmark's domain.
+
+    A and B are log-uniform on [1e-2, 50), each at least 1e-2 from every
+    integer.  A result flagged ok must be within 10 eps_rel of
+    Gamma(A)/Gamma(B).  Gamma(A) never carries near_integer_amplification;
+    1/Gamma(B) carries it only where its own sin(pi B)/pi product does,
+    which at eps 1e-8 reaches just past 1e-2 from an integer.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        log_a=st.floats(-2.0, math.log10(50.0), exclude_max=True),
+        log_b=st.floats(-2.0, math.log10(50.0), exclude_max=True),
+        eps=st.sampled_from([1e-8, 1e-10, 1e-12]),
+    )
+    def test_ok_results_meet_tolerance(self, log_a, log_b, eps):
+        A, B = 10.0**log_a, 10.0**log_b
+        assume(abs(A - round(A)) >= 1e-2 and abs(B - round(B)) >= 1e-2)
+        gv = gamma_ratio(A, B, QuadratureConfig(eps_rel=eps))
+        if gv.condition_flag is ConditionFlag.NEAR_INTEGER_AMPLIFICATION:
+            assert near_integer_amplified(B, eps)
+        if gv.condition_flag is not ConditionFlag.OK:
+            return
+        with mpmath.workdps(30):
+            ref = mpmath.gamma(A) / mpmath.gamma(B)
             assert abs(gv.value - ref) <= 10.0 * eps * abs(ref)
