@@ -8,19 +8,19 @@ are exposed (selected by MethodTag):
 
   real_axis         sin(pi z)/pi * int_0^inf (e^{-x} - e_{n-1}(-x)) x^{-z} dx
   power_subst       the same integral, its middle stretch after u = x^z
-  log_form          the same integral folded onto (0, 1) via u = e^{-x}
+  log_form          the same integral, its middle stretch after u = e^{-x}
   cauchy_saalschutz the order-n regularization of Gamma(-z), reflected back
 
 plus `hankel`, resolved by the hankel module.  The first three only state
-their change of variables as segments; quadrature.regularized_integral
-assembles them with the shared tail and decides the flag.  gamma_ratio
-takes Gamma(A) as the same integral at order n = 0, I(1 - A), which is
-Euler's integral, on the real-axis segments (for A < 0.01 as
-Gamma(1 + A)/A, with Gamma(1 + A) = I(-A)).  Positive
-integers use the exact factorial; zero and negative integers return the
-exact zeros of the entire function 1/Gamma.  Negative non-integer arguments
-are routed through one reflection step so the quadrature only ever sees
-z > 0.
+their change of variables on the middle stretch [1, 36] as segments;
+quadrature.regularized_integral sums [0, 1] as a series, adds the shared
+tail and decides the flag.  gamma_ratio takes Gamma(A) as the same
+integral at order n = 0, I(1 - A), which is Euler's integral, on the
+real-axis segments (for A < 0.01 as Gamma(1 + A)/A, with Gamma(1 + A) =
+I(-A)).  Positive integers use the exact factorial; zero and negative
+integers return the exact zeros of the entire function 1/Gamma.  Negative
+non-integer arguments are routed through one reflection step so the
+quadrature only ever sees z > 0.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .quadrature import (
     combine_product,
     geometric_breakpoints,
     integrate_regularized_kernel,
-    origin_segment,
     real_axis_segments,
     regularized_integral,
 )
@@ -96,8 +95,8 @@ def _power_subst_integral(arg: ArgDecomposition, cfg: QuadratureConfig) -> Integ
     """I(z) with the middle stretch mapped by u = x^z.
 
     There the integrand is u^{1/z-2} (e^{-u^{1/z}} - e_{n-1} at -u^{1/z})
-    times the Jacobian 1/z, over [split^z, R^z].  The origin stretch and the
-    tails are the real-axis route's.
+    times the Jacobian 1/z, over [split^z, R^z].  The origin series and
+    the tails are shared.
     """
     n, z = arg.n, arg.z
     inv_z = 1.0 / z
@@ -112,32 +111,21 @@ def _power_subst_integral(arg: ArgDecomposition, cfg: QuadratureConfig) -> Integ
                 f"power-substitution upper split {R}^{z} overflows double precision"
             )
         s_u, U = split**z, R**z
-        return [origin_segment(arg, split), (middle, s_u, U, geometric_breakpoints(s_u, U))]
+        return [(middle, s_u, U, geometric_breakpoints(s_u, U))]
 
     return regularized_integral(arg, cfg, segments)
 
 
 def _log_form_integral(arg: ArgDecomposition, cfg: QuadratureConfig) -> IntegralResult:
-    """I(z) over x in [0, R] folded onto the unit interval by u = e^{-x}.
+    """I(z) with the middle stretch folded onto the unit interval by u = e^{-x}.
 
     There the integrand is (1 - e_{n-1}(log u)/u) / (log(1/u))^z, whose
     numerator is the exponential remainder at log u, so it is evaluated
-    through the cancellation-safe kernel.  Near u = 1 it behaves like
-    (1-u)^{-frac}; the substitution u = 1 - t^{1/(1-frac)} removes that.
-    The stretch below e^{-R} is the shared closed-form tail (u = e^{-x} is
-    an exact change of variables there).
+    through the cancellation-safe kernel, over [e^{-R}, e^{-split}].  The
+    origin series and the tails are shared (u = e^{-x} is an exact change
+    of variables there).
     """
     n, frac = arg.n, arg.frac
-    q = 1.0 / (1.0 - frac)
-    limit = q * (-1.0) ** n / math.factorial(n)
-
-    def near_one(t: float) -> float:
-        w = t**q  # = 1 - u
-        if w == 0.0:
-            return limit
-        x = -math.log1p(-w)
-        rho = w / x  # -> 1 as u -> 1
-        return q * kernel_ratio(x, n) * rho**frac / (1.0 - w)
 
     def middle(u: float) -> float:
         x = -math.log(u)
@@ -145,10 +133,7 @@ def _log_form_integral(arg: ArgDecomposition, cfg: QuadratureConfig) -> Integral
 
     def segments(split: float, R: float) -> list[Segment]:
         u1, u0 = math.exp(-split), math.exp(-R)
-        return [
-            (near_one, 0.0, (1.0 - u1) ** (1.0 - frac), None),
-            (middle, u0, u1, geometric_breakpoints(u0, u1)),
-        ]
+        return [(middle, u0, u1, geometric_breakpoints(u0, u1))]
 
     return regularized_integral(arg, cfg, segments)
 
@@ -245,11 +230,11 @@ def gamma_ratio(A: float, B: float, cfg: QuadratureConfig | None = None) -> Gamm
     is I(1 - A) at order n = 0 on the real-axis segments; no sin(pi z)/pi
     product follows it, so it never carries the near-integer flag.
 
-    Below A = 0.01 it is Gamma(1 + A)/A, with Gamma(1 + A) = I(-A): the
-    origin stretch of I(1 - A) has the power 1/A, a near-step the panels
-    miss below A ~ 2e-4, while that of I(-A) stays close to e^{-u}, and
-    -A is exact where 1 - A rounds to 1.  Above 0.01 I(1 - A) is cheaper,
-    and the rounding of 1 - A costs at most 2^-54/A <= 6e-15 relative.
+    Below A = 0.01 it is Gamma(1 + A)/A, with Gamma(1 + A) = I(-A), because
+    1 - A rounds: the origin series of I(1 - A) starts with split^A/A, its
+    exponent A comes back as 1 - fl(1 - A), and that costs up to 2^-54/A
+    relative, all of A once A < 2^-54, while -A is exact.  Above 0.01 the
+    cost is at most 6e-15.
     Raises OverflowError once the ratio exceeds double precision.
     """
     require_finite(A, "A")

@@ -9,26 +9,27 @@ round-off floors alone exceed the target, and flags the result.
 combine() sums the parts of a composite integral and decides its flag.
 
 The semi-infinite integral I(z) = int_0^inf (e^{-x} - e_{n-1}(-x)) x^{-z} dx
-is assembled once, by regularized_integral.  A route states only its change
-of variables, as segments (integrand, a, b, seeds) that cover x in [0, R],
-split at x = 1 and R = 36; the real axis (real_axis_segments) has two:
-
-  [0, split]  -- substitute u = x^{1-frac} (origin_segment); the algebraic
-                 x^{-frac} endpoint singularity cancels exactly and the
-                 transformed integrand is bounded with limit
-                 (-1)^n / ((1-frac) n!) at u = 0;
-  [split, R]  -- the raw integrand, over geometrically seeded panels.
+is assembled once, by regularized_integral, split at x = 1 and R = 36.  On
+[0, split] the remainder is the series sum_{k>=n} (-x)^k/k!, so that
+stretch is summed term by term (origin_closed_form): every power of x it
+integrates is x^{k-z} with k - z > -1, and the algebraic x^{-frac}
+endpoint singularity becomes the exact factor 1/(1 - frac).  A route
+states only its change of variables on [split, R], as segments
+(integrand, a, b, seeds); the real axis (real_axis_segments) has one, the
+raw integrand over geometrically seeded panels.
 
 At order n = 0 the polynomial is empty and I(1 - A) is Euler's integral
-for Gamma(A), A > 0; gamma_ratio takes its Gamma(A) factor that way, on the
-real-axis segments (for small A as I(-A) = Gamma(1 + A), over A).
+for Gamma(A), A > 0, and the origin series is the lower incomplete gamma
+function gamma(A, split); gamma_ratio takes its Gamma(A) factor that way, on
+the real-axis segments (for small A as I(-A) = Gamma(1 + A), over A).
 
-Every route shares the tail past R: the polynomial part -e_{n-1}(-x) x^{-z}
-decays only like x^{-1-frac}, so its tail is added in closed form.  The
-exponentially small e^{-x} x^{-z} tail has an analytic bound; when that is
-below the tolerance on the rest of I(z) by a wide margin the tail is left
-out and the bound kept as its error, otherwise it is integrated
-numerically over one more stretch and the remainder past it bounded.
+Every route shares that series and the tail past R: the polynomial part
+-e_{n-1}(-x) x^{-z} decays only like x^{-1-frac}, so its tail is added in
+closed form.  The exponentially small e^{-x} x^{-z} tail has an analytic
+bound; when that is below the tolerance on the rest of I(z) by a wide
+margin the tail is left out and the bound kept as its error, otherwise it
+is integrated numerically over one more stretch and the remainder past it
+bounded.
 
 All parts share the sign (-1)^n (the Lagrange form of the Taylor
 remainder of e^{-x} is single-signed on x > 0), so per-part relative error
@@ -46,7 +47,7 @@ from enum import Enum
 from functools import partial
 from typing import Callable, Sequence
 
-from .kernel import ArgDecomposition, kernel_ratio, regularized_integrand, sinpi
+from .kernel import ArgDecomposition, regularized_integrand, sinpi
 
 # 7/15 Gauss-Kronrod abscissae and weights (positive half; node 0 last).
 # Odd-indexed abscissae carry the embedded 7-point Gauss rule.
@@ -82,9 +83,9 @@ _UFLOW = sys.float_info.min
 # Absolute error floor of every integration, below any relative target.
 EPS_ABS = 1e-300
 
-# Every route splits its integral at x = _SPLIT_POINT.  Past _TAIL_RADIUS
-# the polynomial tail is summed analytically; the exponential tail is
-# bounded, or integrated over one further stretch of _EXP_TAIL_SPAN.
+# Every route sums its integral below x = _SPLIT_POINT as a series.  Past
+# _TAIL_RADIUS the polynomial tail is summed analytically; the exponential
+# tail is bounded, or integrated over one further stretch of _EXP_TAIL_SPAN.
 _SPLIT_POINT = 1.0
 _TAIL_RADIUS = 36.0
 _EXP_TAIL_SPAN = 60.0
@@ -272,19 +273,44 @@ def geometric_breakpoints(a: float, b: float) -> list[float]:
     return pts
 
 
+def origin_closed_form(arg: ArgDecomposition, split: float) -> IntegralResult:
+    """int_0^split (e^{-x} - e_{n-1}(-x)) x^{-z} dx, summed term by term.
+
+    The remainder is sum_{k>=n} (-x)^k/k!, and each term integrates to
+    (-1)^k/k! * split^{k-z+1}/(k-z+1).  Every exponent is built from n and
+    frac as (k - n) + (1 - frac), so it is exact up to one rounding and at
+    least 1 - frac > 0.  The terms fall off like split^k/k!; the sum stops
+    once a term is below eps of it, and its error is the rounding bound
+    8 eps sum |terms|.  No evaluations are spent.
+    """
+    base = 1.0 - arg.frac
+    coeff = (-1.0) ** arg.n / math.factorial(arg.n) * split**base  # (-1)^k split^{k-z+1} / k!
+    total = abs_sum = 0.0
+    j = 0  # k - n
+    while True:
+        term = coeff / (j + base)
+        total += term
+        abs_sum += abs(term)
+        if abs(term) <= _EPMACH * abs(total):
+            return IntegralResult(total, 8.0 * _EPMACH * abs_sum, 0)
+        j += 1
+        coeff *= -split / (arg.n + j)
+
+
 def polynomial_tail_closed_form(arg: ArgDecomposition, R: float) -> float:
     """int_R^inf -e_{n-1}(-x) x^{-z} dx, summed term by term.
 
     Each term integrates to (-1)^k/k! * R^{k-z+1}/(k-z+1); every exponent
-    k - z + 1 is negative because k <= n-1 < z, so the sum is finite.
-    Returns 0 for n = 0 (empty polynomial).
+    (k - n + 1) - frac is negative because k <= n-1, so the sum is finite.
+    It is built from n and frac, not from z, which may carry the rounding
+    of a shift.  Returns 0 for n = 0 (empty polynomial).
     """
     if not R > 0.0:
         raise ValueError(f"need R > 0, got {R!r}")
     total = 0.0
     coeff = 1.0  # (-1)^k / k!
     for k in range(arg.n):
-        expo = k - arg.z + 1.0
+        expo = (k - arg.n + 1) - arg.frac
         total += coeff * math.exp(expo * math.log(R)) / expo
         coeff *= -1.0 / (k + 1)
     return total
@@ -369,26 +395,14 @@ def combine_product(value: float, factors: Sequence[IntegralResult | None]) -> I
     return replace(combine(parts), value=value, abs_error_estimate=abs(value) * rel)
 
 
-# One stretch of a route's integral: (integrand, a, b, panel seeds or None).
-Segment = tuple[Callable[[float], float], float, float, Sequence[float] | None]
-
-
-def origin_segment(arg: ArgDecomposition, split: float) -> Segment:
-    """I(z) over [0, split] after u = x^{1-frac}: p * kernel_ratio(u^p, n)."""
-    n = arg.n
-    p = 1.0 / (1.0 - arg.frac)
-
-    def origin(u: float) -> float:
-        return p * kernel_ratio(u**p, n)
-
-    return origin, 0.0, split ** (1.0 - arg.frac), None
+# One stretch of a route's integral: (integrand, a, b, panel seeds).
+Segment = tuple[Callable[[float], float], float, float, Sequence[float]]
 
 
 def real_axis_segments(arg: ArgDecomposition, split: float, R: float) -> list[Segment]:
-    """The real-axis route: origin_segment on [0, split], then the raw
-    integrand on [split, R] over geometrically seeded panels."""
-    middle = (lambda x: regularized_integrand(x, arg), split, R, geometric_breakpoints(split, R))
-    return [origin_segment(arg, split), middle]
+    """The real-axis route: the raw integrand on [split, R] over
+    geometrically seeded panels."""
+    return [(lambda x: regularized_integrand(x, arg), split, R, geometric_breakpoints(split, R))]
 
 
 def regularized_integral(
@@ -398,18 +412,19 @@ def regularized_integral(
     *,
     near_integer_flag: bool = True,
 ) -> IntegralResult:
-    """I(z) from a route's segments over [0, R] and the shared tail past R.
+    """I(z) from the origin series, a route's segments and the shared tail.
 
-    segments(split, R) states the route's change of variables: the
-    stretches that together cover x in [0, R].  The closed-form polynomial
-    tail and the exponential tail follow them, in that order; each part
-    gets half the tolerance.  With near_integer_flag (the default) the
+    origin_closed_form sums the stretch [0, split].  segments(split, R)
+    states the route's change of variables: the stretches that together
+    cover x in [split, R].  The closed-form polynomial tail and the
+    exponential tail follow them, in that order; each integrated part gets
+    half the tolerance.  With near_integer_flag (the default) the
     result carries near_integer_amplification when z is close enough to an
     integer that the sin(pi z)/pi product turning I(z) into 1/Gamma(z)
     loses accuracy; a caller after I(z) itself turns it off.
     """
     sub = replace(cfg, eps_rel=cfg.eps_rel / 2.0)
-    parts = [
+    parts = [origin_closed_form(arg, _SPLIT_POINT)] + [
         integrate_finite(f, a, b, sub, seeds)
         for f, a, b, seeds in segments(_SPLIT_POINT, _TAIL_RADIUS)
     ]

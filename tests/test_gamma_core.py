@@ -73,6 +73,16 @@ class TestRecipGamma:
         assert recip_gamma(1e7).value == 0.0
         assert time.perf_counter() - start < 0.5
 
+    def test_fractional_part_next_to_one(self):
+        # at eps 1e-12 the flag does not fire 1e-4 from an integer, so the
+        # integral itself must be accurate as frac -> 1
+        cfg = QuadratureConfig(eps_rel=1e-12)
+        gv = recip_gamma(0.9999, cfg)
+        assert gv.condition_flag is ConditionFlag.OK
+        with mpmath.workdps(30):
+            ref = mpmath.rgamma(0.9999)
+            assert abs(gv.value - ref) <= 10.0 * cfg.eps_rel * abs(ref)
+
     def test_near_integer_flagged(self):
         gv = recip_gamma(2.0 + 1e-3, CFG)
         assert gv.condition_flag is ConditionFlag.NEAR_INTEGER_AMPLIFICATION
@@ -191,6 +201,17 @@ class TestCauchySaalschutz:
         a = gamma_cauchy_saalschutz(z, CFG).value
         b = gamma_negative(z, CFG).value
         assert abs(a - b) / abs(b) <= 10.0 * CFG.eps_rel
+
+    @pytest.mark.parametrize("z", [3.00001, 7.000001])
+    def test_shifted_exponents_next_to_an_integer(self, z):
+        # the shift to z + 1 rounds; the polynomial tail's last exponent is
+        # -frac and must not inherit that rounding
+        cfg = QuadratureConfig(eps_rel=1e-12)
+        gv = recip_gamma(z, cfg, MethodTag.CAUCHY_SAALSCHUTZ)
+        assert gv.condition_flag is ConditionFlag.OK
+        with mpmath.workdps(30):
+            ref = mpmath.rgamma(z)
+            assert abs(gv.value - ref) <= 10.0 * cfg.eps_rel * abs(ref)
 
 
 class TestGammaRatio:
@@ -350,6 +371,42 @@ class TestRealLineProperty:
     def test_ok_results_meet_tolerance(self, method, log_abs_z, negative, eps):
         z = -(10.0**log_abs_z) if negative else 10.0**log_abs_z
         assume(abs(z - round(z)) >= 1e-2)
+        gv = recip_gamma(z, QuadratureConfig(eps_rel=eps), method)
+        if gv.condition_flag is not ConditionFlag.OK:
+            return
+        with mpmath.workdps(30):
+            ref = mpmath.rgamma(z)
+            assert abs(gv.value - ref) <= 10.0 * eps * abs(ref)
+
+
+class TestNearIntegerProperty:
+    """The real-line routes against mpmath next to the integers.
+
+    z = m +- 10^U(-12, -2) with m in [1, 30], and either sign of z.  As in
+    TestRealLineProperty, a result flagged ok must be within 10 eps_rel of
+    1/Gamma(z).
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        method=st.sampled_from(
+            [
+                MethodTag.REAL_AXIS,
+                MethodTag.POWER_SUBST,
+                MethodTag.LOG_FORM,
+                MethodTag.CAUCHY_SAALSCHUTZ,
+            ]
+        ),
+        m=st.integers(1, 30),
+        log_delta=st.floats(-12.0, -2.0),
+        below=st.booleans(),
+        negative=st.booleans(),
+        eps=st.sampled_from([1e-8, 1e-10, 1e-12]),
+    )
+    def test_ok_results_meet_tolerance(self, method, m, log_delta, below, negative, eps):
+        z = m - 10.0**log_delta if below else m + 10.0**log_delta
+        if negative:
+            z = -z
         gv = recip_gamma(z, QuadratureConfig(eps_rel=eps), method)
         if gv.condition_flag is not ConditionFlag.OK:
             return

@@ -1,13 +1,14 @@
 import cmath
 import math
 import sys
+from functools import partial
 
 import mpmath
 import pytest
 
 from regamma import quadrature
 from regamma.gamma_core import recip_gamma
-from regamma.kernel import decompose, regularized_integrand, truncated_exp
+from regamma.kernel import ArgDecomposition, decompose, truncated_exp
 from regamma.oracle import brute_force_integral
 from regamma.quadrature import (
     EPS_ABS,
@@ -17,6 +18,7 @@ from regamma.quadrature import (
     geometric_breakpoints,
     integrate_finite,
     integrate_regularized_kernel,
+    origin_closed_form,
     polynomial_tail_closed_form,
     real_axis_segments,
     regularized_integral,
@@ -106,23 +108,21 @@ class TestRegularizedKernel:
         assert res.condition_flag is ConditionFlag.OK
 
     @staticmethod
-    def at_split(z, split):
-        """I(z) on the real-axis segments split at x = split, not at 1."""
-        arg = decompose(z)
-        return regularized_integral(
-            arg, CFG, lambda _split, R: real_axis_segments(arg, split, R)
-        )
+    def at_split(z, split, monkeypatch):
+        """I(z) with the origin series and the middle split at x = split."""
+        monkeypatch.setattr(quadrature, "_SPLIT_POINT", split)
+        return integrate_regularized_kernel(decompose(z), CFG)
 
     @pytest.mark.parametrize("z", [0.3, 1.7, 3.2, 6.9])
-    def test_split_invariance(self, z):
-        vals = [self.at_split(z, sp).value for sp in (0.5, 1.0, 2.0)]
+    def test_split_invariance(self, z, monkeypatch):
+        vals = [self.at_split(z, sp, monkeypatch).value for sp in (0.5, 1.0, 2.0)]
         spread = (max(vals) - min(vals)) / abs(vals[0])
         assert spread <= 10.0 * CFG.eps_rel
 
     @pytest.mark.parametrize("z", [0.7, 2.5, 4.3])
-    def test_no_adaptive_blowup_at_origin(self, z):
-        e_full = self.at_split(z, 1.0).evaluations
-        e_half = self.at_split(z, 0.5).evaluations
+    def test_no_adaptive_blowup_at_origin(self, z, monkeypatch):
+        e_full = self.at_split(z, 1.0, monkeypatch).evaluations
+        e_half = self.at_split(z, 0.5, monkeypatch).evaluations
         assert e_half <= 4 * e_full
 
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -138,6 +138,55 @@ class TestRegularizedKernel:
         for z in (0.4, 1.3, 2.8, 3.1, 4.9):
             res = integrate_regularized_kernel(decompose(z), CFG)
             assert math.copysign(1.0, res.value) == (-1.0) ** math.floor(z)
+
+
+def euler(A):
+    """I(1 - A), Euler's integral for Gamma(A), at order n = 0."""
+    return ArgDecomposition(z=1.0 - A, n=0, frac=1.0 - A)
+
+
+class TestOriginClosedForm:
+    """The series for I(z) over [0, split] against mpmath."""
+
+    ARGS = [decompose(z) for z in (0.9999, 2.5, 4.9999, 49.7)]
+    ARGS += [euler(A) for A in (0.011, 1.5, 10.5, 45.5)]
+    ARGS += [ArgDecomposition(z=-A, n=0, frac=-A) for A in (1e-17, 1e-4)]
+
+    @staticmethod
+    def reference(arg, split):
+        # the lower incomplete gamma function gamma(1 - z, split), continued
+        # analytically in z, less the polynomial's terms; at 150 digits, as
+        # the subtraction cancels about 80 of them at z = 49.7
+        with mpmath.workdps(150):
+            z, s = mpmath.mpf(arg.z), mpmath.mpf(split)
+            value = mpmath.gammainc(1 - z, 0, s)
+            for k in range(arg.n):
+                value -= (-1) ** k * s ** (k + 1 - z) / (mpmath.factorial(k) * (k + 1 - z))
+            return float(value)
+
+    @pytest.mark.parametrize("split", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("arg", ARGS, ids=lambda a: repr(a.z))
+    def test_against_mpmath(self, arg, split):
+        res = origin_closed_form(arg, split)
+        exact = self.reference(arg, split)
+        assert res.evaluations == 0
+        assert res.condition_flag is ConditionFlag.OK
+        assert abs(res.value - exact) <= res.abs_error_estimate <= 1e-13 * abs(exact)
+
+    @pytest.mark.parametrize("A", [10.5, 45.5])
+    def test_euler_integral_spends_nothing_near_the_origin(self, A):
+        # the origin stretch, 3.4e-8 of Gamma(10.5), is summed, not
+        # integrated; only the middle stretch and the tail cost evaluations
+        cfg = QuadratureConfig(eps_rel=1e-12)
+        arg = euler(A)
+        res = regularized_integral(
+            arg, cfg, partial(real_axis_segments, arg), near_integer_flag=False
+        )
+        assert res.evaluations <= 400
+        assert res.condition_flag is ConditionFlag.OK
+        with mpmath.workdps(30):
+            exact = mpmath.gamma(A)
+            assert abs(res.value - exact) <= 10.0 * cfg.eps_rel * abs(exact)
 
 
 class TestPolynomialTail:
