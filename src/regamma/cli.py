@@ -98,6 +98,19 @@ def _fmt(x: float) -> str:
 # eval
 # ---------------------------------------------------------------------------
 
+def _value_error(gv: GammaValue) -> float:
+    """The error estimate of gv.value.
+
+    The quadrature's estimate is in the units of its integral, I(z) for
+    the real-line routes, where 1/Gamma(z) = sin(pi z)/pi I(z); its
+    relative error carries over to the value.
+    """
+    q = gv.quadrature
+    if q.value == 0.0:
+        return q.abs_error_estimate
+    return abs(gv.value) * (q.abs_error_estimate / abs(q.value))
+
+
 def _evaluate(
     fn: str, z: float, method: MethodTag, cfg: QuadratureConfig, b=None, t=1.0
 ) -> GammaValue:
@@ -116,7 +129,7 @@ def _evaluate(
             raise RegammaError("--fn gamma-ratio requires --b <denominator>")
         return gamma_ratio(z, b, cfg)
     if fn == "inv-laplace":
-        return inverse_laplace(z, t, HankelContour(), cfg)
+        return inverse_laplace(z, t, cfg=cfg)
     raise RegammaError(f"unknown function {fn!r}")
 
 
@@ -129,7 +142,7 @@ def cmd_eval(args) -> int:
         print("evals  = 0")
         return 0
     q = out.quadrature
-    print(f"abs_err = {q.abs_error_estimate:.3e}")
+    print(f"abs_err = {_value_error(out):.3e}")
     print(f"flag   = {q.condition_flag.value}")
     print(f"evals  = {q.evaluations}")
     return 2 if q.condition_flag is ConditionFlag.TOLERANCE_NOT_MET else 0
@@ -164,7 +177,7 @@ def _sweep_row(z: float, spec: SweepSpec, cfg: QuadratureConfig) -> tuple:
         if spec.fn == "gamma-neg":
             return (z, math.nan, math.nan, spec.method.value, "pole")
     gv = _evaluate(spec.fn, z, spec.method, cfg)
-    err = 0.0 if gv.quadrature is None else gv.quadrature.abs_error_estimate
+    err = 0.0 if gv.quadrature is None else _value_error(gv)
     flag = "exact" if gv.quadrature is None else gv.quadrature.condition_flag.value
     return (z, gv.value, err, gv.method.value, flag)
 

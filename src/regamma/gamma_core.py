@@ -11,7 +11,8 @@ are exposed (selected by MethodTag):
   log_form          the same integral, its middle stretch after u = e^{-x}
   cauchy_saalschutz the order-n regularization of Gamma(-z), reflected back
 
-plus `hankel`, resolved by the hankel module.  The first three only state
+plus `hankel`, the trapezoid rule on the steepest-descent path of Hankel's
+integral, resolved by the hankel module.  The first three only state
 their change of variables on the middle stretch [1, 36] as segments;
 quadrature.regularized_integral sums [0, 1] as a series, adds the shared
 tail and decides the flag.  gamma_ratio takes Gamma(A) as the same
@@ -155,7 +156,8 @@ def recip_gamma(
 
     Positive integers return the exact 1/(m-1)!; zero and negative integers
     return exactly 0, and so does +inf, the limit.  Negative non-integer z
-    reflects once to 1-z > 0.  Non-integer positive z goes through the
+    reflects once to 1-z > 0, and raises OverflowError where the result
+    exceeds double precision.  Non-integer positive z goes through the
     representation named by method.  NaN and -inf raise NonFiniteArgument.
     """
     if z == math.inf:
@@ -169,12 +171,16 @@ def recip_gamma(
         return GammaValue(_exact_recip_factorial(m), method, None)
     if z < 0.0:
         base = recip_gamma(1.0 - z, cfg, method)
-        value = sinpi(z) / math.pi / base.value
+        # 1/Gamma(1 - z) may underflow, to 0 on the hankel route
+        value = sinpi(z) / math.pi / base.value if base.value else math.inf
+        if math.isinf(value):
+            raise OverflowError(f"1/Gamma({z!r}) overflows double precision")
         return GammaValue(value, method, base.quadrature)
     if method is MethodTag.HANKEL:
         from . import hankel
 
-        return hankel.hankel_recip_gamma(z, hankel.HankelContour(), cfg)
+        res = hankel.steepest_descent_recip_gamma(z, cfg)
+        return GammaValue(res.value, method, res)
 
     arg = decompose(z)
     sin_over_pi = sinpi(z) / math.pi

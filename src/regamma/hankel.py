@@ -1,20 +1,39 @@
-"""Complex-plane evaluation of the regularized reciprocal-Gamma integral.
+"""Complex-plane evaluation of the reciprocal Gamma function.
 
-The contour runs in from infinity along the ray arg(tau) = -delta, circles
-the origin counterclockwise on an arc of radius r0, and runs back out along
-arg(tau) = +delta, with pi/2 < delta < pi so the exponential decays on the
-rays and the path stays clear of the branch cut on the negative real axis.
-tau^z uses the principal logarithm throughout.
+The route (recip_gamma with MethodTag.HANKEL, and inverse_laplace) is a
+trapezoid rule on the steepest-descent path of Hankel's integral
+1/Gamma(w) = (1/2 pi i) int_H e^s s^{-w} ds.  With s = w u the exponent
+is w (u - log u), and the path u(theta) = theta/sin(theta) e^{i theta},
+-pi < theta < pi, keeps Im(u - log u) = 0: the integrand e^s s^{-w} is
+real and positive on it, peaks at theta = 0 and falls off faster than
+exponentially towards both ends, and Im u = theta.  For real w the two
+halves are conjugate, so 1/Gamma(w) = (w/pi) int_0^pi e^s s^{-w} dtheta
+with s = w u(theta), and the trapezoid rule on it converges geometrically
+(Weideman & Trefethen, Math. Comp. 76, 2007).  On a path that stays off
+the origin the paper's regularizing polynomial integrates to exactly 0,
+so each node is the paper's integrand at order 0, ray_kernel(|s|, theta,
+w, 0).  z is first moved into [8, 9) by the recurrence, where 24 nested
+nodes reach double precision; the difference of the 12- and 24-node sums
+is the error estimate.
+
+The paper's own contour stays as the cross-check of its claim that the
+real-line integral equals Hankel's (hankel_recip_gamma, arc_contribution
+and verify --hankel).  It runs in from infinity along the ray
+arg(tau) = -delta, circles the origin counterclockwise on an arc of
+radius r0, and runs back out along arg(tau) = +delta, with
+pi/2 < delta < pi so the exponential decays on the rays and the path
+stays clear of the branch cut on the negative real axis.  tau^z uses the
+principal logarithm throughout.
 
 Because the numerator is the regularized remainder e^tau - e_{n-1}(tau),
 the integrand is integrable over the shrinking arc (it vanishes like
 r0^{1-frac}), which is exactly what makes the truncation order n = [z]
 the right one.  Beyond the truncation radius the polynomial part of each
-ray has an elementary antiderivative (added in closed form).  The
-exponential part is bounded by e^{R cos delta} R^{-z} / |cos delta| and
-left out, the bound kept as error, when quadrature.tail_negligible says so
-next to the rest of the contour; otherwise it is integrated over one
-further stretch.
+ray has an elementary antiderivative (added in closed form, with the
+rounding bound of its terms as its error).  The exponential part is
+bounded by e^{R cos delta} R^{-z} / |cos delta| and left out, the bound
+kept as error, when quadrature.tail_negligible says so next to the rest
+of the contour; otherwise it is integrated over one further stretch.
 
 For real z the integrand at conj(tau) is the conjugate of the one at tau,
 so the contour integral is 2i times the imaginary part of its upper half;
@@ -29,17 +48,13 @@ routes (quadrature.integrate_finite, with complex values) and the segments
 are summed by quadrature.combine.  A contour is set by delta and r0 alone:
 the truncation radius follows from the decay rate on the rays, and each
 segment gets the same node budget.
-
-The contour route returns a GammaValue (method hankel) like every other
-route.  inverse_laplace reuses the same evaluator: s = tau/t maps the
-Bromwich kernel at time t onto the one of 1/Gamma on the contour with arc
-radius r0 t, times t^k.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, replace
 
 from . import gamma_core
@@ -56,9 +71,25 @@ from .quadrature import (
 )
 
 _EPS = 2.0 ** -53
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _MAX_TERMS = 500
 # adaptive subdivisions allowed per segment, and ray panels per layout
 _NODES = 128
+
+# The route's trapezoid rule: z is moved into [_SHIFT_BASE, _SHIFT_BASE + 1)
+# by the recurrence, and the nodes theta_j = j pi / (2 N), j < 2 N, of the
+# steepest-descent path are stored as (theta, theta / sin theta); the even
+# ones are the N-node rule.
+_SHIFT_BASE = 8
+_TRAPEZOID_N = 12
+_PATH_NODES = tuple(
+    (theta, theta / math.sin(theta) if theta else 1.0)
+    for theta in (j * math.pi / (2 * _TRAPEZOID_N) for j in range(2 * _TRAPEZOID_N))
+)
+# Relative rounding of the 24-node sum, in units of eps: the kernel's two
+# exponentials have arguments up to about 20 at the peak; the error
+# measured over 3,000 w in [8, 9) reached 25 eps.
+_TRAPEZOID_ROUNDING = 32
 
 
 @dataclass(frozen=True)
@@ -69,13 +100,18 @@ class HankelContour:
     r0: float = 0.5
 
 
-def _validate(contour: HankelContour) -> None:
+def _validate(contour: HankelContour, z: float) -> None:
     if not 0.5 * math.pi < contour.delta < math.pi:
         raise ContourDegenerate(
             f"ray angle must lie in (pi/2, pi), got {contour.delta!r}"
         )
     if not 0.0 < contour.r0 < math.inf:
         raise ContourDegenerate(f"arc radius must be finite and > 0, got {contour.r0!r}")
+    # the integrand carries |tau|^{-z}, which is largest on the arc
+    if -z * math.log(contour.r0) > _LOG_FLOAT_MAX:
+        raise ContourDegenerate(
+            f"arc radius {contour.r0!r} is too small for z = {z!r}: r0^-z overflows"
+        )
 
 
 def _cremainder(w: complex, order: int) -> complex:
@@ -109,6 +145,45 @@ def ray_kernel(r: float, delta: float, z: float, n: int) -> complex:
     """(e^tau - e_{n-1}(tau)) / tau^z at tau = r e^{i delta}."""
     tau = r * cmath.exp(1j * delta)
     return _cremainder(tau, n) * cmath.exp(-z * complex(math.log(r), delta))
+
+
+def steepest_descent_recip_gamma(z: float, cfg: QuadratureConfig) -> IntegralResult:
+    """1/Gamma(z) for z > 0 by the trapezoid rule on the steepest-descent path.
+
+    With m = floor(z) - 8, w = z - m lies in [8, 9).  Below 8,
+    1/Gamma(z) = z (z+1)...(z+|m|-1) / Gamma(w); from 9 up,
+    1/Gamma(z) = 1/Gamma(w) / ((z-1)...(z-m)), divided one factor at a
+    time, so nothing overflows and a value below the normal range
+    underflows gradually.  1/Gamma(w) is the 24-node sum of
+    (w/pi) int_0^pi e^s s^{-w} dtheta (see the module docstring).
+
+    The value is 1/Gamma(z) itself, with 24 evaluations.  Its error is the
+    difference of the 24- and 12-node sums plus the rounding of the sum
+    and of the recurrence's |m| factors, relative to the value, and one
+    subnormal unit per factor.  The flag is ok when that meets
+    cfg.eps_rel, otherwise tolerance_not_met; there is no sin(pi z) factor,
+    so it is never near_integer_amplification.
+    """
+    m = math.floor(z) - _SHIFT_BASE
+    w = z - m
+    terms = [ray_kernel(w * rho, theta, w, 0).real for theta, rho in _PATH_NODES]
+    head = 0.5 * terms[0]
+    fine = (head + math.fsum(terms[1:])) * (w / len(terms))
+    coarse = (head + math.fsum(terms[2::2])) * (2.0 * w / len(terms))
+    value = fine
+    if m < 0:
+        for j in range(-m):
+            value *= z + j
+    else:
+        for j in range(1, m + 1):
+            value /= z - j
+            if value == 0.0:
+                break
+    err = abs(value) * (
+        abs(fine - coarse) / fine + (abs(m) + _TRAPEZOID_ROUNDING) * _EPS
+    ) + abs(m) * math.ulp(0.0)
+    flag = ConditionFlag.OK if err <= cfg.eps_rel * abs(value) else ConditionFlag.TOLERANCE_NOT_MET
+    return IntegralResult(value, err, len(terms), flag)
 
 
 def _ray_breakpoints(r0: float, R: float, width_cap: float) -> list[float]:
@@ -151,7 +226,7 @@ def _contour_eval(
 
     The value is real: Im of the upper half's integral, over pi.
     """
-    _validate(contour)
+    _validate(contour, z)
     delta, r0 = contour.delta, contour.r0
     decay = abs(math.cos(delta))
     # the truncation radius clears the arc: it is at least 4 r0
@@ -171,16 +246,20 @@ def _contour_eval(
         return replace(res, value=res.value.imag)
 
     # polynomial part of the ray beyond R, in closed form (its imaginary
-    # part; each exponent k - z + 1 < 0)
-    poly = 0.0
+    # part; each exponent k - z + 1 < 0).  Its terms can exceed the result
+    # by many orders at large z, so their rounding, relative
+    # eps (|expo| (log R + delta) + 4) each, is its error.
+    poly = rounding = 0.0
     coeff = 1.0  # 1 / k!
     for k in range(order):
         expo = k - z + 1.0
-        poly += coeff * math.exp(expo * math.log(R)) * math.sin(delta * expo) / expo
+        term = coeff * math.exp(expo * math.log(R))
+        poly += term * math.sin(delta * expo) / expo
+        rounding += abs(term / expo) * (abs(expo) * (math.log(R) + delta) + 4.0)
         coeff *= 1.0 / (k + 1)
 
     parts = [
-        IntegralResult(poly, 0.0, 0),
+        IntegralResult(poly, _EPS * rounding, 0),
         imaginary_part(ray, r0, R, seeds),
         _arc(order, z, contour, sub),
     ]
@@ -218,7 +297,9 @@ def hankel_recip_gamma(
     The value is real by construction (only the upper half of the contour
     is evaluated) and carries the contour integral's diagnostics; the
     route's consistency check is invariance of the value under changes of
-    delta and r0.
+    delta and r0.  Raises ContourDegenerate for a ray angle outside
+    (pi/2, pi), an arc radius that is not finite and positive, or one so
+    small that r0^{-z} overflows.
     """
     arg = decompose(z)
     res = _contour_eval(arg.n, z, contour or HankelContour(), cfg or QuadratureConfig())
@@ -240,7 +321,7 @@ def arc_contribution(
     arg = decompose(z)
     contour = contour or HankelContour()
     cfg = cfg or QuadratureConfig()
-    _validate(contour)
+    _validate(contour, z)
     n = arg.n if order is None else order
     return _arc(n, z, contour, _segment_config(cfg)).value / math.pi
 
@@ -248,41 +329,38 @@ def arc_contribution(
 def inverse_laplace(
     k: float,
     t: float,
-    contour: HankelContour | None = None,
+    contour: None = None,
     cfg: QuadratureConfig | None = None,
 ) -> gamma_core.GammaValue:
     """Invert Gamma(k+1)/s^{k+1} at time t; the exact answer is t^k.
 
-    The image function has a branch point at s = 0, and the regularized
-    contour integral converges without any Bromwich shift: the kernel is
-    Gamma(k+1) (e^{ts} - e_{[k]}(ts)) / s^{k+1} over the contour.  The
-    substitution s = tau/t turns it into Gamma(k+1) t^k times
-    hankel_recip_gamma(k+1) on the contour with arc radius r0 t; the ray
-    angle is unchanged, and the truncation radius, panel layout and tail
-    stretch all scale with t.  The result's diagnostics are those of the
-    product: the relative errors of the contour integral and of
-    Gamma(k+1) add, and the flag combines theirs.
+    The Bromwich integral of Gamma(k+1) e^{ts} / s^{k+1} over a Hankel
+    contour is Gamma(k+1) t^k / Gamma(k+1), with 1/Gamma(k+1) from
+    steepest_descent_recip_gamma; the product is formed in that order, so
+    Gamma(k+1) and its reciprocal cancel first and the value overflows
+    only where t^k itself does.  The result's diagnostics are those of the
+    product: the relative errors of 1/Gamma(k+1) and of Gamma(k+1) add,
+    and the flag combines theirs.  The third argument takes no contour;
+    it must be None.
     """
-    arg = decompose(k)
+    decompose(k)
+    if contour is not None:
+        raise TypeError(f"inverse_laplace takes no contour, got {contour!r}")
     if not 0.0 < t < math.inf:
         raise ValueError(f"time must be finite and > 0, got {t!r}")
-    contour = contour or HankelContour()
     cfg = cfg or QuadratureConfig()
     gamma_k1 = gamma_core.gamma(k + 1.0, cfg)
-    scaled = HankelContour(contour.delta, contour.r0 * t)
-    res = _contour_eval(arg.n + 1, k + 1.0, scaled, cfg)
-    # Gamma(k+1) and the contour's 1/Gamma(k+1) cancel first, so the product
-    # overflows only where t^k itself does
-    value = gamma_k1.value * res.value * t**k
+    recip = steepest_descent_recip_gamma(k + 1.0, cfg)
+    value = gamma_k1.value * recip.value * t**k
     return gamma_core.GammaValue(
-        value, gamma_core.MethodTag.HANKEL, combine_product(value, [res, gamma_k1.quadrature])
+        value, gamma_core.MethodTag.HANKEL, combine_product(value, [recip, gamma_k1.quadrature])
     )
 
 
 def inverse_laplace_monomial(
     k: float,
     t: float,
-    contour: HankelContour | None = None,
+    contour: None = None,
     cfg: QuadratureConfig | None = None,
 ) -> float:
     """The value of inverse_laplace: t^k from the contour integral."""

@@ -116,7 +116,7 @@ def test_criterion_5_inverse_laplace():
     worst = 0.0
     for k in (0.5, 1.5, 2.5):
         for t in (0.5, 1.0, 2.0):
-            val = inverse_laplace_monomial(k, t, HankelContour(), CFG)
+            val = inverse_laplace_monomial(k, t, cfg=CFG)
             worst = max(worst, abs(val - t**k) / t**k)
     ok = worst <= 1e-6
     report(5, ok, f"9 (k, t) pairs, max_rel={worst:.3e} (tol 1e-6)")

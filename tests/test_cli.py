@@ -51,6 +51,14 @@ class TestEval:
         assert abs(value - 2.0e17 / math.sqrt(math.pi)) <= 1e-8 * value
         assert "flag   = ok" in out
 
+    def test_abs_err_is_the_error_of_the_value(self, capsys):
+        # the integral I(0.9999) is about 3.2e4 times 1/Gamma(0.9999), and
+        # its estimate is rescaled to the printed value
+        code, out, _ = run(capsys, "eval", "0.9999", "--eps-rel", "1e-12")
+        assert code == 0
+        err_line = [l for l in out.splitlines() if l.startswith("abs_err")][0]
+        assert float(err_line.split("=")[1]) < 1e-12
+
     def test_inverse_laplace(self, capsys):
         code, out, _ = run(capsys, "eval", "1.5", "--fn", "inv-laplace", "--t", "2")
         assert code == 0
@@ -163,6 +171,17 @@ class TestNegativeArguments:
 
 
 class TestSweep:
+    def test_abs_err_is_the_error_of_the_value(self, capsys, tmp_path):
+        out_path = tmp_path / "near.csv"
+        code, _, _ = run(
+            capsys, "sweep", "--min", "0.9998", "--max", "0.9999", "--step", "1e-4",
+            "--eps-rel", "1e-12", "--out", str(out_path),
+        )
+        assert code == 0
+        (row,) = out_path.read_text().splitlines()[1:]
+        z, value, err, method, flag = row.split(",")
+        assert float(err) < 1e-12 * float(value)
+
     def test_fig3_preset(self, capsys, tmp_path):
         out_path = tmp_path / "fig3.csv"
         code, _, _ = run(capsys, "sweep", "--preset", "fig3", "--out", str(out_path))

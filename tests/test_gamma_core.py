@@ -59,6 +59,15 @@ class TestRecipGamma:
         assert gv.method is MethodTag.HANKEL
         assert gv.value == pytest.approx(recip_gamma(1.5, CFG).value, rel=1e-8)
 
+    def test_reflection_past_the_float_range_overflows(self):
+        # the hankel route reaches 1/Gamma(1 - z) of 1e-317 at z = -175.5
+        # and 0 at -180.5; 1/Gamma(z) is their reciprocal, times O(1)
+        gv = recip_gamma(-170.5, CFG, MethodTag.HANKEL)
+        assert gv.value == pytest.approx(float(mpmath.rgamma(-170.5)), rel=1e-12)
+        for z in (-175.5, -180.5):
+            with pytest.raises(OverflowError):
+                recip_gamma(z, CFG, MethodTag.HANKEL)
+
     def test_cauchy_saalschutz_dispatch(self):
         gv = recip_gamma(0.5, CFG, MethodTag.CAUCHY_SAALSCHUTZ)
         assert gv.value == pytest.approx(INV_SQRT_PI, rel=1e-8)
