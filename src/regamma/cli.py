@@ -16,6 +16,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass
+from decimal import Decimal
 
 from . import oracle
 from .errors import RegammaError
@@ -59,7 +60,6 @@ class SweepSpec:
     step: float
     fn: str
     method: MethodTag
-    integer_exclusion_radius: float = 1e-6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -153,24 +153,26 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _sweep_grid(spec: SweepSpec) -> list[float]:
+    """The positive points z_min + k step, k >= 1, up to z_max.
+
+    They are summed in decimal from the shortest repr of each bound, so a
+    point meant to be an integer (60 * 0.05) is one, and rounded once.
+    """
+    z_min, step, z_max = (Decimal(repr(x)) for x in (spec.z_min, spec.step, spec.z_max))
     grid = []
     k = 0
     while True:
         k += 1
-        z = spec.z_min + k * spec.step
-        if z > spec.z_max + 1e-12:
+        z = z_min + k * step
+        if z > z_max:
             return grid
-        if z > 0.0:
-            grid.append(z)
+        if z > 0:
+            grid.append(float(z))
 
 
 def _sweep_row(z: float, spec: SweepSpec, cfg: QuadratureConfig) -> tuple:
-    radius = spec.integer_exclusion_radius
-    nearest = round(z)
-    if nearest > 0 and abs(z - nearest) <= radius:
-        if spec.fn == "recip-gamma":
-            exact = recip_gamma(float(nearest), cfg, spec.method)
-            return (z, exact.value, 0.0, spec.method.value, "exact")
+    # recip-gamma takes the exact path at an integer by itself
+    if z == math.floor(z):
         if spec.fn == "recip-gamma-neg":
             # 1/Gamma(-m) = 0 at every non-negative integer m
             return (z, 0.0, 0.0, spec.method.value, "exact")
@@ -212,7 +214,6 @@ def cmd_sweep(args) -> int:
         step=step,
         fn=fn,
         method=_METHODS[args.method],
-        integer_exclusion_radius=args.int_radius,
     )
     try:
         run_sweep(spec, cfg, args.out)
@@ -320,20 +321,6 @@ def _check_contour_invariance(cfg):
     return "hankel_contour_invariance", worst <= 1e-6, f"max_spread={worst:.3e}", results
 
 
-def _report_near_integer(cfg):
-    details = []
-    results = []
-    for m in (1, 2, 3):
-        for sign in (1.0, -1.0):
-            z = m + sign * 1e-3
-            gv = recip_gamma(z, cfg)
-            ref = 1.0 / oracle.gamma_lanczos(z)
-            rel = abs(gv.value - ref) / abs(ref)
-            details.append(f"z={z:.3f} rel={rel:.2e} flag={gv.condition_flag.value}")
-            results.append(gv)
-    return "near_integer_diagnostic", True, "; ".join(details), results
-
-
 def cmd_verify(args) -> int:
     cfg = _config(args)
     checks = [
@@ -346,13 +333,10 @@ def cmd_verify(args) -> int:
     ]
     if args.hankel:
         checks += [_check_hankel_agreement, _check_contour_invariance]
-    if args.near_integer:
-        checks.append(_report_near_integer)
     all_ok = True
     for check in checks:
         name, ok, detail, results = check(cfg)
-        # a result that missed its tolerance fails the check and is named;
-        # near_integer_amplification is a warning, not a failure
+        # a result that missed its tolerance fails the check and is named
         if any(gv.condition_flag is ConditionFlag.TOLERANCE_NOT_MET for gv in results):
             ok = False
             detail += f" flag={ConditionFlag.TOLERANCE_NOT_MET.value}"
@@ -449,13 +433,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("--method", default="real", choices=sorted(_METHODS))
     p_sweep.add_argument("--eps-rel", type=float, default=None)
-    p_sweep.add_argument("--int-radius", type=float, default=1e-6)
     p_sweep.add_argument("--out", required=True)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run the cross-validation suite")
     p_verify.add_argument("--hankel", action="store_true")
-    p_verify.add_argument("--near-integer", action="store_true")
     p_verify.add_argument("--eps-rel", type=float, default=None)
     p_verify.set_defaults(func=cmd_verify)
 

@@ -7,7 +7,7 @@ a divergent integral into a convergent one.  Four interchangeable routes
 are exposed (selected by MethodTag):
 
   real_axis         sin(pi z)/pi * int_0^inf (e^{-x} - e_{n-1}(-x)) x^{-z} dx
-  power_subst       the same integral, its middle stretch after u = x^z
+  power_subst       the same integral, its middle stretch after v = (x^z - 1)/z
   log_form          the same integral, its middle stretch after u = e^{-x}
   cauchy_saalschutz the order-n regularization of Gamma(-z), reflected back
 
@@ -93,26 +93,29 @@ def _exact_recip_factorial(m: int) -> float:
 
 
 def _power_subst_integral(arg: ArgDecomposition, cfg: QuadratureConfig) -> IntegralResult:
-    """I(z) with the middle stretch mapped by u = x^z.
+    """I(z) with the middle stretch mapped by v = (x^z - 1)/z, the power
+    substitution u = x^z shifted and scaled.
 
-    There the integrand is u^{1/z-2} (e^{-u^{1/z}} - e_{n-1} at -u^{1/z})
-    times the Jacobian 1/z, over [split^z, R^z].  The origin series and
-    the tails are shared.
+    There the integrand is x^{1-2z} (e^{-x} - e_{n-1}(-x)), with
+    log x = log1p(z v)/z, over [expm1(z log split)/z, expm1(z log R)/z].
+    Unlike u, which crowds into a sliver next to 1 as z -> 0, v keeps the
+    width of the stretch exact; the map is affine in u, so the panels are
+    those of u.  The origin series and the tails are shared.
     """
     n, z = arg.n, arg.z
-    inv_z = 1.0 / z
 
-    def middle(u: float) -> float:
-        x = math.exp(math.log(u) * inv_z)
-        return exp_remainder(-x, n) * math.exp((inv_z - 2.0) * math.log(u)) * inv_z
+    def middle(v: float) -> float:
+        log_x = math.log1p(z * v) / z
+        return exp_remainder(-math.exp(log_x), n) * math.exp((1.0 - 2.0 * z) * log_x)
 
     def segments(split: float, R: float) -> list[Segment]:
         if z * math.log(R) > 690.0:
             raise OverflowError(
                 f"power-substitution upper split {R}^{z} overflows double precision"
             )
-        s_u, U = split**z, R**z
-        return [(middle, s_u, U, geometric_breakpoints(s_u, U))]
+        lo, hi = (math.expm1(z * math.log(x)) / z for x in (split, R))
+        seeds = [(u - 1.0) / z for u in geometric_breakpoints(split**z, R**z)]
+        return [(middle, lo, hi, seeds)]
 
     return regularized_integral(arg, cfg, segments)
 
@@ -233,8 +236,7 @@ def gamma_ratio(A: float, B: float, cfg: QuadratureConfig | None = None) -> Gamm
     The double-integral representation of the ratio factorizes into two
     one-dimensional integrals; both factors are evaluated here, with the
     reciprocal factor going through the unit-interval log form.  Gamma(A)
-    is I(1 - A) at order n = 0 on the real-axis segments; no sin(pi z)/pi
-    product follows it, so it never carries the near-integer flag.
+    is I(1 - A) at order n = 0 on the real-axis segments.
 
     Below A = 0.01 it is Gamma(1 + A)/A, with Gamma(1 + A) = I(-A), because
     1 - A rounds: the origin series of I(1 - A) starts with split^A/A, its
@@ -254,9 +256,7 @@ def gamma_ratio(A: float, B: float, cfg: QuadratureConfig | None = None) -> Gamm
     shifted = A < _SHIFT_EULER_BELOW
     z = -A if shifted else 1.0 - A
     euler = ArgDecomposition(z=z, n=0, frac=z)
-    e_a = regularized_integral(
-        euler, cfg, partial(real_axis_segments, euler), near_integer_flag=False
-    )
+    e_a = regularized_integral(euler, cfg, partial(real_axis_segments, euler))
     value = rg_b.value * e_a.value
     if shifted:
         value /= A

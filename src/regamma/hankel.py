@@ -161,8 +161,7 @@ def steepest_descent_recip_gamma(z: float, cfg: QuadratureConfig) -> IntegralRes
     difference of the 24- and 12-node sums plus the rounding of the sum
     and of the recurrence's |m| factors, relative to the value, and one
     subnormal unit per factor.  The flag is ok when that meets
-    cfg.eps_rel, otherwise tolerance_not_met; there is no sin(pi z) factor,
-    so it is never near_integer_amplification.
+    cfg.eps_rel, otherwise tolerance_not_met.
     """
     m = math.floor(z) - _SHIFT_BASE
     w = z - m
@@ -276,14 +275,11 @@ def _contour_eval(
         )
         neglect = math.exp(top * math.cos(delta) - z * math.log(top)) / decay
 
-    raw = combine(parts, extra_error=neglect)
-    flag = raw.condition_flag
     # each part meets its own tolerance, but the parts can cancel (the
     # value is about z as z -> 0), so the sum is checked as well
-    if raw.abs_error_estimate > cfg.eps_rel * abs(raw.value):
-        flag = ConditionFlag.TOLERANCE_NOT_MET
-    return IntegralResult(
-        raw.value / math.pi, raw.abs_error_estimate / math.pi, raw.evaluations, flag
+    raw = combine(parts, extra_error=neglect, eps_rel=cfg.eps_rel)
+    return replace(
+        raw, value=raw.value / math.pi, abs_error_estimate=raw.abs_error_estimate / math.pi
     )
 
 

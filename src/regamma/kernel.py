@@ -37,8 +37,7 @@ def decompose(z: float) -> ArgDecomposition:
     """Split z > 0 into integer part n = floor(z) and fractional part.
 
     Integer detection is exact (floor(z) == z); no epsilon snapping.
-    Near-integer conditioning is reported downstream by the quadrature
-    diagnostics rather than hidden by rounding here.
+    frac = z - n is exact, so a z next to an integer loses nothing here.
     """
     require_finite(z)
     if not z > 0.0:

@@ -6,7 +6,9 @@ error scaling.  It takes real or complex integrands alike, so the same
 engine sums the real-line parts below and the Hankel contour segments.
 Like QUADPACK's round-off detection it stops bisecting once the panels'
 round-off floors alone exceed the target, and flags the result.
-combine() sums the parts of a composite integral and decides its flag.
+combine() sums the parts of a composite integral and decides its flag:
+tolerance_not_met when a part, or the sum checked against eps_rel, misses
+its tolerance, otherwise ok.
 
 The semi-infinite integral I(z) = int_0^inf (e^{-x} - e_{n-1}(-x)) x^{-z} dx
 is assembled once, by regularized_integral, split at x = 1 and R = 36.  On
@@ -25,17 +27,18 @@ the real-axis segments (for small A as I(-A) = Gamma(1 + A), over A).
 
 Every route shares that series and the tail past R: the polynomial part
 -e_{n-1}(-x) x^{-z} decays only like x^{-1-frac}, so its tail is added in
-closed form.  The exponentially small e^{-x} x^{-z} tail has an analytic
-bound; when that is below the tolerance on the rest of I(z) by a wide
-margin the tail is left out and the bound kept as its error, otherwise it
-is integrated numerically over one more stretch and the remainder past it
-bounded.
+closed form, with the rounding bound of its terms as its error.  The
+exponentially small e^{-x} x^{-z} tail has an analytic bound; when that
+is below the tolerance on the rest of I(z) by a wide margin the tail is
+left out and the bound kept as its error, otherwise it is integrated
+numerically over one more stretch and the remainder past it bounded.
 
 All parts share the sign (-1)^n (the Lagrange form of the Taylor
 remainder of e^{-x} is single-signed on x > 0), so per-part relative error
 control gives global relative control without cancellation surprises.
-The near-integer flag of the sin(pi z)/pi product that turns I(z) into
-1/Gamma(z) is decided here too, unless no such product follows.
+The sum is still checked against the tolerance once more: the closed-form
+parts carry rounding bounds that no tolerance holds, and at large z the
+terms of the polynomial tail dwarf the sum.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from enum import Enum
 from functools import partial
 from typing import Callable, Sequence
 
-from .kernel import ArgDecomposition, regularized_integrand, sinpi
+from .kernel import ArgDecomposition, regularized_integrand
 
 # 7/15 Gauss-Kronrod abscissae and weights (positive half; node 0 last).
 # Odd-indexed abscissae carry the embedded 7-point Gauss rule.
@@ -98,15 +101,9 @@ _TAIL_NEGLIGIBLE = 0.01
 # within this factor of the floor sum, then stops.
 _FLOOR_MARGIN = 2.0
 
-# The sin(pi z)/pi prefactor cancels the near-integer growth of I(z)
-# analytically, but the product's achievable relative accuracy is about
-# pi * eps_rel / |sin(pi z)|; flag once that exceeds this threshold.
-_AMPLIFICATION_LIMIT = 1e-6
-
 
 class ConditionFlag(str, Enum):
     OK = "ok"
-    NEAR_INTEGER_AMPLIFICATION = "near_integer_amplification"
     TOLERANCE_NOT_MET = "tolerance_not_met"
 
 
@@ -297,23 +294,27 @@ def origin_closed_form(arg: ArgDecomposition, split: float) -> IntegralResult:
         coeff *= -split / (arg.n + j)
 
 
-def polynomial_tail_closed_form(arg: ArgDecomposition, R: float) -> float:
+def polynomial_tail_closed_form(arg: ArgDecomposition, R: float) -> IntegralResult:
     """int_R^inf -e_{n-1}(-x) x^{-z} dx, summed term by term.
 
     Each term integrates to (-1)^k/k! * R^{k-z+1}/(k-z+1); every exponent
     (k - n + 1) - frac is negative because k <= n-1, so the sum is finite.
     It is built from n and frac, not from z, which may carry the rounding
-    of a shift.  Returns 0 for n = 0 (empty polynomial).
+    of a shift.  The terms can exceed the sum by many orders at large z,
+    so their rounding, relative eps (|expo| log R + 4) each, is its error.
+    The value is 0 for n = 0 (empty polynomial).  No evaluations are spent.
     """
     if not R > 0.0:
         raise ValueError(f"need R > 0, got {R!r}")
-    total = 0.0
+    total = rounding = 0.0
     coeff = 1.0  # (-1)^k / k!
     for k in range(arg.n):
         expo = (k - arg.n + 1) - arg.frac
-        total += coeff * math.exp(expo * math.log(R)) / expo
+        term = coeff * math.exp(expo * math.log(R)) / expo
+        total += term
+        rounding += abs(term) * (abs(expo) * math.log(R) + 4.0)
         coeff *= -1.0 / (k + 1)
-    return total
+    return IntegralResult(total, _EPMACH * rounding, 0)
 
 
 def tail_negligible(bound: float, cfg: QuadratureConfig, rest: float | complex) -> bool:
@@ -351,37 +352,24 @@ def exponential_tail(z: float, X: float, cfg: QuadratureConfig, rest: float) -> 
     return replace(res, abs_error_estimate=res.abs_error_estimate + bound)
 
 
-def near_integer_amplified(z: float, eps_rel: float) -> bool:
-    """True when the final sin(pi z)/pi product cannot be trusted to 1e-6."""
-    return abs(sinpi(z)) < math.pi * eps_rel / _AMPLIFICATION_LIMIT
-
-
 def combine(
-    parts: Sequence[IntegralResult], extra_error: float = 0.0, amplified: bool = False
+    parts: Sequence[IntegralResult], extra_error: float = 0.0, eps_rel: float | None = None
 ) -> IntegralResult:
     """The sum of the parts of a composite integral, and its flag.
 
-    Values, error estimates and evaluations add up in the order given; a
-    closed-form term enters as a part with no error and no evaluations.
+    Values, error estimates and evaluations add up in the order given.
     extra_error is a bound on what the parts leave out.  The flag is
-    tolerance_not_met if any part missed its tolerance, otherwise
-    near_integer_amplification if a part carries it or amplified is set
-    (a sin(pi z)/pi factor that multiplies the sum loses accuracy next to
-    an integer z), otherwise ok.
+    tolerance_not_met if any part missed its tolerance, or, given eps_rel,
+    if the summed estimate exceeds eps_rel times the sum (the parts can
+    cancel); otherwise ok.
     """
-    flags = {p.condition_flag for p in parts}
-    if ConditionFlag.TOLERANCE_NOT_MET in flags:
-        flag = ConditionFlag.TOLERANCE_NOT_MET
-    elif amplified or ConditionFlag.NEAR_INTEGER_AMPLIFICATION in flags:
-        flag = ConditionFlag.NEAR_INTEGER_AMPLIFICATION
-    else:
-        flag = ConditionFlag.OK
-    return IntegralResult(
-        value=sum(p.value for p in parts),
-        abs_error_estimate=sum(p.abs_error_estimate for p in parts) + extra_error,
-        evaluations=sum(p.evaluations for p in parts),
-        condition_flag=flag,
+    value = sum(p.value for p in parts)
+    err = sum(p.abs_error_estimate for p in parts) + extra_error
+    missed = any(p.condition_flag is ConditionFlag.TOLERANCE_NOT_MET for p in parts) or (
+        eps_rel is not None and err > eps_rel * abs(value)
     )
+    flag = ConditionFlag.TOLERANCE_NOT_MET if missed else ConditionFlag.OK
+    return IntegralResult(value, err, sum(p.evaluations for p in parts), flag)
 
 
 def combine_product(value: float, factors: Sequence[IntegralResult | None]) -> IntegralResult:
@@ -409,8 +397,6 @@ def regularized_integral(
     arg: ArgDecomposition,
     cfg: QuadratureConfig,
     segments: Callable[[float, float], Sequence[Segment]],
-    *,
-    near_integer_flag: bool = True,
 ) -> IntegralResult:
     """I(z) from the origin series, a route's segments and the shared tail.
 
@@ -418,21 +404,17 @@ def regularized_integral(
     states the route's change of variables: the stretches that together
     cover x in [split, R].  The closed-form polynomial tail and the
     exponential tail follow them, in that order; each integrated part gets
-    half the tolerance.  With near_integer_flag (the default) the
-    result carries near_integer_amplification when z is close enough to an
-    integer that the sin(pi z)/pi product turning I(z) into 1/Gamma(z)
-    loses accuracy; a caller after I(z) itself turns it off.
+    half the tolerance, and the sum is checked against the whole of it.
     """
     sub = replace(cfg, eps_rel=cfg.eps_rel / 2.0)
     parts = [origin_closed_form(arg, _SPLIT_POINT)] + [
         integrate_finite(f, a, b, sub, seeds)
         for f, a, b, seeds in segments(_SPLIT_POINT, _TAIL_RADIUS)
     ]
-    parts.append(IntegralResult(polynomial_tail_closed_form(arg, _TAIL_RADIUS), 0.0, 0))
+    parts.append(polynomial_tail_closed_form(arg, _TAIL_RADIUS))
     rest = sum(p.value for p in parts)
     parts.append(exponential_tail(arg.z, _TAIL_RADIUS, sub, rest))
-    amplified = near_integer_flag and near_integer_amplified(arg.z, cfg.eps_rel)
-    return combine(parts, amplified=amplified)
+    return combine(parts, eps_rel=cfg.eps_rel)
 
 
 def integrate_regularized_kernel(

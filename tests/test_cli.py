@@ -189,13 +189,26 @@ class TestSweep:
         lines = out_path.read_text().splitlines()
         assert lines[0] == "z,value,abs_err,method,flag"
         assert len(lines) == 201  # 200 grid points on (0, 10]
-        # integer abscissae are exact rows
+        # integer abscissae, and only they, are exact rows
         exact = [l for l in lines if l.endswith(",exact")]
-        assert len(exact) == 10
+        assert [l.split(",")[0] for l in exact] == [str(m) for m in range(1, 11)]
         for line in lines[1:]:
             z, value, err, method, flag = line.split(",")
             if flag == "ok":
                 assert math.isfinite(float(value))
+
+    def test_points_next_to_an_integer_are_evaluated(self, capsys, tmp_path):
+        # only the integer itself is exact; 2.9999997 is 3e-7 from 3
+        out_path = tmp_path / "near3.csv"
+        code, _, _ = run(
+            capsys, "sweep", "--min", "2.9999995", "--max", "3.0000005", "--step", "2e-7",
+            "--out", str(out_path),
+        )
+        assert code == 0
+        rows = [l.split(",") for l in out_path.read_text().splitlines()[1:]]
+        assert [flag for *_, flag in rows] == ["ok"] * 5
+        assert float(rows[0][0]) == 2.9999997
+        assert float(rows[0][1]) == pytest.approx(0.50000013841766, rel=1e-12)
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -250,11 +263,6 @@ class TestVerify:
         assert code == 0
         assert "FAIL" not in out
         assert out.count("PASS") >= 6
-
-    def test_near_integer_is_informational(self, capsys):
-        code, out, _ = run(capsys, "verify", "--near-integer")
-        assert code == 0
-        assert "near_integer_diagnostic" in out
 
     def test_hankel_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--hankel")

@@ -335,6 +335,12 @@ class TestInverseLaplace:
             recip.quadrature.evaluations + gamma_k1.quadrature.evaluations
         )
 
+    def test_large_order_is_flagged(self):
+        # Gamma(k+1) comes from the real line, whose polynomial tail rounds
+        # past the tolerance at large k
+        gv = inverse_laplace(100.5, 1.0, cfg=CFG)
+        assert gv.condition_flag is ConditionFlag.TOLERANCE_NOT_MET
+
     @pytest.mark.parametrize("k, t", [(20.5, 1e15), (60.5, 1e4)])
     def test_no_overflow_where_t_power_is_finite(self, k, t):
         # Gamma(k+1) t^k exceeds the float range, t^k does not

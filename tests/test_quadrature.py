@@ -8,7 +8,7 @@ import pytest
 
 from regamma import quadrature
 from regamma.gamma_core import recip_gamma
-from regamma.kernel import ArgDecomposition, decompose, truncated_exp
+from regamma.kernel import ArgDecomposition, decompose, sinpi, truncated_exp
 from regamma.oracle import brute_force_integral
 from regamma.quadrature import (
     EPS_ABS,
@@ -127,11 +127,17 @@ class TestRegularizedKernel:
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_near_integer_growth_and_flag(self, m):
+        # I(z) grows like 1/dist(z, Z), and sin(pi z)/pi I(z) stays accurate
         delta = 1e-3
-        res = integrate_regularized_kernel(decompose(m + delta), CFG)
+        z = m + delta
+        res = integrate_regularized_kernel(decompose(z), CFG)
         predicted = 1.0 / (delta * math.factorial(m - 1))
         assert predicted / 3.0 <= abs(res.value) <= predicted * 3.0
-        assert res.condition_flag is ConditionFlag.NEAR_INTEGER_AMPLIFICATION
+        assert res.condition_flag is ConditionFlag.OK
+        with mpmath.workdps(30):
+            ref = mpmath.rgamma(z)
+            value = sinpi(z) / math.pi * res.value
+            assert abs(value - ref) <= 10.0 * CFG.eps_rel * abs(ref)
 
     def test_sign_pattern(self):
         # single-signed integrand: sign of I(z) is (-1)^n
@@ -179,9 +185,7 @@ class TestOriginClosedForm:
         # integrated; only the middle stretch and the tail cost evaluations
         cfg = QuadratureConfig(eps_rel=1e-12)
         arg = euler(A)
-        res = regularized_integral(
-            arg, cfg, partial(real_axis_segments, arg), near_integer_flag=False
-        )
+        res = regularized_integral(arg, cfg, partial(real_axis_segments, arg))
         assert res.evaluations <= 400
         assert res.condition_flag is ConditionFlag.OK
         with mpmath.workdps(30):
@@ -191,16 +195,16 @@ class TestOriginClosedForm:
 
 class TestPolynomialTail:
     def test_empty_for_n_zero(self):
-        assert polynomial_tail_closed_form(decompose(0.5), 10.0) == 0.0
+        assert polynomial_tail_closed_form(decompose(0.5), 10.0).value == 0.0
 
     def test_single_term(self):
         # int_10^inf -x^{-1.5} dx = -2/sqrt(10)
-        val = polynomial_tail_closed_form(decompose(1.5), 10.0)
+        val = polynomial_tail_closed_form(decompose(1.5), 10.0).value
         assert val == pytest.approx(-0.63245553203367587, rel=1e-12)
 
     def test_two_terms(self):
         # int_4^inf (x - 1) x^{-2.5} dx = 11/12
-        val = polynomial_tail_closed_form(decompose(2.5), 4.0)
+        val = polynomial_tail_closed_form(decompose(2.5), 4.0).value
         assert val == pytest.approx(11.0 / 12.0, rel=1e-12)
 
     @pytest.mark.parametrize("z,n", [(1.5, 1), (2.5, 2)])
@@ -218,8 +222,9 @@ class TestPolynomialTail:
             hi = min(lo * 10.0, 1e6)
             brute += brute_force_integral(poly_part, lo, hi, 300_000)
             lo = hi
-        closed = polynomial_tail_closed_form(arg, R) - polynomial_tail_closed_form(
-            arg, 1e6
+        closed = (
+            polynomial_tail_closed_form(arg, R).value
+            - polynomial_tail_closed_form(arg, 1e6).value
         )
         assert brute == pytest.approx(closed, rel=1e-9)
 
