@@ -102,11 +102,12 @@ def _value_error(gv: GammaValue) -> float:
     """The error estimate of gv.value.
 
     The quadrature's estimate is in the units of its integral, I(z) for
-    the real-line routes, where 1/Gamma(z) = sin(pi z)/pi I(z); its
-    relative error carries over to the value.
+    the real-line routes, where 1/Gamma(z) = sin(pi z)/pi I(z), or I(w)
+    after a shift by the recurrence; its relative error carries over to
+    the value.  It is inf for a value that underflowed to 0 on the way.
     """
     q = gv.quadrature
-    if q.value == 0.0:
+    if q.value == 0.0 or math.isinf(q.abs_error_estimate):
         return q.abs_error_estimate
     return abs(gv.value) * (q.abs_error_estimate / abs(q.value))
 

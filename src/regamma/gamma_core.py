@@ -22,14 +22,26 @@ I(-A)).  Positive integers use the exact factorial; zero and negative
 integers return the exact zeros of the entire function 1/Gamma.  Negative
 non-integer arguments are routed through one reflection step so the
 quadrature only ever sees z > 0.
+
+The cost and the rounding of I(z) grow with its truncation order n = [z]:
+past z of about 65 the closed-form polynomial tail cancels against the
+middle stretch.  So no route sees an argument past 9.  From 9 up, every
+entry point evaluates at w = z - m in [8, 9), m = floor(z) - 8, which is
+exact, and moves back by the recurrence Gamma(x) = (x - 1) Gamma(x - 1)
+(see recurrence): 1/Gamma(z) on every route (the hankel route does so
+inside its trapezoid rule), Gamma(-z) in gamma_negative and
+gamma_cauchy_saalschutz, and Gamma(A)/Gamma(B), with one m for both.  The
+recurrence adds its rounding to the error estimate, and the flag is
+decided again.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
+from typing import Callable
 
 from .errors import NonPositiveArgument, PoleError, require_finite
 from .kernel import ArgDecomposition, decompose, exp_remainder, kernel_ratio, sinpi
@@ -51,6 +63,16 @@ _MAX_EXACT_FACTORIAL_ARG = 171
 _RECIP_FACTORIAL_ZERO_ARG = 179
 # gamma_ratio takes Gamma(A) as Gamma(1 + A)/A below this A
 _SHIFT_EULER_BELOW = 0.01
+
+# Arguments from SHIFT_BASE + 1 up are evaluated at w in
+# [SHIFT_BASE, SHIFT_BASE + 1) and moved back by the recurrence.
+SHIFT_BASE = 8
+# unit roundoff: the relative rounding of one multiplication or division
+_EPS = 2.0 ** -53
+# Roundings of a value past the estimates of its integrals, at most four:
+# sin(pi w), the division by pi, the product and cauchy_saalschutz's -w
+# (gamma_ratio: the product and the division by A).
+_ROUTE_ROUNDING = 4
 
 
 class MethodTag(str, Enum):
@@ -90,6 +112,76 @@ def _exact_recip_factorial(m: int) -> float:
     if m >= _RECIP_FACTORIAL_ZERO_ARG:
         return 0.0
     return 1 / math.factorial(m - 1)
+
+
+def recurrence(value: float, x: float, m: int) -> float:
+    """value / ((x - 1)(x - 2)...(x - m)) for m >= 0, and
+    value x (x + 1)...(x - m - 1) for m < 0.
+
+    By Gamma(x) = (x - 1) Gamma(x - 1), that is 1/Gamma(x) from
+    value = 1/Gamma(x - m), and equally Gamma(x - m) from value = Gamma(x).
+    The factors are applied one at a time, so that nothing overflows and a
+    result below the normal range underflows gradually; a value that
+    reaches 0 stays 0.
+    """
+    if m < 0:
+        for j in range(-m):
+            value *= x + j
+    else:
+        for j in range(1, m + 1):
+            value /= x - j
+            if value == 0.0:
+                break
+    return value
+
+
+def recurrence_error(value: float, rel_err: float, factors: int, rounding: int) -> float:
+    """The absolute error of value, reached from a result of relative
+    error rel_err by `rounding` roundings and `factors` exact factors.
+
+    Each rounds by at most eps = 2^-53 relative, and a factor by one
+    subnormal unit more once the value is below the normal range.
+    """
+    return abs(value) * (rel_err + (factors + rounding) * _EPS) + factors * math.ulp(0.0)
+
+
+def _widened(base: GammaValue, value: float, factors: int, cfg: QuadratureConfig) -> GammaValue:
+    """value, reached from base by `factors` factors of the recurrence.
+
+    The quadrature record stays base's; its relative error becomes that of
+    value, and its flag is decided again against cfg.eps_rel.
+    """
+    q = base.quadrature
+    rel = q.abs_error_estimate / abs(q.value) if q.value else 0.0
+    err = recurrence_error(value, rel, factors, _ROUTE_ROUNDING)
+    met = q.condition_flag is ConditionFlag.OK and err <= cfg.eps_rel * abs(value)
+    record = replace(
+        q,
+        abs_error_estimate=abs(q.value) * (err / abs(value)) if value else math.inf,
+        condition_flag=ConditionFlag.OK if met else ConditionFlag.TOLERANCE_NOT_MET,
+    )
+    return GammaValue(value, base.method, record)
+
+
+def _by_recurrence(
+    z: float,
+    cfg: QuadratureConfig,
+    evaluate: Callable[[float], GammaValue],
+    negative: bool = False,
+) -> GammaValue:
+    """evaluate(z) below 9; from 9 up, evaluate(w) at w = z - m in [8, 9),
+    moved back by the recurrence.
+
+    evaluate gives 1/Gamma, so 1/Gamma(z) = recurrence(1/Gamma(w), z, m),
+    or with negative Gamma(-.), so Gamma(-z) = recurrence(Gamma(-w), -w, m).
+    w and every factor z - j and j - z are exact.
+    """
+    m = math.floor(z) - SHIFT_BASE
+    if m <= 0:
+        return evaluate(z)
+    w = z - m
+    base = evaluate(w)
+    return _widened(base, recurrence(base.value, -w if negative else z, m), m, cfg)
 
 
 def _power_subst_integral(arg: ArgDecomposition, cfg: QuadratureConfig) -> IntegralResult:
@@ -159,9 +251,12 @@ def recip_gamma(
 
     Positive integers return the exact 1/(m-1)!; zero and negative integers
     return exactly 0, and so does +inf, the limit.  Negative non-integer z
-    reflects once to 1-z > 0, and raises OverflowError where the result
-    exceeds double precision.  Non-integer positive z goes through the
-    representation named by method.  NaN and -inf raise NonFiniteArgument.
+    reflects once to 1-z > 0 (to -z, after the step 1/Gamma(z) =
+    z/Gamma(z + 1), where 1 - z rounds onto an integer), and raises
+    OverflowError where the result exceeds double precision.  Non-integer
+    positive z goes through the representation named by method, from 9 up
+    at z - m in [8, 9) and moved back by the recurrence.  NaN and -inf
+    raise NonFiniteArgument.
     """
     if z == math.inf:
         return GammaValue(0.0, method, None)
@@ -173,9 +268,16 @@ def recip_gamma(
             return GammaValue(0.0, method, None)
         return GammaValue(_exact_recip_factorial(m), method, None)
     if z < 0.0:
-        base = recip_gamma(1.0 - z, cfg, method)
-        # 1/Gamma(1 - z) may underflow, to 0 on the hankel route
-        value = sinpi(z) / math.pi / base.value if base.value else math.inf
+        if (1.0 - z).is_integer():
+            # 1 - z rounded onto an integer, whose factorial would pass for
+            # exact.  z + 1 is exact, and so is its reflection 1 - (z + 1),
+            # unless |z| <= 2^-53, where z is 1/Gamma(z) to within an ulp.
+            base = recip_gamma(z + 1.0, cfg, method)
+            value = z * base.value
+        else:
+            base = recip_gamma(1.0 - z, cfg, method)
+            # 1/Gamma(1 - z) may underflow to 0
+            value = sinpi(z) / math.pi / base.value if base.value else math.inf
         if math.isinf(value):
             raise OverflowError(f"1/Gamma({z!r}) overflows double precision")
         return GammaValue(value, method, base.quadrature)
@@ -184,7 +286,11 @@ def recip_gamma(
 
         res = hankel.steepest_descent_recip_gamma(z, cfg)
         return GammaValue(res.value, method, res)
+    return _by_recurrence(z, cfg, partial(_route_recip_gamma, cfg=cfg, method=method))
 
+
+def _route_recip_gamma(z: float, cfg: QuadratureConfig, method: MethodTag) -> GammaValue:
+    """1/Gamma(z) = sin(pi z)/pi I(z) on a real-line route, z > 0 non-integer."""
     arg = decompose(z)
     sin_over_pi = sinpi(z) / math.pi
     if method is MethodTag.CAUCHY_SAALSCHUTZ:
@@ -204,11 +310,19 @@ def recip_gamma_neg_reflection(z: float, cfg: QuadratureConfig | None = None) ->
 
 
 def gamma_negative(z: float, cfg: QuadratureConfig | None = None) -> GammaValue:
-    """Gamma(-z) = -(1/z) int_0^inf (e^{-x} - e_{n-1}(-x)) x^{-z} dx, z > 0."""
-    arg = decompose(z)
+    """Gamma(-z) = -(1/z) int_0^inf (e^{-x} - e_{n-1}(-x)) x^{-z} dx, z > 0.
+
+    From z = 9 up, Gamma(-z) = Gamma(m - z) / ((-z)(1 - z)...(m - 1 - z))
+    with m - z in (-9, -8].
+    """
+    decompose(z)  # validates the domain
     cfg = cfg or QuadratureConfig()
-    res = integrate_regularized_kernel(arg, cfg)
-    return GammaValue(-res.value / z, MethodTag.REAL_AXIS, res)
+
+    def evaluate(w: float) -> GammaValue:
+        res = integrate_regularized_kernel(decompose(w), cfg)
+        return GammaValue(-res.value / w, MethodTag.REAL_AXIS, res)
+
+    return _by_recurrence(z, cfg, evaluate, negative=True)
 
 
 def _cauchy_saalschutz_integral(arg: ArgDecomposition, cfg: QuadratureConfig) -> IntegralResult:
@@ -222,12 +336,17 @@ def gamma_cauchy_saalschutz(z: float, cfg: QuadratureConfig | None = None) -> Ga
     """Gamma(-z) = int_0^inf (e^{-tau} - e_n(-tau)) / tau^{z+1} dtau, z > 0.
 
     Note the truncation order is n = [z], one higher than the reciprocal
-    representation uses; integration by parts connects the two.
+    representation uses; integration by parts connects the two.  From
+    z = 9 up it is shifted as in gamma_negative.
     """
-    arg = decompose(z)
+    decompose(z)  # validates the domain
     cfg = cfg or QuadratureConfig()
-    res = _cauchy_saalschutz_integral(arg, cfg)
-    return GammaValue(res.value, MethodTag.CAUCHY_SAALSCHUTZ, res)
+
+    def evaluate(w: float) -> GammaValue:
+        res = _cauchy_saalschutz_integral(decompose(w), cfg)
+        return GammaValue(res.value, MethodTag.CAUCHY_SAALSCHUTZ, res)
+
+    return _by_recurrence(z, cfg, evaluate, negative=True)
 
 
 def gamma_ratio(A: float, B: float, cfg: QuadratureConfig | None = None) -> GammaValue:
@@ -243,6 +362,12 @@ def gamma_ratio(A: float, B: float, cfg: QuadratureConfig | None = None) -> Gamm
     exponent A comes back as 1 - fl(1 - A), and that costs up to 2^-54/A
     relative, all of A once A < 2^-54, while -A is exact.  Above 0.01 the
     cost is at most 6e-15.
+
+    Once both arguments reach 9, one m = floor(min(A, B)) - 8 shifts both:
+    the ratio is taken at A - m and B - m, the smaller of which lies in
+    [8, 9), and multiplied by (A - j)/(B - j) for j = 1..m in turn, so
+    neither Gamma overflows and an integer B - m takes the exact path
+    before 1/Gamma(B) could underflow.
     Raises OverflowError once the ratio exceeds double precision.
     """
     require_finite(A, "A")
@@ -252,17 +377,26 @@ def gamma_ratio(A: float, B: float, cfg: QuadratureConfig | None = None) -> Gamm
     if not B > 0.0:
         raise NonPositiveArgument(f"B must be > 0, got {B!r}")
     cfg = cfg or QuadratureConfig()
-    rg_b = recip_gamma(B, cfg, MethodTag.LOG_FORM)
-    shifted = A < _SHIFT_EULER_BELOW
-    z = -A if shifted else 1.0 - A
+    m = max(0, math.floor(min(A, B)) - SHIFT_BASE)
+    a, b = A - m, B - m
+    if b == math.floor(b):
+        rg_b = GammaValue(_exact_recip_factorial(int(b)), MethodTag.LOG_FORM, None)
+    else:
+        rg_b = _route_recip_gamma(b, cfg, MethodTag.LOG_FORM)
+    small = a < _SHIFT_EULER_BELOW
+    z = -a if small else 1.0 - a
     euler = ArgDecomposition(z=z, n=0, frac=z)
     e_a = regularized_integral(euler, cfg, partial(real_axis_segments, euler))
     value = rg_b.value * e_a.value
-    if shifted:
-        value /= A
+    if small:
+        value /= a
+    base = GammaValue(value, MethodTag.LOG_FORM, combine_product(value, [e_a, rg_b.quadrature]))
+    for j in range(1, m + 1):
+        value *= (A - j) / (B - j)
     if math.isinf(value):
         raise OverflowError(f"Gamma({A!r})/Gamma({B!r}) overflows double precision")
-    return GammaValue(value, MethodTag.LOG_FORM, combine_product(value, [e_a, rg_b.quadrature]))
+    # each factor rounds twice: its quotient and the product
+    return _widened(base, value, 2 * m, cfg) if m else base
 
 
 def gamma(
@@ -287,6 +421,7 @@ def gamma(
             raise OverflowError(f"Gamma({z!r}) overflows double precision")
         return GammaValue(float(math.factorial(m - 1)), method, None)
     rg = recip_gamma(z, cfg, method)
-    if rg.value == 0.0:
+    value = 1.0 / rg.value if rg.value else math.inf
+    if math.isinf(value):
         raise OverflowError(f"Gamma({z!r}) overflows double precision")
-    return GammaValue(1.0 / rg.value, rg.method, rg.quadrature)
+    return GammaValue(value, rg.method, rg.quadrature)

@@ -29,8 +29,10 @@ Because the numerator is the regularized remainder e^tau - e_{n-1}(tau),
 the integrand is integrable over the shrinking arc (it vanishes like
 r0^{1-frac}), which is exactly what makes the truncation order n = [z]
 the right one.  Beyond the truncation radius the polynomial part of each
-ray has an elementary antiderivative (added in closed form, with the
-rounding bound of its terms as its error).  The exponential part is
+ray has an elementary antiderivative, the real line's closed-form tail
+with a phase (quadrature.polynomial_tail_closed_form, with the rounding
+bound of its terms as its error).  It is not shifted: at large z its
+terms dwarf the value, and the result is flagged.  The exponential part is
 bounded by e^{R cos delta} R^{-z} / |cos delta| and left out, the bound
 kept as error, when quadrature.tail_negligible says so next to the rest
 of the contour; otherwise it is integrated over one further stretch.
@@ -59,7 +61,7 @@ from dataclasses import dataclass, replace
 
 from . import gamma_core
 from .errors import ContourDegenerate
-from .kernel import decompose
+from .kernel import ArgDecomposition, decompose
 from .quadrature import (
     ConditionFlag,
     IntegralResult,
@@ -67,6 +69,7 @@ from .quadrature import (
     combine,
     combine_product,
     integrate_finite,
+    polynomial_tail_closed_form,
     tail_negligible,
 )
 
@@ -76,11 +79,10 @@ _MAX_TERMS = 500
 # adaptive subdivisions allowed per segment, and ray panels per layout
 _NODES = 128
 
-# The route's trapezoid rule: z is moved into [_SHIFT_BASE, _SHIFT_BASE + 1)
-# by the recurrence, and the nodes theta_j = j pi / (2 N), j < 2 N, of the
-# steepest-descent path are stored as (theta, theta / sin theta); the even
-# ones are the N-node rule.
-_SHIFT_BASE = 8
+# The route's trapezoid rule: z is moved into [8, 9) by the recurrence
+# (gamma_core.recurrence), and the nodes theta_j = j pi / (2 N), j < 2 N, of
+# the steepest-descent path are stored as (theta, theta / sin theta); the
+# even ones are the N-node rule.
 _TRAPEZOID_N = 12
 _PATH_NODES = tuple(
     (theta, theta / math.sin(theta) if theta else 1.0)
@@ -150,37 +152,29 @@ def ray_kernel(r: float, delta: float, z: float, n: int) -> complex:
 def steepest_descent_recip_gamma(z: float, cfg: QuadratureConfig) -> IntegralResult:
     """1/Gamma(z) for z > 0 by the trapezoid rule on the steepest-descent path.
 
-    With m = floor(z) - 8, w = z - m lies in [8, 9).  Below 8,
-    1/Gamma(z) = z (z+1)...(z+|m|-1) / Gamma(w); from 9 up,
-    1/Gamma(z) = 1/Gamma(w) / ((z-1)...(z-m)), divided one factor at a
-    time, so nothing overflows and a value below the normal range
-    underflows gradually.  1/Gamma(w) is the 24-node sum of
+    With m = floor(z) - 8, w = z - m lies in [8, 9), and
+    gamma_core.recurrence moves 1/Gamma(w) back to 1/Gamma(z), the one
+    shift that every route shares: below 8 it multiplies by
+    z (z+1)...(z+|m|-1), from 9 up it divides by (z-1)...(z-m), one factor
+    at a time.  1/Gamma(w) is the 24-node sum of
     (w/pi) int_0^pi e^s s^{-w} dtheta (see the module docstring).
 
     The value is 1/Gamma(z) itself, with 24 evaluations.  Its error is the
     difference of the 24- and 12-node sums plus the rounding of the sum
     and of the recurrence's |m| factors, relative to the value, and one
-    subnormal unit per factor.  The flag is ok when that meets
-    cfg.eps_rel, otherwise tolerance_not_met.
+    subnormal unit per factor (gamma_core.recurrence_error).  The flag is
+    ok when that meets cfg.eps_rel, otherwise tolerance_not_met.
     """
-    m = math.floor(z) - _SHIFT_BASE
+    m = math.floor(z) - gamma_core.SHIFT_BASE
     w = z - m
     terms = [ray_kernel(w * rho, theta, w, 0).real for theta, rho in _PATH_NODES]
     head = 0.5 * terms[0]
     fine = (head + math.fsum(terms[1:])) * (w / len(terms))
     coarse = (head + math.fsum(terms[2::2])) * (2.0 * w / len(terms))
-    value = fine
-    if m < 0:
-        for j in range(-m):
-            value *= z + j
-    else:
-        for j in range(1, m + 1):
-            value /= z - j
-            if value == 0.0:
-                break
-    err = abs(value) * (
-        abs(fine - coarse) / fine + (abs(m) + _TRAPEZOID_ROUNDING) * _EPS
-    ) + abs(m) * math.ulp(0.0)
+    value = gamma_core.recurrence(fine, z, m)
+    err = gamma_core.recurrence_error(
+        value, abs(fine - coarse) / fine, abs(m), _TRAPEZOID_ROUNDING
+    )
     flag = ConditionFlag.OK if err <= cfg.eps_rel * abs(value) else ConditionFlag.TOLERANCE_NOT_MET
     return IntegralResult(value, err, len(terms), flag)
 
@@ -219,12 +213,13 @@ def _arc(order: int, z: float, contour: HankelContour, sub: QuadratureConfig) ->
 
 
 def _contour_eval(
-    order: int, z: float, contour: HankelContour, cfg: QuadratureConfig
+    arg: ArgDecomposition, contour: HankelContour, cfg: QuadratureConfig
 ) -> IntegralResult:
-    """(1/2 pi i) contour integral of (e^s - e_{order-1}(s)) / s^z.
+    """(1/2 pi i) contour integral of (e^s - e_{n-1}(s)) / s^z.
 
     The value is real: Im of the upper half's integral, over pi.
     """
+    z, order = arg.z, arg.n
     _validate(contour, z)
     delta, r0 = contour.delta, contour.r0
     decay = abs(math.cos(delta))
@@ -244,21 +239,9 @@ def _contour_eval(
         res = integrate_finite(f, a, b, sub, seeds)
         return replace(res, value=res.value.imag)
 
-    # polynomial part of the ray beyond R, in closed form (its imaginary
-    # part; each exponent k - z + 1 < 0).  Its terms can exceed the result
-    # by many orders at large z, so their rounding, relative
-    # eps (|expo| (log R + delta) + 4) each, is its error.
-    poly = rounding = 0.0
-    coeff = 1.0  # 1 / k!
-    for k in range(order):
-        expo = k - z + 1.0
-        term = coeff * math.exp(expo * math.log(R))
-        poly += term * math.sin(delta * expo) / expo
-        rounding += abs(term / expo) * (abs(expo) * (math.log(R) + delta) + 4.0)
-        coeff *= 1.0 / (k + 1)
-
     parts = [
-        IntegralResult(poly, _EPS * rounding, 0),
+        # the polynomial part of the ray beyond R, in closed form
+        polynomial_tail_closed_form(arg, R, delta),
         imaginary_part(ray, r0, R, seeds),
         _arc(order, z, contour, sub),
     ]
@@ -298,7 +281,7 @@ def hankel_recip_gamma(
     small that r0^{-z} overflows.
     """
     arg = decompose(z)
-    res = _contour_eval(arg.n, z, contour or HankelContour(), cfg or QuadratureConfig())
+    res = _contour_eval(arg, contour or HankelContour(), cfg or QuadratureConfig())
     return gamma_core.GammaValue(res.value, gamma_core.MethodTag.HANKEL, res)
 
 

@@ -294,26 +294,37 @@ def origin_closed_form(arg: ArgDecomposition, split: float) -> IntegralResult:
         coeff *= -split / (arg.n + j)
 
 
-def polynomial_tail_closed_form(arg: ArgDecomposition, R: float) -> IntegralResult:
+def polynomial_tail_closed_form(
+    arg: ArgDecomposition, R: float, delta: float | None = None
+) -> IntegralResult:
     """int_R^inf -e_{n-1}(-x) x^{-z} dx, summed term by term.
 
-    Each term integrates to (-1)^k/k! * R^{k-z+1}/(k-z+1); every exponent
-    (k - n + 1) - frac is negative because k <= n-1, so the sum is finite.
-    It is built from n and frac, not from z, which may carry the rounding
-    of a shift.  The terms can exceed the sum by many orders at large z,
-    so their rounding, relative eps (|expo| log R + 4) each, is its error.
+    Each term integrates to (-1)^k/k! * R^{expo}/expo with expo =
+    k - z + 1; every exponent (k - n + 1) - frac is negative because
+    k <= n-1, so the sum is finite.  It is built from n and frac, not from
+    z, which may carry the rounding of a shift.  The terms can exceed the
+    sum by many orders at large z, so their rounding, relative
+    eps (|expo| log R + 4) each, is its error.
+
+    Given delta, it is instead Im int_R^inf -e_{n-1}(tau) tau^{-z} dtau
+    along the Hankel contour's ray tau = r e^{i delta}: each term carries
+    sin(delta expo) in place of (-1)^k, and log R + delta in its rounding.
     The value is 0 for n = 0 (empty polynomial).  No evaluations are spent.
     """
     if not R > 0.0:
         raise ValueError(f"need R > 0, got {R!r}")
+    log_R = math.log(R)
+    log_tau = log_R if delta is None else log_R + delta  # bounds |log tau| past R
     total = rounding = 0.0
-    coeff = 1.0  # (-1)^k / k!
+    coeff = 1.0  # 1 / k!
+    sign = 1.0  # (-1)^k
     for k in range(arg.n):
         expo = (k - arg.n + 1) - arg.frac
-        term = coeff * math.exp(expo * math.log(R)) / expo
-        total += term
-        rounding += abs(term) * (abs(expo) * math.log(R) + 4.0)
-        coeff *= -1.0 / (k + 1)
+        term = coeff * math.exp(expo * log_R) / expo
+        total += term * (sign if delta is None else math.sin(delta * expo))
+        rounding += abs(term) * (abs(expo) * log_tau + 4.0)
+        coeff *= 1.0 / (k + 1)
+        sign = -sign
     return IntegralResult(total, _EPMACH * rounding, 0)
 
 

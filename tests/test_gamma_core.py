@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 
 import mpmath
@@ -15,6 +16,8 @@ from regamma.gamma_core import (
     gamma_ratio,
     recip_gamma,
     recip_gamma_neg_reflection,
+    recurrence,
+    recurrence_error,
 )
 from regamma.hankel import hankel_recip_gamma, inverse_laplace_monomial
 from regamma.kernel import decompose
@@ -25,6 +28,13 @@ CFG = QuadratureConfig()
 SQRT_PI = 1.7724538509055160273
 INV_SQRT_PI = 0.56418958354775628695
 GAMMA_25 = 1.3293403881791370205
+
+_REAL_LINE = (
+    MethodTag.REAL_AXIS,
+    MethodTag.POWER_SUBST,
+    MethodTag.LOG_FORM,
+    MethodTag.CAUCHY_SAALSCHUTZ,
+)
 
 
 class TestRecipGamma:
@@ -97,16 +107,61 @@ class TestRecipGamma:
             ref = mpmath.rgamma(2.0 + 1e-3)
             assert abs(gv.value - ref) <= 10.0 * CFG.eps_rel * abs(ref)
 
-    @pytest.mark.parametrize("z", [80.5, 100.5, 150.3, 100.0 + 1e-6])
+    @pytest.mark.parametrize("z", [80.5, 100.5, 150.3, 100.0 + 1e-6, 170.3])
     @pytest.mark.parametrize("eps", [1e-8, 1e-12])
     @pytest.mark.parametrize(
-        "method", [MethodTag.REAL_AXIS, MethodTag.LOG_FORM, MethodTag.POWER_SUBST]
+        "method",
+        [MethodTag.REAL_AXIS, MethodTag.LOG_FORM, MethodTag.POWER_SUBST,
+         MethodTag.CAUCHY_SAALSCHUTZ],
     )
-    def test_large_z_polynomial_tail_rounding_is_flagged(self, z, eps, method):
-        # the terms of the closed-form polynomial tail reach 36^k/k!, and
-        # their rounding exceeds the tolerance on these values
-        gv = recip_gamma(z, QuadratureConfig(eps_rel=eps), method)
-        assert gv.condition_flag is ConditionFlag.TOLERANCE_NOT_MET
+    def test_large_z_is_shifted_and_meets_tolerance(self, z, eps, method):
+        # at z itself the terms of the closed-form polynomial tail reach
+        # 36^k/k! and round past the tolerance; at z - m in [8, 9) they do not
+        cfg = QuadratureConfig(eps_rel=eps)
+        gv = recip_gamma(z, cfg, method)
+        assert gv.condition_flag is ConditionFlag.OK
+        with mpmath.workdps(30):
+            ref = mpmath.rgamma(z)
+            assert abs(gv.value - ref) <= 10.0 * eps * abs(ref)
+
+    @pytest.mark.parametrize("z", [-127.00000000000001, -15.000000000000002])
+    def test_reflection_rounding_onto_an_integer_is_not_exact(self, z):
+        # 1 - z rounds to 128 and 16, whose factorials would pass for exact
+        assert (1.0 - z).is_integer()
+        cfg = QuadratureConfig(eps_rel=1e-12)
+        gv = recip_gamma(z, cfg)
+        assert not gv.is_exact
+        assert gv.condition_flag is ConditionFlag.OK
+        with mpmath.workdps(30):
+            ref = mpmath.rgamma(z)
+            assert abs(gv.value - ref) <= 10.0 * cfg.eps_rel * abs(ref)
+
+
+class TestRecurrence:
+    def test_divides_one_factor_at_a_time(self):
+        assert recurrence(1.0, 10.5, 2) == 1.0 / 9.5 / 8.5
+        assert recurrence(1.0, 10.5, 0) == 1.0
+
+    def test_multiplies_below_the_base(self):
+        assert recurrence(1.0, 5.5, -3) == 5.5 * 6.5 * 7.5
+
+    def test_underflows_gradually(self):
+        # 1/Gamma(175.5) is subnormal; dividing by the whole product at once
+        # would return 0
+        value = recurrence(float(mpmath.rgamma(8.5)), 175.5, 167)
+        assert value == pytest.approx(float(mpmath.rgamma(175.5)), rel=1e-12)
+        assert 0.0 < value < sys.float_info.min
+
+    def test_error_counts_factors_and_roundings(self):
+        eps = 2.0**-53
+        assert recurrence_error(2.0, 1e-10, 3, 4) == 2.0 * (1e-10 + 7 * eps) + 3 * 5e-324
+
+    @pytest.mark.parametrize("method", _REAL_LINE)
+    def test_large_z_costs_what_its_base_window_costs(self, method):
+        # 45.5 is evaluated at 8.5: the same integral, 37 factors apart
+        big, base = (recip_gamma(z, CFG, method) for z in (45.5, 8.5))
+        assert big.quadrature.evaluations == base.quadrature.evaluations
+        assert big.quadrature.value == base.quadrature.value
 
 
 class TestNearIntegerSine:
@@ -222,6 +277,14 @@ class TestGammaNegative:
         with pytest.raises(IntegerArgument):
             gamma_negative(3.0, CFG)
 
+    def test_large_argument_is_shifted(self):
+        cfg = QuadratureConfig(eps_rel=1e-12)
+        gv = gamma_negative(150.3, cfg)
+        assert gv.condition_flag is ConditionFlag.OK
+        with mpmath.workdps(30):
+            ref = mpmath.gamma(-mpmath.mpf(150.3))
+            assert abs(gv.value - ref) <= 10.0 * cfg.eps_rel * abs(ref)
+
 
 class TestCauchySaalschutz:
     @pytest.mark.parametrize(
@@ -236,6 +299,17 @@ class TestCauchySaalschutz:
         a = gamma_cauchy_saalschutz(z, CFG).value
         b = gamma_negative(z, CFG).value
         assert abs(a - b) / abs(b) <= 10.0 * CFG.eps_rel
+
+    def test_no_factorial_overflow_at_large_z(self):
+        # order 171 would overflow math.factorial's conversion to float;
+        # the shift keeps the order at 9
+        cfg = QuadratureConfig(eps_rel=1e-12)
+        gv = gamma_cauchy_saalschutz(170.3, cfg)
+        assert gv.condition_flag is ConditionFlag.OK
+        assert gv.value == pytest.approx(-1.14492799838781e-307, rel=1e-13)
+        with mpmath.workdps(30):
+            ref = mpmath.gamma(-mpmath.mpf(170.3))
+            assert abs(gv.value - ref) <= 10.0 * cfg.eps_rel * abs(ref)
 
     @pytest.mark.parametrize("z", [3.00001, 7.000001])
     def test_shifted_exponents_next_to_an_integer(self, z):
@@ -259,9 +333,20 @@ class TestGammaRatio:
     def test_four_thirds(self):
         assert gamma_ratio(0.5, 2.5, CFG).value == pytest.approx(4.0 / 3.0, rel=1e-6)
 
-    def test_large_arguments_are_flagged(self):
-        # both factors carry the rounding of the polynomial tail at large z
-        assert gamma_ratio(100.5, 99.7, CFG).condition_flag is ConditionFlag.TOLERANCE_NOT_MET
+    @pytest.mark.parametrize("A,B", [(100.5, 99.7), (171.5, 170.5), (200.5, 200.0)])
+    @pytest.mark.parametrize("eps", [1e-8, 1e-12])
+    def test_large_arguments_are_shifted(self, A, B, eps):
+        # one m for both: Gamma(200.5) would overflow and the exact 1/199!
+        # underflow to 0 without it
+        cfg = QuadratureConfig(eps_rel=eps)
+        gv = gamma_ratio(A, B, cfg)
+        assert gv.condition_flag is ConditionFlag.OK
+        with mpmath.workdps(30):
+            ref = mpmath.gamma(mpmath.mpf(A)) / mpmath.gamma(mpmath.mpf(B))
+            assert abs(gv.value - ref) <= 10.0 * eps * abs(ref)
+
+    def test_shift_to_an_integer_denominator(self):
+        assert gamma_ratio(200.5, 200.0, CFG).value == pytest.approx(14.1332995597279, rel=1e-12)
 
     def test_integer_denominator_fast_path(self):
         gv = gamma_ratio(2.5, 3.0, CFG)
@@ -320,6 +405,9 @@ class TestGamma:
     def test_overflow(self):
         with pytest.raises(OverflowError):
             gamma(172.0)
+        # 1/Gamma(175.5) is subnormal, its reciprocal inf
+        with pytest.raises(OverflowError):
+            gamma(175.5, CFG)
 
 
 class TestFunctionalEquations:
@@ -386,36 +474,35 @@ class TestNonFinite:
 
 
 class TestRealLineProperty:
-    """The real-line routes against mpmath on the domain the benchmark covers.
+    """The real-line routes against mpmath on the whole double range.
 
-    |z| is log-uniform on [1e-2, 50) with either sign and at least 1e-2 from
-    every integer.  A result flagged ok must be within 10 eps_rel of
-    1/Gamma(z); another flag is an allowed outcome.
+    |z| is log-uniform on [1e-2, 171.6) with either sign and at least 1e-2
+    from every integer.  A result flagged ok must be within 10 eps_rel of
+    1/Gamma(z); another flag is an allowed outcome.  Where 1/Gamma(z)
+    exceeds double precision (z next to -171) the call must raise
+    OverflowError.
     """
 
     @settings(max_examples=300, deadline=None)
     @given(
-        method=st.sampled_from(
-            [
-                MethodTag.REAL_AXIS,
-                MethodTag.POWER_SUBST,
-                MethodTag.LOG_FORM,
-                MethodTag.CAUCHY_SAALSCHUTZ,
-            ]
-        ),
-        log_abs_z=st.floats(-2.0, math.log10(50.0), exclude_max=True),
+        method=st.sampled_from(_REAL_LINE),
+        log_abs_z=st.floats(-2.0, math.log10(171.6), exclude_max=True),
         negative=st.booleans(),
         eps=st.sampled_from([1e-8, 1e-10, 1e-12]),
     )
     def test_ok_results_meet_tolerance(self, method, log_abs_z, negative, eps):
         z = -(10.0**log_abs_z) if negative else 10.0**log_abs_z
         assume(abs(z - round(z)) >= 1e-2)
+        with mpmath.workdps(30):
+            ref = mpmath.rgamma(z)
+        if abs(ref) > sys.float_info.max:
+            with pytest.raises(OverflowError):
+                recip_gamma(z, QuadratureConfig(eps_rel=eps), method)
+            return
         gv = recip_gamma(z, QuadratureConfig(eps_rel=eps), method)
         if gv.condition_flag is not ConditionFlag.OK:
             return
-        with mpmath.workdps(30):
-            ref = mpmath.rgamma(z)
-            assert abs(gv.value - ref) <= 10.0 * eps * abs(ref)
+        assert abs(gv.value - ref) <= 10.0 * eps * abs(ref)
 
 
 class TestNearIntegerProperty:

@@ -228,6 +228,27 @@ class TestPolynomialTail:
         )
         assert brute == pytest.approx(closed, rel=1e-9)
 
+    @pytest.mark.parametrize("z", [1.5, 2.5, 4.5])
+    def test_ray_of_the_hankel_contour(self, z):
+        # Im int_R^inf -e_{n-1}(tau) tau^{-z} dtau on tau = r e^{i delta}
+        arg, R, delta = decompose(z), 4.0, 2.2
+
+        def integrand(r):
+            tau = r * mpmath.expj(delta)
+            poly = sum(tau**k / mpmath.factorial(k) for k in range(arg.n))
+            return mpmath.im(-poly * tau ** (-z) * mpmath.expj(delta))
+
+        with mpmath.workdps(30):
+            ref = mpmath.quad(integrand, [R * 10**j for j in range(5)] + [mpmath.inf])
+        val = polynomial_tail_closed_form(arg, R, delta).value
+        assert val == pytest.approx(float(ref), rel=1e-12)
+
+    def test_large_z_rounding_is_flagged(self):
+        # unshifted, the terms of the polynomial tail dwarf the sum at
+        # z = 100.5; their rounding bound must say so
+        res = integrate_regularized_kernel(decompose(100.5), QuadratureConfig())
+        assert res.condition_flag is ConditionFlag.TOLERANCE_NOT_MET
+
 
 class TestExponentialTail:
     def test_against_gamma_tail(self):
