@@ -6,7 +6,8 @@ polynomial subtracted, which makes the x^{-z} weight integrable and turns
 a divergent integral into a convergent one.  Four interchangeable routes
 are exposed (selected by MethodTag):
 
-  real_axis         sin(pi z)/pi * int_0^inf (e^{-x} - e_{n-1}(-x)) x^{-z} dx
+  real_axis         sin(pi z)/pi * int_0^inf (e^{-x} - e_{n-1}(-x)) x^{-z} dx,
+                    its middle stretch after t = log x
   power_subst       the same integral, its middle stretch after v = (x^z - 1)/z
   log_form          the same integral, its middle stretch after u = e^{-x}
   cauchy_saalschutz the order-n regularization of Gamma(-z), reflected back
@@ -30,9 +31,9 @@ entry point evaluates at w = z - m in [8, 9), m = floor(z) - 8, which is
 exact, and moves back by the recurrence Gamma(x) = (x - 1) Gamma(x - 1)
 (see recurrence): 1/Gamma(z) on every route (the hankel route does so
 inside its trapezoid rule), Gamma(-z) in gamma_negative and
-gamma_cauchy_saalschutz, and Gamma(A)/Gamma(B), with one m for both.  The
-recurrence adds its rounding to the error estimate, and the flag is
-decided again.
+gamma_cauchy_saalschutz, and Gamma(A)/Gamma(B), with one m for both and
+1/Gamma(B - m) shifted once more by recip_gamma.  The recurrence adds its
+rounding to the error estimate, and the flag is decided again.
 """
 
 from __future__ import annotations
@@ -367,7 +368,9 @@ def gamma_ratio(A: float, B: float, cfg: QuadratureConfig | None = None) -> Gamm
     the ratio is taken at A - m and B - m, the smaller of which lies in
     [8, 9), and multiplied by (A - j)/(B - j) for j = 1..m in turn, so
     neither Gamma overflows and an integer B - m takes the exact path
-    before 1/Gamma(B) could underflow.
+    before 1/Gamma(B) could underflow.  1/Gamma(B - m) is recip_gamma's,
+    so from 9 up it is evaluated in [8, 9) too, and moved back by its own
+    recurrence; where it underflows to 0, the ratio is 0 and flagged.
     Raises OverflowError once the ratio exceeds double precision.
     """
     require_finite(A, "A")
@@ -379,10 +382,7 @@ def gamma_ratio(A: float, B: float, cfg: QuadratureConfig | None = None) -> Gamm
     cfg = cfg or QuadratureConfig()
     m = max(0, math.floor(min(A, B)) - SHIFT_BASE)
     a, b = A - m, B - m
-    if b == math.floor(b):
-        rg_b = GammaValue(_exact_recip_factorial(int(b)), MethodTag.LOG_FORM, None)
-    else:
-        rg_b = _route_recip_gamma(b, cfg, MethodTag.LOG_FORM)
+    rg_b = recip_gamma(b, cfg, MethodTag.LOG_FORM)
     small = a < _SHIFT_EULER_BELOW
     z = -a if small else 1.0 - a
     euler = ArgDecomposition(z=z, n=0, frac=z)

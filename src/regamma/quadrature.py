@@ -17,8 +17,8 @@ stretch is summed term by term (origin_closed_form): every power of x it
 integrates is x^{k-z} with k - z > -1, and the algebraic x^{-frac}
 endpoint singularity becomes the exact factor 1/(1 - frac).  A route
 states only its change of variables on [split, R], as segments
-(integrand, a, b, seeds); the real axis (real_axis_segments) has one, the
-raw integrand over geometrically seeded panels.
+(integrand, a, b, seeds); the real axis (real_axis_segments) has one,
+t = log x, in which the integrand is smooth enough for two panels.
 
 At order n = 0 the polynomial is empty and I(1 - A) is Euler's integral
 for Gamma(A), A > 0, and the origin series is the lower incomplete gamma
@@ -50,7 +50,7 @@ from enum import Enum
 from functools import partial
 from typing import Callable, Sequence
 
-from .kernel import ArgDecomposition, regularized_integrand
+from .kernel import ArgDecomposition, exp_remainder
 
 # 7/15 Gauss-Kronrod abscissae and weights (positive half; node 0 last).
 # Odd-indexed abscissae carry the embedded 7-point Gauss rule.
@@ -388,10 +388,13 @@ def combine_product(value: float, factors: Sequence[IntegralResult | None]) -> I
 
     The relative errors of the factors add; evaluations add and the flag
     is decided as in combine.  An exact factor (None) contributes nothing.
+    A factor of unbounded error (one that underflowed to 0) leaves the
+    product's error unbounded, even where the product is 0.
     """
     parts = [f for f in factors if f is not None]
     rel = sum(p.abs_error_estimate / abs(p.value) for p in parts if p.value)
-    return replace(combine(parts), value=value, abs_error_estimate=abs(value) * rel)
+    err = abs(value) * rel if rel < math.inf else math.inf
+    return replace(combine(parts), value=value, abs_error_estimate=err)
 
 
 # One stretch of a route's integral: (integrand, a, b, panel seeds).
@@ -399,9 +402,20 @@ Segment = tuple[Callable[[float], float], float, float, Sequence[float]]
 
 
 def real_axis_segments(arg: ArgDecomposition, split: float, R: float) -> list[Segment]:
-    """The real-axis route: the raw integrand on [split, R] over
-    geometrically seeded panels."""
-    return [(lambda x: regularized_integrand(x, arg), split, R, geometric_breakpoints(split, R))]
+    """The real-axis route: the stretch [split, R] in t = log x.
+
+    dx = x dt turns the integrand into (e^{-x} - e_{n-1}(-x)) x^{1-z} at
+    x = e^t, smooth over [log split, log R]; one seed at the midpoint
+    makes two panels.  The exponent 1 - z is built from n and frac, as in
+    the origin series.
+    """
+    n, expo = arg.n, (1 - arg.n) - arg.frac
+
+    def middle(t: float) -> float:
+        return exp_remainder(-math.exp(t), n) * math.exp(expo * t)
+
+    lo, hi = math.log(split), math.log(R)
+    return [(middle, lo, hi, [0.5 * (lo + hi)])]
 
 
 def regularized_integral(

@@ -345,6 +345,38 @@ class TestGammaRatio:
             ref = mpmath.gamma(mpmath.mpf(A)) / mpmath.gamma(mpmath.mpf(B))
             assert abs(gv.value - ref) <= 10.0 * eps * abs(ref)
 
+    @pytest.mark.parametrize(
+        "A,B,eps", [(2.5, 120.5, 1e-10), (9.5, 120.5, 1e-10), (3.3, 150.7, 1e-8)]
+    )
+    def test_denominator_far_above_numerator(self, A, B, eps):
+        # 1/Gamma(B - m) is shifted into [8, 9) by its own recurrence
+        cfg = QuadratureConfig(eps_rel=eps)
+        gv = gamma_ratio(A, B, cfg)
+        assert gv.condition_flag is ConditionFlag.OK
+        with mpmath.workdps(30):
+            ref = mpmath.gamma(mpmath.mpf(A)) / mpmath.gamma(mpmath.mpf(B))
+            assert abs(gv.value - ref) <= 10.0 * eps * abs(ref)
+
+    @pytest.mark.parametrize("A", [2.5, 9.5])
+    def test_denominator_below_the_double_range(self, A):
+        # 1/Gamma(189.5) and 1/Gamma(190.5) underflow to 0; about 1e-346,
+        # the ratio does too, and its error is unbounded
+        gv = gamma_ratio(A, 190.5, QuadratureConfig(eps_rel=1e-10))
+        assert gv.value == 0.0
+        assert gv.condition_flag is ConditionFlag.TOLERANCE_NOT_MET
+        assert gv.quadrature.abs_error_estimate == math.inf
+
+    @pytest.mark.parametrize("A", [0.02, 0.5, 2.5, 5.3, 8.7, 9.9])
+    @pytest.mark.parametrize("eps", [1e-8, 1e-12])
+    def test_euler_factor(self, A, eps):
+        # Gamma(A) alone (1/Gamma(1) is exact): e^{-x} x^{A-1} peaks at
+        # x = A - 1, inside the middle stretch for A > 2
+        gv = gamma_ratio(A, 1.0, QuadratureConfig(eps_rel=eps))
+        assert gv.condition_flag is ConditionFlag.OK
+        with mpmath.workdps(30):
+            ref = mpmath.gamma(mpmath.mpf(A))
+            assert abs(gv.value - ref) <= 10.0 * eps * abs(ref)
+
     def test_shift_to_an_integer_denominator(self):
         assert gamma_ratio(200.5, 200.0, CFG).value == pytest.approx(14.1332995597279, rel=1e-12)
 

@@ -1,12 +1,13 @@
 import cmath
 import math
+import random
 import sys
 from functools import partial
 
 import mpmath
 import pytest
 
-from regamma import quadrature
+from regamma import kernel, quadrature
 from regamma.gamma_core import recip_gamma
 from regamma.kernel import ArgDecomposition, decompose, sinpi, truncated_exp
 from regamma.oracle import brute_force_integral
@@ -151,6 +152,30 @@ def euler(A):
     return ArgDecomposition(z=1.0 - A, n=0, frac=1.0 - A)
 
 
+class TestRealAxisSegments:
+    """The middle stretch [1, 36] in t = log x: two GK15 panels."""
+
+    def test_cost_at_eps_1e_8(self):
+        # below z = 1 (order 0) e^{-x} falls off doubly exponentially in t
+        # over the upper panel, which is bisected once
+        rng = random.Random(13)
+        for z in [rng.uniform(0.0, 9.0) for _ in range(100)]:
+            evaluations = recip_gamma(z, CFG).quadrature.evaluations
+            assert evaluations == 30 if z >= 1.0 else evaluations <= 60, z
+
+    def test_integrand_calls_the_kernel_by_its_module_name(self, monkeypatch):
+        # a tracer that rebinds quadrature.exp_remainder sees every evaluation
+        calls = []
+
+        def spy(x, n):
+            calls.append(x)
+            return kernel.exp_remainder(x, n)
+
+        monkeypatch.setattr(quadrature, "exp_remainder", spy)
+        res = integrate_regularized_kernel(decompose(2.5), CFG)
+        assert len(calls) == res.evaluations == 30
+
+
 class TestOriginClosedForm:
     """The series for I(z) over [0, split] against mpmath."""
 
@@ -274,11 +299,11 @@ class TestExponentialTail:
         assert res.abs_error_estimate <= 5.0 * exact
 
     def test_regularized_integral_skips_a_negligible_tail(self):
-        # the tail past R = 36 is about 1e-20 of I(2.5); integrating it
-        # would take 90 more evaluations
+        # the tail past R = 36 is about 1e-20 of I(2.5); the middle stretch
+        # takes 30 evaluations, and integrating the tail at least 60 more
         gv = recip_gamma(2.5, CFG)
         assert gv.condition_flag is ConditionFlag.OK
-        assert gv.quadrature.evaluations <= 105
+        assert gv.quadrature.evaluations <= 30
         assert gv.value == pytest.approx(float(mpmath.rgamma(2.5)), rel=CFG.eps_rel)
 
     def test_tail_above_the_tolerance_is_integrated(self, monkeypatch):
