@@ -445,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="time every method against an oracle")
     p_bench.add_argument("--eps-rel", type=float, nargs="*", default=None)
     p_bench.add_argument("--compare-oracle", default="lanczos", choices=["lanczos", "product"])
-    p_bench.add_argument("--terms", type=int, default=oracle.OracleConfig().product_terms)
+    p_bench.add_argument("--terms", type=int, default=oracle.PRODUCT_TERMS)
     p_bench.add_argument("--min", type=float, default=None)
     p_bench.add_argument("--max", type=float, default=None)
     p_bench.add_argument("--step", type=float, default=None)

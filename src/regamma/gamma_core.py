@@ -13,16 +13,17 @@ are exposed (selected by MethodTag):
   cauchy_saalschutz the order-n regularization of Gamma(-z), reflected back
 
 plus `hankel`, the trapezoid rule on the steepest-descent path of Hankel's
-integral, resolved by the hankel module.  The first three only state
-their change of variables on the middle stretch [1, 36] as segments;
-quadrature.regularized_integral sums [0, 1] as a series, adds the shared
-tail and decides the flag.  gamma_ratio takes Gamma(A) as the same
-integral at order n = 0, I(1 - A), which is Euler's integral, on the
-real-axis segments (for A < 0.01 as Gamma(1 + A)/A, with Gamma(1 + A) =
-I(-A)).  Positive integers use the exact factorial; zero and negative
-integers return the exact zeros of the entire function 1/Gamma.  Negative
-non-integer arguments are routed through one reflection step so the
-quadrature only ever sees z > 0.
+integral, resolved by the hankel module.  The four real-line routes are
+one table from MethodTag to quadrature's segments, the change of variables
+on the middle stretch [1, 36] (cauchy_saalschutz takes the real axis's at
+the raised order); quadrature.integrate_regularized_kernel sums [0, 1] as
+a series, adds the shared tail and decides the flag.  gamma_ratio takes
+Gamma(A) as the same integral at order n = 0, I(1 - A), which is Euler's
+integral, on the real-axis segments (for A < 0.01 as Gamma(1 + A)/A, with
+Gamma(1 + A) = I(-A)).  Positive integers use the exact factorial; zero
+and negative integers return the exact zeros of the entire function
+1/Gamma.  Negative non-integer arguments are routed through one reflection
+step so the quadrature only ever sees z > 0.
 
 The cost and the rounding of I(z) grow with its truncation order n = [z]:
 past z of about 65 the closed-form polynomial tail cancels against the
@@ -45,17 +46,16 @@ from functools import partial
 from typing import Callable
 
 from .errors import NonPositiveArgument, PoleError, require_finite
-from .kernel import ArgDecomposition, decompose, exp_remainder, kernel_ratio, sinpi
+from .kernel import ArgDecomposition, decompose, sinpi
 from .quadrature import (
     ConditionFlag,
     IntegralResult,
     QuadratureConfig,
-    Segment,
     combine_product,
-    geometric_breakpoints,
     integrate_regularized_kernel,
+    log_form_segments,
+    power_subst_segments,
     real_axis_segments,
-    regularized_integral,
 )
 
 # largest m with (m-1)! representable in double precision
@@ -185,62 +185,21 @@ def _by_recurrence(
     return _widened(base, recurrence(base.value, -w if negative else z, m), m, cfg)
 
 
-def _power_subst_integral(arg: ArgDecomposition, cfg: QuadratureConfig) -> IntegralResult:
-    """I(z) with the middle stretch mapped by v = (x^z - 1)/z, the power
-    substitution u = x^z shifted and scaled.
-
-    There the integrand is x^{1-2z} (e^{-x} - e_{n-1}(-x)), with
-    log x = log1p(z v)/z, over [expm1(z log split)/z, expm1(z log R)/z].
-    Unlike u, which crowds into a sliver next to 1 as z -> 0, v keeps the
-    width of the stretch exact; the map is affine in u, so the panels are
-    those of u.  The origin series and the tails are shared.
-    """
-    n, z = arg.n, arg.z
-
-    def middle(v: float) -> float:
-        log_x = math.log1p(z * v) / z
-        return exp_remainder(-math.exp(log_x), n) * math.exp((1.0 - 2.0 * z) * log_x)
-
-    def segments(split: float, R: float) -> list[Segment]:
-        if z * math.log(R) > 690.0:
-            raise OverflowError(
-                f"power-substitution upper split {R}^{z} overflows double precision"
-            )
-        lo, hi = (math.expm1(z * math.log(x)) / z for x in (split, R))
-        seeds = [(u - 1.0) / z for u in geometric_breakpoints(split**z, R**z)]
-        return [(middle, lo, hi, seeds)]
-
-    return regularized_integral(arg, cfg, segments)
-
-
-def _log_form_integral(arg: ArgDecomposition, cfg: QuadratureConfig) -> IntegralResult:
-    """I(z) with the middle stretch folded onto the unit interval by u = e^{-x}.
-
-    There the integrand is (1 - e_{n-1}(log u)/u) / (log(1/u))^z, whose
-    numerator is the exponential remainder at log u, so it is evaluated
-    through the cancellation-safe kernel, over [e^{-R}, e^{-split}].  The
-    origin series and the tails are shared (u = e^{-x} is an exact change
-    of variables there).
-    """
-    n, frac = arg.n, arg.frac
-
-    def middle(u: float) -> float:
-        x = -math.log(u)
-        return kernel_ratio(x, n) * math.exp(-frac * math.log(x)) / u
-
-    def segments(split: float, R: float) -> list[Segment]:
-        u1, u0 = math.exp(-split), math.exp(-R)
-        return [(middle, u0, u1, geometric_breakpoints(u0, u1))]
-
-    return regularized_integral(arg, cfg, segments)
-
-
-# The routes of I(z), each giving 1/Gamma(z) = sin(pi z)/pi * I(z).
-_REAL_LINE_ROUTES = {
-    MethodTag.REAL_AXIS: integrate_regularized_kernel,
-    MethodTag.POWER_SUBST: _power_subst_integral,
-    MethodTag.LOG_FORM: _log_form_integral,
+# The real-line routes, by their change of variables on the middle stretch
+# of I(z): 1/Gamma(z) = sin(pi z)/pi * I(z).  cauchy_saalschutz is the real
+# axis at the raised order: 1/Gamma(z) = -z sin(pi z)/pi * Gamma(-z).
+_ROUTE_SEGMENTS = {
+    MethodTag.REAL_AXIS: real_axis_segments,
+    MethodTag.POWER_SUBST: power_subst_segments,
+    MethodTag.LOG_FORM: log_form_segments,
+    MethodTag.CAUCHY_SAALSCHUTZ: real_axis_segments,
 }
+
+
+def _raised(arg: ArgDecomposition) -> ArgDecomposition:
+    """arg with the truncation order and the power raised by one (same
+    frac, n + 1 = [z + 1]): its I is the order-n regularization of Gamma(-z)."""
+    return ArgDecomposition(z=arg.z + 1.0, n=arg.n + 1, frac=arg.frac)
 
 
 def recip_gamma(
@@ -293,12 +252,11 @@ def recip_gamma(
 def _route_recip_gamma(z: float, cfg: QuadratureConfig, method: MethodTag) -> GammaValue:
     """1/Gamma(z) = sin(pi z)/pi I(z) on a real-line route, z > 0 non-integer."""
     arg = decompose(z)
-    sin_over_pi = sinpi(z) / math.pi
+    scale = sinpi(z) / math.pi
     if method is MethodTag.CAUCHY_SAALSCHUTZ:
-        res = _cauchy_saalschutz_integral(arg, cfg)
-        return GammaValue(-z * sin_over_pi * res.value, method, res)
-    res = _REAL_LINE_ROUTES[method](arg, cfg)
-    return GammaValue(sin_over_pi * res.value, method, res)
+        arg, scale = _raised(arg), -z * scale
+    res = integrate_regularized_kernel(arg, cfg, _ROUTE_SEGMENTS[method])
+    return GammaValue(scale * res.value, method, res)
 
 
 def recip_gamma_neg_reflection(z: float, cfg: QuadratureConfig | None = None) -> GammaValue:
@@ -326,13 +284,6 @@ def gamma_negative(z: float, cfg: QuadratureConfig | None = None) -> GammaValue:
     return _by_recurrence(z, cfg, evaluate, negative=True)
 
 
-def _cauchy_saalschutz_integral(arg: ArgDecomposition, cfg: QuadratureConfig) -> IntegralResult:
-    # Raising the truncation order and the power by one maps the integral
-    # onto the standard kernel machinery: same fractional part, n+1 = [z+1].
-    shifted = ArgDecomposition(z=arg.z + 1.0, n=arg.n + 1, frac=arg.frac)
-    return integrate_regularized_kernel(shifted, cfg)
-
-
 def gamma_cauchy_saalschutz(z: float, cfg: QuadratureConfig | None = None) -> GammaValue:
     """Gamma(-z) = int_0^inf (e^{-tau} - e_n(-tau)) / tau^{z+1} dtau, z > 0.
 
@@ -344,7 +295,7 @@ def gamma_cauchy_saalschutz(z: float, cfg: QuadratureConfig | None = None) -> Ga
     cfg = cfg or QuadratureConfig()
 
     def evaluate(w: float) -> GammaValue:
-        res = _cauchy_saalschutz_integral(decompose(w), cfg)
+        res = integrate_regularized_kernel(_raised(decompose(w)), cfg)
         return GammaValue(res.value, MethodTag.CAUCHY_SAALSCHUTZ, res)
 
     return _by_recurrence(z, cfg, evaluate, negative=True)
@@ -386,7 +337,7 @@ def gamma_ratio(A: float, B: float, cfg: QuadratureConfig | None = None) -> Gamm
     small = a < _SHIFT_EULER_BELOW
     z = -a if small else 1.0 - a
     euler = ArgDecomposition(z=z, n=0, frac=z)
-    e_a = regularized_integral(euler, cfg, partial(real_axis_segments, euler))
+    e_a = integrate_regularized_kernel(euler, cfg)
     value = rg_b.value * e_a.value
     if small:
         value /= a

@@ -28,7 +28,10 @@ principal logarithm throughout.
 Because the numerator is the regularized remainder e^tau - e_{n-1}(tau),
 the integrand is integrable over the shrinking arc (it vanishes like
 r0^{1-frac}), which is exactly what makes the truncation order n = [z]
-the right one.  Beyond the truncation radius the polynomial part of each
+the right one.  Every node, ray and arc integrand is ray_kernel, whose
+remainder is the kernel's own series and polynomial taken at complex tau;
+the public kernel.exp_remainder and kernel_ratio only ever see real
+arguments.  Beyond the truncation radius the polynomial part of each
 ray has an elementary antiderivative, the real line's closed-form tail
 with a phase (quadrature.polynomial_tail_closed_form, with the rounding
 bound of its terms as its error).  It is not shifted: at large z its
@@ -61,7 +64,7 @@ from dataclasses import dataclass, replace
 
 from . import gamma_core
 from .errors import ContourDegenerate
-from .kernel import ArgDecomposition, decompose
+from .kernel import ArgDecomposition, _remainder_series, _use_series, decompose, truncated_exp
 from .quadrature import (
     ConditionFlag,
     IntegralResult,
@@ -73,9 +76,7 @@ from .quadrature import (
     tail_negligible,
 )
 
-_EPS = 2.0 ** -53
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
-_MAX_TERMS = 500
 # adaptive subdivisions allowed per segment, and ray panels per layout
 _NODES = 128
 
@@ -116,37 +117,18 @@ def _validate(contour: HankelContour, z: float) -> None:
         )
 
 
-def _cremainder(w: complex, order: int) -> complex:
-    """e^w - e_{order-1}(w) for complex w, cancellation-safe near 0."""
-    if order == 0:
-        return cmath.exp(w)
-    if w == 0:
-        return 0.0 + 0.0j
-    if abs(w) <= max(1.0, 0.5 * order):
-        term = 1.0 + 0.0j
-        for k in range(1, order + 1):
-            term *= w / k
-        total = term
-        k = order
-        for _ in range(_MAX_TERMS):
-            k += 1
-            term *= w / k
-            total += term
-            if abs(term) < _EPS * abs(total):
-                break
-        return total
-    poly = 1.0 + 0.0j
-    term = 1.0 + 0.0j
-    for k in range(1, order):
-        term *= w / k
-        poly += term
-    return cmath.exp(w) - poly
-
-
 def ray_kernel(r: float, delta: float, z: float, n: int) -> complex:
-    """(e^tau - e_{n-1}(tau)) / tau^z at tau = r e^{i delta}."""
+    """(e^tau - e_{n-1}(tau)) / tau^z at tau = r e^{i delta}.
+
+    The remainder is the kernel's own dispatch between its tail series and
+    the direct difference, taken at complex tau.
+    """
     tau = r * cmath.exp(1j * delta)
-    return _cremainder(tau, n) * cmath.exp(-z * complex(math.log(r), delta))
+    if n and _use_series(tau, n):
+        remainder = _remainder_series(tau, n)
+    else:
+        remainder = cmath.exp(tau) - truncated_exp(tau, n - 1)
+    return remainder * cmath.exp(-z * complex(math.log(r), delta))
 
 
 def steepest_descent_recip_gamma(z: float, cfg: QuadratureConfig) -> IntegralResult:
@@ -200,14 +182,12 @@ def _segment_config(cfg: QuadratureConfig) -> QuadratureConfig:
 
 def _arc(order: int, z: float, contour: HankelContour, sub: QuadratureConfig) -> IntegralResult:
     """(1/2i) times the integral of f(s) = (e^s - e_{order-1}(s)) / s^z over
-    the arc |s| = r0, which is that of Re(tau f(tau)) over theta in [0, delta]."""
+    the arc |s| = r0, which is that of Re(tau f(tau)) over theta in [0, delta];
+    tau f(tau) is the kernel at the power z - 1."""
     delta, r0 = contour.delta, contour.r0
 
     def arc(theta: float) -> float:
-        tau = r0 * cmath.exp(1j * theta)
-        return (
-            tau * _cremainder(tau, order) * cmath.exp(-z * complex(math.log(r0), theta))
-        ).real
+        return ray_kernel(r0, theta, z - 1.0, order).real
 
     return integrate_finite(arc, 0.0, delta, sub, [0.5 * delta])
 
@@ -233,7 +213,7 @@ def _contour_eval(
         return phase * ray_kernel(r, delta, z, order)
 
     def ray_exp(r: float) -> complex:
-        return phase * cmath.exp(r * phase - z * complex(math.log(r), delta))
+        return phase * ray_kernel(r, delta, z, 0)
 
     def imaginary_part(f, a: float, b: float, seeds: list[float]) -> IntegralResult:
         res = integrate_finite(f, a, b, sub, seeds)
@@ -315,12 +295,14 @@ def inverse_laplace(
 
     The Bromwich integral of Gamma(k+1) e^{ts} / s^{k+1} over a Hankel
     contour is Gamma(k+1) t^k / Gamma(k+1), with 1/Gamma(k+1) from
-    steepest_descent_recip_gamma; the product is formed in that order, so
-    Gamma(k+1) and its reciprocal cancel first and the value overflows
-    only where t^k itself does.  The result's diagnostics are those of the
-    product: the relative errors of 1/Gamma(k+1) and of Gamma(k+1) add,
-    and the flag combines theirs.  The third argument takes no contour;
-    it must be None.
+    steepest_descent_recip_gamma.  From k + 1 = 9 up, both Gammas would
+    be taken at w = k + 1 - m in [8, 9) and moved back by m factors of the
+    recurrence that cancel, so both are taken at w and the factors left
+    out; the product is formed in that order, so Gamma(w) and its
+    reciprocal cancel first and the value overflows only where t^k itself
+    does.  The result's diagnostics are those of the product: the
+    relative errors of 1/Gamma(w) and of Gamma(w) add, and the flag
+    combines theirs.  The third argument takes no contour; it must be None.
     """
     decompose(k)
     if contour is not None:
@@ -328,11 +310,13 @@ def inverse_laplace(
     if not 0.0 < t < math.inf:
         raise ValueError(f"time must be finite and > 0, got {t!r}")
     cfg = cfg or QuadratureConfig()
-    gamma_k1 = gamma_core.gamma(k + 1.0, cfg)
-    recip = steepest_descent_recip_gamma(k + 1.0, cfg)
-    value = gamma_k1.value * recip.value * t**k
+    w = k + 1.0
+    w -= max(0, math.floor(w) - gamma_core.SHIFT_BASE)
+    gamma_w = gamma_core.gamma(w, cfg)
+    recip = steepest_descent_recip_gamma(w, cfg)
+    value = gamma_w.value * recip.value * t**k
     return gamma_core.GammaValue(
-        value, gamma_core.MethodTag.HANKEL, combine_product(value, [recip, gamma_k1.quadrature])
+        value, gamma_core.MethodTag.HANKEL, combine_product(value, [recip, gamma_w.quadrature])
     )
 
 

@@ -8,7 +8,6 @@ because they share no code with the integral representations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import PoleError
@@ -29,10 +28,8 @@ _LANCZOS = (
 )
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
-
-@dataclass(frozen=True)
-class OracleConfig:
-    product_terms: int = 100_000
+# default number of factors of recip_gamma_product in `regamma bench`
+PRODUCT_TERMS = 100_000
 
 
 def gamma_lanczos(z: float) -> float:

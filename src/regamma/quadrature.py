@@ -11,14 +11,16 @@ tolerance_not_met when a part, or the sum checked against eps_rel, misses
 its tolerance, otherwise ok.
 
 The semi-infinite integral I(z) = int_0^inf (e^{-x} - e_{n-1}(-x)) x^{-z} dx
-is assembled once, by regularized_integral, split at x = 1 and R = 36.  On
-[0, split] the remainder is the series sum_{k>=n} (-x)^k/k!, so that
-stretch is summed term by term (origin_closed_form): every power of x it
-integrates is x^{k-z} with k - z > -1, and the algebraic x^{-frac}
-endpoint singularity becomes the exact factor 1/(1 - frac).  A route
-states only its change of variables on [split, R], as segments
-(integrand, a, b, seeds); the real axis (real_axis_segments) has one,
-t = log x, in which the integrand is smooth enough for two panels.
+is assembled once, by integrate_regularized_kernel, split at x = 1 and
+R = 36.  On [0, split] the remainder is the series sum_{k>=n} (-x)^k/k!,
+so that stretch is summed term by term (origin_closed_form): every power
+of x it integrates is x^{k-z} with k - z > -1, and the algebraic x^{-frac}
+endpoint singularity becomes the exact factor 1/(1 - frac).  The routes
+differ only in their change of variables on [split, R], and each is a
+function of the argument alone that returns segments (integrand, a, b,
+seeds) over the shared split and radius: real_axis_segments (t = log x,
+smooth enough for two panels, the default), power_subst_segments
+(v = (x^z - 1)/z) and log_form_segments (u = e^{-x}).
 
 At order n = 0 the polynomial is empty and I(1 - A) is Euler's integral
 for Gamma(A), A > 0, and the origin series is the lower incomplete gamma
@@ -47,10 +49,9 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import partial
 from typing import Callable, Sequence
 
-from .kernel import ArgDecomposition, exp_remainder
+from .kernel import ArgDecomposition, exp_remainder, kernel_ratio
 
 # 7/15 Gauss-Kronrod abscissae and weights (positive half; node 0 last).
 # Odd-indexed abscissae carry the embedded 7-point Gauss rule.
@@ -401,7 +402,7 @@ def combine_product(value: float, factors: Sequence[IntegralResult | None]) -> I
 Segment = tuple[Callable[[float], float], float, float, Sequence[float]]
 
 
-def real_axis_segments(arg: ArgDecomposition, split: float, R: float) -> list[Segment]:
+def real_axis_segments(arg: ArgDecomposition) -> list[Segment]:
     """The real-axis route: the stretch [split, R] in t = log x.
 
     dx = x dt turns the integrand into (e^{-x} - e_{n-1}(-x)) x^{1-z} at
@@ -414,37 +415,70 @@ def real_axis_segments(arg: ArgDecomposition, split: float, R: float) -> list[Se
     def middle(t: float) -> float:
         return exp_remainder(-math.exp(t), n) * math.exp(expo * t)
 
-    lo, hi = math.log(split), math.log(R)
+    lo, hi = math.log(_SPLIT_POINT), math.log(_TAIL_RADIUS)
     return [(middle, lo, hi, [0.5 * (lo + hi)])]
 
 
-def regularized_integral(
-    arg: ArgDecomposition,
-    cfg: QuadratureConfig,
-    segments: Callable[[float, float], Sequence[Segment]],
-) -> IntegralResult:
-    """I(z) from the origin series, a route's segments and the shared tail.
+def power_subst_segments(arg: ArgDecomposition) -> list[Segment]:
+    """The power-substitution route: [split, R] in v = (x^z - 1)/z, the
+    power substitution u = x^z shifted and scaled.
 
-    origin_closed_form sums the stretch [0, split].  segments(split, R)
-    states the route's change of variables: the stretches that together
-    cover x in [split, R].  The closed-form polynomial tail and the
-    exponential tail follow them, in that order; each integrated part gets
-    half the tolerance, and the sum is checked against the whole of it.
+    There the integrand is x^{1-2z} (e^{-x} - e_{n-1}(-x)), with
+    log x = log1p(z v)/z, over [expm1(z log split)/z, expm1(z log R)/z].
+    Unlike u, which crowds into a sliver next to 1 as z -> 0, v keeps the
+    width of the stretch exact; the map is affine in u, so the panels are
+    those of u, seeded geometrically.
     """
+    n, z = arg.n, arg.z
+
+    def middle(v: float) -> float:
+        log_x = math.log1p(z * v) / z
+        return exp_remainder(-math.exp(log_x), n) * math.exp((1.0 - 2.0 * z) * log_x)
+
+    split, R = _SPLIT_POINT, _TAIL_RADIUS
+    lo, hi = (math.expm1(z * math.log(x)) / z for x in (split, R))
+    seeds = [(u - 1.0) / z for u in geometric_breakpoints(split**z, R**z)]
+    return [(middle, lo, hi, seeds)]
+
+
+def log_form_segments(arg: ArgDecomposition) -> list[Segment]:
+    """The log-form route: [split, R] folded onto the unit interval by
+    u = e^{-x}.
+
+    There the integrand is (1 - e_{n-1}(log u)/u) / (log(1/u))^z, whose
+    numerator is the exponential remainder at log u, so it is evaluated
+    through the cancellation-safe kernel_ratio, over [e^{-R}, e^{-split}].
+    """
+    n, frac = arg.n, arg.frac
+
+    def middle(u: float) -> float:
+        x = -math.log(u)
+        return kernel_ratio(x, n) * math.exp(-frac * math.log(x)) / u
+
+    u1, u0 = math.exp(-_SPLIT_POINT), math.exp(-_TAIL_RADIUS)
+    return [(middle, u0, u1, geometric_breakpoints(u0, u1))]
+
+
+def integrate_regularized_kernel(
+    arg: ArgDecomposition,
+    cfg: QuadratureConfig | None = None,
+    segments: Callable[[ArgDecomposition], Sequence[Segment]] = real_axis_segments,
+) -> IntegralResult:
+    """I(z) = int_0^inf (e^{-x} - e_{n-1}(-x)) x^{-z} dx with n = arg.n.
+
+    origin_closed_form sums the stretch [0, split].  segments(arg) states
+    a route's change of variables: the stretches that together cover x in
+    [split, R], by default on the real axis.  The closed-form polynomial
+    tail and the exponential tail follow them, in that order; each
+    integrated part gets half the tolerance, and the sum is checked
+    against the whole of it.
+    """
+    cfg = cfg or QuadratureConfig()
     sub = replace(cfg, eps_rel=cfg.eps_rel / 2.0)
     parts = [origin_closed_form(arg, _SPLIT_POINT)] + [
-        integrate_finite(f, a, b, sub, seeds)
-        for f, a, b, seeds in segments(_SPLIT_POINT, _TAIL_RADIUS)
+        integrate_finite(f, a, b, sub, seeds) for f, a, b, seeds in segments(arg)
     ]
     parts.append(polynomial_tail_closed_form(arg, _TAIL_RADIUS))
     rest = sum(p.value for p in parts)
     parts.append(exponential_tail(arg.z, _TAIL_RADIUS, sub, rest))
     return combine(parts, eps_rel=cfg.eps_rel)
-
-
-def integrate_regularized_kernel(
-    arg: ArgDecomposition, cfg: QuadratureConfig | None = None
-) -> IntegralResult:
-    """I(z) = int_0^inf (e^{-x} - e_{n-1}(-x)) x^{-z} dx with n = [z],
-    over real_axis_segments; see regularized_integral for the rest."""
-    return regularized_integral(arg, cfg or QuadratureConfig(), partial(real_axis_segments, arg))

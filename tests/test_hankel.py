@@ -1,11 +1,13 @@
 import cmath
 import math
+import sys
 
 import mpmath
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from regamma import kernel
 from regamma.errors import ContourDegenerate, IntegerArgument
 from regamma.gamma_core import MethodTag, gamma, recip_gamma
 from regamma.hankel import (
@@ -172,6 +174,38 @@ class TestArcContribution:
     def test_unregularized_arc_does_not_vanish(self):
         slope = fitted_arc_exponent(1.5, (1e-1, 1e-2, 1e-3), order=0)
         assert slope <= 0.0
+
+
+class TestKernelSeesRealArguments:
+    """The contour's complex remainder never goes through the public kernel.
+
+    perfbench's tracer rebinds exp_remainder and kernel_ratio in every
+    regamma namespace and stores their first argument in an array of
+    doubles, so a complex argument there would break a traced run.
+    """
+
+    def test_first_arguments_are_floats(self, monkeypatch):
+        seen = []
+        modules = [m for name, m in sys.modules.items()
+                   if m is not None and (name == "regamma" or name.startswith("regamma."))]
+        for fname in ("exp_remainder", "kernel_ratio"):
+            fn = getattr(kernel, fname)
+
+            def spy(x, n, fn=fn):
+                seen.append(x)
+                return fn(x, n)
+
+            for module in modules:
+                if module.__dict__.get(fname) is fn:
+                    monkeypatch.setattr(module, fname, spy)
+        for z in (1e-12, 0.5, 2.5, 7.7):  # 1e-12 integrates the exponential ray
+            hankel_recip_gamma(z, HankelContour(), CFG)
+            arc_contribution(z, HankelContour(), CFG)
+            arc_contribution(z, HankelContour(), CFG, order=0)
+            recip_gamma(z, CFG, MethodTag.HANKEL)
+        inverse_laplace(1.5, 2.0, cfg=CFG)  # its Gamma(k+1) calls the kernel
+        assert seen
+        assert all(isinstance(x, float) for x in seen)
 
 
 class TestConjugateFold:
@@ -345,6 +379,18 @@ class TestInverseLaplace:
         with mpmath.workdps(30):
             ref = mpmath.power(t, k)
             assert abs(gv.value - ref) <= 10.0 * CFG.eps_rel * abs(ref)
+
+    @pytest.mark.parametrize("eps", [1e-8, 1e-12])
+    @pytest.mark.parametrize("k, t", [(171.5, 0.5), (300.5, 0.5), (500.3, 0.9)])
+    def test_no_overflow_where_gamma_does(self, k, t, eps):
+        # Gamma(k + 1) overflows, t^k does not: both Gammas are taken at
+        # k + 1 - m in [8, 9), where the recurrence factors cancel
+        cfg = QuadratureConfig(eps_rel=eps)
+        gv = inverse_laplace(k, t, cfg=cfg)
+        assert gv.condition_flag is ConditionFlag.OK
+        with mpmath.workdps(30):
+            ref = mpmath.power(t, k)
+            assert abs(gv.value - ref) <= 10.0 * eps * abs(ref)
 
     @pytest.mark.parametrize("k, t", [(20.5, 1e15), (60.5, 1e4)])
     def test_no_overflow_where_t_power_is_finite(self, k, t):

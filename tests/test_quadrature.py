@@ -2,7 +2,6 @@ import cmath
 import math
 import random
 import sys
-from functools import partial
 
 import mpmath
 import pytest
@@ -19,10 +18,11 @@ from regamma.quadrature import (
     geometric_breakpoints,
     integrate_finite,
     integrate_regularized_kernel,
+    log_form_segments,
     origin_closed_form,
     polynomial_tail_closed_form,
+    power_subst_segments,
     real_axis_segments,
-    regularized_integral,
 )
 
 CFG = QuadratureConfig()
@@ -109,14 +109,21 @@ class TestRegularizedKernel:
         assert res.condition_flag is ConditionFlag.OK
 
     @staticmethod
-    def at_split(z, split, monkeypatch):
+    def at_split(z, split, monkeypatch, segments=real_axis_segments):
         """I(z) with the origin series and the middle split at x = split."""
         monkeypatch.setattr(quadrature, "_SPLIT_POINT", split)
-        return integrate_regularized_kernel(decompose(z), CFG)
+        return integrate_regularized_kernel(decompose(z), CFG, segments)
 
+    @pytest.mark.parametrize(
+        "segments",
+        [real_axis_segments, power_subst_segments, log_form_segments],
+        ids=lambda f: f.__name__,
+    )
     @pytest.mark.parametrize("z", [0.3, 1.7, 3.2, 6.9])
-    def test_split_invariance(self, z, monkeypatch):
-        vals = [self.at_split(z, sp, monkeypatch).value for sp in (0.5, 1.0, 2.0)]
+    def test_split_invariance(self, z, segments, monkeypatch):
+        # every route reads the shared split: one that kept its own would
+        # leave a gap or an overlap with the origin series as the split moves
+        vals = [self.at_split(z, sp, monkeypatch, segments).value for sp in (0.5, 1.0, 2.0)]
         spread = (max(vals) - min(vals)) / abs(vals[0])
         assert spread <= 10.0 * CFG.eps_rel
 
@@ -210,7 +217,7 @@ class TestOriginClosedForm:
         # integrated; only the middle stretch and the tail cost evaluations
         cfg = QuadratureConfig(eps_rel=1e-12)
         arg = euler(A)
-        res = regularized_integral(arg, cfg, partial(real_axis_segments, arg))
+        res = integrate_regularized_kernel(arg, cfg)
         assert res.evaluations <= 400
         assert res.condition_flag is ConditionFlag.OK
         with mpmath.workdps(30):
