@@ -33,7 +33,6 @@ from .kernel import (
     decompose,
     exp_remainder,
     kernel_ratio,
-    regularized_integrand,
     truncated_exp,
 )
 from .quadrature import (
@@ -78,7 +77,6 @@ __all__ = [
     "ray_kernel",
     "recip_gamma",
     "recip_gamma_neg_reflection",
-    "regularized_integrand",
     "truncated_exp",
     "__version__",
 ]

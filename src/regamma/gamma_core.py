@@ -33,14 +33,18 @@ exact, and moves back by the recurrence Gamma(x) = (x - 1) Gamma(x - 1)
 (see recurrence): 1/Gamma(z) on every route (the hankel route does so
 inside its trapezoid rule), Gamma(-z) in gamma_negative and
 gamma_cauchy_saalschutz, and Gamma(A)/Gamma(B), with one m for both and
-1/Gamma(B - m) shifted once more by recip_gamma.  The recurrence adds its
-rounding to the error estimate, and the flag is decided again.
+1/Gamma(B - m) shifted once more by recip_gamma.
+
+A GammaValue's quadrature is the record of the value itself, which is
+reached from I(z) by products, a reflection or the recurrence:
+quadrature.propagate adds the relative errors of the integrals and of
+the roundings on the way, and decides the flag.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from typing import Callable
@@ -51,10 +55,10 @@ from .quadrature import (
     ConditionFlag,
     IntegralResult,
     QuadratureConfig,
-    combine_product,
     integrate_regularized_kernel,
     log_form_segments,
     power_subst_segments,
+    propagate,
     real_axis_segments,
 )
 
@@ -68,11 +72,10 @@ _SHIFT_EULER_BELOW = 0.01
 # Arguments from SHIFT_BASE + 1 up are evaluated at w in
 # [SHIFT_BASE, SHIFT_BASE + 1) and moved back by the recurrence.
 SHIFT_BASE = 8
-# unit roundoff: the relative rounding of one multiplication or division
-_EPS = 2.0 ** -53
-# Roundings of a value past the estimates of its integrals, at most four:
-# sin(pi w), the division by pi, the product and cauchy_saalschutz's -w
-# (gamma_ratio: the product and the division by A).
+# Roundings of a real-line value past the estimate of its integral, at most
+# four: sin(pi w), the division by pi, the product and cauchy_saalschutz's
+# -w (gamma_negative: the division by w; gamma_ratio: the product and the
+# division by A).
 _ROUTE_ROUNDING = 4
 
 
@@ -86,10 +89,12 @@ class MethodTag(str, Enum):
 
 @dataclass(frozen=True)
 class GammaValue:
-    """An evaluated value plus the route and quadrature diagnostics.
+    """An evaluated value, its route and the record of the value.
 
-    quadrature is None exactly when the value came from an exact fast
-    path (integer factorials and the entire-function zeros).
+    quadrature.value is value, and its error estimate, evaluations and
+    flag are the value's (quadrature.propagate).  quadrature is None
+    exactly when the value came from an exact fast path (integer
+    factorials and the entire-function zeros).
     """
 
     value: float
@@ -136,34 +141,6 @@ def recurrence(value: float, x: float, m: int) -> float:
     return value
 
 
-def recurrence_error(value: float, rel_err: float, factors: int, rounding: int) -> float:
-    """The absolute error of value, reached from a result of relative
-    error rel_err by `rounding` roundings and `factors` exact factors.
-
-    Each rounds by at most eps = 2^-53 relative, and a factor by one
-    subnormal unit more once the value is below the normal range.
-    """
-    return abs(value) * (rel_err + (factors + rounding) * _EPS) + factors * math.ulp(0.0)
-
-
-def _widened(base: GammaValue, value: float, factors: int, cfg: QuadratureConfig) -> GammaValue:
-    """value, reached from base by `factors` factors of the recurrence.
-
-    The quadrature record stays base's; its relative error becomes that of
-    value, and its flag is decided again against cfg.eps_rel.
-    """
-    q = base.quadrature
-    rel = q.abs_error_estimate / abs(q.value) if q.value else 0.0
-    err = recurrence_error(value, rel, factors, _ROUTE_ROUNDING)
-    met = q.condition_flag is ConditionFlag.OK and err <= cfg.eps_rel * abs(value)
-    record = replace(
-        q,
-        abs_error_estimate=abs(q.value) * (err / abs(value)) if value else math.inf,
-        condition_flag=ConditionFlag.OK if met else ConditionFlag.TOLERANCE_NOT_MET,
-    )
-    return GammaValue(value, base.method, record)
-
-
 def _by_recurrence(
     z: float,
     cfg: QuadratureConfig,
@@ -175,14 +152,15 @@ def _by_recurrence(
 
     evaluate gives 1/Gamma, so 1/Gamma(z) = recurrence(1/Gamma(w), z, m),
     or with negative Gamma(-.), so Gamma(-z) = recurrence(Gamma(-w), -w, m).
-    w and every factor z - j and j - z are exact.
+    w and every factor z - j and j - z are exact; each division rounds.
     """
     m = math.floor(z) - SHIFT_BASE
     if m <= 0:
         return evaluate(z)
     w = z - m
     base = evaluate(w)
-    return _widened(base, recurrence(base.value, -w if negative else z, m), m, cfg)
+    value = recurrence(base.value, -w if negative else z, m)
+    return GammaValue(value, base.method, propagate(value, [base.quadrature], m, cfg.eps_rel))
 
 
 # The real-line routes, by their change of variables on the middle stretch
@@ -194,6 +172,13 @@ _ROUTE_SEGMENTS = {
     MethodTag.LOG_FORM: log_form_segments,
     MethodTag.CAUCHY_SAALSCHUTZ: real_axis_segments,
 }
+
+
+def _real_line(
+    value: float, method: MethodTag, res: IntegralResult, cfg: QuadratureConfig
+) -> GammaValue:
+    """value, reached from the real-line integral res by the route's roundings."""
+    return GammaValue(value, method, propagate(value, [res], _ROUTE_ROUNDING, cfg.eps_rel))
 
 
 def _raised(arg: ArgDecomposition) -> ArgDecomposition:
@@ -233,14 +218,16 @@ def recip_gamma(
             # exact.  z + 1 is exact, and so is its reflection 1 - (z + 1),
             # unless |z| <= 2^-53, where z is 1/Gamma(z) to within an ulp.
             base = recip_gamma(z + 1.0, cfg, method)
-            value = z * base.value
+            value, roundings = z * base.value, 1
         else:
             base = recip_gamma(1.0 - z, cfg, method)
             # 1/Gamma(1 - z) may underflow to 0
             value = sinpi(z) / math.pi / base.value if base.value else math.inf
+            roundings = 3
         if math.isinf(value):
             raise OverflowError(f"1/Gamma({z!r}) overflows double precision")
-        return GammaValue(value, method, base.quadrature)
+        record = propagate(value, [base.quadrature], roundings, cfg.eps_rel)
+        return GammaValue(value, method, record)
     if method is MethodTag.HANKEL:
         from . import hankel
 
@@ -256,7 +243,7 @@ def _route_recip_gamma(z: float, cfg: QuadratureConfig, method: MethodTag) -> Ga
     if method is MethodTag.CAUCHY_SAALSCHUTZ:
         arg, scale = _raised(arg), -z * scale
     res = integrate_regularized_kernel(arg, cfg, _ROUTE_SEGMENTS[method])
-    return GammaValue(scale * res.value, method, res)
+    return _real_line(scale * res.value, method, res, cfg)
 
 
 def recip_gamma_neg_reflection(z: float, cfg: QuadratureConfig | None = None) -> GammaValue:
@@ -279,7 +266,7 @@ def gamma_negative(z: float, cfg: QuadratureConfig | None = None) -> GammaValue:
 
     def evaluate(w: float) -> GammaValue:
         res = integrate_regularized_kernel(decompose(w), cfg)
-        return GammaValue(-res.value / w, MethodTag.REAL_AXIS, res)
+        return _real_line(-res.value / w, MethodTag.REAL_AXIS, res, cfg)
 
     return _by_recurrence(z, cfg, evaluate, negative=True)
 
@@ -296,7 +283,7 @@ def gamma_cauchy_saalschutz(z: float, cfg: QuadratureConfig | None = None) -> Ga
 
     def evaluate(w: float) -> GammaValue:
         res = integrate_regularized_kernel(_raised(decompose(w)), cfg)
-        return GammaValue(res.value, MethodTag.CAUCHY_SAALSCHUTZ, res)
+        return _real_line(res.value, MethodTag.CAUCHY_SAALSCHUTZ, res, cfg)
 
     return _by_recurrence(z, cfg, evaluate, negative=True)
 
@@ -341,13 +328,13 @@ def gamma_ratio(A: float, B: float, cfg: QuadratureConfig | None = None) -> Gamm
     value = rg_b.value * e_a.value
     if small:
         value /= a
-    base = GammaValue(value, MethodTag.LOG_FORM, combine_product(value, [e_a, rg_b.quadrature]))
     for j in range(1, m + 1):
         value *= (A - j) / (B - j)
     if math.isinf(value):
         raise OverflowError(f"Gamma({A!r})/Gamma({B!r}) overflows double precision")
     # each factor rounds twice: its quotient and the product
-    return _widened(base, value, 2 * m, cfg) if m else base
+    record = propagate(value, [e_a, rg_b.quadrature], _ROUTE_ROUNDING + 2 * m, cfg.eps_rel)
+    return GammaValue(value, MethodTag.LOG_FORM, record)
 
 
 def gamma(
@@ -371,8 +358,9 @@ def gamma(
         if m > _MAX_EXACT_FACTORIAL_ARG:
             raise OverflowError(f"Gamma({z!r}) overflows double precision")
         return GammaValue(float(math.factorial(m - 1)), method, None)
+    cfg = cfg or QuadratureConfig()
     rg = recip_gamma(z, cfg, method)
     value = 1.0 / rg.value if rg.value else math.inf
     if math.isinf(value):
         raise OverflowError(f"Gamma({z!r}) overflows double precision")
-    return GammaValue(value, rg.method, rg.quadrature)
+    return GammaValue(value, rg.method, propagate(value, [rg.quadrature], 1, cfg.eps_rel))

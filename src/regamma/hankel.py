@@ -66,13 +66,12 @@ from . import gamma_core
 from .errors import ContourDegenerate
 from .kernel import ArgDecomposition, _remainder_series, _use_series, decompose, truncated_exp
 from .quadrature import (
-    ConditionFlag,
     IntegralResult,
     QuadratureConfig,
     combine,
-    combine_product,
     integrate_finite,
     polynomial_tail_closed_form,
+    propagate,
     tail_negligible,
 )
 
@@ -141,11 +140,10 @@ def steepest_descent_recip_gamma(z: float, cfg: QuadratureConfig) -> IntegralRes
     at a time.  1/Gamma(w) is the 24-node sum of
     (w/pi) int_0^pi e^s s^{-w} dtheta (see the module docstring).
 
-    The value is 1/Gamma(z) itself, with 24 evaluations.  Its error is the
-    difference of the 24- and 12-node sums plus the rounding of the sum
-    and of the recurrence's |m| factors, relative to the value, and one
-    subnormal unit per factor (gamma_core.recurrence_error).  The flag is
-    ok when that meets cfg.eps_rel, otherwise tolerance_not_met.
+    The record is that of 1/Gamma(z) itself, with 24 evaluations: the
+    24-node sum, whose error is its difference from the 12-node sum, moved
+    back by the recurrence's |m| factors.  quadrature.propagate adds the
+    rounding of the sum and of the factors and decides the flag.
     """
     m = math.floor(z) - gamma_core.SHIFT_BASE
     w = z - m
@@ -153,12 +151,9 @@ def steepest_descent_recip_gamma(z: float, cfg: QuadratureConfig) -> IntegralRes
     head = 0.5 * terms[0]
     fine = (head + math.fsum(terms[1:])) * (w / len(terms))
     coarse = (head + math.fsum(terms[2::2])) * (2.0 * w / len(terms))
+    trapezoid = IntegralResult(fine, abs(fine - coarse), len(terms))
     value = gamma_core.recurrence(fine, z, m)
-    err = gamma_core.recurrence_error(
-        value, abs(fine - coarse) / fine, abs(m), _TRAPEZOID_ROUNDING
-    )
-    flag = ConditionFlag.OK if err <= cfg.eps_rel * abs(value) else ConditionFlag.TOLERANCE_NOT_MET
-    return IntegralResult(value, err, len(terms), flag)
+    return propagate(value, [trapezoid], _TRAPEZOID_ROUNDING + abs(m), cfg.eps_rel)
 
 
 def _ray_breakpoints(r0: float, R: float, width_cap: float) -> list[float]:
@@ -300,9 +295,10 @@ def inverse_laplace(
     recurrence that cancel, so both are taken at w and the factors left
     out; the product is formed in that order, so Gamma(w) and its
     reciprocal cancel first and the value overflows only where t^k itself
-    does.  The result's diagnostics are those of the product: the
-    relative errors of 1/Gamma(w) and of Gamma(w) add, and the flag
-    combines theirs.  The third argument takes no contour; it must be None.
+    does.  The result's record is that of the product: the relative errors
+    of 1/Gamma(w) and of Gamma(w) add to those of its three roundings, and
+    the flag is decided against cfg.eps_rel.  The third argument takes no
+    contour; it must be None.
     """
     decompose(k)
     if contour is not None:
@@ -315,9 +311,8 @@ def inverse_laplace(
     gamma_w = gamma_core.gamma(w, cfg)
     recip = steepest_descent_recip_gamma(w, cfg)
     value = gamma_w.value * recip.value * t**k
-    return gamma_core.GammaValue(
-        value, gamma_core.MethodTag.HANKEL, combine_product(value, [recip, gamma_w.quadrature])
-    )
+    record = propagate(value, [recip, gamma_w.quadrature], 3, cfg.eps_rel)
+    return gamma_core.GammaValue(value, gamma_core.MethodTag.HANKEL, record)
 
 
 def inverse_laplace_monomial(

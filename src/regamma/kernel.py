@@ -134,8 +134,3 @@ def kernel_ratio(x: float, n: int) -> float:
                 break
         return total
     return exp_remainder(-x, n) / x**n
-
-
-def regularized_integrand(x: float, arg: ArgDecomposition) -> float:
-    """The semi-infinite integrand (e^{-x} - e_{n-1}(-x)) / x^z at x > 0."""
-    return exp_remainder(-x, arg.n) * math.exp(-arg.z * math.log(x))

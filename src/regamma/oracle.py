@@ -28,9 +28,6 @@ _LANCZOS = (
 )
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
-# default number of factors of recip_gamma_product in `regamma bench`
-PRODUCT_TERMS = 100_000
-
 
 def gamma_lanczos(z: float) -> float:
     """Gamma(z) by the Lanczos approximation, reflected for z < 0.5."""
@@ -44,22 +41,6 @@ def gamma_lanczos(z: float) -> float:
         acc += c / (x + i)
     t = x + _LANCZOS_G + 0.5
     return _SQRT_TWO_PI * t ** (x + 0.5) * math.exp(-t) * acc
-
-
-def recip_gamma_product(z: float, terms: int) -> float:
-    """1/Gamma(z) from the truncated Euler product, z > 0.
-
-    z (z+1) ... (z+T) / (T^z T!), accumulated in log space so large T does
-    not overflow.  Converges like O(1/T).
-    """
-    if terms < 1:
-        raise ValueError(f"need terms >= 1, got {terms}")
-    if not z > 0.0:
-        raise ValueError(f"product oracle needs z > 0, got {z!r}")
-    log_acc = math.log(z) - z * math.log(terms)
-    for j in range(1, terms + 1):
-        log_acc += math.log(z + j) - math.log(j)
-    return math.exp(log_acc)
 
 
 def brute_force_integral(

@@ -8,7 +8,9 @@ Like QUADPACK's round-off detection it stops bisecting once the panels'
 round-off floors alone exceed the target, and flags the result.
 combine() sums the parts of a composite integral and decides its flag:
 tolerance_not_met when a part, or the sum checked against eps_rel, misses
-its tolerance, otherwise ok.
+its tolerance, otherwise ok.  propagate() gives the same record, decided
+the same way, to a value computed from integrals by products and
+roundings; every GammaValue's record comes from one or the other.
 
 The semi-infinite integral I(z) = int_0^inf (e^{-x} - e_{n-1}(-x)) x^{-z} dx
 is assembled once, by integrate_regularized_kernel, split at x = 1 and
@@ -83,6 +85,10 @@ _WG_CENTER = 0.417959183673469387755102040816327
 
 _EPMACH = sys.float_info.epsilon
 _UFLOW = sys.float_info.min
+# the rounding of one multiplication or division: relative, and absolute
+# below the normal range
+_UNIT_ROUNDOFF = _EPMACH / 2.0
+_SUBNORMAL = math.ulp(0.0)
 
 # Absolute error floor of every integration, below any relative target.
 EPS_ABS = 1e-300
@@ -124,7 +130,8 @@ class QuadratureConfig:
 
 @dataclass(frozen=True)
 class IntegralResult:
-    """Value, error estimate and diagnostics of one integration.
+    """Value, error estimate and diagnostics of one integration, or of a
+    value computed from integrals (propagate).
 
     value is complex exactly when the integrand is.
     """
@@ -384,18 +391,31 @@ def combine(
     return IntegralResult(value, err, sum(p.evaluations for p in parts), flag)
 
 
-def combine_product(value: float, factors: Sequence[IntegralResult | None]) -> IntegralResult:
-    """The diagnostics of value, a product of factors computed by quadrature.
+def propagate(
+    value: float, parts: Sequence[IntegralResult | None], roundings: int, eps_rel: float
+) -> IntegralResult:
+    """The record of value, computed from parts by `roundings` roundings.
 
-    The relative errors of the factors add; evaluations add and the flag
-    is decided as in combine.  An exact factor (None) contributes nothing.
-    A factor of unbounded error (one that underflowed to 0) leaves the
-    product's error unbounded, even where the product is 0.
+    The relative errors of the inexact parts add (None marks an exact
+    part), and each rounding adds eps = 2^-53 relative and one subnormal
+    unit; evaluations add.  The flag is decided as in combine: ok when
+    every part is ok and the estimate is at most eps_rel |value|.  A value
+    or a part that underflowed to 0 on the way has an unbounded estimate.
     """
-    parts = [f for f in factors if f is not None]
-    rel = sum(p.abs_error_estimate / abs(p.value) for p in parts if p.value)
-    err = abs(value) * rel if rel < math.inf else math.inf
-    return replace(combine(parts), value=value, abs_error_estimate=err)
+    rel = 0.0
+    evaluations = 0
+    met = True
+    for p in parts:
+        if p is not None:
+            rel += p.abs_error_estimate / abs(p.value) if p.value else math.inf
+            evaluations += p.evaluations
+            met = met and p.condition_flag is ConditionFlag.OK
+    err = math.inf
+    if value and rel < math.inf:
+        err = abs(value) * (rel + roundings * _UNIT_ROUNDOFF) + roundings * _SUBNORMAL
+    met = met and err <= eps_rel * abs(value)
+    flag = ConditionFlag.OK if met else ConditionFlag.TOLERANCE_NOT_MET
+    return IntegralResult(value, err, evaluations, flag)
 
 
 # One stretch of a route's integral: (integrand, a, b, panel seeds).

@@ -318,17 +318,6 @@ class TestBench:
         assert code == 0
         assert out.count("real ") == 2
 
-    def test_product_oracle_column(self, capsys):
-        code, out, _ = run(
-            capsys, "bench", "--min", "0.7", "--max", "0.7", "--step", "1.0",
-            "--compare-oracle", "product", "--terms", "20000",
-        )
-        assert code == 0
-        # the product oracle converges like 1/terms, so the error column
-        # reflects the oracle gap rather than quadrature noise
-        last_cols = [l.split() for l in out.splitlines()[2:]]
-        assert all(1e-7 < float(cols[-1]) < 1e-3 for cols in last_cols)
-
     def test_step_below_float_spacing_ends(self, capsys):
         # 10 + 1e-16 == 10, so an accumulated grid would never pass --max
         code, out, _ = run(

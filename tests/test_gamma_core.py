@@ -1,6 +1,7 @@
 import math
 import sys
 import time
+from functools import partial
 
 import mpmath
 import pytest
@@ -17,9 +18,8 @@ from regamma.gamma_core import (
     recip_gamma,
     recip_gamma_neg_reflection,
     recurrence,
-    recurrence_error,
 )
-from regamma.hankel import hankel_recip_gamma, inverse_laplace_monomial
+from regamma.hankel import hankel_recip_gamma, inverse_laplace, inverse_laplace_monomial
 from regamma.kernel import decompose
 from regamma.quadrature import ConditionFlag, QuadratureConfig
 
@@ -152,16 +152,39 @@ class TestRecurrence:
         assert value == pytest.approx(float(mpmath.rgamma(175.5)), rel=1e-12)
         assert 0.0 < value < sys.float_info.min
 
-    def test_error_counts_factors_and_roundings(self):
-        eps = 2.0**-53
-        assert recurrence_error(2.0, 1e-10, 3, 4) == 2.0 * (1e-10 + 7 * eps) + 3 * 5e-324
-
     @pytest.mark.parametrize("method", _REAL_LINE)
     def test_large_z_costs_what_its_base_window_costs(self, method):
         # 45.5 is evaluated at 8.5: the same integral, 37 factors apart
         big, base = (recip_gamma(z, CFG, method) for z in (45.5, 8.5))
         assert big.quadrature.evaluations == base.quadrature.evaluations
-        assert big.quadrature.value == base.quadrature.value
+
+
+CFG10 = QuadratureConfig(eps_rel=1e-10)
+
+# One non-exact result of every public entry point, by name.
+_RECORDS = {
+    **{
+        f"recip_gamma-{tag.value}-{z}": partial(recip_gamma, z, CFG10, tag)
+        for tag in MethodTag
+        for z in (2.5, 12.3, -3.7)
+    },
+    "gamma": partial(gamma, 2.5, CFG10),
+    "gamma-negative-z": partial(gamma, -1.5, CFG10),
+    "gamma_negative": partial(gamma_negative, 12.3, CFG10),
+    "gamma_cauchy_saalschutz": partial(gamma_cauchy_saalschutz, 2.5, CFG10),
+    "hankel_recip_gamma": partial(hankel_recip_gamma, 2.5, None, CFG10),
+    "gamma_ratio-m0": partial(gamma_ratio, 2.5, 1.5, CFG10),
+    "gamma_ratio-m2": partial(gamma_ratio, 12.5, 10.3, CFG10),
+    "inverse_laplace": partial(inverse_laplace, 1.5, 2.0, cfg=CFG10),
+}
+
+
+@pytest.mark.parametrize("entry", _RECORDS.values(), ids=_RECORDS.keys())
+def test_every_entry_point_records_its_value(entry):
+    gv = entry()
+    assert gv.quadrature.value == gv.value
+    if gv.condition_flag is ConditionFlag.OK:
+        assert gv.quadrature.abs_error_estimate <= CFG10.eps_rel * abs(gv.value)
 
 
 class TestNearIntegerSine:

@@ -9,7 +9,6 @@ from regamma.kernel import (
     decompose,
     exp_remainder,
     kernel_ratio,
-    regularized_integrand,
     sinpi,
     truncated_exp,
 )
@@ -131,10 +130,3 @@ class TestKernelRatio:
     def test_matches_remainder(self, x, n):
         ref = mp_remainder(-x, n) / mpf(x) ** n
         assert kernel_ratio(x, n) == pytest.approx(float(ref), rel=1e-12)
-
-    def test_integrand_consistency(self):
-        arg = decompose(2.5)
-        x = 0.37
-        direct = regularized_integrand(x, arg)
-        via_ratio = kernel_ratio(x, arg.n) * x**-arg.frac
-        assert direct == pytest.approx(via_ratio, rel=1e-13)

@@ -4,7 +4,7 @@ import pytest
 from mpmath import mp, mpf
 
 from regamma.errors import PoleError
-from regamma.oracle import brute_force_integral, gamma_lanczos, recip_gamma_product
+from regamma.oracle import brute_force_integral, gamma_lanczos
 
 
 class TestLanczos:
@@ -36,32 +36,6 @@ class TestLanczos:
     def test_poles(self, z):
         with pytest.raises(PoleError):
             gamma_lanczos(z)
-
-
-class TestEulerProduct:
-    def test_telescoping_at_one(self):
-        assert recip_gamma_product(1.0, 1000) == pytest.approx(1.001, rel=1e-12)
-
-    def test_half(self):
-        assert recip_gamma_product(0.5, 100_000) == pytest.approx(
-            0.56418958354775628695, rel=1e-5
-        )
-
-    def test_two(self):
-        assert recip_gamma_product(2.0, 10_000) == pytest.approx(1.0, rel=1e-3)
-
-    @pytest.mark.parametrize("T", [1_000, 10_000, 100_000])
-    def test_first_order_convergence(self, T):
-        z = 0.7
-        d1 = abs(recip_gamma_product(z, 2 * T) - recip_gamma_product(z, T))
-        d2 = abs(recip_gamma_product(z, 4 * T) - recip_gamma_product(z, 2 * T))
-        assert 0.4 <= d2 / d1 <= 0.6
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            recip_gamma_product(0.5, 0)
-        with pytest.raises(ValueError):
-            recip_gamma_product(-1.0, 100)
 
 
 class TestBruteForce:

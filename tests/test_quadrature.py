@@ -13,6 +13,7 @@ from regamma.oracle import brute_force_integral
 from regamma.quadrature import (
     EPS_ABS,
     ConditionFlag,
+    IntegralResult,
     QuadratureConfig,
     exponential_tail,
     geometric_breakpoints,
@@ -22,6 +23,7 @@ from regamma.quadrature import (
     origin_closed_form,
     polynomial_tail_closed_form,
     power_subst_segments,
+    propagate,
     real_axis_segments,
 )
 
@@ -352,10 +354,35 @@ class TestRoundOffFloor:
         gv = recip_gamma(2.5, cfg)
         assert gv.condition_flag is ConditionFlag.TOLERANCE_NOT_MET
         assert gv.quadrature.evaluations <= 500
-        # the estimate is near the floor and still honest
+        # the value's estimate is near the floor and still honest
         res = gv.quadrature
-        exact = float(mpmath.pi / (mpmath.sinpi(2.5) * mpmath.gamma(2.5)))
+        exact = float(mpmath.rgamma(2.5))
         assert abs(res.value - exact) <= res.abs_error_estimate <= 10.0 * cfg.eps_rel * abs(exact)
+
+
+class TestPropagate:
+    def test_error_counts_factors_and_roundings(self):
+        # the parts' relative errors, 5e-11 each, add; None is exact
+        eps = 2.0**-53
+        parts = [IntegralResult(4.0, 2e-10, 15), None, IntegralResult(-1.0, 5e-11, 30)]
+        res = propagate(2.0, parts, 7, 1e-8)
+        assert res.value == 2.0 and res.evaluations == 45
+        assert res.abs_error_estimate == 2.0 * (1e-10 + 7 * eps) + 7 * 5e-324
+        assert res.condition_flag is ConditionFlag.OK
+
+    def test_flag_needs_every_part_and_the_tolerance(self):
+        missed = IntegralResult(1.0, 1e-12, 15, ConditionFlag.TOLERANCE_NOT_MET)
+        assert propagate(1.0, [missed], 0, 1e-8).condition_flag is ConditionFlag.TOLERANCE_NOT_MET
+        loose = IntegralResult(1.0, 1e-9, 15)
+        assert propagate(1.0, [loose], 0, 1e-8).condition_flag is ConditionFlag.OK
+        assert propagate(1.0, [loose], 0, 1e-10).condition_flag is ConditionFlag.TOLERANCE_NOT_MET
+
+    def test_underflow_to_zero_is_unbounded(self):
+        part = IntegralResult(1.0, 1e-12, 15)
+        for value, parts in ((0.0, [part]), (0.0, [propagate(0.0, [part], 1, 1e-8)])):
+            res = propagate(value, parts, 1, 1e-8)
+            assert res.abs_error_estimate == math.inf
+            assert res.condition_flag is ConditionFlag.TOLERANCE_NOT_MET
 
 
 class TestConfigValidation:
