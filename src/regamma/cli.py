@@ -239,6 +239,16 @@ def _check_reflection(cfg):
     return "reflection", worst <= 1e-6, f"max_dev={worst:.3e} tol=1e-06", results
 
 
+def _check_gamma_ratio(cfg):
+    worst = 0.0
+    results = []
+    for z in (0.3, 2.5, 9.7, 40.2):
+        gv = gamma_ratio(z + 1.0, z, cfg)
+        worst = max(worst, abs(gv.value - z) / z)
+        results.append(gv)
+    return "gamma_ratio_recurrence", worst <= 1e-7, f"max_rel={worst:.3e} tol=1e-07", results
+
+
 def _check_equivalence(cfg):
     tags = (MethodTag.REAL_AXIS, MethodTag.POWER_SUBST, MethodTag.LOG_FORM)
     worst = 0.0
@@ -314,6 +324,7 @@ def cmd_verify(args) -> int:
     checks = [
         _check_recurrence,
         _check_reflection,
+        _check_gamma_ratio,
         _check_equivalence,
         _check_cauchy_saalschutz,
         _check_sign_pattern,

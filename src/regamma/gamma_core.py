@@ -18,12 +18,13 @@ one table from MethodTag to quadrature's segments, the change of variables
 on the middle stretch [1, 36] (cauchy_saalschutz takes the real axis's at
 the raised order); quadrature.integrate_regularized_kernel sums [0, 1] as
 a series, adds the shared tail and decides the flag.  gamma_ratio takes
-Gamma(A) as the same integral at order n = 0, I(1 - A), which is Euler's
-integral, on the real-axis segments (for A < 0.01 as Gamma(1 + A)/A, with
-Gamma(1 + A) = I(-A)).  Positive integers use the exact factorial; zero
-and negative integers return the exact zeros of the entire function
-1/Gamma.  Negative non-integer arguments are routed through one reflection
-step so the quadrature only ever sees z > 0.
+both of its factors on the real-axis segments: 1/Gamma(B) by the real_axis
+route, and Gamma(A) as the same integral at order n = 0, I(1 - A), which is
+Euler's integral (for A < 0.01 as Gamma(1 + A)/A, with Gamma(1 + A) =
+I(-A)).  Positive integers use the exact factorial; zero and negative
+integers return the exact zeros of the entire function 1/Gamma.  Negative
+non-integer arguments are routed through one reflection step so the
+quadrature only ever sees z > 0.
 
 The cost and the rounding of I(z) grow with its truncation order n = [z]:
 past z of about 65 the closed-form polynomial tail cancels against the
@@ -49,7 +50,7 @@ from enum import Enum
 from functools import partial
 from typing import Callable
 
-from .errors import NonPositiveArgument, PoleError, require_finite
+from .errors import NonPositiveArgument, PoleError, RegammaError, require_finite
 from .kernel import ArgDecomposition, decompose, sinpi
 from .quadrature import (
     ConditionFlag,
@@ -292,9 +293,9 @@ def gamma_ratio(A: float, B: float, cfg: QuadratureConfig | None = None) -> Gamm
     """Gamma(A)/Gamma(B) as 1/Gamma(B) times the Euler integral for Gamma(A).
 
     The double-integral representation of the ratio factorizes into two
-    one-dimensional integrals; both factors are evaluated here, with the
-    reciprocal factor going through the unit-interval log form.  Gamma(A)
-    is I(1 - A) at order n = 0 on the real-axis segments.
+    one-dimensional integrals; both are evaluated here on the real-axis
+    segments.  1/Gamma(B) is recip_gamma's real_axis route, sin(pi B)/pi
+    I(B), and Gamma(A) is I(1 - A) at order n = 0.
 
     Below A = 0.01 it is Gamma(1 + A)/A, with Gamma(1 + A) = I(-A), because
     1 - A rounds: the origin series of I(1 - A) starts with split^A/A, its
@@ -309,7 +310,9 @@ def gamma_ratio(A: float, B: float, cfg: QuadratureConfig | None = None) -> Gamm
     before 1/Gamma(B) could underflow.  1/Gamma(B - m) is recip_gamma's,
     so from 9 up it is evaluated in [8, 9) too, and moved back by its own
     recurrence; where it underflows to 0, the ratio is 0 and flagged.
-    Raises OverflowError once the ratio exceeds double precision.
+    Raises OverflowError once the ratio exceeds double precision, and
+    RegammaError, before any work, once the 2m roundings of the factors
+    alone would exceed eps_rel, where the ratio could only be flagged.
     """
     require_finite(A, "A")
     require_finite(B, "B")
@@ -319,8 +322,15 @@ def gamma_ratio(A: float, B: float, cfg: QuadratureConfig | None = None) -> Gamm
         raise NonPositiveArgument(f"B must be > 0, got {B!r}")
     cfg = cfg or QuadratureConfig()
     m = max(0, math.floor(min(A, B)) - SHIFT_BASE)
+    # each factor rounds twice: its quotient and the product
+    roundings = _ROUTE_ROUNDING + 2 * m
+    if roundings * 2.0**-53 > cfg.eps_rel:
+        raise RegammaError(
+            f"Gamma({A!r})/Gamma({B!r}) needs m = {m} recurrence factors, whose "
+            f"roundings alone exceed eps_rel = {cfg.eps_rel!r}"
+        )
     a, b = A - m, B - m
-    rg_b = recip_gamma(b, cfg, MethodTag.LOG_FORM)
+    rg_b = recip_gamma(b, cfg, MethodTag.REAL_AXIS)
     small = a < _SHIFT_EULER_BELOW
     z = -a if small else 1.0 - a
     euler = ArgDecomposition(z=z, n=0, frac=z)
@@ -332,9 +342,8 @@ def gamma_ratio(A: float, B: float, cfg: QuadratureConfig | None = None) -> Gamm
         value *= (A - j) / (B - j)
     if math.isinf(value):
         raise OverflowError(f"Gamma({A!r})/Gamma({B!r}) overflows double precision")
-    # each factor rounds twice: its quotient and the product
-    record = propagate(value, [e_a, rg_b.quadrature], _ROUTE_ROUNDING + 2 * m, cfg.eps_rel)
-    return GammaValue(value, MethodTag.LOG_FORM, record)
+    record = propagate(value, [e_a, rg_b.quadrature], roundings, cfg.eps_rel)
+    return GammaValue(value, MethodTag.REAL_AXIS, record)
 
 
 def gamma(

@@ -51,6 +51,20 @@ class TestEval:
         assert abs(value - 2.0e17 / math.sqrt(math.pi)) <= 1e-8 * value
         assert "flag   = ok" in out
 
+    def test_gamma_ratio_near_integer_denominator(self, capsys):
+        code, out, _ = run(
+            capsys, "eval", "2.5", "--fn", "gamma-ratio", "--b", "0.9999", "--eps-rel", "1e-12"
+        )
+        assert code == 0
+        value = float(out.splitlines()[0].split("=")[1])
+        assert abs(value - 1.32926364785073646) <= 1e-11 * value
+        assert "flag   = ok" in out
+
+    def test_gamma_ratio_too_many_factors(self, capsys):
+        code, _, err = run(capsys, "eval", "1000000000.5", "--fn", "gamma-ratio", "--b", "1e9")
+        assert code == 1
+        assert "m = 999999992" in err
+
     def test_abs_err_is_the_error_of_the_value(self, capsys):
         # the integral I(0.9999) is about 3.2e4 times 1/Gamma(0.9999), and
         # its estimate is rescaled to the printed value
@@ -264,6 +278,11 @@ class TestVerify:
         assert "FAIL" not in out
         assert out.count("PASS") >= 6
 
+    def test_gamma_ratio_check(self, capsys):
+        code, out, _ = run(capsys, "verify", "--eps-rel", "1e-12")
+        assert code == 0
+        assert "PASS gamma_ratio_recurrence" in out
+
     def test_hankel_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--hankel")
         assert code == 0
@@ -286,6 +305,7 @@ class TestVerify:
         assert fails == [
             "recurrence",
             "reflection",
+            "gamma_ratio_recurrence",
             "representation_equivalence",
             "cauchy_saalschutz",
             "gamma_negative_sign_pattern",

@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 import time
 from functools import partial
@@ -8,7 +9,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from regamma.errors import IntegerArgument, NonFiniteArgument, NonPositiveArgument, PoleError
+from regamma.errors import (
+    IntegerArgument,
+    NonFiniteArgument,
+    NonPositiveArgument,
+    PoleError,
+    RegammaError,
+)
 from regamma.gamma_core import (
     MethodTag,
     gamma,
@@ -20,8 +27,8 @@ from regamma.gamma_core import (
     recurrence,
 )
 from regamma.hankel import hankel_recip_gamma, inverse_laplace, inverse_laplace_monomial
-from regamma.kernel import decompose
-from regamma.quadrature import ConditionFlag, QuadratureConfig
+from regamma.kernel import ArgDecomposition, decompose
+from regamma.quadrature import ConditionFlag, QuadratureConfig, integrate_regularized_kernel
 
 CFG = QuadratureConfig()
 
@@ -441,6 +448,73 @@ class TestGammaRatio:
             gamma_ratio(-1.0, 2.5, CFG)
         with pytest.raises(NonPositiveArgument):
             gamma_ratio(2.5, 0.0, CFG)
+
+    def test_method_is_real_axis(self):
+        assert gamma_ratio(2.5, 1.7, CFG).method is MethodTag.REAL_AXIS
+
+    @pytest.mark.parametrize("A,B,m", [(2.5, 1.7, 0), (0.005, 3.3, 0), (12.5, 10.3, 2)])
+    def test_evaluations_are_the_two_factors(self, A, B, m):
+        # Gamma(A - m) at order 0 (as Gamma(1 + a)/a below 0.01) and
+        # 1/Gamma(B - m) on the real-axis route, and nothing else
+        a = A - m
+        z = -a if a < 0.01 else 1.0 - a
+        euler = integrate_regularized_kernel(ArgDecomposition(z=z, n=0, frac=z), CFG)
+        recip = recip_gamma(B - m, CFG, MethodTag.REAL_AXIS)
+        gv = gamma_ratio(A, B, CFG)
+        assert gv.quadrature.evaluations == euler.evaluations + recip.quadrature.evaluations
+
+    @pytest.mark.parametrize("A,B", [(51.5, 51.25), (51.75, 53.5)])
+    def test_roundings_under_the_tolerance_return_a_value(self, A, B):
+        # m = 43: (4 + 86) 2^-53 = 9.99e-15 is still under eps_rel
+        gv = gamma_ratio(A, B, QuadratureConfig(eps_rel=1e-14))
+        with mpmath.workdps(30):
+            ref = mpmath.gamma(mpmath.mpf(A)) / mpmath.gamma(mpmath.mpf(B))
+            assert abs(gv.value - ref) <= 1e-13 * abs(ref)
+
+    @pytest.mark.parametrize("A,B", [(52.5, 52.25), (52.75, 60.5)])
+    def test_roundings_over_the_tolerance_raise(self, A, B):
+        # m = 44: (4 + 88) 2^-53 = 1.02e-14 exceeds eps_rel
+        with pytest.raises(RegammaError, match=r"m = 44 .*eps_rel = 1e-14"):
+            gamma_ratio(A, B, QuadratureConfig(eps_rel=1e-14))
+
+    def test_huge_arguments_raise_at_once(self):
+        # the loop would take minutes for m = 1e9 - 8
+        start = time.process_time()
+        with pytest.raises(RegammaError, match=r"m = 999999992 "):
+            gamma_ratio(1e9 + 0.5, 1e9, QuadratureConfig(eps_rel=1e-8))
+        assert time.process_time() - start < 0.5
+
+
+def _near_integer_denominators(seed=7, count=24):
+    """(A, B) with B within 10^U(-12, -2) of an integer: the first four of
+    1 (two below, two above), the rest of integers in [2, 30]; A
+    log-uniform in [0.02, 40)."""
+    rng = random.Random(seed)
+    pairs = []
+    for i in range(count):
+        k = 1 if i < 4 else rng.randint(2, 30)
+        side = (-1, 1)[i % 2] if i < 4 else rng.choice((-1, 1))
+        B = k + side * 10.0 ** rng.uniform(-12.0, -2.0)
+        A = 10.0 ** rng.uniform(math.log10(0.02), math.log10(40.0))
+        pairs.append((A, B))
+    return pairs
+
+
+class TestGammaRatioNearIntegerDenominator:
+    """1/Gamma(B) on the real axis next to an integer, where frac -> 0 or 1.
+
+    The property test keeps B 1e-2 clear of integers; here B comes within
+    1e-12 of them, on both sides.
+    """
+
+    @pytest.mark.parametrize("A,B", _near_integer_denominators())
+    @pytest.mark.parametrize("eps", [1e-8, 1e-10, 1e-12])
+    def test_ok_within_tolerance(self, A, B, eps):
+        gv = gamma_ratio(A, B, QuadratureConfig(eps_rel=eps))
+        assert gv.condition_flag is ConditionFlag.OK
+        with mpmath.workdps(40):
+            ref = mpmath.gamma(mpmath.mpf(A)) / mpmath.gamma(mpmath.mpf(B))
+            assert abs(gv.value - ref) <= 10.0 * eps * abs(ref)
 
 
 class TestGamma:
