@@ -1,10 +1,25 @@
 """Command-line interface: single evaluations, figure sweeps, verification
 and benchmarking.
 
+Each --fn takes the --method values named here, the first being its
+default: recip-gamma, gamma and recip-gamma-neg (1/Gamma(-z), exact zeros
+at the non-negative integers) take real, power, log, cs and hankel;
+gamma-neg takes real (gamma_negative) and cs (gamma_cauchy_saalschutz);
+gamma-ratio takes real alone, and inv-laplace hankel alone.  A --method
+that the function does not take is refused with one error line that names
+the ones it does (exit 1), so the method printed by eval, and the method
+column of sweep, is always the route the result took.  sweep takes the
+functions of z alone, every one but gamma-ratio and inv-laplace.
+
 Sweep output is deterministic CSV (header ``z,value,abs_err,method,flag``,
 17 significant digits, LF line endings) so figure pipelines can be
 reproduced byte for byte.  REGAMMA_EPS_REL overrides the default 1e-8
 relative tolerance; an explicit --eps-rel flag wins over the environment.
+
+verify prints one line per check, "PASS|FAIL name max_dev=D tol=T": D is
+the largest deviation the check measured, T its tolerance.  A check also
+fails when a result it compared is flagged tolerance_not_met, and its line
+then ends in " flag=tolerance_not_met".  It exits 0 iff every check passes.
 """
 
 from __future__ import annotations
@@ -17,6 +32,7 @@ import sys
 import time
 from dataclasses import dataclass
 from decimal import Decimal
+from typing import Any, Callable, NamedTuple
 
 from . import oracle
 from .errors import RegammaError
@@ -28,7 +44,6 @@ from .gamma_core import (
     gamma_negative,
     gamma_ratio,
     recip_gamma,
-    recip_gamma_neg_reflection,
 )
 from .hankel import HankelContour, hankel_recip_gamma, inverse_laplace
 from .quadrature import ConditionFlag, QuadratureConfig
@@ -95,44 +110,85 @@ def _fmt(x: float) -> str:
 
 
 # ---------------------------------------------------------------------------
+# the functions
+# ---------------------------------------------------------------------------
+
+class _Function(NamedTuple):
+    """A --fn: the --method names it takes, the first its default, and its
+    evaluation at z under one of them.  evaluate(z, cfg, tag, args) reads
+    args, the parsed options, only where of_z_alone is False (--b, --t);
+    sweep takes only the functions of z alone, and passes None."""
+
+    methods: tuple[str, ...]
+    evaluate: Callable[[float, QuadratureConfig, MethodTag, Any], GammaValue]
+    of_z_alone: bool = True
+
+
+def _gamma_neg(z: float, cfg: QuadratureConfig, tag: MethodTag, args) -> GammaValue:
+    if tag is MethodTag.CAUCHY_SAALSCHUTZ:
+        return gamma_cauchy_saalschutz(z, cfg)
+    return gamma_negative(z, cfg)
+
+
+def _gamma_ratio(z: float, cfg: QuadratureConfig, tag: MethodTag, args) -> GammaValue:
+    if args.b is None:
+        raise RegammaError("--fn gamma-ratio requires --b <denominator>")
+    return gamma_ratio(z, args.b, cfg)
+
+
+_EVERY_METHOD = tuple(_METHODS)
+
+_FUNCTIONS = {
+    "recip-gamma": _Function(_EVERY_METHOD, lambda z, cfg, tag, args: recip_gamma(z, cfg, tag)),
+    "gamma": _Function(_EVERY_METHOD, lambda z, cfg, tag, args: gamma(z, cfg, tag)),
+    "gamma-neg": _Function(("real", "cs"), _gamma_neg),
+    "recip-gamma-neg": _Function(
+        _EVERY_METHOD, lambda z, cfg, tag, args: recip_gamma(-z, cfg, tag)
+    ),
+    "gamma-ratio": _Function(("real",), _gamma_ratio, of_z_alone=False),
+    "inv-laplace": _Function(
+        ("hankel",),
+        lambda z, cfg, tag, args: inverse_laplace(z, args.t, cfg=cfg),
+        of_z_alone=False,
+    ),
+}
+
+
+def _method(fn: str, name: str | None) -> MethodTag:
+    """The tag of --method name under --fn fn; None is fn's default."""
+    methods = _FUNCTIONS[fn].methods
+    if name is None:
+        name = methods[0]
+    elif name not in methods:
+        raise RegammaError(
+            f"--fn {fn} does not take --method {name}; it takes {', '.join(methods)}"
+        )
+    return _METHODS[name]
+
+
+def _row(gv: GammaValue) -> tuple:
+    """(value, abs_err, method, flag, evals) of a result; an exact one has
+    flag exact, no error and no evaluations."""
+    q = gv.quadrature
+    if q is None:
+        return gv.value, 0.0, gv.method.value, "exact", 0
+    return gv.value, q.abs_error_estimate, gv.method.value, q.condition_flag.value, q.evaluations
+
+
+# ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
 
-def _evaluate(
-    fn: str, z: float, method: MethodTag, cfg: QuadratureConfig, b=None, t=1.0
-) -> GammaValue:
-    if fn == "recip-gamma":
-        return recip_gamma(z, cfg, method)
-    if fn == "gamma":
-        return gamma(z, cfg, method)
-    if fn == "gamma-neg":
-        if method is MethodTag.CAUCHY_SAALSCHUTZ:
-            return gamma_cauchy_saalschutz(z, cfg)
-        return gamma_negative(z, cfg)
-    if fn == "recip-gamma-neg":
-        return recip_gamma_neg_reflection(z, cfg)
-    if fn == "gamma-ratio":
-        if b is None:
-            raise RegammaError("--fn gamma-ratio requires --b <denominator>")
-        return gamma_ratio(z, b, cfg)
-    if fn == "inv-laplace":
-        return inverse_laplace(z, t, cfg=cfg)
-    raise RegammaError(f"unknown function {fn!r}")
-
-
 def cmd_eval(args) -> int:
-    out = _evaluate(args.fn, args.z, _METHODS[args.method], _config(args), args.b, args.t)
-    print(f"value  = {_fmt(out.value)}")
-    print(f"method = {out.method.value}")
-    if out.quadrature is None:
-        print("flag   = exact")
-        print("evals  = 0")
-        return 0
-    q = out.quadrature
-    print(f"abs_err = {q.abs_error_estimate:.3e}")
-    print(f"flag   = {q.condition_flag.value}")
-    print(f"evals  = {q.evaluations}")
-    return 2 if q.condition_flag is ConditionFlag.TOLERANCE_NOT_MET else 0
+    tag = _method(args.fn, args.method)
+    gv = _FUNCTIONS[args.fn].evaluate(args.z, _config(args), tag, args)
+    value, err, method, flag, evals = _row(gv)
+    print(f"value  = {_fmt(value)}")
+    print(f"method = {method}")
+    print(f"abs_err = {err:.3e}")
+    print(f"flag   = {flag}")
+    print(f"evals  = {evals}")
+    return 2 if flag == ConditionFlag.TOLERANCE_NOT_MET.value else 0
 
 
 # ---------------------------------------------------------------------------
@@ -158,18 +214,10 @@ def _sweep_grid(spec: SweepSpec) -> list[float]:
 
 
 def _sweep_row(z: float, spec: SweepSpec, cfg: QuadratureConfig) -> tuple:
-    # recip-gamma takes the exact path at an integer by itself
-    if z == math.floor(z):
-        if spec.fn == "recip-gamma-neg":
-            # 1/Gamma(-m) = 0 at every non-negative integer m
-            return (z, 0.0, 0.0, spec.method.value, "exact")
-        if spec.fn == "gamma-neg":
-            return (z, math.nan, math.nan, spec.method.value, "pole")
-    gv = _evaluate(spec.fn, z, spec.method, cfg)
-    q = gv.quadrature
-    if q is None:
-        return (z, gv.value, 0.0, gv.method.value, "exact")
-    return (z, gv.value, q.abs_error_estimate, gv.method.value, q.condition_flag.value)
+    if spec.fn == "gamma-neg" and z == math.floor(z):
+        return (z, math.nan, math.nan, spec.method.value, "pole")
+    value, err, method, flag, _ = _row(_FUNCTIONS[spec.fn].evaluate(z, cfg, spec.method, None))
+    return (z, value, err, method, flag)
 
 
 def run_sweep(spec: SweepSpec, cfg: QuadratureConfig, out_path: str) -> None:
@@ -187,27 +235,15 @@ def cmd_sweep(args) -> int:
         z_min, z_max, step, fn = _PRESETS[args.preset]
     else:
         if args.min is None or args.max is None or args.step is None:
-            print(
-                "regamma: error: sweep needs --preset or all of --min/--max/--step",
-                file=sys.stderr,
-            )
-            return 1
+            raise RegammaError("sweep needs --preset or all of --min/--max/--step")
         z_min, z_max, step, fn = args.min, args.max, args.step, args.fn
     if not step > 0 or not z_min < z_max or not math.isfinite(z_max - z_min):
-        print("regamma: error: need step > 0 and finite min < max", file=sys.stderr)
-        return 1
-    spec = SweepSpec(
-        z_min=z_min,
-        z_max=z_max,
-        step=step,
-        fn=fn,
-        method=_METHODS[args.method],
-    )
+        raise RegammaError("need step > 0 and finite min < max")
+    spec = SweepSpec(z_min, z_max, step, fn, _method(fn, args.method))
     try:
         run_sweep(spec, cfg, args.out)
     except OSError as exc:
-        print(f"regamma: error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 1
+        raise RegammaError(f"cannot write {args.out}: {exc}") from exc
     return 0
 
 
@@ -215,132 +251,88 @@ def cmd_sweep(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-# Each check returns (name, ok, detail, results): the GammaValues it
-# compared, whose flags cmd_verify also reads.
-
-def _check_recurrence(cfg):
-    worst = 0.0
-    results = []
+def _checks(cfg: QuadratureConfig, hankel: bool):
+    """The cross-validation suite, in report order: (name, tolerance, rows),
+    each row (deviation, the GammaValues it compared)."""
+    rows = []
     for z in (0.3, 0.7, 1.2, 2.8, 4.6, 7.9):
         lhs, rhs = recip_gamma(z, cfg), recip_gamma(z + 1.0, cfg)
-        worst = max(worst, abs(lhs.value - z * rhs.value) / abs(lhs.value))
-        results += [lhs, rhs]
-    return "recurrence", worst <= 1e-7, f"max_rel={worst:.3e} tol=1e-07", results
+        rows.append((abs(lhs.value - z * rhs.value) / abs(lhs.value), [lhs, rhs]))
+    yield "recurrence", 1e-7, rows
 
-
-def _check_reflection(cfg):
-    worst = 0.0
-    results = []
+    rows = []
     for z in (0.1, 0.25, 0.4, 0.45):
         r1, r2 = recip_gamma(z, cfg), recip_gamma(1.0 - z, cfg)
         g1, g2 = 1.0 / r1.value, 1.0 / r2.value
-        worst = max(worst, abs(g1 * g2 * math.sin(math.pi * z) / math.pi - 1.0))
-        results += [r1, r2]
-    return "reflection", worst <= 1e-6, f"max_dev={worst:.3e} tol=1e-06", results
+        rows.append((abs(g1 * g2 * math.sin(math.pi * z) / math.pi - 1.0), [r1, r2]))
+    yield "reflection", 1e-6, rows
 
-
-def _check_gamma_ratio(cfg):
-    worst = 0.0
-    results = []
+    rows = []
     for z in (0.3, 2.5, 9.7, 40.2):
         gv = gamma_ratio(z + 1.0, z, cfg)
-        worst = max(worst, abs(gv.value - z) / z)
-        results.append(gv)
-    return "gamma_ratio_recurrence", worst <= 1e-7, f"max_rel={worst:.3e} tol=1e-07", results
+        rows.append((abs(gv.value - z) / z, [gv]))
+    yield "gamma_ratio_recurrence", 1e-7, rows
 
-
-def _check_equivalence(cfg):
     tags = (MethodTag.REAL_AXIS, MethodTag.POWER_SUBST, MethodTag.LOG_FORM)
-    worst = 0.0
-    results = []
+    rows = []
     for z in (0.3, 1.7, 2.5, 3.9, 6.1):
-        row = [recip_gamma(z, cfg, tag) for tag in tags]
-        vals = [gv.value for gv in row]
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                worst = max(worst, abs(vals[i] - vals[j]) / abs(vals[i]))
-        results += row
-    return (
-        "representation_equivalence", worst <= 1e-6, f"max_rel={worst:.3e} tol=1e-06", results
-    )
+        gvs = [recip_gamma(z, cfg, tag) for tag in tags]
+        vals = [gv.value for gv in gvs]
+        pairs = [(a, b) for i, a in enumerate(vals) for b in vals[i + 1 :]]
+        rows.append((max(abs(a - b) / abs(a) for a, b in pairs), gvs))
+    yield "representation_equivalence", 1e-6, rows
 
-
-def _check_cauchy_saalschutz(cfg):
-    worst = 0.0
-    results = []
+    rows = []
     for z in (0.4, 1.6, 2.2, 4.8):
         a, b = gamma_negative(z, cfg), gamma_cauchy_saalschutz(z, cfg)
-        worst = max(worst, abs(a.value - b.value) / abs(a.value))
-        results += [a, b]
-    return "cauchy_saalschutz", worst <= 1e-6, f"max_rel={worst:.3e} tol=1e-06", results
+        rows.append((abs(a.value - b.value) / abs(a.value), [a, b]))
+    yield "cauchy_saalschutz", 1e-6, rows
 
-
-def _check_sign_pattern(cfg):
-    ok = True
-    results = []
+    # Gamma(-z) has the sign (-1)^(n+1) on (n, n + 1): deviation 0, or 2
+    rows = []
     z = 0.1
     while z < 4.95:
-        n = math.floor(z)
-        expected = (-1.0) ** (n + 1)
         gv = gamma_negative(z, cfg)
-        if math.copysign(1.0, gv.value) != expected:
-            ok = False
-        results.append(gv)
+        expected = (-1.0) ** (math.floor(z) + 1)
+        rows.append((abs(math.copysign(1.0, gv.value) - expected), [gv]))
         z += 0.2
-    return "gamma_negative_sign_pattern", ok, "sign (-1)^(n+1) on each unit interval", results
+    yield "gamma_negative_sign_pattern", 0.0, rows
 
+    zeros = [recip_gamma(float(m), cfg) for m in (0, -1, -2, -3)]
+    yield "entire_function_zeros", 0.0, [(abs(gv.value), [gv]) for gv in zeros]
 
-def _check_zeros(cfg):
-    results = [recip_gamma(float(m), cfg) for m in (0, -1, -2, -3)]
-    ok = all(gv.value == 0.0 for gv in results)
-    return "entire_function_zeros", ok, "exact zeros at 0, -1, -2, -3", results
-
-
-def _check_hankel_agreement(cfg):
-    results = {z: hankel_recip_gamma(z, HankelContour(), cfg) for z in (0.5, 1.5, 3.3)}
-    worst = max(abs(gv.value - recip_gamma(z, cfg).value) for z, gv in results.items())
-    return (
-        "hankel_real_axis_agreement", worst <= 1e-6, f"max_dre={worst:.3e}", results.values()
-    )
-
-
-def _check_contour_invariance(cfg):
-    worst = 0.0
-    results = []
+    if not hankel:
+        return
+    rows = []
     for z in (0.5, 1.5, 3.3):
-        row = [
+        contour, real = hankel_recip_gamma(z, HankelContour(), cfg), recip_gamma(z, cfg)
+        rows.append((abs(contour.value - real.value), [contour, real]))
+    yield "hankel_real_axis_agreement", 1e-6, rows
+
+    rows = []
+    for z in (0.5, 1.5, 3.3):
+        gvs = [
             hankel_recip_gamma(z, HankelContour(delta=delta, r0=r0), cfg)
             for delta in (2.0, 2.5, 3.0)
             for r0 in (0.25, 0.5, 1.0)
         ]
-        vals = [gv.value for gv in row]
-        worst = max(worst, (max(vals) - min(vals)) / abs(vals[0]))
-        results += row
-    return "hankel_contour_invariance", worst <= 1e-6, f"max_spread={worst:.3e}", results
+        vals = [gv.value for gv in gvs]
+        rows.append(((max(vals) - min(vals)) / abs(vals[0]), gvs))
+    yield "hankel_contour_invariance", 1e-6, rows
 
 
 def cmd_verify(args) -> int:
-    cfg = _config(args)
-    checks = [
-        _check_recurrence,
-        _check_reflection,
-        _check_gamma_ratio,
-        _check_equivalence,
-        _check_cauchy_saalschutz,
-        _check_sign_pattern,
-        _check_zeros,
-    ]
-    if args.hankel:
-        checks += [_check_hankel_agreement, _check_contour_invariance]
     all_ok = True
-    for check in checks:
-        name, ok, detail, results = check(cfg)
+    for name, tol, rows in _checks(_config(args), args.hankel):
+        ok = all(dev <= tol for dev, _ in rows)
+        line = f"{name} max_dev={max(dev for dev, _ in rows):.3e} tol={tol:g}"
         # a result that missed its tolerance fails the check and is named
-        if any(gv.condition_flag is ConditionFlag.TOLERANCE_NOT_MET for gv in results):
+        flags = {gv.condition_flag for _, gvs in rows for gv in gvs}
+        if ConditionFlag.TOLERANCE_NOT_MET in flags:
             ok = False
-            detail += f" flag={ConditionFlag.TOLERANCE_NOT_MET.value}"
+            line += f" flag={ConditionFlag.TOLERANCE_NOT_MET.value}"
         all_ok &= ok
-        print(f"{'PASS' if ok else 'FAIL'} {name} {detail}")
+        print(f"{'PASS' if ok else 'FAIL'} {line}")
     return 0 if all_ok else 1
 
 
@@ -354,8 +346,7 @@ def cmd_bench(args) -> int:
     step = args.step if args.step is not None else _BENCH_GRID[2]
     span = (hi - lo) / step if step > 0 else math.nan
     if not lo <= hi or not math.isfinite(span):
-        print("regamma: error: need step > 0 and finite min <= max", file=sys.stderr)
-        return 1
+        raise RegammaError("need step > 0 and finite min <= max")
     # the grid is indexed, not accumulated, so a step below the spacing of
     # floats near z still ends it
     grid = [lo + i * step for i in range(math.floor(span + 1e-12) + 1)]
@@ -384,8 +375,7 @@ def cmd_bench(args) -> int:
             with open(args.csv, "w", encoding="utf-8", newline="") as fh:
                 fh.write("\n".join(csv_lines) + "\n")
         except OSError as exc:
-            print(f"regamma: error: cannot write {args.csv}: {exc}", file=sys.stderr)
-            return 1
+            raise RegammaError(f"cannot write {args.csv}: {exc}") from exc
     print(table)
     return 0
 
@@ -400,13 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate one argument")
     p_eval.add_argument("z", type=float)
-    p_eval.add_argument(
-        "--fn",
-        default="recip-gamma",
-        choices=["recip-gamma", "gamma", "gamma-neg", "recip-gamma-neg",
-                 "gamma-ratio", "inv-laplace"],
-    )
-    p_eval.add_argument("--method", default="real", choices=sorted(_METHODS))
+    p_eval.add_argument("--fn", default="recip-gamma", choices=list(_FUNCTIONS))
+    p_eval.add_argument("--method", default=None, choices=sorted(_METHODS))
     p_eval.add_argument("--eps-rel", type=float, default=None)
     p_eval.add_argument("--b", type=float, default=None, help="denominator for gamma-ratio")
     p_eval.add_argument("--t", type=float, default=1.0, help="time for inv-laplace")
@@ -418,10 +403,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--max", type=float, default=None)
     p_sweep.add_argument("--step", type=float, default=None)
     p_sweep.add_argument(
-        "--fn", default="recip-gamma",
-        choices=["recip-gamma", "gamma-neg", "recip-gamma-neg"],
+        "--fn",
+        default="recip-gamma",
+        choices=[name for name, fn in _FUNCTIONS.items() if fn.of_z_alone],
     )
-    p_sweep.add_argument("--method", default="real", choices=sorted(_METHODS))
+    p_sweep.add_argument("--method", default=None, choices=sorted(_METHODS))
     p_sweep.add_argument("--eps-rel", type=float, default=None)
     p_sweep.add_argument("--out", required=True)
     p_sweep.set_defaults(func=cmd_sweep)

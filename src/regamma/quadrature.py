@@ -19,10 +19,10 @@ so that stretch is summed term by term (origin_closed_form): every power
 of x it integrates is x^{k-z} with k - z > -1, and the algebraic x^{-frac}
 endpoint singularity becomes the exact factor 1/(1 - frac).  The routes
 differ only in their change of variables on [split, R], and each is a
-function of the argument alone that returns segments (integrand, a, b,
-seeds) over the shared split and radius: real_axis_segments (t = log x,
-smooth enough for two panels, the default), power_subst_segments
-(v = (x^z - 1)/z) and log_form_segments (u = e^{-x}).
+function of the argument alone that returns that stretch as one segment
+(integrand, a, b, seeds) over the shared split and radius:
+real_axis_segments (t = log x, smooth enough for two panels, the default),
+power_subst_segments (v = (x^z - 1)/z) and log_form_segments (u = e^{-x}).
 
 At order n = 0 the polynomial is empty and I(1 - A) is Euler's integral
 for Gamma(A), A > 0, and the origin series is the lower incomplete gamma
@@ -418,11 +418,11 @@ def propagate(
     return IntegralResult(value, err, evaluations, flag)
 
 
-# One stretch of a route's integral: (integrand, a, b, panel seeds).
+# A route's middle stretch [split, R]: (integrand, a, b, panel seeds).
 Segment = tuple[Callable[[float], float], float, float, Sequence[float]]
 
 
-def real_axis_segments(arg: ArgDecomposition) -> list[Segment]:
+def real_axis_segments(arg: ArgDecomposition) -> Segment:
     """The real-axis route: the stretch [split, R] in t = log x.
 
     dx = x dt turns the integrand into (e^{-x} - e_{n-1}(-x)) x^{1-z} at
@@ -436,10 +436,10 @@ def real_axis_segments(arg: ArgDecomposition) -> list[Segment]:
         return exp_remainder(-math.exp(t), n) * math.exp(expo * t)
 
     lo, hi = math.log(_SPLIT_POINT), math.log(_TAIL_RADIUS)
-    return [(middle, lo, hi, [0.5 * (lo + hi)])]
+    return middle, lo, hi, [0.5 * (lo + hi)]
 
 
-def power_subst_segments(arg: ArgDecomposition) -> list[Segment]:
+def power_subst_segments(arg: ArgDecomposition) -> Segment:
     """The power-substitution route: [split, R] in v = (x^z - 1)/z, the
     power substitution u = x^z shifted and scaled.
 
@@ -458,10 +458,10 @@ def power_subst_segments(arg: ArgDecomposition) -> list[Segment]:
     split, R = _SPLIT_POINT, _TAIL_RADIUS
     lo, hi = (math.expm1(z * math.log(x)) / z for x in (split, R))
     seeds = [(u - 1.0) / z for u in geometric_breakpoints(split**z, R**z)]
-    return [(middle, lo, hi, seeds)]
+    return middle, lo, hi, seeds
 
 
-def log_form_segments(arg: ArgDecomposition) -> list[Segment]:
+def log_form_segments(arg: ArgDecomposition) -> Segment:
     """The log-form route: [split, R] folded onto the unit interval by
     u = e^{-x}.
 
@@ -476,29 +476,31 @@ def log_form_segments(arg: ArgDecomposition) -> list[Segment]:
         return kernel_ratio(x, n) * math.exp(-frac * math.log(x)) / u
 
     u1, u0 = math.exp(-_SPLIT_POINT), math.exp(-_TAIL_RADIUS)
-    return [(middle, u0, u1, geometric_breakpoints(u0, u1))]
+    return middle, u0, u1, geometric_breakpoints(u0, u1)
 
 
 def integrate_regularized_kernel(
     arg: ArgDecomposition,
     cfg: QuadratureConfig | None = None,
-    segments: Callable[[ArgDecomposition], Sequence[Segment]] = real_axis_segments,
+    segments: Callable[[ArgDecomposition], Segment] = real_axis_segments,
 ) -> IntegralResult:
     """I(z) = int_0^inf (e^{-x} - e_{n-1}(-x)) x^{-z} dx with n = arg.n.
 
     origin_closed_form sums the stretch [0, split].  segments(arg) states
-    a route's change of variables: the stretches that together cover x in
+    a route's change of variables: the segment that covers x in
     [split, R], by default on the real axis.  The closed-form polynomial
-    tail and the exponential tail follow them, in that order; each
+    tail and the exponential tail follow it, in that order; each
     integrated part gets half the tolerance, and the sum is checked
     against the whole of it.
     """
     cfg = cfg or QuadratureConfig()
     sub = replace(cfg, eps_rel=cfg.eps_rel / 2.0)
-    parts = [origin_closed_form(arg, _SPLIT_POINT)] + [
-        integrate_finite(f, a, b, sub, seeds) for f, a, b, seeds in segments(arg)
+    f, a, b, seeds = segments(arg)
+    parts = [
+        origin_closed_form(arg, _SPLIT_POINT),
+        integrate_finite(f, a, b, sub, seeds),
+        polynomial_tail_closed_form(arg, _TAIL_RADIUS),
     ]
-    parts.append(polynomial_tail_closed_form(arg, _TAIL_RADIUS))
     rest = sum(p.value for p in parts)
     parts.append(exponential_tail(arg.z, _TAIL_RADIUS, sub, rest))
     return combine(parts, eps_rel=cfg.eps_rel)

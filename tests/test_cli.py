@@ -1,5 +1,6 @@
 import io
 import math
+import re
 import sys
 
 import pytest
@@ -271,6 +272,80 @@ class TestSweep:
         assert "/nonexistent/dir/x.csv" in err
 
 
+class TestMethodContract:
+    """--method is honoured by the function it names, or refused."""
+
+    def test_sweep_method_column_is_the_route(self, capsys, tmp_path):
+        out_path = tmp_path / "fig1.csv"
+        code, _, _ = run(
+            capsys, "sweep", "--preset", "fig1", "--method", "hankel", "--out", str(out_path)
+        )
+        assert code == 0
+        rows = [l.split(",") for l in out_path.read_text().splitlines()[1:]]
+        assert len(rows) == 120
+        assert {method for _, _, _, method, _ in rows} == {"hankel"}
+
+    def test_recip_gamma_neg_honours_the_method(self, capsys):
+        values = {}
+        for method in ("power", "real"):
+            argv = ("eval", "2.5", "--fn", "recip-gamma-neg", "--method", method)
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            values[method] = float(out.splitlines()[0].split("=")[1])
+            if method == "power":
+                assert "method = power_subst" in out
+        assert abs(values["power"] - values["real"]) <= 1e-7
+
+    def test_recip_gamma_neg_zeros_are_exact(self, capsys):
+        code, out, _ = run(capsys, "eval", "2", "--fn", "recip-gamma-neg", "--method", "log")
+        assert code == 0
+        assert "value  = 0\n" in out
+        assert "method = log_form" in out
+        assert "flag   = exact" in out
+
+    @pytest.mark.parametrize(
+        "argv, accepted",
+        [
+            (("eval", "2.5", "--fn", "gamma-ratio", "--b", "3", "--method", "hankel"), "real"),
+            (("eval", "1.5", "--fn", "inv-laplace", "--method", "real"), "hankel"),
+            (("eval", "0.5", "--fn", "gamma-neg", "--method", "power"), "real, cs"),
+            (("sweep", "--preset", "fig4", "--method", "log"), "real, cs"),
+        ],
+        ids=["gamma-ratio", "inv-laplace", "gamma-neg", "sweep-fig4"],
+    )
+    def test_refused_method_is_one_error_line(self, capsys, tmp_path, argv, accepted):
+        out_path = tmp_path / "refused.csv"
+        if argv[0] == "sweep":
+            argv += ("--out", str(out_path))
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("regamma: error: ") and err.count("\n") == 1
+        assert err.rstrip("\n").endswith(f"it takes {accepted}")
+        assert not out_path.exists()
+
+    def test_defaults_do_not_move(self, capsys):
+        code, out, _ = run(capsys, "eval", "1.5", "--fn", "inv-laplace")
+        assert code == 0
+        assert "method = hankel" in out
+        code, out, _ = run(capsys, "eval", "170.3", "--fn", "gamma-neg", "--method", "cs")
+        assert code == 0
+        assert "method = cauchy_saalschutz" in out
+
+    def test_sweep_takes_every_function_of_z_alone(self, capsys, tmp_path):
+        out_path = tmp_path / "gamma.csv"
+        code, _, _ = run(
+            capsys, "sweep", "--min", "0", "--max", "2", "--step", "0.5", "--fn", "gamma",
+            "--out", str(out_path),
+        )
+        assert code == 0
+        rows = [l.split(",") for l in out_path.read_text().splitlines()[1:]]
+        assert [flag for *_, flag in rows] == ["ok", "exact", "ok", "exact"]
+        assert float(rows[0][1]) == pytest.approx(math.sqrt(math.pi), rel=1e-8)
+        with pytest.raises(SystemExit):
+            main(["sweep", "--preset", "fig1", "--fn", "gamma-ratio", "--out", str(out_path)])
+
+
 class TestVerify:
     def test_default_suite_passes(self, capsys):
         code, out, _ = run(capsys, "verify")
@@ -296,6 +371,26 @@ class TestVerify:
         fails = [l for l in out.splitlines() if l.startswith("FAIL hankel_")]
         assert len(fails) == 2
         assert all("flag=tolerance_not_met" in l for l in fails)
+
+    def test_report_lines(self, capsys):
+        code, out, _ = run(capsys, "verify", "--hankel")
+        assert code == 0
+        lines = out.splitlines()
+        assert [l.split()[1] for l in lines] == [
+            "recurrence",
+            "reflection",
+            "gamma_ratio_recurrence",
+            "representation_equivalence",
+            "cauchy_saalschutz",
+            "gamma_negative_sign_pattern",
+            "entire_function_zeros",
+            "hankel_real_axis_agreement",
+            "hankel_contour_invariance",
+        ]
+        pattern = re.compile(
+            r"^(PASS|FAIL) [a-z_]+ max_dev=\S+ tol=\S+( flag=tolerance_not_met)?$"
+        )
+        assert all(pattern.match(l) for l in lines), lines
 
     def test_real_line_flag_fails_the_check(self, capsys):
         # below the round-off floor the real-line results are not ok either
