@@ -56,6 +56,8 @@ _METHODS = {
     "hankel": MethodTag.HANKEL,
 }
 
+_NAMES = {tag: name for name, tag in _METHODS.items()}
+
 _PRESETS = {
     # z_min, z_max, step, function
     "fig1": (0.0, 6.0, 0.05, "recip-gamma-neg"),
@@ -70,11 +72,27 @@ _NEGATIVE_FLOAT = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """A sweep of fn under method over the grid of _sweep_grid.
+
+    A spec is checked once, when it is made, for the CLI and run_sweep
+    alike: fn must be a function of z alone, method one that fn takes, and
+    the grid finite.  Each refusal is a RegammaError that names what is
+    accepted.
+    """
+
     z_min: float
     z_max: float
     step: float
     fn: str
     method: MethodTag
+
+    def __post_init__(self) -> None:
+        if self.fn not in _SWEPT:
+            raise RegammaError(f"sweep does not take --fn {self.fn}; it takes {', '.join(_SWEPT)}")
+        _method(self.fn, _NAMES[self.method])
+        span = self.z_max - self.z_min
+        if not self.step > 0 or not span > 0 or not math.isfinite(span):
+            raise RegammaError("need step > 0 and finite min < max")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -152,6 +170,9 @@ _FUNCTIONS = {
         of_z_alone=False,
     ),
 }
+
+# the functions that sweep takes
+_SWEPT = [name for name, function in _FUNCTIONS.items() if function.of_z_alone]
 
 
 def _method(fn: str, name: str | None) -> MethodTag:
@@ -237,8 +258,6 @@ def cmd_sweep(args) -> int:
         if args.min is None or args.max is None or args.step is None:
             raise RegammaError("sweep needs --preset or all of --min/--max/--step")
         z_min, z_max, step, fn = args.min, args.max, args.step, args.fn
-    if not step > 0 or not z_min < z_max or not math.isfinite(z_max - z_min):
-        raise RegammaError("need step > 0 and finite min < max")
     spec = SweepSpec(z_min, z_max, step, fn, _method(fn, args.method))
     try:
         run_sweep(spec, cfg, args.out)
@@ -402,11 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--min", type=float, default=None)
     p_sweep.add_argument("--max", type=float, default=None)
     p_sweep.add_argument("--step", type=float, default=None)
-    p_sweep.add_argument(
-        "--fn",
-        default="recip-gamma",
-        choices=[name for name, fn in _FUNCTIONS.items() if fn.of_z_alone],
-    )
+    p_sweep.add_argument("--fn", default="recip-gamma", choices=_SWEPT)
     p_sweep.add_argument("--method", default=None, choices=sorted(_METHODS))
     p_sweep.add_argument("--eps-rel", type=float, default=None)
     p_sweep.add_argument("--out", required=True)

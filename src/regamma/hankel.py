@@ -50,9 +50,11 @@ some 1e-37 of the result, would not meet a relative tolerance.
 
 Every segment is integrated by the same adaptive engine as the real-line
 routes (quadrature.integrate_finite, with complex values) and the segments
-are summed by quadrature.combine.  A contour is set by delta and r0 alone:
-the truncation radius follows from the decay rate on the rays, and each
-segment gets the same node budget.
+are summed by quadrature.combine, the bound on the exponential tail left
+out being one more part.  A contour is set by delta and r0 alone: the
+truncation radius follows from the decay rate on the rays, and each
+segment gets the same share of the tolerance and the engine's one
+bisection budget.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ from .quadrature import (
 )
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
-# adaptive subdivisions allowed per segment, and ray panels per layout
+# ray panels per layout
 _NODES = 128
 
 # The route's trapezoid rule: z is moved into [8, 9) by the recurrence
@@ -172,7 +174,7 @@ def _ray_breakpoints(r0: float, R: float, width_cap: float) -> list[float]:
 
 
 def _segment_config(cfg: QuadratureConfig) -> QuadratureConfig:
-    return replace(cfg, eps_rel=cfg.eps_rel / 8.0, max_subdivisions=_NODES)
+    return QuadratureConfig(cfg.eps_rel / 8.0)
 
 
 def _arc(order: int, z: float, contour: HankelContour, sub: QuadratureConfig) -> IntegralResult:
@@ -223,7 +225,8 @@ def _contour_eval(
     # the exponential part of the ray beyond R is at most
     # e^{R cos delta} R^{-z} / |cos delta| (z > 0); it is skipped when that
     # bound is negligible, else integrated over one stretch and the
-    # remainder past it bounded the same way
+    # remainder past it bounded the same way; what is left out is a part
+    # of value 0 with the bound as its error
     neglect = math.exp(R * math.cos(delta) - z * math.log(R)) / decay
     if not tail_negligible(neglect, sub, sum(p.value for p in parts)):
         span = 50.0 / decay
@@ -235,7 +238,8 @@ def _contour_eval(
 
     # each part meets its own tolerance, but the parts can cancel (the
     # value is about z as z -> 0), so the sum is checked as well
-    raw = combine(parts, extra_error=neglect, eps_rel=cfg.eps_rel)
+    parts.append(IntegralResult(0.0, neglect, 0))
+    raw = combine(parts, cfg.eps_rel)
     return replace(
         raw, value=raw.value / math.pi, abs_error_estimate=raw.abs_error_estimate / math.pi
     )
@@ -281,10 +285,7 @@ def arc_contribution(
 
 
 def inverse_laplace(
-    k: float,
-    t: float,
-    contour: None = None,
-    cfg: QuadratureConfig | None = None,
+    k: float, t: float, cfg: QuadratureConfig | None = None
 ) -> gamma_core.GammaValue:
     """Invert Gamma(k+1)/s^{k+1} at time t; the exact answer is t^k.
 
@@ -297,12 +298,9 @@ def inverse_laplace(
     reciprocal cancel first and the value overflows only where t^k itself
     does.  The result's record is that of the product: the relative errors
     of 1/Gamma(w) and of Gamma(w) add to those of its three roundings, and
-    the flag is decided against cfg.eps_rel.  The third argument takes no
-    contour; it must be None.
+    the flag is decided against cfg.eps_rel.
     """
     decompose(k)
-    if contour is not None:
-        raise TypeError(f"inverse_laplace takes no contour, got {contour!r}")
     if not 0.0 < t < math.inf:
         raise ValueError(f"time must be finite and > 0, got {t!r}")
     cfg = cfg or QuadratureConfig()
@@ -321,5 +319,10 @@ def inverse_laplace_monomial(
     contour: None = None,
     cfg: QuadratureConfig | None = None,
 ) -> float:
-    """The value of inverse_laplace: t^k from the contour integral."""
-    return inverse_laplace(k, t, contour, cfg).value
+    """The value of inverse_laplace: t^k from the contour integral.
+
+    The third argument takes no contour; it must be None.
+    """
+    if contour is not None:
+        raise TypeError(f"inverse_laplace_monomial takes no contour, got {contour!r}")
+    return inverse_laplace(k, t, cfg).value

@@ -4,8 +4,10 @@ integrate_finite is the package's only adaptive engine: an embedded 7/15
 Gauss-Kronrod pair with worst-panel bisection and the classical QUADPACK
 error scaling.  It takes real or complex integrands alike, so the same
 engine sums the real-line parts below and the Hankel contour segments.
-Like QUADPACK's round-off detection it stops bisecting once the panels'
-round-off floors alone exceed the target, and flags the result.
+Its only setting is the relative tolerance (QuadratureConfig); every
+integral may bisect at most _MAX_BISECTIONS panels.  Like QUADPACK's
+round-off detection it stops bisecting once the panels' round-off floors
+alone exceed the target, and flags the result.
 combine() sums the parts of a composite integral and decides its flag:
 tolerance_not_met when a part, or the sum checked against eps_rel, misses
 its tolerance, otherwise ok.  propagate() gives the same record, decided
@@ -53,7 +55,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Sequence
 
-from .kernel import ArgDecomposition, exp_remainder, kernel_ratio
+from .kernel import ArgDecomposition, exp_remainder
 
 # 7/15 Gauss-Kronrod abscissae and weights (positive half; node 0 last).
 # Odd-indexed abscissae carry the embedded 7-point Gauss rule.
@@ -104,6 +106,10 @@ _EXP_TAIL_SPAN = 60.0
 # tolerance on the rest of the integral is skipped, its bound kept as error.
 _TAIL_NEGLIGIBLE = 0.01
 
+# Bisections integrate_finite may make in one integral before it flags
+# the result.
+_MAX_BISECTIONS = 128
+
 # At the round-off floor, integrate_finite refines until its estimate is
 # within this factor of the floor sum, then stops.
 _FLOOR_MARGIN = 2.0
@@ -116,16 +122,17 @@ class ConditionFlag(str, Enum):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and budgets for the adaptive engine."""
+    """The relative tolerance of an evaluation, in (0, 1).
+
+    It is the engine's one setting: the split, the radii and the bisection
+    budget are constants of this module.
+    """
 
     eps_rel: float = 1e-8
-    max_subdivisions: int = 200
 
     def __post_init__(self) -> None:
         if not 0.0 < self.eps_rel < 1.0:
             raise ValueError(f"eps_rel must be in (0, 1), got {self.eps_rel!r}")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -202,8 +209,8 @@ def integrate_finite(
     Optional breakpoints seed the initial panel layout (useful for
     integrands living on many length scales); they must lie inside (a, b).
     The worst panel is bisected until the summed error estimate meets
-    max(EPS_ABS, eps_rel * |value|) or the subdivision budget runs out,
-    in which case the best value is returned with the flag set.
+    max(EPS_ABS, eps_rel * |value|) or _MAX_BISECTIONS bisections are
+    spent, in which case the best value is returned with the flag set.
 
     No panel's estimate falls below its round-off floor (see _gk15), so
     once the floors alone sum past the target, bisection cannot meet it:
@@ -239,7 +246,7 @@ def integrate_finite(
             # at the round-off floor: further bisection cannot certify
             flag = ConditionFlag.TOLERANCE_NOT_MET
             break
-        if nsub >= cfg.max_subdivisions:
+        if nsub >= _MAX_BISECTIONS:
             flag = ConditionFlag.TOLERANCE_NOT_MET
             break
         worst = max(panels, key=lambda p: p[0])
@@ -371,21 +378,20 @@ def exponential_tail(z: float, X: float, cfg: QuadratureConfig, rest: float) -> 
     return replace(res, abs_error_estimate=res.abs_error_estimate + bound)
 
 
-def combine(
-    parts: Sequence[IntegralResult], extra_error: float = 0.0, eps_rel: float | None = None
-) -> IntegralResult:
+def combine(parts: Sequence[IntegralResult], eps_rel: float) -> IntegralResult:
     """The sum of the parts of a composite integral, and its flag.
 
-    Values, error estimates and evaluations add up in the order given.
-    extra_error is a bound on what the parts leave out.  The flag is
-    tolerance_not_met if any part missed its tolerance, or, given eps_rel,
-    if the summed estimate exceeds eps_rel times the sum (the parts can
-    cancel); otherwise ok.
+    Values, error estimates and evaluations add up in the order given.  A
+    stretch left out under its bound is a part too, of value 0 with the
+    bound as its error (as exponential_tail returns it).  The flag is
+    tolerance_not_met if any part missed its tolerance, or if the summed
+    estimate exceeds eps_rel times the sum (the parts can cancel);
+    otherwise ok.
     """
     value = sum(p.value for p in parts)
-    err = sum(p.abs_error_estimate for p in parts) + extra_error
+    err = sum(p.abs_error_estimate for p in parts)
     missed = any(p.condition_flag is ConditionFlag.TOLERANCE_NOT_MET for p in parts) or (
-        eps_rel is not None and err > eps_rel * abs(value)
+        err > eps_rel * abs(value)
     )
     flag = ConditionFlag.TOLERANCE_NOT_MET if missed else ConditionFlag.OK
     return IntegralResult(value, err, sum(p.evaluations for p in parts), flag)
@@ -465,15 +471,16 @@ def log_form_segments(arg: ArgDecomposition) -> Segment:
     """The log-form route: [split, R] folded onto the unit interval by
     u = e^{-x}.
 
-    There the integrand is (1 - e_{n-1}(log u)/u) / (log(1/u))^z, whose
-    numerator is the exponential remainder at log u, so it is evaluated
-    through the cancellation-safe kernel_ratio, over [e^{-R}, e^{-split}].
+    With x = -log u, dx = -du/u, the integrand is
+    (e^{-x} - e_{n-1}(-x)) x^{-z} / u over [e^{-R}, e^{-split}]: the
+    kernel's exponential remainder, as on the other routes.  The exponent
+    -z is built from n and frac, as in the origin series.
     """
-    n, frac = arg.n, arg.frac
+    n, expo = arg.n, -arg.n - arg.frac
 
     def middle(u: float) -> float:
         x = -math.log(u)
-        return kernel_ratio(x, n) * math.exp(-frac * math.log(x)) / u
+        return exp_remainder(-x, n) * math.exp(expo * math.log(x)) / u
 
     u1, u0 = math.exp(-_SPLIT_POINT), math.exp(-_TAIL_RADIUS)
     return middle, u0, u1, geometric_breakpoints(u0, u1)
@@ -494,7 +501,7 @@ def integrate_regularized_kernel(
     against the whole of it.
     """
     cfg = cfg or QuadratureConfig()
-    sub = replace(cfg, eps_rel=cfg.eps_rel / 2.0)
+    sub = QuadratureConfig(cfg.eps_rel / 2.0)
     f, a, b, seeds = segments(arg)
     parts = [
         origin_closed_form(arg, _SPLIT_POINT),
@@ -503,4 +510,4 @@ def integrate_regularized_kernel(
     ]
     rest = sum(p.value for p in parts)
     parts.append(exponential_tail(arg.z, _TAIL_RADIUS, sub, rest))
-    return combine(parts, eps_rel=cfg.eps_rel)
+    return combine(parts, cfg.eps_rel)

@@ -137,7 +137,7 @@ def test_criterion_6_regularization_necessity():
     arc_ok = raw_slope <= 0.0 and reg_slope > 0.25
 
     # (b) the unregularized semi-infinite integral diverges under refinement
-    cfg = QuadratureConfig(eps_rel=1e-10, max_subdivisions=400)
+    cfg = QuadratureConfig(eps_rel=1e-10)
     raw_vals = []
     reg_vals = []
     for eps in (1e-2, 1e-4, 1e-6):

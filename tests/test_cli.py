@@ -5,7 +5,10 @@ import sys
 
 import pytest
 
-from regamma.cli import main
+from regamma.cli import SweepSpec, main, run_sweep
+from regamma.errors import RegammaError
+from regamma.gamma_core import MethodTag
+from regamma.quadrature import QuadratureConfig
 
 
 def run(capsys, *argv):
@@ -271,6 +274,23 @@ class TestSweep:
         assert code == 1
         assert "/nonexistent/dir/x.csv" in err
 
+    @pytest.mark.parametrize(
+        "fn, method, step, accepted",
+        [
+            ("gamma-neg", MethodTag.HANKEL, 0.25, "it takes real, cs"),
+            ("gamma-ratio", MethodTag.REAL_AXIS, 0.25,
+             "it takes recip-gamma, gamma, gamma-neg, recip-gamma-neg"),
+            ("recip-gamma", MethodTag.REAL_AXIS, 0.0, "step > 0 and finite min < max"),
+        ],
+        ids=["gamma-neg-hankel", "gamma-ratio", "zero-step"],
+    )
+    def test_library_sweep_checks_its_spec(self, tmp_path, fn, method, step, accepted):
+        # run_sweep takes only specs that the CLI would accept
+        out_path = tmp_path / "spec.csv"
+        with pytest.raises(RegammaError, match=accepted):
+            run_sweep(SweepSpec(0.0, 1.0, step, fn, method), QuadratureConfig(), str(out_path))
+        assert not out_path.exists()
+
 
 class TestMethodContract:
     """--method is honoured by the function it names, or refused."""
@@ -455,6 +475,15 @@ class TestBench:
         assert code == 1
         assert out == ""
         assert err.startswith("regamma: error:") and err.count("\n") == 1
+
+    def test_unwritable_csv_is_one_error_line(self, capsys, tmp_path):
+        csv_path = tmp_path / "missing" / "bench.csv"
+        code, out, err = run(
+            capsys, "bench", "--min", "0.5", "--max", "0.5", "--step", "1", "--csv", str(csv_path)
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"regamma: error: cannot write {csv_path}") and err.count("\n") == 1
 
 
 class TestBrokenPipe:

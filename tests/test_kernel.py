@@ -53,6 +53,10 @@ class TestTruncatedExp:
     def test_degree_one(self):
         assert truncated_exp(-2.0, 1) == -1.0
 
+    def test_order_below_minus_one_rejected(self):
+        with pytest.raises(ValueError):
+            truncated_exp(1.0, -2)
+
     def test_empty_convention(self):
         assert truncated_exp(7.3, -1) == 0.0
 
@@ -81,6 +85,10 @@ class TestExpRemainder:
     def test_order_zero_is_exp(self):
         for x in (-3.0, 0.7, 10.0):
             assert exp_remainder(x, 0) == math.exp(x)
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError):
+            exp_remainder(1.0, -1)
 
     def test_zero_argument(self):
         for n in (1, 2, 7):

@@ -56,11 +56,25 @@ class TestIntegrateFinite:
         seeded = integrate_finite(f, 0.0, 4.0, CFG, breakpoints=[0.5, 1.0, 2.0])
         assert plain.value == pytest.approx(seeded.value, rel=1e-11)
 
-    def test_budget_exhaustion_signals_not_raises(self):
-        cfg = QuadratureConfig(eps_rel=1e-15, max_subdivisions=3)
+    def test_budget_exhaustion_signals_not_raises(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_MAX_BISECTIONS", 3)
+        cfg = QuadratureConfig(eps_rel=1e-15)
         res = integrate_finite(lambda x: math.sqrt(x), 0.0, 1.0, cfg)
         assert res.condition_flag is ConditionFlag.TOLERANCE_NOT_MET
         assert res.value == pytest.approx(2.0 / 3.0, rel=1e-3)
+
+    def test_resolution_stop_signals_not_raises(self):
+        # a step at x = 1 on a stretch 6 ulp(1) wide: bisection reaches
+        # panels one ulp wide, whose midpoint rounds onto an end, long
+        # before the budget, and the step keeps their estimate far above
+        # the round-off floor
+        u = math.ulp(1.0)
+        cfg = QuadratureConfig(eps_rel=1e-15)
+        res = integrate_finite(lambda x: float(x >= 1.0), 1.0 - 2.0 * u, 1.0 + 4.0 * u, cfg)
+        assert res.condition_flag is ConditionFlag.TOLERANCE_NOT_MET
+        assert math.isfinite(res.value) and math.isfinite(res.abs_error_estimate)
+        assert res.abs_error_estimate > 1e-3 * abs(res.value)
+        assert res.evaluations < 15 + 30 * quadrature._MAX_BISECTIONS
 
     def test_result_invariants(self):
         res = integrate_finite(lambda x: math.exp(-x * x), 0.0, 3.0, CFG)
@@ -228,6 +242,10 @@ class TestOriginClosedForm:
 
 
 class TestPolynomialTail:
+    def test_radius_must_be_positive(self):
+        with pytest.raises(ValueError):
+            polynomial_tail_closed_form(decompose(1.5), 0.0)
+
     def test_empty_for_n_zero(self):
         assert polynomial_tail_closed_form(decompose(0.5), 10.0).value == 0.0
 
@@ -389,6 +407,10 @@ class TestConfigValidation:
     def test_bad_eps_rel(self):
         with pytest.raises(ValueError):
             QuadratureConfig(eps_rel=2.0)
+
+    def test_geometric_breakpoints_need_a_positive_start(self):
+        with pytest.raises(ValueError):
+            geometric_breakpoints(0.0, 1.0)
 
     def test_geometric_breakpoints_inside(self):
         pts = geometric_breakpoints(1.0, 36.0)
