@@ -14,7 +14,6 @@ from .gamma_core import (
     GammaValue,
     MethodTag,
     gamma,
-    gamma_cauchy_saalschutz,
     gamma_negative,
     gamma_ratio,
     recip_gamma,
@@ -64,7 +63,6 @@ __all__ = [
     "decompose",
     "exp_remainder",
     "gamma",
-    "gamma_cauchy_saalschutz",
     "gamma_negative",
     "gamma_ratio",
     "hankel_recip_gamma",

@@ -4,7 +4,7 @@ and benchmarking.
 Each --fn takes the --method values named here, the first being its
 default: recip-gamma, gamma and recip-gamma-neg (1/Gamma(-z), exact zeros
 at the non-negative integers) take real, power, log, cs and hankel;
-gamma-neg takes real (gamma_negative) and cs (gamma_cauchy_saalschutz);
+gamma-neg (gamma_negative, Gamma(-z)) takes real and cs;
 gamma-ratio takes real alone, and inv-laplace hankel alone.  A --method
 that the function does not take is refused with one error line that names
 the ones it does (exit 1), so the method printed by eval, and the method
@@ -40,7 +40,6 @@ from .gamma_core import (
     GammaValue,
     MethodTag,
     gamma,
-    gamma_cauchy_saalschutz,
     gamma_negative,
     gamma_ratio,
     recip_gamma,
@@ -111,7 +110,7 @@ class _Parser(argparse.ArgumentParser):
 def _default_eps_rel() -> float:
     raw = os.environ.get("REGAMMA_EPS_REL")
     if raw is None:
-        return 1e-8
+        return QuadratureConfig().eps_rel
     try:
         return float(raw)
     except ValueError:
@@ -142,12 +141,6 @@ class _Function(NamedTuple):
     of_z_alone: bool = True
 
 
-def _gamma_neg(z: float, cfg: QuadratureConfig, tag: MethodTag, args) -> GammaValue:
-    if tag is MethodTag.CAUCHY_SAALSCHUTZ:
-        return gamma_cauchy_saalschutz(z, cfg)
-    return gamma_negative(z, cfg)
-
-
 def _gamma_ratio(z: float, cfg: QuadratureConfig, tag: MethodTag, args) -> GammaValue:
     if args.b is None:
         raise RegammaError("--fn gamma-ratio requires --b <denominator>")
@@ -159,7 +152,7 @@ _EVERY_METHOD = tuple(_METHODS)
 _FUNCTIONS = {
     "recip-gamma": _Function(_EVERY_METHOD, lambda z, cfg, tag, args: recip_gamma(z, cfg, tag)),
     "gamma": _Function(_EVERY_METHOD, lambda z, cfg, tag, args: gamma(z, cfg, tag)),
-    "gamma-neg": _Function(("real", "cs"), _gamma_neg),
+    "gamma-neg": _Function(("real", "cs"), lambda z, cfg, tag, args: gamma_negative(z, cfg, tag)),
     "recip-gamma-neg": _Function(
         _EVERY_METHOD, lambda z, cfg, tag, args: recip_gamma(-z, cfg, tag)
     ),
@@ -303,7 +296,7 @@ def _checks(cfg: QuadratureConfig, hankel: bool):
 
     rows = []
     for z in (0.4, 1.6, 2.2, 4.8):
-        a, b = gamma_negative(z, cfg), gamma_cauchy_saalschutz(z, cfg)
+        a, b = gamma_negative(z, cfg), gamma_negative(z, cfg, MethodTag.CAUCHY_SAALSCHUTZ)
         rows.append((abs(a.value - b.value) / abs(a.value), [a, b]))
     yield "cauchy_saalschutz", 1e-6, rows
 

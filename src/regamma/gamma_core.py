@@ -17,14 +17,17 @@ integral, resolved by the hankel module.  The four real-line routes are
 one table from MethodTag to quadrature's segments, the change of variables
 on the middle stretch [1, 36] (cauchy_saalschutz takes the real axis's at
 the raised order); quadrature.integrate_regularized_kernel sums [0, 1] as
-a series, adds the shared tail and decides the flag.  gamma_ratio takes
-both of its factors on the real-axis segments: 1/Gamma(B) by the real_axis
-route, and Gamma(A) as the same integral at order n = 0, I(1 - A), which is
-Euler's integral (for A < 0.01 as Gamma(1 + A)/A, with Gamma(1 + A) =
-I(-A)).  Positive integers use the exact factorial; zero and negative
-integers return the exact zeros of the entire function 1/Gamma.  Negative
-non-integer arguments are routed through one reflection step so the
-quadrature only ever sees z > 0.
+a series, adds the shared tail and decides the flag.  One function,
+_real_line, turns that integral into a value: 1/Gamma(z) on any of the
+four, or Gamma(-z) on real_axis (-I(z)/z) and cauchy_saalschutz (I at the
+raised order itself), which gamma_negative takes as its method.
+gamma_ratio takes both of its factors on the real-axis segments:
+1/Gamma(B) by the real_axis route, and Gamma(A) as the same integral at
+order n = 0, I(1 - A), which is Euler's integral (for A < 0.01 as
+Gamma(1 + A)/A, with Gamma(1 + A) = I(-A)).  Positive integers use the
+exact factorial; zero and negative integers return the exact zeros of the
+entire function 1/Gamma.  Negative non-integer arguments are routed
+through one reflection step so the quadrature only ever sees z > 0.
 
 The cost and the rounding of I(z) grow with its truncation order n = [z]:
 past z of about 65 the closed-form polynomial tail cancels against the
@@ -32,8 +35,8 @@ middle stretch.  So no route sees an argument past 9.  From 9 up, every
 entry point evaluates at w = z - m in [8, 9), m = floor(z) - 8, which is
 exact, and moves back by the recurrence Gamma(x) = (x - 1) Gamma(x - 1)
 (see recurrence): 1/Gamma(z) on every route (the hankel route does so
-inside its trapezoid rule), Gamma(-z) in gamma_negative and
-gamma_cauchy_saalschutz, and Gamma(A)/Gamma(B), with one m for both and
+inside its trapezoid rule), Gamma(-z) in gamma_negative on both of its
+routes, and Gamma(A)/Gamma(B), with one m for both and
 1/Gamma(B - m) shifted once more by recip_gamma.
 
 A GammaValue's quadrature is the record of the value itself, which is
@@ -47,8 +50,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
-from typing import Callable
 
 from .errors import NonPositiveArgument, PoleError, RegammaError, require_finite
 from .kernel import ArgDecomposition, decompose, sinpi
@@ -143,30 +144,28 @@ def recurrence(value: float, x: float, m: int) -> float:
 
 
 def _by_recurrence(
-    z: float,
-    cfg: QuadratureConfig,
-    evaluate: Callable[[float], GammaValue],
-    negative: bool = False,
+    z: float, cfg: QuadratureConfig, method: MethodTag, negative: bool = False
 ) -> GammaValue:
-    """evaluate(z) below 9; from 9 up, evaluate(w) at w = z - m in [8, 9),
-    moved back by the recurrence.
+    """_real_line(z) below 9; from 9 up, _real_line(w) at w = z - m in
+    [8, 9), moved back by the recurrence.
 
-    evaluate gives 1/Gamma, so 1/Gamma(z) = recurrence(1/Gamma(w), z, m),
-    or with negative Gamma(-.), so Gamma(-z) = recurrence(Gamma(-w), -w, m).
-    w and every factor z - j and j - z are exact; each division rounds.
+    That is 1/Gamma(z) = recurrence(1/Gamma(w), z, m), or with negative
+    Gamma(-z) = recurrence(Gamma(-w), -w, m).  w and every factor z - j
+    and j - z are exact; each division rounds.
     """
     m = math.floor(z) - SHIFT_BASE
     if m <= 0:
-        return evaluate(z)
+        return _real_line(z, cfg, method, negative)
     w = z - m
-    base = evaluate(w)
+    base = _real_line(w, cfg, method, negative)
     value = recurrence(base.value, -w if negative else z, m)
     return GammaValue(value, base.method, propagate(value, [base.quadrature], m, cfg.eps_rel))
 
 
 # The real-line routes, by their change of variables on the middle stretch
-# of I(z): 1/Gamma(z) = sin(pi z)/pi * I(z).  cauchy_saalschutz is the real
-# axis at the raised order: 1/Gamma(z) = -z sin(pi z)/pi * Gamma(-z).
+# of I(z): 1/Gamma(z) = sin(pi z)/pi * I(z) and Gamma(-z) = -I(z)/z.
+# cauchy_saalschutz is the real axis at the raised order, where I is
+# Gamma(-z) itself and 1/Gamma(z) = -z sin(pi z)/pi * Gamma(-z).
 _ROUTE_SEGMENTS = {
     MethodTag.REAL_AXIS: real_axis_segments,
     MethodTag.POWER_SUBST: power_subst_segments,
@@ -175,17 +174,28 @@ _ROUTE_SEGMENTS = {
 }
 
 
-def _real_line(
-    value: float, method: MethodTag, res: IntegralResult, cfg: QuadratureConfig
-) -> GammaValue:
-    """value, reached from the real-line integral res by the route's roundings."""
+def _real_line(w: float, cfg: QuadratureConfig, method: MethodTag, negative: bool) -> GammaValue:
+    """1/Gamma(w), or with negative Gamma(-w), on a real-line route, for
+    w > 0 non-integer: the route's integral, scaled and recorded.
+
+    Raises OverflowError where Gamma(-w) exceeds double precision (w below
+    about 5.6e-309).
+    """
+    arg = decompose(w)
+    raised = method is MethodTag.CAUCHY_SAALSCHUTZ
+    if raised:
+        # same frac, order n + 1 = [w + 1]: I is the order-n
+        # regularization of Gamma(-w)
+        arg = ArgDecomposition(z=w + 1.0, n=arg.n + 1, frac=arg.frac)
+    res = integrate_regularized_kernel(arg, cfg, _ROUTE_SEGMENTS[method])
+    if negative:
+        value = res.value if raised else -res.value / w
+        if math.isinf(value):
+            raise OverflowError(f"Gamma({-w!r}) overflows double precision")
+    else:
+        scale = sinpi(w) / math.pi
+        value = (-w * scale if raised else scale) * res.value
     return GammaValue(value, method, propagate(value, [res], _ROUTE_ROUNDING, cfg.eps_rel))
-
-
-def _raised(arg: ArgDecomposition) -> ArgDecomposition:
-    """arg with the truncation order and the power raised by one (same
-    frac, n + 1 = [z + 1]): its I is the order-n regularization of Gamma(-z)."""
-    return ArgDecomposition(z=arg.z + 1.0, n=arg.n + 1, frac=arg.frac)
 
 
 def recip_gamma(
@@ -234,17 +244,7 @@ def recip_gamma(
 
         res = hankel.steepest_descent_recip_gamma(z, cfg)
         return GammaValue(res.value, method, res)
-    return _by_recurrence(z, cfg, partial(_route_recip_gamma, cfg=cfg, method=method))
-
-
-def _route_recip_gamma(z: float, cfg: QuadratureConfig, method: MethodTag) -> GammaValue:
-    """1/Gamma(z) = sin(pi z)/pi I(z) on a real-line route, z > 0 non-integer."""
-    arg = decompose(z)
-    scale = sinpi(z) / math.pi
-    if method is MethodTag.CAUCHY_SAALSCHUTZ:
-        arg, scale = _raised(arg), -z * scale
-    res = integrate_regularized_kernel(arg, cfg, _ROUTE_SEGMENTS[method])
-    return _real_line(scale * res.value, method, res, cfg)
+    return _by_recurrence(z, cfg, method)
 
 
 def recip_gamma_neg_reflection(z: float, cfg: QuadratureConfig | None = None) -> GammaValue:
@@ -256,37 +256,25 @@ def recip_gamma_neg_reflection(z: float, cfg: QuadratureConfig | None = None) ->
     return recip_gamma(-z, cfg)
 
 
-def gamma_negative(z: float, cfg: QuadratureConfig | None = None) -> GammaValue:
-    """Gamma(-z) = -(1/z) int_0^inf (e^{-x} - e_{n-1}(-x)) x^{-z} dx, z > 0.
+def gamma_negative(
+    z: float,
+    cfg: QuadratureConfig | None = None,
+    method: MethodTag = MethodTag.REAL_AXIS,
+) -> GammaValue:
+    """Gamma(-z) for z > 0 non-integer, on the route named by method.
 
-    From z = 9 up, Gamma(-z) = Gamma(m - z) / ((-z)(1 - z)...(m - 1 - z))
-    with m - z in (-9, -8].
+    real_axis is -(1/z) int_0^inf (e^{-x} - e_{n-1}(-x)) x^{-z} dx;
+    cauchy_saalschutz is int_0^inf (e^{-tau} - e_n(-tau)) / tau^{z+1} dtau,
+    the same integral one order higher, n = [z] (integration by parts
+    connects the two).  Any other method raises RegammaError.  From z = 9
+    up, Gamma(-z) = Gamma(m - z) / ((-z)(1 - z)...(m - 1 - z)) with m - z
+    in (-9, -8].  Raises OverflowError where Gamma(-z) exceeds double
+    precision.
     """
     decompose(z)  # validates the domain
-    cfg = cfg or QuadratureConfig()
-
-    def evaluate(w: float) -> GammaValue:
-        res = integrate_regularized_kernel(decompose(w), cfg)
-        return _real_line(-res.value / w, MethodTag.REAL_AXIS, res, cfg)
-
-    return _by_recurrence(z, cfg, evaluate, negative=True)
-
-
-def gamma_cauchy_saalschutz(z: float, cfg: QuadratureConfig | None = None) -> GammaValue:
-    """Gamma(-z) = int_0^inf (e^{-tau} - e_n(-tau)) / tau^{z+1} dtau, z > 0.
-
-    Note the truncation order is n = [z], one higher than the reciprocal
-    representation uses; integration by parts connects the two.  From
-    z = 9 up it is shifted as in gamma_negative.
-    """
-    decompose(z)  # validates the domain
-    cfg = cfg or QuadratureConfig()
-
-    def evaluate(w: float) -> GammaValue:
-        res = integrate_regularized_kernel(_raised(decompose(w)), cfg)
-        return _real_line(res.value, MethodTag.CAUCHY_SAALSCHUTZ, res, cfg)
-
-    return _by_recurrence(z, cfg, evaluate, negative=True)
+    if method not in (MethodTag.REAL_AXIS, MethodTag.CAUCHY_SAALSCHUTZ):
+        raise RegammaError(f"Gamma(-z) takes real_axis or cauchy_saalschutz, not {method.value}")
+    return _by_recurrence(z, cfg or QuadratureConfig(), method, negative=True)
 
 
 def gamma_ratio(A: float, B: float, cfg: QuadratureConfig | None = None) -> GammaValue:

@@ -162,9 +162,18 @@ def _gk15(f: Callable[[float], float | complex], a: float, b: float):
 
     The floor is 50 eps resabs, the least error the estimate admits; it is
     0 where resabs is too small for that bound to apply.
+
+    f is only evaluated inside [a, b].  On a panel a few ulps wide the
+    outer nodes center -+ dx round past a or b; the nodes are then clamped
+    onto [a, b], where several coincide, so the rule no longer measures
+    its own error, and the estimate is at least resabs.
     """
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
+    narrow = center - half * _XGK[0] < a or center + half * _XGK[0] > b
+    if narrow:
+        inner = f
+        f = lambda x: inner(min(max(x, a), b))
     fc = f(center)
     resk = _WGK_CENTER * fc
     resg = _WG_CENTER * fc
@@ -189,6 +198,8 @@ def _gk15(f: Callable[[float], float | complex], a: float, b: float):
     err = abs((resk - resg) * half)
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    if narrow:
+        err = max(err, resabs)
     floor = 0.0
     if resabs > _UFLOW / (50.0 * _EPMACH):
         floor = _EPMACH * 50.0 * resabs
@@ -406,7 +417,8 @@ def propagate(
     part), and each rounding adds eps = 2^-53 relative and one subnormal
     unit; evaluations add.  The flag is decided as in combine: ok when
     every part is ok and the estimate is at most eps_rel |value|.  A value
-    or a part that underflowed to 0 on the way has an unbounded estimate.
+    or a part that underflowed to 0 on the way has an unbounded estimate,
+    and a value that overflowed to infinity is never ok.
     """
     rel = 0.0
     evaluations = 0
@@ -419,7 +431,7 @@ def propagate(
     err = math.inf
     if value and rel < math.inf:
         err = abs(value) * (rel + roundings * _UNIT_ROUNDOFF) + roundings * _SUBNORMAL
-    met = met and err <= eps_rel * abs(value)
+    met = met and math.isfinite(value) and err <= eps_rel * abs(value)
     flag = ConditionFlag.OK if met else ConditionFlag.TOLERANCE_NOT_MET
     return IntegralResult(value, err, evaluations, flag)
 

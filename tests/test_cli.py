@@ -36,6 +36,13 @@ class TestEval:
         assert code == 0
         assert "-3.5449077018" in out
 
+    @pytest.mark.parametrize("method", ["real", "cs"])
+    def test_gamma_negative_overflow_is_one_error_line(self, capsys, method):
+        code, out, err = run(capsys, "eval", "1e-310", "--fn", "gamma-neg", "--method", method)
+        assert code == 1
+        assert out == ""
+        assert err == "regamma: error: Gamma(-1e-310) overflows double precision\n"
+
     def test_gamma_ratio_needs_b(self, capsys):
         code, _, err = run(capsys, "eval", "2.5", "--fn", "gamma-ratio")
         assert code == 1

@@ -19,7 +19,6 @@ from regamma.errors import (
 from regamma.gamma_core import (
     MethodTag,
     gamma,
-    gamma_cauchy_saalschutz,
     gamma_negative,
     gamma_ratio,
     recip_gamma,
@@ -178,7 +177,9 @@ _RECORDS = {
     "gamma": partial(gamma, 2.5, CFG10),
     "gamma-negative-z": partial(gamma, -1.5, CFG10),
     "gamma_negative": partial(gamma_negative, 12.3, CFG10),
-    "gamma_cauchy_saalschutz": partial(gamma_cauchy_saalschutz, 2.5, CFG10),
+    "gamma_cauchy_saalschutz": partial(
+        gamma_negative, 2.5, CFG10, MethodTag.CAUCHY_SAALSCHUTZ
+    ),
     "hankel_recip_gamma": partial(hankel_recip_gamma, 2.5, None, CFG10),
     "gamma_ratio-m0": partial(gamma_ratio, 2.5, 1.5, CFG10),
     "gamma_ratio-m2": partial(gamma_ratio, 12.5, 10.3, CFG10),
@@ -315,6 +316,28 @@ class TestGammaNegative:
             ref = mpmath.gamma(-mpmath.mpf(150.3))
             assert abs(gv.value - ref) <= 10.0 * cfg.eps_rel * abs(ref)
 
+    @pytest.mark.parametrize("method", [MethodTag.REAL_AXIS, MethodTag.CAUCHY_SAALSCHUTZ])
+    def test_overflow_raises(self, method):
+        # Gamma(-z) is about -1/z, past double precision below z = 5.56e-309
+        with pytest.raises(OverflowError, match="overflows double precision"):
+            gamma_negative(1e-310, CFG, method)
+
+    def test_largest_value_below_overflow(self):
+        gv = gamma_negative(5.6e-309, CFG)
+        assert gv.condition_flag is ConditionFlag.OK
+        assert gv.value == pytest.approx(-1.0 / 5.6e-309, rel=1e-8)
+        # its raised order's tail bound overflows: the value stays, flagged
+        cs = gamma_negative(5.6e-309, CFG, MethodTag.CAUCHY_SAALSCHUTZ)
+        assert cs.value == pytest.approx(gv.value, rel=1e-8)
+
+    @pytest.mark.parametrize("method", [MethodTag.HANKEL, MethodTag.POWER_SUBST])
+    def test_other_methods_refused(self, method):
+        with pytest.raises(RegammaError) as info:
+            gamma_negative(2.5, CFG, method)
+        message = str(info.value)
+        assert "real_axis" in message and "cauchy_saalschutz" in message
+        assert method.value in message
+
 
 class TestCauchySaalschutz:
     @pytest.mark.parametrize(
@@ -322,11 +345,12 @@ class TestCauchySaalschutz:
         [(0.5, -3.5449077018110320546), (1.5, 2.3632718012073547031)],
     )
     def test_reference_values(self, z, expected):
-        assert gamma_cauchy_saalschutz(z, CFG).value == pytest.approx(expected, rel=1e-8)
+        gv = gamma_negative(z, CFG, MethodTag.CAUCHY_SAALSCHUTZ)
+        assert gv.value == pytest.approx(expected, rel=1e-8)
 
     @pytest.mark.parametrize("z", [0.4, 1.6, 2.2, 3.7, 4.8])
     def test_matches_integration_by_parts_partner(self, z):
-        a = gamma_cauchy_saalschutz(z, CFG).value
+        a = gamma_negative(z, CFG, MethodTag.CAUCHY_SAALSCHUTZ).value
         b = gamma_negative(z, CFG).value
         assert abs(a - b) / abs(b) <= 10.0 * CFG.eps_rel
 
@@ -334,7 +358,7 @@ class TestCauchySaalschutz:
         # order 171 would overflow math.factorial's conversion to float;
         # the shift keeps the order at 9
         cfg = QuadratureConfig(eps_rel=1e-12)
-        gv = gamma_cauchy_saalschutz(170.3, cfg)
+        gv = gamma_negative(170.3, cfg, MethodTag.CAUCHY_SAALSCHUTZ)
         assert gv.condition_flag is ConditionFlag.OK
         assert gv.value == pytest.approx(-1.14492799838781e-307, rel=1e-13)
         with mpmath.workdps(30):
@@ -567,7 +591,7 @@ NON_FINITE_ENTRY_POINTS = {
     "recip_gamma_hankel": lambda x: recip_gamma(x, CFG, MethodTag.HANKEL),
     "gamma": gamma,
     "gamma_negative": gamma_negative,
-    "gamma_cauchy_saalschutz": gamma_cauchy_saalschutz,
+    "gamma_cauchy_saalschutz": lambda x: gamma_negative(x, None, MethodTag.CAUCHY_SAALSCHUTZ),
     "recip_gamma_neg_reflection": recip_gamma_neg_reflection,
     "gamma_ratio_A": lambda x: gamma_ratio(x, 2.5, CFG),
     "gamma_ratio_B": lambda x: gamma_ratio(2.5, x, CFG),

@@ -76,6 +76,22 @@ class TestIntegrateFinite:
         assert res.abs_error_estimate > 1e-3 * abs(res.value)
         assert res.evaluations < 15 + 30 * quadrature._MAX_BISECTIONS
 
+    @pytest.mark.parametrize("ulps", [(0, 1), (-2, 4)])
+    def test_narrow_panel_samples_only_inside(self, ulps):
+        # on a panel an ulp or so wide, center -+ dx rounds past the ends;
+        # the nodes are clamped, and the estimate still covers the error
+        u = math.ulp(1.0)
+        a, b = 1.0 + ulps[0] * u, 1.0 + ulps[1] * u
+
+        def step(x):
+            if not a <= x <= b:
+                raise ValueError(f"evaluated outside [a, b] at {x!r}")
+            return float(x >= 1.0)
+
+        res = integrate_finite(step, a, b, QuadratureConfig(eps_rel=1e-15))
+        assert res.condition_flag is ConditionFlag.TOLERANCE_NOT_MET
+        assert res.abs_error_estimate >= abs(res.value - (b - 1.0))
+
     def test_result_invariants(self):
         res = integrate_finite(lambda x: math.exp(-x * x), 0.0, 3.0, CFG)
         assert res.evaluations > 0
@@ -394,6 +410,11 @@ class TestPropagate:
         loose = IntegralResult(1.0, 1e-9, 15)
         assert propagate(1.0, [loose], 0, 1e-8).condition_flag is ConditionFlag.OK
         assert propagate(1.0, [loose], 0, 1e-10).condition_flag is ConditionFlag.TOLERANCE_NOT_MET
+
+    def test_infinite_value_is_never_ok(self):
+        # its estimate is inf, which inf * eps_rel would otherwise admit
+        res = propagate(math.inf, [], 1, 1e-8)
+        assert res.condition_flag is ConditionFlag.TOLERANCE_NOT_MET
 
     def test_underflow_to_zero_is_unbounded(self):
         part = IntegralResult(1.0, 1e-12, 15)
