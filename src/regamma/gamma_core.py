@@ -194,7 +194,9 @@ def _real_line(w: float, cfg: QuadratureConfig, method: MethodTag, negative: boo
             raise OverflowError(f"Gamma({-w!r}) overflows double precision")
     else:
         scale = sinpi(w) / math.pi
-        value = (-w * scale if raised else scale) * res.value
+        # I (about -1/w at tiny w) is scaled before the factor -w: -w scale,
+        # about -w^2, would go subnormal there and lose its digits
+        value = -w * (scale * res.value) if raised else scale * res.value
     return GammaValue(value, method, propagate(value, [res], _ROUTE_ROUNDING, cfg.eps_rel))
 
 

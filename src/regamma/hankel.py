@@ -28,17 +28,23 @@ principal logarithm throughout.
 Because the numerator is the regularized remainder e^tau - e_{n-1}(tau),
 the integrand is integrable over the shrinking arc (it vanishes like
 r0^{1-frac}), which is exactly what makes the truncation order n = [z]
-the right one.  Every node, ray and arc integrand is ray_kernel, whose
-remainder is the kernel's own series and polynomial taken at complex tau;
-the public kernel.exp_remainder and kernel_ratio only ever see real
-arguments.  Beyond the truncation radius the polynomial part of each
+the right one.  Every node and arc integrand is ray_kernel, and every
+ray integrand shares its remainder, the kernel's own series and
+polynomial taken at complex tau; the public kernel.exp_remainder and
+kernel_ratio only ever see real arguments.  On a ray the phases e^{i delta}
+and e^{-i z delta} are the same at every node, so they are formed once per
+contour.  Beyond the truncation radius the polynomial part of each
 ray has an elementary antiderivative, the real line's closed-form tail
 with a phase (quadrature.polynomial_tail_closed_form, with the rounding
 bound of its terms as its error).  It is not shifted: at large z its
 terms dwarf the value, and the result is flagged.  The exponential part is
-bounded by e^{R cos delta} R^{-z} / |cos delta| and left out, the bound
-kept as error, when quadrature.tail_negligible says so next to the rest
-of the contour; otherwise it is integrated over one further stretch.
+bounded by e^{R cos delta} R^{-z} / |cos delta|, and R is where that
+bound, R^{-z} taken as 1, is the negligible share (that of
+quadrature.tail_negligible) of a segment's tolerance times min(1, z), the
+a-priori size of 1/Gamma(z) as z -> 0.  The part is left out, the bound
+kept as error, when quadrature.tail_negligible says so next to the
+actual rest of the contour; otherwise it is integrated over one further
+stretch.
 
 For real z the integrand at conj(tau) is the conjugate of the one at tau,
 so the contour integral is 2i times the imaginary part of its upper half;
@@ -46,15 +52,14 @@ only that half is evaluated, and its parts are divided by pi once at the
 end.  The arc's share is the real integrand Re(tau f(tau)).  Each ray stays
 a complex integral of which the imaginary part is kept, so its tolerance is
 relative to the whole ray: past R the imaginary part alone, oscillating and
-some 1e-37 of the result, would not meet a relative tolerance.
+far below the result, would not meet a relative tolerance.
 
 Every segment is integrated by the same adaptive engine as the real-line
 routes (quadrature.integrate_finite, with complex values) and the segments
 are summed by quadrature.combine, the bound on the exponential tail left
-out being one more part.  A contour is set by delta and r0 alone: the
-truncation radius follows from the decay rate on the rays, and each
-segment gets the same share of the tolerance and the engine's one
-bisection budget.
+out being one more part.  A contour is set by delta and r0, and its
+truncation radius by them, z and the tolerance; each segment gets the
+same share of the tolerance and the engine's one bisection budget.
 """
 
 from __future__ import annotations
@@ -63,11 +68,13 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass, replace
+from typing import Callable
 
 from . import gamma_core
 from .errors import ContourDegenerate
 from .kernel import ArgDecomposition, _remainder_series, _use_series, decompose, truncated_exp
 from .quadrature import (
+    _TAIL_NEGLIGIBLE,
     IntegralResult,
     QuadratureConfig,
     combine,
@@ -118,18 +125,18 @@ def _validate(contour: HankelContour, z: float) -> None:
         )
 
 
-def ray_kernel(r: float, delta: float, z: float, n: int) -> complex:
-    """(e^tau - e_{n-1}(tau)) / tau^z at tau = r e^{i delta}.
-
-    The remainder is the kernel's own dispatch between its tail series and
-    the direct difference, taken at complex tau.
-    """
-    tau = r * cmath.exp(1j * delta)
+def _remainder(tau: complex, n: int) -> complex:
+    # e^tau - e_{n-1}(tau): the kernel's own dispatch between its tail
+    # series and the direct difference, taken at complex tau
     if n and _use_series(tau, n):
-        remainder = _remainder_series(tau, n)
-    else:
-        remainder = cmath.exp(tau) - truncated_exp(tau, n - 1)
-    return remainder * cmath.exp(-z * complex(math.log(r), delta))
+        return _remainder_series(tau, n)
+    return cmath.exp(tau) - truncated_exp(tau, n - 1)
+
+
+def ray_kernel(r: float, delta: float, z: float, n: int) -> complex:
+    """(e^tau - e_{n-1}(tau)) / tau^z at tau = r e^{i delta}."""
+    tau = r * cmath.exp(1j * delta)
+    return _remainder(tau, n) * cmath.exp(-z * complex(math.log(r), delta))
 
 
 def steepest_descent_recip_gamma(z: float, cfg: QuadratureConfig) -> IntegralResult:
@@ -200,17 +207,30 @@ def _contour_eval(
     _validate(contour, z)
     delta, r0 = contour.delta, contour.r0
     decay = abs(math.cos(delta))
-    # the truncation radius clears the arc: it is at least 4 r0
-    R = max(4.0 * r0, 45.0 / decay)
     sub = _segment_config(cfg)
+    # R is where the bound on the exponential part past it (below), R^{-z}
+    # taken as 1, is the negligible share of the segment tolerance times
+    # min(1, z), the a-priori size of 1/Gamma(z) as z -> 0.  L is summed as
+    # logs: as a product it underflows at tiny z.  R clears the arc: it is
+    # at least 4 r0.
+    L = -(
+        math.log(_TAIL_NEGLIGIBLE)
+        + math.log(sub.eps_rel)
+        + math.log(min(1.0, z))
+        + math.log(decay)
+    )
+    R = max(4.0 * r0, L / decay)
     seeds = _ray_breakpoints(r0, R, math.pi / math.sin(delta))
+    # on the ray tau = r phase, the integrand phase (e^tau - e_{n-1}(tau)) tau^{-z}
+    # is the remainder times turn r^{-z}, with turn = phase e^{-i z delta}
     phase = cmath.exp(1j * delta)
+    turn = phase * cmath.exp(-1j * z * delta)
 
-    def ray(r: float) -> complex:
-        return phase * ray_kernel(r, delta, z, order)
+    def ray_of_order(n: int) -> Callable[[float], complex]:
+        def ray(r: float) -> complex:
+            return _remainder(r * phase, n) * (turn * r**-z)
 
-    def ray_exp(r: float) -> complex:
-        return phase * ray_kernel(r, delta, z, 0)
+        return ray
 
     def imaginary_part(f, a: float, b: float, seeds: list[float]) -> IntegralResult:
         res = integrate_finite(f, a, b, sub, seeds)
@@ -219,20 +239,20 @@ def _contour_eval(
     parts = [
         # the polynomial part of the ray beyond R, in closed form
         polynomial_tail_closed_form(arg, R, delta),
-        imaginary_part(ray, r0, R, seeds),
+        imaginary_part(ray_of_order(order), r0, R, seeds),
         _arc(order, z, contour, sub),
     ]
     # the exponential part of the ray beyond R is at most
     # e^{R cos delta} R^{-z} / |cos delta| (z > 0); it is skipped when that
-    # bound is negligible, else integrated over one stretch and the
-    # remainder past it bounded the same way; what is left out is a part
-    # of value 0 with the bound as its error
+    # bound is negligible next to the rest of the contour, else integrated
+    # over one stretch and the remainder past it bounded the same way; what
+    # is left out is a part of value 0 with the bound as its error
     neglect = math.exp(R * math.cos(delta) - z * math.log(R)) / decay
     if not tail_negligible(neglect, sub, sum(p.value for p in parts)):
         span = 50.0 / decay
         top = R + span
         parts.append(
-            imaginary_part(ray_exp, R, top, [R + span * s for s in (0.1, 0.3, 0.6)])
+            imaginary_part(ray_of_order(0), R, top, [R + span * s for s in (0.1, 0.3, 0.6)])
         )
         neglect = math.exp(top * math.cos(delta) - z * math.log(top)) / decay
 

@@ -376,6 +376,24 @@ class TestCauchySaalschutz:
             ref = mpmath.rgamma(z)
             assert abs(gv.value - ref) <= 10.0 * cfg.eps_rel * abs(ref)
 
+    @pytest.mark.parametrize("z", [1e-150, 3e-162, 1e-200, 1e-300])
+    @pytest.mark.parametrize("eps", [1e-8, 1e-12])
+    def test_tiny_z_is_right_or_flagged(self, z, eps):
+        # the scale -z sin(pi z)/pi is about -z^2, subnormal here: I (about
+        # -1/z) must be scaled by sin(pi z)/pi before the factor -z
+        cfg = QuadratureConfig(eps_rel=eps)
+        gv = recip_gamma(z, cfg, MethodTag.CAUCHY_SAALSCHUTZ)
+        if gv.condition_flag is ConditionFlag.OK:
+            with mpmath.workdps(30):
+                ref = mpmath.rgamma(mpmath.mpf(z))
+                assert abs(gv.value - ref) <= 10.0 * eps * abs(ref)
+
+    def test_gamma_at_tiny_z(self):
+        # Gamma(1e-200) = 1e200 is finite and must not overflow
+        gv = gamma(1e-200, CFG, MethodTag.CAUCHY_SAALSCHUTZ)
+        assert gv.condition_flag is ConditionFlag.OK
+        assert gv.value == pytest.approx(1e200, rel=10.0 * CFG.eps_rel)
+
 
 class TestGammaRatio:
     def test_equal_arguments(self):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from regamma import kernel
+from regamma import hankel, kernel
 from regamma.errors import ContourDegenerate, IntegerArgument
 from regamma.gamma_core import MethodTag, gamma, recip_gamma
 from regamma.hankel import (
@@ -198,7 +198,10 @@ class TestKernelSeesRealArguments:
             for module in modules:
                 if module.__dict__.get(fname) is fn:
                     monkeypatch.setattr(module, fname, spy)
-        for z in (1e-12, 0.5, 2.5, 7.7):  # 1e-12 integrates the exponential ray
+        # the stretch of the exponential ray past R is forced: the
+        # truncation radius leaves it unneeded
+        monkeypatch.setattr(hankel, "tail_negligible", lambda bound, cfg, rest: False)
+        for z in (1e-12, 0.5, 2.5, 7.7):
             hankel_recip_gamma(z, HankelContour(), CFG)
             arc_contribution(z, HankelContour(), CFG)
             arc_contribution(z, HankelContour(), CFG, order=0)
@@ -231,11 +234,49 @@ class TestConjugateFold:
 
     @pytest.mark.parametrize("z", [0.5, 2.5, 7.7])
     def test_ray_tail_skipped_under_its_bound(self, z):
-        # past R = 45/|cos delta| the ray is below e^{-45}: not integrated
+        # past R the ray's exponential part is a negligible share of the
+        # tolerance: not integrated
         gv = hankel_recip_gamma(z, HankelContour(), QuadratureConfig())
         assert gv.condition_flag is ConditionFlag.OK
         assert gv.quadrature.evaluations <= 285
         assert gv.value == pytest.approx(float(mpmath.rgamma(z)), rel=CFG.eps_rel)
+
+
+class TestTruncationRadius:
+    """The ray ends where its exponential part falls to a negligible share
+    of eps_rel min(1, z); the layout of its panels is the seeded one."""
+
+    @pytest.mark.parametrize(
+        "z,contour,ceiling",
+        [(2.5, HankelContour(), 200), (9.5, HankelContour(delta=2.0, r0=0.25), 360)],
+    )
+    def test_evaluation_ceiling(self, z, contour, ceiling):
+        gv = hankel_recip_gamma(z, contour, CFG)
+        assert gv.condition_flag is ConditionFlag.OK
+        assert gv.quadrature.evaluations <= ceiling
+
+    @pytest.mark.parametrize("z,delta,r0", [(0.0191, 2.308, 0.954), (0.0724, 2.363, 0.721)])
+    @pytest.mark.parametrize("eps", [1e-8, 1e-12])
+    def test_small_z_stays_certified(self, z, delta, r0, eps):
+        # the ray and the arc cancel to about z here
+        cfg = QuadratureConfig(eps_rel=eps)
+        gv = hankel_recip_gamma(z, HankelContour(delta=delta, r0=r0), cfg)
+        assert gv.condition_flag is ConditionFlag.OK
+        with mpmath.workdps(30):
+            ref = mpmath.rgamma(z)
+            assert abs(gv.value - ref) <= 10.0 * eps * abs(ref)
+
+    @pytest.mark.parametrize("z", [0.5, 2.5, 7.7])
+    @pytest.mark.parametrize("contour", [HankelContour(), HankelContour(delta=2.0, r0=0.25)])
+    def test_forced_stretch_past_the_radius(self, monkeypatch, z, contour):
+        # the radius makes the stretch past R unneeded; integrated anyway,
+        # it must leave the result right
+        monkeypatch.setattr(hankel, "tail_negligible", lambda bound, cfg, rest: False)
+        gv = hankel_recip_gamma(z, contour, CFG)
+        assert gv.condition_flag is ConditionFlag.OK
+        with mpmath.workdps(30):
+            ref = mpmath.rgamma(z)
+            assert abs(gv.value - ref) <= 10.0 * CFG.eps_rel * abs(ref)
 
 
 class TestContourProperty:
