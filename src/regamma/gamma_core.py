@@ -21,13 +21,11 @@ a series, adds the shared tail and decides the flag.  One function,
 _real_line, turns that integral into a value: 1/Gamma(z) on any of the
 four, or Gamma(-z) on real_axis (-I(z)/z) and cauchy_saalschutz (I at the
 raised order itself), which gamma_negative takes as its method.
-gamma_ratio takes both of its factors on the real-axis segments:
-1/Gamma(B) by the real_axis route, and Gamma(A) as the same integral at
-order n = 0, I(1 - A), which is Euler's integral (for A < 0.01 as
-Gamma(1 + A)/A, with Gamma(1 + A) = I(-A)).  Positive integers use the
-exact factorial; zero and negative integers return the exact zeros of the
-entire function 1/Gamma.  Negative non-integer arguments are routed
-through one reflection step so the quadrature only ever sees z > 0.
+gamma_ratio is the quotient of two real_axis values, 1/Gamma(B) over
+1/Gamma(A).  Positive integers use the exact factorial; zero and negative
+integers return the exact zeros of the entire function 1/Gamma.  Negative
+non-integer arguments are routed through one reflection step so the
+quadrature only ever sees z > 0.
 
 The cost and the rounding of I(z) grow with its truncation order n = [z]:
 past z of about 65 the closed-form polynomial tail cancels against the
@@ -36,8 +34,8 @@ entry point evaluates at w = z - m in [8, 9), m = floor(z) - 8, which is
 exact, and moves back by the recurrence Gamma(x) = (x - 1) Gamma(x - 1)
 (see recurrence): 1/Gamma(z) on every route (the hankel route does so
 inside its trapezoid rule), Gamma(-z) in gamma_negative on both of its
-routes, and Gamma(A)/Gamma(B), with one m for both and
-1/Gamma(B - m) shifted once more by recip_gamma.
+routes, and Gamma(A)/Gamma(B), with one m for both and each of
+1/Gamma(A - m) and 1/Gamma(B - m) shifted once more by recip_gamma.
 
 A GammaValue's quadrature is the record of the value itself, which is
 reached from I(z) by products, a reflection or the recurrence:
@@ -48,6 +46,7 @@ the roundings on the way, and decides the flag.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -68,16 +67,14 @@ from .quadrature import (
 _MAX_EXACT_FACTORIAL_ARG = 171
 # first m at which 1/(m-1)! rounds to 0.0
 _RECIP_FACTORIAL_ZERO_ARG = 179
-# gamma_ratio takes Gamma(A) as Gamma(1 + A)/A below this A
-_SHIFT_EULER_BELOW = 0.01
 
 # Arguments from SHIFT_BASE + 1 up are evaluated at w in
 # [SHIFT_BASE, SHIFT_BASE + 1) and moved back by the recurrence.
 SHIFT_BASE = 8
 # Roundings of a real-line value past the estimate of its integral, at most
 # four: sin(pi w), the division by pi, the product and cauchy_saalschutz's
-# -w (gamma_negative: the division by w; gamma_ratio: the product and the
-# division by A).
+# -w (gamma_negative: the division by w; gamma_ratio: the quotient of its
+# two factors, and the rounding of either one that is an exact 1/(m-1)!).
 _ROUTE_ROUNDING = 4
 
 
@@ -96,7 +93,7 @@ class GammaValue:
     quadrature.value is value, and its error estimate, evaluations and
     flag are the value's (quadrature.propagate).  quadrature is None
     exactly when the value came from an exact fast path (integer
-    factorials and the entire-function zeros).
+    factorials in the normal range and the entire-function zeros).
     """
 
     value: float
@@ -207,8 +204,9 @@ def recip_gamma(
 ) -> GammaValue:
     """1/Gamma(z) for any real z.
 
-    Positive integers return the exact 1/(m-1)!; zero and negative integers
-    return exactly 0, and so does +inf, the limit.  Negative non-integer z
+    Positive integers return the exact 1/(m-1)! (from z = 172 up, where it
+    is subnormal or 0, with the record of its rounding); zero and negative
+    integers return exactly 0, and so does +inf, the limit.  Negative non-integer z
     reflects once to 1-z > 0 (to -z, after the step 1/Gamma(z) =
     z/Gamma(z + 1), where 1 - z rounds onto an integer), and raises
     OverflowError where the result exceeds double precision.  Non-integer
@@ -224,7 +222,11 @@ def recip_gamma(
         m = int(z)
         if m <= 0:
             return GammaValue(0.0, method, None)
-        return GammaValue(_exact_recip_factorial(m), method, None)
+        value = _exact_recip_factorial(m)
+        # from m = 172 up, 1/(m-1)! is subnormal or 0: correctly rounded,
+        # but to an absolute unit, not a relative one
+        record = propagate(value, [], 1, cfg.eps_rel) if value < sys.float_info.min else None
+        return GammaValue(value, method, record)
     if z < 0.0:
         if (1.0 - z).is_integer():
             # 1 - z rounded onto an integer, whose factorial would pass for
@@ -280,29 +282,20 @@ def gamma_negative(
 
 
 def gamma_ratio(A: float, B: float, cfg: QuadratureConfig | None = None) -> GammaValue:
-    """Gamma(A)/Gamma(B) as 1/Gamma(B) times the Euler integral for Gamma(A).
-
-    The double-integral representation of the ratio factorizes into two
-    one-dimensional integrals; both are evaluated here on the real-axis
-    segments.  1/Gamma(B) is recip_gamma's real_axis route, sin(pi B)/pi
-    I(B), and Gamma(A) is I(1 - A) at order n = 0.
-
-    Below A = 0.01 it is Gamma(1 + A)/A, with Gamma(1 + A) = I(-A), because
-    1 - A rounds: the origin series of I(1 - A) starts with split^A/A, its
-    exponent A comes back as 1 - fl(1 - A), and that costs up to 2^-54/A
-    relative, all of A once A < 2^-54, while -A is exact.  Above 0.01 the
-    cost is at most 6e-15.
+    """Gamma(A)/Gamma(B) as 1/Gamma(B) over 1/Gamma(A), both on recip_gamma's
+    real_axis route.
 
     Once both arguments reach 9, one m = floor(min(A, B)) - 8 shifts both:
-    the ratio is taken at A - m and B - m, the smaller of which lies in
+    the quotient is taken at A - m and B - m, the smaller of which lies in
     [8, 9), and multiplied by (A - j)/(B - j) for j = 1..m in turn, so
-    neither Gamma overflows and an integer B - m takes the exact path
-    before 1/Gamma(B) could underflow.  1/Gamma(B - m) is recip_gamma's,
-    so from 9 up it is evaluated in [8, 9) too, and moved back by its own
-    recurrence; where it underflows to 0, the ratio is 0 and flagged.
-    Raises OverflowError once the ratio exceeds double precision, and
-    RegammaError, before any work, once the 2m roundings of the factors
-    alone would exceed eps_rel, where the ratio could only be flagged.
+    neither Gamma overflows.  Each factor is recip_gamma's, so from 9 up it
+    is evaluated in [8, 9) and moved back by its own recurrence, and at an
+    integer it is the exact 1/(m-1)!; where 1/Gamma(B - m) underflows to 0,
+    the ratio is 0 and flagged.  Raises OverflowError once the ratio
+    exceeds double precision (where 1/Gamma(A - m) underflows to 0, too),
+    and RegammaError, before any work, once the 2m roundings of the
+    factors alone would exceed eps_rel, where the ratio could only be
+    flagged.
     """
     require_finite(A, "A")
     require_finite(B, "B")
@@ -319,20 +312,14 @@ def gamma_ratio(A: float, B: float, cfg: QuadratureConfig | None = None) -> Gamm
             f"Gamma({A!r})/Gamma({B!r}) needs m = {m} recurrence factors, whose "
             f"roundings alone exceed eps_rel = {cfg.eps_rel!r}"
         )
-    a, b = A - m, B - m
-    rg_b = recip_gamma(b, cfg, MethodTag.REAL_AXIS)
-    small = a < _SHIFT_EULER_BELOW
-    z = -a if small else 1.0 - a
-    euler = ArgDecomposition(z=z, n=0, frac=z)
-    e_a = integrate_regularized_kernel(euler, cfg)
-    value = rg_b.value * e_a.value
-    if small:
-        value /= a
+    rg_a = recip_gamma(A - m, cfg, MethodTag.REAL_AXIS)
+    rg_b = recip_gamma(B - m, cfg, MethodTag.REAL_AXIS)
+    value = rg_b.value / rg_a.value if rg_a.value else math.inf
     for j in range(1, m + 1):
         value *= (A - j) / (B - j)
     if math.isinf(value):
         raise OverflowError(f"Gamma({A!r})/Gamma({B!r}) overflows double precision")
-    record = propagate(value, [e_a, rg_b.quadrature], roundings, cfg.eps_rel)
+    record = propagate(value, [rg_a.quadrature, rg_b.quadrature], roundings, cfg.eps_rel)
     return GammaValue(value, MethodTag.REAL_AXIS, record)
 
 

@@ -23,9 +23,10 @@ _MAX_TERMS = 500
 class ArgDecomposition:
     """A positive non-integer argument split as z = n + frac, 0 < frac < 1.
 
-    decompose builds those.  The one other use is n = 0 with frac = z < 1:
-    the polynomial is then empty and I(z) is Euler's integral for
-    Gamma(1 - z).
+    decompose builds those.  The one other use is the raised order of
+    gamma_core's cauchy_saalschutz route: the same frac at order n + 1,
+    with z = w + 1, which may round; so the exponents of the integral are
+    built from n and frac, never from z.
     """
 
     z: float

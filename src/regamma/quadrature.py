@@ -26,10 +26,11 @@ function of the argument alone that returns that stretch as one segment
 real_axis_segments (t = log x, smooth enough for two panels, the default),
 power_subst_segments (v = (x^z - 1)/z) and log_form_segments (u = e^{-x}).
 
-At order n = 0 the polynomial is empty and I(1 - A) is Euler's integral
-for Gamma(A), A > 0, and the origin series is the lower incomplete gamma
-function gamma(A, split); gamma_ratio takes its Gamma(A) factor that way, on
-the real-axis segments (for small A as I(-A) = Gamma(1 + A), over A).
+The argument is a positive non-integer z = n + frac, 0 < frac < 1, as
+kernel.decompose builds it, or the same frac at the raised order n + 1
+(cauchy_saalschutz); integrate_regularized_kernel refuses any other.  At
+order n = 0 the polynomial is empty and the origin series is the lower
+incomplete gamma function gamma(1 - z, split).
 
 Every route shares that series and the tail past R: the polynomial part
 -e_{n-1}(-x) x^{-z} decays only like x^{-1-frac}, so its tail is added in
@@ -361,25 +362,22 @@ def tail_negligible(bound: float, cfg: QuadratureConfig, rest: float | complex) 
 
 
 def exponential_tail(z: float, X: float, cfg: QuadratureConfig, rest: float) -> IntegralResult:
-    """int_X^inf e^{-x} x^{-z} dx for X > 0 and any real z.
+    """int_X^inf e^{-x} x^{-z} dx for X > 0 and z >= 0.
 
-    rest is the value of the parts of the integral before X.  For X + z > 0
-    the tail is at most B = e^{-X} X^{-z} max(1, X / (X + z)): x^{-z} is
-    decreasing for z >= 0, and for z < 0 the log-derivative of the
-    integrand stays below -(X + z)/X.  When tail_negligible(B, cfg, rest)
-    the tail is not integrated: the result is 0 with error B.
+    rest is the value of the parts of the integral before X.  x^{-z} is
+    non-increasing, so the tail is at most B = e^{-X} X^{-z}.  When
+    tail_negligible(B, cfg, rest) the tail is not integrated: the result
+    is 0 with error B.
 
-    Otherwise it is integrated numerically over [X, X + span], span =
-    max(60, 3 (1 - z)), which keeps the stretch well past the peak at
-    x = -z; the neglected remainder is bounded by e^{-(X+span)} (X+span)^{-z}
-    and added to the error estimate.
+    Otherwise it is integrated numerically over [X, X + 60]; the neglected
+    remainder is bounded by e^{-(X+60)} (X+60)^{-z} and added to the error
+    estimate.
     """
-    if X + z > 0.0:
-        bound = math.exp(-X - z * math.log(X)) * max(1.0, X / (X + z))
-        if tail_negligible(bound, cfg, rest):
-            return IntegralResult(0.0, bound, 0)
+    bound = math.exp(-X - z * math.log(X))
+    if tail_negligible(bound, cfg, rest):
+        return IntegralResult(0.0, bound, 0)
 
-    top = X + max(_EXP_TAIL_SPAN, 3.0 * (1.0 - z))
+    top = X + _EXP_TAIL_SPAN
 
     def f(x: float) -> float:
         return math.exp(-x - z * math.log(x))
@@ -511,7 +509,12 @@ def integrate_regularized_kernel(
     tail and the exponential tail follow it, in that order; each
     integrated part gets half the tolerance, and the sum is checked
     against the whole of it.
+
+    arg.frac must lie in (0, 1), as decompose and the raised order of
+    cauchy_saalschutz build it; any other arg raises ValueError.
     """
+    if not 0.0 < arg.frac < 1.0:
+        raise ValueError(f"need 0 < frac < 1, got {arg!r}")
     cfg = cfg or QuadratureConfig()
     sub = QuadratureConfig(cfg.eps_rel / 2.0)
     f, a, b, seeds = segments(arg)

@@ -26,8 +26,8 @@ from regamma.gamma_core import (
     recurrence,
 )
 from regamma.hankel import hankel_recip_gamma, inverse_laplace, inverse_laplace_monomial
-from regamma.kernel import ArgDecomposition, decompose
-from regamma.quadrature import ConditionFlag, QuadratureConfig, integrate_regularized_kernel
+from regamma.kernel import decompose
+from regamma.quadrature import ConditionFlag, QuadratureConfig
 
 CFG = QuadratureConfig()
 
@@ -89,6 +89,23 @@ class TestRecipGamma:
 
     def test_large_integer_underflows_to_zero(self):
         assert recip_gamma(500.0).value == 0.0
+
+    @pytest.mark.parametrize("eps", [1e-8, 1e-12, 1e-14])
+    def test_subnormal_reciprocal_factorial_carries_its_rounding(self, eps):
+        # 1/171! is subnormal: correctly rounded to one subnormal unit,
+        # 6e-15 of it; 1/177! has a few bits, and 1/499! rounds to 0
+        cfg = QuadratureConfig(eps_rel=eps)
+        assert recip_gamma(171.0, cfg).is_exact
+        gv = recip_gamma(172.0, cfg)
+        assert gv.value == 1 / math.factorial(171)
+        assert gv.condition_flag is ConditionFlag.OK
+        assert gv.quadrature.abs_error_estimate == pytest.approx(math.ulp(0.0), rel=1e-3)
+        assert gv.quadrature.evaluations == 0
+        assert recip_gamma(178.0, cfg).condition_flag is ConditionFlag.TOLERANCE_NOT_MET
+        gv = recip_gamma(500.0, cfg)
+        assert gv.value == 0.0
+        assert gv.condition_flag is ConditionFlag.TOLERANCE_NOT_MET
+        assert gv.quadrature.abs_error_estimate == math.inf
 
     def test_huge_integers_return_zero_at_once(self):
         for m in range(1, 201):
@@ -441,8 +458,7 @@ class TestGammaRatio:
     @pytest.mark.parametrize("A", [0.02, 0.5, 2.5, 5.3, 8.7, 9.9])
     @pytest.mark.parametrize("eps", [1e-8, 1e-12])
     def test_euler_factor(self, A, eps):
-        # Gamma(A) alone (1/Gamma(1) is exact): e^{-x} x^{A-1} peaks at
-        # x = A - 1, inside the middle stretch for A > 2
+        # Gamma(A) alone, as 1/Gamma(1), which is exact, over 1/Gamma(A)
         gv = gamma_ratio(A, 1.0, QuadratureConfig(eps_rel=eps))
         assert gv.condition_flag is ConditionFlag.OK
         with mpmath.workdps(30):
@@ -458,8 +474,8 @@ class TestGammaRatio:
 
     @pytest.mark.parametrize("A,B", [(1.0001, 2.5), (2.005, 1.5)])
     def test_near_integer_numerator_is_not_flagged(self, A, B):
-        # no sin(pi z)/pi product follows Gamma(A), so A next to an integer
-        # loses nothing
+        # 1/Gamma(A) takes sin(pi A) with exact argument reduction, so A
+        # next to an integer loses nothing
         gv = gamma_ratio(A, B, CFG)
         assert gv.condition_flag is ConditionFlag.OK
         with mpmath.workdps(30):
@@ -469,8 +485,8 @@ class TestGammaRatio:
     @pytest.mark.parametrize("A", [1e-17, 1e-9, 1e-4, 0.00999, 0.01])
     @pytest.mark.parametrize("eps", [1e-8, 1e-12])
     def test_tiny_numerator(self, A, eps):
-        # Gamma(A) switches to Gamma(1 + A)/A below A = 0.01; both sides of
-        # the switch, and A below 2^-54, where 1 - A rounds to 1
+        # 1/Gamma(A) is about A; A below 2^-54, where 1 - A rounds to 1, is
+        # no harder
         gv = gamma_ratio(A, 1.5, QuadratureConfig(eps_rel=eps))
         assert gv.condition_flag is ConditionFlag.OK
         with mpmath.workdps(30):
@@ -494,16 +510,49 @@ class TestGammaRatio:
     def test_method_is_real_axis(self):
         assert gamma_ratio(2.5, 1.7, CFG).method is MethodTag.REAL_AXIS
 
-    @pytest.mark.parametrize("A,B,m", [(2.5, 1.7, 0), (0.005, 3.3, 0), (12.5, 10.3, 2)])
+    @pytest.mark.parametrize(
+        "A,B,m", [(2.5, 1.7, 0), (0.005, 3.3, 0), (12.5, 10.3, 2), (150.5, 2.5, 0)]
+    )
     def test_evaluations_are_the_two_factors(self, A, B, m):
-        # Gamma(A - m) at order 0 (as Gamma(1 + a)/a below 0.01) and
-        # 1/Gamma(B - m) on the real-axis route, and nothing else
-        a = A - m
-        z = -a if a < 0.01 else 1.0 - a
-        euler = integrate_regularized_kernel(ArgDecomposition(z=z, n=0, frac=z), CFG)
-        recip = recip_gamma(B - m, CFG, MethodTag.REAL_AXIS)
+        # 1/Gamma(A - m) and 1/Gamma(B - m) on the real-axis route, and
+        # nothing else
+        factors = [recip_gamma(x - m, CFG, MethodTag.REAL_AXIS) for x in (A, B)]
         gv = gamma_ratio(A, B, CFG)
-        assert gv.quadrature.evaluations == euler.evaluations + recip.quadrature.evaluations
+        assert gv.quadrature.evaluations == sum(f.quadrature.evaluations for f in factors)
+
+    def test_integer_arguments_cost_nothing(self):
+        # both factors are exact reciprocal factorials
+        gv = gamma_ratio(5.0, 3.0, CFG)
+        assert gv.value == 12.0
+        assert gv.quadrature.evaluations == 0
+        assert gv.condition_flag is ConditionFlag.OK
+
+    @pytest.mark.parametrize("A,B,eps", [(173.0, 9.9, 1e-8), (173.0, 9.9, 1e-12), (172.5, 0.001, 1e-8)])
+    def test_numerator_past_the_gamma_range(self, A, B, eps):
+        # Gamma(A) overflows, the ratio does not: 1/Gamma(A) is subnormal
+        gv = gamma_ratio(A, B, QuadratureConfig(eps_rel=eps))
+        assert gv.condition_flag is ConditionFlag.OK
+        with mpmath.workdps(30):
+            ref = mpmath.gamma(mpmath.mpf(A)) / mpmath.gamma(mpmath.mpf(B))
+            assert abs(gv.value - ref) <= 10.0 * eps * abs(ref)
+
+    def test_numerator_deep_in_the_subnormal_range_is_flagged(self):
+        # 1/Gamma(175.5) is about 1e-318, a few significant bits
+        gv = gamma_ratio(175.5, 1e-300, CFG)
+        assert math.isfinite(gv.value) and gv.value > 0.0
+        assert gv.condition_flag is ConditionFlag.TOLERANCE_NOT_MET
+
+    @pytest.mark.parametrize("A,B", [(1e-300, 178.0), (1e-290, 177.0), (1e-300, 175.0)])
+    @pytest.mark.parametrize("swap", [False, True], ids=["ab", "ba"])
+    @pytest.mark.parametrize("eps", [1e-8, 1e-12])
+    def test_subnormal_reciprocal_factorial_is_right_or_flagged(self, A, B, swap, eps):
+        if swap:
+            A, B = B, A
+        gv = gamma_ratio(A, B, QuadratureConfig(eps_rel=eps))
+        if gv.condition_flag is ConditionFlag.OK:
+            with mpmath.workdps(30):
+                ref = mpmath.gamma(mpmath.mpf(A)) / mpmath.gamma(mpmath.mpf(B))
+                assert abs(gv.value - ref) <= 10.0 * eps * abs(ref)
 
     @pytest.mark.parametrize("A,B", [(51.5, 51.25), (51.75, 53.5)])
     def test_roundings_under_the_tolerance_return_a_value(self, A, B):

