@@ -148,7 +148,13 @@ def _by_recurrence(
 
     That is 1/Gamma(z) = recurrence(1/Gamma(w), z, m), or with negative
     Gamma(-z) = recurrence(Gamma(-w), -w, m).  w and every factor z - j
-    and j - z are exact; each division rounds.
+    and j - z are exact; each division rounds, by 2^-53 relative or, below
+    the normal range, by up to half a subnormal unit.  Every divisor is at
+    least 8 in magnitude, so each division shrinks the absolute roundings
+    before it at least eightfold, and all m together stay below one unit.
+    So the record counts the last division as propagate's one rounding,
+    and the m - 1 before it by their relative part alone, as an exact
+    factor 1 that carries that error.
     """
     m = math.floor(z) - SHIFT_BASE
     if m <= 0:
@@ -156,7 +162,9 @@ def _by_recurrence(
     w = z - m
     base = _real_line(w, cfg, method, negative)
     value = recurrence(base.value, -w if negative else z, m)
-    return GammaValue(value, base.method, propagate(value, [base.quadrature], m, cfg.eps_rel))
+    divisions = IntegralResult(1.0, (m - 1) * 2.0**-53, 0)
+    record = propagate(value, [base.quadrature, divisions], 1, cfg.eps_rel)
+    return GammaValue(value, base.method, record)
 
 
 # The real-line routes, by their change of variables on the middle stretch
@@ -176,7 +184,8 @@ def _real_line(w: float, cfg: QuadratureConfig, method: MethodTag, negative: boo
     w > 0 non-integer: the route's integral, scaled and recorded.
 
     Raises OverflowError where Gamma(-w) exceeds double precision (w below
-    about 5.6e-309).
+    about 5.6e-309).  cauchy_saalschutz integrates Gamma(-w) itself, so
+    there it raises for 1/Gamma(w) too.
     """
     arg = decompose(w)
     raised = method is MethodTag.CAUCHY_SAALSCHUTZ
@@ -187,13 +196,13 @@ def _real_line(w: float, cfg: QuadratureConfig, method: MethodTag, negative: boo
     res = integrate_regularized_kernel(arg, cfg, _ROUTE_SEGMENTS[method])
     if negative:
         value = res.value if raised else -res.value / w
-        if math.isinf(value):
-            raise OverflowError(f"Gamma({-w!r}) overflows double precision")
     else:
         scale = sinpi(w) / math.pi
         # I (about -1/w at tiny w) is scaled before the factor -w: -w scale,
         # about -w^2, would go subnormal there and lose its digits
         value = -w * (scale * res.value) if raised else scale * res.value
+    if math.isinf(value):
+        raise OverflowError(f"Gamma({-w!r}) overflows double precision")
     return GammaValue(value, method, propagate(value, [res], _ROUTE_ROUNDING, cfg.eps_rel))
 
 

@@ -39,12 +39,11 @@ with a phase (quadrature.polynomial_tail_closed_form, with the rounding
 bound of its terms as its error).  It is not shifted: at large z its
 terms dwarf the value, and the result is flagged.  The exponential part is
 bounded by e^{R cos delta} R^{-z} / |cos delta|, and R is where that
-bound, R^{-z} taken as 1, is the negligible share (that of
-quadrature.tail_negligible) of a segment's tolerance times min(1, z), the
-a-priori size of 1/Gamma(z) as z -> 0.  The part is left out, the bound
-kept as error, when quadrature.tail_negligible says so next to the
-actual rest of the contour; otherwise it is integrated over one further
-stretch.
+bound, R^{-z} taken as 1, is a negligible share (_TAIL_NEGLIGIBLE) of a
+segment's tolerance times min(1, z), the a-priori size of 1/Gamma(z) as
+z -> 0.  That part is never integrated: it is left out, the bound kept as
+its error, and where the tolerance cannot hold the bound the result is
+flagged.
 
 For real z the integrand at conj(tau) is the conjugate of the one at tau,
 so the contour integral is 2i times the imaginary part of its upper half;
@@ -54,10 +53,11 @@ a complex integral of which the imaginary part is kept, so its tolerance is
 relative to the whole ray: past R the imaginary part alone, oscillating and
 far below the result, would not meet a relative tolerance.
 
-Every segment is integrated by the same adaptive engine as the real-line
-routes (quadrature.integrate_finite, with complex values) and the segments
-are summed by quadrature.combine, the bound on the exponential tail left
-out being one more part.  A contour is set by delta and r0, and its
+Both segments, the ray up to R and the arc, are integrated by the same
+adaptive engine as the real-line routes (quadrature.integrate_finite, with
+complex values on the ray) and summed by quadrature.combine with the
+closed-form polynomial tail, the bound on the exponential tail left out
+being one more part.  A contour is set by delta and r0, and its
 truncation radius by them, z and the tolerance; each segment gets the
 same share of the tolerance and the engine's one bisection budget.
 """
@@ -68,23 +68,23 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import Callable
 
 from . import gamma_core
 from .errors import ContourDegenerate
 from .kernel import ArgDecomposition, _remainder_series, _use_series, decompose, truncated_exp
 from .quadrature import (
-    _TAIL_NEGLIGIBLE,
     IntegralResult,
     QuadratureConfig,
     combine,
     integrate_finite,
     polynomial_tail_closed_form,
     propagate,
-    tail_negligible,
 )
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+# The ray ends where the bound on its exponential part past it is this
+# share of a segment's tolerance on 1/Gamma(z).
+_TAIL_NEGLIGIBLE = 0.01
 # ray panels per layout
 _NODES = 128
 
@@ -181,7 +181,9 @@ def _ray_breakpoints(r0: float, R: float, width_cap: float) -> list[float]:
 
 
 def _segment_config(cfg: QuadratureConfig) -> QuadratureConfig:
-    return QuadratureConfig(cfg.eps_rel / 8.0)
+    # an eighth of a subnormal tolerance may round to 0: it is then the
+    # least positive double, which no segment meets either
+    return QuadratureConfig(max(cfg.eps_rel / 8.0, math.ulp(0.0)))
 
 
 def _arc(order: int, z: float, contour: HankelContour, sub: QuadratureConfig) -> IntegralResult:
@@ -209,7 +211,7 @@ def _contour_eval(
     decay = abs(math.cos(delta))
     sub = _segment_config(cfg)
     # R is where the bound on the exponential part past it (below), R^{-z}
-    # taken as 1, is the negligible share of the segment tolerance times
+    # taken as 1, is the share _TAIL_NEGLIGIBLE of the segment tolerance times
     # min(1, z), the a-priori size of 1/Gamma(z) as z -> 0.  L is summed as
     # logs: as a product it underflows at tiny z.  R clears the arc: it is
     # at least 4 r0.
@@ -226,39 +228,22 @@ def _contour_eval(
     phase = cmath.exp(1j * delta)
     turn = phase * cmath.exp(-1j * z * delta)
 
-    def ray_of_order(n: int) -> Callable[[float], complex]:
-        def ray(r: float) -> complex:
-            return _remainder(r * phase, n) * (turn * r**-z)
+    def ray(r: float) -> complex:
+        return _remainder(r * phase, order) * (turn * r**-z)
 
-        return ray
-
-    def imaginary_part(f, a: float, b: float, seeds: list[float]) -> IntegralResult:
-        res = integrate_finite(f, a, b, sub, seeds)
-        return replace(res, value=res.value.imag)
-
+    res = integrate_finite(ray, r0, R, sub, seeds)
     parts = [
         # the polynomial part of the ray beyond R, in closed form
         polynomial_tail_closed_form(arg, R, delta),
-        imaginary_part(ray_of_order(order), r0, R, seeds),
+        replace(res, value=res.value.imag),
         _arc(order, z, contour, sub),
+        # the exponential part of the ray beyond R, at most
+        # e^{R cos delta} R^{-z} / |cos delta| (z > 0): left out, a part of
+        # value 0 with the bound as its error
+        IntegralResult(0.0, math.exp(R * math.cos(delta) - z * math.log(R)) / decay, 0),
     ]
-    # the exponential part of the ray beyond R is at most
-    # e^{R cos delta} R^{-z} / |cos delta| (z > 0); it is skipped when that
-    # bound is negligible next to the rest of the contour, else integrated
-    # over one stretch and the remainder past it bounded the same way; what
-    # is left out is a part of value 0 with the bound as its error
-    neglect = math.exp(R * math.cos(delta) - z * math.log(R)) / decay
-    if not tail_negligible(neglect, sub, sum(p.value for p in parts)):
-        span = 50.0 / decay
-        top = R + span
-        parts.append(
-            imaginary_part(ray_of_order(0), R, top, [R + span * s for s in (0.1, 0.3, 0.6)])
-        )
-        neglect = math.exp(top * math.cos(delta) - z * math.log(top)) / decay
-
     # each part meets its own tolerance, but the parts can cancel (the
     # value is about z as z -> 0), so the sum is checked as well
-    parts.append(IntegralResult(0.0, neglect, 0))
     raw = combine(parts, cfg.eps_rel)
     return replace(
         raw, value=raw.value / math.pi, abs_error_estimate=raw.abs_error_estimate / math.pi

@@ -35,10 +35,11 @@ incomplete gamma function gamma(1 - z, split).
 Every route shares that series and the tail past R: the polynomial part
 -e_{n-1}(-x) x^{-z} decays only like x^{-1-frac}, so its tail is added in
 closed form, with the rounding bound of its terms as its error.  The
-exponentially small e^{-x} x^{-z} tail has an analytic bound; when that
-is below the tolerance on the rest of I(z) by a wide margin the tail is
-left out and the bound kept as its error, otherwise it is integrated
-numerically over one more stretch and the remainder past it bounded.
+exponential part e^{-x} x^{-z} is never integrated: x^{-z} does not grow,
+so its tail is at most e^{-R} R^{-z}, about 2.3e-16 at R = 36, and it is a
+part of value 0 with that bound as its error.  combine counts the bound
+like any other error, so where the tolerance cannot hold it the result is
+flagged.
 
 All parts share the sign (-1)^n (the Lagrange form of the Taylor
 remainder of e^{-x} is single-signed on x > 0), so per-part relative error
@@ -52,7 +53,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -97,15 +98,10 @@ _SUBNORMAL = math.ulp(0.0)
 EPS_ABS = 1e-300
 
 # Every route sums its integral below x = _SPLIT_POINT as a series.  Past
-# _TAIL_RADIUS the polynomial tail is summed analytically; the exponential
-# tail is bounded, or integrated over one further stretch of _EXP_TAIL_SPAN.
+# _TAIL_RADIUS the polynomial tail is summed analytically and the
+# exponential tail is bounded.
 _SPLIT_POINT = 1.0
 _TAIL_RADIUS = 36.0
-_EXP_TAIL_SPAN = 60.0
-
-# An exponential tail whose analytic bound is at most this share of the
-# tolerance on the rest of the integral is skipped, its bound kept as error.
-_TAIL_NEGLIGIBLE = 0.01
 
 # Bisections integrate_finite may make in one integral before it flags
 # the result.
@@ -355,47 +351,14 @@ def polynomial_tail_closed_form(
     return IntegralResult(total, _EPMACH * rounding, 0)
 
 
-def tail_negligible(bound: float, cfg: QuadratureConfig, rest: float | complex) -> bool:
-    """True when a tail bounded by bound cannot matter at cfg's tolerance
-    next to the rest of its integral."""
-    return bound <= _TAIL_NEGLIGIBLE * cfg.eps_rel * abs(rest)
-
-
-def exponential_tail(z: float, X: float, cfg: QuadratureConfig, rest: float) -> IntegralResult:
-    """int_X^inf e^{-x} x^{-z} dx for X > 0 and z >= 0.
-
-    rest is the value of the parts of the integral before X.  x^{-z} is
-    non-increasing, so the tail is at most B = e^{-X} X^{-z}.  When
-    tail_negligible(B, cfg, rest) the tail is not integrated: the result
-    is 0 with error B.
-
-    Otherwise it is integrated numerically over [X, X + 60]; the neglected
-    remainder is bounded by e^{-(X+60)} (X+60)^{-z} and added to the error
-    estimate.
-    """
-    bound = math.exp(-X - z * math.log(X))
-    if tail_negligible(bound, cfg, rest):
-        return IntegralResult(0.0, bound, 0)
-
-    top = X + _EXP_TAIL_SPAN
-
-    def f(x: float) -> float:
-        return math.exp(-x - z * math.log(x))
-
-    res = integrate_finite(f, X, top, cfg, breakpoints=[X + 5.0, X + 15.0, X + 30.0])
-    bound = math.exp(-top - z * math.log(top))
-    return replace(res, abs_error_estimate=res.abs_error_estimate + bound)
-
-
 def combine(parts: Sequence[IntegralResult], eps_rel: float) -> IntegralResult:
     """The sum of the parts of a composite integral, and its flag.
 
     Values, error estimates and evaluations add up in the order given.  A
     stretch left out under its bound is a part too, of value 0 with the
-    bound as its error (as exponential_tail returns it).  The flag is
-    tolerance_not_met if any part missed its tolerance, or if the summed
-    estimate exceeds eps_rel times the sum (the parts can cancel);
-    otherwise ok.
+    bound as its error.  The flag is tolerance_not_met if any part missed
+    its tolerance, or if the summed estimate exceeds eps_rel times the sum
+    (the parts can cancel); otherwise ok.
     """
     value = sum(p.value for p in parts)
     err = sum(p.abs_error_estimate for p in parts)
@@ -506,8 +469,8 @@ def integrate_regularized_kernel(
     origin_closed_form sums the stretch [0, split].  segments(arg) states
     a route's change of variables: the segment that covers x in
     [split, R], by default on the real axis.  The closed-form polynomial
-    tail and the exponential tail follow it, in that order; each
-    integrated part gets half the tolerance, and the sum is checked
+    tail and the bound on the exponential tail follow it, in that order;
+    the integrated part gets half the tolerance, and the sum is checked
     against the whole of it.
 
     arg.frac must lie in (0, 1), as decompose and the raised order of
@@ -516,13 +479,15 @@ def integrate_regularized_kernel(
     if not 0.0 < arg.frac < 1.0:
         raise ValueError(f"need 0 < frac < 1, got {arg!r}")
     cfg = cfg or QuadratureConfig()
-    sub = QuadratureConfig(cfg.eps_rel / 2.0)
+    # half a subnormal tolerance may round to 0: it is then the least
+    # positive double, which the integrated part cannot meet either
+    sub = QuadratureConfig(max(cfg.eps_rel / 2.0, _SUBNORMAL))
     f, a, b, seeds = segments(arg)
     parts = [
         origin_closed_form(arg, _SPLIT_POINT),
         integrate_finite(f, a, b, sub, seeds),
         polynomial_tail_closed_form(arg, _TAIL_RADIUS),
+        # int_R^inf e^{-x} x^{-z} dx <= e^{-R} R^{-z}, left out
+        IntegralResult(0.0, math.exp(-_TAIL_RADIUS - arg.z * math.log(_TAIL_RADIUS)), 0),
     ]
-    rest = sum(p.value for p in parts)
-    parts.append(exponential_tail(arg.z, _TAIL_RADIUS, sub, rest))
     return combine(parts, cfg.eps_rel)

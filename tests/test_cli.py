@@ -93,6 +93,14 @@ class TestEval:
         assert "flag   = ok" in out
         assert "evals  = " in out
 
+    def test_subnormal_tolerance_is_a_flag(self, capsys):
+        # half of 5e-324 rounds to 0, which no part's config takes
+        code, out, err = run(capsys, "eval", "2.5", "--eps-rel", "5e-324")
+        assert code == 2
+        assert err == ""
+        assert "0.7522527780" in out
+        assert "flag   = tolerance_not_met" in out
+
     def test_inverse_laplace_reports_contour_flag(self, capsys):
         code, out, _ = run(
             capsys, "eval", "1.5", "--fn", "inv-laplace", "--t", "2", "--eps-rel", "1e-14"

@@ -175,6 +175,34 @@ class TestRecurrence:
         assert value == pytest.approx(float(mpmath.rgamma(175.5)), rel=1e-12)
         assert 0.0 < value < sys.float_info.min
 
+    @pytest.mark.parametrize("z,eps,flag", [
+        (172.5, 1e-12, ConditionFlag.OK),
+        (174.5, 1e-8, ConditionFlag.OK),
+        (174.5, 1e-12, ConditionFlag.TOLERANCE_NOT_MET),
+    ])
+    def test_subnormal_result_counts_one_absolute_unit(self, z, eps, flag):
+        # every divisor is at least 8, so the m divisions' absolute roundings
+        # stay below one subnormal unit together; counting one per division
+        # flagged 1/Gamma(172.5), right to 3.0e-14, and 1/Gamma(174.5),
+        # right to 9.4e-10 and a few significant bits, even at eps 1e-8
+        gv = recip_gamma(z, QuadratureConfig(eps_rel=eps))
+        assert gv.condition_flag is flag
+        with mpmath.workdps(30):
+            assert abs(gv.value - mpmath.rgamma(z)) <= gv.quadrature.abs_error_estimate
+
+    @pytest.mark.parametrize("eps", [1e-8, 1e-12])
+    def test_estimate_bounds_the_error_past_the_normal_range(self, eps):
+        # 1/Gamma(z) and Gamma(-z) go subnormal from about z = 171.6
+        cfg = QuadratureConfig(eps_rel=eps)
+        for k in range(26):
+            z = 171.5 + 0.25 * k + 0.0137
+            with mpmath.workdps(30):
+                for gv, ref in (
+                    (recip_gamma(z, cfg), mpmath.rgamma(z)),
+                    (gamma_negative(z, cfg), mpmath.gamma(-mpmath.mpf(z))),
+                ):
+                    assert abs(gv.value - ref) <= gv.quadrature.abs_error_estimate, z
+
     @pytest.mark.parametrize("method", _REAL_LINE)
     def test_large_z_costs_what_its_base_window_costs(self, method):
         # 45.5 is evaluated at 8.5: the same integral, 37 factors apart
@@ -405,6 +433,13 @@ class TestCauchySaalschutz:
                 ref = mpmath.rgamma(mpmath.mpf(z))
                 assert abs(gv.value - ref) <= 10.0 * eps * abs(ref)
 
+    @pytest.mark.parametrize("z", [1e-310, 5e-324])
+    def test_integral_past_double_precision_raises(self, z):
+        # the route integrates Gamma(-z), about -1/z, which overflows: the
+        # result is an error, not inf
+        with pytest.raises(OverflowError):
+            recip_gamma(z, CFG, MethodTag.CAUCHY_SAALSCHUTZ)
+
     def test_gamma_at_tiny_z(self):
         # Gamma(1e-200) = 1e200 is finite and must not overflow
         gv = gamma(1e-200, CFG, MethodTag.CAUCHY_SAALSCHUTZ)
@@ -535,6 +570,15 @@ class TestGammaRatio:
         with mpmath.workdps(30):
             ref = mpmath.gamma(mpmath.mpf(A)) / mpmath.gamma(mpmath.mpf(B))
             assert abs(gv.value - ref) <= 10.0 * eps * abs(ref)
+
+    def test_numerator_just_past_the_normal_range(self):
+        # 1/Gamma(172.5) is about 6e-311: subnormal, but right to 3.0e-14
+        cfg = QuadratureConfig(eps_rel=1e-12)
+        gv = gamma_ratio(172.5, 0.001, cfg)
+        assert gv.condition_flag is ConditionFlag.OK
+        with mpmath.workdps(30):
+            ref = mpmath.gamma(172.5) / mpmath.gamma(mpmath.mpf(0.001))
+            assert abs(gv.value - ref) <= 10.0 * cfg.eps_rel * abs(ref)
 
     def test_numerator_deep_in_the_subnormal_range_is_flagged(self):
         # 1/Gamma(175.5) is about 1e-318, a few significant bits

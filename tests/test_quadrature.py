@@ -7,7 +7,8 @@ import mpmath
 import pytest
 
 from regamma import kernel, quadrature
-from regamma.gamma_core import recip_gamma
+from regamma.gamma_core import MethodTag, gamma_negative, recip_gamma
+from regamma.hankel import arc_contribution
 from regamma.kernel import ArgDecomposition, decompose, sinpi, truncated_exp
 from regamma.oracle import brute_force_integral
 from regamma.quadrature import (
@@ -15,7 +16,6 @@ from regamma.quadrature import (
     ConditionFlag,
     IntegralResult,
     QuadratureConfig,
-    exponential_tail,
     geometric_breakpoints,
     integrate_finite,
     integrate_regularized_kernel,
@@ -313,27 +313,28 @@ class TestPolynomialTail:
 
 
 class TestExponentialTail:
-    def test_against_gamma_tail(self):
-        # int_X^inf e^{-x} x^{-z} dx at z=0.5, X=1 equals
-        # Gamma(0.5, 1) = sqrt(pi) erfc(1); frozen 50-digit value
-        res = exponential_tail(0.5, 1.0, CFG, 0.0)
-        assert res.value == pytest.approx(0.27880558528066197650, rel=1e-9)
+    """Past R = 36 the exponential part is bounded, never integrated."""
 
-    def test_negligible_for_large_radius(self):
-        res = exponential_tail(1.5, 36.0, CFG, 0.0)
-        assert abs(res.value) < 1e-16
+    @pytest.mark.parametrize("z", [1e-300, 0.5, 5.5, 49.9])
+    def test_skipped_tail_error_bounds_the_tail(self, monkeypatch, z):
+        # the last part of the real line's record is the bound: value 0, no
+        # evaluations, and an error of at least
+        # int_36^inf e^{-x} x^{-z} dx = Gamma(1 - z, 36)
+        combined, combine = [], quadrature.combine
 
-    @pytest.mark.parametrize("z", [0.0, 0.5, 5.0, 49.9])
-    def test_skipped_tail_error_bounds_the_tail(self, z):
-        # a huge rest makes the tail negligible; the error it reports must
-        # bound int_36^inf e^{-x} x^{-z} dx = Gamma(1 - z, 36)
-        res = exponential_tail(z, 36.0, CFG, 1e300)
-        assert res.value == 0.0
-        assert res.evaluations == 0
+        def spy(parts, eps_rel):
+            combined.append(list(parts))
+            return combine(parts, eps_rel)
+
+        monkeypatch.setattr(quadrature, "combine", spy)
+        integrate_regularized_kernel(decompose(z), CFG)
+        bound = combined[-1][-1]
+        assert bound.value == 0.0
+        assert bound.evaluations == 0
         with mpmath.workdps(30):
             exact = float(mpmath.gammainc(1 - mpmath.mpf(z), 36))
-        assert exact <= res.abs_error_estimate * (1.0 + 1e-12)
-        assert res.abs_error_estimate <= 5.0 * exact
+        assert exact <= bound.abs_error_estimate * (1.0 + 1e-12)
+        assert bound.abs_error_estimate <= 5.0 * exact
 
     def test_regularized_integral_skips_a_negligible_tail(self):
         # the tail past R = 36 is about 1e-20 of I(2.5); the middle stretch
@@ -343,18 +344,19 @@ class TestExponentialTail:
         assert gv.quadrature.evaluations <= 30
         assert gv.value == pytest.approx(float(mpmath.rgamma(2.5)), rel=CFG.eps_rel)
 
-    def test_tail_above_the_tolerance_is_integrated(self, monkeypatch):
-        # at z = 0.05 the bound e^{-36} 36^{-z} is above 1e-16 of I(z)
-        tails = []
+    def test_no_evaluation_past_the_radius(self, monkeypatch):
+        # at z = 0.05 the bound e^{-36} 36^{-z} is above 1e-16 of I(z), yet
+        # only the middle stretch [log 1, log 36] is integrated
+        stretches = []
 
-        def spy(*args):
-            tails.append(exponential_tail(*args))
-            return tails[-1]
+        def spy(f, a, b, cfg, breakpoints=None):
+            stretches.append((a, b, integrate_finite(f, a, b, cfg, breakpoints)))
+            return stretches[-1][2]
 
-        monkeypatch.setattr(quadrature, "exponential_tail", spy)
-        recip_gamma(0.05, QuadratureConfig(eps_rel=1e-14))
-        assert len(tails) == 1
-        assert tails[0].evaluations > 0
+        monkeypatch.setattr(quadrature, "integrate_finite", spy)
+        gv = recip_gamma(0.05, QuadratureConfig(eps_rel=1e-14))
+        assert [(a, b) for a, b, _ in stretches] == [(0.0, math.log(36.0))]
+        assert gv.quadrature.evaluations == stretches[0][2].evaluations
 
 
 class TestRoundOffFloor:
@@ -422,6 +424,20 @@ class TestConfigValidation:
     def test_bad_eps_rel(self):
         with pytest.raises(ValueError):
             QuadratureConfig(eps_rel=2.0)
+
+    @pytest.mark.parametrize("eps", [5e-324, 1.5e-323])
+    def test_subnormal_tolerance_is_flagged(self, eps):
+        # its share for a part rounds to 0; the result is flagged, not an
+        # error from the part's config
+        cfg = QuadratureConfig(eps_rel=eps)
+        for method in MethodTag:
+            gv = recip_gamma(2.5, cfg, method)
+            assert gv.condition_flag is ConditionFlag.TOLERANCE_NOT_MET
+            assert gv.value == pytest.approx(float(mpmath.rgamma(2.5)), rel=1e-14)
+        gv = gamma_negative(2.5, cfg, MethodTag.CAUCHY_SAALSCHUTZ)
+        assert gv.condition_flag is ConditionFlag.TOLERANCE_NOT_MET
+        arc = arc_contribution(2.5, None, cfg)
+        assert arc == pytest.approx(arc_contribution(2.5, None, CFG), rel=1e-7)
 
     def test_geometric_breakpoints_need_a_positive_start(self):
         with pytest.raises(ValueError):
