@@ -14,10 +14,10 @@ are exposed (selected by MethodTag):
 
 plus `hankel`, the trapezoid rule on the steepest-descent path of Hankel's
 integral, resolved by the hankel module.  The four real-line routes are
-one table from MethodTag to quadrature's segments, the change of variables
-on the middle stretch [1, 36] (cauchy_saalschutz takes the real axis's at
-the raised order); quadrature.integrate_regularized_kernel sums [0, 1] as
-a series, adds the shared tail and decides the flag.  One function,
+one table from MethodTag to quadrature's middle functions, the change of
+variables on the middle stretch [1, 36] (cauchy_saalschutz takes the real
+axis's at the raised order); quadrature.integrate_regularized_kernel sums
+[0, 1] as a series, adds the shared tail and decides the flag.  One function,
 _real_line, turns that integral into a value: 1/Gamma(z) on any of the
 four, or Gamma(-z) on real_axis (-I(z)/z) and cauchy_saalschutz (I at the
 raised order itself), which gamma_negative takes as its method.
@@ -57,10 +57,10 @@ from .quadrature import (
     IntegralResult,
     QuadratureConfig,
     integrate_regularized_kernel,
-    log_form_segments,
-    power_subst_segments,
+    log_form_middle,
+    power_subst_middle,
     propagate,
-    real_axis_segments,
+    real_axis_middle,
 )
 
 # largest m with (m-1)! representable in double precision
@@ -127,10 +127,12 @@ def recurrence(value: float, x: float, m: int) -> float:
     value = 1/Gamma(x - m), and equally Gamma(x - m) from value = Gamma(x).
     The factors are applied one at a time, so that nothing overflows and a
     result below the normal range underflows gradually; a value that
-    reaches 0 stays 0.
+    reaches 0 stays 0.  For m < 0 the factor x comes last: for x > 0 every
+    other factor is at least 1, so only that last product can round to an
+    absolute unit below the normal range, and no later factor amplifies it.
     """
     if m < 0:
-        for j in range(-m):
+        for j in range(-m - 1, -1, -1):
             value *= x + j
     else:
         for j in range(1, m + 1):
@@ -171,11 +173,11 @@ def _by_recurrence(
 # of I(z): 1/Gamma(z) = sin(pi z)/pi * I(z) and Gamma(-z) = -I(z)/z.
 # cauchy_saalschutz is the real axis at the raised order, where I is
 # Gamma(-z) itself and 1/Gamma(z) = -z sin(pi z)/pi * Gamma(-z).
-_ROUTE_SEGMENTS = {
-    MethodTag.REAL_AXIS: real_axis_segments,
-    MethodTag.POWER_SUBST: power_subst_segments,
-    MethodTag.LOG_FORM: log_form_segments,
-    MethodTag.CAUCHY_SAALSCHUTZ: real_axis_segments,
+_ROUTE_MIDDLE = {
+    MethodTag.REAL_AXIS: real_axis_middle,
+    MethodTag.POWER_SUBST: power_subst_middle,
+    MethodTag.LOG_FORM: log_form_middle,
+    MethodTag.CAUCHY_SAALSCHUTZ: real_axis_middle,
 }
 
 
@@ -193,7 +195,7 @@ def _real_line(w: float, cfg: QuadratureConfig, method: MethodTag, negative: boo
         # same frac, order n + 1 = [w + 1]: I is the order-n
         # regularization of Gamma(-w)
         arg = ArgDecomposition(z=w + 1.0, n=arg.n + 1, frac=arg.frac)
-    res = integrate_regularized_kernel(arg, cfg, _ROUTE_SEGMENTS[method])
+    res = integrate_regularized_kernel(arg, cfg, _ROUTE_MIDDLE[method])
     if negative:
         value = res.value if raised else -res.value / w
     else:
@@ -217,7 +219,7 @@ def recip_gamma(
     is subnormal or 0, with the record of its rounding); zero and negative
     integers return exactly 0, and so does +inf, the limit.  Negative non-integer z
     reflects once to 1-z > 0 (to -z, after the step 1/Gamma(z) =
-    z/Gamma(z + 1), where 1 - z rounds onto an integer), and raises
+    z/Gamma(z + 1), where 1 - z rounds), and raises
     OverflowError where the result exceeds double precision.  Non-integer
     positive z goes through the representation named by method, from 9 up
     at z - m in [8, 9) and moved back by the recurrence.  NaN and -inf
@@ -237,12 +239,17 @@ def recip_gamma(
         record = propagate(value, [], 1, cfg.eps_rel) if value < sys.float_info.min else None
         return GammaValue(value, method, record)
     if z < 0.0:
-        if (1.0 - z).is_integer():
-            # 1 - z rounded onto an integer, whose factorial would pass for
-            # exact.  z + 1 is exact, and so is its reflection 1 - (z + 1),
-            # unless |z| <= 2^-53, where z is 1/Gamma(z) to within an ulp.
+        if (1.0 - z) - 1.0 != -z:
+            # 1 - z rounded, and 1/Gamma would amplify that by about
+            # |z| psi(1 - z) (110 at z = -32), or it rounded onto an
+            # integer, whose factorial would pass for exact.  So take
+            # 1/Gamma(z) = z/Gamma(z + 1).  For z <= -1, z + 1 is exact, and
+            # so is its reflection 1 - (z + 1).  In (-1, 0) z + 1 may round,
+            # by at most 2^-54 and only when it lies in (1/2, 1), which moves
+            # 1/Gamma(z + 1) by at most |psi(1/2)| 2^-54 < 2^-53 relative:
+            # one rounding more.
             base = recip_gamma(z + 1.0, cfg, method)
-            value, roundings = z * base.value, 1
+            value, roundings = z * base.value, 1 if z <= -1.0 else 2
         else:
             base = recip_gamma(1.0 - z, cfg, method)
             # 1/Gamma(1 - z) may underflow to 0

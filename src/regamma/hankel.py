@@ -152,7 +152,13 @@ def steepest_descent_recip_gamma(z: float, cfg: QuadratureConfig) -> IntegralRes
     The record is that of 1/Gamma(z) itself, with 24 evaluations: the
     24-node sum, whose error is its difference from the 12-node sum, moved
     back by the recurrence's |m| factors.  quadrature.propagate adds the
-    rounding of the sum and of the factors and decides the flag.
+    rounding of the sum and of the factors and decides the flag.  The sum
+    lies in the normal range.  From 9 up every divisor is at least 8, so
+    the absolute roundings of the divisions stay below one subnormal unit
+    together, as in gamma_core._by_recurrence; below 8 only the last
+    product, by the small factor z, can leave the normal range.  So one
+    rounding counts an absolute unit, and the others their relative part
+    alone, as an exact factor 1 that carries it.
     """
     m = math.floor(z) - gamma_core.SHIFT_BASE
     w = z - m
@@ -162,7 +168,8 @@ def steepest_descent_recip_gamma(z: float, cfg: QuadratureConfig) -> IntegralRes
     coarse = (head + math.fsum(terms[2::2])) * (2.0 * w / len(terms))
     trapezoid = IntegralResult(fine, abs(fine - coarse), len(terms))
     value = gamma_core.recurrence(fine, z, m)
-    return propagate(value, [trapezoid], _TRAPEZOID_ROUNDING + abs(m), cfg.eps_rel)
+    roundings = IntegralResult(1.0, (_TRAPEZOID_ROUNDING + abs(m) - 1) * 2.0**-53, 0)
+    return propagate(value, [trapezoid, roundings], 1, cfg.eps_rel)
 
 
 def _ray_breakpoints(r0: float, R: float, width_cap: float) -> list[float]:

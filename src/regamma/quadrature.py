@@ -1,9 +1,10 @@
-"""The adaptive quadrature engine and the one assembly of I(z).
+"""The adaptive quadrature engine, the real axis's fixed rule and the one assembly of I(z).
 
 integrate_finite is the package's only adaptive engine: an embedded 7/15
 Gauss-Kronrod pair with worst-panel bisection and the classical QUADPACK
 error scaling.  It takes real or complex integrands alike, so the same
-engine sums the real-line parts below and the Hankel contour segments.
+engine sums the middle stretch of two real-line routes below and the
+Hankel contour segments.
 Its only setting is the relative tolerance (QuadratureConfig); every
 integral may bisect at most _MAX_BISECTIONS panels.  Like QUADPACK's
 round-off detection it stops bisecting once the panels' round-off floors
@@ -21,10 +22,13 @@ so that stretch is summed term by term (origin_closed_form): every power
 of x it integrates is x^{k-z} with k - z > -1, and the algebraic x^{-frac}
 endpoint singularity becomes the exact factor 1/(1 - frac).  The routes
 differ only in their change of variables on [split, R], and each is a
-function of the argument alone that returns that stretch as one segment
-(integrand, a, b, seeds) over the shared split and radius:
-real_axis_segments (t = log x, smooth enough for two panels, the default),
-power_subst_segments (v = (x^z - 1)/z) and log_form_segments (u = e^{-x}).
+function (arg, eps_rel, scale) that returns that stretch as one part,
+within eps_rel * scale, scale being a lower bound on |I(z)|:
+real_axis_middle (t = log x, the default), power_subst_middle
+(v = (x^z - 1)/z) and log_form_middle (u = e^{-x}).  In t = log x the
+integrand is entire, so the real axis takes a fixed Gauss-Legendre rule
+whose panel count, one or two, comes from a closed-form error bound
+before any evaluation; the other two take the adaptive engine.
 
 The argument is a positive non-integer z = n + frac, 0 < frac < 1, as
 kernel.decompose builds it, or the same frac at the raised order n + 1
@@ -43,10 +47,11 @@ flagged.
 
 All parts share the sign (-1)^n (the Lagrange form of the Taylor
 remainder of e^{-x} is single-signed on x > 0), so per-part relative error
-control gives global relative control without cancellation surprises.
+control gives global relative control without cancellation surprises,
+and |I(z)| is at least |origin part|, the scale the middle stretch gets.
 The sum is still checked against the tolerance once more: the closed-form
-parts carry rounding bounds that no tolerance holds, and at large z the
-terms of the polynomial tail dwarf the sum.
+parts and the fixed rule carry bounds that no tolerance holds, and at
+large z the terms of the polynomial tail dwarf the sum.
 """
 
 from __future__ import annotations
@@ -86,6 +91,36 @@ _WG = (
     0.381830050505118944950369775488975,
 )
 _WG_CENTER = 0.417959183673469387755102040816327
+
+# 15-point Gauss-Legendre abscissae and weights on [-1, 1] (positive half;
+# the centre apart); _GL15 is the whole rule as (abscissa, weight) pairs.
+_XGL = (
+    0.987992518020485428489565718586613,
+    0.937273392400705904307758947710209,
+    0.848206583410427216200648320774217,
+    0.724417731360170047416186054613938,
+    0.570972172608538847537226737253911,
+    0.394151347077563369897207370981045,
+    0.201194093997434522300628303394596,
+)
+_WGL = (
+    0.030753241996117268354628393577204,
+    0.070366047488108124709267416450667,
+    0.107159220467171935011869546685869,
+    0.139570677926154314447804794511028,
+    0.166269205816993933553200860481209,
+    0.186161000015562211026800561866423,
+    0.198431485327111576456118326443839,
+)
+_WGL_CENTER = 0.202578241925561272880620199967519
+_GL15 = ((0.0, _WGL_CENTER),) + tuple(
+    (sign * x, w) for x, w in zip(_XGL, _WGL) for sign in (-1.0, 1.0)
+)
+# Relative rounding of the rule's sum on the real axis's middle stretch, in
+# units of eps: measured against mpmath over n <= 9 and 200 frac in (0, 1),
+# the sum's error past the bound reached 9.9 eps on two panels (on one,
+# the bound alone covered it).
+_GL_ROUNDING = 16
 
 _EPMACH = sys.float_info.epsilon
 _UFLOW = sys.float_info.min
@@ -397,30 +432,70 @@ def propagate(
     return IntegralResult(value, err, evaluations, flag)
 
 
-# A route's middle stretch [split, R]: (integrand, a, b, panel seeds).
-Segment = tuple[Callable[[float], float], float, float, Sequence[float]]
+def _gl15_bound(frac: float, n: int, lo: float, hi: float, panels: int) -> float:
+    """Trefethen's bound (ATAP, Thm 19.3) on the error of `panels` equal
+    15-point Gauss-Legendre panels on [lo, hi] for real_axis_middle's
+    integrand f(t) = R_n(-e^t) e^{(1-n-frac) t}, R_n(w) = e^w - e_{n-1}(w).
 
-
-def real_axis_segments(arg: ArgDecomposition) -> Segment:
-    """The real-axis route: the stretch [split, R] in t = log x.
-
-    dx = x dt turns the integrand into (e^{-x} - e_{n-1}(-x)) x^{1-z} at
-    x = e^t, smooth over [log split, log R]; one seed at the midpoint
-    makes two panels.  The exponent 1 - z is built from n and frac, as in
-    the origin series.
+    On a panel of half-width h and centre c, take the Bernstein ellipse
+    E_rho of half-height h (rho - 1/rho)/2 = pi/2: rho = s + sqrt(s^2 + 1)
+    with s = pi/(2h).  There Re(-e^t) <= 0, so the integral form of the
+    Taylor remainder, R_n(w) = w^n/(n-1)! int_0^1 (1-u)^{n-1} e^{uw} du,
+    gives |R_n(-e^t)| <= |e^t|^n/n!, and |f| <= M = e^{(1-frac) Re t}/n!,
+    largest at Re t = c + h (rho + 1/rho)/2.  The panel's error is then at
+    most (64/15) h M rho^{-30}/(rho^2 - 1).
     """
-    n, expo = arg.n, (1 - arg.n) - arg.frac
+    h = (hi - lo) / (2 * panels)
+    s = math.pi / (2.0 * h)
+    rho = s + math.sqrt(s * s + 1.0)
+    reach = 0.5 * h * (rho + 1.0 / rho)
+    unit = 64.0 / 15.0 * h * rho**-30 / ((rho * rho - 1.0) * math.factorial(n))
+    return unit * math.fsum(
+        math.exp((1.0 - frac) * (lo + (2 * p + 1) * h + reach)) for p in range(panels)
+    )
 
-    def middle(t: float) -> float:
-        return exp_remainder(-math.exp(t), n) * math.exp(expo * t)
 
+def real_axis_middle(arg: ArgDecomposition, eps_rel: float, scale: float) -> IntegralResult:
+    """The real-axis route: the stretch [split, R] in t = log x, by a fixed
+    15-point Gauss-Legendre rule on one or two equal panels.
+
+    dx = x dt turns the integrand into f(t) = (e^{-x} - e_{n-1}(-x)) x^{1-z}
+    at x = e^t, entire in t, so _gl15_bound bounds the rule's error in
+    closed form.  One panel serves where its bound is at most
+    eps_rel * scale, and two otherwise: over n <= 9 and 0 < frac < 1 their
+    bound is at most 2.4e-16 of the origin part (largest as frac -> 0),
+    below the rounding of the sum, so no third panel is ever needed.  The
+    nodes are placed at call time from the split and the radius, and the
+    exponent 1 - z is built from n and frac, as in the origin series.
+
+    The part is ok; its error is the bound plus the sum's rounding.  f is
+    single-signed and the weights positive, so that rounding is relative
+    to the sum; it is _GL_ROUNDING eps, and the sum of all parts is still
+    checked against the tolerance (combine).
+    """
+    n, frac = arg.n, arg.frac
+    expo = (1 - n) - frac
     lo, hi = math.log(_SPLIT_POINT), math.log(_TAIL_RADIUS)
-    return middle, lo, hi, [0.5 * (lo + hi)]
+    panels = 1
+    bound = _gl15_bound(frac, n, lo, hi, 1)
+    if bound > eps_rel * scale:
+        panels = 2
+        bound = _gl15_bound(frac, n, lo, hi, 2)
+    h = (hi - lo) / (2 * panels)
+    total = 0.0
+    for p in range(panels):
+        centre = lo + (2 * p + 1) * h
+        for x, w in _GL15:
+            t = centre + h * x
+            total += w * exp_remainder(-math.exp(t), n) * math.exp(expo * t)
+    value = h * total
+    return IntegralResult(value, bound + _GL_ROUNDING * _EPMACH * abs(value), 15 * panels)
 
 
-def power_subst_segments(arg: ArgDecomposition) -> Segment:
+def power_subst_middle(arg: ArgDecomposition, eps_rel: float, scale: float) -> IntegralResult:
     """The power-substitution route: [split, R] in v = (x^z - 1)/z, the
-    power substitution u = x^z shifted and scaled.
+    power substitution u = x^z shifted and scaled, by the adaptive engine
+    within eps_rel of the stretch itself (scale is not needed).
 
     There the integrand is x^{1-2z} (e^{-x} - e_{n-1}(-x)), with
     log x = log1p(z v)/z, over [expm1(z log split)/z, expm1(z log R)/z].
@@ -437,12 +512,13 @@ def power_subst_segments(arg: ArgDecomposition) -> Segment:
     split, R = _SPLIT_POINT, _TAIL_RADIUS
     lo, hi = (math.expm1(z * math.log(x)) / z for x in (split, R))
     seeds = [(u - 1.0) / z for u in geometric_breakpoints(split**z, R**z)]
-    return middle, lo, hi, seeds
+    return integrate_finite(middle, lo, hi, QuadratureConfig(eps_rel), seeds)
 
 
-def log_form_segments(arg: ArgDecomposition) -> Segment:
+def log_form_middle(arg: ArgDecomposition, eps_rel: float, scale: float) -> IntegralResult:
     """The log-form route: [split, R] folded onto the unit interval by
-    u = e^{-x}.
+    u = e^{-x}, by the adaptive engine within eps_rel of the stretch itself
+    (scale is not needed).
 
     With x = -log u, dx = -du/u, the integrand is
     (e^{-x} - e_{n-1}(-x)) x^{-z} / u over [e^{-R}, e^{-split}]: the
@@ -456,22 +532,24 @@ def log_form_segments(arg: ArgDecomposition) -> Segment:
         return exp_remainder(-x, n) * math.exp(expo * math.log(x)) / u
 
     u1, u0 = math.exp(-_SPLIT_POINT), math.exp(-_TAIL_RADIUS)
-    return middle, u0, u1, geometric_breakpoints(u0, u1)
+    seeds = geometric_breakpoints(u0, u1)
+    return integrate_finite(middle, u0, u1, QuadratureConfig(eps_rel), seeds)
 
 
 def integrate_regularized_kernel(
     arg: ArgDecomposition,
     cfg: QuadratureConfig | None = None,
-    segments: Callable[[ArgDecomposition], Segment] = real_axis_segments,
+    middle: Callable[[ArgDecomposition, float, float], IntegralResult] = real_axis_middle,
 ) -> IntegralResult:
     """I(z) = int_0^inf (e^{-x} - e_{n-1}(-x)) x^{-z} dx with n = arg.n.
 
-    origin_closed_form sums the stretch [0, split].  segments(arg) states
-    a route's change of variables: the segment that covers x in
-    [split, R], by default on the real axis.  The closed-form polynomial
-    tail and the bound on the exponential tail follow it, in that order;
-    the integrated part gets half the tolerance, and the sum is checked
-    against the whole of it.
+    origin_closed_form sums the stretch [0, split].  middle states a
+    route's change of variables: it returns the part that covers x in
+    [split, R], by default on the real axis, within half the tolerance,
+    relative to the origin part's magnitude where it needs a scale.  The
+    closed-form polynomial tail and the bound on the exponential tail
+    follow it, in that order, and the sum is checked against the whole of
+    the tolerance.
 
     arg.frac must lie in (0, 1), as decompose and the raised order of
     cauchy_saalschutz build it; any other arg raises ValueError.
@@ -479,13 +557,12 @@ def integrate_regularized_kernel(
     if not 0.0 < arg.frac < 1.0:
         raise ValueError(f"need 0 < frac < 1, got {arg!r}")
     cfg = cfg or QuadratureConfig()
-    # half a subnormal tolerance may round to 0: it is then the least
-    # positive double, which the integrated part cannot meet either
-    sub = QuadratureConfig(max(cfg.eps_rel / 2.0, _SUBNORMAL))
-    f, a, b, seeds = segments(arg)
+    origin = origin_closed_form(arg, _SPLIT_POINT)
     parts = [
-        origin_closed_form(arg, _SPLIT_POINT),
-        integrate_finite(f, a, b, sub, seeds),
+        origin,
+        # half a subnormal tolerance may round to 0: it is then the least
+        # positive double, which the middle stretch cannot meet either
+        middle(arg, max(cfg.eps_rel / 2.0, _SUBNORMAL), abs(origin.value)),
         polynomial_tail_closed_form(arg, _TAIL_RADIUS),
         # int_R^inf e^{-x} x^{-z} dx <= e^{-R} R^{-z}, left out
         IntegralResult(0.0, math.exp(-_TAIL_RADIUS - arg.z * math.log(_TAIL_RADIUS)), 0),

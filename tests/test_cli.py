@@ -32,7 +32,8 @@ class TestEval:
         assert "flag   = exact" in out
 
     def test_gamma_negative(self, capsys):
-        code, out, _ = run(capsys, "eval", "0.5", "--fn", "gamma-neg")
+        # eleven digits need a tolerance tighter than the default 1e-8
+        code, out, _ = run(capsys, "eval", "0.5", "--fn", "gamma-neg", "--eps-rel", "1e-12")
         assert code == 0
         assert "-3.5449077018" in out
 
@@ -102,8 +103,9 @@ class TestEval:
         assert "flag   = tolerance_not_met" in out
 
     def test_inverse_laplace_reports_contour_flag(self, capsys):
+        # each factor meets 5e-15 alone, and their product does not
         code, out, _ = run(
-            capsys, "eval", "1.5", "--fn", "inv-laplace", "--t", "2", "--eps-rel", "1e-14"
+            capsys, "eval", "1.5", "--fn", "inv-laplace", "--t", "2", "--eps-rel", "5e-15"
         )
         assert code == 2
         assert "flag   = tolerance_not_met" in out
@@ -428,18 +430,13 @@ class TestVerify:
         assert all(pattern.match(l) for l in lines), lines
 
     def test_real_line_flag_fails_the_check(self, capsys):
-        # below the round-off floor the real-line results are not ok either
+        # below the round-off floor the real-line results are not ok either:
+        # at 1e-14 gamma_ratio's 68 roundings at A = 41.2, and the adaptive
+        # power_subst and log_form routes, reach it; the fixed rule does not
         code, out, _ = run(capsys, "verify", "--eps-rel", "1e-14")
         assert code == 1
         fails = [l.split()[1] for l in out.splitlines() if l.startswith("FAIL")]
-        assert fails == [
-            "recurrence",
-            "reflection",
-            "gamma_ratio_recurrence",
-            "representation_equivalence",
-            "cauchy_saalschutz",
-            "gamma_negative_sign_pattern",
-        ]
+        assert fails == ["gamma_ratio_recurrence", "representation_equivalence"]
         assert all(
             l.endswith("flag=tolerance_not_met") for l in out.splitlines() if l.startswith("FAIL")
         )

@@ -160,13 +160,45 @@ class TestRecipGamma:
             assert abs(gv.value - ref) <= 10.0 * cfg.eps_rel * abs(ref)
 
 
+    @pytest.mark.parametrize(
+        "z", [-31.00671565557138, -15.000000000000226, -7.0000437255187355]
+    )
+    def test_reflection_counts_the_rounding_of_one_minus_z(self, z):
+        # |z| + 1 crosses into a wider binade, so 1 - z rounds, and 1/Gamma
+        # amplifies that by about |z| psi(1 - z); reflected at the rounded
+        # 1 - z these were off by 1.3e-14, 4.7e-15 and 2.0e-15 against
+        # estimates of 4.5e-15, 2.6e-15 and 1.7e-15
+        assert (1.0 - z) - 1.0 != -z
+        gv = recip_gamma(z, QuadratureConfig(eps_rel=1e-14))
+        with mpmath.workdps(30):
+            assert abs(gv.value - mpmath.rgamma(z)) <= gv.quadrature.abs_error_estimate
+
+    @pytest.mark.parametrize("z", [-0.4999999999999999, -0.123456789, -1e-17, -0.7123456789])
+    def test_reflection_in_minus_one_to_zero(self, z):
+        # neither 1 - z nor z + 1 need be exact here; the step through
+        # z + 1 counts that argument's rounding
+        cfg = QuadratureConfig(eps_rel=1e-14)
+        gv = recip_gamma(z, cfg)
+        with mpmath.workdps(30):
+            assert abs(gv.value - mpmath.rgamma(z)) <= gv.quadrature.abs_error_estimate
+        assert gv.condition_flag is ConditionFlag.OK
+
+
 class TestRecurrence:
     def test_divides_one_factor_at_a_time(self):
         assert recurrence(1.0, 10.5, 2) == 1.0 / 9.5 / 8.5
         assert recurrence(1.0, 10.5, 0) == 1.0
 
     def test_multiplies_below_the_base(self):
-        assert recurrence(1.0, 5.5, -3) == 5.5 * 6.5 * 7.5
+        assert recurrence(1.0, 5.5, -3) == 7.5 * 6.5 * 5.5
+
+    def test_small_factor_comes_last(self):
+        # 0.25 x (x + 1)...(x + 7) at x = 1e-310 is subnormal: multiplied by
+        # x first, its rounding to an absolute unit would be amplified 5040
+        # times; last, it is the one rounding of the result
+        with mpmath.workdps(30):
+            exact = 0.25 * mpmath.fprod(mpmath.mpf(1e-310) + j for j in range(8))
+        assert recurrence(0.25, 1e-310, -8) == float(exact)
 
     def test_underflows_gradually(self):
         # 1/Gamma(175.5) is subnormal; dividing by the whole product at once

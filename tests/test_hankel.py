@@ -335,6 +335,30 @@ class TestSteepestDescentProperty:
             assert abs(gv.value - ref) <= 10.0 * eps * abs(ref)
 
 
+class TestSteepestDescentRounding:
+    """The route's record counts one absolute unit below the normal range,
+    as gamma_core's recurrence does."""
+
+    @pytest.mark.parametrize("z,eps", [(172.5, 1e-12), (174.5, 1e-8)])
+    def test_subnormal_result_counts_one_absolute_unit(self, z, eps):
+        # 32 + m units flagged 1/Gamma(172.5) at 1e-12 (estimate 1.6e-11,
+        # error 3.0e-14) and 1/Gamma(174.5) at 1e-8 (4.8e-7, 9.4e-10)
+        gv = recip_gamma(z, QuadratureConfig(eps_rel=eps), MethodTag.HANKEL)
+        assert gv.condition_flag is ConditionFlag.OK
+        with mpmath.workdps(30):
+            assert abs(gv.value - mpmath.rgamma(z)) <= gv.quadrature.abs_error_estimate
+
+    @pytest.mark.parametrize("z,eps", [(1e-310, 1e-11), (1e-309, 1e-12), (2.5e-312, 1e-8)])
+    def test_subnormal_result_below_the_base(self, z, eps):
+        # 1/Gamma(z) is about z: multiplied by z first, the sum's rounding to
+        # a subnormal unit grew by 7! and passed the estimate (8.7e-11 off at
+        # 1e-310, flagged ok at 1e-11)
+        gv = recip_gamma(z, QuadratureConfig(eps_rel=eps), MethodTag.HANKEL)
+        with mpmath.workdps(30):
+            assert abs(gv.value - mpmath.rgamma(z)) <= gv.quadrature.abs_error_estimate
+        assert gv.condition_flag is ConditionFlag.OK
+
+
 class TestDeltaToPiLimit:
     @pytest.mark.parametrize("z", [0.5, 1.5])
     def test_two_ray_integral_approaches_real_representation(self, z):
@@ -382,14 +406,14 @@ class TestInverseLaplace:
         assert gv.quadrature.evaluations > 0
 
     def test_flag_combines_contour_and_gamma(self):
-        # at eps 1e-14 the route's 1/Gamma(k+1) meets its tolerance, while
-        # Gamma(k+1) on the real line is below its estimator floor
-        cfg = QuadratureConfig(eps_rel=1e-14)
-        recip = recip_gamma(2.5, cfg, MethodTag.HANKEL)
-        gamma_k1 = gamma(2.5, cfg)
-        assert recip.condition_flag is ConditionFlag.OK
-        assert gamma_k1.condition_flag is ConditionFlag.TOLERANCE_NOT_MET
-        gv = inverse_laplace(1.5, 2.0, cfg=cfg)
+        # at eps 5e-15 Gamma(k+1) on the real line meets its tolerance, while
+        # the route's 1/Gamma(k+1) is below its trapezoid's rounding floor
+        cfg = QuadratureConfig(eps_rel=5e-15)
+        recip = recip_gamma(8.05, cfg, MethodTag.HANKEL)
+        gamma_k1 = gamma(8.05, cfg)
+        assert recip.condition_flag is ConditionFlag.TOLERANCE_NOT_MET
+        assert gamma_k1.condition_flag is ConditionFlag.OK
+        gv = inverse_laplace(7.05, 2.0, cfg=cfg)
         assert gv.condition_flag is ConditionFlag.TOLERANCE_NOT_MET
         assert gv.quadrature.evaluations == (
             recip.quadrature.evaluations + gamma_k1.quadrature.evaluations

@@ -19,12 +19,12 @@ from regamma.quadrature import (
     geometric_breakpoints,
     integrate_finite,
     integrate_regularized_kernel,
-    log_form_segments,
+    log_form_middle,
     origin_closed_form,
     polynomial_tail_closed_form,
-    power_subst_segments,
+    power_subst_middle,
     propagate,
-    real_axis_segments,
+    real_axis_middle,
 )
 
 CFG = QuadratureConfig()
@@ -141,21 +141,21 @@ class TestRegularizedKernel:
         assert res.condition_flag is ConditionFlag.OK
 
     @staticmethod
-    def at_split(z, split, monkeypatch, segments=real_axis_segments):
+    def at_split(z, split, monkeypatch, middle=real_axis_middle):
         """I(z) with the origin series and the middle split at x = split."""
         monkeypatch.setattr(quadrature, "_SPLIT_POINT", split)
-        return integrate_regularized_kernel(decompose(z), CFG, segments)
+        return integrate_regularized_kernel(decompose(z), CFG, middle)
 
     @pytest.mark.parametrize(
-        "segments",
-        [real_axis_segments, power_subst_segments, log_form_segments],
+        "middle",
+        [real_axis_middle, power_subst_middle, log_form_middle],
         ids=lambda f: f.__name__,
     )
     @pytest.mark.parametrize("z", [0.3, 1.7, 3.2, 6.9])
-    def test_split_invariance(self, z, segments, monkeypatch):
+    def test_split_invariance(self, z, middle, monkeypatch):
         # every route reads the shared split: one that kept its own would
         # leave a gap or an overlap with the origin series as the split moves
-        vals = [self.at_split(z, sp, monkeypatch, segments).value for sp in (0.5, 1.0, 2.0)]
+        vals = [self.at_split(z, sp, monkeypatch, middle).value for sp in (0.5, 1.0, 2.0)]
         spread = (max(vals) - min(vals)) / abs(vals[0])
         assert spread <= 10.0 * CFG.eps_rel
 
@@ -191,19 +191,69 @@ def euler(A):
     return ArgDecomposition(z=1.0 - A, n=0, frac=1.0 - A)
 
 
-class TestRealAxisSegments:
-    """The middle stretch [1, 36] in t = log x: two GK15 panels."""
+class TestRealAxisMiddle:
+    """The middle stretch [1, 36] in t = log x: one or two fixed GL15 panels."""
+
+    @staticmethod
+    def middle_exact(arg):
+        """int_1^36 (e^{-x} - e_{n-1}(-x)) x^{-z} dx: the upper incomplete
+        gamma function between the ends, less the polynomial's terms, at 50
+        digits, well past the few the terms cancel."""
+        with mpmath.workdps(50):
+            z = arg.n + mpmath.mpf(arg.frac)
+            value = mpmath.gammainc(1 - z, 1, 36)
+            for k in range(arg.n):
+                expo = k + 1 - z
+                value -= (-1) ** k * (mpmath.mpf(36) ** expo - 1) / (mpmath.factorial(k) * expo)
+            return float(value)
+
+    FRACS = [1e-15, 1e-6, 1e-3, 0.1, 0.37, 0.5, 0.83, 0.99, 1.0 - 1e-6]
+
+    @pytest.mark.parametrize("frac", FRACS)
+    @pytest.mark.parametrize("n", range(10))
+    def test_estimate_bounds_the_error(self, n, frac):
+        # scale inf admits one panel at any tolerance, scale 0 forces two;
+        # on either the bound and the rounding cover the error against mpmath
+        arg = ArgDecomposition(z=n + frac, n=n, frac=frac)
+        exact = self.middle_exact(arg)
+        for scale, evaluations in ((math.inf, 15), (0.0, 30)):
+            res = real_axis_middle(arg, 1e-8, scale)
+            assert res.evaluations == evaluations
+            assert res.condition_flag is ConditionFlag.OK
+            assert abs(res.value - exact) <= res.abs_error_estimate, (scale, exact)
+        # two panels are certified to a few eps, one to 1e-8 of the origin part
+        origin = abs(origin_closed_form(arg, 1.0).value)
+        assert res.abs_error_estimate <= 20.0 * sys.float_info.epsilon * abs(exact)
+        assert real_axis_middle(arg, 1e-8, math.inf).abs_error_estimate <= 1e-8 * origin
+
+    def test_two_panels_are_below_the_rounding(self):
+        # no third panel is needed: over n <= 9 and 0 < frac < 1 the
+        # two-panel bound is at most 2.4e-16 of the origin part
+        lo, hi = 0.0, math.log(36.0)
+        for n in range(10):
+            for frac in self.FRACS:
+                arg = ArgDecomposition(z=n + frac, n=n, frac=frac)
+                origin = abs(origin_closed_form(arg, 1.0).value)
+                assert quadrature._gl15_bound(frac, n, lo, hi, 2) <= 2.5e-16 * origin
 
     def test_cost_at_eps_1e_8(self):
-        # below z = 1 (order 0) e^{-x} falls off doubly exponentially in t
-        # over the upper panel, which is bisected once
+        # the panel count comes from the bound: one panel for most z, two
+        # where frac is small enough that one panel's bound passes eps/2
         rng = random.Random(13)
-        for z in [rng.uniform(0.0, 9.0) for _ in range(100)]:
-            evaluations = recip_gamma(z, CFG).quadrature.evaluations
-            assert evaluations == 30 if z >= 1.0 else evaluations <= 60, z
+        zs = [rng.uniform(0.0, 9.0) for _ in range(100)]
+        counts = [recip_gamma(z, CFG).quadrature.evaluations for z in zs]
+        assert set(counts) <= {15, 30}
+        assert counts.count(15) >= 90
+
+    @pytest.mark.parametrize("eps,evaluations", [(1e-8, 15), (1e-12, 30)])
+    def test_panel_count_follows_the_tolerance(self, eps, evaluations):
+        gv = recip_gamma(2.5, QuadratureConfig(eps_rel=eps))
+        assert gv.condition_flag is ConditionFlag.OK
+        assert gv.quadrature.evaluations == evaluations
 
     def test_integrand_calls_the_kernel_by_its_module_name(self, monkeypatch):
-        # a tracer that rebinds quadrature.exp_remainder sees every evaluation
+        # a tracer that rebinds quadrature.exp_remainder sees every
+        # evaluation, each at -x for an x in [1, 36]
         calls = []
 
         def spy(x, n):
@@ -212,7 +262,8 @@ class TestRealAxisSegments:
 
         monkeypatch.setattr(quadrature, "exp_remainder", spy)
         res = integrate_regularized_kernel(decompose(2.5), CFG)
-        assert len(calls) == res.evaluations == 30
+        assert len(calls) == res.evaluations == 15
+        assert all(1.0 <= -x <= 36.0 for x in calls)
 
 
 class TestOriginClosedForm:
@@ -346,17 +397,17 @@ class TestExponentialTail:
 
     def test_no_evaluation_past_the_radius(self, monkeypatch):
         # at z = 0.05 the bound e^{-36} 36^{-z} is above 1e-16 of I(z), yet
-        # only the middle stretch [log 1, log 36] is integrated
-        stretches = []
+        # the kernel is only called on the middle stretch, at x in [1, 36]
+        calls = []
 
-        def spy(f, a, b, cfg, breakpoints=None):
-            stretches.append((a, b, integrate_finite(f, a, b, cfg, breakpoints)))
-            return stretches[-1][2]
+        def spy(x, n):
+            calls.append(x)
+            return kernel.exp_remainder(x, n)
 
-        monkeypatch.setattr(quadrature, "integrate_finite", spy)
+        monkeypatch.setattr(quadrature, "exp_remainder", spy)
         gv = recip_gamma(0.05, QuadratureConfig(eps_rel=1e-14))
-        assert [(a, b) for a, b, _ in stretches] == [(0.0, math.log(36.0))]
-        assert gv.quadrature.evaluations == stretches[0][2].evaluations
+        assert all(1.0 <= -x <= 36.0 for x in calls)
+        assert gv.quadrature.evaluations == len(calls) > 0
 
 
 class TestRoundOffFloor:
@@ -379,14 +430,15 @@ class TestRoundOffFloor:
         assert res.condition_flag is ConditionFlag.OK
 
     def test_recip_gamma_below_the_floor(self):
-        # bisecting to the budget would take 18,165 evaluations
+        # 1/Gamma(100.5) is 1/Gamma(8.5) moved back by 92 divisions, whose
+        # roundings alone pass 1e-14; no bisection can mend that
         cfg = QuadratureConfig(eps_rel=1e-14)
-        gv = recip_gamma(2.5, cfg)
+        gv = recip_gamma(100.5, cfg)
         assert gv.condition_flag is ConditionFlag.TOLERANCE_NOT_MET
         assert gv.quadrature.evaluations <= 500
         # the value's estimate is near the floor and still honest
         res = gv.quadrature
-        exact = float(mpmath.rgamma(2.5))
+        exact = float(mpmath.rgamma(100.5))
         assert abs(res.value - exact) <= res.abs_error_estimate <= 10.0 * cfg.eps_rel * abs(exact)
 
 
