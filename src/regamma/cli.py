@@ -19,7 +19,8 @@ relative tolerance; an explicit --eps-rel flag wins over the environment.
 verify prints one line per check, "PASS|FAIL name max_dev=D tol=T": D is
 the largest deviation the check measured, T its tolerance.  A check also
 fails when a result it compared is flagged tolerance_not_met, and its line
-then ends in " flag=tolerance_not_met".  It exits 0 iff every check passes.
+then ends in " flag=tolerance_not_met"; one whose call raises prints
+"FAIL name tol=T error=Type: message".  It exits 0 iff every check passes.
 """
 
 from __future__ import annotations
@@ -265,77 +266,86 @@ def cmd_sweep(args) -> int:
 
 def _checks(cfg: QuadratureConfig, hankel: bool):
     """The cross-validation suite, in report order: (name, tolerance, rows),
-    each row (deviation, the GammaValues it compared)."""
-    rows = []
-    for z in (0.3, 0.7, 1.2, 2.8, 4.6, 7.9):
-        lhs, rhs = recip_gamma(z, cfg), recip_gamma(z + 1.0, cfg)
-        rows.append((abs(lhs.value - z * rhs.value) / abs(lhs.value), [lhs, rhs]))
-    yield "recurrence", 1e-7, rows
+    rows a function that yields them, each (deviation, the GammaValues)."""
+    def recurrence():
+        for z in (0.3, 0.7, 1.2, 2.8, 4.6, 7.9):
+            lhs, rhs = recip_gamma(z, cfg), recip_gamma(z + 1.0, cfg)
+            yield abs(lhs.value - z * rhs.value) / abs(lhs.value), [lhs, rhs]
+    yield "recurrence", 1e-7, recurrence
 
-    rows = []
-    for z in (0.1, 0.25, 0.4, 0.45):
-        r1, r2 = recip_gamma(z, cfg), recip_gamma(1.0 - z, cfg)
-        g1, g2 = 1.0 / r1.value, 1.0 / r2.value
-        rows.append((abs(g1 * g2 * math.sin(math.pi * z) / math.pi - 1.0), [r1, r2]))
-    yield "reflection", 1e-6, rows
+    def reflection():
+        for z in (0.1, 0.25, 0.4, 0.45):
+            r1, r2 = recip_gamma(z, cfg), recip_gamma(1.0 - z, cfg)
+            g1, g2 = 1.0 / r1.value, 1.0 / r2.value
+            yield abs(g1 * g2 * math.sin(math.pi * z) / math.pi - 1.0), [r1, r2]
+    yield "reflection", 1e-6, reflection
 
-    rows = []
-    for z in (0.3, 2.5, 9.7, 40.2):
-        gv = gamma_ratio(z + 1.0, z, cfg)
-        rows.append((abs(gv.value - z) / z, [gv]))
-    yield "gamma_ratio_recurrence", 1e-7, rows
+    def ratio():
+        for z in (0.3, 2.5, 9.7, 40.2):
+            gv = gamma_ratio(z + 1.0, z, cfg)
+            yield abs(gv.value - z) / z, [gv]
+    yield "gamma_ratio_recurrence", 1e-7, ratio
 
-    tags = (MethodTag.REAL_AXIS, MethodTag.POWER_SUBST, MethodTag.LOG_FORM)
-    rows = []
-    for z in (0.3, 1.7, 2.5, 3.9, 6.1):
-        gvs = [recip_gamma(z, cfg, tag) for tag in tags]
-        vals = [gv.value for gv in gvs]
-        pairs = [(a, b) for i, a in enumerate(vals) for b in vals[i + 1 :]]
-        rows.append((max(abs(a - b) / abs(a) for a, b in pairs), gvs))
-    yield "representation_equivalence", 1e-6, rows
+    def equivalence():
+        tags = (MethodTag.REAL_AXIS, MethodTag.POWER_SUBST, MethodTag.LOG_FORM)
+        for z in (0.3, 1.7, 2.5, 3.9, 6.1):
+            gvs = [recip_gamma(z, cfg, tag) for tag in tags]
+            vals = [gv.value for gv in gvs]
+            pairs = [(a, b) for i, a in enumerate(vals) for b in vals[i + 1 :]]
+            yield max(abs(a - b) / abs(a) for a, b in pairs), gvs
+    yield "representation_equivalence", 1e-6, equivalence
 
-    rows = []
-    for z in (0.4, 1.6, 2.2, 4.8):
-        a, b = gamma_negative(z, cfg), gamma_negative(z, cfg, MethodTag.CAUCHY_SAALSCHUTZ)
-        rows.append((abs(a.value - b.value) / abs(a.value), [a, b]))
-    yield "cauchy_saalschutz", 1e-6, rows
+    def cauchy_saalschutz():
+        for z in (0.4, 1.6, 2.2, 4.8):
+            a, b = gamma_negative(z, cfg), gamma_negative(z, cfg, MethodTag.CAUCHY_SAALSCHUTZ)
+            yield abs(a.value - b.value) / abs(a.value), [a, b]
+    yield "cauchy_saalschutz", 1e-6, cauchy_saalschutz
 
     # Gamma(-z) has the sign (-1)^(n+1) on (n, n + 1): deviation 0, or 2
-    rows = []
-    z = 0.1
-    while z < 4.95:
-        gv = gamma_negative(z, cfg)
-        expected = (-1.0) ** (math.floor(z) + 1)
-        rows.append((abs(math.copysign(1.0, gv.value) - expected), [gv]))
-        z += 0.2
-    yield "gamma_negative_sign_pattern", 0.0, rows
+    def sign_pattern():
+        z = 0.1
+        while z < 4.95:
+            gv = gamma_negative(z, cfg)
+            expected = (-1.0) ** (math.floor(z) + 1)
+            yield abs(math.copysign(1.0, gv.value) - expected), [gv]
+            z += 0.2
+    yield "gamma_negative_sign_pattern", 0.0, sign_pattern
 
-    zeros = [recip_gamma(float(m), cfg) for m in (0, -1, -2, -3)]
-    yield "entire_function_zeros", 0.0, [(abs(gv.value), [gv]) for gv in zeros]
+    def zeros():
+        for gv in (recip_gamma(float(m), cfg) for m in (0, -1, -2, -3)):
+            yield abs(gv.value), [gv]
+    yield "entire_function_zeros", 0.0, zeros
 
     if not hankel:
         return
-    rows = []
-    for z in (0.5, 1.5, 3.3):
-        contour, real = hankel_recip_gamma(z, HankelContour(), cfg), recip_gamma(z, cfg)
-        rows.append((abs(contour.value - real.value), [contour, real]))
-    yield "hankel_real_axis_agreement", 1e-6, rows
 
-    rows = []
-    for z in (0.5, 1.5, 3.3):
-        gvs = [
-            hankel_recip_gamma(z, HankelContour(delta=delta, r0=r0), cfg)
-            for delta in (2.0, 2.5, 3.0)
-            for r0 in (0.25, 0.5, 1.0)
-        ]
-        vals = [gv.value for gv in gvs]
-        rows.append(((max(vals) - min(vals)) / abs(vals[0]), gvs))
-    yield "hankel_contour_invariance", 1e-6, rows
+    def agreement():
+        for z in (0.5, 1.5, 3.3):
+            contour, real = hankel_recip_gamma(z, HankelContour(), cfg), recip_gamma(z, cfg)
+            yield abs(contour.value - real.value), [contour, real]
+    yield "hankel_real_axis_agreement", 1e-6, agreement
+
+    def invariance():
+        for z in (0.5, 1.5, 3.3):
+            gvs = [
+                hankel_recip_gamma(z, HankelContour(delta=delta, r0=r0), cfg)
+                for delta in (2.0, 2.5, 3.0)
+                for r0 in (0.25, 0.5, 1.0)
+            ]
+            vals = [gv.value for gv in gvs]
+            yield (max(vals) - min(vals)) / abs(vals[0]), gvs
+    yield "hankel_contour_invariance", 1e-6, invariance
 
 
 def cmd_verify(args) -> int:
     all_ok = True
-    for name, tol, rows in _checks(_config(args), args.hankel):
+    for name, tol, check in _checks(_config(args), args.hankel):
+        try:
+            rows = list(check())
+        except (RegammaError, OverflowError) as exc:
+            all_ok = False
+            print(f"FAIL {name} tol={tol:g} error={type(exc).__name__}: {exc}")
+            continue
         ok = all(dev <= tol for dev, _ in rows)
         line = f"{name} max_dev={max(dev for dev, _ in rows):.3e} tol={tol:g}"
         # a result that missed its tolerance fails the check and is named

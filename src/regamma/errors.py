@@ -20,7 +20,7 @@ class PoleError(RegammaError):
 
 
 class ContourDegenerate(RegammaError):
-    """Raised when a Hankel contour cannot be resolved numerically."""
+    """Raised when a Hankel contour is degenerate (hankel._validate)."""
 
 
 class NonFiniteArgument(RegammaError):

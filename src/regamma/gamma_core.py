@@ -1,6 +1,6 @@
 """Evaluation API for the reciprocal Gamma function and its relatives.
 
-Every non-integer positive argument is evaluated through a regularized
+Every non-integer argument is evaluated through a regularized
 integral: the numerator of the Euler integrand has its truncated Taylor
 polynomial subtracted, which makes the x^{-z} weight integrable and turns
 a divergent integral into a convergent one.  Four interchangeable routes
@@ -10,7 +10,7 @@ are exposed (selected by MethodTag):
                     its middle stretch after t = log x
   power_subst       the same integral, its middle stretch after v = (x^z - 1)/z
   log_form          the same integral, its middle stretch after u = e^{-x}
-  cauchy_saalschutz the order-n regularization of Gamma(-z), reflected back
+  cauchy_saalschutz Gamma(-z) regularized at order n, times -z sin(pi z)/pi
 
 plus `hankel`, the trapezoid rule on the steepest-descent path of Hankel's
 integral, resolved by the hankel module.  The four real-line routes are
@@ -18,27 +18,26 @@ one table from MethodTag to quadrature's middle functions, the change of
 variables on the middle stretch [1, 36] (cauchy_saalschutz takes the real
 axis's at the raised order); quadrature.integrate_regularized_kernel sums
 [0, 1] as a series, adds the shared tail and decides the flag.  One function,
-_real_line, turns that integral into a value: 1/Gamma(z) on any of the
-four, or Gamma(-z) on real_axis (-I(z)/z) and cauchy_saalschutz (I at the
-raised order itself), which gamma_negative takes as its method.
+_real_line, turns that integral into a value at w > 0: 1/Gamma(w), or
+Gamma(-w), the paper's regularized hypersingular integral (-I(w)/w, or I
+at the raised order itself), which gamma_negative takes on real_axis and
+cauchy_saalschutz, or its reciprocal, recip_gamma(-w) on any of the four.
 gamma_ratio is the quotient of two real_axis values, 1/Gamma(B) over
 1/Gamma(A).  Positive integers use the exact factorial; zero and negative
-integers return the exact zeros of the entire function 1/Gamma.  Negative
-non-integer arguments are routed through one reflection step so the
-quadrature only ever sees z > 0.
+integers return the exact zeros of the entire function 1/Gamma.
 
 The cost and the rounding of I(z) grow with its truncation order n = [z]:
 past z of about 65 the closed-form polynomial tail cancels against the
 middle stretch.  So no route sees an argument past 9.  From 9 up, every
 entry point evaluates at w = z - m in [8, 9), m = floor(z) - 8, which is
 exact, and moves back by the recurrence Gamma(x) = (x - 1) Gamma(x - 1)
-(see recurrence): 1/Gamma(z) on every route (the hankel route does so
-inside its trapezoid rule), Gamma(-z) in gamma_negative on both of its
-routes, and Gamma(A)/Gamma(B), with one m for both and each of
+(see recurrence): 1/Gamma(z) on every route and either side of 0 (the
+hankel route inside its trapezoid rule), Gamma(-z) in gamma_negative on
+both of its routes, and Gamma(A)/Gamma(B), with one m for both and each of
 1/Gamma(A - m) and 1/Gamma(B - m) shifted once more by recip_gamma.
 
 A GammaValue's quadrature is the record of the value itself, which is
-reached from I(z) by products, a reflection or the recurrence:
+reached from I(z) by products, a quotient or the recurrence:
 quadrature.propagate adds the relative errors of the integrals and of
 the roundings on the way, and decides the flag.
 """
@@ -73,9 +72,16 @@ _RECIP_FACTORIAL_ZERO_ARG = 179
 SHIFT_BASE = 8
 # Roundings of a real-line value past the estimate of its integral, at most
 # four: sin(pi w), the division by pi, the product and cauchy_saalschutz's
-# -w (gamma_negative: the division by w; gamma_ratio: the quotient of its
-# two factors, and the rounding of either one that is an exact 1/(m-1)!).
+# -w (Gamma(-w) and 1/Gamma(-w): the quotient; gamma_ratio: the quotient of
+# its two factors, and the rounding of either one that is an exact 1/(m-1)!).
 _ROUTE_ROUNDING = 4
+
+
+# What _real_line and _by_recurrence evaluate at w > 0
+class _Of(Enum):
+    RECIP = "1/Gamma(w)"
+    GAMMA_NEG = "Gamma(-w)"
+    RECIP_NEG = "1/Gamma(-w)"
 
 
 class MethodTag(str, Enum):
@@ -125,15 +131,19 @@ def recurrence(value: float, x: float, m: int) -> float:
 
     By Gamma(x) = (x - 1) Gamma(x - 1), that is 1/Gamma(x) from
     value = 1/Gamma(x - m), and equally Gamma(x - m) from value = Gamma(x).
-    The factors are applied one at a time, so that nothing overflows and a
-    result below the normal range underflows gradually; a value that
-    reaches 0 stays 0.  For m < 0 the factor x comes last: for x > 0 every
-    other factor is at least 1, so only that last product can round to an
-    absolute unit below the normal range, and no later factor amplifies it.
+    The factors are applied one at a time, so that nothing overflows early
+    and a result below the normal range underflows gradually; a value that
+    reaches 0 or infinity stays there.  For m < 0 the factor x comes last:
+    every product before it is 1/Gamma(x + j), j >= 1, x + j < 9, subnormal
+    only within about 1e-308 of 0, where x + j never lies for non-integer x.
+    So only the last product can round to an absolute unit below the
+    normal range, and no later factor amplifies it.
     """
     if m < 0:
         for j in range(-m - 1, -1, -1):
             value *= x + j
+            if math.isinf(value):
+                break
     else:
         for j in range(1, m + 1):
             value /= x - j
@@ -142,37 +152,39 @@ def recurrence(value: float, x: float, m: int) -> float:
     return value
 
 
-def _by_recurrence(
-    z: float, cfg: QuadratureConfig, method: MethodTag, negative: bool = False
-) -> GammaValue:
-    """_real_line(z) below 9; from 9 up, _real_line(w) at w = z - m in
+def _by_recurrence(w: float, cfg: QuadratureConfig, method: MethodTag, of: _Of) -> GammaValue:
+    """_real_line(w) below 9; from 9 up, _real_line(w0) at w0 = w - m in
     [8, 9), moved back by the recurrence.
 
-    That is 1/Gamma(z) = recurrence(1/Gamma(w), z, m), or with negative
-    Gamma(-z) = recurrence(Gamma(-w), -w, m).  w and every factor z - j
-    and j - z are exact; each division rounds, by 2^-53 relative or, below
-    the normal range, by up to half a subnormal unit.  Every divisor is at
-    least 8 in magnitude, so each division shrinks the absolute roundings
-    before it at least eightfold, and all m together stay below one unit.
-    So the record counts the last division as propagate's one rounding,
-    and the m - 1 before it by their relative part alone, as an exact
-    factor 1 that carries that error.
+    That is 1/Gamma(w) = recurrence(1/Gamma(w0), w, m), Gamma(-w) =
+    recurrence(Gamma(-w0), -w0, m) or 1/Gamma(-w) = recurrence(1/Gamma(-w0),
+    -w, -m), w0 and every factor exact and at least 8 in magnitude.  Each
+    step rounds by 2^-53 relative or, below the normal range, by up to half
+    a subnormal unit, which each later division shrinks eightfold: all m
+    together stay below one unit (the products of 1/Gamma(-w) stay normal).
+    So the record counts the last step as propagate's one rounding, and
+    the m - 1 before it by their relative part alone, as an exact factor 1
+    that carries that error.  Raises OverflowError where 1/Gamma(-w)
+    exceeds double precision (w past about 171.6).
     """
-    m = math.floor(z) - SHIFT_BASE
+    m = math.floor(w) - SHIFT_BASE
     if m <= 0:
-        return _real_line(z, cfg, method, negative)
-    w = z - m
-    base = _real_line(w, cfg, method, negative)
-    value = recurrence(base.value, -w if negative else z, m)
-    divisions = IntegralResult(1.0, (m - 1) * 2.0**-53, 0)
-    record = propagate(value, [base.quadrature, divisions], 1, cfg.eps_rel)
+        return _real_line(w, cfg, method, of)
+    w0 = w - m
+    base = _real_line(w0, cfg, method, of)
+    x, k = {_Of.RECIP: (w, m), _Of.GAMMA_NEG: (-w0, m), _Of.RECIP_NEG: (-w, -m)}[of]
+    value = recurrence(base.value, x, k)
+    if math.isinf(value):
+        raise OverflowError(f"1/Gamma({-w!r}) overflows double precision")
+    steps = IntegralResult(1.0, (m - 1) * 2.0**-53, 0)
+    record = propagate(value, [base.quadrature, steps], 1, cfg.eps_rel)
     return GammaValue(value, base.method, record)
 
 
 # The real-line routes, by their change of variables on the middle stretch
-# of I(z): 1/Gamma(z) = sin(pi z)/pi * I(z) and Gamma(-z) = -I(z)/z.
+# of I(w): 1/Gamma(w) = sin(pi w)/pi * I(w) and Gamma(-w) = -I(w)/w.
 # cauchy_saalschutz is the real axis at the raised order, where I is
-# Gamma(-z) itself and 1/Gamma(z) = -z sin(pi z)/pi * Gamma(-z).
+# Gamma(-w) itself and 1/Gamma(w) = -w sin(pi w)/pi * Gamma(-w).
 _ROUTE_MIDDLE = {
     MethodTag.REAL_AXIS: real_axis_middle,
     MethodTag.POWER_SUBST: power_subst_middle,
@@ -181,13 +193,13 @@ _ROUTE_MIDDLE = {
 }
 
 
-def _real_line(w: float, cfg: QuadratureConfig, method: MethodTag, negative: bool) -> GammaValue:
-    """1/Gamma(w), or with negative Gamma(-w), on a real-line route, for
-    w > 0 non-integer: the route's integral, scaled and recorded.
+def _real_line(w: float, cfg: QuadratureConfig, method: MethodTag, of: _Of) -> GammaValue:
+    """1/Gamma(w), Gamma(-w) or 1/Gamma(-w), as of selects, on a real-line
+    route, for w > 0 non-integer: the route's integral, scaled and recorded.
 
     Raises OverflowError where Gamma(-w) exceeds double precision (w below
-    about 5.6e-309).  cauchy_saalschutz integrates Gamma(-w) itself, so
-    there it raises for 1/Gamma(w) too.
+    about 5.6e-309) and is the value or, on cauchy_saalschutz, the
+    integral; elsewhere 1/Gamma(-w) = -w/I(w), about -w, stays finite.
     """
     arg = decompose(w)
     raised = method is MethodTag.CAUCHY_SAALSCHUTZ
@@ -196,14 +208,16 @@ def _real_line(w: float, cfg: QuadratureConfig, method: MethodTag, negative: boo
         # regularization of Gamma(-w)
         arg = ArgDecomposition(z=w + 1.0, n=arg.n + 1, frac=arg.frac)
     res = integrate_regularized_kernel(arg, cfg, _ROUTE_MIDDLE[method])
-    if negative:
-        value = res.value if raised else -res.value / w
-    else:
+    if of is _Of.RECIP:
         scale = sinpi(w) / math.pi
         # I (about -1/w at tiny w) is scaled before the factor -w: -w scale,
         # about -w^2, would go subnormal there and lose its digits
         value = -w * (scale * res.value) if raised else scale * res.value
-    if math.isinf(value):
+    elif of is _Of.GAMMA_NEG:
+        value = res.value if raised else -res.value / w
+    else:
+        value = 1.0 / res.value if raised else -w / res.value
+    if math.isinf(value) or math.isinf(res.value):
         raise OverflowError(f"Gamma({-w!r}) overflows double precision")
     return GammaValue(value, method, propagate(value, [res], _ROUTE_ROUNDING, cfg.eps_rel))
 
@@ -217,13 +231,13 @@ def recip_gamma(
 
     Positive integers return the exact 1/(m-1)! (from z = 172 up, where it
     is subnormal or 0, with the record of its rounding); zero and negative
-    integers return exactly 0, and so does +inf, the limit.  Negative non-integer z
-    reflects once to 1-z > 0 (to -z, after the step 1/Gamma(z) =
-    z/Gamma(z + 1), where 1 - z rounds), and raises
-    OverflowError where the result exceeds double precision.  Non-integer
-    positive z goes through the representation named by method, from 9 up
-    at z - m in [8, 9) and moved back by the recurrence.  NaN and -inf
-    raise NonFiniteArgument.
+    integers return exactly 0, and so does +inf, the limit.  Other z goes
+    through the representation named by method, from |z| = 9 up at
+    |z| - m in [8, 9) and moved back by the recurrence; z < 0 is the
+    reciprocal of Gamma(z), the integral gamma_negative takes at -z.
+    Raises OverflowError where the result exceeds double precision (z below
+    about -171.6), and on cauchy_saalschutz where its integral Gamma(-|z|)
+    does (|z| below about 5.6e-309); NaN and -inf raise NonFiniteArgument.
     """
     if z == math.inf:
         return GammaValue(0.0, method, None)
@@ -238,40 +252,18 @@ def recip_gamma(
         # but to an absolute unit, not a relative one
         record = propagate(value, [], 1, cfg.eps_rel) if value < sys.float_info.min else None
         return GammaValue(value, method, record)
-    if z < 0.0:
-        if (1.0 - z) - 1.0 != -z:
-            # 1 - z rounded, and 1/Gamma would amplify that by about
-            # |z| psi(1 - z) (110 at z = -32), or it rounded onto an
-            # integer, whose factorial would pass for exact.  So take
-            # 1/Gamma(z) = z/Gamma(z + 1).  For z <= -1, z + 1 is exact, and
-            # so is its reflection 1 - (z + 1).  In (-1, 0) z + 1 may round,
-            # by at most 2^-54 and only when it lies in (1/2, 1), which moves
-            # 1/Gamma(z + 1) by at most |psi(1/2)| 2^-54 < 2^-53 relative:
-            # one rounding more.
-            base = recip_gamma(z + 1.0, cfg, method)
-            value, roundings = z * base.value, 1 if z <= -1.0 else 2
-        else:
-            base = recip_gamma(1.0 - z, cfg, method)
-            # 1/Gamma(1 - z) may underflow to 0
-            value = sinpi(z) / math.pi / base.value if base.value else math.inf
-            roundings = 3
-        if math.isinf(value):
-            raise OverflowError(f"1/Gamma({z!r}) overflows double precision")
-        record = propagate(value, [base.quadrature], roundings, cfg.eps_rel)
-        return GammaValue(value, method, record)
     if method is MethodTag.HANKEL:
         from . import hankel
 
         res = hankel.steepest_descent_recip_gamma(z, cfg)
+        if math.isinf(res.value):
+            raise OverflowError(f"1/Gamma({z!r}) overflows double precision")
         return GammaValue(res.value, method, res)
-    return _by_recurrence(z, cfg, method)
+    return _by_recurrence(abs(z), cfg, method, _Of.RECIP_NEG if z < 0.0 else _Of.RECIP)
 
 
 def recip_gamma_neg_reflection(z: float, cfg: QuadratureConfig | None = None) -> GammaValue:
-    """1/Gamma(-z) = -sin(pi z)/pi * Gamma(z+1) for z > 0 non-integer.
-
-    That is recip_gamma(-z), whose reflection step evaluates Gamma(z+1).
-    """
+    """1/Gamma(-z) for z > 0 non-integer: recip_gamma(-z)."""
     decompose(z)  # validates the domain
     return recip_gamma(-z, cfg)
 
@@ -294,7 +286,7 @@ def gamma_negative(
     decompose(z)  # validates the domain
     if method not in (MethodTag.REAL_AXIS, MethodTag.CAUCHY_SAALSCHUTZ):
         raise RegammaError(f"Gamma(-z) takes real_axis or cauchy_saalschutz, not {method.value}")
-    return _by_recurrence(z, cfg or QuadratureConfig(), method, negative=True)
+    return _by_recurrence(z, cfg or QuadratureConfig(), method, _Of.GAMMA_NEG)
 
 
 def gamma_ratio(A: float, B: float, cfg: QuadratureConfig | None = None) -> GammaValue:

@@ -42,8 +42,8 @@ bounded by e^{R cos delta} R^{-z} / |cos delta|, and R is where that
 bound, R^{-z} taken as 1, is a negligible share (_TAIL_NEGLIGIBLE) of a
 segment's tolerance times min(1, z), the a-priori size of 1/Gamma(z) as
 z -> 0.  That part is never integrated: it is left out, the bound kept as
-its error, and where the tolerance cannot hold the bound the result is
-flagged.
+its error; where the tolerance cannot hold the bound, or R would need more
+than _NODES ray panels and the ray ends where they reach, it flags the result.
 
 For real z the integrand at conj(tau) is the conjugate of the one at tau,
 so the contour integral is 2i times the imaginary part of its upper half;
@@ -140,13 +140,13 @@ def ray_kernel(r: float, delta: float, z: float, n: int) -> complex:
 
 
 def steepest_descent_recip_gamma(z: float, cfg: QuadratureConfig) -> IntegralResult:
-    """1/Gamma(z) for z > 0 by the trapezoid rule on the steepest-descent path.
+    """1/Gamma(z) for real non-integer z by the steepest-descent trapezoid rule.
 
     With m = floor(z) - 8, w = z - m lies in [8, 9), and
     gamma_core.recurrence moves 1/Gamma(w) back to 1/Gamma(z), the one
-    shift that every route shares: below 8 it multiplies by
-    z (z+1)...(z+|m|-1), from 9 up it divides by (z-1)...(z-m), one factor
-    at a time.  1/Gamma(w) is the 24-node sum of
+    shift that every route shares: below 8, negative z included, it
+    multiplies by z (z+1)...(z+|m|-1), from 9 up it divides by
+    (z-1)...(z-m), one factor at a time.  1/Gamma(w) is the 24-node sum of
     (w/pi) int_0^pi e^s s^{-w} dtheta (see the module docstring).
 
     The record is that of 1/Gamma(z) itself, with 24 evaluations: the
@@ -156,7 +156,7 @@ def steepest_descent_recip_gamma(z: float, cfg: QuadratureConfig) -> IntegralRes
     lies in the normal range.  From 9 up every divisor is at least 8, so
     the absolute roundings of the divisions stay below one subnormal unit
     together, as in gamma_core._by_recurrence; below 8 only the last
-    product, by the small factor z, can leave the normal range.  So one
+    product, by the factor z, can leave the normal range.  So one
     rounding counts an absolute unit, and the others their relative part
     alone, as an exact factor 1 that carries it.
     """
@@ -172,19 +172,16 @@ def steepest_descent_recip_gamma(z: float, cfg: QuadratureConfig) -> IntegralRes
     return propagate(value, [trapezoid, roundings], 1, cfg.eps_rel)
 
 
-def _ray_breakpoints(r0: float, R: float, width_cap: float) -> list[float]:
-    # geometric growth near the origin, capped panels once oscillation matters
+def _ray_breakpoints(r0: float, R: float, width_cap: float) -> tuple[list[float], float]:
+    # geometric growth near the origin, capped panels once oscillation
+    # matters; the ray ends at R, or where _NODES panels reach
     pts = []
     x = r0
     while True:
         x = x + min(x, width_cap)
-        if x >= R:
-            return pts
+        if x >= R or len(pts) == _NODES - 1:
+            return pts, min(x, R)
         pts.append(x)
-        if len(pts) >= _NODES:
-            raise ContourDegenerate(
-                f"ray from {r0!r} to {R!r} needs more than {_NODES} panels"
-            )
 
 
 def _segment_config(cfg: QuadratureConfig) -> QuadratureConfig:
@@ -221,15 +218,14 @@ def _contour_eval(
     # taken as 1, is the share _TAIL_NEGLIGIBLE of the segment tolerance times
     # min(1, z), the a-priori size of 1/Gamma(z) as z -> 0.  L is summed as
     # logs: as a product it underflows at tiny z.  R clears the arc: it is
-    # at least 4 r0.
+    # at least 4 r0, and capped where _NODES panels reach.
     L = -(
         math.log(_TAIL_NEGLIGIBLE)
         + math.log(sub.eps_rel)
         + math.log(min(1.0, z))
         + math.log(decay)
     )
-    R = max(4.0 * r0, L / decay)
-    seeds = _ray_breakpoints(r0, R, math.pi / math.sin(delta))
+    seeds, R = _ray_breakpoints(r0, max(4.0 * r0, L / decay), math.pi / math.sin(delta))
     # on the ray tau = r phase, the integrand phase (e^tau - e_{n-1}(tau)) tau^{-z}
     # is the remainder times turn r^{-z}, with turn = phase e^{-i z delta}
     phase = cmath.exp(1j * delta)
@@ -269,7 +265,8 @@ def hankel_recip_gamma(
     route's consistency check is invariance of the value under changes of
     delta and r0.  Raises ContourDegenerate for a ray angle outside
     (pi/2, pi), an arc radius that is not finite and positive, or one so
-    small that r0^{-z} overflows.
+    small that r0^{-z} overflows; a contour whose rays would need more
+    than _NODES panels to reach the tolerance gives a flagged value.
     """
     arg = decompose(z)
     res = _contour_eval(arg, contour or HankelContour(), cfg or QuadratureConfig())

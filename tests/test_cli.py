@@ -442,6 +442,18 @@ class TestVerify:
         )
         assert "PASS entire_function_zeros" in out
 
+    @pytest.mark.parametrize("extra,count", [((), 7), (("--hankel",), 9)])
+    def test_a_raising_check_fails_and_the_rest_run(self, capsys, extra, count):
+        # at 5e-15 gamma_ratio(41.2, 40.2) raises before any work: its 68
+        # roundings alone pass the tolerance
+        code, out, err = run(capsys, "verify", "--eps-rel", "5e-15", *extra)
+        assert code == 1
+        assert err == ""
+        lines = out.splitlines()
+        assert len(lines) == count
+        assert lines[2].startswith("FAIL gamma_ratio_recurrence tol=1e-07 error=RegammaError: ")
+        assert "PASS entire_function_zeros" in out
+
 
 class TestBench:
     def test_small_grid_table(self, capsys, tmp_path):

@@ -75,8 +75,8 @@ class TestRecipGamma:
         assert gv.value == pytest.approx(recip_gamma(1.5, CFG).value, rel=1e-8)
 
     def test_reflection_past_the_float_range_overflows(self):
-        # the hankel route reaches 1/Gamma(1 - z) of 1e-317 at z = -175.5
-        # and 0 at -180.5; 1/Gamma(z) is their reciprocal, times O(1)
+        # 1/Gamma(z) passes double precision below about -171.6: the hankel
+        # route's upward recurrence reaches inf there, which raises
         gv = recip_gamma(-170.5, CFG, MethodTag.HANKEL)
         assert gv.value == pytest.approx(float(mpmath.rgamma(-170.5)), rel=1e-12)
         for z in (-175.5, -180.5):
@@ -86,6 +86,24 @@ class TestRecipGamma:
     def test_cauchy_saalschutz_dispatch(self):
         gv = recip_gamma(0.5, CFG, MethodTag.CAUCHY_SAALSCHUTZ)
         assert gv.value == pytest.approx(INV_SQRT_PI, rel=1e-8)
+
+    @pytest.mark.parametrize("method", [MethodTag.REAL_AXIS, MethodTag.CAUCHY_SAALSCHUTZ])
+    @pytest.mark.parametrize("w", [0.3, 2.5, 8.7, 12.3, 150.3])
+    def test_negative_z_is_the_reciprocal_of_gamma_negative(self, w, method):
+        # 1/Gamma(-w) and Gamma(-w) come from one integral at the same w,
+        # moved by m = max(0, floor(w) - 8) recurrence factors each
+        cfg = QuadratureConfig(eps_rel=1e-12)
+        recip, direct = recip_gamma(-w, cfg, method), gamma_negative(w, cfg, method)
+        assert recip.quadrature.evaluations == direct.quadrature.evaluations
+        m = max(0, math.floor(w) - 8)
+        assert abs(recip.value * direct.value - 1.0) <= (4 + 2 * m) * 2.0**-53
+
+    def test_negative_subnormal_stays_finite(self):
+        # -w / I(w) is about -w: no route but cauchy_saalschutz forms Gamma(-w)
+        for method in (MethodTag.REAL_AXIS, MethodTag.POWER_SUBST, MethodTag.LOG_FORM):
+            gv = recip_gamma(-1e-310, CFG, method)
+            assert gv.value == -1e-310
+            assert gv.condition_flag is ConditionFlag.OK
 
     def test_large_integer_underflows_to_zero(self):
         assert recip_gamma(500.0).value == 0.0
@@ -149,7 +167,8 @@ class TestRecipGamma:
 
     @pytest.mark.parametrize("z", [-127.00000000000001, -15.000000000000002])
     def test_reflection_rounding_onto_an_integer_is_not_exact(self, z):
-        # 1 - z rounds to 128 and 16, whose factorials would pass for exact
+        # 1 - z rounds to 128 and 16, whose factorials would pass for exact;
+        # the integral is taken at -z itself, which does not round
         assert (1.0 - z).is_integer()
         cfg = QuadratureConfig(eps_rel=1e-12)
         gv = recip_gamma(z, cfg)
@@ -167,7 +186,8 @@ class TestRecipGamma:
         # |z| + 1 crosses into a wider binade, so 1 - z rounds, and 1/Gamma
         # amplifies that by about |z| psi(1 - z); reflected at the rounded
         # 1 - z these were off by 1.3e-14, 4.7e-15 and 2.0e-15 against
-        # estimates of 4.5e-15, 2.6e-15 and 1.7e-15
+        # estimates of 4.5e-15, 2.6e-15 and 1.7e-15; the integral at -z
+        # needs no rounded argument
         assert (1.0 - z) - 1.0 != -z
         gv = recip_gamma(z, QuadratureConfig(eps_rel=1e-14))
         with mpmath.workdps(30):
@@ -175,8 +195,8 @@ class TestRecipGamma:
 
     @pytest.mark.parametrize("z", [-0.4999999999999999, -0.123456789, -1e-17, -0.7123456789])
     def test_reflection_in_minus_one_to_zero(self, z):
-        # neither 1 - z nor z + 1 need be exact here; the step through
-        # z + 1 counts that argument's rounding
+        # neither 1 - z nor z + 1 need be exact here: the integral is taken
+        # at -z, and below about 1e-16 on the named route too
         cfg = QuadratureConfig(eps_rel=1e-14)
         gv = recip_gamma(z, cfg)
         with mpmath.workdps(30):
@@ -465,10 +485,10 @@ class TestCauchySaalschutz:
                 ref = mpmath.rgamma(mpmath.mpf(z))
                 assert abs(gv.value - ref) <= 10.0 * eps * abs(ref)
 
-    @pytest.mark.parametrize("z", [1e-310, 5e-324])
+    @pytest.mark.parametrize("z", [1e-310, 5e-324, -1e-310, -5e-324])
     def test_integral_past_double_precision_raises(self, z):
-        # the route integrates Gamma(-z), about -1/z, which overflows: the
-        # result is an error, not inf
+        # the route integrates Gamma(-|z|), about -1/|z|, which overflows:
+        # the result is an error, not inf, nor its reciprocal 0
         with pytest.raises(OverflowError):
             recip_gamma(z, CFG, MethodTag.CAUCHY_SAALSCHUTZ)
 

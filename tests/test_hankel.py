@@ -120,6 +120,14 @@ class TestHankelRecipGamma:
         assert gv.quadrature.evaluations > 0
         assert hankel_recip_gamma(2.5, cfg=cfg) == gv
 
+    @pytest.mark.parametrize("z,eps", [(2.5, 1e-200), (1e-200, 1e-8)])
+    def test_ray_past_its_panel_budget_is_flagged(self, z, eps):
+        # the radius from the tolerance needs more than _NODES ray panels:
+        # the ray ends where they reach, and the bound left out flags it
+        gv = hankel_recip_gamma(z, cfg=QuadratureConfig(eps_rel=eps))
+        assert gv.condition_flag is ConditionFlag.TOLERANCE_NOT_MET
+        assert math.isfinite(gv.value)
+
     def test_large_z_polynomial_tail_rounding_is_flagged(self):
         # past R the polynomial terms reach 9.8e-230 against a value of
         # 6.4e-243, and their rounding left the value 1.7% off
@@ -270,9 +278,8 @@ class TestContourProperty:
     (1/2 pi i) times the contour integral of e^{ts} / s^z, regularized at
     order [z], is t^{z-1} / Gamma(z).  With s = tau/t it is t^{z-1} times
     the contour value of 1/Gamma(z) on the arc radius r0 t.  A result flagged
-    ok must be within 10 eps_rel of it; another flag, or a contour that
-    cannot be resolved within its node budget or whose arc radius r0 t
-    makes (r0 t)^{-z} overflow, is an allowed outcome.
+    ok must be within 10 eps_rel of it; another flag, or a contour whose
+    arc radius r0 t makes (r0 t)^{-z} overflow, is an allowed outcome.
     """
 
     @settings(max_examples=100, deadline=None)
@@ -348,7 +355,9 @@ class TestSteepestDescentRounding:
         with mpmath.workdps(30):
             assert abs(gv.value - mpmath.rgamma(z)) <= gv.quadrature.abs_error_estimate
 
-    @pytest.mark.parametrize("z,eps", [(1e-310, 1e-11), (1e-309, 1e-12), (2.5e-312, 1e-8)])
+    @pytest.mark.parametrize(
+        "z,eps", [(1e-310, 1e-11), (1e-309, 1e-12), (2.5e-312, 1e-8), (-1e-310, 1e-11)]
+    )
     def test_subnormal_result_below_the_base(self, z, eps):
         # 1/Gamma(z) is about z: multiplied by z first, the sum's rounding to
         # a subnormal unit grew by 7! and passed the estimate (8.7e-11 off at
@@ -357,6 +366,15 @@ class TestSteepestDescentRounding:
         with mpmath.workdps(30):
             assert abs(gv.value - mpmath.rgamma(z)) <= gv.quadrature.abs_error_estimate
         assert gv.condition_flag is ConditionFlag.OK
+
+    @pytest.mark.parametrize("z", [-2.3, -31.00671565557138, -170.5])
+    def test_negative_z_by_the_recurrence(self, z):
+        # the recurrence moves 1/Gamma from [8, 9) down past 0 to z; its
+        # factors next to 0 are below 1 in magnitude
+        gv = recip_gamma(z, QuadratureConfig(eps_rel=1e-12), MethodTag.HANKEL)
+        assert gv.condition_flag is ConditionFlag.OK
+        with mpmath.workdps(30):
+            assert abs(gv.value - mpmath.rgamma(z)) <= gv.quadrature.abs_error_estimate
 
 
 class TestDeltaToPiLimit:
