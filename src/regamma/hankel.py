@@ -28,12 +28,17 @@ principal logarithm throughout.
 Because the numerator is the regularized remainder e^tau - e_{n-1}(tau),
 the integrand is integrable over the shrinking arc (it vanishes like
 r0^{1-frac}), which is exactly what makes the truncation order n = [z]
-the right one.  Every node and arc integrand is ray_kernel, and every
-ray integrand shares its remainder, the kernel's own series and
-polynomial taken at complex tau; the public kernel.exp_remainder and
-kernel_ratio only ever see real arguments.  On a ray the phases e^{i delta}
-and e^{-i z delta} are the same at every node, so they are formed once per
-contour.  Beyond the truncation radius the polynomial part of each
+the right one.  ray_kernel, every node and arc integrand, and the ray
+integrand take the remainder by the kernel's own dispatch: beyond
+max(1, n/2) the direct difference, and within it, for n >= 1, the
+kernel's one series n! sum_{j>=0} tau^j/(n+j)! times tau^n/n!, which goes
+into the power of tau.  The integrand is then the series times
+exp((n - z) log tau - log n!), and underflows only where its own value
+does (at z = 108.03 and r0 = 0.025, r0^n/n! alone underflows; the arc is
+about 7e-177).  The public kernel.exp_remainder and kernel_ratio only
+ever see real arguments.  On a ray the phases of tau^{n-z} and tau^{-z},
+times that of d tau, are the same at every node, so they are formed once
+per contour.  Beyond the truncation radius the polynomial part of each
 ray has an elementary antiderivative, the real line's closed-form tail
 with a phase (quadrature.polynomial_tail_closed_form, with the rounding
 bound of its terms as its error).  It is not shifted: at large z its
@@ -53,13 +58,14 @@ a complex integral of which the imaginary part is kept, so its tolerance is
 relative to the whole ray: past R the imaginary part alone, oscillating and
 far below the result, would not meet a relative tolerance.
 
-Both segments, the ray up to R and the arc, are integrated by the same
-adaptive engine as the real-line routes (quadrature.integrate_finite, with
-complex values on the ray) and summed by quadrature.combine with the
-closed-form polynomial tail, the bound on the exponential tail left out
-being one more part.  A contour is set by delta and r0, and its
-truncation radius by them, z and the tolerance; each segment gets the
-same share of the tolerance and the engine's one bisection budget.
+Both segments, the ray up to R and the arc, are integrated by the
+adaptive engine that power_subst and log_form use on the real line
+(quadrature.integrate_finite, with complex values on the ray) and summed
+by quadrature.combine with the closed-form polynomial tail, the bound on
+the exponential tail left out being one more part.  A contour is set by
+delta and r0, and its truncation radius by them, z and the tolerance;
+each segment gets the same share of the tolerance and the engine's one
+bisection budget.
 """
 
 from __future__ import annotations
@@ -71,7 +77,7 @@ from dataclasses import dataclass, replace
 
 from . import gamma_core
 from .errors import ContourDegenerate
-from .kernel import ArgDecomposition, _remainder_series, _use_series, decompose, truncated_exp
+from .kernel import ArgDecomposition, _ratio_series, _use_series, decompose, truncated_exp
 from .quadrature import (
     IntegralResult,
     QuadratureConfig,
@@ -125,18 +131,13 @@ def _validate(contour: HankelContour, z: float) -> None:
         )
 
 
-def _remainder(tau: complex, n: int) -> complex:
-    # e^tau - e_{n-1}(tau): the kernel's own dispatch between its tail
-    # series and the direct difference, taken at complex tau
-    if n and _use_series(tau, n):
-        return _remainder_series(tau, n)
-    return cmath.exp(tau) - truncated_exp(tau, n - 1)
-
-
 def ray_kernel(r: float, delta: float, z: float, n: int) -> complex:
     """(e^tau - e_{n-1}(tau)) / tau^z at tau = r e^{i delta}."""
     tau = r * cmath.exp(1j * delta)
-    return _remainder(tau, n) * cmath.exp(-z * complex(math.log(r), delta))
+    log_tau = complex(math.log(r), delta)
+    if n and _use_series(tau, n):
+        return _ratio_series(tau, n) * cmath.exp((n - z) * log_tau - math.lgamma(n + 1))
+    return (cmath.exp(tau) - truncated_exp(tau, n - 1)) * cmath.exp(-z * log_tau)
 
 
 def steepest_descent_recip_gamma(z: float, cfg: QuadratureConfig) -> IntegralResult:
@@ -226,13 +227,19 @@ def _contour_eval(
         + math.log(decay)
     )
     seeds, R = _ray_breakpoints(r0, max(4.0 * r0, L / decay), math.pi / math.sin(delta))
-    # on the ray tau = r phase, the integrand phase (e^tau - e_{n-1}(tau)) tau^{-z}
-    # is the remainder times turn r^{-z}, with turn = phase e^{-i z delta}
+    # on the ray tau = r phase the integrand is ray_kernel's times phase:
+    # turn_n and turn are the phases of its tau^{n-z} and tau^{-z} times phase
     phase = cmath.exp(1j * delta)
     turn = phase * cmath.exp(-1j * z * delta)
+    turn_n = phase * cmath.exp(1j * (order - z) * delta)
+    log_factorial = math.lgamma(order + 1)
 
     def ray(r: float) -> complex:
-        return _remainder(r * phase, order) * (turn * r**-z)
+        tau = r * phase
+        if order and _use_series(tau, order):
+            scale = math.exp((order - z) * math.log(r) - log_factorial)
+            return _ratio_series(tau, order) * (turn_n * scale)
+        return (cmath.exp(tau) - truncated_exp(tau, order - 1)) * (turn * r**-z)
 
     res = integrate_finite(ray, r0, R, sub, seeds)
     parts = [
@@ -284,12 +291,15 @@ def arc_contribution(
     With the regularizing order n = [z] (the default) the magnitude decays
     like r0^{1-frac} as the arc shrinks; passing order=0 reproduces the
     unregularized kernel, whose arc contribution does not vanish for z > 1.
+    A negative order raises ValueError, as in kernel.exp_remainder.
     """
     arg = decompose(z)
     contour = contour or HankelContour()
     cfg = cfg or QuadratureConfig()
     _validate(contour, z)
     n = arg.n if order is None else order
+    if n < 0:
+        raise ValueError(f"order must be >= 0, got {n}")
     return _arc(n, z, contour, _segment_config(cfg)).value / math.pi
 
 

@@ -2,9 +2,10 @@
 
 The central quantity is the exponential remainder e^x - e_{n-1}(x), where
 e_m denotes the degree-m Taylor polynomial of the exponential.  Near x = 0
-the subtraction cancels to order n, so the remainder is summed as the tail
-series sum_{k>=n} x^k/k! instead; away from 0 the direct difference is
-cheaper and exact enough.
+the subtraction cancels to order n, so the remainder is summed instead, as
+x^n/n! times the kernel's one series n! sum_{j>=0} x^j/(n+j)!, which starts
+at 1 (hankel takes it at complex tau, tau^n/n! going into its power of
+tau); away from 0 the direct difference is cheaper and exact enough.
 """
 
 from __future__ import annotations
@@ -75,16 +76,12 @@ def sinpi(z: float) -> float:
     return -s if k % 2 else s
 
 
-def _remainder_series(x: float, n: int) -> float:
-    # sum_{k=n}^inf x^k/k!, the Taylor tail of e^x past degree n-1
-    term = 1.0
-    for k in range(1, n + 1):
-        term *= x / k
-    total = term
-    k = n
-    for _ in range(_MAX_TERMS):
-        k += 1
-        term *= x / k
+def _ratio_series(x: float, n: int) -> float:
+    # n! sum_{j>=0} x^j/(n+j)!, which is (e^x - e_{n-1}(x)) n!/x^n and 1
+    # at x = 0; hankel takes it at complex x
+    term = total = 1.0
+    for j in range(n + 1, n + 1 + _MAX_TERMS):
+        term *= x / j
         total += term
         if abs(term) < _EPS * abs(total):
             break
@@ -99,8 +96,9 @@ def exp_remainder(x: float, n: int) -> float:
     """e^x - e_{n-1}(x), accurate near machine precision for all x.
 
     For small |x| the direct difference loses roughly n digits to
-    cancellation, so the tail series is summed instead.  math.exp raises
-    OverflowError if the direct path is required and e^x overflows.
+    cancellation, so x^n/n! times the series is taken instead.  OverflowError
+    is raised where e^x overflows on the direct path, and where n! or x^n
+    does on the series path (n past 170, or about 160 at |x| near n/2).
     """
     if n < 0:
         raise ValueError(f"order must be >= 0, got {n}")
@@ -109,7 +107,7 @@ def exp_remainder(x: float, n: int) -> float:
     if x == 0.0:
         return 0.0
     if _use_series(x, n):
-        return _remainder_series(x, n)
+        return x**n / math.factorial(n) * _ratio_series(x, n)
     return math.exp(x) - truncated_exp(x, n - 1)
 
 
@@ -118,20 +116,11 @@ def kernel_ratio(x: float, n: int) -> float:
 
     This is the smooth factor left after pulling the algebraic x^{-frac}
     singularity out of the regularized integrand; its limit at 0 is
-    (-1)^n / n!.  For small x it is summed as (-1)^n sum_{j>=0} (-x)^j/(n+j)!
-    so that neither factor under- or overflows.
+    (-1)^n / n!.  For small x it is (-1)^n/n! times the series at -x, so
+    that neither factor under- or overflows.
     """
     if n == 0:
         return math.exp(-x)
     if _use_series(x, n):
-        term = (-1.0) ** n / math.factorial(n)
-        total = term
-        j = 0
-        for _ in range(_MAX_TERMS):
-            j += 1
-            term *= -x / (n + j)
-            total += term
-            if abs(term) < _EPS * abs(total):
-                break
-        return total
+        return (-1.0) ** n / math.factorial(n) * _ratio_series(-x, n)
     return exp_remainder(-x, n) / x**n

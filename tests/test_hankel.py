@@ -183,6 +183,29 @@ class TestArcContribution:
         slope = fitted_arc_exponent(1.5, (1e-1, 1e-2, 1e-3), order=0)
         assert slope <= 0.0
 
+    def test_small_arc_at_large_z_against_its_series(self):
+        # On |tau| = r0 the arc integrand is Re sum_{k>=n} tau^{k+1-z}/k!,
+        # so the arc is (1/pi) sum_{k>=n} r0^a sin(a delta) / (a k!) with
+        # a = k + 1 - z, summed without the polynomial subtraction, which
+        # would need hundreds of digits.  r0^n / n! alone underflows here,
+        # though the arc, about 7e-177, does not.
+        z, contour = 108.03125, HankelContour(delta=1.6875, r0=0.025390625)
+        arc = arc_contribution(z, contour, QuadratureConfig(eps_rel=1e-6))
+        with mpmath.workdps(30):
+            r0 = mpmath.mpf(contour.r0)
+            a = {k: k + 1 - mpmath.mpf(z) for k in range(108, 128)}
+            ref = mpmath.fsum(
+                r0 ** a[k] * mpmath.sin(a[k] * contour.delta) / (a[k] * mpmath.factorial(k))
+                for k in a
+            ) / mpmath.pi
+            assert arc != 0.0
+            assert abs(arc - ref) <= 1e-6 * abs(ref)
+
+    @pytest.mark.parametrize("order", [-1, -3])
+    def test_negative_order_rejected(self, order):
+        with pytest.raises(ValueError):
+            arc_contribution(2.5, order=order)
+
 
 class TestKernelSeesRealArguments:
     """The contour's complex remainder never goes through the public kernel.
@@ -292,6 +315,9 @@ class TestContourProperty:
         t=st.floats(0.2, 10.0),
         eps=st.sampled_from([1e-6, 1e-8, 1e-10]),
     )
+    # the arc radius 0.025390625 at z = 108.03125: r0^n / n! underflowed
+    # where the integrand does not, and the result, 1.6e-4 off, was ok
+    @example(z=108.03125, delta=1.6875, r0=0.125, t=0.203125, eps=1e-6)
     def test_ok_results_meet_tolerance(self, z, delta, r0, t, eps):
         contour = HankelContour(delta=delta, r0=r0 * t)
         try:

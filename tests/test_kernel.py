@@ -5,7 +5,7 @@ from mpmath import mp, mpf
 
 from regamma.errors import IntegerArgument, NonPositiveArgument
 from regamma.kernel import (
-    _remainder_series,
+    _ratio_series,
     decompose,
     exp_remainder,
     kernel_ratio,
@@ -105,8 +105,10 @@ class TestExpRemainder:
         "x", [-4.0, -3.0, -2.0, -1.0, -0.5, -0.25, -0.1, -0.01]
     )
     def test_series_against_extended_precision(self, x, n):
-        ours = _remainder_series(x, n)
-        ref = mp_remainder(x, n)
+        # the one series, n! sum_{j>=0} x^j/(n+j)!, is the remainder over x^n/n!
+        ours = _ratio_series(x, n)
+        with mp.workdps(30):
+            ref = mp_remainder(x, n) * mp.factorial(n) / mpf(x) ** n
         assert abs(ours - ref) / abs(ref) <= 1e-13
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
