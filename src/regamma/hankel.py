@@ -28,18 +28,19 @@ principal logarithm throughout.
 Because the numerator is the regularized remainder e^tau - e_{n-1}(tau),
 the integrand is integrable over the shrinking arc (it vanishes like
 r0^{1-frac}), which is exactly what makes the truncation order n = [z]
-the right one.  ray_kernel, every node and arc integrand, and the ray
-integrand take the remainder by the kernel's own dispatch: beyond
+the right one.  Every node of the contour is ray_kernel, which takes the
+remainder by the kernel's own dispatch: beyond
 max(1, n/2) the direct difference, and within it, for n >= 1, the
 kernel's one series n! sum_{j>=0} tau^j/(n+j)! times tau^n/n!, which goes
 into the power of tau.  The integrand is then the series times
 exp((n - z) log tau - log n!), and underflows only where its own value
 does (at z = 108.03 and r0 = 0.025, r0^n/n! alone underflows; the arc is
-about 7e-177).  The public kernel.exp_remainder and kernel_ratio only
-ever see real arguments.  On a ray the phases of tau^{n-z} and tau^{-z},
-times that of d tau, are the same at every node, so they are formed once
-per contour.  Beyond the truncation radius the polynomial part of each
-ray has an elementary antiderivative, the real line's closed-form tail
+about 7e-177).  Off the series path, where tau^{-z} alone would leave
+the normal range, the remainder's logarithm takes it: the product is
+exp(log(e^tau - e_{n-1}(tau)) - z log tau).  The public
+kernel.exp_remainder and kernel_ratio only ever see real arguments.
+Beyond the truncation radius the polynomial part of each ray has an
+elementary antiderivative, the real line's closed-form tail
 with a phase (quadrature.polynomial_tail_closed_form, with the rounding
 bound of its terms as its error).  It is not shifted: at large z its
 terms dwarf the value, and the result is flagged.  The exponential part is
@@ -47,25 +48,25 @@ bounded by e^{R cos delta} R^{-z} / |cos delta|, and R is where that
 bound, R^{-z} taken as 1, is a negligible share (_TAIL_NEGLIGIBLE) of a
 segment's tolerance times min(1, z), the a-priori size of 1/Gamma(z) as
 z -> 0.  That part is never integrated: it is left out, the bound kept as
-its error; where the tolerance cannot hold the bound, or R would need more
-than _NODES ray panels and the ray ends where they reach, it flags the result.
+its error; where the tolerance cannot hold the bound, it flags the result.
 
 For real z the integrand at conj(tau) is the conjugate of the one at tau,
 so the contour integral is 2i times the imaginary part of its upper half;
 only that half is evaluated, and its parts are divided by pi once at the
-end.  The arc's share is the real integrand Re(tau f(tau)).  Each ray stays
-a complex integral of which the imaginary part is kept, so its tolerance is
-relative to the whole ray: past R the imaginary part alone, oscillating and
-far below the result, would not meet a relative tolerance.
+end.  The arc's share is the real integrand Re(tau f(tau)); of the ray's
+complex integral the imaginary part is kept.
 
-Both segments, the ray up to R and the arc, are integrated by the
-adaptive engine that power_subst and log_form use on the real line
-(quadrature.integrate_finite, with complex values on the ray) and summed
-by quadrature.combine with the closed-form polynomial tail, the bound on
-the exponential tail left out being one more part.  A contour is set by
-delta and r0, and its truncation radius by them, z and the tolerance;
-each segment gets the same share of the tolerance and the engine's one
-bisection budget.
+Both segments, the ray up to R in t = log r and the arc in theta, are
+entire in their path variable, so each is summed by equal 15-point
+Gauss-Legendre panels (quadrature._GL15, as on the real axis) whose
+count, chosen before any evaluation, is the least that the closed-form
+bound quadrature._gl15_bound holds to an eighth of the tolerance on an
+a-priori lower bound of pi/Gamma(z); past _PANEL_CAP panels the segment
+is summed at the cap and flagged.  Each segment's error is that bound
+plus the rounding of its nodes, the terms that the kernel's direct path
+cancels included, and quadrature.combine sums the segments with the
+closed-form polynomial tail and the bound on the exponential tail left
+out, and checks the sum against the tolerance.
 """
 
 from __future__ import annotations
@@ -74,25 +75,40 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass, replace
+from typing import Callable
 
 from . import gamma_core
 from .errors import ContourDegenerate
 from .kernel import ArgDecomposition, _ratio_series, _use_series, decompose, truncated_exp
 from .quadrature import (
+    _EPMACH,
+    _GL15,
+    ConditionFlag,
     IntegralResult,
     QuadratureConfig,
+    _gl15_bound,
     combine,
-    integrate_finite,
     polynomial_tail_closed_form,
     propagate,
 )
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 # The ray ends where the bound on its exponential part past it is this
 # share of a segment's tolerance on 1/Gamma(z).
 _TAIL_NEGLIGIBLE = 0.01
-# ray panels per layout
-_NODES = 128
+# 15-point panels a segment of the paper's contour takes at most; past
+# them it is evaluated at the cap and flagged.
+_PANEL_CAP = 64
+# Relative rounding of a node of the paper's contour, in units of eps,
+# before the rounding of the kernel's exponents is added.
+_NODE_ROUNDING = 4
+# The rounding of the kernel's direct path, e^tau - e_{n-1}(tau), in units
+# of eps times the terms' sum e_{n-1}(|tau|), where that sum dominates the
+# node: measured against mpmath at n = 80 to 120, it reached 0.14 off the
+# positive real axis (arg tau >= 1.6: the rays) and 7 next to it, where
+# the terms all add (the arc near theta = 0, counted as 1 + n/8).
+_RAY_CANCELLATION = 0.25
 
 # The route's trapezoid rule: z is moved into [8, 9) by the recurrence
 # (gamma_core.recurrence), and the nodes theta_j = j pi / (2 N), j < 2 N, of
@@ -137,7 +153,11 @@ def ray_kernel(r: float, delta: float, z: float, n: int) -> complex:
     log_tau = complex(math.log(r), delta)
     if n and _use_series(tau, n):
         return _ratio_series(tau, n) * cmath.exp((n - z) * log_tau - math.lgamma(n + 1))
-    return (cmath.exp(tau) - truncated_exp(tau, n - 1)) * cmath.exp(-z * log_tau)
+    remainder = cmath.exp(tau) - truncated_exp(tau, n - 1)
+    if z * log_tau.real > _LOG_FLOAT_MAX - 10.0 and remainder:
+        # tau^{-z} would leave the normal range, though the product need not
+        return cmath.exp(cmath.log(remainder) - z * log_tau)
+    return remainder * cmath.exp(-z * log_tau)
 
 
 def steepest_descent_recip_gamma(z: float, cfg: QuadratureConfig) -> IntegralResult:
@@ -173,34 +193,118 @@ def steepest_descent_recip_gamma(z: float, cfg: QuadratureConfig) -> IntegralRes
     return propagate(value, [trapezoid, roundings], 1, cfg.eps_rel)
 
 
-def _ray_breakpoints(r0: float, R: float, width_cap: float) -> tuple[list[float], float]:
-    # geometric growth near the origin, capped panels once oscillation
-    # matters; the ray ends at R, or where _NODES panels reach
-    pts = []
-    x = r0
-    while True:
-        x = x + min(x, width_cap)
-        if x >= R or len(pts) == _NODES - 1:
-            return pts, min(x, R)
-        pts.append(x)
+def _target(z: float, eps_rel: float) -> float:
+    """Each segment's target: an eighth of eps_rel times pi/Gamma(z), the
+    contour integral's size, bounded below a priori.  1/Gamma(z) is at least
+    z up to 1, as 1/Gamma(z) = z/Gamma(1 + z) and Gamma <= 1 on [1, 2]; from
+    1 up, Stirling's upper bound Gamma(z) <= sqrt(2 pi) z^{z-1/2}
+    e^{-z + 1/(12 z)} bounds it."""
+    if z <= 1.0:
+        log_floor = math.log(z)
+    else:
+        log_floor = -((z - 0.5) * math.log(z) - z + _HALF_LOG_2PI + 1.0 / (12.0 * z))
+    return eps_rel / 8.0 * math.pi * math.exp(log_floor)
 
 
-def _segment_config(cfg: QuadratureConfig) -> QuadratureConfig:
-    # an eighth of a subnormal tolerance may round to 0: it is then the
-    # least positive double, which no segment meets either
-    return QuadratureConfig(max(cfg.eps_rel / 8.0, math.ulp(0.0)))
+def _segment(f: Callable[[float], complex], lo: float, hi: float,
+             rule: tuple[float, float, float], target: float, arg: ArgDecomposition,
+             log_tau: float, cancelled: float) -> IntegralResult:
+    """The integral of f over [lo, hi] by equal 15-point Gauss-Legendre
+    panels; its value is complex.
+
+    rule = (half_height, log_m, growth) states that |f(t)| <=
+    exp(log_m + growth Re t) on the strip |Im t| <= half_height; the panel
+    count is the least whose bound (quadrature._gl15_bound) meets target.
+    Past _PANEL_CAP panels the segment is summed at the cap and flagged.
+
+    The error is that bound plus the rounding of the nodes: relative
+    (_NODE_ROUNDING + a) eps of h sum w |f|, where a = z log_tau + 2 log n!
+    bounds the exponents that the kernel exponentiates, log_tau bounding
+    |log tau| (their rounding, lgamma's to 2 eps, is relative to the node's
+    value), and eps times `cancelled`, the rounding of the terms that the
+    kernel's direct path cancels.
+    """
+    half_height, log_m, growth = rule
+    for panels in range(1, _PANEL_CAP + 1):
+        bound = _gl15_bound(lo, hi, panels, half_height, log_m, growth)
+        if bound <= target:
+            break
+    h = (hi - lo) / (2 * panels)
+    total = 0j
+    size = 0.0
+    for p in range(panels):
+        centre = lo + (2 * p + 1) * h
+        for x, w in _GL15:
+            g = f(centre + h * x)
+            total += w * g
+            size += w * abs(g)
+    amplification = arg.z * log_tau + 2.0 * math.lgamma(arg.n + 1)
+    rounding = _EPMACH * ((_NODE_ROUNDING + amplification) * h * size + cancelled)
+    flag = ConditionFlag.OK if bound <= target else ConditionFlag.TOLERANCE_NOT_MET
+    return IntegralResult(h * total, bound + rounding, 15 * panels, flag)
 
 
-def _arc(order: int, z: float, contour: HankelContour, sub: QuadratureConfig) -> IntegralResult:
+def _ray(arg: ArgDecomposition, contour: HankelContour, R: float, target: float) -> IntegralResult:
+    """The integral of f(s) = (e^s - e_{n-1}(s)) / s^z over the ray
+    tau = r e^{i delta}, r0 <= r <= R; its value is complex.
+
+    In t = log r, d tau = tau dt and the integrand tau f(tau) is
+    ray_kernel(e^t, delta, z - 1, n), entire in t.  On the strip
+    |Im t| <= delta - pi/2, arg tau stays in [pi/2, 3 pi/2], so Re tau <= 0,
+    |e^tau - e_{n-1}(tau)| <= |tau|^n/n! (as on the real axis) and
+    |tau f| <= e^{(1-frac) Re t}/n!.  Past the series radius the terms of
+    e_{n-1}(tau) sum to e_{n-1}(r), and int e_{n-1}(r) r^{-z} dr up to R is
+    summed in closed form.
+    """
+    z, n, frac = arg.z, arg.n, arg.frac
+    delta, r0 = contour.delta, contour.r0
+    hi = math.log(R)
+    cancelled = 0.0
+    edge = max(r0, 1.0, 0.5 * n)  # the kernel's series radius (_use_series)
+    if n and edge < R:
+        log_edge = math.log(edge)
+        coeff = 1.0  # 1 / k!
+        for k in range(n):
+            expo = (k - n + 1) - frac  # of r in the antiderivative, < 0
+            cancelled += coeff * (math.exp(expo * log_edge) - math.exp(expo * hi)) / -expo
+            coeff /= k + 1
+    power = z - 1.0
+    lo = math.log(r0)
+    rule = (delta - 0.5 * math.pi, -math.lgamma(n + 1), 1.0 - frac)
+    return _segment(lambda t: ray_kernel(math.exp(t), delta, power, n), lo, hi, rule,
+                    target, arg, max(abs(lo), abs(hi)) + delta, _RAY_CANCELLATION * cancelled)
+
+
+def _arc(arg: ArgDecomposition, order: int, contour: HankelContour,
+         target: float) -> IntegralResult:
     """(1/2i) times the integral of f(s) = (e^s - e_{order-1}(s)) / s^z over
     the arc |s| = r0, which is that of Re(tau f(tau)) over theta in [0, delta];
-    tau f(tau) is the kernel at the power z - 1."""
+    tau f(tau) is the kernel at the power z - 1.  The value is real.
+
+    On the strip |Im theta| <= a, |tau| <= r0 e^a =: rho, so with
+    k = order + 1 - z, |tau f| <= e^rho rho^{order}/order! |tau^{1-z}|
+    <= e^rho r0^k e^{|k| a}/order!.  a solves a r0 e^a = 30, about where
+    the bound is least.  On the kernel's direct path the terms of
+    e_{order-1}(tau) sum to e_{order-1}(r0) at every node.
+    """
+    z = arg.z
     delta, r0 = contour.delta, contour.r0
-
-    def arc(theta: float) -> float:
-        return ray_kernel(r0, theta, z - 1.0, order).real
-
-    return integrate_finite(arc, 0.0, delta, sub, [0.5 * delta])
+    log_r0 = math.log(r0)
+    k = order + 1 - z
+    c = 30.0 / r0
+    a = math.log1p(c)
+    for _ in range(4):  # Newton's method on a = c e^{-a}
+        e = c * math.exp(-a)
+        a -= (a - e) / (1.0 + e)
+    log_m = k * log_r0 + abs(k) * a + r0 * math.exp(a) - math.lgamma(order + 1)
+    cancelled = 0.0
+    if order and not _use_series(r0, order):
+        terms = truncated_exp(r0, order - 1) * math.exp((1.0 - z) * log_r0)
+        cancelled = (1.0 + order / 8.0) * delta * terms
+    power = z - 1.0
+    res = _segment(lambda theta: ray_kernel(r0, theta, power, order), 0.0, delta,
+                   (a, log_m, 0.0), target, arg, abs(log_r0) + delta, cancelled)
+    return replace(res, value=res.value.real)
 
 
 def _contour_eval(
@@ -210,43 +314,30 @@ def _contour_eval(
 
     The value is real: Im of the upper half's integral, over pi.
     """
-    z, order = arg.z, arg.n
+    z = arg.z
     _validate(contour, z)
     delta, r0 = contour.delta, contour.r0
     decay = abs(math.cos(delta))
-    sub = _segment_config(cfg)
     # R is where the bound on the exponential part past it (below), R^{-z}
-    # taken as 1, is the share _TAIL_NEGLIGIBLE of the segment tolerance times
-    # min(1, z), the a-priori size of 1/Gamma(z) as z -> 0.  L is summed as
-    # logs: as a product it underflows at tiny z.  R clears the arc: it is
-    # at least 4 r0, and capped where _NODES panels reach.
+    # taken as 1, is the share _TAIL_NEGLIGIBLE of an eighth of the
+    # tolerance times min(1, z), the a-priori size of 1/Gamma(z) as z -> 0.
+    # L is summed as logs: as a product it underflows at tiny z.  R clears
+    # the arc: it is at least 4 r0.
     L = -(
         math.log(_TAIL_NEGLIGIBLE)
-        + math.log(sub.eps_rel)
+        + math.log(cfg.eps_rel)
+        - math.log(8.0)
         + math.log(min(1.0, z))
         + math.log(decay)
     )
-    seeds, R = _ray_breakpoints(r0, max(4.0 * r0, L / decay), math.pi / math.sin(delta))
-    # on the ray tau = r phase the integrand is ray_kernel's times phase:
-    # turn_n and turn are the phases of its tau^{n-z} and tau^{-z} times phase
-    phase = cmath.exp(1j * delta)
-    turn = phase * cmath.exp(-1j * z * delta)
-    turn_n = phase * cmath.exp(1j * (order - z) * delta)
-    log_factorial = math.lgamma(order + 1)
-
-    def ray(r: float) -> complex:
-        tau = r * phase
-        if order and _use_series(tau, order):
-            scale = math.exp((order - z) * math.log(r) - log_factorial)
-            return _ratio_series(tau, order) * (turn_n * scale)
-        return (cmath.exp(tau) - truncated_exp(tau, order - 1)) * (turn * r**-z)
-
-    res = integrate_finite(ray, r0, R, sub, seeds)
+    R = max(4.0 * r0, L / decay)
+    target = _target(z, cfg.eps_rel)
+    ray = _ray(arg, contour, R, target)
     parts = [
         # the polynomial part of the ray beyond R, in closed form
         polynomial_tail_closed_form(arg, R, delta),
-        replace(res, value=res.value.imag),
-        _arc(order, z, contour, sub),
+        replace(ray, value=ray.value.imag),
+        _arc(arg, arg.n, contour, target),
         # the exponential part of the ray beyond R, at most
         # e^{R cos delta} R^{-z} / |cos delta| (z > 0): left out, a part of
         # value 0 with the bound as its error
@@ -272,8 +363,8 @@ def hankel_recip_gamma(
     route's consistency check is invariance of the value under changes of
     delta and r0.  Raises ContourDegenerate for a ray angle outside
     (pi/2, pi), an arc radius that is not finite and positive, or one so
-    small that r0^{-z} overflows; a contour whose rays would need more
-    than _NODES panels to reach the tolerance gives a flagged value.
+    small that r0^{-z} overflows; a segment that would need more than
+    _PANEL_CAP panels to reach the tolerance gives a flagged value.
     """
     arg = decompose(z)
     res = _contour_eval(arg, contour or HankelContour(), cfg or QuadratureConfig())
@@ -300,7 +391,7 @@ def arc_contribution(
     n = arg.n if order is None else order
     if n < 0:
         raise ValueError(f"order must be >= 0, got {n}")
-    return _arc(n, z, contour, _segment_config(cfg)).value / math.pi
+    return _arc(arg, n, contour, _target(arg.z, cfg.eps_rel)).value / math.pi
 
 
 def inverse_laplace(

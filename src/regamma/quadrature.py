@@ -1,14 +1,16 @@
-"""The adaptive quadrature engine, the real axis's fixed rule and the one assembly of I(z).
+"""The adaptive quadrature engine, the fixed Gauss-Legendre rule and the one assembly of I(z).
 
 integrate_finite is the package's only adaptive engine: an embedded 7/15
 Gauss-Kronrod pair with worst-panel bisection and the classical QUADPACK
-error scaling.  It takes real or complex integrands alike, so the same
-engine sums the middle stretch of two real-line routes below and the
-Hankel contour segments.
-Its only setting is the relative tolerance (QuadratureConfig); every
-integral may bisect at most _MAX_BISECTIONS panels.  Like QUADPACK's
-round-off detection it stops bisecting once the panels' round-off floors
-alone exceed the target, and flags the result.
+error scaling.  It sums the middle stretch of two real-line routes below,
+power_subst and log_form.  Its only setting is the relative tolerance
+(QuadratureConfig); every integral may bisect at most _MAX_BISECTIONS
+panels.  Like QUADPACK's round-off detection it stops bisecting once the
+panels' round-off floors alone exceed the target, and flags the result.
+The real axis's middle stretch and both segments of the paper's Hankel
+contour (hankel) are entire in their path variable instead, and take
+equal 15-point Gauss-Legendre panels (_GL15) whose count comes from one
+closed-form error bound, _gl15_bound.
 combine() sums the parts of a composite integral and decides its flag:
 tolerance_not_met when a part, or the sum checked against eps_rel, misses
 its tolerance, otherwise ok.  propagate() gives the same record, decided
@@ -432,27 +434,32 @@ def propagate(
     return IntegralResult(value, err, evaluations, flag)
 
 
-def _gl15_bound(frac: float, n: int, lo: float, hi: float, panels: int) -> float:
+def _gl15_bound(
+    lo: float, hi: float, panels: int, half_height: float, log_m: float, growth: float = 0.0
+) -> float:
     """Trefethen's bound (ATAP, Thm 19.3) on the error of `panels` equal
-    15-point Gauss-Legendre panels on [lo, hi] for real_axis_middle's
-    integrand f(t) = R_n(-e^t) e^{(1-n-frac) t}, R_n(w) = e^w - e_{n-1}(w).
+    15-point Gauss-Legendre panels on [lo, hi] for an integrand f entire in
+    t with |f(t)| <= exp(log_m + growth Re t), growth >= 0, wherever
+    |Im t| <= half_height.
 
     On a panel of half-width h and centre c, take the Bernstein ellipse
-    E_rho of half-height h (rho - 1/rho)/2 = pi/2: rho = s + sqrt(s^2 + 1)
-    with s = pi/(2h).  There Re(-e^t) <= 0, so the integral form of the
-    Taylor remainder, R_n(w) = w^n/(n-1)! int_0^1 (1-u)^{n-1} e^{uw} du,
-    gives |R_n(-e^t)| <= |e^t|^n/n!, and |f| <= M = e^{(1-frac) Re t}/n!,
-    largest at Re t = c + h (rho + 1/rho)/2.  The panel's error is then at
-    most (64/15) h M rho^{-30}/(rho^2 - 1).
+    E_rho of that half-height, h (rho - 1/rho)/2 = half_height:
+    rho = s + sqrt(s^2 + 1) with s = half_height/h.  Its right end is
+    c + h (rho + 1/rho)/2, where M = max |f| on it is reached, and the
+    panel's error is at most (64/15) h M rho^{-30}/(rho^2 - 1).  Over the
+    panels M grows by the factor e^{2 h growth} from one to the next, so
+    their sum is a geometric series, summed in closed form.  The bound is
+    formed from its logarithm, so neither M nor rho^{-30} over- or
+    underflows on its own.
     """
     h = (hi - lo) / (2 * panels)
-    s = math.pi / (2.0 * h)
+    s = half_height / h
     rho = s + math.sqrt(s * s + 1.0)
     reach = 0.5 * h * (rho + 1.0 / rho)
-    unit = 64.0 / 15.0 * h * rho**-30 / ((rho * rho - 1.0) * math.factorial(n))
-    return unit * math.fsum(
-        math.exp((1.0 - frac) * (lo + (2 * p + 1) * h + reach)) for p in range(panels)
-    )
+    step = 2.0 * h * growth
+    count = math.expm1(step * panels) / math.expm1(step) if step else panels
+    log_first = log_m + growth * (lo + h + reach) - 30.0 * math.log(rho)
+    return 64.0 / 15.0 * h * count * math.exp(log_first) / (rho * rho - 1.0)
 
 
 def real_axis_middle(arg: ArgDecomposition, eps_rel: float, scale: float) -> IntegralResult:
@@ -461,8 +468,12 @@ def real_axis_middle(arg: ArgDecomposition, eps_rel: float, scale: float) -> Int
 
     dx = x dt turns the integrand into f(t) = (e^{-x} - e_{n-1}(-x)) x^{1-z}
     at x = e^t, entire in t, so _gl15_bound bounds the rule's error in
-    closed form.  One panel serves where its bound is at most
-    eps_rel * scale, and two otherwise: over n <= 9 and 0 < frac < 1 their
+    closed form.  On the strip |Im t| <= pi/2, Re(-e^t) <= 0, so the
+    integral form of the Taylor remainder,
+    R_n(w) = w^n/(n-1)! int_0^1 (1-u)^{n-1} e^{uw} du, gives
+    |R_n(-e^t)| <= |e^t|^n/n!, and |f| <= e^{(1-frac) Re t}/n!.  One panel
+    serves where its bound is at most eps_rel * scale, and two
+    otherwise: over n <= 9 and 0 < frac < 1 their
     bound is at most 2.4e-16 of the origin part (largest as frac -> 0),
     below the rounding of the sum, so no third panel is ever needed.  The
     nodes are placed at call time from the split and the radius, and the
@@ -477,10 +488,11 @@ def real_axis_middle(arg: ArgDecomposition, eps_rel: float, scale: float) -> Int
     expo = (1 - n) - frac
     lo, hi = math.log(_SPLIT_POINT), math.log(_TAIL_RADIUS)
     panels = 1
-    bound = _gl15_bound(frac, n, lo, hi, 1)
+    log_m = -math.lgamma(n + 1)
+    bound = _gl15_bound(lo, hi, 1, 0.5 * math.pi, log_m, 1.0 - frac)
     if bound > eps_rel * scale:
         panels = 2
-        bound = _gl15_bound(frac, n, lo, hi, 2)
+        bound = _gl15_bound(lo, hi, 2, 0.5 * math.pi, log_m, 1.0 - frac)
     h = (hi - lo) / (2 * panels)
     total = 0.0
     for p in range(panels):

@@ -234,7 +234,10 @@ class TestRealAxisMiddle:
             for frac in self.FRACS:
                 arg = ArgDecomposition(z=n + frac, n=n, frac=frac)
                 origin = abs(origin_closed_form(arg, 1.0).value)
-                assert quadrature._gl15_bound(frac, n, lo, hi, 2) <= 2.5e-16 * origin
+                bound = quadrature._gl15_bound(
+                    lo, hi, 2, 0.5 * math.pi, -math.lgamma(n + 1), 1.0 - frac
+                )
+                assert bound <= 2.5e-16 * origin
 
     def test_cost_at_eps_1e_8(self):
         # the panel count comes from the bound: one panel for most z, two
