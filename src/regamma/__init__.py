@@ -25,22 +25,16 @@ from .hankel import (
     hankel_recip_gamma,
     inverse_laplace,
     inverse_laplace_monomial,
-    ray_kernel,
 )
 from .kernel import (
     ArgDecomposition,
     decompose,
     exp_remainder,
-    kernel_ratio,
-    truncated_exp,
 )
 from .quadrature import (
     ConditionFlag,
     IntegralResult,
     QuadratureConfig,
-    integrate_finite,
-    integrate_regularized_kernel,
-    polynomial_tail_closed_form,
 )
 
 __version__ = "0.1.0"
@@ -66,15 +60,9 @@ __all__ = [
     "gamma_negative",
     "gamma_ratio",
     "hankel_recip_gamma",
-    "integrate_finite",
-    "integrate_regularized_kernel",
     "inverse_laplace",
     "inverse_laplace_monomial",
-    "kernel_ratio",
-    "polynomial_tail_closed_form",
-    "ray_kernel",
     "recip_gamma",
     "recip_gamma_neg_reflection",
-    "truncated_exp",
     "__version__",
 ]

@@ -36,8 +36,10 @@ into the power of tau.  The integrand is then the series times
 exp((n - z) log tau - log n!), and underflows only where its own value
 does (at z = 108.03 and r0 = 0.025, r0^n/n! alone underflows; the arc is
 about 7e-177).  Off the series path, where tau^{-z} alone would leave
-the normal range, the remainder's logarithm takes it: the product is
-exp(log(e^tau - e_{n-1}(tau)) - z log tau).  The public
+the normal range, each term of the difference takes its power of tau in
+its exponent: e^tau tau^{-z} is exp(tau - z log tau), and e_{n-1}(tau)
+tau^{-z} is exp((n - 1 - z) log tau - log (n-1)!) times a Horner sum in
+1/tau, so neither tau^{-z} nor e_{n-1}(tau) leaves the range alone.  The public
 kernel.exp_remainder and kernel_ratio only ever see real arguments.
 Beyond the truncation radius the polynomial part of each ray has an
 elementary antiderivative, the real line's closed-form tail
@@ -59,14 +61,14 @@ complex integral the imaginary part is kept.
 Both segments, the ray up to R in t = log r and the arc in theta, are
 entire in their path variable, so each is summed by equal 15-point
 Gauss-Legendre panels (quadrature._GL15, as on the real axis) whose
-count, chosen before any evaluation, is the least that the closed-form
-bound quadrature._gl15_bound holds to an eighth of the tolerance on an
-a-priori lower bound of pi/Gamma(z); past _PANEL_CAP panels the segment
-is summed at the cap and flagged.  Each segment's error is that bound
-plus the rounding of its nodes, the terms that the kernel's direct path
-cancels included, and quadrature.combine sums the segments with the
-closed-form polynomial tail and the bound on the exponential tail left
-out, and checks the sum against the tolerance.
+count (quadrature._gl15_panels, before any evaluation) is the least
+whose closed-form bound holds to an eighth of the tolerance on an
+a-priori lower bound of pi/Gamma(z), up to _PANEL_CAP, a limit on cost.
+Each segment's error is that bound, met or not at the cap, plus the
+rounding of its nodes, the terms that the kernel's direct path cancels
+included; no segment sets a flag.  quadrature.combine sums the segments
+with the closed-form polynomial tail and the bound on the exponential
+tail left out, and flags the sum where its error misses the tolerance.
 """
 
 from __future__ import annotations
@@ -83,10 +85,9 @@ from .kernel import ArgDecomposition, _ratio_series, _use_series, decompose, tru
 from .quadrature import (
     _EPMACH,
     _GL15,
-    ConditionFlag,
     IntegralResult,
     QuadratureConfig,
-    _gl15_bound,
+    _gl15_panels,
     combine,
     polynomial_tail_closed_form,
     propagate,
@@ -97,8 +98,8 @@ _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 # The ray ends where the bound on its exponential part past it is this
 # share of a segment's tolerance on 1/Gamma(z).
 _TAIL_NEGLIGIBLE = 0.01
-# 15-point panels a segment of the paper's contour takes at most; past
-# them it is evaluated at the cap and flagged.
+# 15-point panels a segment of the paper's contour takes at most, a limit
+# on cost alone: a capped segment keeps its bound in its error.
 _PANEL_CAP = 64
 # Relative rounding of a node of the paper's contour, in units of eps,
 # before the rounding of the kernel's exponents is added.
@@ -153,11 +154,19 @@ def ray_kernel(r: float, delta: float, z: float, n: int) -> complex:
     log_tau = complex(math.log(r), delta)
     if n and _use_series(tau, n):
         return _ratio_series(tau, n) * cmath.exp((n - z) * log_tau - math.lgamma(n + 1))
-    remainder = cmath.exp(tau) - truncated_exp(tau, n - 1)
-    if z * log_tau.real > _LOG_FLOAT_MAX - 10.0 and remainder:
-        # tau^{-z} would leave the normal range, though the product need not
-        return cmath.exp(cmath.log(remainder) - z * log_tau)
-    return remainder * cmath.exp(-z * log_tau)
+    if z * log_tau.real > _LOG_FLOAT_MAX - 10.0:
+        # tau^{-z} would leave the normal range, and e_{n-1}(tau) may, though
+        # the product need not: each term takes its power of tau in its
+        # exponent, the polynomial as tau^{n-1}/(n-1)! times a Horner sum in
+        # 1/tau, sum_j (n-1)!/(n-1-j)! tau^{-j}
+        head = cmath.exp(tau - z * log_tau)
+        if not n:
+            return head
+        p = 1.0
+        for k in range(1, n):
+            p = 1.0 + p * k / tau
+        return head - p * cmath.exp((n - 1 - z) * log_tau - math.lgamma(n))
+    return (cmath.exp(tau) - truncated_exp(tau, n - 1)) * cmath.exp(-z * log_tau)
 
 
 def steepest_descent_recip_gamma(z: float, cfg: QuadratureConfig) -> IntegralResult:
@@ -214,8 +223,9 @@ def _segment(f: Callable[[float], complex], lo: float, hi: float,
 
     rule = (half_height, log_m, growth) states that |f(t)| <=
     exp(log_m + growth Re t) on the strip |Im t| <= half_height; the panel
-    count is the least whose bound (quadrature._gl15_bound) meets target.
-    Past _PANEL_CAP panels the segment is summed at the cap and flagged.
+    count is the least whose bound meets target, at most _PANEL_CAP; at the
+    cap the bound may miss it.  It is in the error all the same, so the
+    segment sets no flag: combine flags the sum where its error misses.
 
     The error is that bound plus the rounding of the nodes: relative
     (_NODE_ROUNDING + a) eps of h sum w |f|, where a = z log_tau + 2 log n!
@@ -224,11 +234,7 @@ def _segment(f: Callable[[float], complex], lo: float, hi: float,
     value), and eps times `cancelled`, the rounding of the terms that the
     kernel's direct path cancels.
     """
-    half_height, log_m, growth = rule
-    for panels in range(1, _PANEL_CAP + 1):
-        bound = _gl15_bound(lo, hi, panels, half_height, log_m, growth)
-        if bound <= target:
-            break
+    panels, bound = _gl15_panels(lo, hi, _PANEL_CAP, *rule, target)
     h = (hi - lo) / (2 * panels)
     total = 0j
     size = 0.0
@@ -240,8 +246,7 @@ def _segment(f: Callable[[float], complex], lo: float, hi: float,
             size += w * abs(g)
     amplification = arg.z * log_tau + 2.0 * math.lgamma(arg.n + 1)
     rounding = _EPMACH * ((_NODE_ROUNDING + amplification) * h * size + cancelled)
-    flag = ConditionFlag.OK if bound <= target else ConditionFlag.TOLERANCE_NOT_MET
-    return IntegralResult(h * total, bound + rounding, 15 * panels, flag)
+    return IntegralResult(h * total, bound + rounding, 15 * panels)
 
 
 def _ray(arg: ArgDecomposition, contour: HankelContour, R: float, target: float) -> IntegralResult:
@@ -363,8 +368,8 @@ def hankel_recip_gamma(
     route's consistency check is invariance of the value under changes of
     delta and r0.  Raises ContourDegenerate for a ray angle outside
     (pi/2, pi), an arc radius that is not finite and positive, or one so
-    small that r0^{-z} overflows; a segment that would need more than
-    _PANEL_CAP panels to reach the tolerance gives a flagged value.
+    small that r0^{-z} overflows.  A segment past _PANEL_CAP panels is
+    summed at the cap, its bound in the error, and flagged where it misses.
     """
     arg = decompose(z)
     res = _contour_eval(arg, contour or HankelContour(), cfg or QuadratureConfig())

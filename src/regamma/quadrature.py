@@ -9,13 +9,13 @@ panels.  Like QUADPACK's round-off detection it stops bisecting once the
 panels' round-off floors alone exceed the target, and flags the result.
 The real axis's middle stretch and both segments of the paper's Hankel
 contour (hankel) are entire in their path variable instead, and take
-equal 15-point Gauss-Legendre panels (_GL15) whose count comes from one
-closed-form error bound, _gl15_bound.
-combine() sums the parts of a composite integral and decides its flag:
-tolerance_not_met when a part, or the sum checked against eps_rel, misses
-its tolerance, otherwise ok.  propagate() gives the same record, decided
-the same way, to a value computed from integrals by products and
-roundings; every GammaValue's record comes from one or the other.
+equal 15-point Gauss-Legendre panels (_GL15), as many, up to a cap, as
+the closed-form error bound _gl15_bound needs (_gl15_panels); the bound
+is in their error, so they set no flag.  Every other flag comes from one
+rule, _flag, by way of combine(), which sums the parts of a composite
+integral, or propagate(), which gives the same record to a value computed
+from integrals by products and roundings; every GammaValue's record comes
+from one or the other.
 
 The semi-infinite integral I(z) = int_0^inf (e^{-x} - e_{n-1}(-x)) x^{-z} dx
 is assembled once, by integrate_regularized_kernel, split at x = 1 and
@@ -29,8 +29,8 @@ within eps_rel * scale, scale being a lower bound on |I(z)|:
 real_axis_middle (t = log x, the default), power_subst_middle
 (v = (x^z - 1)/z) and log_form_middle (u = e^{-x}).  In t = log x the
 integrand is entire, so the real axis takes a fixed Gauss-Legendre rule
-whose panel count, one or two, comes from a closed-form error bound
-before any evaluation; the other two take the adaptive engine.
+whose panel count, one or two, comes from _gl15_panels before any
+evaluation; the other two take the adaptive engine.
 
 The argument is a positive non-integer z = n + frac, 0 < frac < 1, as
 kernel.decompose builds it, or the same frac at the raised order n + 1
@@ -388,22 +388,33 @@ def polynomial_tail_closed_form(
     return IntegralResult(total, _EPMACH * rounding, 0)
 
 
+def _flag(value: float | complex, err: float, parts: Sequence, eps_rel: float) -> ConditionFlag:
+    """The one flag rule (combine, propagate): ok only if every part is ok
+    (None is exact), the value is finite and err <= eps_rel |value|, which
+    no NaN meets."""
+    missed = ConditionFlag.TOLERANCE_NOT_MET  # looked up once: Enum lookups are slow
+    size = abs(value)
+    if not (math.isfinite(size) and err <= eps_rel * size):
+        return missed
+    for p in parts:
+        if p is not None and p.condition_flag is missed:
+            return missed
+    return ConditionFlag.OK
+
+
 def combine(parts: Sequence[IntegralResult], eps_rel: float) -> IntegralResult:
     """The sum of the parts of a composite integral, and its flag.
 
     Values, error estimates and evaluations add up in the order given.  A
     stretch left out under its bound is a part too, of value 0 with the
-    bound as its error.  The flag is tolerance_not_met if any part missed
-    its tolerance, or if the summed estimate exceeds eps_rel times the sum
-    (the parts can cancel); otherwise ok.
+    bound as its error.  The flag is _flag's: tolerance_not_met if any part
+    missed its tolerance, if the summed estimate exceeds eps_rel times the
+    sum (the parts can cancel) or if either is not finite; otherwise ok.
     """
     value = sum(p.value for p in parts)
     err = sum(p.abs_error_estimate for p in parts)
-    missed = any(p.condition_flag is ConditionFlag.TOLERANCE_NOT_MET for p in parts) or (
-        err > eps_rel * abs(value)
-    )
-    flag = ConditionFlag.TOLERANCE_NOT_MET if missed else ConditionFlag.OK
-    return IntegralResult(value, err, sum(p.evaluations for p in parts), flag)
+    return IntegralResult(value, err, sum(p.evaluations for p in parts),
+                          _flag(value, err, parts, eps_rel))
 
 
 def propagate(
@@ -413,25 +424,20 @@ def propagate(
 
     The relative errors of the inexact parts add (None marks an exact
     part), and each rounding adds eps = 2^-53 relative and one subnormal
-    unit; evaluations add.  The flag is decided as in combine: ok when
-    every part is ok and the estimate is at most eps_rel |value|.  A value
-    or a part that underflowed to 0 on the way has an unbounded estimate,
-    and a value that overflowed to infinity is never ok.
+    unit; evaluations add.  The flag is decided by _flag, as in combine.
+    A value or a part that underflowed to 0 on the way has an unbounded
+    estimate, and a value that overflowed to infinity is never ok.
     """
     rel = 0.0
     evaluations = 0
-    met = True
     for p in parts:
         if p is not None:
             rel += p.abs_error_estimate / abs(p.value) if p.value else math.inf
             evaluations += p.evaluations
-            met = met and p.condition_flag is ConditionFlag.OK
     err = math.inf
     if value and rel < math.inf:
         err = abs(value) * (rel + roundings * _UNIT_ROUNDOFF) + roundings * _SUBNORMAL
-    met = met and math.isfinite(value) and err <= eps_rel * abs(value)
-    flag = ConditionFlag.OK if met else ConditionFlag.TOLERANCE_NOT_MET
-    return IntegralResult(value, err, evaluations, flag)
+    return IntegralResult(value, err, evaluations, _flag(value, err, parts, eps_rel))
 
 
 def _gl15_bound(
@@ -462,6 +468,19 @@ def _gl15_bound(
     return 64.0 / 15.0 * h * count * math.exp(log_first) / (rho * rho - 1.0)
 
 
+def _gl15_panels(lo: float, hi: float, cap: int, half_height: float, log_m: float,
+                 growth: float, target: float) -> tuple[int, float]:
+    """The least count of equal 15-point panels on [lo, hi], at most cap,
+    whose _gl15_bound meets target, and that bound, which may miss target
+    at the cap."""
+    panels = 1
+    bound = _gl15_bound(lo, hi, 1, half_height, log_m, growth)
+    while bound > target and panels < cap:
+        panels += 1
+        bound = _gl15_bound(lo, hi, panels, half_height, log_m, growth)
+    return panels, bound
+
+
 def real_axis_middle(arg: ArgDecomposition, eps_rel: float, scale: float) -> IntegralResult:
     """The real-axis route: the stretch [split, R] in t = log x, by a fixed
     15-point Gauss-Legendre rule on one or two equal panels.
@@ -471,11 +490,11 @@ def real_axis_middle(arg: ArgDecomposition, eps_rel: float, scale: float) -> Int
     closed form.  On the strip |Im t| <= pi/2, Re(-e^t) <= 0, so the
     integral form of the Taylor remainder,
     R_n(w) = w^n/(n-1)! int_0^1 (1-u)^{n-1} e^{uw} du, gives
-    |R_n(-e^t)| <= |e^t|^n/n!, and |f| <= e^{(1-frac) Re t}/n!.  One panel
-    serves where its bound is at most eps_rel * scale, and two
-    otherwise: over n <= 9 and 0 < frac < 1 their
-    bound is at most 2.4e-16 of the origin part (largest as frac -> 0),
-    below the rounding of the sum, so no third panel is ever needed.  The
+    |R_n(-e^t)| <= |e^t|^n/n!, and |f| <= e^{(1-frac) Re t}/n!.  The panel
+    count is the least whose bound is at most eps_rel * scale (_gl15_panels),
+    capped at two: over n <= 9 and 0 < frac < 1 the bound of two panels
+    is at most 2.4e-16 of the origin part (largest as frac -> 0), below
+    the rounding of the sum, so no third panel is ever needed.  The
     nodes are placed at call time from the split and the radius, and the
     exponent 1 - z is built from n and frac, as in the origin series.
 
@@ -487,12 +506,8 @@ def real_axis_middle(arg: ArgDecomposition, eps_rel: float, scale: float) -> Int
     n, frac = arg.n, arg.frac
     expo = (1 - n) - frac
     lo, hi = math.log(_SPLIT_POINT), math.log(_TAIL_RADIUS)
-    panels = 1
-    log_m = -math.lgamma(n + 1)
-    bound = _gl15_bound(lo, hi, 1, 0.5 * math.pi, log_m, 1.0 - frac)
-    if bound > eps_rel * scale:
-        panels = 2
-        bound = _gl15_bound(lo, hi, 2, 0.5 * math.pi, log_m, 1.0 - frac)
+    panels, bound = _gl15_panels(
+        lo, hi, 2, 0.5 * math.pi, -math.lgamma(n + 1), 1.0 - frac, eps_rel * scale)
     h = (hi - lo) / (2 * panels)
     total = 0.0
     for p in range(panels):

@@ -132,7 +132,7 @@ class TestHankelRecipGamma:
     @pytest.mark.parametrize("z,eps", [(2.5, 1e-200), (1e-200, 1e-8)])
     def test_ray_past_its_panel_budget_is_flagged(self, z, eps):
         # no panel count up to the cap meets the tolerance: the segments are
-        # summed at the cap and flagged
+        # summed at the cap, their bounds in the estimate, which flags the sum
         gv = hankel_recip_gamma(z, cfg=QuadratureConfig(eps_rel=eps))
         assert gv.condition_flag is ConditionFlag.TOLERANCE_NOT_MET
         assert math.isfinite(gv.value)
@@ -168,16 +168,25 @@ class TestHankelRecipGamma:
             assert err <= gv.quadrature.abs_error_estimate
             assert err <= 1e-2 * mpmath.rgamma(z)
 
-    def test_ray_kernel_past_the_underflow(self):
-        # tau^{-170.5} is below the least double at r = 90; the product is
-        # not.  The direct path's difference cancels 13 digits there.
-        value = ray_kernel(90.0, 2.0, 170.5, 170)
+    @pytest.mark.parametrize(
+        "r,delta,z,n,rel",
+        [
+            # tau^{-170.5} is below the least double at r = 90; the product
+            # is not.  The direct path's difference cancels 13 digits there.
+            (90.0, 2.0, 170.5, 170, 1e-2),
+            # e_{128}(tau) overflows at r = 4e4, where the product is about
+            # 8e-224; formed apart, the difference was NaN
+            (4e4, 1.572518129393122, 129.62734800076282, 129, 1e-12),
+        ],
+    )
+    def test_ray_kernel_past_the_normal_range(self, r, delta, z, n, rel):
+        value = ray_kernel(r, delta, z, n)
         with mpmath.workdps(400):
-            tau = 90 * mpmath.expj(2)
-            poly = mpmath.fsum(tau**k / mpmath.factorial(k) for k in range(170))
-            ref = complex((mpmath.exp(tau) - poly) * tau ** -mpmath.mpf(170.5))
-        assert value != 0
-        assert abs(value - ref) <= 1e-2 * abs(ref)
+            tau = r * mpmath.expj(delta)
+            poly = mpmath.fsum(tau**k / mpmath.factorial(k) for k in range(n))
+            ref = complex((mpmath.exp(tau) - poly) * tau ** -mpmath.mpf(z))
+        assert value != 0 and cmath.isfinite(value)
+        assert abs(value - ref) <= rel * abs(ref)
 
     def test_large_z_polynomial_tail_rounding_is_flagged(self):
         # past R the polynomial terms reach 9.8e-230 against a value of

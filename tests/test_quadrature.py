@@ -16,6 +16,7 @@ from regamma.quadrature import (
     ConditionFlag,
     IntegralResult,
     QuadratureConfig,
+    combine,
     geometric_breakpoints,
     integrate_finite,
     integrate_regularized_kernel,
@@ -473,6 +474,22 @@ class TestPropagate:
             res = propagate(value, parts, 1, 1e-8)
             assert res.abs_error_estimate == math.inf
             assert res.condition_flag is ConditionFlag.TOLERANCE_NOT_MET
+
+
+class TestCombine:
+    @pytest.mark.parametrize(
+        "part",
+        [
+            IntegralResult(math.nan, 0.0, 15),
+            IntegralResult(1.0, math.nan, 15),
+            IntegralResult(math.inf, 0.0, 15),
+        ],
+    )
+    def test_non_finite_sum_is_never_ok(self, part):
+        # a NaN fails the comparison with the tolerance, and inf * eps_rel
+        # admits any estimate: none of these may read as ok
+        res = combine([IntegralResult(1.0, 1e-12, 15), part], 1e-8)
+        assert res.condition_flag is ConditionFlag.TOLERANCE_NOT_MET
 
 
 class TestConfigValidation:
