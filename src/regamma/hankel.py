@@ -28,19 +28,27 @@ principal logarithm throughout.
 Because the numerator is the regularized remainder e^tau - e_{n-1}(tau),
 the integrand is integrable over the shrinking arc (it vanishes like
 r0^{1-frac}), which is exactly what makes the truncation order n = [z]
-the right one.  Every node of the contour is ray_kernel, which takes the
-remainder by the kernel's own dispatch: beyond
-max(1, n/2) the direct difference, and within it, for n >= 1, the
-kernel's one series n! sum_{j>=0} tau^j/(n+j)! times tau^n/n!, which goes
-into the power of tau.  The integrand is then the series times
-exp((n - z) log tau - log n!), and underflows only where its own value
-does (at z = 108.03 and r0 = 0.025, r0^n/n! alone underflows; the arc is
-about 7e-177).  Off the series path, where tau^{-z} alone would leave
-the normal range, each term of the difference takes its power of tau in
-its exponent: e^tau tau^{-z} is exp(tau - z log tau), and e_{n-1}(tau)
-tau^{-z} is exp((n - 1 - z) log tau - log (n-1)!) times a Horner sum in
-1/tau, so neither tau^{-z} nor e_{n-1}(tau) leaves the range alone.  The public
-kernel.exp_remainder and kernel_ratio only ever see real arguments.
+the right one.  Every node of the contour, and of the steepest-descent
+rule, is ray_kernel, which takes the remainder by the kernel's own
+dispatch: beyond max(1, n/2) the direct difference, and within it, for
+n >= 1, the kernel's one series n! sum_{j>=0} tau^j/(n+j)! times
+tau^n/n!, which goes into the power of tau.  Its caller forms what a
+segment holds constant once: on a ray e^{i delta}, lgamma(n + 1) and the
+phases e^{i(n-z) delta} and e^{-iz delta} of tau^{n-z} and tau^{-z}
+(_phases), on the arc log r0 and lgamma(n + 1), with the direction and
+phases by cmath.rect at each node; and each node passes t = log r
+itself.  A series node is then the series times one real exponential,
+exp((n - z) t - log n!), times its phase, and underflows only where its
+own value does (at z = 108.03 and r0 = 0.025, r0^n/n! alone underflows;
+the arc is about 7e-177).  A direct node is (e^tau - e_{n-1}(tau)) times
+e^{-zt} and its phase, and order 0 is the single exp(tau - z log tau).
+Off the series path, where tau^{-z} alone would leave the normal range
+(z log|tau| > 699.8), each term of the difference takes its power of tau
+in its exponent: e^tau tau^{-z} is exp(tau - z log tau), and
+e_{n-1}(tau) tau^{-z} is exp((n - 1 - z) log tau - log (n-1)!) times a
+Horner sum in 1/tau, so neither tau^{-z} nor e_{n-1}(tau) leaves the
+range alone.  The public kernel.exp_remainder and kernel_ratio only ever
+see real arguments.
 Beyond the truncation radius the polynomial part of each ray has an
 elementary antiderivative, the real line's closed-form tail
 with a phase (quadrature.polynomial_tail_closed_form, with the rounding
@@ -64,9 +72,11 @@ Gauss-Legendre panels (quadrature._GL15, as on the real axis) whose
 count (quadrature._gl15_panels, before any evaluation) is the least
 whose closed-form bound holds to an eighth of the tolerance on an
 a-priori lower bound of pi/Gamma(z), up to _PANEL_CAP, a limit on cost.
+The weighted nodes are added by math.fsum, which rounds their sum once.
 Each segment's error is that bound, met or not at the cap, plus the
 rounding of its nodes, the terms that the kernel's direct path cancels
-included; no segment sets a flag.  quadrature.combine sums the segments
+included, counted at each direct-path node with the rule's own weight;
+no segment sets a flag.  quadrature.combine sums the segments
 with the closed-form polynomial tail and the bound on the exponential
 tail left out, and flags the sum where its error misses the tolerance.
 """
@@ -76,8 +86,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass, replace
-from typing import Callable
+from dataclasses import dataclass
 
 from . import gamma_core
 from .errors import ContourDegenerate
@@ -110,19 +119,23 @@ _NODE_ROUNDING = 4
 # positive real axis (arg tau >= 1.6: the rays) and 7 next to it, where
 # the terms all add (the arc near theta = 0, counted as 1 + n/8).
 _RAY_CANCELLATION = 0.25
+# The 15-point rule's abscissae and weights, apart.
+_GL15_X, _GL15_W = zip(*_GL15)
 
 # The route's trapezoid rule: z is moved into [8, 9) by the recurrence
 # (gamma_core.recurrence), and the nodes theta_j = j pi / (2 N), j < 2 N, of
-# the steepest-descent path are stored as (theta, theta / sin theta); the
-# even ones are the N-node rule.
+# the steepest-descent path are stored as (theta, e^{i theta},
+# theta / sin theta); the even ones are the N-node rule.
 _TRAPEZOID_N = 12
 _PATH_NODES = tuple(
-    (theta, theta / math.sin(theta) if theta else 1.0)
+    (theta, cmath.rect(1.0, theta), theta / math.sin(theta) if theta else 1.0)
     for theta in (j * math.pi / (2 * _TRAPEZOID_N) for j in range(2 * _TRAPEZOID_N))
 )
-# Relative rounding of the 24-node sum, in units of eps: the kernel's two
-# exponentials have arguments up to about 20 at the peak; the error
-# measured over 3,000 w in [8, 9) reached 25 eps.
+# Relative rounding of the 24-node sum, in units of eps: the kernel's
+# exponent, tau - w log tau, has terms up to about 20 at the peak; the
+# error measured over 3,000 w in [8, 9) reached 25 eps, and 26.3 over
+# 1,500 more with the node as one exponential.  t = log w + log rho in
+# place of log(w rho) took that to 36.5.
 _TRAPEZOID_ROUNDING = 32
 
 
@@ -148,25 +161,41 @@ def _validate(contour: HankelContour, z: float) -> None:
         )
 
 
-def ray_kernel(r: float, delta: float, z: float, n: int) -> complex:
-    """(e^tau - e_{n-1}(tau)) / tau^z at tau = r e^{i delta}."""
-    tau = r * cmath.exp(1j * delta)
-    log_tau = complex(math.log(r), delta)
-    if n and _use_series(tau, n):
-        return _ratio_series(tau, n) * cmath.exp((n - z) * log_tau - math.lgamma(n + 1))
-    if z * log_tau.real > _LOG_FLOAT_MAX - 10.0:
+def _phases(theta: float, z: float, n: int) -> tuple[complex, complex]:
+    """e^{i(n-z) theta} and e^{-iz theta}: on the principal branch, the
+    angular factors of tau^{n-z} and tau^{-z} at arg tau = theta."""
+    return cmath.rect(1.0, (n - z) * theta), cmath.rect(1.0, -z * theta)
+
+
+def ray_kernel(r: float, t: float, theta: float, unit: complex, z: float, n: int,
+               log_fact: float, phases: tuple[complex, complex] | None) -> complex:
+    """(e^tau - e_{n-1}(tau)) / tau^z at tau = r e^{i theta}: a node of the
+    paper's contour or of the steepest-descent rule.
+
+    Beside r and theta the caller passes t = log r, unit = e^{i theta},
+    log_fact = lgamma(n + 1) and phases = _phases(theta, z, n), formed once
+    per segment where the segment holds them constant; order 0 takes
+    neither log_fact nor phases.  A series node is the kernel's series
+    times exp((n - z) t - log_fact) times phases[0], a direct node
+    e^tau - e_{n-1}(tau) times e^{-zt} times phases[1].
+    """
+    tau = r * unit
+    if not n:
+        return cmath.exp(tau - z * complex(t, theta))
+    if r <= max(1.0, 0.5 * n):  # the kernel's series radius (_use_series)
+        return _ratio_series(tau, n) * (math.exp((n - z) * t - log_fact) * phases[0])
+    if z * t > _LOG_FLOAT_MAX - 10.0:
         # tau^{-z} would leave the normal range, and e_{n-1}(tau) may, though
         # the product need not: each term takes its power of tau in its
         # exponent, the polynomial as tau^{n-1}/(n-1)! times a Horner sum in
         # 1/tau, sum_j (n-1)!/(n-1-j)! tau^{-j}
+        log_tau = complex(t, theta)
         head = cmath.exp(tau - z * log_tau)
-        if not n:
-            return head
         p = 1.0
         for k in range(1, n):
             p = 1.0 + p * k / tau
         return head - p * cmath.exp((n - 1 - z) * log_tau - math.lgamma(n))
-    return (cmath.exp(tau) - truncated_exp(tau, n - 1)) * cmath.exp(-z * log_tau)
+    return (cmath.exp(tau) - truncated_exp(tau, n - 1)) * (math.exp(-z * t) * phases[1])
 
 
 def steepest_descent_recip_gamma(z: float, cfg: QuadratureConfig) -> IntegralResult:
@@ -192,7 +221,8 @@ def steepest_descent_recip_gamma(z: float, cfg: QuadratureConfig) -> IntegralRes
     """
     m = math.floor(z) - gamma_core.SHIFT_BASE
     w = z - m
-    terms = [ray_kernel(w * rho, theta, w, 0).real for theta, rho in _PATH_NODES]
+    terms = [ray_kernel(w * rho, math.log(w * rho), theta, unit, w, 0, 0.0, None).real
+             for theta, unit, rho in _PATH_NODES]
     head = 0.5 * terms[0]
     fine = (head + math.fsum(terms[1:])) * (w / len(terms))
     coarse = (head + math.fsum(terms[2::2])) * (2.0 * w / len(terms))
@@ -215,69 +245,84 @@ def _target(z: float, eps_rel: float) -> float:
     return eps_rel / 8.0 * math.pi * math.exp(log_floor)
 
 
-def _segment(f: Callable[[float], complex], lo: float, hi: float,
-             rule: tuple[float, float, float], target: float, arg: ArgDecomposition,
-             log_tau: float, cancelled: float) -> IntegralResult:
-    """The integral of f over [lo, hi] by equal 15-point Gauss-Legendre
-    panels; its value is complex.
+def _panels(lo: float, hi: float, rule: tuple[float, float, float],
+            target: float) -> tuple[list[float], tuple[float, ...], float, float]:
+    """The nodes and weights of equal 15-point Gauss-Legendre panels on
+    [lo, hi], their half-width h and the bound on the rule's error.
 
     rule = (half_height, log_m, growth) states that |f(t)| <=
     exp(log_m + growth Re t) on the strip |Im t| <= half_height; the panel
     count is the least whose bound meets target, at most _PANEL_CAP; at the
     cap the bound may miss it.  It is in the error all the same, so the
     segment sets no flag: combine flags the sum where its error misses.
-
-    The error is that bound plus the rounding of the nodes: relative
-    (_NODE_ROUNDING + a) eps of h sum w |f|, where a = z log_tau + 2 log n!
-    bounds the exponents that the kernel exponentiates, log_tau bounding
-    |log tau| (their rounding, lgamma's to 2 eps, is relative to the node's
-    value), and eps times `cancelled`, the rounding of the terms that the
-    kernel's direct path cancels.
     """
     panels, bound = _gl15_panels(lo, hi, _PANEL_CAP, *rule, target)
     h = (hi - lo) / (2 * panels)
-    total = 0j
-    size = 0.0
-    for p in range(panels):
-        centre = lo + (2 * p + 1) * h
-        for x, w in _GL15:
-            g = f(centre + h * x)
-            total += w * g
-            size += w * abs(g)
+    nodes = [lo + (2 * p + 1) * h + h * x for p in range(panels) for x in _GL15_X]
+    return nodes, _GL15_W * panels, h, bound
+
+
+def _segment(values: list[complex], h: float, bound: float, arg: ArgDecomposition,
+             log_tau: float, cancelled: float, imag: bool) -> IntegralResult:
+    """The record of a segment from its weighted nodes w f(t) (_panels): h
+    times their sum's real part, or its imaginary part where imag is true.
+
+    The sum is math.fsum's, so it adds one rounding of its own value,
+    whatever the node count.  The error is the rule's bound plus the
+    rounding of the nodes: relative (_NODE_ROUNDING + a) eps of
+    h sum w |f|, where a = z log_tau + 2 log n! bounds the exponents that
+    the kernel exponentiates, log_tau bounding |log tau| (their rounding,
+    lgamma's to 2 eps, is relative to the node's value), and eps times
+    h cancelled, the weighted sum of the terms that the kernel's direct
+    path cancels at the nodes.
+    """
+    total = math.fsum([v.imag for v in values] if imag else [v.real for v in values])
     amplification = arg.z * log_tau + 2.0 * math.lgamma(arg.n + 1)
-    rounding = _EPMACH * ((_NODE_ROUNDING + amplification) * h * size + cancelled)
-    return IntegralResult(h * total, bound + rounding, 15 * panels)
+    rounding = (_NODE_ROUNDING + amplification) * sum(map(abs, values)) + cancelled
+    return IntegralResult(h * total, bound + _EPMACH * h * rounding, len(values))
 
 
 def _ray(arg: ArgDecomposition, contour: HankelContour, R: float, target: float) -> IntegralResult:
-    """The integral of f(s) = (e^s - e_{n-1}(s)) / s^z over the ray
-    tau = r e^{i delta}, r0 <= r <= R; its value is complex.
+    """The imaginary part of the integral of f(s) = (e^s - e_{n-1}(s)) / s^z
+    over the ray tau = r e^{i delta}, r0 <= r <= R.
 
-    In t = log r, d tau = tau dt and the integrand tau f(tau) is
-    ray_kernel(e^t, delta, z - 1, n), entire in t.  On the strip
-    |Im t| <= delta - pi/2, arg tau stays in [pi/2, 3 pi/2], so Re tau <= 0,
-    |e^tau - e_{n-1}(tau)| <= |tau|^n/n! (as on the real axis) and
-    |tau f| <= e^{(1-frac) Re t}/n!.  Past the series radius the terms of
-    e_{n-1}(tau) sum to e_{n-1}(r), and int e_{n-1}(r) r^{-z} dr up to R is
-    summed in closed form.
+    In t = log r, d tau = tau dt and the integrand tau f(tau) is the kernel
+    at the power z - 1, entire in t; the ray's direction, its phases and
+    lgamma(n + 1) are formed once, and each node passes t itself.  On the
+    strip |Im t| <= delta - pi/2, arg tau stays in [pi/2, 3 pi/2], so
+    Re tau <= 0, |e^tau - e_{n-1}(tau)| <= |tau|^n/n! (as on the real axis)
+    and |tau f| <= e^{(1-frac) Re t}/n!.  Past the series radius the moduli
+    of the terms of e_{n-1}(tau) sum to e_{n-1}(r): _RAY_CANCELLATION of
+    e_{n-1}(r) r^{1-z} is counted at each such node, with its weight.
     """
     z, n, frac = arg.z, arg.n, arg.frac
     delta, r0 = contour.delta, contour.r0
-    hi = math.log(R)
-    cancelled = 0.0
-    edge = max(r0, 1.0, 0.5 * n)  # the kernel's series radius (_use_series)
-    if n and edge < R:
-        log_edge = math.log(edge)
-        coeff = 1.0  # 1 / k!
-        for k in range(n):
-            expo = (k - n + 1) - frac  # of r in the antiderivative, < 0
-            cancelled += coeff * (math.exp(expo * log_edge) - math.exp(expo * hi)) / -expo
-            coeff /= k + 1
     power = z - 1.0
-    lo = math.log(r0)
-    rule = (delta - 0.5 * math.pi, -math.lgamma(n + 1), 1.0 - frac)
-    return _segment(lambda t: ray_kernel(math.exp(t), delta, power, n), lo, hi, rule,
-                    target, arg, max(abs(lo), abs(hi)) + delta, _RAY_CANCELLATION * cancelled)
+    unit = cmath.rect(1.0, delta)
+    log_fact = math.lgamma(n + 1)
+    phases = _phases(delta, power, n)
+    lo, hi = math.log(r0), math.log(R)
+    nodes, weights, h, bound = _panels(lo, hi, (delta - 0.5 * math.pi, -log_fact, 1.0 - frac),
+                                       target)
+    radii = [math.exp(t) for t in nodes]
+    values = [w * ray_kernel(r, t, delta, unit, power, n, log_fact, phases)
+              for r, t, w in zip(radii, nodes, weights)]
+    # e_{n-1}(r) r^{-power} at the direct-path nodes, as r^{n-1-power}/(n-1)!
+    # times the Horner sum sum_j (n-1)!/(n-1-j)! r^{-j}, in logs, so that no
+    # factor leaves the normal range alone
+    cancelled = 0.0
+    if n:
+        edge = max(1.0, 0.5 * n)  # the kernel's series radius (_use_series)
+        ks = [float(k) for k in range(1, n)]
+        slope, log_fact_below = n - 1 - power, math.lgamma(n)
+        for r, t, w in zip(radii, nodes, weights):
+            if r > edge:
+                p = 1.0
+                for k in ks:
+                    p = 1.0 + p * k / r
+                cancelled += w * math.exp(slope * t - log_fact_below + math.log(p))
+    return _segment(values, h, bound, arg, max(abs(lo), abs(hi)) + delta,
+                    _RAY_CANCELLATION * cancelled, True)
 
 
 def _arc(arg: ArgDecomposition, order: int, contour: HankelContour,
@@ -289,8 +334,10 @@ def _arc(arg: ArgDecomposition, order: int, contour: HankelContour,
     On the strip |Im theta| <= a, |tau| <= r0 e^a =: rho, so with
     k = order + 1 - z, |tau f| <= e^rho rho^{order}/order! |tau^{1-z}|
     <= e^rho r0^k e^{|k| a}/order!.  a solves a r0 e^a = 30, about where
-    the bound is least.  On the kernel's direct path the terms of
-    e_{order-1}(tau) sum to e_{order-1}(r0) at every node.
+    the bound is least.  log r0 and lgamma(order + 1) are formed once, the
+    node's direction and phases by cmath.rect at each node.  On the
+    kernel's direct path the terms of e_{order-1}(tau) sum to
+    e_{order-1}(r0) at every node.
     """
     z = arg.z
     delta, r0 = contour.delta, contour.r0
@@ -301,15 +348,18 @@ def _arc(arg: ArgDecomposition, order: int, contour: HankelContour,
     for _ in range(4):  # Newton's method on a = c e^{-a}
         e = c * math.exp(-a)
         a -= (a - e) / (1.0 + e)
-    log_m = k * log_r0 + abs(k) * a + r0 * math.exp(a) - math.lgamma(order + 1)
+    log_fact = math.lgamma(order + 1)
+    log_m = k * log_r0 + abs(k) * a + r0 * math.exp(a) - log_fact
+    power = z - 1.0
+    nodes, weights, h, bound = _panels(0.0, delta, (a, log_m, 0.0), target)
+    values = [w * ray_kernel(r0, log_r0, theta, cmath.rect(1.0, theta), power, order, log_fact,
+                             _phases(theta, power, order))
+              for theta, w in zip(nodes, weights)]
     cancelled = 0.0
     if order and not _use_series(r0, order):
         terms = truncated_exp(r0, order - 1) * math.exp((1.0 - z) * log_r0)
-        cancelled = (1.0 + order / 8.0) * delta * terms
-    power = z - 1.0
-    res = _segment(lambda theta: ray_kernel(r0, theta, power, order), 0.0, delta,
-                   (a, log_m, 0.0), target, arg, abs(log_r0) + delta, cancelled)
-    return replace(res, value=res.value.real)
+        cancelled = (1.0 + order / 8.0) * terms * sum(weights)
+    return _segment(values, h, bound, arg, abs(log_r0) + delta, cancelled, False)
 
 
 def _contour_eval(
@@ -337,11 +387,10 @@ def _contour_eval(
     )
     R = max(4.0 * r0, L / decay)
     target = _target(z, cfg.eps_rel)
-    ray = _ray(arg, contour, R, target)
     parts = [
         # the polynomial part of the ray beyond R, in closed form
         polynomial_tail_closed_form(arg, R, delta),
-        replace(ray, value=ray.value.imag),
+        _ray(arg, contour, R, target),
         _arc(arg, arg.n, contour, target),
         # the exponential part of the ray beyond R, at most
         # e^{R cos delta} R^{-z} / |cos delta| (z > 0): left out, a part of
@@ -351,9 +400,8 @@ def _contour_eval(
     # each part meets its own tolerance, but the parts can cancel (the
     # value is about z as z -> 0), so the sum is checked as well
     raw = combine(parts, cfg.eps_rel)
-    return replace(
-        raw, value=raw.value / math.pi, abs_error_estimate=raw.abs_error_estimate / math.pi
-    )
+    return IntegralResult(raw.value / math.pi, raw.abs_error_estimate / math.pi,
+                          raw.evaluations, raw.condition_flag)
 
 
 def hankel_recip_gamma(

@@ -6,18 +6,46 @@ the subtraction cancels to order n, so the remainder is summed instead, as
 x^n/n! times the kernel's one series n! sum_{j>=0} x^j/(n+j)!, which starts
 at 1 (hankel takes it at complex tau, tau^n/n! going into its power of
 tau); away from 0 the direct difference is cheaper and exact enough.
+
+The series is Horner's rule over a table of its coefficients 1/(n+1)_j,
+(n+1)_j = (n+1)(n+2)...(n+j), one table per order, built on first use and
+grown only as far as |x| needs.  The term count is fixed before the loop:
+beside the coefficients the table holds, for each count K, the largest |x|
+at which the tail past K terms is at most _EPS/4 times _SERIES_FLOOR, a
+lower bound on |S| over the series' radius |x| <= max(1, n/2), so K is a
+bisection of |x| into those radii.  With positive coefficients and terms
+that fall at least by half per step there, Horner's rounding is a few
+units of _EPS relative to S(|x|) <= 2 (Higham, Accuracy and Stability of
+Numerical Algorithms, 2nd ed., section 5.1), which is at most 6 |S|;
+measured against mpmath over n = 1...170 within the radius, real and
+complex, it stayed within 0.9 * 2^-52 of |S|.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import IntegerArgument, NonPositiveArgument, require_finite
 
-# 2^-53, the stopping threshold for tail-series accumulation
+# 2^-53, the unit roundoff of a double
 _EPS = 2.0 ** -53
+# The most terms of the series a table holds, whatever |x|.
 _MAX_TERMS = 500
+# A lower bound on |S|, S = n! sum_{j>=0} x^j/(n+j)!, over |x| <= max(1, n/2).
+# With q = |x|/(n+1) <= 1/2, the series is within S(|x|) - 1/(1 - q) of the
+# geometric 1/(1 - x/(n+1)), whose modulus is at least 1/(1 + q); so |S| >=
+# 1/(1 + q) - 1/(1 - q) + S(|x|), least at the radius, which gives 0.385 at
+# n = 1 and at least 0.609 from n = 2 up (evaluated to n = 1e5); at n = 0,
+# where S = e^x, |S| >= e^{-1}.
+_SERIES_FLOOR = 1.0 / 3.0
+_LOG_TAIL_GOAL = math.log(_EPS / 4.0 * _SERIES_FLOOR)
+# Tables of the series per order n (coefficients and radii), kept for n up
+# to this one: beyond it n! overflows, so only the contour takes the series
+# there, where 1/Gamma(z) underflows, and each call builds its own table.
+_KEPT_ORDERS = 171
+_TABLES: dict[int, tuple[list[float], list[float]]] = {}
 
 
 @dataclass(frozen=True)
@@ -76,15 +104,37 @@ def sinpi(z: float) -> float:
     return -s if k % 2 else s
 
 
+def _series_table(n: int, rho: float) -> tuple[list[float], list[float]]:
+    # The order's table, grown until its last radius reaches rho.  With
+    # c_K = 1/(n+1)_K, the tail past K terms at |x| <= rho is at most
+    # c_K rho^K / (1 - rho/(n+K+1)); radii[K-1] solves that for rho at the
+    # goal by one step from rho0 = (goal/c_K)^{1/K}, which the factor
+    # 1 - rho/(n+K+1) < 1 puts above the root, so the step lands below it.
+    table = _TABLES.get(n) or ([1.0], [])
+    coeffs, radii = table
+    while (not radii or radii[-1] < rho) and len(coeffs) < _MAX_TERMS:
+        k = len(coeffs)
+        coeffs.append(coeffs[-1] / (n + k))
+        log_ratio = _LOG_TAIL_GOAL + math.lgamma(n + k + 1) - math.lgamma(n + 1)
+        rho0 = math.exp(log_ratio / k)
+        radii.append(math.exp((log_ratio + math.log1p(-rho0 / (n + k + 1))) / k))
+    if n <= _KEPT_ORDERS:
+        _TABLES[n] = table
+    return table
+
+
 def _ratio_series(x: float, n: int) -> float:
     # n! sum_{j>=0} x^j/(n+j)!, which is (e^x - e_{n-1}(x)) n!/x^n and 1
-    # at x = 0; hankel takes it at complex x
-    term = total = 1.0
-    for j in range(n + 1, n + 1 + _MAX_TERMS):
-        term *= x / j
-        total += term
-        if abs(term) < _EPS * abs(total):
-            break
+    # at x = 0; hankel takes it at complex x.  Horner's rule over the K
+    # coefficients 1/(n+1)_j, j < K, K the least count whose radius holds
+    # |x| (see the module docstring); past the last radius the table grows.
+    rho = abs(x)
+    table = _TABLES.get(n)
+    if table is None or table[1][-1] < rho:
+        table = _series_table(n, rho)
+    total = 0.0
+    for c in table[0][bisect_left(table[1], rho)::-1]:
+        total = total * x + c
     return total
 
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 import sys
 
 import mpmath
@@ -29,8 +30,14 @@ CFG = QuadratureConfig()
 REFERENCE_CONTOUR = HankelContour(delta=0.75 * math.pi, r0=0.5)
 
 
+def node(r: float, theta: float, z: float, n: int) -> complex:
+    """ray_kernel at tau = r e^{i theta}, with the constants a segment holds."""
+    return ray_kernel(r, math.log(r), theta, cmath.rect(1.0, theta), z, n,
+                      math.lgamma(n + 1), hankel._phases(theta, z, n))
+
+
 def ray_difference_kernel(r: float, delta: float, z: float, n: int) -> complex:
-    """Closed form of ray_kernel(r, delta, z, n) - ray_kernel(r, -delta, z, n).
+    """Closed form of node(r, delta, z, n) - node(r, -delta, z, n).
 
     The difference of the two ray integrands collapses to a purely
     imaginary combination of one exponential-cosine term and two short
@@ -180,7 +187,7 @@ class TestHankelRecipGamma:
         ],
     )
     def test_ray_kernel_past_the_normal_range(self, r, delta, z, n, rel):
-        value = ray_kernel(r, delta, z, n)
+        value = node(r, delta, z, n)
         with mpmath.workdps(400):
             tau = r * mpmath.expj(delta)
             poly = mpmath.fsum(tau**k / mpmath.factorial(k) for k in range(n))
@@ -193,6 +200,74 @@ class TestHankelRecipGamma:
         # 6.4e-243, and their rounding left the value 1.7% off
         gv = hankel_recip_gamma(141.5, HankelContour(), QuadratureConfig())
         assert gv.condition_flag is not ConditionFlag.OK
+
+    @pytest.mark.parametrize(
+        "z,delta,r0",
+        [
+            # both segments at the panel cap, 1,920 nodes that cancel to about
+            # 1e-15: one running sum was 1.02 times its estimate off
+            (5.182978043746467e-93, 2.2197414563978013, 1.005509901698909),
+            # a heavy node just past the series radius (74) on the ray: the
+            # closed-form count of the cancelled terms left it 1.17 times its
+            # estimate off
+            (148.84798684830074, 1.9002864548519747, 0.22505602237961908),
+        ],
+    )
+    def test_within_its_estimate_where_rounding_dominates(self, z, delta, r0):
+        gv = hankel_recip_gamma(z, HankelContour(delta, r0), QuadratureConfig(1e-12))
+        with mpmath.workdps(40):
+            err = abs(gv.value - mpmath.rgamma(z))
+        assert err <= gv.quadrature.abs_error_estimate
+
+
+def _node_cases():
+    """Nodes (r, theta, power, n, cancelling share) of the contour's segments:
+    rays and arcs at n = 0...9 and 60...170 (power z - 1), and rays where
+    z log|tau| passes the kernel's overflow threshold (power z)."""
+    rng = random.Random(29)
+    cases = []
+    for n in list(range(10)) + list(range(60, 171, 10)):
+        power = n + rng.uniform(0.01, 0.99) - 1.0
+        delta = rng.uniform(1.6, 3.1)
+        r = math.exp(rng.uniform(math.log(0.05), math.log(max(4.0, 2.0 * n))))
+        cases.append((r, delta, power, n, hankel._RAY_CANCELLATION))
+        cases.append((rng.uniform(0.05, 2.5), rng.uniform(0.0, delta), power, n, 1.0 + n / 8.0))
+    for _ in range(8):
+        n = rng.randint(100, 170)
+        power = n + rng.uniform(0.01, 0.99)
+        r = math.exp(rng.uniform(720.0 / power, math.log(3000.0)))
+        cases.append((r, rng.uniform(1.58, 3.1), power, n, hankel._RAY_CANCELLATION))
+    return cases
+
+
+class TestNodeRounding:
+    @pytest.mark.parametrize("r,theta,z,n,share", _node_cases())
+    def test_within_the_budget_its_segment_charges(self, r, theta, z, n, share):
+        # _segment charges (_NODE_ROUNDING + z |log tau| + 2 lgamma(n + 1))
+        # eps of |node|, and on the direct path eps times the cancelling
+        # share of e_{n-1}(r) r^{-z}; measured at most half of that
+        value = node(r, theta, z, n)
+        with mpmath.workdps(40):
+            tau = mpmath.mpf(r) * mpmath.expj(theta)
+            ref = mpmath.hyp1f1(1, n + 1, tau) * mpmath.exp(
+                (n - mpmath.mpf(z)) * mpmath.log(tau) - mpmath.loggamma(n + 1))
+            terms = 0.0
+            if n and not kernel._use_series(r, n):
+                terms = float(mpmath.fsum(mpmath.mpf(r) ** k / mpmath.factorial(k)
+                                          for k in range(n)) * mpmath.mpf(r) ** -mpmath.mpf(z))
+            err = float(abs(value - ref))
+            ref = complex(ref)
+        log_tau = abs(complex(math.log(r), theta))
+        budget = (hankel._NODE_ROUNDING + z * log_tau + 2.0 * math.lgamma(n + 1)) * abs(ref)
+        assert err <= sys.float_info.epsilon * (budget + share * terms)
+
+    def test_segment_sum_rounds_once(self):
+        # the weighted nodes are added exactly and rounded once: a running
+        # sum loses the middle node to the first
+        values = [1.0 + 1.0j, 1e-16 - 1e-16j, -1.0 - 1.0j]
+        arg = kernel.decompose(0.5)
+        assert hankel._segment(values, 1.0, 0.0, arg, 0.0, 0.0, False).value == 1e-16
+        assert hankel._segment(values, 1.0, 0.0, arg, 0.0, 0.0, True).value == -1e-16
 
 
 class TestRayDifferenceKernel:
@@ -213,14 +288,14 @@ class TestRayDifferenceKernel:
         [(0.7, 2.9, 1.5, 1), (0.4, 2.2, 2.5, 2), (2.3, 3.0, 0.5, 0)],
     )
     def test_matches_direct_ray_difference(self, r, delta, z, n):
-        direct = ray_kernel(r, delta, z, n) - ray_kernel(r, -delta, z, n)
+        direct = node(r, delta, z, n) - node(r, -delta, z, n)
         assert ray_difference_kernel(r, delta, z, n) == pytest.approx(direct, rel=1e-12)
 
     @pytest.mark.parametrize("r", [0.1, 0.5, 1.0, 2.5, 7.0])
     def test_conjugate_symmetry_pointwise(self, r):
         # the lower-ray integrand is exactly the conjugate of the upper one
-        upper = ray_kernel(r, 2.7, 1.5, 1)
-        lower = ray_kernel(r, -2.7, 1.5, 1)
+        upper = node(r, 2.7, 1.5, 1)
+        lower = node(r, -2.7, 1.5, 1)
         assert lower == upper.conjugate()
 
 
@@ -306,7 +381,7 @@ class TestConjugateFold:
         n = math.floor(z)
 
         def arc(theta):
-            return 1j * r0 * cmath.exp(1j * theta) * ray_kernel(r0, theta, z, n)
+            return 1j * r0 * cmath.exp(1j * theta) * node(r0, theta, z, n)
 
         sub = QuadratureConfig(eps_rel=CFG.eps_rel / 8.0)
         full = integrate_finite(arc, -delta, delta, sub, [-0.5 * delta, 0.0, 0.5 * delta])

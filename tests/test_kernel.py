@@ -1,8 +1,12 @@
+import cmath
 import math
+import random
+import sys
 
 import pytest
-from mpmath import mp, mpf
+from mpmath import hyp1f1, mp, mpf
 
+from regamma import kernel
 from regamma.errors import IntegerArgument, NonPositiveArgument
 from regamma.kernel import (
     _ratio_series,
@@ -140,3 +144,51 @@ class TestKernelRatio:
     def test_matches_remainder(self, x, n):
         ref = mp_remainder(-x, n) / mpf(x) ** n
         assert kernel_ratio(x, n) == pytest.approx(float(ref), rel=1e-12)
+
+
+class TestRatioSeries:
+    """n! sum_{j>=0} x^j/(n+j)!, the kernel's one series, which is
+    1F1(1; n+1; x): Horner's rule at a term count fixed from |x|."""
+
+    @pytest.mark.parametrize("n", range(1, 171))
+    def test_within_its_radius(self, n):
+        # measured over 30 points per order: at most 0.9 eps
+        rng = random.Random(n)
+        radius = max(1.0, 0.5 * n)
+        rho = radius * rng.random()
+        points = [radius, -radius, 1j * radius, cmath.rect(radius, rng.uniform(-math.pi, math.pi)),
+                  -rho, cmath.rect(rho, rng.uniform(-math.pi, math.pi))]
+        for x in points:
+            with mp.workdps(40):
+                ref = hyp1f1(1, n + 1, x)
+            assert abs(_ratio_series(x, n) - ref) <= 2 * sys.float_info.epsilon * abs(ref)
+
+    @pytest.mark.parametrize("n", range(1, 172))
+    def test_floor_bounds_the_series(self, n):
+        # |S| >= 1/(1 + q) - 1/(1 - q) + S(rho) on |x| <= rho = max(1, n/2),
+        # q = rho/(n+1): the bound the term count is taken against
+        rho = max(1.0, 0.5 * n)
+        q = mpf(rho) / (n + 1)
+        with mp.workdps(30):
+            bound = 1 / (1 + q) - 1 / (1 - q) + hyp1f1(1, n + 1, rho)
+        assert kernel._SERIES_FLOOR <= bound
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 60, 170])
+    def test_radii_bound_the_tail(self, n):
+        # at radii[K-1] the tail past K terms, c_K rho^K / (1 - rho/(n+K+1)),
+        # is within the goal up to the rounding of the radius, and the radii
+        # grow with K
+        _ratio_series(max(1.0, 0.5 * n), n)
+        coeffs, radii = kernel._TABLES[n]
+        goal = math.exp(kernel._LOG_TAIL_GOAL)
+        assert radii == sorted(radii) and radii[-1] >= max(1.0, 0.5 * n)
+        for k, rho in enumerate(radii, start=1):
+            with mp.workdps(30):
+                tail = mpf(coeffs[k]) * mpf(rho) ** k / (1 - mpf(rho) / (n + k + 1))
+            assert tail <= goal * (1 + 1e-12)
+
+    def test_tables_kept_per_order_only_below_overflow(self):
+        # beyond n = 171 only the contour takes the series, and keeps no table
+        assert _ratio_series(0.0, 300) == 1.0
+        assert 300 not in kernel._TABLES
+        assert all(n <= kernel._KEPT_ORDERS for n in kernel._TABLES)
