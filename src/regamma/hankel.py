@@ -73,12 +73,13 @@ count (quadrature._gl15_panels, before any evaluation) is the least
 whose closed-form bound holds to an eighth of the tolerance on an
 a-priori lower bound of pi/Gamma(z), up to _PANEL_CAP, a limit on cost.
 The weighted nodes are added by math.fsum, which rounds their sum once.
-Each segment's error is that bound, met or not at the cap, plus the
-rounding of its nodes, the terms that the kernel's direct path cancels
-included, counted at each direct-path node with the rule's own weight;
-no segment sets a flag.  quadrature.combine sums the segments
-with the closed-form polynomial tail and the bound on the exponential
-tail left out, and flags the sum where its error misses the tolerance.
+Each node carries its own count: ray_kernel returns it with the moduli
+that its direct path cancels, e_{n-1}(r) r^{-z}.  Each segment's error
+is that bound, met or not at the cap, plus the rounding of its nodes,
+those counts included with the rule's weights; no segment sets a flag.
+quadrature.combine sums the segments with the closed-form polynomial
+tail and the bound on the exponential tail left out, and flags the sum
+where its error misses the tolerance.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ from dataclasses import dataclass
 
 from . import gamma_core
 from .errors import ContourDegenerate
-from .kernel import ArgDecomposition, _ratio_series, _use_series, decompose, truncated_exp
+from .kernel import ArgDecomposition, _ratio_series, decompose
 from .quadrature import (
     _EPMACH,
     _GL15,
@@ -168,34 +169,46 @@ def _phases(theta: float, z: float, n: int) -> tuple[complex, complex]:
 
 
 def ray_kernel(r: float, t: float, theta: float, unit: complex, z: float, n: int,
-               log_fact: float, phases: tuple[complex, complex] | None) -> complex:
-    """(e^tau - e_{n-1}(tau)) / tau^z at tau = r e^{i theta}: a node of the
-    paper's contour or of the steepest-descent rule.
+               log_fact: float, phases: tuple[complex, complex] | None) -> tuple[complex, float]:
+    """(e^tau - e_{n-1}(tau)) / tau^z at tau = r e^{i theta}, a node of the
+    paper's contour or of the steepest-descent rule, with e_{n-1}(r) r^{-z},
+    the moduli its direct path cancels (0.0 at order 0 and on the series path).
 
     Beside r and theta the caller passes t = log r, unit = e^{i theta},
     log_fact = lgamma(n + 1) and phases = _phases(theta, z, n), formed once
     per segment where the segment holds them constant; order 0 takes
     neither log_fact nor phases.  A series node is the kernel's series
     times exp((n - z) t - log_fact) times phases[0], a direct node
-    e^tau - e_{n-1}(tau) times e^{-zt} times phases[1].
+    e^tau - e_{n-1}(tau) times e^{-zt} times phases[1], e_{n-1}(r) summed
+    in the same loop.
     """
     tau = r * unit
     if not n:
-        return cmath.exp(tau - z * complex(t, theta))
-    if r <= max(1.0, 0.5 * n):  # the kernel's series radius (_use_series)
-        return _ratio_series(tau, n) * (math.exp((n - z) * t - log_fact) * phases[0])
+        return cmath.exp(tau - z * complex(t, theta)), 0.0
+    if r <= max(1.0, 0.5 * n):  # the kernel's series radius
+        return _ratio_series(tau, n) * (math.exp((n - z) * t - log_fact) * phases[0]), 0.0
     if z * t > _LOG_FLOAT_MAX - 10.0:
         # tau^{-z} would leave the normal range, and e_{n-1}(tau) may, though
         # the product need not: each term takes its power of tau in its
         # exponent, the polynomial as tau^{n-1}/(n-1)! times a Horner sum in
-        # 1/tau, sum_j (n-1)!/(n-1-j)! tau^{-j}
+        # 1/tau, sum_j (n-1)!/(n-1-j)! tau^{-j}, and its moduli the same in 1/r
         log_tau = complex(t, theta)
-        head = cmath.exp(tau - z * log_tau)
-        p = 1.0
+        p = q = 1.0
         for k in range(1, n):
             p = 1.0 + p * k / tau
-        return head - p * cmath.exp((n - 1 - z) * log_tau - math.lgamma(n))
-    return (cmath.exp(tau) - truncated_exp(tau, n - 1)) * (math.exp(-z * t) * phases[1])
+            q = 1.0 + q * k / r
+        log_fact_below = math.lgamma(n)
+        return (cmath.exp(tau - z * log_tau)
+                - p * cmath.exp((n - 1 - z) * log_tau - log_fact_below),
+                math.exp((n - 1 - z) * t - log_fact_below + math.log(q)))
+    term = total = size = moduli = 1.0
+    for k in range(1, n):
+        term *= tau / k
+        total += term
+        size *= r / k
+        moduli += size
+    scale = math.exp(-z * t)
+    return (cmath.exp(tau) - total) * (scale * phases[1]), moduli * scale
 
 
 def steepest_descent_recip_gamma(z: float, cfg: QuadratureConfig) -> IntegralResult:
@@ -221,7 +234,7 @@ def steepest_descent_recip_gamma(z: float, cfg: QuadratureConfig) -> IntegralRes
     """
     m = math.floor(z) - gamma_core.SHIFT_BASE
     w = z - m
-    terms = [ray_kernel(w * rho, math.log(w * rho), theta, unit, w, 0, 0.0, None).real
+    terms = [ray_kernel(w * rho, math.log(w * rho), theta, unit, w, 0, 0.0, None)[0].real
              for theta, unit, rho in _PATH_NODES]
     head = 0.5 * terms[0]
     fine = (head + math.fsum(terms[1:])) * (w / len(terms))
@@ -262,23 +275,29 @@ def _panels(lo: float, hi: float, rule: tuple[float, float, float],
     return nodes, _GL15_W * panels, h, bound
 
 
-def _segment(values: list[complex], h: float, bound: float, arg: ArgDecomposition,
-             log_tau: float, cancelled: float, imag: bool) -> IntegralResult:
-    """The record of a segment from its weighted nodes w f(t) (_panels): h
-    times their sum's real part, or its imaginary part where imag is true.
+def _segment(nodes: list[tuple[complex, float]], weights: tuple[float, ...], h: float,
+             bound: float, arg: ArgDecomposition, log_tau: float, share: float,
+             imag: bool) -> IntegralResult:
+    """The record of a segment from its nodes (f(t), cancelled), ray_kernel's
+    pairs, and their weights w (_panels): h times the real part of
+    sum w f(t), or its imaginary part where imag is true.
 
     The sum is math.fsum's, so it adds one rounding of its own value,
     whatever the node count.  The error is the rule's bound plus the
     rounding of the nodes: relative (_NODE_ROUNDING + a) eps of
     h sum w |f|, where a = z log_tau + 2 log n! bounds the exponents that
     the kernel exponentiates, log_tau bounding |log tau| (their rounding,
-    lgamma's to 2 eps, is relative to the node's value), and eps times
-    h cancelled, the weighted sum of the terms that the kernel's direct
-    path cancels at the nodes.
+    lgamma's to 2 eps, is relative to the node's value), and share eps
+    times h sum w cancelled, the terms that the kernel's direct path
+    cancels, counted by each node.
     """
+    values, cancelled = [], 0.0
+    for w, (f, c) in zip(weights, nodes):
+        values.append(w * f)
+        cancelled += w * c
     total = math.fsum([v.imag for v in values] if imag else [v.real for v in values])
     amplification = arg.z * log_tau + 2.0 * math.lgamma(arg.n + 1)
-    rounding = (_NODE_ROUNDING + amplification) * sum(map(abs, values)) + cancelled
+    rounding = (_NODE_ROUNDING + amplification) * sum(map(abs, values)) + share * cancelled
     return IntegralResult(h * total, bound + _EPMACH * h * rounding, len(values))
 
 
@@ -291,9 +310,9 @@ def _ray(arg: ArgDecomposition, contour: HankelContour, R: float, target: float)
     lgamma(n + 1) are formed once, and each node passes t itself.  On the
     strip |Im t| <= delta - pi/2, arg tau stays in [pi/2, 3 pi/2], so
     Re tau <= 0, |e^tau - e_{n-1}(tau)| <= |tau|^n/n! (as on the real axis)
-    and |tau f| <= e^{(1-frac) Re t}/n!.  Past the series radius the moduli
-    of the terms of e_{n-1}(tau) sum to e_{n-1}(r): _RAY_CANCELLATION of
-    e_{n-1}(r) r^{1-z} is counted at each such node, with its weight.
+    and |tau f| <= e^{(1-frac) Re t}/n!.  Each direct-path node counts the
+    moduli it cancels, e_{n-1}(r) r^{1-z}, and _RAY_CANCELLATION of them
+    goes into the error with the node's weight.
     """
     z, n, frac = arg.z, arg.n, arg.frac
     delta, r0 = contour.delta, contour.r0
@@ -304,25 +323,9 @@ def _ray(arg: ArgDecomposition, contour: HankelContour, R: float, target: float)
     lo, hi = math.log(r0), math.log(R)
     nodes, weights, h, bound = _panels(lo, hi, (delta - 0.5 * math.pi, -log_fact, 1.0 - frac),
                                        target)
-    radii = [math.exp(t) for t in nodes]
-    values = [w * ray_kernel(r, t, delta, unit, power, n, log_fact, phases)
-              for r, t, w in zip(radii, nodes, weights)]
-    # e_{n-1}(r) r^{-power} at the direct-path nodes, as r^{n-1-power}/(n-1)!
-    # times the Horner sum sum_j (n-1)!/(n-1-j)! r^{-j}, in logs, so that no
-    # factor leaves the normal range alone
-    cancelled = 0.0
-    if n:
-        edge = max(1.0, 0.5 * n)  # the kernel's series radius (_use_series)
-        ks = [float(k) for k in range(1, n)]
-        slope, log_fact_below = n - 1 - power, math.lgamma(n)
-        for r, t, w in zip(radii, nodes, weights):
-            if r > edge:
-                p = 1.0
-                for k in ks:
-                    p = 1.0 + p * k / r
-                cancelled += w * math.exp(slope * t - log_fact_below + math.log(p))
-    return _segment(values, h, bound, arg, max(abs(lo), abs(hi)) + delta,
-                    _RAY_CANCELLATION * cancelled, True)
+    pairs = [ray_kernel(math.exp(t), t, delta, unit, power, n, log_fact, phases) for t in nodes]
+    return _segment(pairs, weights, h, bound, arg, max(abs(lo), abs(hi)) + delta,
+                    _RAY_CANCELLATION, True)
 
 
 def _arc(arg: ArgDecomposition, order: int, contour: HankelContour,
@@ -335,9 +338,9 @@ def _arc(arg: ArgDecomposition, order: int, contour: HankelContour,
     k = order + 1 - z, |tau f| <= e^rho rho^{order}/order! |tau^{1-z}|
     <= e^rho r0^k e^{|k| a}/order!.  a solves a r0 e^a = 30, about where
     the bound is least.  log r0 and lgamma(order + 1) are formed once, the
-    node's direction and phases by cmath.rect at each node.  On the
-    kernel's direct path the terms of e_{order-1}(tau) sum to
-    e_{order-1}(r0) at every node.
+    node's direction and phases by cmath.rect at each node.  Next to
+    theta = 0 the terms that the kernel's direct path cancels all add, so
+    1 + order/8 of each node's count goes into the error.
     """
     z = arg.z
     delta, r0 = contour.delta, contour.r0
@@ -352,14 +355,10 @@ def _arc(arg: ArgDecomposition, order: int, contour: HankelContour,
     log_m = k * log_r0 + abs(k) * a + r0 * math.exp(a) - log_fact
     power = z - 1.0
     nodes, weights, h, bound = _panels(0.0, delta, (a, log_m, 0.0), target)
-    values = [w * ray_kernel(r0, log_r0, theta, cmath.rect(1.0, theta), power, order, log_fact,
-                             _phases(theta, power, order))
-              for theta, w in zip(nodes, weights)]
-    cancelled = 0.0
-    if order and not _use_series(r0, order):
-        terms = truncated_exp(r0, order - 1) * math.exp((1.0 - z) * log_r0)
-        cancelled = (1.0 + order / 8.0) * terms * sum(weights)
-    return _segment(values, h, bound, arg, abs(log_r0) + delta, cancelled, False)
+    pairs = [ray_kernel(r0, log_r0, theta, cmath.rect(1.0, theta), power, order, log_fact,
+                        _phases(theta, power, order))
+             for theta in nodes]
+    return _segment(pairs, weights, h, bound, arg, abs(log_r0) + delta, 1.0 + order / 8.0, False)
 
 
 def _contour_eval(
@@ -367,7 +366,8 @@ def _contour_eval(
 ) -> IntegralResult:
     """(1/2 pi i) contour integral of (e^s - e_{n-1}(s)) / s^z.
 
-    The value is real: Im of the upper half's integral, over pi.
+    The value is real: Im of the upper half's integral over pi, by propagate:
+    a sum that underflowed to 0, as past 1/Gamma's range, is never ok.
     """
     z = arg.z
     _validate(contour, z)
@@ -400,8 +400,7 @@ def _contour_eval(
     # each part meets its own tolerance, but the parts can cancel (the
     # value is about z as z -> 0), so the sum is checked as well
     raw = combine(parts, cfg.eps_rel)
-    return IntegralResult(raw.value / math.pi, raw.abs_error_estimate / math.pi,
-                          raw.evaluations, raw.condition_flag)
+    return propagate(raw.value / math.pi, [raw], 1, cfg.eps_rel)
 
 
 def hankel_recip_gamma(

@@ -30,10 +30,15 @@ CFG = QuadratureConfig()
 REFERENCE_CONTOUR = HankelContour(delta=0.75 * math.pi, r0=0.5)
 
 
-def node(r: float, theta: float, z: float, n: int) -> complex:
+def node_pair(r: float, theta: float, z: float, n: int) -> tuple[complex, float]:
     """ray_kernel at tau = r e^{i theta}, with the constants a segment holds."""
     return ray_kernel(r, math.log(r), theta, cmath.rect(1.0, theta), z, n,
                       math.lgamma(n + 1), hankel._phases(theta, z, n))
+
+
+def node(r: float, theta: float, z: float, n: int) -> complex:
+    """The node's value alone."""
+    return node_pair(r, theta, z, n)[0]
 
 
 def ray_difference_kernel(r: float, delta: float, z: float, n: int) -> complex:
@@ -201,6 +206,16 @@ class TestHankelRecipGamma:
         gv = hankel_recip_gamma(141.5, HankelContour(), QuadratureConfig())
         assert gv.condition_flag is not ConditionFlag.OK
 
+    @pytest.mark.parametrize("z", [209.51, 1000.5, 209.26])
+    def test_past_the_range_of_recip_gamma_is_flagged(self, z):
+        # every part underflows: the sum was -0.0, 0.0 and 5e-324 with
+        # estimate 0, the first two flagged ok at relative error 1.  Over pi
+        # it is one counted rounding, and a zero's estimate is unbounded.
+        gv = hankel_recip_gamma(z, HankelContour(), QuadratureConfig())
+        assert gv.condition_flag is ConditionFlag.TOLERANCE_NOT_MET
+        with mpmath.workdps(30):
+            assert abs(gv.value - mpmath.rgamma(z)) <= gv.quadrature.abs_error_estimate
+
     @pytest.mark.parametrize(
         "z,delta,r0",
         [
@@ -242,6 +257,25 @@ def _node_cases():
 
 class TestNodeRounding:
     @pytest.mark.parametrize("r,theta,z,n,share", _node_cases())
+    def test_node_counts_what_its_direct_path_cancels(self, r, theta, z, n, share):
+        # the second entry is e_{n-1}(r) r^{-z} on the direct path, from the
+        # loop that forms e_{n-1}(tau) or, past the normal range, from the
+        # Horner sum in 1/r; at order 0 and on the series path nothing
+        # cancels.  Like the node, the count rounds in its exponents: measured
+        # at most a quarter of the node's own budget, 276 eps at n = 105
+        count = node_pair(r, theta, z, n)[1]
+        if not n or kernel._use_series(r, n):
+            assert count == 0.0
+            return
+        with mpmath.workdps(40):
+            r_mp = mpmath.mpf(r)
+            ref = mpmath.fsum(r_mp**k / mpmath.factorial(k) for k in range(n))
+            ref = float(ref * r_mp ** -mpmath.mpf(z))
+        budget = hankel._NODE_ROUNDING + z * abs(math.log(r)) + 2.0 * math.lgamma(n + 1)
+        assert ref > 0.0
+        assert abs(count - ref) <= sys.float_info.epsilon * budget * ref
+
+    @pytest.mark.parametrize("r,theta,z,n,share", _node_cases())
     def test_within_the_budget_its_segment_charges(self, r, theta, z, n, share):
         # _segment charges (_NODE_ROUNDING + z |log tau| + 2 lgamma(n + 1))
         # eps of |node|, and on the direct path eps times the cancelling
@@ -264,10 +298,11 @@ class TestNodeRounding:
     def test_segment_sum_rounds_once(self):
         # the weighted nodes are added exactly and rounded once: a running
         # sum loses the middle node to the first
-        values = [1.0 + 1.0j, 1e-16 - 1e-16j, -1.0 - 1.0j]
+        nodes = [(1.0 + 1.0j, 0.0), (1e-16 - 1e-16j, 0.0), (-1.0 - 1.0j, 0.0)]
+        weights = (1.0,) * len(nodes)
         arg = kernel.decompose(0.5)
-        assert hankel._segment(values, 1.0, 0.0, arg, 0.0, 0.0, False).value == 1e-16
-        assert hankel._segment(values, 1.0, 0.0, arg, 0.0, 0.0, True).value == -1e-16
+        assert hankel._segment(nodes, weights, 1.0, 0.0, arg, 0.0, 0.0, False).value == 1e-16
+        assert hankel._segment(nodes, weights, 1.0, 0.0, arg, 0.0, 0.0, True).value == -1e-16
 
 
 class TestRayDifferenceKernel:

@@ -6,7 +6,9 @@ time, over TestContourProperty's box with z in (0, 30): the ray angle in
 [1.65, 3.12] and the arc radius r0 t, r0 in [0.05, 2.5] and t in
 [0.2, 10].  A small stratum takes the ray next to the imaginary axis at
 large z: z in (100, 171.6), the ray angle pi/2 + 10^U(-3, -1) and r0 in
-[0.05, 2.5].  On each draw it asserts that the value is finite, that no
+[0.05, 2.5].  A third takes z past 1/Gamma's range, log-uniform in
+(171.6, 1000), on the default contour, where every result must be
+flagged.  On each draw it asserts that the value is finite, that no
 result flagged ok is off by more than eps_rel, and that every result lies
 within its own error estimate.  It costs about 0.5 s.
 """
@@ -40,11 +42,20 @@ def contour_draws(
     return draws
 
 
+def past_range_draws(seed: int, count: int) -> list[float]:
+    """z log-uniform in (171.6, 1000), past 1/Gamma's range."""
+    rng = random.Random(seed)
+    return [math.exp(rng.uniform(math.log(171.6), math.log(1000.0))) for _ in range(count)]
+
+
 DRAWS = contour_draws(2026, 200)
 # There the ray runs out to R of about 30 / |cos delta|, up to 2e4, where
 # e_{n-1}(tau) overflows: two of these six draws were NaN at either
 # tolerance, and every one sums its ray at the panel cap.
 NEAR_AXIS = contour_draws(2026, 6, near_axis=True)
+# Past 1/Gamma's range the contour's parts underflow: their sum was 0 with
+# estimate 0, flagged ok at relative error 1.
+PAST_RANGE = past_range_draws(2026, 20)
 # Results the adaptive Gauss-Kronrod engine certified on DRAWS when it
 # summed the contour: the fixed rules may not certify fewer.
 ADAPTIVE_OK = {1e-8: 198, 1e-12: 186}
@@ -74,6 +85,13 @@ def test_contour_scan(eps):
 def test_ray_next_to_the_imaginary_axis(eps):
     for z, delta, r0 in NEAR_AXIS:
         check(z, delta, r0, eps)
+
+
+@pytest.mark.parametrize("eps", sorted(ADAPTIVE_OK))
+def test_past_the_range_of_recip_gamma(eps):
+    contour = HankelContour()
+    for z in PAST_RANGE:
+        assert not check(z, contour.delta, contour.r0, eps)
 
 
 def test_cancelling_direct_path_is_flagged():
