@@ -46,8 +46,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import NonPositiveArgument, PoleError, RegammaError, require_finite
 from .kernel import ArgDecomposition, decompose, sinpi
@@ -92,9 +92,15 @@ class MethodTag(str, Enum):
     HANKEL = "hankel"
 
 
-@dataclass(frozen=True)
-class GammaValue:
-    """An evaluated value, its route and the record of the value.
+# The members the per-call path compares against, looked up once: an Enum
+# member lookup costs about 0.1 us on CPython 3.11
+_HANKEL = MethodTag.HANKEL
+_GAMMA_NEG_ROUTES = (MethodTag.REAL_AXIS, MethodTag.CAUCHY_SAALSCHUTZ)
+
+
+class GammaValue(NamedTuple):
+    """An evaluated value, its route and the record of the value, as an
+    immutable named tuple.
 
     quadrature.value is value, and its error estimate, evaluations and
     flag are the value's (quadrature.propagate).  quadrature is None
@@ -184,12 +190,13 @@ def _by_recurrence(w: float, cfg: QuadratureConfig, method: MethodTag, of: _Of) 
 # The real-line routes, by their change of variables on the middle stretch
 # of I(w): 1/Gamma(w) = sin(pi w)/pi * I(w) and Gamma(-w) = -I(w)/w.
 # cauchy_saalschutz is the real axis at the raised order, where I is
-# Gamma(-w) itself and 1/Gamma(w) = -w sin(pi w)/pi * Gamma(-w).
+# Gamma(-w) itself and 1/Gamma(w) = -w sin(pi w)/pi * Gamma(-w).  Each
+# route is its middle function and whether it takes the raised order.
 _ROUTE_MIDDLE = {
-    MethodTag.REAL_AXIS: real_axis_middle,
-    MethodTag.POWER_SUBST: power_subst_middle,
-    MethodTag.LOG_FORM: log_form_middle,
-    MethodTag.CAUCHY_SAALSCHUTZ: real_axis_middle,
+    MethodTag.REAL_AXIS: (real_axis_middle, False),
+    MethodTag.POWER_SUBST: (power_subst_middle, False),
+    MethodTag.LOG_FORM: (log_form_middle, False),
+    MethodTag.CAUCHY_SAALSCHUTZ: (real_axis_middle, True),
 }
 
 
@@ -202,12 +209,12 @@ def _real_line(w: float, cfg: QuadratureConfig, method: MethodTag, of: _Of) -> G
     integral; elsewhere 1/Gamma(-w) = -w/I(w), about -w, stays finite.
     """
     arg = decompose(w)
-    raised = method is MethodTag.CAUCHY_SAALSCHUTZ
+    middle, raised = _ROUTE_MIDDLE[method]
     if raised:
         # same frac, order n + 1 = [w + 1]: I is the order-n
         # regularization of Gamma(-w)
         arg = ArgDecomposition(z=w + 1.0, n=arg.n + 1, frac=arg.frac)
-    res = integrate_regularized_kernel(arg, cfg, _ROUTE_MIDDLE[method])
+    res = integrate_regularized_kernel(arg, cfg, middle)
     if of is _Of.RECIP:
         scale = sinpi(w) / math.pi
         # I (about -1/w at tiny w) is scaled before the factor -w: -w scale,
@@ -252,7 +259,7 @@ def recip_gamma(
         # but to an absolute unit, not a relative one
         record = propagate(value, [], 1, cfg.eps_rel) if value < sys.float_info.min else None
         return GammaValue(value, method, record)
-    if method is MethodTag.HANKEL:
+    if method is _HANKEL:
         from . import hankel
 
         res = hankel.steepest_descent_recip_gamma(z, cfg)
@@ -284,7 +291,7 @@ def gamma_negative(
     precision.
     """
     decompose(z)  # validates the domain
-    if method not in (MethodTag.REAL_AXIS, MethodTag.CAUCHY_SAALSCHUTZ):
+    if method not in _GAMMA_NEG_ROUTES:
         raise RegammaError(f"Gamma(-z) takes real_axis or cauchy_saalschutz, not {method.value}")
     return _by_recurrence(z, cfg or QuadratureConfig(), method, _Of.GAMMA_NEG)
 

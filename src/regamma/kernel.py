@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import IntegerArgument, NonPositiveArgument, require_finite
 
@@ -48,9 +48,9 @@ _KEPT_ORDERS = 171
 _TABLES: dict[int, tuple[list[float], list[float]]] = {}
 
 
-@dataclass(frozen=True)
-class ArgDecomposition:
-    """A positive non-integer argument split as z = n + frac, 0 < frac < 1.
+class ArgDecomposition(NamedTuple):
+    """A positive non-integer argument split as z = n + frac, 0 < frac < 1,
+    as an immutable named tuple.
 
     decompose builds those.  The one other use is the raised order of
     gamma_core's cauchy_saalschutz route: the same frac at order n + 1,
@@ -146,19 +146,26 @@ def exp_remainder(x: float, n: int) -> float:
     """e^x - e_{n-1}(x), accurate near machine precision for all x.
 
     For small |x| the direct difference loses roughly n digits to
-    cancellation, so x^n/n! times the series is taken instead.  OverflowError
-    is raised where e^x overflows on the direct path, and where n! or x^n
-    does on the series path (n past 170, or about 160 at |x| near n/2).
+    cancellation, so x^n/n! times the series is taken instead.  The direct
+    path sums e_{n-1}(x) in place, by truncated_exp's loop and arithmetic,
+    so it equals e^x - truncated_exp(x, n - 1) bit for bit (the tests hold
+    it to that reference).  OverflowError is raised where e^x overflows on
+    the direct path, and where n! or x^n does on the series path (n past
+    170, or about 160 at |x| near n/2).
     """
-    if n < 0:
-        raise ValueError(f"order must be >= 0, got {n}")
-    if n == 0:
+    if n <= 0:
+        if n < 0:
+            raise ValueError(f"order must be >= 0, got {n}")
         return math.exp(x)
     if x == 0.0:
         return 0.0
-    if _use_series(x, n):
+    if abs(x) <= max(1.0, 0.5 * n):
         return x**n / math.factorial(n) * _ratio_series(x, n)
-    return math.exp(x) - truncated_exp(x, n - 1)
+    term = total = 1.0
+    for k in range(1, n):
+        term *= x / k
+        total += term
+    return math.exp(x) - total
 
 
 def kernel_ratio(x: float, n: int) -> float:

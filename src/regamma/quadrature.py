@@ -62,7 +62,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .kernel import ArgDecomposition, exp_remainder
 
@@ -169,12 +169,12 @@ class QuadratureConfig:
             raise ValueError(f"eps_rel must be in (0, 1), got {self.eps_rel!r}")
 
 
-@dataclass(frozen=True)
-class IntegralResult:
+class IntegralResult(NamedTuple):
     """Value, error estimate and diagnostics of one integration, or of a
     value computed from integrals (propagate).
 
-    value is complex exactly when the integrand is.
+    value is complex exactly when the integrand is.  A named tuple, built
+    several times per call: immutable, and equal to the tuple of its fields.
     """
 
     value: float | complex

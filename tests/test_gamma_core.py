@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 import sys
 import time
@@ -17,6 +18,7 @@ from regamma.errors import (
     RegammaError,
 )
 from regamma.gamma_core import (
+    GammaValue,
     MethodTag,
     gamma,
     gamma_negative,
@@ -202,6 +204,49 @@ class TestRecipGamma:
         with mpmath.workdps(30):
             assert abs(gv.value - mpmath.rgamma(z)) <= gv.quadrature.abs_error_estimate
         assert gv.condition_flag is ConditionFlag.OK
+
+
+class TestGammaValueRecord:
+    """GammaValue is a named tuple: its fields, order and default, its two
+    properties, immutability and pickling are the public contract."""
+
+    def test_fields_and_default(self):
+        assert GammaValue._fields == ("value", "method", "quadrature")
+        assert GammaValue._field_defaults == {"quadrature": None}
+        assert GammaValue(1.0, MethodTag.REAL_AXIS).quadrature is None
+
+    def test_exact_value(self):
+        gv = recip_gamma(4.0, CFG)
+        assert gv == (1.0 / 6.0, MethodTag.REAL_AXIS, None)
+        assert gv.is_exact
+        assert gv.condition_flag is ConditionFlag.OK
+
+    @pytest.mark.parametrize("eps, flag", [
+        (1e-8, ConditionFlag.OK),
+        (1e-15, ConditionFlag.TOLERANCE_NOT_MET),
+    ])
+    def test_computed_value(self, eps, flag):
+        gv = recip_gamma(3.3, QuadratureConfig(eps))
+        assert not gv.is_exact
+        assert gv.quadrature.value == gv.value
+        assert gv.condition_flag is gv.quadrature.condition_flag is flag
+
+    @pytest.mark.parametrize("name", ["value", "method", "quadrature", "extra"])
+    def test_assignment_raises(self, name):
+        gv = recip_gamma(3.3, CFG)
+        with pytest.raises(AttributeError):
+            setattr(gv, name, None)
+
+    @pytest.mark.parametrize("gv", [
+        recip_gamma(4.0, CFG),
+        recip_gamma(3.3, CFG),
+        gamma_negative(2.5, CFG, MethodTag.CAUCHY_SAALSCHUTZ),
+    ])
+    def test_pickle_round_trip(self, gv):
+        back = pickle.loads(pickle.dumps(gv))
+        assert type(back) is GammaValue and back == gv
+        assert back.method is gv.method
+        assert back.condition_flag is gv.condition_flag
 
 
 class TestRecurrence:

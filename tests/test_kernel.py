@@ -91,12 +91,27 @@ class TestExpRemainder:
             assert exp_remainder(x, 0) == math.exp(x)
 
     def test_negative_order_rejected(self):
-        with pytest.raises(ValueError):
-            exp_remainder(1.0, -1)
+        # the order is checked before x = 0 returns 0
+        for x in (1.0, 0.0):
+            with pytest.raises(ValueError):
+                exp_remainder(x, -1)
 
     def test_zero_argument(self):
         for n in (1, 2, 7):
             assert exp_remainder(0.0, n) == 0.0
+
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_equals_its_reference(self, n):
+        # exp_remainder sums e_{n-1}(x) in place: past the series radius it
+        # must be e^x - truncated_exp(x, n - 1) bit for bit, and x^n/n! times
+        # the series within it
+        radius = max(1.0, 0.5 * n)
+        edges = [s * r for r in (radius, math.nextafter(radius, 41.0)) for s in (-1.0, 1.0)]
+        for x in [-40.0 + 0.1 * k for k in range(801)] + edges:
+            if abs(x) > radius:
+                assert exp_remainder(x, n) == math.exp(x) - truncated_exp(x, n - 1)
+            else:
+                assert exp_remainder(x, n) == x**n / math.factorial(n) * _ratio_series(x, n)
 
     def test_frozen_value(self):
         # e^{-0.5} - (1 - 0.5), extended-precision oracle

@@ -1,5 +1,6 @@
 import cmath
 import math
+import pickle
 import random
 import sys
 
@@ -474,6 +475,44 @@ class TestPropagate:
             res = propagate(value, parts, 1, 1e-8)
             assert res.abs_error_estimate == math.inf
             assert res.condition_flag is ConditionFlag.TOLERANCE_NOT_MET
+
+
+class TestRecords:
+    """IntegralResult and ArgDecomposition are named tuples: their fields,
+    order and defaults are the public contract, and they are immutable."""
+
+    def test_fields_and_defaults(self):
+        assert IntegralResult._fields == (
+            "value", "abs_error_estimate", "evaluations", "condition_flag")
+        assert IntegralResult._field_defaults == {"condition_flag": ConditionFlag.OK}
+        assert IntegralResult(1.0, 2e-16, 15).condition_flag is ConditionFlag.OK
+        assert ArgDecomposition._fields == ("z", "n", "frac")
+        assert ArgDecomposition._field_defaults == {}
+
+    @pytest.mark.parametrize("record, name", [
+        (IntegralResult(1.0, 2e-16, 15), "value"),
+        (IntegralResult(1.0, 2e-16, 15), "condition_flag"),
+        (ArgDecomposition(2.5, 2, 0.5), "frac"),
+        (ArgDecomposition(2.5, 2, 0.5), "extra"),
+    ])
+    def test_assignment_raises(self, record, name):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+
+    def test_iterate_and_compare_as_tuples(self):
+        arg = decompose(2.5)
+        assert arg == (2.5, 2, 0.5)
+        z, n, frac = arg
+        assert (z, n, frac) == (arg.z, arg.n, arg.frac)
+
+    @pytest.mark.parametrize("record", [
+        IntegralResult(-1.5 + 0.25j, 3e-17, 30, ConditionFlag.TOLERANCE_NOT_MET),
+        integrate_regularized_kernel(decompose(3.3)),
+        decompose(7.25),
+    ])
+    def test_pickle_round_trip(self, record):
+        back = pickle.loads(pickle.dumps(record))
+        assert type(back) is type(record) and back == record
 
 
 class TestCombine:
