@@ -22,18 +22,19 @@ _real_line, turns that integral into a value at w > 0: 1/Gamma(w), or
 Gamma(-w), the paper's regularized hypersingular integral (-I(w)/w, or I
 at the raised order itself), which gamma_negative takes on real_axis and
 cauchy_saalschutz, or its reciprocal, recip_gamma(-w) on any of the four.
-gamma_ratio is the quotient of two real_axis values, 1/Gamma(B) over
-1/Gamma(A).  Positive integers use the exact factorial; zero and negative
-integers return the exact zeros of the entire function 1/Gamma.
+It takes w = n + frac as decomposed once by its entry point.  gamma_ratio
+is the quotient of two real_axis values, 1/Gamma(B) over 1/Gamma(A).
+Positive integers use the exact factorial; zero and negative integers
+return the exact zeros of the entire function 1/Gamma.
 
 The cost and the rounding of I(z) grow with its truncation order n = [z]:
 past z of about 65 the closed-form polynomial tail cancels against the
 middle stretch.  So no route sees an argument past 9.  From 9 up, every
-entry point evaluates at w = z - m in [8, 9), m = floor(z) - 8, which is
-exact, and moves back by the recurrence Gamma(x) = (x - 1) Gamma(x - 1)
-(see recurrence): 1/Gamma(z) on every route and either side of 0 (the
-hankel route inside its trapezoid rule), Gamma(-z) in gamma_negative on
-both of its routes, and Gamma(A)/Gamma(B), with one m for both and each of
+value is taken at w = z - m in [8, 9), m = n - 8, exact and with z's frac,
+and moved back by the recurrence Gamma(x) = (x - 1) Gamma(x - 1) (see
+recurrence): 1/Gamma(z) on every route and either side of 0 (the hankel
+route inside its trapezoid rule), Gamma(-z) in gamma_negative on both of
+its routes, and Gamma(A)/Gamma(B), with one m for both and each of
 1/Gamma(A - m) and 1/Gamma(B - m) shifted once more by recip_gamma.
 
 A GammaValue's quadrature is the record of the value itself, which is
@@ -77,7 +78,7 @@ SHIFT_BASE = 8
 _ROUTE_ROUNDING = 4
 
 
-# What _real_line and _by_recurrence evaluate at w > 0
+# What _real_line evaluates at w > 0
 class _Of(Enum):
     RECIP = "1/Gamma(w)"
     GAMMA_NEG = "Gamma(-w)"
@@ -158,35 +159,6 @@ def recurrence(value: float, x: float, m: int) -> float:
     return value
 
 
-def _by_recurrence(w: float, cfg: QuadratureConfig, method: MethodTag, of: _Of) -> GammaValue:
-    """_real_line(w) below 9; from 9 up, _real_line(w0) at w0 = w - m in
-    [8, 9), moved back by the recurrence.
-
-    That is 1/Gamma(w) = recurrence(1/Gamma(w0), w, m), Gamma(-w) =
-    recurrence(Gamma(-w0), -w0, m) or 1/Gamma(-w) = recurrence(1/Gamma(-w0),
-    -w, -m), w0 and every factor exact and at least 8 in magnitude.  Each
-    step rounds by 2^-53 relative or, below the normal range, by up to half
-    a subnormal unit, which each later division shrinks eightfold: all m
-    together stay below one unit (the products of 1/Gamma(-w) stay normal).
-    So the record counts the last step as propagate's one rounding, and
-    the m - 1 before it by their relative part alone, as an exact factor 1
-    that carries that error.  Raises OverflowError where 1/Gamma(-w)
-    exceeds double precision (w past about 171.6).
-    """
-    m = math.floor(w) - SHIFT_BASE
-    if m <= 0:
-        return _real_line(w, cfg, method, of)
-    w0 = w - m
-    base = _real_line(w0, cfg, method, of)
-    x, k = {_Of.RECIP: (w, m), _Of.GAMMA_NEG: (-w0, m), _Of.RECIP_NEG: (-w, -m)}[of]
-    value = recurrence(base.value, x, k)
-    if math.isinf(value):
-        raise OverflowError(f"1/Gamma({-w!r}) overflows double precision")
-    steps = IntegralResult(1.0, (m - 1) * 2.0**-53, 0)
-    record = propagate(value, [base.quadrature, steps], 1, cfg.eps_rel)
-    return GammaValue(value, base.method, record)
-
-
 # The real-line routes, by their change of variables on the middle stretch
 # of I(w): 1/Gamma(w) = sin(pi w)/pi * I(w) and Gamma(-w) = -I(w)/w.
 # cauchy_saalschutz is the real axis at the raised order, where I is
@@ -200,33 +172,68 @@ _ROUTE_MIDDLE = {
 }
 
 
-def _real_line(w: float, cfg: QuadratureConfig, method: MethodTag, of: _Of) -> GammaValue:
+def _real_line(arg: ArgDecomposition, cfg: QuadratureConfig, method: MethodTag,
+               of: _Of) -> GammaValue:
     """1/Gamma(w), Gamma(-w) or 1/Gamma(-w), as of selects, on a real-line
-    route, for w > 0 non-integer: the route's integral, scaled and recorded.
+    route, for w = arg.z > 0 non-integer: the route's integral at w0 = w - m,
+    scaled, recorded and moved back by the recurrence.  m = arg.n - 8 from 9
+    up (else 0), so w0 < 9 is exact and keeps w's frac.
 
-    Raises OverflowError where Gamma(-w) exceeds double precision (w below
-    about 5.6e-309) and is the value or, on cauchy_saalschutz, the
-    integral; elsewhere 1/Gamma(-w) = -w/I(w), about -w, stays finite.
+    1/Gamma(w) = recurrence(1/Gamma(w0), w, m), Gamma(-w) = recurrence(
+    Gamma(-w0), -w0, m) and 1/Gamma(-w) = recurrence(1/Gamma(-w0), -w, -m),
+    every factor exact and at least 8 in magnitude.  Each step rounds by
+    2^-53 relative or, below the normal range, by up to half a subnormal
+    unit, which each later division shrinks eightfold: all m together stay
+    below one unit (the products of 1/Gamma(-w) stay normal).  So the record
+    counts the last step as propagate's one rounding, and the m - 1 before
+    it by their relative part alone, as an exact factor 1 that carries that
+    error.  Raises OverflowError where Gamma(-w) exceeds double precision
+    (w below about 5.6e-309) and is the value or, on cauchy_saalschutz, the
+    integral (1/Gamma(-w) = -w/I(w), about -w, stays finite), and where
+    1/Gamma(-w) does (w past about 171.6).
     """
-    arg = decompose(w)
+    w = arg.z
+    m = arg.n - SHIFT_BASE
+    if m > 0:
+        arg = ArgDecomposition(w - m, SHIFT_BASE, arg.frac)
+    w0 = arg.z
     middle, raised = _ROUTE_MIDDLE[method]
     if raised:
-        # same frac, order n + 1 = [w + 1]: I is the order-n
-        # regularization of Gamma(-w)
-        arg = ArgDecomposition(z=w + 1.0, n=arg.n + 1, frac=arg.frac)
+        # same frac at order n + 1: I is the order-n regularization of Gamma(-w0)
+        arg = ArgDecomposition(w0 + 1.0, arg.n + 1, arg.frac)
     res = integrate_regularized_kernel(arg, cfg, middle)
     if of is _Of.RECIP:
-        scale = sinpi(w) / math.pi
-        # I (about -1/w at tiny w) is scaled before the factor -w: -w scale,
-        # about -w^2, would go subnormal there and lose its digits
-        value = -w * (scale * res.value) if raised else scale * res.value
+        scale = sinpi(w0) / math.pi
+        # I (about -1/w0 at tiny w0) is scaled before the factor -w0: -w0
+        # scale, about -w0^2, would go subnormal there and lose its digits
+        value = -w0 * (scale * res.value) if raised else scale * res.value
     elif of is _Of.GAMMA_NEG:
-        value = res.value if raised else -res.value / w
+        value = res.value if raised else -res.value / w0
     else:
-        value = 1.0 / res.value if raised else -w / res.value
+        value = 1.0 / res.value if raised else -w0 / res.value
     if math.isinf(value) or math.isinf(res.value):
-        raise OverflowError(f"Gamma({-w!r}) overflows double precision")
-    return GammaValue(value, method, propagate(value, [res], _ROUTE_ROUNDING, cfg.eps_rel))
+        raise OverflowError(f"Gamma({-w0!r}) overflows double precision")
+    record = propagate(value, [res], _ROUTE_ROUNDING, cfg.eps_rel)
+    if m <= 0:
+        return GammaValue(value, method, record)
+    x, k = {_Of.RECIP: (w, m), _Of.GAMMA_NEG: (-w0, m), _Of.RECIP_NEG: (-w, -m)}[of]
+    value = recurrence(value, x, k)
+    if math.isinf(value):
+        raise OverflowError(f"1/Gamma({-w!r}) overflows double precision")
+    steps = IntegralResult(1.0, (m - 1) * 2.0**-53, 0)
+    return GammaValue(value, method, propagate(value, [record, steps], 1, cfg.eps_rel))
+
+
+def _recip_gamma(z: float, cfg: QuadratureConfig, method: MethodTag) -> GammaValue:
+    """1/Gamma(z) at finite non-integer z: recip_gamma's and gamma's evaluator."""
+    if method is _HANKEL:
+        from . import hankel
+
+        res = hankel.steepest_descent_recip_gamma(z, cfg)
+        if math.isinf(res.value):
+            raise OverflowError(f"1/Gamma({z!r}) overflows double precision")
+        return GammaValue(res.value, method, res)
+    return _real_line(decompose(abs(z)), cfg, method, _Of.RECIP_NEG if z < 0.0 else _Of.RECIP)
 
 
 def recip_gamma(
@@ -259,20 +266,12 @@ def recip_gamma(
         # but to an absolute unit, not a relative one
         record = propagate(value, [], 1, cfg.eps_rel) if value < sys.float_info.min else None
         return GammaValue(value, method, record)
-    if method is _HANKEL:
-        from . import hankel
-
-        res = hankel.steepest_descent_recip_gamma(z, cfg)
-        if math.isinf(res.value):
-            raise OverflowError(f"1/Gamma({z!r}) overflows double precision")
-        return GammaValue(res.value, method, res)
-    return _by_recurrence(abs(z), cfg, method, _Of.RECIP_NEG if z < 0.0 else _Of.RECIP)
+    return _recip_gamma(z, cfg, method)
 
 
 def recip_gamma_neg_reflection(z: float, cfg: QuadratureConfig | None = None) -> GammaValue:
     """1/Gamma(-z) for z > 0 non-integer: recip_gamma(-z)."""
-    decompose(z)  # validates the domain
-    return recip_gamma(-z, cfg)
+    return _real_line(decompose(z), cfg or QuadratureConfig(), MethodTag.REAL_AXIS, _Of.RECIP_NEG)
 
 
 def gamma_negative(
@@ -290,10 +289,10 @@ def gamma_negative(
     in (-9, -8].  Raises OverflowError where Gamma(-z) exceeds double
     precision.
     """
-    decompose(z)  # validates the domain
+    arg = decompose(z)
     if method not in _GAMMA_NEG_ROUTES:
         raise RegammaError(f"Gamma(-z) takes real_axis or cauchy_saalschutz, not {method.value}")
-    return _by_recurrence(z, cfg or QuadratureConfig(), method, _Of.GAMMA_NEG)
+    return _real_line(arg, cfg or QuadratureConfig(), method, _Of.GAMMA_NEG)
 
 
 def gamma_ratio(A: float, B: float, cfg: QuadratureConfig | None = None) -> GammaValue:
@@ -360,7 +359,7 @@ def gamma(
             raise OverflowError(f"Gamma({z!r}) overflows double precision")
         return GammaValue(float(math.factorial(m - 1)), method, None)
     cfg = cfg or QuadratureConfig()
-    rg = recip_gamma(z, cfg, method)
+    rg = _recip_gamma(z, cfg, method)
     value = 1.0 / rg.value if rg.value else math.inf
     if math.isinf(value):
         raise OverflowError(f"Gamma({z!r}) overflows double precision")

@@ -227,7 +227,7 @@ def steepest_descent_recip_gamma(z: float, cfg: QuadratureConfig) -> IntegralRes
     rounding of the sum and of the factors and decides the flag.  The sum
     lies in the normal range.  From 9 up every divisor is at least 8, so
     the absolute roundings of the divisions stay below one subnormal unit
-    together, as in gamma_core._by_recurrence; below 8 only the last
+    together, as in gamma_core._real_line; below 8 only the last
     product, by the factor z, can leave the normal range.  So one
     rounding counts an absolute unit, and the others their relative part
     alone, as an exact factor 1 that carries it.

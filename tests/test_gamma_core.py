@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import regamma.gamma_core as gamma_core
 from regamma.errors import (
     IntegerArgument,
     NonFiniteArgument,
@@ -476,6 +477,7 @@ class TestGammaNegative:
     def test_other_methods_refused(self, method):
         with pytest.raises(RegammaError) as info:
             gamma_negative(2.5, CFG, method)
+        assert type(info.value) is RegammaError
         message = str(info.value)
         assert "real_axis" in message and "cauchy_saalschutz" in message
         assert method.value in message
@@ -771,6 +773,52 @@ class TestGamma:
             gamma(175.5, CFG)
 
 
+class TestSharedEvaluator:
+    """Every real-line value is decomposed once, by its entry point, and the
+    entry points that share one evaluator agree bit for bit."""
+
+    ONE_DECOMPOSITION = {
+        "gamma_negative(2.5)": lambda: gamma_negative(2.5, CFG),
+        "gamma_negative(12.5)": lambda: gamma_negative(12.5, CFG),
+        "gamma_negative(2.5, cauchy_saalschutz)":
+            lambda: gamma_negative(2.5, CFG, MethodTag.CAUCHY_SAALSCHUTZ),
+        "gamma_negative(12.5, cauchy_saalschutz)":
+            lambda: gamma_negative(12.5, CFG, MethodTag.CAUCHY_SAALSCHUTZ),
+        "recip_gamma_neg_reflection(2.5)": lambda: recip_gamma_neg_reflection(2.5, CFG),
+        "recip_gamma_neg_reflection(12.5)": lambda: recip_gamma_neg_reflection(12.5, CFG),
+        "recip_gamma(12.5)": lambda: recip_gamma(12.5, CFG),
+        "recip_gamma(-12.5)": lambda: recip_gamma(-12.5, CFG),
+        "gamma(12.5)": lambda: gamma(12.5, CFG),
+    }
+
+    @pytest.mark.parametrize("name", ONE_DECOMPOSITION)
+    def test_argument_is_decomposed_once(self, name, monkeypatch):
+        calls = []
+
+        def spy(z):
+            calls.append(z)
+            return decompose(z)
+
+        monkeypatch.setattr(gamma_core, "decompose", spy)
+        self.ONE_DECOMPOSITION[name]()
+        assert len(calls) <= 1, calls
+
+    @pytest.mark.parametrize("z", [0.5, 8.5, 12.5, 150.5])
+    @pytest.mark.parametrize("eps", [1e-8, 1e-12])
+    def test_reflection_is_recip_gamma_of_minus_z(self, z, eps):
+        cfg = QuadratureConfig(eps_rel=eps)
+        assert tuple(recip_gamma_neg_reflection(z, cfg)) == tuple(recip_gamma(-z, cfg))
+
+    @pytest.mark.parametrize("z", [0.5, 8.5, 12.5, 150.5])
+    @pytest.mark.parametrize("eps", [1e-8, 1e-12])
+    @pytest.mark.parametrize(
+        "method", [MethodTag.REAL_AXIS, MethodTag.CAUCHY_SAALSCHUTZ, MethodTag.HANKEL]
+    )
+    def test_gamma_is_the_reciprocal_of_recip_gamma(self, z, eps, method):
+        cfg = QuadratureConfig(eps_rel=eps)
+        assert gamma(z, cfg, method).value == 1.0 / recip_gamma(z, cfg, method).value
+
+
 class TestFunctionalEquations:
     @pytest.mark.parametrize("z", [0.3, 0.7, 1.2, 2.8, 4.6, 7.9])
     def test_recurrence(self, z):
@@ -832,6 +880,30 @@ class TestNonFinite:
     def test_rejected(self, name, x):
         with pytest.raises(NonFiniteArgument):
             NON_FINITE_ENTRY_POINTS[name](x)
+
+
+# Entry points whose domain is z > 0 non-integer, and the error each bad
+# argument raises (gamma_negative checks its domain before its method)
+DOMAIN_ENTRY_POINTS = {
+    "gamma_negative": gamma_negative,
+    "gamma_cauchy_saalschutz": lambda x: gamma_negative(x, None, MethodTag.CAUCHY_SAALSCHUTZ),
+    "recip_gamma_neg_reflection": recip_gamma_neg_reflection,
+    "hankel_recip_gamma": hankel_recip_gamma,
+    "inverse_laplace": lambda x: inverse_laplace(x, 1.0),
+    "gamma_negative_hankel": lambda x: gamma_negative(x, None, MethodTag.HANKEL),
+}
+# a list, not a dict: -0.0 == 0.0 would share one key
+DOMAIN_ERRORS = [(0.0, NonPositiveArgument), (-0.0, NonPositiveArgument),
+                 (-1.5, NonPositiveArgument), (3.0, IntegerArgument), (12.0, IntegerArgument)]
+
+
+class TestDomainErrors:
+    @pytest.mark.parametrize("name", DOMAIN_ENTRY_POINTS)
+    @pytest.mark.parametrize("x,error", DOMAIN_ERRORS)
+    def test_rejected(self, name, x, error):
+        with pytest.raises(RegammaError) as info:
+            DOMAIN_ENTRY_POINTS[name](x)
+        assert type(info.value) is error
 
 
 class TestRealLineProperty:
