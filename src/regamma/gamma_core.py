@@ -21,21 +21,21 @@ axis's at the raised order); quadrature.integrate_regularized_kernel sums
 _real_line, turns that integral into a value at w > 0: 1/Gamma(w), or
 Gamma(-w), the paper's regularized hypersingular integral (-I(w)/w, or I
 at the raised order itself), which gamma_negative takes on real_axis and
-cauchy_saalschutz, or its reciprocal, recip_gamma(-w) on any of the four.
-It takes w = n + frac as decomposed once by its entry point.  gamma_ratio
-is the quotient of two real_axis values, 1/Gamma(B) over 1/Gamma(A).
+cauchy_saalschutz and gamma(-w) on any of the four, or its reciprocal,
+recip_gamma(-w).  It takes w = n + frac as decomposed once by its entry
+point.  gamma_ratio is the quotient of two real_axis values, 1/Gamma(B)
+over 1/Gamma(A).
 Positive integers use the exact factorial; zero and negative integers
 return the exact zeros of the entire function 1/Gamma.
 
 The cost and the rounding of I(z) grow with its truncation order n = [z]:
 past z of about 65 the closed-form polynomial tail cancels against the
-middle stretch.  So no route sees an argument past 9.  From 9 up, every
-value is taken at w = z - m in [8, 9), m = n - 8, exact and with z's frac,
-and moved back by the recurrence Gamma(x) = (x - 1) Gamma(x - 1) (see
-recurrence): 1/Gamma(z) on every route and either side of 0 (the hankel
-route inside its trapezoid rule), Gamma(-z) in gamma_negative on both of
-its routes, and Gamma(A)/Gamma(B), with one m for both and each of
-1/Gamma(A - m) and 1/Gamma(B - m) shifted once more by recip_gamma.
+middle stretch.  So no route sees an argument past 9, and this module
+chooses every shift: from 9 up the real line takes w = z - m in [8, 9),
+m = n - 8, exact and with z's frac, and the hankel route's rule takes
+w = z - m, m = floor(z) - 8, at every z.  _moved_back moves each value
+back by the recurrence Gamma(x) = (x - 1) Gamma(x - 1) and records it.
+gamma_ratio takes one m for A and B, and recip_gamma shifts each factor.
 
 A GammaValue's quadrature is the record of the value itself, which is
 reached from I(z) by products, a quotient or the recurrence:
@@ -96,6 +96,7 @@ class MethodTag(str, Enum):
 # The members the per-call path compares against, looked up once: an Enum
 # member lookup costs about 0.1 us on CPython 3.11
 _HANKEL = MethodTag.HANKEL
+_RECIP, _GAMMA_NEG, _RECIP_NEG = _Of.RECIP, _Of.GAMMA_NEG, _Of.RECIP_NEG
 _GAMMA_NEG_ROUTES = (MethodTag.REAL_AXIS, MethodTag.CAUCHY_SAALSCHUTZ)
 
 
@@ -140,11 +141,7 @@ def recurrence(value: float, x: float, m: int) -> float:
     value = 1/Gamma(x - m), and equally Gamma(x - m) from value = Gamma(x).
     The factors are applied one at a time, so that nothing overflows early
     and a result below the normal range underflows gradually; a value that
-    reaches 0 or infinity stays there.  For m < 0 the factor x comes last:
-    every product before it is 1/Gamma(x + j), j >= 1, x + j < 9, subnormal
-    only within about 1e-308 of 0, where x + j never lies for non-integer x.
-    So only the last product can round to an absolute unit below the
-    normal range, and no later factor amplifies it.
+    reaches 0 or infinity stays there.  For m < 0 the factor x comes last.
     """
     if m < 0:
         for j in range(-m - 1, -1, -1):
@@ -157,6 +154,32 @@ def recurrence(value: float, x: float, m: int) -> float:
             if value == 0.0:
                 break
     return value
+
+
+def _moved_back(base: IntegralResult, x: float, m: int, roundings: int,
+                eps_rel: float) -> IntegralResult:
+    """The record of recurrence(base.value, x, m), every shifted value's:
+    base is the record at x - m, whose value carries `roundings` roundings
+    of 2^-53 relative that base leaves out.
+
+    Each step rounds by 2^-53 relative or, below the normal range, by up
+    to half a subnormal unit.  The factors are exact on the real line and
+    from 9 up; the hankel route's below 8, and its w = z - m there, round,
+    which is left to its rule's count (measured, not derived).  For m > 0
+    every divisor is at least 8 in magnitude, so each division shrinks
+    that unit eightfold and all m stay below one.  For m < 0 every product
+    before the last, by x, is 1/Gamma(x + j), j >= 1, x + j < 9, subnormal
+    only within about 1e-308 of 0, where x + j never lies for non-integer
+    x, so only the last can leave the normal range.  So one rounding is
+    propagate's, with its unit, and the roundings + |m| - 1 others count
+    their relative part alone, as an exact factor 1.  Raises OverflowError
+    where 1/Gamma(x) exceeds double precision (only a product can).
+    """
+    value = recurrence(base.value, x, m)
+    if math.isinf(value):
+        raise OverflowError(f"1/Gamma({x!r}) overflows double precision")
+    steps = IntegralResult(1.0, (roundings + abs(m) - 1) * 2.0**-53, 0)
+    return propagate(value, [base, steps], 1, eps_rel)
 
 
 # The real-line routes, by their change of variables on the middle stretch
@@ -176,21 +199,15 @@ def _real_line(arg: ArgDecomposition, cfg: QuadratureConfig, method: MethodTag,
                of: _Of) -> GammaValue:
     """1/Gamma(w), Gamma(-w) or 1/Gamma(-w), as of selects, on a real-line
     route, for w = arg.z > 0 non-integer: the route's integral at w0 = w - m,
-    scaled, recorded and moved back by the recurrence.  m = arg.n - 8 from 9
+    scaled, recorded and moved back by _moved_back.  m = arg.n - 8 from 9
     up (else 0), so w0 < 9 is exact and keeps w's frac.
 
     1/Gamma(w) = recurrence(1/Gamma(w0), w, m), Gamma(-w) = recurrence(
-    Gamma(-w0), -w0, m) and 1/Gamma(-w) = recurrence(1/Gamma(-w0), -w, -m),
-    every factor exact and at least 8 in magnitude.  Each step rounds by
-    2^-53 relative or, below the normal range, by up to half a subnormal
-    unit, which each later division shrinks eightfold: all m together stay
-    below one unit (the products of 1/Gamma(-w) stay normal).  So the record
-    counts the last step as propagate's one rounding, and the m - 1 before
-    it by their relative part alone, as an exact factor 1 that carries that
-    error.  Raises OverflowError where Gamma(-w) exceeds double precision
-    (w below about 5.6e-309) and is the value or, on cauchy_saalschutz, the
-    integral (1/Gamma(-w) = -w/I(w), about -w, stays finite), and where
-    1/Gamma(-w) does (w past about 171.6).
+    Gamma(-w0), -w0, m) and 1/Gamma(-w) = recurrence(1/Gamma(-w0), -w, -m).
+    Raises OverflowError where Gamma(-w) exceeds double precision (w below
+    about 5.6e-309) and is the value or, on cauchy_saalschutz, the integral
+    (1/Gamma(-w) = -w/I(w), about -w, stays finite), and where 1/Gamma(-w)
+    does (w past about 171.6).
     """
     w = arg.z
     m = arg.n - SHIFT_BASE
@@ -202,38 +219,40 @@ def _real_line(arg: ArgDecomposition, cfg: QuadratureConfig, method: MethodTag,
         # same frac at order n + 1: I is the order-n regularization of Gamma(-w0)
         arg = ArgDecomposition(w0 + 1.0, arg.n + 1, arg.frac)
     res = integrate_regularized_kernel(arg, cfg, middle)
-    if of is _Of.RECIP:
+    if of is _RECIP:
         scale = sinpi(w0) / math.pi
         # I (about -1/w0 at tiny w0) is scaled before the factor -w0: -w0
         # scale, about -w0^2, would go subnormal there and lose its digits
         value = -w0 * (scale * res.value) if raised else scale * res.value
-    elif of is _Of.GAMMA_NEG:
+        x, k = w, m
+    elif of is _GAMMA_NEG:
         value = res.value if raised else -res.value / w0
+        x, k = -w0, m
     else:
         value = 1.0 / res.value if raised else -w0 / res.value
+        x, k = -w, -m
     if math.isinf(value) or math.isinf(res.value):
         raise OverflowError(f"Gamma({-w0!r}) overflows double precision")
     record = propagate(value, [res], _ROUTE_ROUNDING, cfg.eps_rel)
-    if m <= 0:
-        return GammaValue(value, method, record)
-    x, k = {_Of.RECIP: (w, m), _Of.GAMMA_NEG: (-w0, m), _Of.RECIP_NEG: (-w, -m)}[of]
-    value = recurrence(value, x, k)
-    if math.isinf(value):
-        raise OverflowError(f"1/Gamma({-w!r}) overflows double precision")
-    steps = IntegralResult(1.0, (m - 1) * 2.0**-53, 0)
-    return GammaValue(value, method, propagate(value, [record, steps], 1, cfg.eps_rel))
+    if m > 0:
+        record = _moved_back(record, x, k, 0, cfg.eps_rel)
+    return GammaValue(record.value, method, record)
+
+
+def _steepest_descent(z: float, cfg: QuadratureConfig) -> IntegralResult:
+    """The hankel route's record of 1/Gamma(z), z real non-integer: the
+    rule at w = z - m in [8, 9), moved back (upward below 8)."""
+    m = math.floor(z) - SHIFT_BASE
+    rule = hankel.steepest_descent_recip_gamma(z - m)
+    return _moved_back(rule, z, m, hankel._TRAPEZOID_ROUNDING, cfg.eps_rel)
 
 
 def _recip_gamma(z: float, cfg: QuadratureConfig, method: MethodTag) -> GammaValue:
     """1/Gamma(z) at finite non-integer z: recip_gamma's and gamma's evaluator."""
     if method is _HANKEL:
-        from . import hankel
-
-        res = hankel.steepest_descent_recip_gamma(z, cfg)
-        if math.isinf(res.value):
-            raise OverflowError(f"1/Gamma({z!r}) overflows double precision")
+        res = _steepest_descent(z, cfg)
         return GammaValue(res.value, method, res)
-    return _real_line(decompose(abs(z)), cfg, method, _Of.RECIP_NEG if z < 0.0 else _Of.RECIP)
+    return _real_line(decompose(abs(z)), cfg, method, _RECIP_NEG if z < 0.0 else _RECIP)
 
 
 def recip_gamma(
@@ -271,7 +290,7 @@ def recip_gamma(
 
 def recip_gamma_neg_reflection(z: float, cfg: QuadratureConfig | None = None) -> GammaValue:
     """1/Gamma(-z) for z > 0 non-integer: recip_gamma(-z)."""
-    return _real_line(decompose(z), cfg or QuadratureConfig(), MethodTag.REAL_AXIS, _Of.RECIP_NEG)
+    return _real_line(decompose(z), cfg or QuadratureConfig(), MethodTag.REAL_AXIS, _RECIP_NEG)
 
 
 def gamma_negative(
@@ -292,7 +311,7 @@ def gamma_negative(
     arg = decompose(z)
     if method not in _GAMMA_NEG_ROUTES:
         raise RegammaError(f"Gamma(-z) takes real_axis or cauchy_saalschutz, not {method.value}")
-    return _real_line(arg, cfg or QuadratureConfig(), method, _Of.GAMMA_NEG)
+    return _real_line(arg, cfg or QuadratureConfig(), method, _GAMMA_NEG)
 
 
 def gamma_ratio(A: float, B: float, cfg: QuadratureConfig | None = None) -> GammaValue:
@@ -344,9 +363,13 @@ def gamma(
 ) -> GammaValue:
     """Gamma(z) = 1/recip_gamma(z); exact factorials at positive integers.
 
-    Raises PoleError at non-positive integers, OverflowError once the
-    value exceeds double precision (integer z > 171, and z = +inf) and
-    NonFiniteArgument at NaN and -inf.
+    Negative z on a real-line route is Gamma(-w) at w = -z itself, the
+    integral gamma_negative takes, so below about -171.6, where 1/Gamma(z)
+    overflows, Gamma(z) is still its subnormal value.  The hankel route
+    inverts 1/Gamma(z) at every z, and raises OverflowError there.  Raises
+    PoleError at non-positive integers, OverflowError once the value
+    exceeds double precision (integer z > 171, |z| below about 5.6e-309,
+    and z = +inf) and NonFiniteArgument at NaN and -inf.
     """
     if z == math.inf:
         raise OverflowError(f"Gamma({z!r}) overflows double precision")
@@ -359,8 +382,13 @@ def gamma(
             raise OverflowError(f"Gamma({z!r}) overflows double precision")
         return GammaValue(float(math.factorial(m - 1)), method, None)
     cfg = cfg or QuadratureConfig()
+    if z < 0.0 and method is not _HANKEL:
+        return _real_line(decompose(-z), cfg, method, _GAMMA_NEG)
     rg = _recip_gamma(z, cfg, method)
     value = 1.0 / rg.value if rg.value else math.inf
     if math.isinf(value):
         raise OverflowError(f"Gamma({z!r}) overflows double precision")
     return GammaValue(value, rg.method, propagate(value, [rg.quadrature], 1, cfg.eps_rel))
+
+
+from . import hankel  # noqa: E402  (last: hankel imports this module)

@@ -12,9 +12,9 @@ with s = w u(theta), and the trapezoid rule on it converges geometrically
 (Weideman & Trefethen, Math. Comp. 76, 2007).  On a path that stays off
 the origin the paper's regularizing polynomial integrates to exactly 0,
 so each node is the paper's integrand at order 0, ray_kernel(|s|, theta,
-w, 0).  z is first moved into [8, 9) by the recurrence, where 24 nested
-nodes reach double precision; the difference of the 12- and 24-node sums
-is the error estimate.
+w, 0).  gamma_core shifts z to w in [8, 9), where 24 nested nodes reach
+double precision, and moves the value back; the difference of the 12- and
+24-node sums is the error estimate.
 
 The paper's own contour stays as the cross-check of its claim that the
 real-line integral equals Hankel's (hankel_recip_gamma, arc_contribution
@@ -95,6 +95,7 @@ from .kernel import ArgDecomposition, _ratio_series, decompose
 from .quadrature import (
     _EPMACH,
     _GL15,
+    ConditionFlag,
     IntegralResult,
     QuadratureConfig,
     _gl15_panels,
@@ -105,6 +106,7 @@ from .quadrature import (
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+_LOG_SUBNORMAL = math.log(math.ulp(0.0))
 # The ray ends where the bound on its exponential part past it is this
 # share of a segment's tolerance on 1/Gamma(z).
 _TAIL_NEGLIGIBLE = 0.01
@@ -123,9 +125,8 @@ _RAY_CANCELLATION = 0.25
 # The 15-point rule's abscissae and weights, apart.
 _GL15_X, _GL15_W = zip(*_GL15)
 
-# The route's trapezoid rule: z is moved into [8, 9) by the recurrence
-# (gamma_core.recurrence), and the nodes theta_j = j pi / (2 N), j < 2 N, of
-# the steepest-descent path are stored as (theta, e^{i theta},
+# The route's trapezoid rule at w in [8, 9): the nodes theta_j = j pi / (2 N),
+# j < 2 N, of the steepest-descent path are stored as (theta, e^{i theta},
 # theta / sin theta); the even ones are the N-node rule.
 _TRAPEZOID_N = 12
 _PATH_NODES = tuple(
@@ -211,38 +212,16 @@ def ray_kernel(r: float, t: float, theta: float, unit: complex, z: float, n: int
     return (cmath.exp(tau) - total) * (scale * phases[1]), moduli * scale
 
 
-def steepest_descent_recip_gamma(z: float, cfg: QuadratureConfig) -> IntegralResult:
-    """1/Gamma(z) for real non-integer z by the steepest-descent trapezoid rule.
-
-    With m = floor(z) - 8, w = z - m lies in [8, 9), and
-    gamma_core.recurrence moves 1/Gamma(w) back to 1/Gamma(z), the one
-    shift that every route shares: below 8, negative z included, it
-    multiplies by z (z+1)...(z+|m|-1), from 9 up it divides by
-    (z-1)...(z-m), one factor at a time.  1/Gamma(w) is the 24-node sum of
-    (w/pi) int_0^pi e^s s^{-w} dtheta (see the module docstring).
-
-    The record is that of 1/Gamma(z) itself, with 24 evaluations: the
-    24-node sum, whose error is its difference from the 12-node sum, moved
-    back by the recurrence's |m| factors.  quadrature.propagate adds the
-    rounding of the sum and of the factors and decides the flag.  The sum
-    lies in the normal range.  From 9 up every divisor is at least 8, so
-    the absolute roundings of the divisions stay below one subnormal unit
-    together, as in gamma_core._real_line; below 8 only the last
-    product, by the factor z, can leave the normal range.  So one
-    rounding counts an absolute unit, and the others their relative part
-    alone, as an exact factor 1 that carries it.
-    """
-    m = math.floor(z) - gamma_core.SHIFT_BASE
-    w = z - m
+def steepest_descent_recip_gamma(w: float) -> IntegralResult:
+    """The record of 1/Gamma(w), w in [8, 9): the 24-node sum of (w/pi)
+    int_0^pi e^s s^{-w} dtheta, its difference from the 12-node sum as its
+    error.  gamma_core adds its rounding, _TRAPEZOID_ROUNDING."""
     terms = [ray_kernel(w * rho, math.log(w * rho), theta, unit, w, 0, 0.0, None)[0].real
              for theta, unit, rho in _PATH_NODES]
     head = 0.5 * terms[0]
     fine = (head + math.fsum(terms[1:])) * (w / len(terms))
     coarse = (head + math.fsum(terms[2::2])) * (2.0 * w / len(terms))
-    trapezoid = IntegralResult(fine, abs(fine - coarse), len(terms))
-    value = gamma_core.recurrence(fine, z, m)
-    roundings = IntegralResult(1.0, (_TRAPEZOID_ROUNDING + abs(m) - 1) * 2.0**-53, 0)
-    return propagate(value, [trapezoid, roundings], 1, cfg.eps_rel)
+    return IntegralResult(fine, abs(fine - coarse), len(terms))
 
 
 def _target(z: float, eps_rel: float) -> float:
@@ -367,10 +346,23 @@ def _contour_eval(
     """(1/2 pi i) contour integral of (e^s - e_{n-1}(s)) / s^z.
 
     The value is real: Im of the upper half's integral over pi, by propagate:
-    a sum that underflowed to 0, as past 1/Gamma's range, is never ok.
+    a sum that underflowed to 0 is never ok.  Past 1/Gamma's range no value
+    that lies within its estimate can be ok, so none is summed.
+    propagate's one rounding puts at least one subnormal unit u = 2^-1074
+    in the error, so an ok value v has u <= eps_rel |v|; within its
+    estimate, |v - 1/Gamma(z)| <= eps_rel |v|, so |v| <= |1/Gamma(z)| /
+    (1 - eps_rel).  By Stirling's lower bound Gamma(z) >= sqrt(2 pi)
+    z^{z-1/2} e^{-z}, which holds at every z > 0, |1/Gamma(z)| <=
+    e^{z - (z-1/2) log z} / sqrt(2 pi).  Where eps_rel / (1 - eps_rel)
+    times that bound is below u, from z of about 174.8, 173.0 and 172.1 at
+    eps_rel 1e-8, 1e-12 and 1e-14, the record of a sum that underflowed to
+    0 is returned before any node.
     """
     z = arg.z
     _validate(contour, z)
+    log_bound = z - (z - 0.5) * math.log(z) - _HALF_LOG_2PI
+    if log_bound + math.log(cfg.eps_rel / (1.0 - cfg.eps_rel)) < _LOG_SUBNORMAL:
+        return IntegralResult(0.0, math.inf, 0, ConditionFlag.TOLERANCE_NOT_MET)
     delta, r0 = contour.delta, contour.r0
     decay = abs(math.cos(delta))
     # R is where the bound on the exponential part past it (below), R^{-z}
@@ -417,6 +409,9 @@ def hankel_recip_gamma(
     (pi/2, pi), an arc radius that is not finite and positive, or one so
     small that r0^{-z} overflows.  A segment past _PANEL_CAP panels is
     summed at the cap, its bound in the error, and flagged where it misses.
+    Past 1/Gamma's range (from z of about 174.8 at eps_rel 1e-8, 172.1 at
+    1e-14) the result is 0.0, flagged with an unbounded estimate and no
+    evaluation.
     """
     arg = decompose(z)
     res = _contour_eval(arg, contour or HankelContour(), cfg or QuadratureConfig())
@@ -453,7 +448,7 @@ def inverse_laplace(
 
     The Bromwich integral of Gamma(k+1) e^{ts} / s^{k+1} over a Hankel
     contour is Gamma(k+1) t^k / Gamma(k+1), with 1/Gamma(k+1) from
-    steepest_descent_recip_gamma.  From k + 1 = 9 up, both Gammas would
+    gamma_core._steepest_descent.  From k + 1 = 9 up, both Gammas would
     be taken at w = k + 1 - m in [8, 9) and moved back by m factors of the
     recurrence that cancel, so both are taken at w and the factors left
     out; the product is formed in that order, so Gamma(w) and its
@@ -469,7 +464,7 @@ def inverse_laplace(
     w = k + 1.0
     w -= max(0, math.floor(w) - gamma_core.SHIFT_BASE)
     gamma_w = gamma_core.gamma(w, cfg)
-    recip = steepest_descent_recip_gamma(w, cfg)
+    recip = gamma_core._steepest_descent(w, cfg)
     value = gamma_w.value * recip.value * t**k
     record = propagate(value, [recip, gamma_w.quadrature], 3, cfg.eps_rel)
     return gamma_core.GammaValue(value, gamma_core.MethodTag.HANKEL, record)

@@ -765,6 +765,25 @@ class TestGamma:
         with pytest.raises(PoleError):
             gamma(0.0)
 
+    @pytest.mark.parametrize("method", [MethodTag.REAL_AXIS, MethodTag.CAUCHY_SAALSCHUTZ])
+    @pytest.mark.parametrize("z", [-171.2, -171.7, -172.5])
+    def test_subnormal_below_the_range_of_recip_gamma(self, z, method):
+        # Gamma(z) is finite (Gamma(-171.7) is about 1.9e-310), though
+        # 1/Gamma(z) overflows: inverting it raised OverflowError
+        gv = gamma(z, CFG, method)
+        with mpmath.workdps(30):
+            ref = mpmath.gamma(z)
+            err = abs(gv.value - ref)
+            assert err <= gv.quadrature.abs_error_estimate
+            if gv.condition_flag is ConditionFlag.OK:
+                assert err <= CFG.eps_rel * abs(ref)
+        assert gv.value != 0.0
+
+    def test_hankel_route_inverts_recip_gamma(self):
+        # the hankel route takes Gamma(z) as 1/(1/Gamma(z)), which overflows
+        with pytest.raises(OverflowError):
+            gamma(-171.7, CFG, MethodTag.HANKEL)
+
     def test_overflow(self):
         with pytest.raises(OverflowError):
             gamma(172.0)

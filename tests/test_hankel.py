@@ -216,6 +216,22 @@ class TestHankelRecipGamma:
         with mpmath.workdps(30):
             assert abs(gv.value - mpmath.rgamma(z)) <= gv.quadrature.abs_error_estimate
 
+    def test_past_the_range_of_recip_gamma_evaluates_no_node(self, monkeypatch):
+        # no value there can be ok, so none is summed: the contour took 30
+        # ray_kernel calls to return 0.0, flagged
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return ray_kernel(*args)
+
+        monkeypatch.setattr(hankel, "ray_kernel", spy)
+        gv = hankel_recip_gamma(1000.5, HankelContour(), QuadratureConfig())
+        assert calls == []
+        assert gv.value == 0.0 and gv.quadrature.evaluations == 0
+        assert gv.condition_flag is ConditionFlag.TOLERANCE_NOT_MET
+        assert gv.quadrature.abs_error_estimate == math.inf
+
     @pytest.mark.parametrize(
         "z,delta,r0",
         [
