@@ -186,7 +186,7 @@ def ray_kernel(r: float, t: float, theta: float, unit: complex, z: float, n: int
     tau = r * unit
     if not n:
         return cmath.exp(tau - z * complex(t, theta)), 0.0
-    if r <= max(1.0, 0.5 * n):  # the kernel's series radius
+    if r <= 1.0 or r <= 0.5 * n:  # the kernel's series radius, as in exp_remainder
         return _ratio_series(tau, n) * (math.exp((n - z) * t - log_fact) * phases[0]), 0.0
     if z * t > _LOG_FLOAT_MAX - 10.0:
         # tau^{-z} would leave the normal range, and e_{n-1}(tau) may, though

@@ -62,6 +62,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
 from .kernel import ArgDecomposition, exp_remainder
@@ -93,6 +94,8 @@ _WG = (
     0.381830050505118944950369775488975,
 )
 _WG_CENTER = 0.417959183673469387755102040816327
+# the Kronrod half-rule as (abscissa, weight) pairs, for _gk15's node loop
+_GK_PAIRS = tuple(zip(_XGK, _WGK))
 
 # 15-point Gauss-Legendre abscissae and weights on [-1, 1] (positive half;
 # the centre apart); _GL15 is the whole rule as (abscissa, weight) pairs.
@@ -207,43 +210,60 @@ def _gk15(f: Callable[[float], float | complex], a: float, b: float):
     outer nodes center -+ dx round past a or b; the nodes are then clamped
     onto [a, b], where several coincide, so the rule no longer measures
     its own error, and the estimate is at least resabs.
+
+    This runs once per panel and f once per node, so each min or max is
+    written as the comparison it stands for (max(p, q) is p unless q > p,
+    min(p, q) is p unless q < p), which keeps NaN, signed zeros and ties
+    where the builtins put them.
     """
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
     narrow = center - half * _XGK[0] < a or center + half * _XGK[0] > b
     if narrow:
         inner = f
-        f = lambda x: inner(min(max(x, a), b))
+
+        def f(x):
+            if a > x:
+                x = a
+            if b < x:
+                x = b
+            return inner(x)
+
     fc = f(center)
     resk = _WGK_CENTER * fc
-    resg = _WG_CENTER * fc
     resabs = _WGK_CENTER * abs(fc)
+    # f at center - dx and center + dx, pair by pair, from the outermost in
     fv = []
-    for i, x in enumerate(_XGK):
+    for x, w in _GK_PAIRS:
         dx = half * x
         f1 = f(center - dx)
         f2 = f(center + dx)
-        fv.append((f1, f2))
-        resk += _WGK[i] * (f1 + f2)
-        resabs += _WGK[i] * (abs(f1) + abs(f2))
-        if i % 2 == 1:
-            resg += _WG[i // 2] * (f1 + f2)
+        fv.append(f1)
+        fv.append(f2)
+        resk += w * (f1 + f2)
+        resabs += w * (abs(f1) + abs(f2))
+    # the embedded 7-point Gauss rule takes the pairs 1, 3 and 5
+    resg = (_WG_CENTER * fc + _WG[0] * (fv[2] + fv[3]) + _WG[1] * (fv[6] + fv[7])
+            + _WG[2] * (fv[10] + fv[11]))
     reskh = 0.5 * resk
     resasc = _WGK_CENTER * abs(fc - reskh)
-    for i, (f1, f2) in enumerate(fv):
-        resasc += _WGK[i] * (abs(f1 - reskh) + abs(f2 - reskh))
+    pairs = iter(fv)  # zip takes each pair back off it, f1 then f2
+    for w, f1, f2 in zip(_WGK, pairs, pairs):
+        resasc += w * (abs(f1 - reskh) + abs(f2 - reskh))
     value = resk * half
     resabs *= abs(half)
     resasc *= abs(half)
     err = abs((resk - resg) * half)
     if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    if narrow:
-        err = max(err, resabs)
+        scale = (200.0 * err / resasc) ** 1.5
+        err = resasc * scale if scale < 1.0 else resasc
+    if narrow and resabs > err:
+        err = resabs
     floor = 0.0
     if resabs > _UFLOW / (50.0 * _EPMACH):
         floor = _EPMACH * 50.0 * resabs
-        err = max(floor, err)
+        if not err > floor:
+            err = floor
     return value, err, floor
 
 
@@ -290,7 +310,9 @@ def integrate_finite(
     while True:
         total_val = _fsum([p[3] for p in panels])
         total_err = math.fsum(p[0] for p in panels)
-        target = max(EPS_ABS, cfg.eps_rel * abs(total_val))
+        target = cfg.eps_rel * abs(total_val)
+        if not target > EPS_ABS:
+            target = EPS_ABS
         if total_err <= target:
             break
         if floor_sum > target and total_err <= _FLOOR_MARGIN * floor_sum:
@@ -300,7 +322,7 @@ def integrate_finite(
         if nsub >= _MAX_BISECTIONS:
             flag = ConditionFlag.TOLERANCE_NOT_MET
             break
-        worst = max(panels, key=lambda p: p[0])
+        worst = max(panels, key=itemgetter(0))
         left, right = worst[1], worst[2]
         mid = 0.5 * (left + right)
         if not left < mid < right:

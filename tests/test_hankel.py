@@ -321,6 +321,32 @@ class TestNodeRounding:
         assert hankel._segment(nodes, weights, 1.0, 0.0, arg, 0.0, 0.0, True).value == -1e-16
 
 
+class TestSeriesRadius:
+    """ray_kernel takes the series exactly where the kernel does, at
+    r <= max(1, n/2), which both write as two comparisons."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 9, 20, 170])
+    def test_series_exactly_where_the_kernel_takes_it(self, n):
+        # on the series path nothing cancels, so the count is 0.0; on the
+        # direct path it is e_{n-1}(r) r^{-z} > 0
+        theta, z = 2.5, n + 0.5
+        for edge in (1.0, 0.5 * n):
+            for r in (edge, math.nextafter(edge, math.inf)):
+                series = kernel._use_series(r, n)
+                assert series == (r <= max(1.0, 0.5 * n))
+                count = node_pair(r, theta, z, n)[1]
+                if series:
+                    assert count == 0.0
+                else:
+                    assert count > 0.0
+        # up to the larger edge the series, one double past it the direct path
+        radius = 0.5 * n if n > 2 else 1.0
+        past = math.nextafter(radius, math.inf)
+        assert node_pair(radius, theta, z, n)[1] == 0.0
+        assert not kernel._use_series(past, n)
+        assert node_pair(past, theta, z, n)[1] > 0.0
+
+
 class TestRayDifferenceKernel:
     def test_closed_form_at_delta_pi(self):
         # collapses to -2i e^{-1} at r=1, z=0.5, n=0
