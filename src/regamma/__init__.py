@@ -16,16 +16,13 @@ from .gamma_core import (
     gamma,
     gamma_negative,
     gamma_ratio,
-    recip_gamma,
-    recip_gamma_neg_reflection,
-)
-from .hankel import (
-    HankelContour,
-    arc_contribution,
     hankel_recip_gamma,
     inverse_laplace,
     inverse_laplace_monomial,
+    recip_gamma,
+    recip_gamma_neg_reflection,
 )
+from .hankel import HankelContour, arc_contribution
 from .kernel import (
     ArgDecomposition,
     decompose,

@@ -16,10 +16,11 @@ Sweep output is deterministic CSV (header ``z,value,abs_err,method,flag``,
 reproduced byte for byte.  REGAMMA_EPS_REL overrides the default 1e-8
 relative tolerance; an explicit --eps-rel flag wins over the environment.
 
-verify prints one line per check, "PASS|FAIL name max_dev=D tol=T": D is
-the largest deviation the check measured, T its tolerance.  A check also
-fails when a result it compared is flagged tolerance_not_met, and its line
-then ends in " flag=tolerance_not_met"; one whose call raises prints
+verify runs nine checks, the last two on the paper's contour, and prints
+one line per check, "PASS|FAIL name max_dev=D tol=T": D is the largest
+deviation the check measured, T its tolerance.  A check also fails when
+a result it compared is flagged tolerance_not_met, and its line then
+ends in " flag=tolerance_not_met"; one whose call raises prints
 "FAIL name tol=T error=Type: message".  It exits 0 iff every check passes.
 """
 
@@ -43,9 +44,11 @@ from .gamma_core import (
     gamma,
     gamma_negative,
     gamma_ratio,
+    hankel_recip_gamma,
+    inverse_laplace,
     recip_gamma,
 )
-from .hankel import HankelContour, hankel_recip_gamma, inverse_laplace
+from .hankel import HankelContour
 from .quadrature import ConditionFlag, QuadratureConfig
 
 _METHODS = {
@@ -264,7 +267,7 @@ def cmd_sweep(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _checks(cfg: QuadratureConfig, hankel: bool):
+def _checks(cfg: QuadratureConfig):
     """The cross-validation suite, in report order: (name, tolerance, rows),
     rows a function that yields them, each (deviation, the GammaValues)."""
     def recurrence():
@@ -316,9 +319,6 @@ def _checks(cfg: QuadratureConfig, hankel: bool):
             yield abs(gv.value), [gv]
     yield "entire_function_zeros", 0.0, zeros
 
-    if not hankel:
-        return
-
     def agreement():
         for z in (0.5, 1.5, 3.3):
             contour, real = hankel_recip_gamma(z, HankelContour(), cfg), recip_gamma(z, cfg)
@@ -339,7 +339,7 @@ def _checks(cfg: QuadratureConfig, hankel: bool):
 
 def cmd_verify(args) -> int:
     all_ok = True
-    for name, tol, check in _checks(_config(args), args.hankel):
+    for name, tol, check in _checks(_config(args)):
         try:
             rows = list(check())
         except (RegammaError, OverflowError) as exc:
@@ -431,7 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run the cross-validation suite")
-    p_verify.add_argument("--hankel", action="store_true")
     p_verify.add_argument("--eps-rel", type=float, default=None)
     p_verify.set_defaults(func=cmd_verify)
 

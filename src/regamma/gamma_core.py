@@ -13,7 +13,8 @@ are exposed (selected by MethodTag):
   cauchy_saalschutz Gamma(-z) regularized at order n, times -z sin(pi z)/pi
 
 plus `hankel`, the trapezoid rule on the steepest-descent path of Hankel's
-integral, resolved by the hankel module.  The four real-line routes are
+integral, and the paper's contour (hankel_recip_gamma) and inverse_laplace,
+all three from the hankel module's records.  The four real-line routes are
 one table from MethodTag to quadrature's middle functions, the change of
 variables on the middle stretch [1, 36] (cauchy_saalschutz takes the real
 axis's at the raised order); quadrature.integrate_regularized_kernel sums
@@ -35,6 +36,8 @@ chooses every shift: from 9 up the real line takes w = z - m in [8, 9),
 m = n - 8, exact and with z's frac, and the hankel route's rule takes
 w = z - m, m = floor(z) - 8, at every z.  _moved_back moves each value
 back by the recurrence Gamma(x) = (x - 1) Gamma(x - 1) and records it.
+inverse_laplace takes both of its Gammas at k + 1 - m in [8, 9) from 9
+up, where the factors of the recurrence cancel.
 gamma_ratio takes one m for A and B, and recip_gamma shifts each factor.
 
 A GammaValue's quadrature is the record of the value itself, which is
@@ -61,6 +64,14 @@ from .quadrature import (
     power_subst_middle,
     propagate,
     real_axis_middle,
+)
+# last, after the layers it imports: compiled from source, the import then
+# peaks about 0.3 MB lower
+from .hankel import (
+    TRAPEZOID_ROUNDING,
+    HankelContour,
+    contour_recip_gamma,
+    steepest_descent_recip_gamma,
 )
 
 # largest m with (m-1)! representable in double precision
@@ -243,8 +254,8 @@ def _steepest_descent(z: float, cfg: QuadratureConfig) -> IntegralResult:
     """The hankel route's record of 1/Gamma(z), z real non-integer: the
     rule at w = z - m in [8, 9), moved back (upward below 8)."""
     m = math.floor(z) - SHIFT_BASE
-    rule = hankel.steepest_descent_recip_gamma(z - m)
-    return _moved_back(rule, z, m, hankel._TRAPEZOID_ROUNDING, cfg.eps_rel)
+    rule = steepest_descent_recip_gamma(z - m)
+    return _moved_back(rule, z, m, TRAPEZOID_ROUNDING, cfg.eps_rel)
 
 
 def _recip_gamma(z: float, cfg: QuadratureConfig, method: MethodTag) -> GammaValue:
@@ -391,4 +402,65 @@ def gamma(
     return GammaValue(value, rg.method, propagate(value, [rg.quadrature], 1, cfg.eps_rel))
 
 
-from . import hankel  # noqa: E402  (last: hankel imports this module)
+def hankel_recip_gamma(
+    z: float,
+    contour: HankelContour | None = None,
+    cfg: QuadratureConfig | None = None,
+) -> GammaValue:
+    """1/Gamma(z) as the paper's regularized contour integral, z > 0
+    non-integer: hankel.contour_recip_gamma's record.
+
+    The route's consistency check is invariance of the value under changes
+    of delta and r0.  Raises ContourDegenerate for a ray angle outside
+    (pi/2, pi), an arc radius that is not finite and positive, or one so
+    small that r0^{-z} overflows.  Past 1/Gamma's range (from z of about
+    174.8 at eps_rel 1e-8, 172.1 at 1e-14) the result is 0.0, flagged with
+    an unbounded estimate and no evaluation.
+    """
+    arg = decompose(z)
+    res = contour_recip_gamma(arg, contour or HankelContour(), cfg or QuadratureConfig())
+    return GammaValue(res.value, _HANKEL, res)
+
+
+def inverse_laplace(
+    k: float, t: float, cfg: QuadratureConfig | None = None
+) -> GammaValue:
+    """Invert Gamma(k+1)/s^{k+1} at time t; the exact answer is t^k.
+
+    The Bromwich integral of Gamma(k+1) e^{ts} / s^{k+1} over a Hankel
+    contour is Gamma(k+1) t^k / Gamma(k+1), with 1/Gamma(k+1) from
+    _steepest_descent.  From k + 1 = 9 up, both Gammas would
+    be taken at w = k + 1 - m in [8, 9) and moved back by m factors of the
+    recurrence that cancel, so both are taken at w and the factors left
+    out; the product is formed in that order, so Gamma(w) and its
+    reciprocal cancel first and the value overflows only where t^k itself
+    does.  The result's record is that of the product: the relative errors
+    of 1/Gamma(w) and of Gamma(w) add to those of its three roundings, and
+    the flag is decided against cfg.eps_rel.
+    """
+    decompose(k)
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"time must be finite and > 0, got {t!r}")
+    cfg = cfg or QuadratureConfig()
+    w = k + 1.0
+    w -= max(0, math.floor(w) - SHIFT_BASE)
+    gamma_w = gamma(w, cfg)
+    recip = _steepest_descent(w, cfg)
+    value = gamma_w.value * recip.value * t**k
+    record = propagate(value, [recip, gamma_w.quadrature], 3, cfg.eps_rel)
+    return GammaValue(value, _HANKEL, record)
+
+
+def inverse_laplace_monomial(
+    k: float,
+    t: float,
+    contour: None = None,
+    cfg: QuadratureConfig | None = None,
+) -> float:
+    """The value of inverse_laplace: t^k from the contour integral.
+
+    The third argument takes no contour; it must be None.
+    """
+    if contour is not None:
+        raise TypeError(f"inverse_laplace_monomial takes no contour, got {contour!r}")
+    return inverse_laplace(k, t, cfg).value

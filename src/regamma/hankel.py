@@ -1,24 +1,25 @@
-"""Complex-plane evaluation of the reciprocal Gamma function.
+"""The contour layer: Hankel's integral for the reciprocal Gamma function,
+its nodes and rules, each returning an IntegralResult.  gamma_core chooses
+every argument and shift and builds every GammaValue from these records.
 
-The route (recip_gamma with MethodTag.HANKEL, and inverse_laplace) is a
-trapezoid rule on the steepest-descent path of Hankel's integral
-1/Gamma(w) = (1/2 pi i) int_H e^s s^{-w} ds.  With s = w u the exponent
-is w (u - log u), and the path u(theta) = theta/sin(theta) e^{i theta},
--pi < theta < pi, keeps Im(u - log u) = 0: the integrand e^s s^{-w} is
-real and positive on it, peaks at theta = 0 and falls off faster than
-exponentially towards both ends, and Im u = theta.  For real w the two
-halves are conjugate, so 1/Gamma(w) = (w/pi) int_0^pi e^s s^{-w} dtheta
-with s = w u(theta), and the trapezoid rule on it converges geometrically
-(Weideman & Trefethen, Math. Comp. 76, 2007).  On a path that stays off
-the origin the paper's regularizing polynomial integrates to exactly 0,
-so each node is the paper's integrand at order 0, ray_kernel(|s|, theta,
-w, 0).  gamma_core shifts z to w in [8, 9), where 24 nested nodes reach
-double precision, and moves the value back; the difference of the 12- and
+steepest_descent_recip_gamma is the hankel route's rule, a trapezoid rule
+on the steepest-descent path of 1/Gamma(w) = (1/2 pi i) int_H e^s s^{-w} ds.
+With s = w u the exponent is w (u - log u), and the path u(theta) =
+theta/sin(theta) e^{i theta}, -pi < theta < pi, keeps Im(u - log u) = 0:
+the integrand e^s s^{-w} is real and positive on it, peaks at theta = 0
+and falls off faster than exponentially towards both ends, and Im u =
+theta.  For real w the two halves are conjugate, so 1/Gamma(w) = (w/pi)
+int_0^pi e^s s^{-w} dtheta with s = w u(theta), and the trapezoid rule on
+it converges geometrically (Weideman & Trefethen, Math. Comp. 76, 2007).
+On a path that stays off the origin the paper's regularizing polynomial
+integrates to exactly 0, so each node is the paper's integrand at order 0,
+ray_kernel(|s|, theta, w, 0).  At w in [8, 9), where gamma_core takes it,
+24 nested nodes reach double precision; the difference of the 12- and
 24-node sums is the error estimate.
 
-The paper's own contour stays as the cross-check of its claim that the
-real-line integral equals Hankel's (hankel_recip_gamma, arc_contribution
-and verify --hankel).  It runs in from infinity along the ray
+contour_recip_gamma is the paper's own contour, the cross-check of its
+claim that the real-line integral equals Hankel's (with arc_contribution).
+It runs in from infinity along the ray
 arg(tau) = -delta, circles the origin counterclockwise on an arc of
 radius r0, and runs back out along arg(tau) = +delta, with
 pi/2 < delta < pi so the exponential decays on the rays and the path
@@ -32,23 +33,14 @@ the right one.  Every node of the contour, and of the steepest-descent
 rule, is ray_kernel, which takes the remainder by the kernel's own
 dispatch: beyond max(1, n/2) the direct difference, and within it, for
 n >= 1, the kernel's one series n! sum_{j>=0} tau^j/(n+j)! times
-tau^n/n!, which goes into the power of tau.  Its caller forms what a
-segment holds constant once: on a ray e^{i delta}, lgamma(n + 1) and the
-phases e^{i(n-z) delta} and e^{-iz delta} of tau^{n-z} and tau^{-z}
-(_phases), on the arc log r0 and lgamma(n + 1), with the direction and
-phases by cmath.rect at each node; and each node passes t = log r
-itself.  A series node is then the series times one real exponential,
-exp((n - z) t - log n!), times its phase, and underflows only where its
-own value does (at z = 108.03 and r0 = 0.025, r0^n/n! alone underflows;
-the arc is about 7e-177).  A direct node is (e^tau - e_{n-1}(tau)) times
-e^{-zt} and its phase, and order 0 is the single exp(tau - z log tau).
-Off the series path, where tau^{-z} alone would leave the normal range
-(z log|tau| > 699.8), each term of the difference takes its power of tau
-in its exponent: e^tau tau^{-z} is exp(tau - z log tau), and
-e_{n-1}(tau) tau^{-z} is exp((n - 1 - z) log tau - log (n-1)!) times a
-Horner sum in 1/tau, so neither tau^{-z} nor e_{n-1}(tau) leaves the
-range alone.  The public kernel.exp_remainder and kernel_ratio only ever
-see real arguments.
+tau^n/n!, which goes into the power of tau; each segment forms what it
+holds constant once.  A series node underflows only where its own value
+does (at z = 108.03 and r0 = 0.025, r0^n/n! alone underflows; the arc is
+about 7e-177).  Off the series path, where tau^{-z} alone would leave the
+normal range (z log|tau| > 699.8), each term of the difference takes its
+power of tau in its exponent, so neither tau^{-z} nor e_{n-1}(tau) leaves
+the range alone.  The public kernel.exp_remainder and kernel_ratio only
+ever see real arguments.
 Beyond the truncation radius the polynomial part of each ray has an
 elementary antiderivative, the real line's closed-form tail
 with a phase (quadrature.polynomial_tail_closed_form, with the rounding
@@ -68,18 +60,13 @@ complex integral the imaginary part is kept.
 
 Both segments, the ray up to R in t = log r and the arc in theta, are
 entire in their path variable, so each is summed by equal 15-point
-Gauss-Legendre panels (quadrature._GL15, as on the real axis) whose
-count (quadrature._gl15_panels, before any evaluation) is the least
-whose closed-form bound holds to an eighth of the tolerance on an
-a-priori lower bound of pi/Gamma(z), up to _PANEL_CAP, a limit on cost.
-The weighted nodes are added by math.fsum, which rounds their sum once.
-Each node carries its own count: ray_kernel returns it with the moduli
-that its direct path cancels, e_{n-1}(r) r^{-z}.  Each segment's error
-is that bound, met or not at the cap, plus the rounding of its nodes,
-those counts included with the rule's weights; no segment sets a flag.
-quadrature.combine sums the segments with the closed-form polynomial
-tail and the bound on the exponential tail left out, and flags the sum
-where its error misses the tolerance.
+Gauss-Legendre panels, as on the real axis, whose count
+(quadrature._gl15_panels, before any evaluation) is the least whose
+closed-form bound holds to an eighth of the tolerance on an a-priori
+lower bound of pi/Gamma(z), up to _PANEL_CAP, a limit on cost.  No
+segment sets a flag (_segment): quadrature.combine sums the segments with
+the closed-form polynomial tail and the bound on the exponential tail
+left out, and flags the sum where its error misses the tolerance.
 """
 
 from __future__ import annotations
@@ -89,7 +76,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-from . import gamma_core
 from .errors import ContourDegenerate
 from .kernel import ArgDecomposition, _ratio_series, decompose
 from .quadrature import (
@@ -138,7 +124,7 @@ _PATH_NODES = tuple(
 # error measured over 3,000 w in [8, 9) reached 25 eps, and 26.3 over
 # 1,500 more with the node as one exponential.  t = log w + log rho in
 # place of log(w rho) took that to 36.5.
-_TRAPEZOID_ROUNDING = 32
+TRAPEZOID_ROUNDING = 32
 
 
 @dataclass(frozen=True)
@@ -215,7 +201,7 @@ def ray_kernel(r: float, t: float, theta: float, unit: complex, z: float, n: int
 def steepest_descent_recip_gamma(w: float) -> IntegralResult:
     """The record of 1/Gamma(w), w in [8, 9): the 24-node sum of (w/pi)
     int_0^pi e^s s^{-w} dtheta, its difference from the 12-node sum as its
-    error.  gamma_core adds its rounding, _TRAPEZOID_ROUNDING."""
+    error.  gamma_core adds its rounding, TRAPEZOID_ROUNDING."""
     terms = [ray_kernel(w * rho, math.log(w * rho), theta, unit, w, 0, 0.0, None)[0].real
              for theta, unit, rho in _PATH_NODES]
     head = 0.5 * terms[0]
@@ -340,10 +326,11 @@ def _arc(arg: ArgDecomposition, order: int, contour: HankelContour,
     return _segment(pairs, weights, h, bound, arg, abs(log_r0) + delta, 1.0 + order / 8.0, False)
 
 
-def _contour_eval(
+def contour_recip_gamma(
     arg: ArgDecomposition, contour: HankelContour, cfg: QuadratureConfig
 ) -> IntegralResult:
-    """(1/2 pi i) contour integral of (e^s - e_{n-1}(s)) / s^z.
+    """The record of 1/Gamma(z), z = arg.z > 0 non-integer, as the paper's
+    (1/2 pi i) contour integral of (e^s - e_{n-1}(s)) / s^z.
 
     The value is real: Im of the upper half's integral over pi, by propagate:
     a sum that underflowed to 0 is never ok.  Past 1/Gamma's range no value
@@ -395,29 +382,6 @@ def _contour_eval(
     return propagate(raw.value / math.pi, [raw], 1, cfg.eps_rel)
 
 
-def hankel_recip_gamma(
-    z: float,
-    contour: HankelContour | None = None,
-    cfg: QuadratureConfig | None = None,
-) -> gamma_core.GammaValue:
-    """1/Gamma(z) as the regularized contour integral, z > 0 non-integer.
-
-    The value is real by construction (only the upper half of the contour
-    is evaluated) and carries the contour integral's diagnostics; the
-    route's consistency check is invariance of the value under changes of
-    delta and r0.  Raises ContourDegenerate for a ray angle outside
-    (pi/2, pi), an arc radius that is not finite and positive, or one so
-    small that r0^{-z} overflows.  A segment past _PANEL_CAP panels is
-    summed at the cap, its bound in the error, and flagged where it misses.
-    Past 1/Gamma's range (from z of about 174.8 at eps_rel 1e-8, 172.1 at
-    1e-14) the result is 0.0, flagged with an unbounded estimate and no
-    evaluation.
-    """
-    arg = decompose(z)
-    res = _contour_eval(arg, contour or HankelContour(), cfg or QuadratureConfig())
-    return gamma_core.GammaValue(res.value, gamma_core.MethodTag.HANKEL, res)
-
-
 def arc_contribution(
     z: float,
     contour: HankelContour | None = None,
@@ -439,47 +403,3 @@ def arc_contribution(
     if n < 0:
         raise ValueError(f"order must be >= 0, got {n}")
     return _arc(arg, n, contour, _target(arg.z, cfg.eps_rel)).value / math.pi
-
-
-def inverse_laplace(
-    k: float, t: float, cfg: QuadratureConfig | None = None
-) -> gamma_core.GammaValue:
-    """Invert Gamma(k+1)/s^{k+1} at time t; the exact answer is t^k.
-
-    The Bromwich integral of Gamma(k+1) e^{ts} / s^{k+1} over a Hankel
-    contour is Gamma(k+1) t^k / Gamma(k+1), with 1/Gamma(k+1) from
-    gamma_core._steepest_descent.  From k + 1 = 9 up, both Gammas would
-    be taken at w = k + 1 - m in [8, 9) and moved back by m factors of the
-    recurrence that cancel, so both are taken at w and the factors left
-    out; the product is formed in that order, so Gamma(w) and its
-    reciprocal cancel first and the value overflows only where t^k itself
-    does.  The result's record is that of the product: the relative errors
-    of 1/Gamma(w) and of Gamma(w) add to those of its three roundings, and
-    the flag is decided against cfg.eps_rel.
-    """
-    decompose(k)
-    if not 0.0 < t < math.inf:
-        raise ValueError(f"time must be finite and > 0, got {t!r}")
-    cfg = cfg or QuadratureConfig()
-    w = k + 1.0
-    w -= max(0, math.floor(w) - gamma_core.SHIFT_BASE)
-    gamma_w = gamma_core.gamma(w, cfg)
-    recip = gamma_core._steepest_descent(w, cfg)
-    value = gamma_w.value * recip.value * t**k
-    record = propagate(value, [recip, gamma_w.quadrature], 3, cfg.eps_rel)
-    return gamma_core.GammaValue(value, gamma_core.MethodTag.HANKEL, record)
-
-
-def inverse_laplace_monomial(
-    k: float,
-    t: float,
-    contour: None = None,
-    cfg: QuadratureConfig | None = None,
-) -> float:
-    """The value of inverse_laplace: t^k from the contour integral.
-
-    The third argument takes no contour; it must be None.
-    """
-    if contour is not None:
-        raise TypeError(f"inverse_laplace_monomial takes no contour, got {contour!r}")
-    return inverse_laplace(k, t, cfg).value

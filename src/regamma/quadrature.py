@@ -193,11 +193,15 @@ class IntegralResult(NamedTuple):
 
 
 def _fsum(values: list) -> float | complex:
-    """math.fsum, taken over the real and imaginary parts of complex values."""
+    """math.fsum, taken over the real and imaginary parts of complex values.
+    Where fsum refuses (opposite infinities, or an overflow on the way), the
+    plain sum, which is then not finite."""
     try:
         return math.fsum(values)
     except TypeError:
-        return complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))
+        return complex(_fsum([v.real for v in values]), _fsum([v.imag for v in values]))
+    except (ValueError, OverflowError):
+        return sum(values)
 
 
 def _gk15(f: Callable[[float], float | complex], a: float, b: float):
@@ -209,7 +213,8 @@ def _gk15(f: Callable[[float], float | complex], a: float, b: float):
     f is only evaluated inside [a, b].  On a panel a few ulps wide the
     outer nodes center -+ dx round past a or b; the nodes are then clamped
     onto [a, b], where several coincide, so the rule no longer measures
-    its own error, and the estimate is at least resabs.
+    its own error, and the estimate is at least resabs.  Where resasc
+    overflows, the estimate is resasc: its QUADPACK scaling would be inf * 0.
 
     This runs once per panel and f once per node, so each min or max is
     written as the comparison it stands for (max(p, q) is p unless q > p,
@@ -256,7 +261,7 @@ def _gk15(f: Callable[[float], float | complex], a: float, b: float):
     err = abs((resk - resg) * half)
     if resasc != 0.0 and err != 0.0:
         scale = (200.0 * err / resasc) ** 1.5
-        err = resasc * scale if scale < 1.0 else resasc
+        err = resasc * scale if scale < 1.0 and resasc < math.inf else resasc
     if narrow and resabs > err:
         err = resabs
     floor = 0.0
@@ -287,7 +292,9 @@ def integrate_finite(
     once the floors alone sum past the target, bisection cannot meet it:
     the worst panels are then refined only until the estimate is within
     _FLOOR_MARGIN times the floor sum, and the result is returned with
-    the flag set and an estimate near the floor.
+    the flag set and an estimate near the floor.  An infinite or NaN value
+    or estimate is never ok; where math.fsum refuses the panels' sum, the
+    value is their plain sum (_fsum).
     """
     if not a < b:
         raise ValueError(f"need a < b, got a={a!r}, b={b!r}")
@@ -309,11 +316,14 @@ def integrate_finite(
     flag = ConditionFlag.OK
     while True:
         total_val = _fsum([p[3] for p in panels])
-        total_err = math.fsum(p[0] for p in panels)
-        target = cfg.eps_rel * abs(total_val)
+        total_err = _fsum([p[0] for p in panels])
+        size = abs(total_val)
+        target = cfg.eps_rel * size
         if not target > EPS_ABS:
             target = EPS_ABS
         if total_err <= target:
+            if not size < math.inf:  # an infinite target is met by any estimate
+                flag = ConditionFlag.TOLERANCE_NOT_MET
             break
         if floor_sum > target and total_err <= _FLOOR_MARGIN * floor_sum:
             # at the round-off floor: further bisection cannot certify
@@ -338,12 +348,7 @@ def integrate_finite(
         evaluations += 30
         nsub += 1
 
-    return IntegralResult(
-        value=_fsum([p[3] for p in panels]),
-        abs_error_estimate=math.fsum(p[0] for p in panels),
-        evaluations=evaluations,
-        condition_flag=flag,
-    )
+    return IntegralResult(total_val, total_err, evaluations, flag)
 
 
 def geometric_breakpoints(a: float, b: float) -> list[float]:

@@ -14,15 +14,12 @@ from regamma.gamma_core import (
     MethodTag,
     gamma_negative,
     gamma_ratio,
+    hankel_recip_gamma,
+    inverse_laplace_monomial,
     recip_gamma,
     recip_gamma_neg_reflection,
 )
-from regamma.hankel import (
-    HankelContour,
-    arc_contribution,
-    hankel_recip_gamma,
-    inverse_laplace_monomial,
-)
+from regamma.hankel import HankelContour, arc_contribution
 from regamma.kernel import decompose, exp_remainder
 from regamma.oracle import gamma_lanczos
 from regamma.quadrature import (

@@ -396,21 +396,21 @@ class TestVerify:
         assert "PASS gamma_ratio_recurrence" in out
 
     def test_hankel_suite(self, capsys):
-        code, out, _ = run(capsys, "verify", "--hankel")
+        code, out, _ = run(capsys, "verify")
         assert code == 0
         assert "hankel_contour_invariance" in out
         assert "hankel_real_axis_agreement" in out
 
     def test_hankel_flag_fails_the_check(self, capsys):
         # below the rounding of the contour's nodes its results are not ok
-        code, out, _ = run(capsys, "verify", "--hankel", "--eps-rel", "1e-15")
+        code, out, _ = run(capsys, "verify", "--eps-rel", "1e-15")
         assert code == 1
         fails = [l for l in out.splitlines() if l.startswith("FAIL hankel_")]
         assert len(fails) == 2
         assert all("flag=tolerance_not_met" in l for l in fails)
 
     def test_report_lines(self, capsys):
-        code, out, _ = run(capsys, "verify", "--hankel")
+        code, out, _ = run(capsys, "verify")
         assert code == 0
         lines = out.splitlines()
         assert [l.split()[1] for l in lines] == [
@@ -442,15 +442,14 @@ class TestVerify:
         )
         assert "PASS entire_function_zeros" in out
 
-    @pytest.mark.parametrize("extra,count", [((), 7), (("--hankel",), 9)])
-    def test_a_raising_check_fails_and_the_rest_run(self, capsys, extra, count):
+    def test_a_raising_check_fails_and_the_rest_run(self, capsys):
         # at 5e-15 gamma_ratio(41.2, 40.2) raises before any work: its 68
         # roundings alone pass the tolerance
-        code, out, err = run(capsys, "verify", "--eps-rel", "5e-15", *extra)
+        code, out, err = run(capsys, "verify", "--eps-rel", "5e-15")
         assert code == 1
         assert err == ""
         lines = out.splitlines()
-        assert len(lines) == count
+        assert len(lines) == 9
         assert lines[2].startswith("FAIL gamma_ratio_recurrence tol=1e-07 error=RegammaError: ")
         assert "PASS entire_function_zeros" in out
 

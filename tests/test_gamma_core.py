@@ -24,11 +24,13 @@ from regamma.gamma_core import (
     gamma,
     gamma_negative,
     gamma_ratio,
+    hankel_recip_gamma,
+    inverse_laplace,
+    inverse_laplace_monomial,
     recip_gamma,
     recip_gamma_neg_reflection,
     recurrence,
 )
-from regamma.hankel import hankel_recip_gamma, inverse_laplace, inverse_laplace_monomial
 from regamma.kernel import decompose
 from regamma.quadrature import ConditionFlag, QuadratureConfig
 

@@ -10,15 +10,15 @@ from hypothesis import strategies as st
 
 from regamma import hankel, kernel
 from regamma.errors import ContourDegenerate, IntegerArgument
-from regamma.gamma_core import MethodTag, gamma, recip_gamma
-from regamma.hankel import (
-    HankelContour,
-    arc_contribution,
+from regamma.gamma_core import (
+    MethodTag,
+    gamma,
     hankel_recip_gamma,
     inverse_laplace,
     inverse_laplace_monomial,
-    ray_kernel,
+    recip_gamma,
 )
+from regamma.hankel import HankelContour, arc_contribution, ray_kernel
 from regamma.quadrature import (
     ConditionFlag,
     QuadratureConfig,

@@ -4,7 +4,9 @@ and the comparisons that replace them give the same records, bit for bit.
 _gk15 and integrate_finite are checked against verbatim copies of their
 bodies as they were when each min and max was still a builtin call; the
 copies below are those bodies, renamed, and must not be edited to follow
-a later change of the module.
+a later change of the module.  Two later changes are stated beside the
+tests they move: an infinite value or estimate is never flagged ok, and an
+overflowed resasc is the estimate itself.
 """
 
 import ast
@@ -231,20 +233,24 @@ class TestGk15:
         assert all(a <= x <= b for x in at_new)
 
     def test_nan_estimate_beside_a_finite_resabs(self):
-        # max(err, resabs) keeps a NaN err, which max(floor, err) then turns
-        # into the floor.  A NaN or an inf at a node makes resabs NaN or inf
-        # as well, and the floor step covers any difference there; this
-        # panel is narrow (its nodes clamp onto 10 points), resasc overflows
-        # while resabs does not, so err is inf * 0 = NaN beside a finite
-        # resabs.  Written as `if not err > resabs`, the estimate would be
-        # resabs, 3e14 times the floor.
+        # this panel is narrow (its nodes clamp onto 10 points), and resasc
+        # overflows while resabs does not, so the reference's QUADPACK
+        # scaling makes err inf * 0 = NaN, which max(floor, err) then turns
+        # into the floor, and integrate_finite returned 1.50e293 ok with an
+        # estimate of 50 eps resabs on a panel the rule cannot resolve.  The
+        # estimate is now resasc, inf, and the integral is flagged; the value
+        # and the floor are the reference's.
         a, b = 1.0 - 4 * U, 1.0 + 5 * U
         f = lambda x: MAX if x < 1.0 else (-5e307 if x == 1.0 else 0.0)
         assert len(set(_nodes(a, b))) == 10
         value, err, floor = quadrature._gk15(f, a, b)
+        ref_value, ref_err, ref_floor = reference_gk15(f, a, b)
         assert math.isfinite(value) and 0.0 < floor < math.inf
-        assert err == floor
-        _same((value, err, floor), reference_gk15(f, a, b))
+        assert ref_err == ref_floor
+        assert err == math.inf
+        _same((value, floor), (ref_value, ref_floor))
+        res = quadrature.integrate_finite(f, a, b, QuadratureConfig())
+        assert res.condition_flag is ConditionFlag.TOLERANCE_NOT_MET
 
 
 def _integration_cases():
@@ -286,8 +292,14 @@ class TestIntegrateFinite:
     def test_equals_the_builtin_forms(self, f, a, b, cfg, seeds):
         f_new, at_new = _recorded(f)
         f_ref, at_ref = _recorded(f)
-        _same(quadrature.integrate_finite(f_new, a, b, cfg, seeds),
-              reference_integrate_finite(f_ref, a, b, cfg, seeds))
+        new = quadrature.integrate_finite(f_new, a, b, cfg, seeds)
+        ref = reference_integrate_finite(f_ref, a, b, cfg, seeds)
+        if not (math.isfinite(abs(ref.value)) and math.isfinite(ref.abs_error_estimate)):
+            # the reference flags an infinite value ok, as its infinite
+            # target is met; every other field is the reference's
+            assert new.condition_flag is ConditionFlag.TOLERANCE_NOT_MET
+            new = new._replace(condition_flag=ref.condition_flag)
+        _same(new, ref)
         assert repr(at_new) == repr(at_ref)
 
     def test_of_two_equal_errors_the_earliest_panel_is_bisected(self):

@@ -131,6 +131,16 @@ class TestIntegrateFinite:
         assert whole.value == pytest.approx((cmath.exp(15j) - 1.0) / 3j, rel=1e-10)
         assert whole.condition_flag is ConditionFlag.OK
 
+    def test_opposite_infinite_panels_are_flagged(self):
+        # math.fsum raises ValueError on +inf beside -inf
+        nodes = []
+        quadrature._gk15(lambda x: nodes.append(x) or 0.0, 0.0, 1.0)
+        node = nodes[3]
+        f = lambda x: math.inf if x == node else (-math.inf if x == node + 1.0 else 1.0)
+        res = integrate_finite(f, 0.0, 2.0, CFG, [1.0])
+        assert math.isnan(res.value)
+        assert res.condition_flag is ConditionFlag.TOLERANCE_NOT_MET
+
 
 class TestRegularizedKernel:
     @pytest.mark.parametrize(

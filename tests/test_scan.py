@@ -37,10 +37,11 @@ from regamma.gamma_core import (
     gamma,
     gamma_negative,
     gamma_ratio,
+    hankel_recip_gamma,
     recip_gamma,
     recip_gamma_neg_reflection,
 )
-from regamma.hankel import HankelContour, hankel_recip_gamma
+from regamma.hankel import HankelContour
 from regamma.quadrature import ConditionFlag, QuadratureConfig
 
 
