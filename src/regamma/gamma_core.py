@@ -412,10 +412,10 @@ def hankel_recip_gamma(
 
     The route's consistency check is invariance of the value under changes
     of delta and r0.  Raises ContourDegenerate for a ray angle outside
-    (pi/2, pi), an arc radius that is not finite and positive, or one so
-    small that r0^{-z} overflows.  Past 1/Gamma's range (from z of about
-    174.8 at eps_rel 1e-8, 172.1 at 1e-14) the result is 0.0, flagged with
-    an unbounded estimate and no evaluation.
+    (pi/2, pi), an arc radius not finite and positive, or one whose r0^{-z}
+    or arc terms, up to e^{r0} r0^{1-z}, overflow.  Past 1/Gamma's range
+    (from z of about 174.8 at eps_rel 1e-8, 172.1 at 1e-14) the result is
+    0.0, flagged with an unbounded estimate and no evaluation.
     """
     arg = decompose(z)
     res = contour_recip_gamma(arg, contour or HankelContour(), cfg or QuadratureConfig())

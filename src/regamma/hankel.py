@@ -19,54 +19,48 @@ ray_kernel(|s|, theta, w, 0).  At w in [8, 9), where gamma_core takes it,
 
 contour_recip_gamma is the paper's own contour, the cross-check of its
 claim that the real-line integral equals Hankel's (with arc_contribution).
-It runs in from infinity along the ray
-arg(tau) = -delta, circles the origin counterclockwise on an arc of
-radius r0, and runs back out along arg(tau) = +delta, with
-pi/2 < delta < pi so the exponential decays on the rays and the path
-stays clear of the branch cut on the negative real axis.  tau^z uses the
-principal logarithm throughout.
+It runs in from infinity along the ray arg(tau) = -delta, circles the
+origin counterclockwise on an arc of radius r0, and runs back out along
+arg(tau) = +delta, with pi/2 < delta < pi so the exponential decays on
+the rays and the path stays clear of the branch cut on the negative real
+axis.  tau^z uses the principal logarithm throughout.  For real z the
+integrand at conj(tau) is the conjugate of the one at tau, so the contour
+integral is 2i times the imaginary part of its upper half; only that half
+is evaluated, the imaginary part of each part kept, and the parts are
+divided by pi once at the end.
 
 Because the numerator is the regularized remainder e^tau - e_{n-1}(tau),
 the integrand is integrable over the shrinking arc (it vanishes like
 r0^{1-frac}), which is exactly what makes the truncation order n = [z]
-the right one.  Every node of the contour, and of the steepest-descent
-rule, is ray_kernel, which takes the remainder by the kernel's own
-dispatch: beyond max(1, n/2) the direct difference, and within it, for
-n >= 1, the kernel's one series n! sum_{j>=0} tau^j/(n+j)! times
-tau^n/n!, which goes into the power of tau; each segment forms what it
-holds constant once.  A series node underflows only where its own value
-does (at z = 108.03 and r0 = 0.025, r0^n/n! alone underflows; the arc is
-about 7e-177).  Off the series path, where tau^{-z} alone would leave the
-normal range (z log|tau| > 699.8), each term of the difference takes its
-power of tau in its exponent, so neither tau^{-z} nor e_{n-1}(tau) leaves
-the range alone.  The public kernel.exp_remainder and kernel_ratio only
-ever see real arguments.
-Beyond the truncation radius the polynomial part of each ray has an
-elementary antiderivative, the real line's closed-form tail
-with a phase (quadrature.polynomial_tail_closed_form, with the rounding
-bound of its terms as its error).  It is not shifted: at large z its
-terms dwarf the value, and the result is flagged.  The exponential part is
-bounded by e^{R cos delta} R^{-z} / |cos delta|, and R is where that
-bound, R^{-z} taken as 1, is a negligible share (_TAIL_NEGLIGIBLE) of a
-segment's tolerance times min(1, z), the a-priori size of 1/Gamma(z) as
-z -> 0.  That part is never integrated: it is left out, the bound kept as
-its error; where the tolerance cannot hold the bound, it flags the result.
+the right one.  On the arc that remainder is sum_{k>=n} tau^k/k!, so the
+arc is summed term by term in closed form: quadrature.origin_closed_form
+at split r0 with delta, the real line's origin series with sin(delta a)
+in place of (-1)^k, a = k + 1 - z.  Every node of the ray, and of the
+steepest-descent rule, is ray_kernel, which takes the remainder by the
+kernel's own dispatch: beyond max(1, n/2) the direct difference, and
+within it, for n >= 1, the kernel's one series n! sum_{j>=0}
+tau^j/(n+j)! times tau^n/n!, which goes into the power of tau.  Off the
+series path, where tau^{-z} alone would leave the normal range, each term
+of the difference takes its power of tau in its exponent, so neither
+tau^{-z} nor e_{n-1}(tau) leaves the range on its own.  The public
+kernel.exp_remainder and kernel_ratio only see real arguments.
 
-For real z the integrand at conj(tau) is the conjugate of the one at tau,
-so the contour integral is 2i times the imaginary part of its upper half;
-only that half is evaluated, and its parts are divided by pi once at the
-end.  The arc's share is the real integrand Re(tau f(tau)); of the ray's
-complex integral the imaginary part is kept.
-
-Both segments, the ray up to R in t = log r and the arc in theta, are
-entire in their path variable, so each is summed by equal 15-point
-Gauss-Legendre panels, as on the real axis, whose count
+The ray up to R, in t = log r, is entire in t, so it is summed by equal
+15-point Gauss-Legendre panels, as on the real axis, whose count
 (quadrature._gl15_panels, before any evaluation) is the least whose
 closed-form bound holds to an eighth of the tolerance on an a-priori
-lower bound of pi/Gamma(z), up to _PANEL_CAP, a limit on cost.  No
-segment sets a flag (_segment): quadrature.combine sums the segments with
-the closed-form polynomial tail and the bound on the exponential tail
-left out, and flags the sum where its error misses the tolerance.
+lower bound of pi/Gamma(z), up to _PANEL_CAP, a limit on cost.  Beyond R
+the ray's polynomial part is the real line's closed-form tail with a
+phase (quadrature.polynomial_tail_closed_form); it is not shifted, so at
+large z its terms dwarf the value, and the result is flagged.  The
+exponential part is at most e^{R cos delta} R^{-z} / |cos delta|, and R
+is where that bound, R^{-z} taken as 1, is a negligible share
+(_TAIL_NEGLIGIBLE) of the ray's tolerance times min(1, z), the a-priori
+size of 1/Gamma(z) as z -> 0; it is left out, the bound kept as its
+error.  These are the real line's four parts, the arc in place of the
+origin's stretch and the ray in place of the middle: no part sets a
+flag, and quadrature.combine flags their sum where its error misses the
+tolerance.
 """
 
 from __future__ import annotations
@@ -86,6 +80,7 @@ from .quadrature import (
     QuadratureConfig,
     _gl15_panels,
     combine,
+    origin_closed_form,
     polynomial_tail_closed_form,
     propagate,
 )
@@ -94,19 +89,19 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_SUBNORMAL = math.log(math.ulp(0.0))
 # The ray ends where the bound on its exponential part past it is this
-# share of a segment's tolerance on 1/Gamma(z).
+# share of the ray's tolerance on 1/Gamma(z).
 _TAIL_NEGLIGIBLE = 0.01
-# 15-point panels a segment of the paper's contour takes at most, a limit
-# on cost alone: a capped segment keeps its bound in its error.
+# 15-point panels the paper's ray takes at most, a limit on cost alone: a
+# capped ray keeps its bound in its error.
 _PANEL_CAP = 64
 # Relative rounding of a node of the paper's contour, in units of eps,
 # before the rounding of the kernel's exponents is added.
 _NODE_ROUNDING = 4
 # The rounding of the kernel's direct path, e^tau - e_{n-1}(tau), in units
 # of eps times the terms' sum e_{n-1}(|tau|), where that sum dominates the
-# node: measured against mpmath at n = 80 to 120, it reached 0.14 off the
-# positive real axis (arg tau >= 1.6: the rays) and 7 next to it, where
-# the terms all add (the arc near theta = 0, counted as 1 + n/8).
+# node: measured against mpmath at n = 80 to 120, it reached 0.14 at
+# arg tau >= 1.6, where every ray lies (7 next to the positive real axis,
+# where the terms all add, but no node of the contour lies there).
 _RAY_CANCELLATION = 0.25
 # The 15-point rule's abscissae and weights, apart.
 _GL15_X, _GL15_W = zip(*_GL15)
@@ -142,11 +137,16 @@ def _validate(contour: HankelContour, z: float) -> None:
         )
     if not 0.0 < contour.r0 < math.inf:
         raise ContourDegenerate(f"arc radius must be finite and > 0, got {contour.r0!r}")
+    log_r0 = math.log(contour.r0)
     # the integrand carries |tau|^{-z}, which is largest on the arc
-    if -z * math.log(contour.r0) > _LOG_FLOAT_MAX:
+    if -z * log_r0 > _LOG_FLOAT_MAX:
         raise ContourDegenerate(
             f"arc radius {contour.r0!r} is too small for z = {z!r}: r0^-z overflows"
         )
+    # the arc's terms r0^{k+1-z}/k!, at any order, are at most e^{r0} r0^{1-z}
+    if contour.r0 + (1.0 - z) * log_r0 > _LOG_FLOAT_MAX:
+        raise ContourDegenerate(f"arc radius {contour.r0!r} is too large for z = {z!r}: "
+                                "the arc's terms, up to e^r0 r0^(1-z), overflow")
 
 
 def _phases(theta: float, z: float, n: int) -> tuple[complex, complex]:
@@ -158,12 +158,12 @@ def _phases(theta: float, z: float, n: int) -> tuple[complex, complex]:
 def ray_kernel(r: float, t: float, theta: float, unit: complex, z: float, n: int,
                log_fact: float, phases: tuple[complex, complex] | None) -> tuple[complex, float]:
     """(e^tau - e_{n-1}(tau)) / tau^z at tau = r e^{i theta}, a node of the
-    paper's contour or of the steepest-descent rule, with e_{n-1}(r) r^{-z},
+    paper's ray or of the steepest-descent rule, with e_{n-1}(r) r^{-z},
     the moduli its direct path cancels (0.0 at order 0 and on the series path).
 
     Beside r and theta the caller passes t = log r, unit = e^{i theta},
     log_fact = lgamma(n + 1) and phases = _phases(theta, z, n), formed once
-    per segment where the segment holds them constant; order 0 takes
+    per ray, which holds them constant; order 0 takes
     neither log_fact nor phases.  A series node is the kernel's series
     times exp((n - z) t - log_fact) times phases[0], a direct node
     e^tau - e_{n-1}(tau) times e^{-zt} times phases[1], e_{n-1}(r) summed
@@ -211,7 +211,7 @@ def steepest_descent_recip_gamma(w: float) -> IntegralResult:
 
 
 def _target(z: float, eps_rel: float) -> float:
-    """Each segment's target: an eighth of eps_rel times pi/Gamma(z), the
+    """The ray's target: an eighth of eps_rel times pi/Gamma(z), the
     contour integral's size, bounded below a priori.  1/Gamma(z) is at least
     z up to 1, as 1/Gamma(z) = z/Gamma(1 + z) and Gamma <= 1 on [1, 2]; from
     1 up, Stirling's upper bound Gamma(z) <= sqrt(2 pi) z^{z-1/2}
@@ -223,46 +223,25 @@ def _target(z: float, eps_rel: float) -> float:
     return eps_rel / 8.0 * math.pi * math.exp(log_floor)
 
 
-def _panels(lo: float, hi: float, rule: tuple[float, float, float],
-            target: float) -> tuple[list[float], tuple[float, ...], float, float]:
-    """The nodes and weights of equal 15-point Gauss-Legendre panels on
-    [lo, hi], their half-width h and the bound on the rule's error.
-
-    rule = (half_height, log_m, growth) states that |f(t)| <=
-    exp(log_m + growth Re t) on the strip |Im t| <= half_height; the panel
-    count is the least whose bound meets target, at most _PANEL_CAP; at the
-    cap the bound may miss it.  It is in the error all the same, so the
-    segment sets no flag: combine flags the sum where its error misses.
-    """
-    panels, bound = _gl15_panels(lo, hi, _PANEL_CAP, *rule, target)
-    h = (hi - lo) / (2 * panels)
-    nodes = [lo + (2 * p + 1) * h + h * x for p in range(panels) for x in _GL15_X]
-    return nodes, _GL15_W * panels, h, bound
-
-
 def _segment(nodes: list[tuple[complex, float]], weights: tuple[float, ...], h: float,
-             bound: float, arg: ArgDecomposition, log_tau: float, share: float,
-             imag: bool) -> IntegralResult:
-    """The record of a segment from its nodes (f(t), cancelled), ray_kernel's
-    pairs, and their weights w (_panels): h times the real part of
-    sum w f(t), or its imaginary part where imag is true.
-
-    The sum is math.fsum's, so it adds one rounding of its own value,
-    whatever the node count.  The error is the rule's bound plus the
-    rounding of the nodes: relative (_NODE_ROUNDING + a) eps of
-    h sum w |f|, where a = z log_tau + 2 log n! bounds the exponents that
-    the kernel exponentiates, log_tau bounding |log tau| (their rounding,
-    lgamma's to 2 eps, is relative to the node's value), and share eps
-    times h sum w cancelled, the terms that the kernel's direct path
-    cancels, counted by each node.
+             bound: float, arg: ArgDecomposition, log_tau: float) -> IntegralResult:
+    """The ray's record from its nodes (f(t), cancelled), ray_kernel's
+    pairs, and their weights w: h times Im sum w f(t), by math.fsum, so
+    rounded once whatever the node count.  The error is the rule's bound
+    plus (_NODE_ROUNDING + a) eps of h sum w |f|, a = z log_tau + 2 log n!
+    bounding the exponents that the kernel exponentiates, log_tau bounding
+    |log tau| (their rounding, lgamma's to 2 eps, is relative to the node),
+    and _RAY_CANCELLATION eps of h sum w cancelled, the terms that the
+    kernel's direct path cancels, counted by each node.
     """
     values, cancelled = [], 0.0
     for w, (f, c) in zip(weights, nodes):
         values.append(w * f)
         cancelled += w * c
-    total = math.fsum([v.imag for v in values] if imag else [v.real for v in values])
+    total = math.fsum([v.imag for v in values])
     amplification = arg.z * log_tau + 2.0 * math.lgamma(arg.n + 1)
-    rounding = (_NODE_ROUNDING + amplification) * sum(map(abs, values)) + share * cancelled
+    rounding = ((_NODE_ROUNDING + amplification) * sum(map(abs, values))
+                + _RAY_CANCELLATION * cancelled)
     return IntegralResult(h * total, bound + _EPMACH * h * rounding, len(values))
 
 
@@ -273,11 +252,10 @@ def _ray(arg: ArgDecomposition, contour: HankelContour, R: float, target: float)
     In t = log r, d tau = tau dt and the integrand tau f(tau) is the kernel
     at the power z - 1, entire in t; the ray's direction, its phases and
     lgamma(n + 1) are formed once, and each node passes t itself.  On the
-    strip |Im t| <= delta - pi/2, arg tau stays in [pi/2, 3 pi/2], so
-    Re tau <= 0, |e^tau - e_{n-1}(tau)| <= |tau|^n/n! (as on the real axis)
-    and |tau f| <= e^{(1-frac) Re t}/n!.  Each direct-path node counts the
-    moduli it cancels, e_{n-1}(r) r^{1-z}, and _RAY_CANCELLATION of them
-    goes into the error with the node's weight.
+    strip |Im t| <= delta - pi/2, Re tau <= 0, so |e^tau - e_{n-1}(tau)| <=
+    |tau|^n/n! (as on the real axis) and |tau f| <= e^{(1-frac) Re t}/n!:
+    the panel count is the least whose bound meets target, at most
+    _PANEL_CAP, where the bound, in the error all the same, may miss it.
     """
     z, n, frac = arg.z, arg.n, arg.frac
     delta, r0 = contour.delta, contour.r0
@@ -286,44 +264,12 @@ def _ray(arg: ArgDecomposition, contour: HankelContour, R: float, target: float)
     log_fact = math.lgamma(n + 1)
     phases = _phases(delta, power, n)
     lo, hi = math.log(r0), math.log(R)
-    nodes, weights, h, bound = _panels(lo, hi, (delta - 0.5 * math.pi, -log_fact, 1.0 - frac),
-                                       target)
-    pairs = [ray_kernel(math.exp(t), t, delta, unit, power, n, log_fact, phases) for t in nodes]
-    return _segment(pairs, weights, h, bound, arg, max(abs(lo), abs(hi)) + delta,
-                    _RAY_CANCELLATION, True)
-
-
-def _arc(arg: ArgDecomposition, order: int, contour: HankelContour,
-         target: float) -> IntegralResult:
-    """(1/2i) times the integral of f(s) = (e^s - e_{order-1}(s)) / s^z over
-    the arc |s| = r0, which is that of Re(tau f(tau)) over theta in [0, delta];
-    tau f(tau) is the kernel at the power z - 1.  The value is real.
-
-    On the strip |Im theta| <= a, |tau| <= r0 e^a =: rho, so with
-    k = order + 1 - z, |tau f| <= e^rho rho^{order}/order! |tau^{1-z}|
-    <= e^rho r0^k e^{|k| a}/order!.  a solves a r0 e^a = 30, about where
-    the bound is least.  log r0 and lgamma(order + 1) are formed once, the
-    node's direction and phases by cmath.rect at each node.  Next to
-    theta = 0 the terms that the kernel's direct path cancels all add, so
-    1 + order/8 of each node's count goes into the error.
-    """
-    z = arg.z
-    delta, r0 = contour.delta, contour.r0
-    log_r0 = math.log(r0)
-    k = order + 1 - z
-    c = 30.0 / r0
-    a = math.log1p(c)
-    for _ in range(4):  # Newton's method on a = c e^{-a}
-        e = c * math.exp(-a)
-        a -= (a - e) / (1.0 + e)
-    log_fact = math.lgamma(order + 1)
-    log_m = k * log_r0 + abs(k) * a + r0 * math.exp(a) - log_fact
-    power = z - 1.0
-    nodes, weights, h, bound = _panels(0.0, delta, (a, log_m, 0.0), target)
-    pairs = [ray_kernel(r0, log_r0, theta, cmath.rect(1.0, theta), power, order, log_fact,
-                        _phases(theta, power, order))
-             for theta in nodes]
-    return _segment(pairs, weights, h, bound, arg, abs(log_r0) + delta, 1.0 + order / 8.0, False)
+    panels, bound = _gl15_panels(lo, hi, _PANEL_CAP, delta - 0.5 * math.pi, -log_fact,
+                                 1.0 - frac, target)
+    h = (hi - lo) / (2 * panels)
+    pairs = [ray_kernel(math.exp(t), t, delta, unit, power, n, log_fact, phases)
+             for t in (lo + (2 * p + 1) * h + h * x for p in range(panels) for x in _GL15_X)]
+    return _segment(pairs, _GL15_W * panels, h, bound, arg, max(abs(lo), abs(hi)) + delta)
 
 
 def contour_recip_gamma(
@@ -352,11 +298,8 @@ def contour_recip_gamma(
         return IntegralResult(0.0, math.inf, 0, ConditionFlag.TOLERANCE_NOT_MET)
     delta, r0 = contour.delta, contour.r0
     decay = abs(math.cos(delta))
-    # R is where the bound on the exponential part past it (below), R^{-z}
-    # taken as 1, is the share _TAIL_NEGLIGIBLE of an eighth of the
-    # tolerance times min(1, z), the a-priori size of 1/Gamma(z) as z -> 0.
-    # L is summed as logs: as a product it underflows at tiny z.  R clears
-    # the arc: it is at least 4 r0.
+    # R as in the module's docstring, at least 4 r0; L is summed as logs:
+    # as a product it underflows at tiny z
     L = -(
         math.log(_TAIL_NEGLIGIBLE)
         + math.log(cfg.eps_rel)
@@ -367,10 +310,11 @@ def contour_recip_gamma(
     R = max(4.0 * r0, L / decay)
     target = _target(z, cfg.eps_rel)
     parts = [
+        # the upper half-arc, the origin series at r0 with delta
+        origin_closed_form(arg, r0, delta),
+        _ray(arg, contour, R, target),
         # the polynomial part of the ray beyond R, in closed form
         polynomial_tail_closed_form(arg, R, delta),
-        _ray(arg, contour, R, target),
-        _arc(arg, arg.n, contour, target),
         # the exponential part of the ray beyond R, at most
         # e^{R cos delta} R^{-z} / |cos delta| (z > 0): left out, a part of
         # value 0 with the bound as its error
@@ -388,7 +332,9 @@ def arc_contribution(
     cfg: QuadratureConfig | None = None,
     order: int | None = None,
 ) -> float:
-    """The (1/2 pi i)-normalized integral over the arc alone, a real number.
+    """The (1/2 pi i)-normalized integral over the arc alone, a real number,
+    (1/pi) sum_{k>=order} r0^a sin(a delta)/(a k!), a = k + 1 - z, which
+    quadrature.origin_closed_form sums to double precision, whatever cfg.
 
     With the regularizing order n = [z] (the default) the magnitude decays
     like r0^{1-frac} as the arc shrinks; passing order=0 reproduces the
@@ -397,9 +343,9 @@ def arc_contribution(
     """
     arg = decompose(z)
     contour = contour or HankelContour()
-    cfg = cfg or QuadratureConfig()
     _validate(contour, z)
     n = arg.n if order is None else order
     if n < 0:
         raise ValueError(f"order must be >= 0, got {n}")
-    return _arc(arg, n, contour, _target(arg.z, cfg.eps_rel)).value / math.pi
+    arc = origin_closed_form(ArgDecomposition(z, n, z - n), contour.r0, contour.delta)
+    return arc.value / math.pi

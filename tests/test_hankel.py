@@ -19,11 +19,13 @@ from regamma.gamma_core import (
     recip_gamma,
 )
 from regamma.hankel import HankelContour, arc_contribution, ray_kernel
+from regamma.kernel import ArgDecomposition
 from regamma.quadrature import (
     ConditionFlag,
     QuadratureConfig,
     geometric_breakpoints,
     integrate_finite,
+    origin_closed_form,
 )
 
 CFG = QuadratureConfig()
@@ -122,6 +124,27 @@ class TestHankelRecipGamma:
         with pytest.raises(ContourDegenerate):
             hankel_recip_gamma(155.5, HankelContour(r0=0.01), CFG)
 
+    @pytest.mark.parametrize("z", [0.5, 2.5, 100.5])
+    def test_arc_radius_whose_terms_overflow_is_refused(self, z):
+        # the arc's terms reach e^{r0} r0^{1-z}: at r0 = 700 and z = 0.5
+        # the arc's rule raised a bare OverflowError.  Up to the radius where
+        # that bound reaches the largest double the result is returned,
+        # flagged; one double past it the contour is refused.
+        r0 = 700.0
+        for _ in range(50):  # Newton's method on r0 + (1 - z) log r0 = log(max)
+            r0 -= (r0 + (1.0 - z) * math.log(r0) - math.log(sys.float_info.max)) / (
+                1.0 + (1.0 - z) / r0)
+        while r0 + (1.0 - z) * math.log(r0) > math.log(sys.float_info.max):
+            r0 = math.nextafter(r0, 0.0)
+        gv = hankel_recip_gamma(z, HankelContour(r0=r0), CFG)
+        assert math.isfinite(gv.value)
+        assert gv.condition_flag is ConditionFlag.TOLERANCE_NOT_MET
+        past = math.nextafter(r0, math.inf)
+        with pytest.raises(ContourDegenerate, match="too large"):
+            hankel_recip_gamma(z, HankelContour(r0=past), CFG)
+        with pytest.raises(ContourDegenerate, match="too large"):
+            arc_contribution(z, HankelContour(r0=past), CFG)
+
     def test_carries_contour_diagnostics(self):
         # the rounding of the nodes alone, about 4.4e-15 of the value,
         # exceeds the tolerance, and the default contour returns the same
@@ -154,13 +177,13 @@ class TestHankelRecipGamma:
         [(1e-300, HankelContour()), (2.5, HankelContour(delta=0.5 * math.pi + 1e-3))],
     )
     def test_panel_cap_bounds_the_cost(self, z, contour):
-        # the arc's tolerance at z = 1e-300, and the ray's ellipse of
-        # half-height 1e-3, need more than _PANEL_CAP panels: flagged at the
-        # cap's cost, two segments of 15 nodes per panel at most
+        # the ray's tolerance at z = 1e-300, and its ellipse of half-height
+        # 1e-3, need more than _PANEL_CAP panels: flagged at the cap's cost,
+        # 15 nodes per panel of the ray alone (the arc is a series)
         gv = hankel_recip_gamma(z, contour, CFG)
         assert gv.condition_flag is ConditionFlag.TOLERANCE_NOT_MET
         assert math.isfinite(gv.value)
-        assert gv.quadrature.evaluations <= 2 * 15 * hankel._PANEL_CAP
+        assert gv.quadrature.evaluations <= 15 * hankel._PANEL_CAP
 
     @pytest.mark.parametrize(
         "z,delta,r0",
@@ -252,8 +275,11 @@ class TestHankelRecipGamma:
 
 
 def _node_cases():
-    """Nodes (r, theta, power, n, cancelling share) of the contour's segments:
-    rays and arcs at n = 0...9 and 60...170 (power z - 1), and rays where
+    """Nodes (r, theta, power, n, cancelling share) of ray_kernel at
+    n = 0...9 and 60...170 (power z - 1): on the contour's ray, and off it
+    at theta in [0, delta), where the direct path's terms all add and the
+    share is 1 + n/8 (measured: up to 7 at n = 80 to 120; no node of the
+    contour lies there); and rays where
     z log|tau| passes the kernel's overflow threshold (power z)."""
     rng = random.Random(29)
     cases = []
@@ -317,8 +343,7 @@ class TestNodeRounding:
         nodes = [(1.0 + 1.0j, 0.0), (1e-16 - 1e-16j, 0.0), (-1.0 - 1.0j, 0.0)]
         weights = (1.0,) * len(nodes)
         arg = kernel.decompose(0.5)
-        assert hankel._segment(nodes, weights, 1.0, 0.0, arg, 0.0, 0.0, False).value == 1e-16
-        assert hankel._segment(nodes, weights, 1.0, 0.0, arg, 0.0, 0.0, True).value == -1e-16
+        assert hankel._segment(nodes, weights, 1.0, 0.0, arg, 0.0).value == -1e-16
 
 
 class TestSeriesRadius:
@@ -395,23 +420,40 @@ class TestArcContribution:
         slope = fitted_arc_exponent(1.5, (1e-1, 1e-2, 1e-3), order=0)
         assert slope <= 0.0
 
-    def test_small_arc_at_large_z_against_its_series(self):
-        # On |tau| = r0 the arc integrand is Re sum_{k>=n} tau^{k+1-z}/k!,
-        # so the arc is (1/pi) sum_{k>=n} r0^a sin(a delta) / (a k!) with
-        # a = k + 1 - z, summed without the polynomial subtraction, which
-        # would need hundreds of digits.  r0^n / n! alone underflows here,
-        # though the arc, about 7e-177, does not.
-        z, contour = 108.03125, HankelContour(delta=1.6875, r0=0.025390625)
-        arc = arc_contribution(z, contour, QuadratureConfig(eps_rel=1e-6))
-        with mpmath.workdps(30):
-            r0 = mpmath.mpf(contour.r0)
-            a = {k: k + 1 - mpmath.mpf(z) for k in range(108, 128)}
-            ref = mpmath.fsum(
-                r0 ** a[k] * mpmath.sin(a[k] * contour.delta) / (a[k] * mpmath.factorial(k))
-                for k in a
-            ) / mpmath.pi
-            assert arc != 0.0
-            assert abs(arc - ref) <= 1e-6 * abs(ref)
+    @staticmethod
+    def arc_draws(seed, count):
+        """(z, delta, r0): n = [z] uniform in 0...170, r0 log-uniform in
+        (0.025, 25), delta in (pi/2, pi); the first is the arc of radius
+        0.025 at z = 108.03, where r0^n/n! alone underflows and the arc,
+        about 7e-177, does not."""
+        rng = random.Random(seed)
+        draws = [(108.03125, 1.6875, 0.025390625)]
+        while len(draws) < count:
+            z = rng.randint(0, 170) + rng.uniform(0.001, 0.999)
+            r0 = math.exp(rng.uniform(math.log(0.025), math.log(25.0)))
+            draws.append((z, rng.uniform(0.5 * math.pi, math.pi), r0))
+        return draws
+
+    @pytest.mark.parametrize("order", [None, 0])
+    def test_series_within_its_estimate(self, order):
+        # On |tau| = r0 the remainder at the order is sum_{k>=order} tau^k/k!,
+        # so the arc is (1/pi) sum_{k>=order} r0^a sin(a delta) / (a k!) with
+        # a = k + 1 - z, in closed form, against the same series at 60 digits
+        for z, delta, r0 in self.arc_draws(36, 120):
+            n = math.floor(z) if order is None else order
+            res = origin_closed_form(ArgDecomposition(z, n, z - n), r0, delta)
+            assert arc_contribution(z, HankelContour(delta, r0), CFG, order) == res.value / math.pi
+            with mpmath.workdps(60):
+                r, ref, k = mpmath.mpf(r0), mpmath.mpf(0), n
+                factor = r ** (n + 1 - mpmath.mpf(z)) / mpmath.factorial(n)  # r0^a / k!
+                while k < n + 40 or k < 3 * r0 + 40:
+                    a = k + 1 - mpmath.mpf(z)
+                    ref += factor * mpmath.sin(a * delta) / a
+                    k += 1
+                    factor *= r / k
+                err = float(abs(res.value - ref))
+            assert res.value != 0.0
+            assert err <= res.abs_error_estimate, (z, delta, r0, order)
 
     @pytest.mark.parametrize("order", [-1, -3])
     def test_negative_order_rejected(self, order):
@@ -468,9 +510,9 @@ class TestConjugateFold:
 
     @pytest.mark.parametrize("z", [0.5, 2.5, 7.7])
     def test_upper_half_only(self, z):
-        # one ray and half the arc: two 15-point panels each
+        # one ray, three 15-point panels, and half the arc, a series
         gv = hankel_recip_gamma(z, HankelContour(), QuadratureConfig())
-        assert gv.quadrature.evaluations <= 60
+        assert gv.quadrature.evaluations <= 45
 
     @pytest.mark.parametrize("z", [0.5, 2.5, 7.7])
     def test_ray_tail_skipped_under_its_bound(self, z):

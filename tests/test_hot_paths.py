@@ -325,6 +325,8 @@ HOT_PATHS = [
     quadrature._gk15,
     quadrature.integrate_finite,
     quadrature.real_axis_middle,
+    # once per term, on every real-line integral and every paper-contour call
+    quadrature.origin_closed_form,
 ]
 
 

@@ -309,6 +309,22 @@ class TestOriginClosedForm:
         assert res.condition_flag is ConditionFlag.OK
         assert abs(res.value - exact) <= res.abs_error_estimate <= 1e-13 * abs(exact)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_arc_at_pi_is_sinpi_times_the_real_line(self, seed):
+        # at delta = pi each term's sin(pi a) is (-1)^k sinpi(z): the paper's
+        # equivalence of the two representations, on the origin's part; the
+        # two sums differ by their estimates and sinpi's rounding at most
+        rng = random.Random(seed)
+        for _ in range(50):
+            z = math.exp(rng.uniform(math.log(1e-3), math.log(170.0)))
+            if z == math.floor(z):
+                continue
+            arg, r = decompose(z), math.exp(rng.uniform(math.log(0.05), math.log(4.0)))
+            arc, line = origin_closed_form(arg, r, math.pi), origin_closed_form(arg, r)
+            s = sinpi(z)
+            bound = arc.abs_error_estimate + abs(s) * line.abs_error_estimate
+            assert abs(arc.value - s * line.value) <= bound + 4e-16 * abs(s * line.value), (z, r)
+
     @pytest.mark.parametrize("A", [10.5, 45.5])
     def test_euler_argument_is_refused_by_the_assembly(self, A):
         # the origin series takes it (above), but the assembly bounds its
