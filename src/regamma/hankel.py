@@ -32,10 +32,8 @@ divided by pi once at the end.
 Because the numerator is the regularized remainder e^tau - e_{n-1}(tau),
 the integrand is integrable over the shrinking arc (it vanishes like
 r0^{1-frac}), which is exactly what makes the truncation order n = [z]
-the right one.  On the arc that remainder is sum_{k>=n} tau^k/k!, so the
-arc is summed term by term in closed form: quadrature.origin_closed_form
-at split r0 with delta, the real line's origin series with sin(delta a)
-in place of (-1)^k, a = k + 1 - z.  Every node of the ray, and of the
+the right one.  On the arc that remainder is sum_{k>=n} tau^k/k!, which
+_arc_series sums term by term.  Every node of the ray, and of the
 steepest-descent rule, is ray_kernel, which takes the remainder by the
 kernel's own dispatch: beyond max(1, n/2) the direct difference, and
 within it, for n >= 1, the kernel's one series n! sum_{j>=0}
@@ -75,12 +73,12 @@ from .kernel import ArgDecomposition, _ratio_series, decompose
 from .quadrature import (
     _EPMACH,
     _GL15,
+    _SUBNORMAL,
     ConditionFlag,
     IntegralResult,
     QuadratureConfig,
     _gl15_panels,
     combine,
-    origin_closed_form,
     polynomial_tail_closed_form,
     propagate,
 )
@@ -88,6 +86,7 @@ from .quadrature import (
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_SUBNORMAL = math.log(math.ulp(0.0))
+_ARC_HEADROOM = math.log(8.0)  # the arc's sums, up to 1 + pi times its terms' bound
 # The ray ends where the bound on its exponential part past it is this
 # share of the ray's tolerance on 1/Gamma(z).
 _TAIL_NEGLIGIBLE = 0.01
@@ -130,7 +129,7 @@ class HankelContour:
     r0: float = 0.5
 
 
-def _validate(contour: HankelContour, z: float) -> None:
+def _validate(contour: HankelContour, z: float, n: int) -> None:
     if not 0.5 * math.pi < contour.delta < math.pi:
         raise ContourDegenerate(
             f"ray angle must lie in (pi/2, pi), got {contour.delta!r}"
@@ -143,10 +142,16 @@ def _validate(contour: HankelContour, z: float) -> None:
         raise ContourDegenerate(
             f"arc radius {contour.r0!r} is too small for z = {z!r}: r0^-z overflows"
         )
-    # the arc's terms r0^{k+1-z}/k!, at any order, are at most e^{r0} r0^{1-z}
-    if contour.r0 + (1.0 - z) * log_r0 > _LOG_FLOAT_MAX:
+    # _arc_series' terms, times 2^s, sum to at most 2^s e^{r0} r0^{1-z} min(1, r0^n/n!)
+    log_sum = contour.r0 + (1.0 - z) * log_r0 + min(0.0, n * log_r0 - math.lgamma(n + 1))
+    if log_sum + _arc_shift(n) * math.log(2.0) > _LOG_FLOAT_MAX - _ARC_HEADROOM:
         raise ContourDegenerate(f"arc radius {contour.r0!r} is too large for z = {z!r}: "
                                 "the arc's terms, up to e^r0 r0^(1-z), overflow")
+
+
+def _arc_shift(n: int) -> int:
+    """s of the arc series' start 2^s/n!, the least >= 0 keeping it above 2^-1000."""
+    return max(0, math.factorial(n).bit_length() - 1000)
 
 
 def _phases(theta: float, z: float, n: int) -> tuple[complex, complex]:
@@ -163,11 +168,10 @@ def ray_kernel(r: float, t: float, theta: float, unit: complex, z: float, n: int
 
     Beside r and theta the caller passes t = log r, unit = e^{i theta},
     log_fact = lgamma(n + 1) and phases = _phases(theta, z, n), formed once
-    per ray, which holds them constant; order 0 takes
-    neither log_fact nor phases.  A series node is the kernel's series
-    times exp((n - z) t - log_fact) times phases[0], a direct node
-    e^tau - e_{n-1}(tau) times e^{-zt} times phases[1], e_{n-1}(r) summed
-    in the same loop.
+    per ray, which holds them constant; order 0 takes neither.  A series
+    node is the kernel's series times exp((n - z) t - log_fact) times
+    phases[0], a direct node e^tau - e_{n-1}(tau) times e^{-zt} times
+    phases[1], e_{n-1}(r) summed in the same loop.
     """
     tau = r * unit
     if not n:
@@ -272,6 +276,60 @@ def _ray(arg: ArgDecomposition, contour: HankelContour, R: float, target: float)
     return _segment(pairs, _GL15_W * panels, h, bound, arg, max(abs(lo), abs(hi)) + delta)
 
 
+def _arc_series(arg: ArgDecomposition, r0: float, delta: float) -> IntegralResult:
+    """Im of the integral of (e^tau - e_{n-1}(tau)) tau^{-z} over the arc
+    tau = r0 e^{i theta}, 0 <= theta <= delta.  The remainder is
+    sum_{k>=n} tau^k/k!, so the arc is sum_{k>=n} r0^a sin(delta a)/(a k!),
+    a = k + 1 - z = j + b, j = k - n, b = 1 - frac: the real line's origin
+    series with sin(delta a) in place of (-1)^k, (-1)^k sinpi(z) at delta =
+    pi.  The terms are the real line's with e^{i delta} in place of -1, and
+    the imaginary part of their sum is kept.  frac = z - order > 1 (lower
+    orders of arc_contribution) makes b exact and negative.  1/n! is 2^s/n!
+    (_arc_shift), a ratio of integers, and the sum is scaled by 2^-s: while
+    r0 > k the terms grow, but their sum stays in range (_validate).  The
+    sum stops once a term is below eps of it, a > 0 and the next factor is
+    at most 1/2, so all the rest is below that term; a NaN stops it too.
+
+    The error is derived in units u = eps/2, to first order (pow, cos and
+    sin to 1 ulp), of S, the first term's imaginary part plus the other
+    terms' moduli:
+    - the first term, r0^b e^{i b delta} 2^s/(n! b): pow, 2^s/n!, sin, b
+      and their products and division 9u, and b's rounding |b| |log r0| u,
+      of its imaginary part; b delta's rounding 2 |b| delta u of its modulus;
+    - term j > 0: the first's 7u + |b| (2 delta + |log r0|) u, the running
+      factor r0 e^{i delta}/k's 6.3u a step (cmath.rect 3u, the division u,
+      the complex product sqrt(5) u), a's and the division's 3u: at most
+      5 + |b| (delta + |log r0|) + 3.2 j eps of its modulus;
+    - the rest past the last term J is below eps S, and the running sum
+      rounds by u of its imaginary part, at most u ((J + 1) S - sum j |t_j|).
+    In all 9 + |b| (delta + |log r0|) + (J + 1)/2 eps of S, 2.7 eps of
+    sum j |t_j| and |b| delta eps of the first term's modulus, and below
+    the normal range 4 subnormal units a term and one for the scaling.
+    """
+    n, base, shift = arg.n, 1.0 - arg.frac, _arc_shift(arg.n)
+    coeff = cmath.rect(r0**base * ((1 << shift) / math.factorial(n)), base * delta)
+    step = cmath.rect(r0, delta)
+    first = coeff / base  # the term k = n
+    total = complex(0.0, first.imag)  # Re first, not summed, would dominate |total|
+    abs_sum, steps, j = abs(total), 0.0, 0  # j = k - n
+    while True:
+        j += 1
+        coeff *= step / (n + j)
+        a = j + base
+        term = coeff / a
+        total += term
+        size = abs(term)
+        abs_sum += size
+        steps += j * size
+        if not size > _EPMACH * abs(total) and a > 0.0 and 2.0 * r0 <= n + j + 1:
+            break
+    phase = abs(base) * delta
+    count = ((9.0 + phase + abs(base) * abs(math.log(r0)) + 0.5 * (j + 1)) * abs_sum
+             + 2.7 * steps + phase * abs(first))
+    err = math.ldexp(_EPMACH * count + 4 * (j + 1) * _SUBNORMAL, -shift) + _SUBNORMAL
+    return IntegralResult(math.ldexp(total.imag, -shift), err, 0)
+
+
 def contour_recip_gamma(
     arg: ArgDecomposition, contour: HankelContour, cfg: QuadratureConfig
 ) -> IntegralResult:
@@ -292,7 +350,7 @@ def contour_recip_gamma(
     0 is returned before any node.
     """
     z = arg.z
-    _validate(contour, z)
+    _validate(contour, z, arg.n)
     log_bound = z - (z - 0.5) * math.log(z) - _HALF_LOG_2PI
     if log_bound + math.log(cfg.eps_rel / (1.0 - cfg.eps_rel)) < _LOG_SUBNORMAL:
         return IntegralResult(0.0, math.inf, 0, ConditionFlag.TOLERANCE_NOT_MET)
@@ -311,13 +369,11 @@ def contour_recip_gamma(
     target = _target(z, cfg.eps_rel)
     parts = [
         # the upper half-arc, the origin series at r0 with delta
-        origin_closed_form(arg, r0, delta),
+        _arc_series(arg, r0, delta),
         _ray(arg, contour, R, target),
         # the polynomial part of the ray beyond R, in closed form
         polynomial_tail_closed_form(arg, R, delta),
-        # the exponential part of the ray beyond R, at most
-        # e^{R cos delta} R^{-z} / |cos delta| (z > 0): left out, a part of
-        # value 0 with the bound as its error
+        # the exponential part of the ray beyond R: left out, its bound kept
         IntegralResult(0.0, math.exp(R * math.cos(delta) - z * math.log(R)) / decay, 0),
     ]
     # each part meets its own tolerance, but the parts can cancel (the
@@ -327,14 +383,11 @@ def contour_recip_gamma(
 
 
 def arc_contribution(
-    z: float,
-    contour: HankelContour | None = None,
-    cfg: QuadratureConfig | None = None,
-    order: int | None = None,
+    z: float, contour: HankelContour | None = None, order: int | None = None
 ) -> float:
     """The (1/2 pi i)-normalized integral over the arc alone, a real number,
-    (1/pi) sum_{k>=order} r0^a sin(a delta)/(a k!), a = k + 1 - z, which
-    quadrature.origin_closed_form sums to double precision, whatever cfg.
+    (1/pi) sum_{k>=order} r0^a sin(a delta)/(a k!), a = k + 1 - z, by
+    _arc_series (below the order [z], a term whose a lies next to 0 loses digits).
 
     With the regularizing order n = [z] (the default) the magnitude decays
     like r0^{1-frac} as the arc shrinks; passing order=0 reproduces the
@@ -343,9 +396,9 @@ def arc_contribution(
     """
     arg = decompose(z)
     contour = contour or HankelContour()
-    _validate(contour, z)
     n = arg.n if order is None else order
     if n < 0:
         raise ValueError(f"order must be >= 0, got {n}")
-    arc = origin_closed_form(ArgDecomposition(z, n, z - n), contour.r0, contour.delta)
+    _validate(contour, z, n)
+    arc = _arc_series(ArgDecomposition(z, n, z - n), contour.r0, contour.delta)
     return arc.value / math.pi

@@ -8,7 +8,7 @@ power_subst and log_form.  Its only setting is the relative tolerance
 panels.  Like QUADPACK's round-off detection it stops bisecting once the
 panels' round-off floors alone exceed the target, and flags the result.
 The real axis's middle stretch and the ray of the paper's Hankel contour
-(hankel; its arc is origin_closed_form's series with a phase) are entire
+(hankel, which sums its arc term by term as a series) are entire
 in their path variable instead, and take equal 15-point Gauss-Legendre
 panels (_GL15), as many, up to a cap, as the closed-form error bound
 _gl15_bound needs (_gl15_panels); the bound is in their error, so they
@@ -59,7 +59,6 @@ large z the terms of the polynomial tail dwarf the sum.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -365,80 +364,28 @@ def geometric_breakpoints(a: float, b: float) -> list[float]:
     return pts
 
 
-def origin_closed_form(
-    arg: ArgDecomposition, split: float, delta: float | None = None
-) -> IntegralResult:
+def origin_closed_form(arg: ArgDecomposition, split: float) -> IntegralResult:
     """int_0^split (e^{-x} - e_{n-1}(-x)) x^{-z} dx, summed term by term.
 
     The remainder is sum_{k>=n} (-x)^k/k!, and each term integrates to
-    (-1)^k/k! * split^a/a, a = k - z + 1, built from n and frac as j + b,
-    j = k - n, b = 1 - frac, exact up to one rounding.  Each term's factor
-    is the last one's times -split/k.  The sum stops once a term is below
-    eps of it, a > 0 and the next factor is at most 1/2, so all the rest is
-    below that term; its error is the rounding bound 8 eps sum |terms|, and
-    no evaluations are spent.
-
-    Given delta, it is Im of the integral of (e^tau - e_{n-1}(tau)) tau^{-z}
-    over the arc tau = split e^{i theta}, 0 <= theta <= delta: each term
-    carries sin(delta a) in place of (-1)^k, which is (-1)^k sinpi(z) at
-    delta = pi, where the arc is sinpi(z) times the real line's series.
-    The terms are the real line's with e^{i delta} in place of -1; of the
-    sum the imaginary part is kept (of the first term alone, whose real
-    part would dominate).  frac = z - order > 1 (hankel.arc_contribution's
-    lower orders) makes b exact and negative.  While split > k the terms
-    grow, to split^{1-z} e^split at most (hankel refuses a radius where
-    that overflows); 1/n! is formed as 2^s/n!, a ratio of integers, s the
-    least >= 0 that keeps it above 2^-1000, and the sum scaled by 2^-s, so
-    no growing term leaves the normal range.  The error is derived in units
-    u = eps/2, to first order (pow, cos and sin to 1 ulp), of S, the first
-    term's imaginary part plus the other terms' moduli:
-    - the first term, split^b e^{i b delta}/(n! b): pow, 1/n!, sin, b and
-      their products and division 9u, and b's rounding |b| |log split| u,
-      of its imaginary part; b delta's rounding 2 |b| delta u of its modulus;
-    - term j > 0: the first's 7u + |b| (2 delta + |log split|) u, the
-      running factor split e^{i delta}/k's 6.3u a step (cmath.rect 3u, the
-      division u, the complex product sqrt(5) u), a's and the division's
-      3u: at most 5 + |b| (delta + |log split|) + 3.2 j eps of its modulus;
-    - the rest past the last term J is below eps S, and the running sum
-      rounds by u of its imaginary part, at most u ((J + 1) S - sum j |t_j|).
-    In all 9 + |b| (delta + |log split|) + (J + 1)/2 eps of S, 2.7 eps of
-    sum j |t_j| and |b| delta eps of the first term's modulus, and below
-    the normal range 4 subnormal units a term and one for the scaling.
+    (-1)^k/k! * split^{k-z+1}/(k-z+1).  Every exponent is built from n and
+    frac as (k - n) + (1 - frac), so it is exact up to one rounding and at
+    least 1 - frac > 0.  The terms fall off like split^k/k!; the sum stops
+    once a term is below eps of it, and its error is the rounding bound
+    8 eps sum |terms|.  No evaluations are spent.
     """
-    n, base = arg.n, 1.0 - arg.frac
-    if delta is None:
-        coeff = (-1.0) ** n / math.factorial(n) * split**base  # (-1)^k split^a / k!
-        step = -split
-    else:
-        factorial = math.factorial(n)
-        shift = factorial.bit_length() - 1000
-        if shift < 0:
-            shift = 0
-        coeff = cmath.rect(split**base * ((1 << shift) / factorial), base * delta)
-        step = cmath.rect(split, delta)
-    total = first = coeff / base  # the term k = n
-    if delta is not None:
-        total = complex(0.0, first.imag)  # Re first, not summed, would dominate |total|
-    abs_sum, steps = abs(total), 0.0
+    base = 1.0 - arg.frac
+    coeff = (-1.0) ** arg.n / math.factorial(arg.n) * split**base  # (-1)^k split^{k-z+1} / k!
+    total = abs_sum = 0.0
     j = 0  # k - n
     while True:
-        j += 1
-        coeff *= step / (n + j)
-        a = j + base
-        term = coeff / a
+        term = coeff / (j + base)
         total += term
-        size = abs(term)
-        abs_sum += size
-        steps += j * size
-        if size <= _EPMACH * abs(total) and a > 0.0 and 2.0 * split <= n + j + 1:
-            break
-    if delta is None:
-        return IntegralResult(total, 8.0 * _EPMACH * abs_sum, 0)
-    phase = abs(base) * delta
-    count = ((9.0 + phase + abs(base) * abs(math.log(split)) + 0.5 * (j + 1)) * abs_sum
-             + 2.7 * steps + phase * abs(first))
-    err = math.ldexp(_EPMACH * count + 4 * (j + 1) * _SUBNORMAL, -shift) + _SUBNORMAL
-    return IntegralResult(math.ldexp(total.imag, -shift), err, 0)
+        abs_sum += abs(term)
+        if abs(term) <= _EPMACH * abs(total):
+            return IntegralResult(total, 8.0 * _EPMACH * abs_sum, 0)
+        j += 1
+        coeff *= -split / (arg.n + j)
 
 
 def polynomial_tail_closed_form(

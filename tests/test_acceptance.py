@@ -122,11 +122,11 @@ def test_criterion_6_regularization_necessity():
     z = 1.5
     # (a) without regularization the arc contribution grows as r0 shrinks
     radii = (1e-1, 1e-2, 1e-3)
-    raw = [abs(arc_contribution(z, HankelContour(r0=r), CFG, order=0)) for r in radii]
+    raw = [abs(arc_contribution(z, HankelContour(r0=r), order=0)) for r in radii]
     raw_slope = (math.log(raw[0]) - math.log(raw[-1])) / (
         math.log(radii[0]) - math.log(radii[-1])
     )
-    reg = [abs(arc_contribution(z, HankelContour(r0=r), CFG)) for r in radii]
+    reg = [abs(arc_contribution(z, HankelContour(r0=r))) for r in radii]
     reg_slope = (math.log(reg[0]) - math.log(reg[-1])) / (
         math.log(radii[0]) - math.log(radii[-1])
     )

@@ -19,7 +19,7 @@ from regamma.gamma_core import (
     recip_gamma,
 )
 from regamma.hankel import HankelContour, arc_contribution, ray_kernel
-from regamma.kernel import ArgDecomposition
+from regamma.kernel import ArgDecomposition, decompose, sinpi
 from regamma.quadrature import (
     ConditionFlag,
     QuadratureConfig,
@@ -68,7 +68,7 @@ def ray_difference_kernel(r: float, delta: float, z: float, n: int) -> complex:
 
 def fitted_arc_exponent(z, radii, order=None):
     mags = [
-        abs(arc_contribution(z, HankelContour(r0=r0), CFG, order=order))
+        abs(arc_contribution(z, HankelContour(r0=r0), order=order))
         for r0 in radii
     ]
     return (math.log(mags[0]) - math.log(mags[-1])) / (
@@ -124,26 +124,40 @@ class TestHankelRecipGamma:
         with pytest.raises(ContourDegenerate):
             hankel_recip_gamma(155.5, HankelContour(r0=0.01), CFG)
 
-    @pytest.mark.parametrize("z", [0.5, 2.5, 100.5])
+    @pytest.mark.parametrize("z", [0.5, 2.5, 100.5, 170.5, 172.5])
     def test_arc_radius_whose_terms_overflow_is_refused(self, z):
-        # the arc's terms reach e^{r0} r0^{1-z}: at r0 = 700 and z = 0.5
-        # the arc's rule raised a bare OverflowError.  Up to the radius where
-        # that bound reaches the largest double the result is returned,
-        # flagged; one double past it the contour is refused.
+        # the arc's terms sum to e^{r0} r0^{1-z} at most, and its series
+        # scales them by 2^s, s = 20 at n = 170 and 31 at n = 172.  At r0 = 700 and
+        # z = 0.5 the arc's rule raised a bare OverflowError; at z = 170.5 a
+        # radius whose unscaled bound fits overflowed the scaled terms.  Up
+        # to the radius where the scaled bound is an eighth of the largest
+        # double the result is returned, finite and flagged; one double past
+        # it the contour is refused.
+        n = math.floor(z)
+        shift = max(0, math.factorial(n).bit_length() - 1000)
+
+        def excess(r0):
+            log_r0 = math.log(r0)
+            log_sum = r0 + (1.0 - z) * log_r0 + min(0.0, n * log_r0 - math.lgamma(n + 1))
+            return (log_sum + shift * math.log(2.0)
+                    - (math.log(sys.float_info.max) - math.log(8.0)))
+
         r0 = 700.0
-        for _ in range(50):  # Newton's method on r0 + (1 - z) log r0 = log(max)
-            r0 -= (r0 + (1.0 - z) * math.log(r0) - math.log(sys.float_info.max)) / (
-                1.0 + (1.0 - z) / r0)
-        while r0 + (1.0 - z) * math.log(r0) > math.log(sys.float_info.max):
+        for _ in range(50):  # Newton's method on excess(r0) = 0
+            r0 -= excess(r0) / (1.0 + (1.0 - z) / r0)
+        while excess(r0) > 0.0:
             r0 = math.nextafter(r0, 0.0)
+        while excess(math.nextafter(r0, math.inf)) <= 0.0:
+            r0 = math.nextafter(r0, math.inf)
         gv = hankel_recip_gamma(z, HankelContour(r0=r0), CFG)
         assert math.isfinite(gv.value)
         assert gv.condition_flag is ConditionFlag.TOLERANCE_NOT_MET
+        assert math.isfinite(arc_contribution(z, HankelContour(r0=r0)))
         past = math.nextafter(r0, math.inf)
         with pytest.raises(ContourDegenerate, match="too large"):
             hankel_recip_gamma(z, HankelContour(r0=past), CFG)
         with pytest.raises(ContourDegenerate, match="too large"):
-            arc_contribution(z, HankelContour(r0=past), CFG)
+            arc_contribution(z, HankelContour(r0=past))
 
     def test_carries_contour_diagnostics(self):
         # the rounding of the nodes alone, about 4.4e-15 of the value,
@@ -411,9 +425,9 @@ class TestArcContribution:
     def test_small_radius_bound(self):
         # |arc(r0)| <= C r0^{1-frac} with C measured at the reference radius
         frac = 0.5
-        ref = arc_contribution(0.5, HankelContour(r0=1e-1), CFG)
+        ref = arc_contribution(0.5, HankelContour(r0=1e-1))
         C = abs(ref) / (1e-1) ** (1.0 - frac)
-        small = arc_contribution(0.5, HankelContour(r0=1e-2), CFG)
+        small = arc_contribution(0.5, HankelContour(r0=1e-2))
         assert abs(small) <= 2.0 * C * (1e-2) ** (1.0 - frac)
 
     def test_unregularized_arc_does_not_vanish(self):
@@ -438,22 +452,44 @@ class TestArcContribution:
     def test_series_within_its_estimate(self, order):
         # On |tau| = r0 the remainder at the order is sum_{k>=order} tau^k/k!,
         # so the arc is (1/pi) sum_{k>=order} r0^a sin(a delta) / (a k!) with
-        # a = k + 1 - z, in closed form, against the same series at 60 digits
+        # a = k + 1 - z, in closed form, against the same series at 60 digits.
+        # The estimate holds the error and stays small beside the terms'
+        # moduli: at order 0, |b| (delta + |log r0|) eps with b = 1 - z takes
+        # it to 6.4e-13 of them at z = 169.4 (6.2e-15 at the order [z])
+        limit = 1e-13 if order is None else 1e-12
         for z, delta, r0 in self.arc_draws(36, 120):
             n = math.floor(z) if order is None else order
-            res = origin_closed_form(ArgDecomposition(z, n, z - n), r0, delta)
-            assert arc_contribution(z, HankelContour(delta, r0), CFG, order) == res.value / math.pi
+            res = hankel._arc_series(ArgDecomposition(z, n, z - n), r0, delta)
+            assert arc_contribution(z, HankelContour(delta, r0), order) == res.value / math.pi
             with mpmath.workdps(60):
-                r, ref, k = mpmath.mpf(r0), mpmath.mpf(0), n
+                r, ref, moduli, k = mpmath.mpf(r0), mpmath.mpf(0), mpmath.mpf(0), n
                 factor = r ** (n + 1 - mpmath.mpf(z)) / mpmath.factorial(n)  # r0^a / k!
                 while k < n + 40 or k < 3 * r0 + 40:
                     a = k + 1 - mpmath.mpf(z)
-                    ref += factor * mpmath.sin(a * delta) / a
+                    term = factor * mpmath.sin(a * delta) / a
+                    ref += term
+                    moduli += abs(term)
                     k += 1
                     factor *= r / k
                 err = float(abs(res.value - ref))
             assert res.value != 0.0
-            assert err <= res.abs_error_estimate, (z, delta, r0, order)
+            assert err <= res.abs_error_estimate <= limit * float(moduli), (z, delta, r0, order)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_arc_at_pi_is_sinpi_times_the_real_line(self, seed):
+        # at delta = pi each term's sin(pi a) is (-1)^k sinpi(z): the paper's
+        # equivalence of the two representations, on the origin's part; the
+        # two sums differ by their estimates and sinpi's rounding at most
+        rng = random.Random(seed)
+        for _ in range(50):
+            z = math.exp(rng.uniform(math.log(1e-3), math.log(170.0)))
+            if z == math.floor(z):
+                continue
+            arg, r = decompose(z), math.exp(rng.uniform(math.log(0.05), math.log(4.0)))
+            arc, line = hankel._arc_series(arg, r, math.pi), origin_closed_form(arg, r)
+            s = sinpi(z)
+            bound = arc.abs_error_estimate + abs(s) * line.abs_error_estimate
+            assert abs(arc.value - s * line.value) <= bound + 4e-16 * abs(s * line.value), (z, r)
 
     @pytest.mark.parametrize("order", [-1, -3])
     def test_negative_order_rejected(self, order):
@@ -485,8 +521,8 @@ class TestKernelSeesRealArguments:
                     monkeypatch.setattr(module, fname, spy)
         for z in (1e-12, 0.5, 2.5, 7.7):
             hankel_recip_gamma(z, HankelContour(), CFG)
-            arc_contribution(z, HankelContour(), CFG)
-            arc_contribution(z, HankelContour(), CFG, order=0)
+            arc_contribution(z, HankelContour())
+            arc_contribution(z, HankelContour(), order=0)
             recip_gamma(z, CFG, MethodTag.HANKEL)
         inverse_laplace(1.5, 2.0, cfg=CFG)  # its Gamma(k+1) calls the kernel
         assert seen
@@ -505,7 +541,7 @@ class TestConjugateFold:
         sub = QuadratureConfig(eps_rel=CFG.eps_rel / 8.0)
         full = integrate_finite(arc, -delta, delta, sub, [-0.5 * delta, 0.0, 0.5 * delta])
         full = full.value / (2j * math.pi)
-        folded = arc_contribution(z, HankelContour(delta=delta, r0=r0), CFG)
+        folded = arc_contribution(z, HankelContour(delta=delta, r0=r0))
         assert abs(folded - full.real) <= 1e-13 * abs(full.real)
 
     @pytest.mark.parametrize("z", [0.5, 2.5, 7.7])

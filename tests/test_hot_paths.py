@@ -325,8 +325,9 @@ HOT_PATHS = [
     quadrature._gk15,
     quadrature.integrate_finite,
     quadrature.real_axis_middle,
-    # once per term, on every real-line integral and every paper-contour call
+    # once per term: of every real-line integral, and of every paper-contour call
     quadrature.origin_closed_form,
+    hankel._arc_series,
 ]
 
 

@@ -9,7 +9,6 @@ import pytest
 
 from regamma import kernel, quadrature
 from regamma.gamma_core import MethodTag, gamma_negative, recip_gamma
-from regamma.hankel import arc_contribution
 from regamma.kernel import ArgDecomposition, decompose, sinpi, truncated_exp
 from regamma.oracle import brute_force_integral
 from regamma.quadrature import (
@@ -309,22 +308,6 @@ class TestOriginClosedForm:
         assert res.condition_flag is ConditionFlag.OK
         assert abs(res.value - exact) <= res.abs_error_estimate <= 1e-13 * abs(exact)
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_arc_at_pi_is_sinpi_times_the_real_line(self, seed):
-        # at delta = pi each term's sin(pi a) is (-1)^k sinpi(z): the paper's
-        # equivalence of the two representations, on the origin's part; the
-        # two sums differ by their estimates and sinpi's rounding at most
-        rng = random.Random(seed)
-        for _ in range(50):
-            z = math.exp(rng.uniform(math.log(1e-3), math.log(170.0)))
-            if z == math.floor(z):
-                continue
-            arg, r = decompose(z), math.exp(rng.uniform(math.log(0.05), math.log(4.0)))
-            arc, line = origin_closed_form(arg, r, math.pi), origin_closed_form(arg, r)
-            s = sinpi(z)
-            bound = arc.abs_error_estimate + abs(s) * line.abs_error_estimate
-            assert abs(arc.value - s * line.value) <= bound + 4e-16 * abs(s * line.value), (z, r)
-
     @pytest.mark.parametrize("A", [10.5, 45.5])
     def test_euler_argument_is_refused_by_the_assembly(self, A):
         # the origin series takes it (above), but the assembly bounds its
@@ -573,8 +556,6 @@ class TestConfigValidation:
             assert gv.value == pytest.approx(float(mpmath.rgamma(2.5)), rel=1e-14)
         gv = gamma_negative(2.5, cfg, MethodTag.CAUCHY_SAALSCHUTZ)
         assert gv.condition_flag is ConditionFlag.TOLERANCE_NOT_MET
-        arc = arc_contribution(2.5, None, cfg)
-        assert arc == pytest.approx(arc_contribution(2.5, None, CFG), rel=1e-7)
 
     def test_geometric_breakpoints_need_a_positive_start(self):
         with pytest.raises(ValueError):
