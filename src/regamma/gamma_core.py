@@ -82,6 +82,9 @@ _RECIP_FACTORIAL_ZERO_ARG = 179
 # Arguments from SHIFT_BASE + 1 up are evaluated at w in
 # [SHIFT_BASE, SHIFT_BASE + 1) and moved back by the recurrence.
 SHIFT_BASE = 8
+# Bounds the digamma function on [SHIFT_BASE, SHIFT_BASE + 1]:
+# psi(9) = H_8 - Euler's gamma = 2.1406...
+_PSI_SHIFT_BASE = 2.15
 # Roundings of a real-line value past the estimate of its integral, at most
 # four: sin(pi w), the division by pi, the product and cauchy_saalschutz's
 # -w (Gamma(-w) and 1/Gamma(-w): the quotient; gamma_ratio: the quotient of
@@ -167,29 +170,48 @@ def recurrence(value: float, x: float, m: int) -> float:
     return value
 
 
-def _moved_back(base: IntegralResult, x: float, m: int, roundings: int,
+def _moved_back(base: IntegralResult, x: float, m: int, roundings: float,
                 eps_rel: float) -> IntegralResult:
     """The record of recurrence(base.value, x, m), every shifted value's:
-    base is the record at x - m, whose value carries `roundings` roundings
-    of 2^-53 relative that base leaves out.
+    base is the record at w = x - m, as rounded, whose value carries
+    `roundings` roundings of 2^-53 relative that base leaves out.
 
     Each step rounds by 2^-53 relative or, below the normal range, by up
-    to half a subnormal unit.  The factors are exact on the real line and
-    from 9 up; the hankel route's below 8, and its w = z - m there, round,
-    which is left to its rule's count (measured, not derived).  For m > 0
-    every divisor is at least 8 in magnitude, so each division shrinks
-    that unit eightfold and all m stay below one.  For m < 0 every product
-    before the last, by x, is 1/Gamma(x + j), j >= 1, x + j < 9, subnormal
-    only within about 1e-308 of 0, where x + j never lies for non-integer
-    x, so only the last can leave the normal range.  So one rounding is
-    propagate's, with its unit, and the roundings + |m| - 1 others count
-    their relative part alone, as an exact factor 1.  Raises OverflowError
-    where 1/Gamma(x) exceeds double precision (only a product can).
+    to half a subnormal unit.  For m > 0 every divisor is at least 8 in
+    magnitude, so each division shrinks that unit eightfold and all m stay
+    below one.  For m < 0 every product before the last, by x, is
+    1/Gamma(x + j), j >= 1, x + j < 9, subnormal only within about 1e-308
+    of 0, where x + j never lies for non-integer x, so only the last can
+    leave the normal range.  So one rounding is propagate's, with its
+    unit, and the roundings + |m| - 1 others count their relative part
+    alone, as an exact factor 1.
+
+    The shift is counted too.  Where w = x - m is exact, so is every
+    factor x - j (0 < j <= m) or x + j (0 <= j < -m): x and w differ by an
+    integer, so both are multiples of the unit in the last place of the
+    larger of them in magnitude, and each factor lies between them, so it
+    is such a multiple no larger in magnitude, a double.  w is exact on
+    the real line, which keeps x's frac, and from 9 up.  Only the
+    hankel route's w = z - m in [8, 9] below 8, m < 0, can round.  Its
+    rounding d = (w + m) - x is then exact: w + m, a multiple of 2^-49
+    below 8 in magnitude, is a double, and it lies within 2^-50 of x, so
+    their difference is a multiple of the unit of x.  The rule takes
+    1/Gamma at w for 1/Gamma(x - m); they differ by the factor
+    e^{lgamma(x - m) - lgamma(w)} = 1 - psi(xi) d to first order, xi in
+    [8, 9], and psi(9) = H_8 - gamma < 2.15 bounds psi there: 2.15 |d|
+    relative, at most 17.2 units of 2^-53.  The factors x + j, 1 <= j < -m,
+    then round once each (x + 0 is x): |m| - 1 units more.  Raises
+    OverflowError where 1/Gamma(x) exceeds double precision (only a
+    product can).
     """
     value = recurrence(base.value, x, m)
     if math.isinf(value):
         raise OverflowError(f"1/Gamma({x!r}) overflows double precision")
-    steps = IntegralResult(1.0, (roundings + abs(m) - 1) * 2.0**-53, 0)
+    count = roundings + abs(m) - 1
+    drift = ((x - m) + m) - x
+    if drift:
+        count += abs(m) - 1 + _PSI_SHIFT_BASE * abs(drift) * 2.0**53
+    steps = IntegralResult(1.0, count * 2.0**-53, 0)
     return propagate(value, [base, steps], 1, eps_rel)
 
 
@@ -252,7 +274,8 @@ def _real_line(arg: ArgDecomposition, cfg: QuadratureConfig, method: MethodTag,
 
 def _steepest_descent(z: float, cfg: QuadratureConfig) -> IntegralResult:
     """The hankel route's record of 1/Gamma(z), z real non-integer: the
-    rule at w = z - m in [8, 9), moved back (upward below 8)."""
+    rule at w = z - m in [8, 9], moved back (upward below 8), its rounding
+    and the shift's counted (_moved_back)."""
     m = math.floor(z) - SHIFT_BASE
     rule = steepest_descent_recip_gamma(z - m)
     return _moved_back(rule, z, m, TRAPEZOID_ROUNDING, cfg.eps_rel)

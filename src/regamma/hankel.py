@@ -13,9 +13,14 @@ int_0^pi e^s s^{-w} dtheta with s = w u(theta), and the trapezoid rule on
 it converges geometrically (Weideman & Trefethen, Math. Comp. 76, 2007).
 On a path that stays off the origin the paper's regularizing polynomial
 integrates to exactly 0, so each node is the paper's integrand at order 0,
-ray_kernel(|s|, theta, w, 0).  At w in [8, 9), where gamma_core takes it,
-24 nested nodes reach double precision; the difference of the 12- and
-24-node sums is the error estimate.
+ray_kernel(|s|, theta, w, 0).  At w in [8, 9], where gamma_core takes it,
+the 14 nodes theta_j = j pi / 14 reach double precision, and the record's
+error is the rule's truncation count, TRAPEZOID_TRUNCATION, not the
+difference of two sums.  That count is measured, against mpmath over a
+dense grid of w, and a test holds it: the strip bound of Weideman &
+Trefethen asks the periodic integrand to be analytic on a strip about the
+real axis, and at theta = +-pi it is not (it vanishes there, but its
+continuation past +-pi grows without bound), so the bound gives no count.
 
 contour_recip_gamma is the paper's own contour, the cross-check of its
 claim that the real-line integral equals Hankel's (with arc_contribution).
@@ -66,7 +71,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 
 from .errors import ContourDegenerate
 from .kernel import ArgDecomposition, _ratio_series, decompose
@@ -77,6 +81,7 @@ from .quadrature import (
     ConditionFlag,
     IntegralResult,
     QuadratureConfig,
+    _Frozen,
     _gl15_panels,
     combine,
     polynomial_tail_closed_form,
@@ -105,28 +110,36 @@ _RAY_CANCELLATION = 0.25
 # The 15-point rule's abscissae and weights, apart.
 _GL15_X, _GL15_W = zip(*_GL15)
 
-# The route's trapezoid rule at w in [8, 9): the nodes theta_j = j pi / (2 N),
-# j < 2 N, of the steepest-descent path are stored as (theta, e^{i theta},
-# theta / sin theta); the even ones are the N-node rule.
-_TRAPEZOID_N = 12
+# The route's trapezoid rule at w in [8, 9]: its nodes theta_j = j pi / N,
+# j < N, on the steepest-descent path, stored as (theta, e^{i theta},
+# theta / sin theta).
+_TRAPEZOID_N = 14
 _PATH_NODES = tuple(
     (theta, cmath.rect(1.0, theta), theta / math.sin(theta) if theta else 1.0)
-    for theta in (j * math.pi / (2 * _TRAPEZOID_N) for j in range(2 * _TRAPEZOID_N))
+    for theta in (j * math.pi / _TRAPEZOID_N for j in range(_TRAPEZOID_N))
 )
-# Relative rounding of the 24-node sum, in units of eps: the kernel's
-# exponent, tau - w log tau, has terms up to about 20 at the peak; the
-# error measured over 3,000 w in [8, 9) reached 25 eps, and 26.3 over
-# 1,500 more with the node as one exponential.  t = log w + log rho in
-# place of log(w rho) took that to 36.5.
+# The rule's truncation error relative to 1/Gamma(w), in units of 2^-53:
+# the sum of the exact nodes against mpmath at 40 digits, over 2,001 w
+# spread evenly over [8, 9], was at most 0.144 units (16.1 at 12 nodes,
+# 1.6 at 13); tests/test_hankel.py holds it.
+TRAPEZOID_TRUNCATION = 1.0
+# The rule's rounding relative to 1/Gamma(w), in units of 2^-53: the
+# kernel's exponent, tau - w log tau, has terms up to about 20 at the peak;
+# the 14-node sum in doubles was at most 21.6 units off over 3,000 w in
+# [8, 9), truncation included.  t = log w + log rho in place of
+# log(w rho) took a 24-node sum's from 26.3 to 36.5.
 TRAPEZOID_ROUNDING = 32
 
 
-@dataclass(frozen=True)
-class HankelContour:
-    """Ray angle and arc radius."""
+class HankelContour(_Frozen):
+    """Ray angle and arc radius, validated where a contour is used
+    (_validate), as the limits depend on z."""
 
-    delta: float = 0.75 * math.pi
-    r0: float = 0.5
+    __slots__ = ("delta", "r0")
+
+    def __init__(self, delta: float = 0.75 * math.pi, r0: float = 0.5) -> None:
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "r0", r0)
 
 
 def _validate(contour: HankelContour, z: float, n: int) -> None:
@@ -203,15 +216,14 @@ def ray_kernel(r: float, t: float, theta: float, unit: complex, z: float, n: int
 
 
 def steepest_descent_recip_gamma(w: float) -> IntegralResult:
-    """The record of 1/Gamma(w), w in [8, 9): the 24-node sum of (w/pi)
-    int_0^pi e^s s^{-w} dtheta, its difference from the 12-node sum as its
-    error.  gamma_core adds its rounding, TRAPEZOID_ROUNDING."""
+    """The record of 1/Gamma(w), w in [8, 9]: the 14-node trapezoid sum of
+    (w/pi) int_0^pi e^s s^{-w} dtheta, its truncation count,
+    TRAPEZOID_TRUNCATION, as its error.  gamma_core adds its rounding,
+    TRAPEZOID_ROUNDING."""
     terms = [ray_kernel(w * rho, math.log(w * rho), theta, unit, w, 0, 0.0, None)[0].real
              for theta, unit, rho in _PATH_NODES]
-    head = 0.5 * terms[0]
-    fine = (head + math.fsum(terms[1:])) * (w / len(terms))
-    coarse = (head + math.fsum(terms[2::2])) * (2.0 * w / len(terms))
-    return IntegralResult(fine, abs(fine - coarse), len(terms))
+    value = (0.5 * terms[0] + math.fsum(terms[1:])) * (w / _TRAPEZOID_N)
+    return IntegralResult(value, TRAPEZOID_TRUNCATION * 2.0**-53 * value, _TRAPEZOID_N)
 
 
 def _target(z: float, eps_rel: float) -> float:
@@ -230,23 +242,24 @@ def _target(z: float, eps_rel: float) -> float:
 def _segment(nodes: list[tuple[complex, float]], weights: tuple[float, ...], h: float,
              bound: float, arg: ArgDecomposition, log_tau: float) -> IntegralResult:
     """The ray's record from its nodes (f(t), cancelled), ray_kernel's
-    pairs, and their weights w: h times Im sum w f(t), by math.fsum, so
+    pairs, and their weights w: h times sum w Im f(t), by math.fsum, so
     rounded once whatever the node count.  The error is the rule's bound
     plus (_NODE_ROUNDING + a) eps of h sum w |f|, a = z log_tau + 2 log n!
     bounding the exponents that the kernel exponentiates, log_tau bounding
     |log tau| (their rounding, lgamma's to 2 eps, is relative to the node),
     and _RAY_CANCELLATION eps of h sum w cancelled, the terms that the
-    kernel's direct path cancels, counted by each node.
+    kernel's direct path cancels, counted by each node.  Each node takes
+    w Im f and w |f|, not the complex w f, which has the same imaginary
+    part wherever f is finite.
     """
-    values, cancelled = [], 0.0
+    imags, moduli, cancelled = [], 0.0, 0.0
     for w, (f, c) in zip(weights, nodes):
-        values.append(w * f)
+        imags.append(w * f.imag)
+        moduli += w * abs(f)
         cancelled += w * c
-    total = math.fsum([v.imag for v in values])
     amplification = arg.z * log_tau + 2.0 * math.lgamma(arg.n + 1)
-    rounding = ((_NODE_ROUNDING + amplification) * sum(map(abs, values))
-                + _RAY_CANCELLATION * cancelled)
-    return IntegralResult(h * total, bound + _EPMACH * h * rounding, len(values))
+    rounding = (_NODE_ROUNDING + amplification) * moduli + _RAY_CANCELLATION * cancelled
+    return IntegralResult(h * math.fsum(imags), bound + _EPMACH * h * rounding, len(imags))
 
 
 def _ray(arg: ArgDecomposition, contour: HankelContour, R: float, target: float) -> IntegralResult:
@@ -290,32 +303,52 @@ def _arc_series(arg: ArgDecomposition, r0: float, delta: float) -> IntegralResul
     sum stops once a term is below eps of it, a > 0 and the next factor is
     at most 1/2, so all the rest is below that term; a NaN stops it too.
 
+    Below the order [z], where b is exact and negative, a is exact too,
+    and the one or two terms with |a| < 1 are formed as the first is, from
+    r0^a and 2^s/k!, their real parts not summed either: from the running
+    product, sin(a delta) next to a = 0 would inherit a phase error of a
+    few eps k delta, relative to a delta, which is all of its size.
+
     The error is derived in units u = eps/2, to first order (pow, cos and
-    sin to 1 ulp), of S, the first term's imaginary part plus the other
-    terms' moduli:
-    - the first term, r0^b e^{i b delta} 2^s/(n! b): pow, 2^s/n!, sin, b
-      and their products and division 9u, and b's rounding |b| |log r0| u,
-      of its imaginary part; b delta's rounding 2 |b| delta u of its modulus;
-    - term j > 0: the first's 7u + |b| (2 delta + |log r0|) u, the running
-      factor r0 e^{i delta}/k's 6.3u a step (cmath.rect 3u, the division u,
-      the complex product sqrt(5) u), a's and the division's 3u: at most
+    sin to 1 ulp), of S, the imaginary parts of the terms formed directly
+    plus the other terms' moduli:
+    - a term formed directly, r0^a e^{i a delta} 2^s/(k! a) (a = b for the
+      first): pow, 2^s/k!, sin, a and their products and division 9u, and
+      a's rounding |a| |log r0| u (0 but for the first), of its imaginary
+      part; a delta's rounding 2 |a| delta u of its modulus;
+    - every other term j > 0: the first's 7u + |b| (2 delta + |log r0|) u
+      (or less, from a term formed directly since), the running factor
+      r0 e^{i delta}/k's 6.3u a step (cmath.rect 3u, the division u, the
+      complex product sqrt(5) u), a's and the division's 3u: at most
       5 + |b| (delta + |log r0|) + 3.2 j eps of its modulus;
     - the rest past the last term J is below eps S, and the running sum
       rounds by u of its imaginary part, at most u ((J + 1) S - sum j |t_j|).
     In all 9 + |b| (delta + |log r0|) + (J + 1)/2 eps of S, 2.7 eps of
-    sum j |t_j| and |b| delta eps of the first term's modulus, and below
-    the normal range 4 subnormal units a term and one for the scaling.
+    sum j |t_j| and |a| delta eps of the moduli of the terms formed
+    directly, and below the normal range 4 subnormal units a term and one
+    for the scaling.
     """
     n, base, shift = arg.n, 1.0 - arg.frac, _arc_shift(arg.n)
     coeff = cmath.rect(r0**base * ((1 << shift) / math.factorial(n)), base * delta)
     step = cmath.rect(r0, delta)
     first = coeff / base  # the term k = n
     total = complex(0.0, first.imag)  # Re first, not summed, would dominate |total|
+    phase = abs(base) * delta
+    near = phase * abs(first)  # b delta's rounding, and a delta's of terms formed as it is
     abs_sum, steps, j = abs(total), 0.0, 0  # j = k - n
     while True:
         j += 1
-        coeff *= step / (n + j)
         a = j + base
+        if a < 1.0 and a > -1.0:
+            # below the order [z]: formed as the first term is, its real
+            # part not summed either
+            coeff = cmath.rect(r0**a * ((1 << shift) / math.factorial(n + j)), a * delta)
+            term = coeff / a
+            total += complex(0.0, term.imag)
+            abs_sum += abs(term.imag)
+            near += abs(a) * delta * abs(term)
+            continue
+        coeff *= step / (n + j)
         term = coeff / a
         total += term
         size = abs(term)
@@ -323,9 +356,8 @@ def _arc_series(arg: ArgDecomposition, r0: float, delta: float) -> IntegralResul
         steps += j * size
         if not size > _EPMACH * abs(total) and a > 0.0 and 2.0 * r0 <= n + j + 1:
             break
-    phase = abs(base) * delta
     count = ((9.0 + phase + abs(base) * abs(math.log(r0)) + 0.5 * (j + 1)) * abs_sum
-             + 2.7 * steps + phase * abs(first))
+             + 2.7 * steps + near)
     err = math.ldexp(_EPMACH * count + 4 * (j + 1) * _SUBNORMAL, -shift) + _SUBNORMAL
     return IntegralResult(math.ldexp(total.imag, -shift), err, 0)
 
@@ -387,7 +419,8 @@ def arc_contribution(
 ) -> float:
     """The (1/2 pi i)-normalized integral over the arc alone, a real number,
     (1/pi) sum_{k>=order} r0^a sin(a delta)/(a k!), a = k + 1 - z, by
-    _arc_series (below the order [z], a term whose a lies next to 0 loses digits).
+    _arc_series, which forms every term with |a| < 1 on its own, so that z
+    next to an integer loses no digits below the order [z] either.
 
     With the regularizing order n = [z] (the default) the magnitude decays
     like r0^{1-frac} as the arc shrinks; passing order=0 reproduces the

@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
@@ -144,6 +143,10 @@ EPS_ABS = 1e-300
 _SPLIT_POINT = 1.0
 _TAIL_RADIUS = 36.0
 
+# The highest order whose 1/n! is a normal double: the real line's origin
+# series starts from it.
+_MAX_ORDER = 170
+
 # Bisections integrate_finite may make in one integral before it flags
 # the result.
 _MAX_BISECTIONS = 128
@@ -164,19 +167,54 @@ _OK = ConditionFlag.OK
 _MISSED = ConditionFlag.TOLERANCE_NOT_MET
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
+class _Frozen:
+    """A settings type: its slots are set once, by its constructor, and it
+    is equal, hashed, shown and pickled by their values, in slot order, as
+    a frozen dataclass would be.  Pickling and copying call the constructor
+    again, so its validation cannot be skipped.  Not a dataclass: importing
+    the package loads neither dataclasses nor inspect, and reading a field
+    is one slot lookup."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class QuadratureConfig(_Frozen):
     """The relative tolerance of an evaluation, in (0, 1).
 
     It is the engine's one setting: the split, the radii and the bisection
     budget are constants of this module.
     """
 
-    eps_rel: float = 1e-8
+    __slots__ = ("eps_rel",)
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.eps_rel < 1.0:
-            raise ValueError(f"eps_rel must be in (0, 1), got {self.eps_rel!r}")
+    def __init__(self, eps_rel: float = 1e-8) -> None:
+        if not 0.0 < eps_rel < 1.0:
+            raise ValueError(f"eps_rel must be in (0, 1), got {eps_rel!r}")
+        object.__setattr__(self, "eps_rel", eps_rel)
 
 
 class IntegralResult(NamedTuple):
@@ -372,8 +410,11 @@ def origin_closed_form(arg: ArgDecomposition, split: float) -> IntegralResult:
     frac as (k - n) + (1 - frac), so it is exact up to one rounding and at
     least 1 - frac > 0.  The terms fall off like split^k/k!; the sum stops
     once a term is below eps of it, and its error is the rounding bound
-    8 eps sum |terms|.  No evaluations are spent.
+    8 eps sum |terms|.  No evaluations are spent.  The start 1/n! is a
+    double for n <= 170 (_MAX_ORDER); a higher order raises ValueError.
     """
+    if arg.n > _MAX_ORDER:
+        raise ValueError(f"order {arg.n} is past {_MAX_ORDER}: 1/n! leaves the normal range")
     base = 1.0 - arg.frac
     coeff = (-1.0) ** arg.n / math.factorial(arg.n) * split**base  # (-1)^k split^{k-z+1} / k!
     total = abs_sum = 0.0
@@ -612,7 +653,9 @@ def integrate_regularized_kernel(
     the tolerance.
 
     arg.frac must lie in (0, 1), as decompose and the raised order of
-    cauchy_saalschutz build it; any other arg raises ValueError.
+    cauchy_saalschutz build it, and arg.n at most 170, where 1/n! is still
+    a normal double (the routes take n <= 9); any other arg raises
+    ValueError.
     """
     if not 0.0 < arg.frac < 1.0:
         raise ValueError(f"need 0 < frac < 1, got {arg!r}")

@@ -1,7 +1,10 @@
 import cmath
+import copy
 import math
+import os
 import pickle
 import random
+import subprocess
 import sys
 
 import mpmath
@@ -9,6 +12,7 @@ import pytest
 
 from regamma import kernel, quadrature
 from regamma.gamma_core import MethodTag, gamma_negative, recip_gamma
+from regamma.hankel import HankelContour
 from regamma.kernel import ArgDecomposition, decompose, sinpi, truncated_exp
 from regamma.oracle import brute_force_integral
 from regamma.quadrature import (
@@ -315,6 +319,25 @@ class TestOriginClosedForm:
         with pytest.raises(ValueError, match="frac"):
             integrate_regularized_kernel(euler(A), QuadratureConfig(eps_rel=1e-12))
 
+    @pytest.mark.parametrize("z", [171.5, 172.25, 300.5])
+    def test_order_past_170_is_refused(self, z):
+        # 1/n! as a double overflowed the start: the call raised a bare
+        # OverflowError (int too large to convert to float)
+        with pytest.raises(ValueError, match="170"):
+            origin_closed_form(decompose(z), 1.0)
+        with pytest.raises(ValueError, match="170"):
+            integrate_regularized_kernel(decompose(z))
+
+    def test_order_170_is_summed(self):
+        # sum_{k>=170} (-1)^k / (k! (k + 1 - z)) at split 1, term by term:
+        # the reference above would cancel about 300 digits here
+        res = origin_closed_form(decompose(170.5), 1.0)
+        with mpmath.workdps(30):
+            exact = float(mpmath.fsum((-1) ** k / (mpmath.factorial(k) * (k - 169.5))
+                                      for k in range(170, 200)))
+        assert abs(res.value - exact) <= res.abs_error_estimate <= 1e-13 * abs(exact)
+        assert math.isfinite(integrate_regularized_kernel(decompose(170.5)).value)
+
 
 class TestPolynomialTail:
     def test_radius_must_be_positive(self):
@@ -541,9 +564,47 @@ class TestCombine:
 
 
 class TestConfigValidation:
-    def test_bad_eps_rel(self):
+    @pytest.mark.parametrize("eps", [2.0, 1.0, 0.0, -1e-8, math.nan, math.inf])
+    def test_bad_eps_rel(self, eps):
         with pytest.raises(ValueError):
-            QuadratureConfig(eps_rel=2.0)
+            QuadratureConfig(eps_rel=eps)
+        with pytest.raises(ValueError):
+            QuadratureConfig(eps)
+
+    @pytest.mark.parametrize("cls, args, text", [
+        (QuadratureConfig, (1e-10,), "QuadratureConfig(eps_rel=1e-10)"),
+        (HankelContour, (2.0, 0.25), "HankelContour(delta=2.0, r0=0.25)"),
+    ])
+    def test_settings_are_values(self, cls, args, text):
+        # immutable, equal, hashed and shown by value, as the frozen
+        # dataclasses they replace were
+        cfg = cls(*args)
+        assert cfg == cls(*args) and hash(cfg) == hash(cls(*args))
+        assert cfg != cls() and cfg != args and len({cfg, cls(*args)}) == 1
+        assert repr(cfg) == text
+        for name in cls.__slots__ + ("extra",):
+            with pytest.raises(AttributeError):
+                setattr(cfg, name, 0.5)
+        with pytest.raises(AttributeError):
+            delattr(cfg, cls.__slots__[0])
+        for back in (pickle.loads(pickle.dumps(cfg)), copy.copy(cfg), copy.deepcopy(cfg)):
+            assert type(back) is cls and back == cfg
+        assert QuadratureConfig() == QuadratureConfig(1e-8)
+        assert HankelContour() == HankelContour(delta=0.75 * math.pi, r0=0.5)
+
+    def test_reading_back_validates(self):
+        # a pickle calls the constructor, so a stored value is validated
+        data = pickle.dumps(QuadratureConfig(0.5), protocol=0)
+        assert b"F0.5\n" in data
+        with pytest.raises(ValueError):
+            pickle.loads(data.replace(b"F0.5\n", b"F2.0\n"))
+
+    def test_import_loads_no_dataclasses(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(quadrature.__file__)))
+        code = "import sys, regamma; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        out = subprocess.run([sys.executable, "-S", "-c", code], env={"PYTHONPATH": src},
+                             capture_output=True, text=True, check=True, timeout=60).stdout
+        assert out.strip() == "[]"
 
     @pytest.mark.parametrize("eps", [5e-324, 1.5e-323])
     def test_subnormal_tolerance_is_flagged(self, eps):

@@ -22,6 +22,12 @@ recip_gamma_neg_reflection and gamma_ratio(A, B), B within 5 of A, at
 by an adaptive rule, stay out for their cost.  Beside the contract, a
 call may raise only where its documentation says it does.  It costs
 about 0.7 s.
+
+A third searches the hankel route for its largest error / estimate:
+seeded draws, then the worst few refined by relative steps from 1e-3
+down to 1e-13.  Every result it evaluates, at eps 1e-8, 1e-12 and 1e-14,
+must lie within its estimate, and an ok one within eps_rel.  It costs
+about 1 s.
 """
 
 import math
@@ -204,3 +210,65 @@ def test_real_line_scan(eps):
                     assert err <= eps * abs(ref), (label, eps)
                     certified += 1
     assert certified >= REAL_LINE_OK[eps]
+
+
+def hankel_draws(seed: int, count: int) -> list[float]:
+    """count non-integer z per stratum: uniform in (0.001, 9), where the
+    rule is taken at z + |m| and moved back down; log-uniform in
+    (1e-3, 171.6); within 10^U(-12, -2) of an integer from 1 to 20; and
+    uniform in (-20, 0)."""
+    rng = random.Random(seed)
+    strata = (
+        lambda: rng.uniform(0.001, 9.0),
+        lambda: math.exp(rng.uniform(math.log(1e-3), math.log(171.6))),
+        lambda: rng.randint(1, 20) + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12.0, -2.0),
+        lambda: rng.uniform(-20.0, 0.0),
+    )
+    draws = []
+    for stratum in strata:
+        drawn = 0
+        while drawn < count:
+            z = stratum()
+            if z != math.floor(z):
+                draws.append(z)
+                drawn += 1
+    return draws
+
+
+# Two results that lay past their estimates, at every eps (1.013 times)
+# and at 1e-14 (1.044 times), while the rounding of the shift below 8 was
+# left out of the count.
+HANKEL_WORST = [5.886564970068732, 7.958137526551325]
+HANKEL_DRAWS = HANKEL_WORST + hankel_draws(37, 500)
+_HANKEL_CFGS = [QuadratureConfig(eps) for eps in (1e-8, 1e-12, 1e-14)]
+
+
+def hankel_ratio(z: float) -> float:
+    """The largest error / estimate of the hankel route at z over the three
+    eps, asserting the contract on each."""
+    ref = mpmath.rgamma(z)
+    worst = 0.0
+    for cfg in _HANKEL_CFGS:
+        gv = recip_gamma(z, cfg, MethodTag.HANKEL)
+        err = float(abs(gv.value - ref))
+        estimate = gv.quadrature.abs_error_estimate
+        assert err <= estimate, (z, cfg.eps_rel, err / estimate)
+        if gv.condition_flag is ConditionFlag.OK:
+            assert err <= cfg.eps_rel * abs(ref), (z, cfg.eps_rel)
+        worst = max(worst, err / estimate)
+    return worst
+
+
+def test_hankel_worst_case_search():
+    rng = random.Random(2037)
+    with mpmath.workdps(30):
+        scored = sorted(((hankel_ratio(z), z) for z in HANKEL_DRAWS), reverse=True)
+        largest = scored[0]
+        for ratio, z in scored[:5]:
+            for step in (10.0**-k for k in range(3, 14)):
+                for _ in range(40):
+                    y = z * (1.0 + step * rng.uniform(-1.0, 1.0))
+                    if y != math.floor(y):
+                        ratio, z = max((ratio, z), (hankel_ratio(y), y))
+            largest = max(largest, (ratio, z))
+    print(f"hankel route: largest error / estimate {largest[0]:.3f} at z = {largest[1]!r}")
