@@ -1,6 +1,6 @@
 """Reciprocal Gamma, negative-argument Gamma and Gamma ratios computed
 through regularized hypersingular integral representations, with a
-cross-validating Hankel-contour route and classical testing oracles."""
+cross-validating Hankel-contour route."""
 
 from .errors import (
     ContourDegenerate,

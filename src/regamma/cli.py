@@ -32,12 +32,10 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass
 from decimal import Decimal
 from typing import Any, Callable, NamedTuple
 
-from . import oracle
-from .errors import RegammaError
+from .errors import PoleError, RegammaError
 from .gamma_core import (
     GammaValue,
     MethodTag,
@@ -73,14 +71,13 @@ _BENCH_GRID = (0.1, 9.9, 0.2)
 _NEGATIVE_FLOAT = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(NamedTuple):
     """A sweep of fn under method over the grid of _sweep_grid.
 
-    A spec is checked once, when it is made, for the CLI and run_sweep
-    alike: fn must be a function of z alone, method one that fn takes, and
-    the grid finite.  Each refusal is a RegammaError that names what is
-    accepted.
+    run_sweep checks a spec before any work, for the CLI and a library
+    caller alike: fn must be a function of z alone, method one that fn
+    takes, and the grid finite.  Each refusal is a RegammaError that names
+    what is accepted.
     """
 
     z_min: float
@@ -88,14 +85,6 @@ class SweepSpec:
     step: float
     fn: str
     method: MethodTag
-
-    def __post_init__(self) -> None:
-        if self.fn not in _SWEPT:
-            raise RegammaError(f"sweep does not take --fn {self.fn}; it takes {', '.join(_SWEPT)}")
-        _method(self.fn, _NAMES[self.method])
-        span = self.z_max - self.z_min
-        if not self.step > 0 or not span > 0 or not math.isfinite(span):
-            raise RegammaError("need step > 0 and finite min < max")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -239,6 +228,12 @@ def _sweep_row(z: float, spec: SweepSpec, cfg: QuadratureConfig) -> tuple:
 
 
 def run_sweep(spec: SweepSpec, cfg: QuadratureConfig, out_path: str) -> None:
+    if spec.fn not in _SWEPT:
+        raise RegammaError(f"sweep does not take --fn {spec.fn}; it takes {', '.join(_SWEPT)}")
+    _method(spec.fn, _NAMES[spec.method])
+    span = spec.z_max - spec.z_min
+    if not spec.step > 0 or not span > 0 or not math.isfinite(span):
+        raise RegammaError("need step > 0 and finite min < max")
     rows = [_sweep_row(z, spec, cfg) for z in _sweep_grid(spec)]
     lines = ["z,value,abs_err,method,flag"]
     for z, value, err, method, flag in rows:
@@ -362,6 +357,25 @@ def cmd_verify(args) -> int:
 # bench
 # ---------------------------------------------------------------------------
 
+def _bench_reference(z: float) -> float:
+    """1/Gamma(z) from the standard library's math.gamma, bench's reference.
+
+    A non-positive integer raises PoleError, and a z where Gamma(z) or its
+    reciprocal leaves double precision (z past about 171.62 or below about
+    -171.6, |z| below about 5.6e-309) a RegammaError that names it.
+    """
+    if z <= 0.0 and z == math.floor(z):
+        raise PoleError(f"Gamma has a pole at {z!r}")
+    try:
+        ref = 1.0 / math.gamma(z)
+    except (OverflowError, ZeroDivisionError):
+        ref = math.inf
+    if math.isinf(ref):
+        raise RegammaError(f"bench has no reference at z = {z!r}: "
+                           "Gamma or 1/Gamma exceeds double precision there")
+    return ref
+
+
 def cmd_bench(args) -> int:
     lo = args.min if args.min is not None else _BENCH_GRID[0]
     hi = args.max if args.max is not None else _BENCH_GRID[1]
@@ -372,7 +386,7 @@ def cmd_bench(args) -> int:
     # the grid is indexed, not accumulated, so a step below the spacing of
     # floats near z still ends it
     grid = [lo + i * step for i in range(math.floor(span + 1e-12) + 1)]
-    refs = [1.0 / oracle.gamma_lanczos(z) for z in grid]
+    refs = [_bench_reference(z) for z in grid]
     eps_values = args.eps_rel or [_default_eps_rel()]
 
     rows = []
@@ -434,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--eps-rel", type=float, default=None)
     p_verify.set_defaults(func=cmd_verify)
 
-    p_bench = sub.add_parser("bench", help="time every method against the Lanczos oracle")
+    p_bench = sub.add_parser("bench", help="time every method against math.gamma")
     p_bench.add_argument("--eps-rel", type=float, nargs="*", default=None)
     p_bench.add_argument("--min", type=float, default=None)
     p_bench.add_argument("--max", type=float, default=None)

@@ -67,12 +67,7 @@ from .quadrature import (
 )
 # last, after the layers it imports: compiled from source, the import then
 # peaks about 0.3 MB lower
-from .hankel import (
-    TRAPEZOID_ROUNDING,
-    HankelContour,
-    contour_recip_gamma,
-    steepest_descent_recip_gamma,
-)
+from .hankel import HankelContour, contour_recip_gamma, steepest_descent_recip_gamma
 
 # largest m with (m-1)! representable in double precision
 _MAX_EXACT_FACTORIAL_ARG = 171
@@ -170,21 +165,21 @@ def recurrence(value: float, x: float, m: int) -> float:
     return value
 
 
-def _moved_back(base: IntegralResult, x: float, m: int, roundings: float,
-                eps_rel: float) -> IntegralResult:
+def _moved_back(base: IntegralResult, x: float, m: int, eps_rel: float) -> IntegralResult:
     """The record of recurrence(base.value, x, m), every shifted value's:
-    base is the record at w = x - m, as rounded, whose value carries
-    `roundings` roundings of 2^-53 relative that base leaves out.
+    base is the record at w = x - m, as rounded, its error whole.
 
-    Each step rounds by 2^-53 relative or, below the normal range, by up
-    to half a subnormal unit.  For m > 0 every divisor is at least 8 in
-    magnitude, so each division shrinks that unit eightfold and all m stay
-    below one.  For m < 0 every product before the last, by x, is
-    1/Gamma(x + j), j >= 1, x + j < 9, subnormal only within about 1e-308
-    of 0, where x + j never lies for non-integer x, so only the last can
-    leave the normal range.  So one rounding is propagate's, with its
-    unit, and the roundings + |m| - 1 others count their relative part
-    alone, as an exact factor 1.
+    Each of the |m| steps rounds by 2^-53 relative or, below the normal
+    range, by up to half a subnormal unit.  For m > 0 every divisor is at
+    least 8 in magnitude, so each division shrinks that unit eightfold and
+    all m stay below one.  For m < 0 every product before the last, by x,
+    is 1/Gamma(x + j), j >= 1, x + j < 9, subnormal only within about
+    1e-308 of 0, where x + j never lies for non-integer x, so only the last
+    can leave the normal range.  So one rounding is propagate's, with its
+    unit, and the |m| - 1 others count their relative part alone, as an
+    exact factor 1.  At m = 0 (the hankel route at z in [8, 9)) no step
+    is taken: the value is base's own, propagate rounds nothing and the
+    count is 0, not -1, so the record is base's error and nothing else.
 
     The shift is counted too.  Where w = x - m is exact, so is every
     factor x - j (0 < j <= m) or x + j (0 <= j < -m): x and w differ by an
@@ -207,12 +202,13 @@ def _moved_back(base: IntegralResult, x: float, m: int, roundings: float,
     value = recurrence(base.value, x, m)
     if math.isinf(value):
         raise OverflowError(f"1/Gamma({x!r}) overflows double precision")
-    count = roundings + abs(m) - 1
+    roundings = 1 if m else 0
+    count = abs(m) - roundings
     drift = ((x - m) + m) - x
     if drift:
         count += abs(m) - 1 + _PSI_SHIFT_BASE * abs(drift) * 2.0**53
     steps = IntegralResult(1.0, count * 2.0**-53, 0)
-    return propagate(value, [base, steps], 1, eps_rel)
+    return propagate(value, [base, steps], roundings, eps_rel)
 
 
 # The real-line routes, by their change of variables on the middle stretch
@@ -268,17 +264,17 @@ def _real_line(arg: ArgDecomposition, cfg: QuadratureConfig, method: MethodTag,
         raise OverflowError(f"Gamma({-w0!r}) overflows double precision")
     record = propagate(value, [res], _ROUTE_ROUNDING, cfg.eps_rel)
     if m > 0:
-        record = _moved_back(record, x, k, 0, cfg.eps_rel)
+        record = _moved_back(record, x, k, cfg.eps_rel)
     return GammaValue(record.value, method, record)
 
 
 def _steepest_descent(z: float, cfg: QuadratureConfig) -> IntegralResult:
     """The hankel route's record of 1/Gamma(z), z real non-integer: the
-    rule at w = z - m in [8, 9], moved back (upward below 8), its rounding
-    and the shift's counted (_moved_back)."""
+    rule at w = z - m in [8, 9], whose record carries its truncation and
+    rounding, moved back (upward below 8), the steps' and the shift's
+    roundings counted (_moved_back)."""
     m = math.floor(z) - SHIFT_BASE
-    rule = steepest_descent_recip_gamma(z - m)
-    return _moved_back(rule, z, m, TRAPEZOID_ROUNDING, cfg.eps_rel)
+    return _moved_back(steepest_descent_recip_gamma(z - m), z, m, cfg.eps_rel)
 
 
 def _recip_gamma(z: float, cfg: QuadratureConfig, method: MethodTag) -> GammaValue:

@@ -13,13 +13,14 @@ int_0^pi e^s s^{-w} dtheta with s = w u(theta), and the trapezoid rule on
 it converges geometrically (Weideman & Trefethen, Math. Comp. 76, 2007).
 On a path that stays off the origin the paper's regularizing polynomial
 integrates to exactly 0, so each node is the paper's integrand at order 0,
-ray_kernel(|s|, theta, w, 0).  At w in [8, 9], where gamma_core takes it,
-the 14 nodes theta_j = j pi / 14 reach double precision, and the record's
-error is the rule's truncation count, TRAPEZOID_TRUNCATION, not the
-difference of two sums.  That count is measured, against mpmath over a
-dense grid of w, and a test holds it: the strip bound of Weideman &
-Trefethen asks the periodic integrand to be analytic on a strip about the
-real axis, and at theta = +-pi it is not (it vanishes there, but its
+ray_kernel(|s|, log |s|, theta, e^{i theta}, w, 0, 0.0, None).  At w in
+[8, 9], where gamma_core takes it, the 14 nodes theta_j = j pi / 14 reach
+double precision, and the record's error is counted, not the difference
+of two sums: the rule's truncation, TRAPEZOID_TRUNCATION, plus its
+rounding, TRAPEZOID_ROUNDING, both measured against mpmath over a dense
+grid of w and held by tests.  The strip bound of Weideman & Trefethen
+asks the periodic integrand to be analytic on a strip about the real
+axis, and at theta = +-pi it is not (it vanishes there, but its
 continuation past +-pi grows without bound), so the bound gives no count.
 
 contour_recip_gamma is the paper's own contour, the cross-check of its
@@ -107,8 +108,6 @@ _NODE_ROUNDING = 4
 # arg tau >= 1.6, where every ray lies (7 next to the positive real axis,
 # where the terms all add, but no node of the contour lies there).
 _RAY_CANCELLATION = 0.25
-# The 15-point rule's abscissae and weights, apart.
-_GL15_X, _GL15_W = zip(*_GL15)
 
 # The route's trapezoid rule at w in [8, 9]: its nodes theta_j = j pi / N,
 # j < N, on the steepest-descent path, stored as (theta, e^{i theta},
@@ -217,13 +216,14 @@ def ray_kernel(r: float, t: float, theta: float, unit: complex, z: float, n: int
 
 def steepest_descent_recip_gamma(w: float) -> IntegralResult:
     """The record of 1/Gamma(w), w in [8, 9]: the 14-node trapezoid sum of
-    (w/pi) int_0^pi e^s s^{-w} dtheta, its truncation count,
-    TRAPEZOID_TRUNCATION, as its error.  gamma_core adds its rounding,
-    TRAPEZOID_ROUNDING."""
+    (w/pi) int_0^pi e^s s^{-w} dtheta, its whole error, the truncation
+    count TRAPEZOID_TRUNCATION and the rounding count TRAPEZOID_ROUNDING,
+    in units of 2^-53 of the value, which is positive."""
     terms = [ray_kernel(w * rho, math.log(w * rho), theta, unit, w, 0, 0.0, None)[0].real
              for theta, unit, rho in _PATH_NODES]
     value = (0.5 * terms[0] + math.fsum(terms[1:])) * (w / _TRAPEZOID_N)
-    return IntegralResult(value, TRAPEZOID_TRUNCATION * 2.0**-53 * value, _TRAPEZOID_N)
+    err = (TRAPEZOID_TRUNCATION + TRAPEZOID_ROUNDING) * 2.0**-53 * value
+    return IntegralResult(value, err, _TRAPEZOID_N)
 
 
 def _target(z: float, eps_rel: float) -> float:
@@ -239,29 +239,6 @@ def _target(z: float, eps_rel: float) -> float:
     return eps_rel / 8.0 * math.pi * math.exp(log_floor)
 
 
-def _segment(nodes: list[tuple[complex, float]], weights: tuple[float, ...], h: float,
-             bound: float, arg: ArgDecomposition, log_tau: float) -> IntegralResult:
-    """The ray's record from its nodes (f(t), cancelled), ray_kernel's
-    pairs, and their weights w: h times sum w Im f(t), by math.fsum, so
-    rounded once whatever the node count.  The error is the rule's bound
-    plus (_NODE_ROUNDING + a) eps of h sum w |f|, a = z log_tau + 2 log n!
-    bounding the exponents that the kernel exponentiates, log_tau bounding
-    |log tau| (their rounding, lgamma's to 2 eps, is relative to the node),
-    and _RAY_CANCELLATION eps of h sum w cancelled, the terms that the
-    kernel's direct path cancels, counted by each node.  Each node takes
-    w Im f and w |f|, not the complex w f, which has the same imaginary
-    part wherever f is finite.
-    """
-    imags, moduli, cancelled = [], 0.0, 0.0
-    for w, (f, c) in zip(weights, nodes):
-        imags.append(w * f.imag)
-        moduli += w * abs(f)
-        cancelled += w * c
-    amplification = arg.z * log_tau + 2.0 * math.lgamma(arg.n + 1)
-    rounding = (_NODE_ROUNDING + amplification) * moduli + _RAY_CANCELLATION * cancelled
-    return IntegralResult(h * math.fsum(imags), bound + _EPMACH * h * rounding, len(imags))
-
-
 def _ray(arg: ArgDecomposition, contour: HankelContour, R: float, target: float) -> IntegralResult:
     """The imaginary part of the integral of f(s) = (e^s - e_{n-1}(s)) / s^z
     over the ray tau = r e^{i delta}, r0 <= r <= R.
@@ -273,6 +250,17 @@ def _ray(arg: ArgDecomposition, contour: HankelContour, R: float, target: float)
     |tau|^n/n! (as on the real axis) and |tau f| <= e^{(1-frac) Re t}/n!:
     the panel count is the least whose bound meets target, at most
     _PANEL_CAP, where the bound, in the error all the same, may miss it.
+
+    Each node, one ray_kernel call, adds w Im f, w |f| and w c, its weight
+    w times the pair (f, c) that ray_kernel returns; w Im f, not the complex
+    w f, which has the same imaginary part wherever f is finite.  The value
+    is h times the sum of w Im f, by math.fsum, so rounded once whatever
+    the node count.  The error is the rule's bound plus (_NODE_ROUNDING +
+    a) eps of h sum w |f|, a = z log_tau + 2 log n! bounding the exponents
+    that the kernel exponentiates, log_tau = max |t| + delta bounding
+    |log tau| (their rounding, lgamma's to 2 eps, is relative to the node),
+    and _RAY_CANCELLATION eps of h sum w c, the terms that the kernel's
+    direct path cancels, counted by each node.
     """
     z, n, frac = arg.z, arg.n, arg.frac
     delta, r0 = contour.delta, contour.r0
@@ -284,9 +272,20 @@ def _ray(arg: ArgDecomposition, contour: HankelContour, R: float, target: float)
     panels, bound = _gl15_panels(lo, hi, _PANEL_CAP, delta - 0.5 * math.pi, -log_fact,
                                  1.0 - frac, target)
     h = (hi - lo) / (2 * panels)
-    pairs = [ray_kernel(math.exp(t), t, delta, unit, power, n, log_fact, phases)
-             for t in (lo + (2 * p + 1) * h + h * x for p in range(panels) for x in _GL15_X)]
-    return _segment(pairs, _GL15_W * panels, h, bound, arg, max(abs(lo), abs(hi)) + delta)
+    imags, moduli, cancelled = [], 0.0, 0.0
+    for p in range(panels):
+        centre = lo + (2 * p + 1) * h
+        for x, w in _GL15:
+            t = centre + h * x
+            f, c = ray_kernel(math.exp(t), t, delta, unit, power, n, log_fact, phases)
+            imags.append(w * f.imag)
+            moduli += w * abs(f)
+            cancelled += w * c
+    lo_size, hi_size = abs(lo), abs(hi)
+    log_tau = (hi_size if hi_size > lo_size else lo_size) + delta
+    amplification = z * log_tau + 2.0 * log_fact
+    rounding = (_NODE_ROUNDING + amplification) * moduli + _RAY_CANCELLATION * cancelled
+    return IntegralResult(h * math.fsum(imags), bound + _EPMACH * h * rounding, len(imags))
 
 
 def _arc_series(arg: ArgDecomposition, r0: float, delta: float) -> IntegralResult:

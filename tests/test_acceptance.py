@@ -21,7 +21,6 @@ from regamma.gamma_core import (
 )
 from regamma.hankel import HankelContour, arc_contribution
 from regamma.kernel import decompose, exp_remainder
-from regamma.oracle import gamma_lanczos
 from regamma.quadrature import (
     ConditionFlag,
     QuadratureConfig,
@@ -53,7 +52,7 @@ def test_criterion_1_golden_grid_accuracy():
             continue
         points += 1
         value = recip_gamma(z, CFG).value
-        ref = 1.0 / gamma_lanczos(z)
+        ref = 1.0 / math.gamma(z)
         worst = max(worst, abs(value - ref) / abs(ref))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-7 and elapsed < 10.0
@@ -84,13 +83,13 @@ def test_criterion_3_negative_argument_gamma():
     worst_ref = 0.0
     worst_pair = 0.0
     for z in NEGATIVE_GRID:
-        ref = -math.pi / (z * math.sin(math.pi * z) * gamma_lanczos(z))
+        ref = math.gamma(-z)
         gn = gamma_negative(z, CFG).value
         cs = gamma_negative(z, CFG, MethodTag.CAUCHY_SAALSCHUTZ).value
         worst_ref = max(worst_ref, abs(gn - ref) / abs(ref), abs(cs - ref) / abs(ref))
         worst_pair = max(worst_pair, abs(gn - cs) / abs(gn))
     ok = worst_ref <= 1e-7 and worst_pair <= 1e-7
-    report(3, ok, f"max_vs_oracle={worst_ref:.3e}, max_vs_partner={worst_pair:.3e} (tol 1e-7)")
+    report(3, ok, f"max_vs_math_gamma={worst_ref:.3e}, max_vs_partner={worst_pair:.3e} (tol 1e-7)")
 
 
 def test_criterion_4_functional_equations():

@@ -499,6 +499,32 @@ class TestBench:
         assert out == ""
         assert err.startswith("regamma: error:") and err.count("\n") == 1
 
+    def test_top_of_gammas_range(self, capsys, tmp_path):
+        # Gamma(171.5) is about 9.5e307, finite: the reference takes it, and
+        # every route meets its tolerance against it
+        csv_path = tmp_path / "bench.csv"
+        code, _, err = run(capsys, "bench", "--min", "170.5", "--max", "171.5", "--step", "0.5",
+                           "--eps-rel", "1e-8", "--csv", str(csv_path))
+        assert code == 0 and err == ""
+        rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+        assert len(rows) == 5
+        assert all(0.0 <= float(max_rel_err) <= 1e-8 for *_, max_rel_err in rows)
+
+    def test_pole_is_one_error_line(self, capsys):
+        code, out, err = run(capsys, "bench", "--min", "-2", "--max", "-1", "--step", "0.5")
+        assert code == 1
+        assert out == ""
+        assert err == "regamma: error: Gamma has a pole at -2.0\n"
+
+    @pytest.mark.parametrize("lo, hi, past", [("171.5", "172", "171.75"),
+                                              ("-172.5", "-171.5", "-172.5")])
+    def test_past_the_range_is_one_error_line(self, capsys, lo, hi, past):
+        code, out, err = run(capsys, "bench", "--min", lo, "--max", hi, "--step", "0.25")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("regamma: error: bench has no reference at z = " + past + ":")
+        assert err.count("\n") == 1 and "math range error" not in err
+
     def test_unwritable_csv_is_one_error_line(self, capsys, tmp_path):
         csv_path = tmp_path / "missing" / "bench.csv"
         code, out, err = run(

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from regamma import hankel, kernel
+from regamma import hankel, kernel, quadrature
 from regamma.errors import ContourDegenerate, IntegerArgument
 from regamma.gamma_core import (
     MethodTag,
@@ -33,7 +33,7 @@ REFERENCE_CONTOUR = HankelContour(delta=0.75 * math.pi, r0=0.5)
 
 
 def node_pair(r: float, theta: float, z: float, n: int) -> tuple[complex, float]:
-    """ray_kernel at tau = r e^{i theta}, with the constants a segment holds."""
+    """ray_kernel at tau = r e^{i theta}, with the constants a ray holds."""
     return ray_kernel(r, math.log(r), theta, cmath.rect(1.0, theta), z, n,
                       math.lgamma(n + 1), hankel._phases(theta, z, n))
 
@@ -180,8 +180,8 @@ class TestHankelRecipGamma:
 
     @pytest.mark.parametrize("z,eps", [(2.5, 1e-200), (1e-200, 1e-8)])
     def test_ray_past_its_panel_budget_is_flagged(self, z, eps):
-        # no panel count up to the cap meets the tolerance: the segments are
-        # summed at the cap, their bounds in the estimate, which flags the sum
+        # no panel count up to the cap meets the tolerance: the ray is
+        # summed at the cap, its bound in the estimate, which flags the sum
         gv = hankel_recip_gamma(z, cfg=QuadratureConfig(eps_rel=eps))
         assert gv.condition_flag is ConditionFlag.TOLERANCE_NOT_MET
         assert math.isfinite(gv.value)
@@ -332,8 +332,8 @@ class TestNodeRounding:
         assert abs(count - ref) <= sys.float_info.epsilon * budget * ref
 
     @pytest.mark.parametrize("r,theta,z,n,share", _node_cases())
-    def test_within_the_budget_its_segment_charges(self, r, theta, z, n, share):
-        # _segment charges (_NODE_ROUNDING + z |log tau| + 2 lgamma(n + 1))
+    def test_within_the_budget_its_ray_charges(self, r, theta, z, n, share):
+        # _ray charges (_NODE_ROUNDING + z |log tau| + 2 lgamma(n + 1))
         # eps of |node|, and on the direct path eps times the cancelling
         # share of e_{n-1}(r) r^{-z}; measured at most half of that
         value = node(r, theta, z, n)
@@ -351,13 +351,21 @@ class TestNodeRounding:
         budget = (hankel._NODE_ROUNDING + z * log_tau + 2.0 * math.lgamma(n + 1)) * abs(ref)
         assert err <= sys.float_info.epsilon * (budget + share * terms)
 
-    def test_segment_sum_rounds_once(self):
-        # the weighted nodes are added exactly and rounded once: a running
-        # sum loses the middle node to the first
-        nodes = [(1.0 + 1.0j, 0.0), (1e-16 - 1e-16j, 0.0), (-1.0 - 1.0j, 0.0)]
-        weights = (1.0,) * len(nodes)
-        arg = kernel.decompose(0.5)
-        assert hankel._segment(nodes, weights, 1.0, 0.0, arg, 0.0).value == -1e-16
+    def test_ray_sum_rounds_once(self, monkeypatch):
+        # the weighted nodes are added exactly and rounded once, whatever
+        # the node count: the first and third weighted nodes, wc w1 and
+        # -(w1 wc), cancel exactly, and a running sum loses the second,
+        # w1 tiny, to the first
+        (_, wc), (_, w1) = quadrature._GL15[:2]
+        tiny = 1e-17
+        assert wc * w1 + w1 * tiny - w1 * wc == 0.0
+        imags = iter([w1, tiny, -wc] + [0.0] * 12)
+        monkeypatch.setattr(hankel, "ray_kernel", lambda *args: (complex(0.0, next(imags)), 0.0))
+        contour = HankelContour(r0=1.0)
+        R = 8.0
+        res = hankel._ray(decompose(0.5), contour, R, math.inf)
+        assert res.evaluations == 15
+        assert res.value == (math.log(R) - math.log(contour.r0)) / 2 * (w1 * tiny)
 
 
 class TestSeriesRadius:
@@ -696,7 +704,8 @@ class TestSteepestDescentProperty:
 class TestSteepestDescentRule:
     """The hankel route's rule at w in [8, 9]: its truncation count,
     TRAPEZOID_TRUNCATION, is measured, not derived, and held here over a
-    dense grid; its rounding count, TRAPEZOID_ROUNDING, on seeded w."""
+    dense grid; its record's whole error, the truncation and the rounding
+    count TRAPEZOID_ROUNDING, on seeded w."""
 
     def test_truncation_within_its_count(self):
         # the sum of the exact nodes theta_j = j pi / N at 40 digits: at most
@@ -724,15 +733,29 @@ class TestSteepestDescentRule:
         for w in [8.0, 9.0] + [rng.uniform(8.0, 9.0) for _ in range(300)]:
             res = hankel.steepest_descent_recip_gamma(w)
             assert res.evaluations == 14
-            rounding = hankel.TRAPEZOID_ROUNDING * 2.0**-53 * res.value
+            count = hankel.TRAPEZOID_TRUNCATION + hankel.TRAPEZOID_ROUNDING
+            assert res.abs_error_estimate == count * 2.0**-53 * res.value
             with mpmath.workdps(30):
                 err = float(abs(res.value - mpmath.rgamma(w)))
-            assert err <= res.abs_error_estimate + rounding, w
+            assert err <= res.abs_error_estimate, w
 
 
 class TestSteepestDescentRounding:
     """The route's record counts one absolute unit below the normal range,
     as gamma_core's recurrence does."""
+
+    @pytest.mark.parametrize("z,steps", [(8.0 + 2.0**-40, 0), (8.5, 0), (8.999, 0),
+                                         (9.5, 1), (10.5, 2)])
+    def test_record_counts_the_rule_and_each_step(self, z, steps):
+        # at z in [8, 9) the recurrence takes no step (m = 0): the record is
+        # the rule's truncation and rounding and nothing else, not one unit
+        # less (a count |m| - 1 = -1); from 9 up each step adds one unit
+        gv = recip_gamma(z, QuadratureConfig(eps_rel=1e-13), MethodTag.HANKEL)
+        units = gv.quadrature.abs_error_estimate / abs(gv.value) * 2.0**53
+        count = hankel.TRAPEZOID_TRUNCATION + hankel.TRAPEZOID_ROUNDING + steps
+        assert units == pytest.approx(count, rel=1e-12)
+        if not steps:
+            assert gv.value == hankel.steepest_descent_recip_gamma(z).value
 
     @pytest.mark.parametrize("z,eps", [(172.5, 1e-12), (174.5, 1e-8)])
     def test_subnormal_result_counts_one_absolute_unit(self, z, eps):

@@ -322,6 +322,8 @@ HOT_PATHS = [
     kernel.exp_remainder,
     kernel._ratio_series,
     hankel.ray_kernel,
+    # the paper's ray: its node loop
+    hankel._ray,
     quadrature._gk15,
     quadrature.integrate_finite,
     quadrature.real_axis_middle,

@@ -13,8 +13,7 @@ import pytest
 from regamma import kernel, quadrature
 from regamma.gamma_core import MethodTag, gamma_negative, recip_gamma
 from regamma.hankel import HankelContour
-from regamma.kernel import ArgDecomposition, decompose, sinpi, truncated_exp
-from regamma.oracle import brute_force_integral
+from regamma.kernel import ArgDecomposition, decompose, sinpi
 from regamma.quadrature import (
     EPS_ABS,
     ConditionFlag,
@@ -358,25 +357,21 @@ class TestPolynomialTail:
         assert val == pytest.approx(11.0 / 12.0, rel=1e-12)
 
     @pytest.mark.parametrize("z,n", [(1.5, 1), (2.5, 2)])
-    def test_against_brute_force(self, z, n):
-        # compare the closed form over [R, 1e6] with decade-wise midpoint sums
+    def test_against_mpmath_quad(self, z, n):
+        # the closed form over [R, 1e6] against mpmath's quadrature, decade by decade
         arg = decompose(z)
         R = 10.0
 
         def poly_part(x):
-            return -truncated_exp(-x, n - 1) * x**-z
+            return -mpmath.fsum((-x) ** k / mpmath.factorial(k) for k in range(n)) * x**-z
 
-        brute = 0.0
-        lo = R
-        while lo < 1e6:
-            hi = min(lo * 10.0, 1e6)
-            brute += brute_force_integral(poly_part, lo, hi, 300_000)
-            lo = hi
+        with mpmath.workdps(30):
+            quad = float(mpmath.quad(poly_part, [R, 1e2, 1e3, 1e4, 1e5, 1e6]))
         closed = (
             polynomial_tail_closed_form(arg, R).value
             - polynomial_tail_closed_form(arg, 1e6).value
         )
-        assert brute == pytest.approx(closed, rel=1e-9)
+        assert quad == pytest.approx(closed, rel=1e-13)
 
     @pytest.mark.parametrize("z", [1.5, 2.5, 4.5])
     def test_ray_of_the_hankel_contour(self, z):
@@ -599,9 +594,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             pickle.loads(data.replace(b"F0.5\n", b"F2.0\n"))
 
-    def test_import_loads_no_dataclasses(self):
+    @pytest.mark.parametrize("module", ["regamma", "regamma.cli"])
+    def test_import_loads_no_dataclasses(self, module):
+        # every regamma command imports regamma.cli
         src = os.path.dirname(os.path.dirname(os.path.abspath(quadrature.__file__)))
-        code = "import sys, regamma; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        code = (f"import sys, {module}; "
+                "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
         out = subprocess.run([sys.executable, "-S", "-c", code], env={"PYTHONPATH": src},
                              capture_output=True, text=True, check=True, timeout=60).stdout
         assert out.strip() == "[]"
