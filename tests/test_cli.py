@@ -4,9 +4,10 @@ import re
 import sys
 
 import pytest
+from mpmath import mp, mpf
 
-from regamma.cli import SweepSpec, main, run_sweep
-from regamma.errors import RegammaError
+from regamma.cli import SweepSpec, _bench_reference, main, run_sweep
+from regamma.errors import PoleError, RegammaError
 from regamma.gamma_core import MethodTag
 from regamma.quadrature import QuadratureConfig
 
@@ -533,6 +534,46 @@ class TestBench:
         assert code == 1
         assert out == ""
         assert err.startswith(f"regamma: error: cannot write {csv_path}") and err.count("\n") == 1
+
+
+class TestBenchReference:
+    """bench's reference 1/Gamma, from math.gamma, over Gamma's whole range."""
+
+    ULPS = 4 * 2.0**-53
+
+    def test_half(self):
+        assert _bench_reference(0.5) == pytest.approx(1 / 1.7724538509055160273, rel=self.ULPS)
+
+    def test_five(self):
+        assert _bench_reference(5.0) == 1 / 24
+
+    def test_five_halves(self):
+        assert _bench_reference(2.5) == pytest.approx(1 / 1.3293403881791370205, rel=self.ULPS)
+
+    @pytest.mark.parametrize(
+        "z", [0.05, 0.3, 0.9, 1.1, 2.7, 4.2, 7.77, 13.4, 21.0, 29.5, 142.4, 171.5, -29.5, -170.5]
+    )
+    def test_accuracy_against_extended_precision(self, z):
+        with mp.workdps(40):
+            ref = float(1 / mp.gamma(mpf(z)))
+        assert abs(_bench_reference(z) - ref) <= self.ULPS * abs(ref)
+
+    @pytest.mark.parametrize("z", [0.3, 1.7, 5.5])
+    def test_recurrence(self, z):
+        assert _bench_reference(z) == pytest.approx(z * _bench_reference(z + 1.0), rel=self.ULPS)
+
+    def test_reflection_branch(self):
+        assert _bench_reference(-0.5) == pytest.approx(1 / -3.5449077018110320546, rel=self.ULPS)
+
+    @pytest.mark.parametrize("z", [0.0, -1.0, -7.0])
+    def test_poles(self, z):
+        with pytest.raises(PoleError, match="pole"):
+            _bench_reference(z)
+
+    @pytest.mark.parametrize("z", [171.7, -171.7])
+    def test_past_the_range(self, z):
+        with pytest.raises(RegammaError, match=f"no reference at z = {z!r}:"):
+            _bench_reference(z)
 
 
 class TestBrokenPipe:
