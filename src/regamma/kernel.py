@@ -5,7 +5,10 @@ e_m denotes the degree-m Taylor polynomial of the exponential.  Near x = 0
 the subtraction cancels to order n, so the remainder is summed instead, as
 x^n/n! times the kernel's one series n! sum_{j>=0} x^j/(n+j)!, which starts
 at 1 (hankel takes it at complex tau, tau^n/n! going into its power of
-tau); away from 0 the direct difference is cheaper and exact enough.
+tau); away from 0 the direct difference is cheaper and exact enough.  Its
+e_{n-1} (at complex tau in hankel too) is Horner's rule over a table of
+1/k!, k < n, each rounded once, so within gamma_{2n-1} e_{n-1}(|x|),
+gamma_m = m u/(1 - m u), u = 2^-53 (Higham, 2nd ed., section 5.1).
 
 The series is Horner's rule over a table of its coefficients 1/(n+1)_j,
 (n+1)_j = (n+1)(n+2)...(n+j), one table per order, built on first use and
@@ -46,6 +49,7 @@ _LOG_TAIL_GOAL = math.log(_EPS / 4.0 * _SERIES_FLOOR)
 # there, where 1/Gamma(z) underflows, and each call builds its own table.
 _KEPT_ORDERS = 171
 _TABLES: dict[int, tuple[list[float], list[float]]] = {}
+_TAYLOR: dict[int, tuple[float, ...]] = {}  # e_{n-1}'s coefficients per order n
 
 
 class ArgDecomposition(NamedTuple):
@@ -78,20 +82,6 @@ def decompose(z: float) -> ArgDecomposition:
     return ArgDecomposition(z=z, n=n, frac=z - n)
 
 
-def truncated_exp(x: float, n: int) -> float:
-    """Degree-n Taylor polynomial of e^x; returns 0 for n = -1."""
-    if n < -1:
-        raise ValueError(f"order must be >= -1, got {n}")
-    if n == -1:
-        return 0.0
-    term = 1.0
-    total = 1.0
-    for k in range(1, n + 1):
-        term *= x / k
-        total += term
-    return total
-
-
 def sinpi(z: float) -> float:
     """sin(pi z) with exact argument reduction.
 
@@ -102,6 +92,15 @@ def sinpi(z: float) -> float:
     k = round(z)
     s = math.sin(math.pi * (z - k))
     return -s if k % 2 else s
+
+
+def _taylor(n: int) -> tuple[float, ...]:
+    # 1/k!, k = n-1 down to 0, by int/int true division, so rounded once;
+    # past _KEPT_ORDERS, 1/(n-1)! is below the normal range
+    if n > _KEPT_ORDERS:
+        raise OverflowError(f"1/(n-1)! is below the normal range at order {n}")
+    table = _TAYLOR[n] = tuple(1 / math.factorial(k) for k in range(n - 1, -1, -1))
+    return table
 
 
 def _series_table(n: int, rho: float) -> tuple[list[float], list[float]]:
@@ -148,9 +147,9 @@ def exp_remainder(x: float, n: int) -> float:
 
     For small |x| the direct difference loses roughly n digits to
     cancellation, so x^n/n! times the series is taken instead.  The direct
-    path sums e_{n-1}(x) in place, by truncated_exp's loop and arithmetic,
-    so it equals e^x - truncated_exp(x, n - 1) bit for bit (the tests hold
-    it to that reference).  OverflowError is raised where e^x overflows on
+    path's e_{n-1}(x) is within gamma_{2n-1} e_{n-1}(|x|) (see the module
+    docstring), and e^x and the difference round once each.  OverflowError
+    is raised where e^x overflows or 1/(n-1)! underflows (n past 171) on
     the direct path, and where n! or x^n does on the series path (n past
     170, or about 160 at |x| near n/2).
     """
@@ -166,10 +165,9 @@ def exp_remainder(x: float, n: int) -> float:
     r = abs(x)
     if r <= 1.0 or r <= 0.5 * n:
         return x**n / math.factorial(n) * _ratio_series(x, n)
-    term = total = 1.0
-    for k in range(1, n):
-        term *= x / k
-        total += term
+    total = 0.0
+    for c in _TAYLOR.get(n) or _taylor(n):
+        total = total * x + c
     return math.exp(x) - total
 
 

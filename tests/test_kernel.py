@@ -1,7 +1,10 @@
 import cmath
 import math
+import os
 import random
+import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from mpmath import hyp1f1, mp, mpf
@@ -14,7 +17,6 @@ from regamma.kernel import (
     exp_remainder,
     kernel_ratio,
     sinpi,
-    truncated_exp,
 )
 
 def mp_remainder(x: float, n: int) -> mpf:
@@ -50,25 +52,6 @@ class TestDecompose:
         assert d.n >= 0
 
 
-class TestTruncatedExp:
-    def test_degree_two(self):
-        assert truncated_exp(1.0, 2) == 2.5
-
-    def test_degree_one(self):
-        assert truncated_exp(-2.0, 1) == -1.0
-
-    def test_order_below_minus_one_rejected(self):
-        with pytest.raises(ValueError):
-            truncated_exp(1.0, -2)
-
-    def test_empty_convention(self):
-        assert truncated_exp(7.3, -1) == 0.0
-
-    @pytest.mark.parametrize("x", [-3.0, -0.5, 0.2, 4.0])
-    def test_approaches_exp(self, x):
-        assert truncated_exp(x, 60) == pytest.approx(math.exp(x), rel=1e-14)
-
-
 class TestSinPi:
     @pytest.mark.parametrize("k", [-3, -1, 0, 1, 2, 7, 2**60])
     def test_exact_zeros(self, k):
@@ -102,16 +85,38 @@ class TestExpRemainder:
 
     @pytest.mark.parametrize("n", range(1, 31))
     def test_equals_its_reference(self, n):
-        # exp_remainder sums e_{n-1}(x) in place: past the series radius it
-        # must be e^x - truncated_exp(x, n - 1) bit for bit, and x^n/n! times
-        # the series within it
+        # within the series radius, x^n/n! times the series, bit for bit
         radius = max(1.0, 0.5 * n)
-        edges = [s * r for r in (radius, math.nextafter(radius, 41.0)) for s in (-1.0, 1.0)]
-        for x in [-40.0 + 0.1 * k for k in range(801)] + edges:
-            if abs(x) > radius:
-                assert exp_remainder(x, n) == math.exp(x) - truncated_exp(x, n - 1)
-            else:
+        for x in [-40.0 + 0.1 * k for k in range(801)] + [-radius, radius]:
+            if abs(x) <= radius:
                 assert exp_remainder(x, n) == x**n / math.factorial(n) * _ratio_series(x, n)
+
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_direct_path_within_its_bound(self, n):
+        # past the series radius, Horner's rule over the rounded 1/k! is
+        # within gamma_{2n-1} e_{n-1}(|x|) of e_{n-1}(x); exp and the
+        # difference add a rounding each (exp to 1 ulp, at most 2u e^x)
+        u = 2.0**-53
+        gamma = (2 * n - 1) * u / (1 - (2 * n - 1) * u)
+        radius = max(1.0, 0.5 * n)
+        edges = [s * math.nextafter(radius, 41.0) for s in (-1.0, 1.0)]
+        with mp.workdps(40):
+            for x in [-40.0 + 0.1 * k for k in range(801)] + edges:
+                if abs(x) <= radius:
+                    continue
+                xm = mpf(x)
+                poly, terms, term = 0, 0, mpf(1)
+                for k in range(1, n + 1):
+                    poly, terms, term = poly + term, terms + abs(term), term * xm / k
+                ref = mp.exp(xm) - poly
+                bound = (gamma * terms + 2 * u * mp.exp(xm)) * (1 + u) + u * abs(ref)
+                assert abs(exp_remainder(x, n) - ref) <= bound, x
+
+    def test_direct_path_raises_past_the_kept_orders(self):
+        # from order 172, 1/(n-1)! is below the normal range
+        assert math.isfinite(exp_remainder(-100.0, 171))
+        with pytest.raises(OverflowError):
+            exp_remainder(-100.0, 172)
 
     def test_frozen_value(self):
         # e^{-0.5} - (1 - 0.5), extended-precision oracle
@@ -207,3 +212,35 @@ class TestRatioSeries:
         assert _ratio_series(0.0, 300) == 1.0
         assert 300 not in kernel._TABLES
         assert all(n <= kernel._KEPT_ORDERS for n in kernel._TABLES)
+
+
+class TestTaylorTable:
+    """The per-order table of 1/k!, k < n, highest first, over which both
+    direct paths (exp_remainder and hankel.ray_kernel) form e_{n-1}."""
+
+    def test_holds_the_correctly_rounded_inverse_factorials(self):
+        for n in range(1, kernel._KEPT_ORDERS + 1):
+            table = kernel._TAYLOR.get(n) or kernel._taylor(n)
+            assert len(table) == n
+            for k, c in zip(range(n - 1, -1, -1), table):
+                exact = Fraction(1, math.factorial(k))
+                miss = abs(Fraction(c) - exact)
+                for neighbour in (math.nextafter(c, 0.0), math.nextafter(c, 1.0)):
+                    assert miss <= abs(Fraction(neighbour) - exact), (n, k)
+
+    def test_import_builds_no_table(self):
+        # a table built at import costs every process its set-up time
+        src = os.path.dirname(os.path.dirname(os.path.abspath(kernel.__file__)))
+        code = "import regamma, regamma.kernel as k; print(len(k._TAYLOR), len(k._TABLES))"
+        out = subprocess.run([sys.executable, "-S", "-c", code], env={"PYTHONPATH": src},
+                             capture_output=True, text=True, check=True, timeout=60).stdout
+        assert out.split() == ["0", "0"]
+
+    def test_public_functions(self):
+        # a tracer that wraps every public function of kernel must count
+        # the entry points alone, not the table's builder
+        public = {name for name, value in vars(kernel).items()
+                  if callable(value) and not isinstance(value, type)
+                  and getattr(value, "__module__", None) == kernel.__name__
+                  and not name.startswith("_")}
+        assert public == {"decompose", "sinpi", "exp_remainder", "kernel_ratio"}

@@ -23,11 +23,11 @@ by an adaptive rule, stay out for their cost.  Beside the contract, a
 call may raise only where its documentation says it does.  It costs
 about 0.7 s.
 
-A third searches the hankel route for its largest error / estimate:
-seeded draws, then the worst few refined by relative steps from 1e-3
-down to 1e-13.  Every result it evaluates, at eps 1e-8, 1e-12 and 1e-14,
-must lie within its estimate, and an ok one within eps_rel.  It costs
-about 1 s.
+A third searches the hankel route and the real_axis route for their
+largest error / estimate: seeded draws, then the worst few refined by
+relative steps from 1e-3 down to 1e-13.  Every result it evaluates, at
+eps 1e-8, 1e-12 and 1e-14, must lie within its estimate, and an ok one
+within eps_rel.  It costs about 0.5 s a route.
 """
 
 import math
@@ -212,11 +212,11 @@ def test_real_line_scan(eps):
     assert certified >= REAL_LINE_OK[eps]
 
 
-def hankel_draws(seed: int, count: int) -> list[float]:
-    """count non-integer z per stratum: uniform in (0.001, 9), where the
-    rule is taken at z + |m| and moved back down; log-uniform in
-    (1e-3, 171.6); within 10^U(-12, -2) of an integer from 1 to 20; and
-    uniform in (-20, 0)."""
+def search_draws(seed: int, count: int) -> list[float]:
+    """count non-integer z per stratum: uniform in (0.001, 9), where a route
+    is taken at z + |m| and moved back down; log-uniform in (1e-3, 171.6);
+    within 10^U(-12, -2) of an integer from 1 to 20; and uniform in
+    (-20, 0)."""
     rng = random.Random(seed)
     strata = (
         lambda: rng.uniform(0.001, 9.0),
@@ -239,17 +239,18 @@ def hankel_draws(seed: int, count: int) -> list[float]:
 # and at 1e-14 (1.044 times), while the rounding of the shift below 8 was
 # left out of the count.
 HANKEL_WORST = [5.886564970068732, 7.958137526551325]
-HANKEL_DRAWS = HANKEL_WORST + hankel_draws(37, 500)
-_HANKEL_CFGS = [QuadratureConfig(eps) for eps in (1e-8, 1e-12, 1e-14)]
+HANKEL_DRAWS = HANKEL_WORST + search_draws(37, 500)
+REAL_AXIS_DRAWS = search_draws(39, 250)
+_SEARCH_CFGS = [QuadratureConfig(eps) for eps in (1e-8, 1e-12, 1e-14)]
 
 
-def hankel_ratio(z: float) -> float:
-    """The largest error / estimate of the hankel route at z over the three
-    eps, asserting the contract on each."""
+def route_ratio(z: float, method: MethodTag) -> float:
+    """The largest error / estimate of recip_gamma on the route at z over
+    the three eps, asserting the contract on each."""
     ref = mpmath.rgamma(z)
     worst = 0.0
-    for cfg in _HANKEL_CFGS:
-        gv = recip_gamma(z, cfg, MethodTag.HANKEL)
+    for cfg in _SEARCH_CFGS:
+        gv = recip_gamma(z, cfg, method)
         err = float(abs(gv.value - ref))
         estimate = gv.quadrature.abs_error_estimate
         assert err <= estimate, (z, cfg.eps_rel, err / estimate)
@@ -259,16 +260,30 @@ def hankel_ratio(z: float) -> float:
     return worst
 
 
-def test_hankel_worst_case_search():
-    rng = random.Random(2037)
+def worst_case_search(method: MethodTag, draws: list[float], seed: int) -> tuple[float, float]:
+    """The largest (error / estimate, z) of the route: over draws, then
+    each of the worst 5 refined by relative steps from 1e-3 down to 1e-13,
+    40 draws per step."""
+    rng = random.Random(seed)
     with mpmath.workdps(30):
-        scored = sorted(((hankel_ratio(z), z) for z in HANKEL_DRAWS), reverse=True)
+        scored = sorted(((route_ratio(z, method), z) for z in draws), reverse=True)
         largest = scored[0]
         for ratio, z in scored[:5]:
             for step in (10.0**-k for k in range(3, 14)):
                 for _ in range(40):
                     y = z * (1.0 + step * rng.uniform(-1.0, 1.0))
                     if y != math.floor(y):
-                        ratio, z = max((ratio, z), (hankel_ratio(y), y))
+                        ratio, z = max((ratio, z), (route_ratio(y, method), y))
             largest = max(largest, (ratio, z))
+    return largest
+
+
+def test_hankel_worst_case_search():
+    largest = worst_case_search(MethodTag.HANKEL, HANKEL_DRAWS, 2037)
     print(f"hankel route: largest error / estimate {largest[0]:.3f} at z = {largest[1]!r}")
+
+
+def test_real_axis_worst_case_search():
+    # every real-line value passes through the kernel's direct path
+    largest = worst_case_search(MethodTag.REAL_AXIS, REAL_AXIS_DRAWS, 2039)
+    print(f"real_axis route: largest error / estimate {largest[0]:.3f} at z = {largest[1]!r}")
