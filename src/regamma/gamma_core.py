@@ -432,9 +432,10 @@ def hankel_recip_gamma(
     The route's consistency check is invariance of the value under changes
     of delta and r0.  Raises ContourDegenerate for a ray angle outside
     (pi/2, pi), an arc radius not finite and positive, or one whose r0^{-z}
-    or arc terms' sum, up to e^{r0} r0^{1-z}, overflow (hankel._validate).  Past 1/Gamma's range
-    (from z of about 174.8 at eps_rel 1e-8, 172.1 at 1e-14) the result is
-    0.0, flagged with an unbounded estimate and no evaluation.
+    or arc terms' sum, up to e^{r0} r0^{1-z}, overflow (hankel._validate).  From
+    z = 172 (order 172 is past the kernel's table of 1/k!; 1/Gamma's range
+    ends at z of about 174.8 at eps_rel 1e-8, 172.1 at 1e-14) the result
+    is 0.0, flagged with an unbounded estimate and no evaluation.
     """
     arg = decompose(z)
     res = contour_recip_gamma(arg, contour or HankelContour(), cfg or QuadratureConfig())

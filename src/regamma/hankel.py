@@ -46,9 +46,10 @@ by Horner's rule over the kernel's 1/k!, and within it, for n >= 1, the
 kernel's one series n! sum_{j>=0} tau^j/(n+j)! times tau^n/n!, which goes
 into the power of tau.  Off the series path, where tau^{-z} alone would
 leave the normal range, each term of the difference takes its power of
-tau in its exponent, so neither tau^{-z} nor e_{n-1}(tau) leaves the
-range on its own.  The public kernel.exp_remainder and kernel_ratio only
-see real arguments.
+tau in its exponent, e_{n-1}(tau) as tau^{n-1} times the table's Horner
+sum in 1/tau, so neither tau^{-z} nor e_{n-1}(tau) leaves the range on
+its own; the table, and the contour, end at order 171.  The public
+kernel.exp_remainder and kernel_ratio only see real arguments.
 
 The ray up to R, in t = log r, is entire in t, so it is summed by equal
 15-point Gauss-Legendre panels, as on the real axis, whose count
@@ -75,7 +76,7 @@ import math
 import sys
 
 from .errors import ContourDegenerate
-from .kernel import _TAYLOR, ArgDecomposition, _ratio_series, _taylor, decompose
+from .kernel import _KEPT_ORDERS, _TAYLOR, ArgDecomposition, _ratio_series, _taylor, decompose
 from .quadrature import (
     _EPMACH,
     _GL15,
@@ -185,7 +186,10 @@ def ray_kernel(r: float, t: float, theta: float, unit: complex, z: float, n: int
     node is the kernel's series times exp((n - z) t - log_fact) times
     phases[0], a direct node e^tau - e_{n-1}(tau) times e^{-zt} times
     phases[1], e_{n-1}(tau) and e_{n-1}(r) by Horner's rule in one loop
-    over the kernel's table of 1/k!.
+    over the kernel's table of 1/k!.  Past z t = log(largest double) - 10,
+    where tau^{-z} leaves the normal range, the node is exp(tau - z log tau)
+    minus exp((n - 1 - z) log tau) times that loop in 1/tau from 1/0! up, the
+    moduli alike in 1/r: to order 171, the table's last, all stay in range.
     """
     tau = r * unit
     if not n:
@@ -193,19 +197,14 @@ def ray_kernel(r: float, t: float, theta: float, unit: complex, z: float, n: int
     if r <= 1.0 or r <= 0.5 * n:  # the kernel's series radius, as in exp_remainder
         return _ratio_series(tau, n) * (math.exp((n - z) * t - log_fact) * phases[0]), 0.0
     if z * t > _LOG_FLOAT_MAX - 10.0:
-        # tau^{-z} would leave the normal range, and e_{n-1}(tau) may, though
-        # the product need not: each term takes its power of tau in its
-        # exponent, the polynomial as tau^{n-1}/(n-1)! times a Horner sum in
-        # 1/tau, sum_j (n-1)!/(n-1-j)! tau^{-j}, and its moduli the same in 1/r
         log_tau = complex(t, theta)
-        p = q = 1.0
-        for k in range(1, n):
-            p = 1.0 + p * k / tau
-            q = 1.0 + q * k / r
-        log_fact_below = math.lgamma(n)
-        return (cmath.exp(tau - z * log_tau)
-                - p * cmath.exp((n - 1 - z) * log_tau - log_fact_below),
-                math.exp((n - 1 - z) * t - log_fact_below + math.log(q)))
+        u, v = 1.0 / tau, 1.0 / r
+        total = moduli = 0.0
+        for c in reversed(_TAYLOR.get(n) or _taylor(n)):
+            total = total * u + c
+            moduli = moduli * v + c
+        return (cmath.exp(tau - z * log_tau) - total * cmath.exp((n - 1 - z) * log_tau),
+                moduli * math.exp((n - 1 - z) * t))
     total = moduli = 0.0
     for c in _TAYLOR.get(n) or _taylor(n):
         total = total * tau + c
@@ -377,13 +376,15 @@ def contour_recip_gamma(
     z^{z-1/2} e^{-z}, which holds at every z > 0, |1/Gamma(z)| <=
     e^{z - (z-1/2) log z} / sqrt(2 pi).  Where eps_rel / (1 - eps_rel)
     times that bound is below u, from z of about 174.8, 173.0 and 172.1 at
-    eps_rel 1e-8, 1e-12 and 1e-14, the record of a sum that underflowed to
+    eps_rel 1e-8, 1e-12 and 1e-14, and from order 172, past the kernel's
+    table of 1/k!, at any eps_rel, the record of a sum that underflowed to
     0 is returned before any node.
     """
     z = arg.z
     _validate(contour, z, arg.n)
     log_bound = z - (z - 0.5) * math.log(z) - _HALF_LOG_2PI
-    if log_bound + math.log(cfg.eps_rel / (1.0 - cfg.eps_rel)) < _LOG_SUBNORMAL:
+    if (arg.n > _KEPT_ORDERS
+            or log_bound + math.log(cfg.eps_rel / (1.0 - cfg.eps_rel)) < _LOG_SUBNORMAL):
         return IntegralResult(0.0, math.inf, 0, ConditionFlag.TOLERANCE_NOT_MET)
     delta, r0 = contour.delta, contour.r0
     decay = abs(math.cos(delta))

@@ -44,9 +44,9 @@ _MAX_TERMS = 500
 # where S = e^x, |S| >= e^{-1}.
 _SERIES_FLOOR = 1.0 / 3.0
 _LOG_TAIL_GOAL = math.log(_EPS / 4.0 * _SERIES_FLOOR)
-# Tables of the series per order n (coefficients and radii), kept for n up
-# to this one: beyond it n! overflows, so only the contour takes the series
-# there, where 1/Gamma(z) underflows, and each call builds its own table.
+# The last order with a table of 1/k!: beyond it 1/(n-1)! is subnormal.  The
+# real line's series stops at 170, where n! overflows, and the contour at
+# this one, so every table of the series built is kept too, one per order.
 _KEPT_ORDERS = 171
 _TABLES: dict[int, tuple[list[float], list[float]]] = {}
 _TAYLOR: dict[int, tuple[float, ...]] = {}  # e_{n-1}'s coefficients per order n
@@ -109,16 +109,13 @@ def _series_table(n: int, rho: float) -> tuple[list[float], list[float]]:
     # c_K rho^K / (1 - rho/(n+K+1)); radii[K-1] solves that for rho at the
     # goal by one step from rho0 = (goal/c_K)^{1/K}, which the factor
     # 1 - rho/(n+K+1) < 1 puts above the root, so the step lands below it.
-    table = _TABLES.get(n) or ([1.0], [])
-    coeffs, radii = table
+    coeffs, radii = table = _TABLES.setdefault(n, ([1.0], []))
     while (not radii or radii[-1] < rho) and len(coeffs) < _MAX_TERMS:
         k = len(coeffs)
         coeffs.append(coeffs[-1] / (n + k))
         log_ratio = _LOG_TAIL_GOAL + math.lgamma(n + k + 1) - math.lgamma(n + 1)
         rho0 = math.exp(log_ratio / k)
         radii.append(math.exp((log_ratio + math.log1p(-rho0 / (n + k + 1))) / k))
-    if n <= _KEPT_ORDERS:
-        _TABLES[n] = table
     return table
 
 

@@ -253,9 +253,14 @@ class TestHankelRecipGamma:
         with mpmath.workdps(30):
             assert abs(gv.value - mpmath.rgamma(z)) <= gv.quadrature.abs_error_estimate
 
-    def test_past_the_range_of_recip_gamma_evaluates_no_node(self, monkeypatch):
+    @pytest.mark.parametrize("z", [1000.5, 172.5, 174.5])
+    def test_past_the_range_of_recip_gamma_evaluates_no_node(self, monkeypatch, z):
         # no value there can be ok, so none is summed: the contour took 30
-        # ray_kernel calls to return 0.0, flagged
+        # ray_kernel calls to return 0.0, flagged, at z = 1000.5.  From order
+        # 172 the kernel has no table of 1/k!, as 1/(n-1)! is subnormal, so
+        # the contour stops there too, below Stirling's cutoff (about 174.8
+        # at eps 1e-8): at 172.5 it returned -6.8e-269, flagged, where
+        # 1/Gamma is about 6e-311
         calls = []
 
         def spy(*args):
@@ -263,7 +268,7 @@ class TestHankelRecipGamma:
             return ray_kernel(*args)
 
         monkeypatch.setattr(hankel, "ray_kernel", spy)
-        gv = hankel_recip_gamma(1000.5, HankelContour(), QuadratureConfig())
+        gv = hankel_recip_gamma(z, HankelContour(), QuadratureConfig(1e-8))
         assert calls == []
         assert gv.value == 0.0 and gv.quadrature.evaluations == 0
         assert gv.condition_flag is ConditionFlag.TOLERANCE_NOT_MET
@@ -311,7 +316,56 @@ def _node_cases():
     return cases
 
 
+def _past_range_nodes():
+    """Nodes (r, theta, z, n) of ray_kernel past its threshold z log r >
+    log(largest double) - 10, drawn at n = 60...171, z = n + U(0.001,
+    0.999), arg tau in (pi/2 + 1e-3, pi), every other draw within 0.1 of
+    pi/2, and r log-uniform up to 3e4 from the threshold or n/2."""
+    rng = random.Random(40)
+    cases = []
+    while len(cases) < 400:
+        n = rng.randint(60, 171)
+        z = n + rng.uniform(0.001, 0.999)
+        lo = max(0.5 * n, math.exp((hankel._LOG_FLOAT_MAX - 10.0) / z))
+        if lo >= 3e4:
+            continue
+        if len(cases) % 2:
+            theta = rng.uniform(0.5 * math.pi + 1e-3, 0.5 * math.pi + 0.1)
+        else:
+            theta = rng.uniform(0.5 * math.pi + 1e-3, math.pi)
+        cases.append((math.exp(rng.uniform(math.log(lo), math.log(3e4))), theta, z, n))
+    return cases
+
+
 class TestNodeRounding:
+    def test_past_the_normal_range_within_its_charge(self):
+        # past the threshold the node is exp(tau - z log tau) minus
+        # exp((n - 1 - z) log tau) times e_{n-1}(tau)/tau^{n-1}, the kernel's
+        # table of 1/k! by Horner's rule in 1/tau.  Measured over these 400
+        # nodes, 390 of them normal: at most 8.1 eps of max(moduli, |node|)
+        # and 0.23 of the ray's charge (a falling-factorial sum in 1/tau
+        # with log (n-1)! in its exponent reached 698 eps and 0.41)
+        checked = 0
+        for r, theta, z, n in _past_range_nodes():
+            value = node(r, theta, z, n)
+            with mpmath.workdps(60):
+                tau = mpmath.mpf(r) * mpmath.expj(theta)
+                ref = mpmath.hyp1f1(1, n + 1, tau) * mpmath.exp(
+                    (n - mpmath.mpf(z)) * mpmath.log(tau) - mpmath.loggamma(n + 1))
+                terms = float(mpmath.fsum(mpmath.mpf(r) ** k / mpmath.factorial(k)
+                                          for k in range(n)) * mpmath.mpf(r) ** -mpmath.mpf(z))
+                err = float(abs(value - ref))
+                ref = complex(ref)
+            if abs(ref) < sys.float_info.min or terms < sys.float_info.min:
+                continue
+            log_tau = abs(complex(math.log(r), theta))
+            charge = ((hankel._NODE_ROUNDING + z * log_tau + 2.0 * math.lgamma(n + 1)) * abs(ref)
+                      + hankel._RAY_CANCELLATION * terms)
+            assert err <= 16 * sys.float_info.epsilon * max(terms, abs(ref)), (r, theta, z, n)
+            assert err <= sys.float_info.epsilon * charge, (r, theta, z, n)
+            checked += 1
+        assert checked > 350
+
     @pytest.mark.parametrize("r,theta,z,n,share", _node_cases())
     def test_node_counts_what_its_direct_path_cancels(self, r, theta, z, n, share):
         # the second entry is e_{n-1}(r) r^{-z} on the direct path, from the

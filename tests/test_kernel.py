@@ -207,11 +207,14 @@ class TestRatioSeries:
                 tail = mpf(coeffs[k]) * mpf(rho) ** k / (1 - mpf(rho) / (n + k + 1))
             assert tail <= goal * (1 + 1e-12)
 
-    def test_tables_kept_per_order_only_below_overflow(self):
-        # beyond n = 171 only the contour takes the series, and keeps no table
-        assert _ratio_series(0.0, 300) == 1.0
-        assert 300 not in kernel._TABLES
-        assert all(n <= kernel._KEPT_ORDERS for n in kernel._TABLES)
+    @pytest.mark.parametrize("n", [1, 60, 170, 171])
+    def test_every_order_keeps_its_table(self, n):
+        # the package takes the series up to order 171, where the paper's
+        # contour stops, so an order's table is built once and grown in place
+        assert _ratio_series(0.0, n) == 1.0
+        table = kernel._TABLES[n]
+        _ratio_series(max(1.0, 0.5 * n), n)
+        assert kernel._TABLES[n] is table and table[1][-1] >= max(1.0, 0.5 * n)
 
 
 class TestTaylorTable:
