@@ -22,12 +22,7 @@ from .gamma_core import (
     recip_gamma,
     recip_gamma_neg_reflection,
 )
-from .hankel import HankelContour, arc_contribution
-from .kernel import (
-    ArgDecomposition,
-    decompose,
-    exp_remainder,
-)
+from .hankel import HankelContour
 from .quadrature import (
     ConditionFlag,
     IntegralResult,
@@ -37,7 +32,6 @@ from .quadrature import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArgDecomposition",
     "ConditionFlag",
     "ContourDegenerate",
     "GammaValue",
@@ -50,9 +44,6 @@ __all__ = [
     "PoleError",
     "QuadratureConfig",
     "RegammaError",
-    "arc_contribution",
-    "decompose",
-    "exp_remainder",
     "gamma",
     "gamma_negative",
     "gamma_ratio",

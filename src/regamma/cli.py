@@ -57,8 +57,6 @@ _METHODS = {
     "hankel": MethodTag.HANKEL,
 }
 
-_NAMES = {tag: name for name, tag in _METHODS.items()}
-
 _PRESETS = {
     # z_min, z_max, step, function
     "fig1": (0.0, 6.0, 0.05, "recip-gamma-neg"),
@@ -69,22 +67,6 @@ _PRESETS = {
 _BENCH_GRID = (0.1, 9.9, 0.2)
 
 _NEGATIVE_FLOAT = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
-
-
-class SweepSpec(NamedTuple):
-    """A sweep of fn under method over the grid of _sweep_grid.
-
-    run_sweep checks a spec before any work, for the CLI and a library
-    caller alike: fn must be a function of z alone, method one that fn
-    takes, and the grid finite.  Each refusal is a RegammaError that names
-    what is accepted.
-    """
-
-    z_min: float
-    z_max: float
-    step: float
-    fn: str
-    method: MethodTag
 
 
 class _Parser(argparse.ArgumentParser):
@@ -117,6 +99,16 @@ def _config(args) -> QuadratureConfig:
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+def _write_lines(path: str, lines: list[str]) -> None:
+    """Write lines to path, LF-terminated UTF-8, as sweep and bench do;
+    an OSError is a RegammaError that names the path."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise RegammaError(f"cannot write {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -202,13 +194,13 @@ def cmd_eval(args) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-def _sweep_grid(spec: SweepSpec) -> list[float]:
+def _sweep_grid(z_min: float, z_max: float, step: float) -> list[float]:
     """The positive points z_min + k step, k >= 1, up to z_max.
 
     They are summed in decimal from the shortest repr of each bound, so a
     point meant to be an integer (60 * 0.05) is one, and rounded once.
     """
-    z_min, step, z_max = (Decimal(repr(x)) for x in (spec.z_min, spec.step, spec.z_max))
+    z_min, step, z_max = (Decimal(repr(x)) for x in (z_min, step, z_max))
     grid = []
     k = 0
     while True:
@@ -220,29 +212,15 @@ def _sweep_grid(spec: SweepSpec) -> list[float]:
             grid.append(float(z))
 
 
-def _sweep_row(z: float, spec: SweepSpec, cfg: QuadratureConfig) -> tuple:
-    if spec.fn == "gamma-neg" and z == math.floor(z):
-        return (z, math.nan, math.nan, spec.method.value, "pole")
-    value, err, method, flag, _ = _row(_FUNCTIONS[spec.fn].evaluate(z, cfg, spec.method, None))
-    return (z, value, err, method, flag)
-
-
-def run_sweep(spec: SweepSpec, cfg: QuadratureConfig, out_path: str) -> None:
-    if spec.fn not in _SWEPT:
-        raise RegammaError(f"sweep does not take --fn {spec.fn}; it takes {', '.join(_SWEPT)}")
-    _method(spec.fn, _NAMES[spec.method])
-    span = spec.z_max - spec.z_min
-    if not spec.step > 0 or not span > 0 or not math.isfinite(span):
-        raise RegammaError("need step > 0 and finite min < max")
-    rows = [_sweep_row(z, spec, cfg) for z in _sweep_grid(spec)]
-    lines = ["z,value,abs_err,method,flag"]
-    for z, value, err, method, flag in rows:
-        lines.append(f"{_fmt(z)},{_fmt(value)},{_fmt(err)},{method},{flag}")
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _sweep_row(z: float, fn: str, tag: MethodTag, cfg: QuadratureConfig) -> tuple:
+    if fn == "gamma-neg" and z == math.floor(z):
+        return (math.nan, math.nan, tag.value, "pole")
+    return _row(_FUNCTIONS[fn].evaluate(z, cfg, tag, None))[:4]
 
 
 def cmd_sweep(args) -> int:
+    # argparse takes only the functions of z alone, and _method only a
+    # method that the function takes; every refusal comes before any work
     cfg = _config(args)
     if args.preset:
         z_min, z_max, step, fn = _PRESETS[args.preset]
@@ -250,11 +228,15 @@ def cmd_sweep(args) -> int:
         if args.min is None or args.max is None or args.step is None:
             raise RegammaError("sweep needs --preset or all of --min/--max/--step")
         z_min, z_max, step, fn = args.min, args.max, args.step, args.fn
-    spec = SweepSpec(z_min, z_max, step, fn, _method(fn, args.method))
-    try:
-        run_sweep(spec, cfg, args.out)
-    except OSError as exc:
-        raise RegammaError(f"cannot write {args.out}: {exc}") from exc
+    tag = _method(fn, args.method)
+    span = z_max - z_min
+    if not step > 0 or not span > 0 or not math.isfinite(span):
+        raise RegammaError("need step > 0 and finite min < max")
+    lines = ["z,value,abs_err,method,flag"]
+    for z in _sweep_grid(z_min, z_max, step):
+        value, err, method, flag = _sweep_row(z, fn, tag, cfg)
+        lines.append(f"{_fmt(z)},{_fmt(value)},{_fmt(err)},{method},{flag}")
+    _write_lines(args.out, lines)
     return 0
 
 
@@ -360,15 +342,19 @@ def cmd_verify(args) -> int:
 def _bench_reference(z: float) -> float:
     """1/Gamma(z) from the standard library's math.gamma, bench's reference.
 
-    A non-positive integer raises PoleError, and a z where Gamma(z) or its
-    reciprocal leaves double precision (z past about 171.62 or below about
-    -171.6, |z| below about 5.6e-309) a RegammaError that names it.
+    Where Gamma(z) overflows next to 0 (|z| below about 5.6e-309), the
+    reference is z/Gamma(1 + z), which is z there.  A non-positive integer
+    raises PoleError, and a z where Gamma(z) or its reciprocal leaves
+    double precision (z past about 171.62 or below about -171.6) a
+    RegammaError that names it.
     """
     if z <= 0.0 and z == math.floor(z):
         raise PoleError(f"Gamma has a pole at {z!r}")
     try:
         ref = 1.0 / math.gamma(z)
-    except (OverflowError, ZeroDivisionError):
+    except OverflowError:
+        ref = z / math.gamma(1.0 + z) if abs(z) < 1.0 else math.inf
+    except ZeroDivisionError:
         ref = math.inf
     if math.isinf(ref):
         raise RegammaError(f"bench has no reference at z = {z!r}: "
@@ -407,11 +393,7 @@ def cmd_bench(args) -> int:
     if args.csv:
         csv_lines = ["method,eps_rel,mean_ms,max_rel_err"]
         csv_lines += [f"{n},{_fmt(e)},{_fmt(ms)},{_fmt(err)}" for n, e, ms, err in rows]
-        try:
-            with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-                fh.write("\n".join(csv_lines) + "\n")
-        except OSError as exc:
-            raise RegammaError(f"cannot write {args.csv}: {exc}") from exc
+        _write_lines(args.csv, csv_lines)
     print(table)
     return 0
 

@@ -134,11 +134,6 @@ def _ratio_series(x: float, n: int) -> float:
     return total
 
 
-def _use_series(x: float, n: int) -> bool:
-    r = abs(x)
-    return r <= 1.0 or r <= 0.5 * n
-
-
 def exp_remainder(x: float, n: int) -> float:
     """e^x - e_{n-1}(x), accurate near machine precision for all x.
 
@@ -178,6 +173,7 @@ def kernel_ratio(x: float, n: int) -> float:
     """
     if n == 0:
         return math.exp(-x)
-    if _use_series(x, n):
+    r = abs(x)
+    if r <= 1.0 or r <= 0.5 * n:  # the series radius, as in exp_remainder
         return (-1.0) ** n / math.factorial(n) * _ratio_series(-x, n)
     return exp_remainder(-x, n) / x**n

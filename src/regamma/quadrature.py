@@ -27,7 +27,7 @@ endpoint singularity becomes the exact factor 1/(1 - frac).  The routes
 differ only in their change of variables on [split, R], and each is a
 function (arg, eps_rel, scale) that returns that stretch as one part,
 within eps_rel * scale, scale being a lower bound on |I(z)|:
-real_axis_middle (t = log x, the default), power_subst_middle
+real_axis_middle (t = log x), power_subst_middle
 (v = (x^z - 1)/z) and log_form_middle (u = e^{-x}).  In t = log x the
 integrand is entire, so the real axis takes a fixed Gauss-Legendre rule
 whose panel count, one or two, comes from _gl15_panels before any
@@ -640,18 +640,17 @@ def log_form_middle(arg: ArgDecomposition, eps_rel: float, scale: float) -> Inte
 
 def integrate_regularized_kernel(
     arg: ArgDecomposition,
-    cfg: QuadratureConfig | None = None,
-    middle: Callable[[ArgDecomposition, float, float], IntegralResult] = real_axis_middle,
+    cfg: QuadratureConfig,
+    middle: Callable[[ArgDecomposition, float, float], IntegralResult],
 ) -> IntegralResult:
     """I(z) = int_0^inf (e^{-x} - e_{n-1}(-x)) x^{-z} dx with n = arg.n.
 
     origin_closed_form sums the stretch [0, split].  middle states a
     route's change of variables: it returns the part that covers x in
-    [split, R], by default on the real axis, within half the tolerance,
-    relative to the origin part's magnitude where it needs a scale.  The
-    closed-form polynomial tail and the bound on the exponential tail
-    follow it, in that order, and the sum is checked against the whole of
-    the tolerance.
+    [split, R] within half the tolerance, relative to the origin part's
+    magnitude where it needs a scale.  The closed-form polynomial tail and
+    the bound on the exponential tail follow it, in that order, and the
+    sum is checked against the whole of the tolerance.
 
     arg.frac must lie in (0, 1), as decompose and the raised order of
     cauchy_saalschutz build it, and arg.n at most 170, where 1/n! is still
@@ -660,7 +659,6 @@ def integrate_regularized_kernel(
     """
     if not 0.0 < arg.frac < 1.0:
         raise ValueError(f"need 0 < frac < 1, got {arg!r}")
-    cfg = cfg or QuadratureConfig()
     origin = origin_closed_form(arg, _SPLIT_POINT)
     parts = [
         origin,

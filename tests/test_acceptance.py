@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from regamma.cli import SweepSpec, run_sweep
+from regamma.cli import main
 from regamma.gamma_core import (
     MethodTag,
     gamma_negative,
@@ -26,7 +26,6 @@ from regamma.quadrature import (
     QuadratureConfig,
     geometric_breakpoints,
     integrate_finite,
-    integrate_regularized_kernel,
 )
 
 CFG = QuadratureConfig(eps_rel=1e-8)
@@ -197,19 +196,18 @@ def _read_rows(path):
 
 
 def test_criterion_9_figure_reproduction(tmp_path):
-    specs = {
-        "fig1": SweepSpec(0.0, 6.0, 0.05, "recip-gamma-neg", MethodTag.REAL_AXIS),
-        "fig3": SweepSpec(0.0, 10.0, 0.05, "recip-gamma", MethodTag.REAL_AXIS),
-        "fig4": SweepSpec(0.0, 5.0, 0.05, "gamma-neg", MethodTag.REAL_AXIS),
-    }
+    # the CLI's presets themselves, on their default route, real_axis
+    presets = ("fig1", "fig3", "fig4")
     rows = {}
-    for name, spec in specs.items():
+    for name in presets:
         out = tmp_path / f"{name}.csv"
-        run_sweep(spec, CFG, str(out))
+        argv = ["sweep", "--preset", name, "--eps-rel", repr(CFG.eps_rel), "--out", str(out)]
+        assert main(argv) == 0
         rows[name] = _read_rows(out)
+        assert {method for _, _, _, method, _ in rows[name]} == {MethodTag.REAL_AXIS.value}
 
     # no NaN/Inf outside flagged rows
-    for name in specs:
+    for name in presets:
         for z, value, _, _, flag in rows[name]:
             if flag in ("ok", "exact"):
                 assert math.isfinite(value), f"{name}: non-finite value at z={z}"

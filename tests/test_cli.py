@@ -6,10 +6,8 @@ import sys
 import pytest
 from mpmath import mp, mpf
 
-from regamma.cli import SweepSpec, _bench_reference, main, run_sweep
+from regamma.cli import _bench_reference, main
 from regamma.errors import PoleError, RegammaError
-from regamma.gamma_core import MethodTag
-from regamma.quadrature import QuadratureConfig
 
 
 def run(capsys, *argv):
@@ -293,20 +291,27 @@ class TestSweep:
         assert "/nonexistent/dir/x.csv" in err
 
     @pytest.mark.parametrize(
-        "fn, method, step, accepted",
+        "fn, method, step, refusal",
         [
-            ("gamma-neg", MethodTag.HANKEL, 0.25, "it takes real, cs"),
-            ("gamma-ratio", MethodTag.REAL_AXIS, 0.25,
-             "it takes recip-gamma, gamma, gamma-neg, recip-gamma-neg"),
-            ("recip-gamma", MethodTag.REAL_AXIS, 0.0, "step > 0 and finite min < max"),
+            ("gamma-neg", "hankel", "0.25",
+             "regamma: error: --fn gamma-neg does not take --method hankel; it takes real, cs"),
+            ("gamma-ratio", "real", "0.25", "argument --fn: invalid choice: 'gamma-ratio'"),
+            ("recip-gamma", "real", "0", "regamma: error: need step > 0 and finite min < max"),
         ],
         ids=["gamma-neg-hankel", "gamma-ratio", "zero-step"],
     )
-    def test_library_sweep_checks_its_spec(self, tmp_path, fn, method, step, accepted):
-        # run_sweep takes only specs that the CLI would accept
-        out_path = tmp_path / "spec.csv"
-        with pytest.raises(RegammaError, match=accepted):
-            run_sweep(SweepSpec(0.0, 1.0, step, fn, method), QuadratureConfig(), str(out_path))
+    def test_refusal_writes_no_file(self, capsys, tmp_path, fn, method, step, refusal):
+        # every refusal exits 1 with one error line before any work
+        out_path = tmp_path / "refused.csv"
+        argv = ["sweep", "--min", "0", "--max", "1", "--step", step, "--fn", fn,
+                "--method", method, "--out", str(out_path)]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own refusal
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert refusal in err and err.endswith("\n")
         assert not out_path.exists()
 
 
@@ -526,6 +531,16 @@ class TestBench:
         assert err.startswith("regamma: error: bench has no reference at z = " + past + ":")
         assert err.count("\n") == 1 and "math range error" not in err
 
+    def test_next_to_zero_stops_on_the_cs_route(self, capsys, tmp_path):
+        # the reference is z itself there; cauchy_saalschutz integrates
+        # Gamma(-z), which overflows, and raises its documented OverflowError
+        csv_path = tmp_path / "bench.csv"
+        code, out, err = run(capsys, "bench", "--min", "1e-310", "--max", "1e-310",
+                             "--step", "1", "--csv", str(csv_path))
+        assert (code, out) == (1, "")
+        assert err == "regamma: error: Gamma(-1e-310) overflows double precision\n"
+        assert not csv_path.exists()
+
     def test_unwritable_csv_is_one_error_line(self, capsys, tmp_path):
         csv_path = tmp_path / "missing" / "bench.csv"
         code, out, err = run(
@@ -564,6 +579,12 @@ class TestBenchReference:
 
     def test_reflection_branch(self):
         assert _bench_reference(-0.5) == pytest.approx(1 / -3.5449077018110320546, rel=self.ULPS)
+
+    @pytest.mark.parametrize("z", [1e-310, -1e-310, 5e-309, 5e-324, -5e-324])
+    def test_next_to_zero(self, z):
+        # Gamma(z) overflows below about 5.6e-309 in modulus, where
+        # 1/Gamma(z) = z/Gamma(1 + z) rounds to z
+        assert _bench_reference(z) == z
 
     @pytest.mark.parametrize("z", [0.0, -1.0, -7.0])
     def test_poles(self, z):

@@ -316,6 +316,43 @@ def _node_cases():
     return cases
 
 
+class _SeriesTaken(Exception):
+    pass
+
+
+def kernel_takes_series(r: float, n: int) -> bool:
+    """Whether kernel.exp_remainder takes its series at |x| = r, order n >= 1:
+    it is called at x = -r, where its direct path cannot overflow, with
+    kernel._ratio_series replaced by a spy.  An OverflowError is the series
+    path too: it forms x^n before it calls the series, and 85^170
+    overflows."""
+    def spy(x, m):
+        raise _SeriesTaken
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernel, "_ratio_series", spy)
+        try:
+            kernel.exp_remainder(-r, n)
+        except (_SeriesTaken, OverflowError):
+            return True
+    return False
+
+
+def _direct_path_nodes():
+    """Nodes (r, theta, power, n) of ray_kernel on its direct path, as a
+    ray passes them: n = 20...161, |tau| uniform in (max(1, n/2), 1.3 n),
+    arg tau in (1.6, pi), power = n + U(0.01, 0.99) - 1.  About a tenth
+    lie past the threshold z log r > log(largest double) - 10."""
+    rng = random.Random(41)
+    cases = []
+    for _ in range(1100):
+        n = rng.randint(20, 161)
+        r = rng.uniform(max(1.0, 0.5 * n), 1.3 * n)
+        theta = rng.uniform(1.6, math.pi)
+        cases.append((r, theta, n + rng.uniform(0.01, 0.99) - 1.0, n))
+    return cases
+
+
 def _past_range_nodes():
     """Nodes (r, theta, z, n) of ray_kernel past its threshold z log r >
     log(largest double) - 10, drawn at n = 60...171, z = n + U(0.001,
@@ -374,7 +411,7 @@ class TestNodeRounding:
         # cancels.  Like the node, the count rounds in its exponents: measured
         # at most a quarter of the node's own budget, 276 eps at n = 105
         count = node_pair(r, theta, z, n)[1]
-        if not n or kernel._use_series(r, n):
+        if not n or kernel_takes_series(r, n):
             assert count == 0.0
             return
         with mpmath.workdps(40):
@@ -396,7 +433,7 @@ class TestNodeRounding:
             ref = mpmath.hyp1f1(1, n + 1, tau) * mpmath.exp(
                 (n - mpmath.mpf(z)) * mpmath.log(tau) - mpmath.loggamma(n + 1))
             terms = 0.0
-            if n and not kernel._use_series(r, n):
+            if n and not kernel_takes_series(r, n):
                 terms = float(mpmath.fsum(mpmath.mpf(r) ** k / mpmath.factorial(k)
                                           for k in range(n)) * mpmath.mpf(r) ** -mpmath.mpf(z))
             err = float(abs(value - ref))
@@ -404,6 +441,37 @@ class TestNodeRounding:
         log_tau = abs(complex(math.log(r), theta))
         budget = (hankel._NODE_ROUNDING + z * log_tau + 2.0 * math.lgamma(n + 1)) * abs(ref)
         assert err <= sys.float_info.epsilon * (budget + share * terms)
+
+    def test_ray_cancellation_holds_on_a_seeded_search(self):
+        # beside the node's own budget, _ray charges _RAY_CANCELLATION eps
+        # of e_{n-1}(r) r^{-z}, the moduli that the direct path cancels.
+        # The constant is read here at call time, so a cut one fails: over
+        # these 1,100 nodes the cancelling share reached 0.107, and 8 nodes
+        # needed more than 0.09
+        eps = sys.float_info.epsilon
+        checked = 0
+        for r, theta, z, n in _direct_path_nodes():
+            assert not kernel_takes_series(r, n)
+            value = node(r, theta, z, n)
+            with mpmath.workdps(40):
+                tau = mpmath.mpf(r) * mpmath.expj(theta)
+                ref = mpmath.hyp1f1(1, n + 1, tau) * mpmath.exp(
+                    (n - mpmath.mpf(z)) * mpmath.log(tau) - mpmath.loggamma(n + 1))
+                err = float(abs(value - ref))
+                ref = complex(ref)
+            # e_{n-1}(r) r^{-z}: a sum of positive terms, a scale to a few eps
+            term, total = 1.0, 1.0
+            for k in range(1, n):
+                term *= r / k
+                total += term
+            terms = math.exp(math.log(total) - z * math.log(r))
+            if abs(ref) < sys.float_info.min or terms < sys.float_info.min:
+                continue
+            log_tau = abs(complex(math.log(r), theta))
+            budget = (hankel._NODE_ROUNDING + z * log_tau + 2.0 * math.lgamma(n + 1)) * abs(ref)
+            assert err <= eps * (budget + hankel._RAY_CANCELLATION * terms), (r, theta, z, n)
+            checked += 1
+        assert checked > 1000
 
     def test_ray_sum_rounds_once(self, monkeypatch):
         # the weighted nodes are added exactly and rounded once, whatever
@@ -433,7 +501,7 @@ class TestSeriesRadius:
         theta, z = 2.5, n + 0.5
         for edge in (1.0, 0.5 * n):
             for r in (edge, math.nextafter(edge, math.inf)):
-                series = kernel._use_series(r, n)
+                series = kernel_takes_series(r, n)
                 assert series == (r <= max(1.0, 0.5 * n))
                 count = node_pair(r, theta, z, n)[1]
                 if series:
@@ -444,7 +512,7 @@ class TestSeriesRadius:
         radius = 0.5 * n if n > 2 else 1.0
         past = math.nextafter(radius, math.inf)
         assert node_pair(radius, theta, z, n)[1] == 0.0
-        assert not kernel._use_series(past, n)
+        assert not kernel_takes_series(past, n)
         assert node_pair(past, theta, z, n)[1] > 0.0
 
 

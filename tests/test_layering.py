@@ -1,6 +1,6 @@
 """hankel is the contour layer and gamma_core the API above it: the import
 points one way, at gamma_core's top, and neither module reads the other's
-private names."""
+private names.  The package root exports that API and nothing else."""
 
 import ast
 import inspect
@@ -8,7 +8,8 @@ import typing
 
 import pytest
 
-from regamma import gamma_core, hankel
+import regamma
+from regamma import errors, gamma_core, hankel, quadrature
 from regamma.gamma_core import GammaValue
 
 
@@ -87,3 +88,25 @@ def test_moved_signature_is_unchanged(name):
     assert str(signature.replace(return_annotation=inspect.Signature.empty)) == params
     assert typing.get_type_hints(fn)["return"] is returns
     assert not hasattr(hankel, name)
+
+
+# The package root: the entry points, the records, the config types and the
+# errors, by the module each is defined in.
+ROOT = {
+    gamma_core: ("GammaValue", "MethodTag", "gamma", "gamma_negative", "gamma_ratio",
+                 "hankel_recip_gamma", "inverse_laplace", "inverse_laplace_monomial",
+                 "recip_gamma", "recip_gamma_neg_reflection"),
+    quadrature: ("ConditionFlag", "IntegralResult", "QuadratureConfig"),
+    hankel: ("HankelContour",),
+    errors: ("ContourDegenerate", "IntegerArgument", "NonFiniteArgument",
+             "NonPositiveArgument", "PoleError", "RegammaError"),
+}
+
+
+def test_the_package_root_is_the_api():
+    names = [name for names in ROOT.values() for name in names]
+    assert len(names) == 20
+    assert sorted(regamma.__all__) == sorted(names + ["__version__"])
+    for module, names in ROOT.items():
+        for name in names:
+            assert getattr(regamma, name) is getattr(module, name), name

@@ -150,7 +150,7 @@ class TestRegularizedKernel:
         [(0.5, I_HALF), (1.5, I_THREE_HALVES), (2.5, I_FIVE_HALVES)],
     )
     def test_reference_values(self, z, expected):
-        res = integrate_regularized_kernel(decompose(z), CFG)
+        res = integrate_regularized_kernel(decompose(z), CFG, real_axis_middle)
         assert res.value == pytest.approx(expected, rel=1e-8)
         assert res.condition_flag is ConditionFlag.OK
 
@@ -184,7 +184,7 @@ class TestRegularizedKernel:
         # I(z) grows like 1/dist(z, Z), and sin(pi z)/pi I(z) stays accurate
         delta = 1e-3
         z = m + delta
-        res = integrate_regularized_kernel(decompose(z), CFG)
+        res = integrate_regularized_kernel(decompose(z), CFG, real_axis_middle)
         predicted = 1.0 / (delta * math.factorial(m - 1))
         assert predicted / 3.0 <= abs(res.value) <= predicted * 3.0
         assert res.condition_flag is ConditionFlag.OK
@@ -196,7 +196,7 @@ class TestRegularizedKernel:
     def test_sign_pattern(self):
         # single-signed integrand: sign of I(z) is (-1)^n
         for z in (0.4, 1.3, 2.8, 3.1, 4.9):
-            res = integrate_regularized_kernel(decompose(z), CFG)
+            res = integrate_regularized_kernel(decompose(z), CFG, real_axis_middle)
             assert math.copysign(1.0, res.value) == (-1.0) ** math.floor(z)
 
 
@@ -278,7 +278,7 @@ class TestRealAxisMiddle:
             return kernel.exp_remainder(x, n)
 
         monkeypatch.setattr(quadrature, "exp_remainder", spy)
-        res = integrate_regularized_kernel(decompose(2.5), CFG)
+        res = integrate_regularized_kernel(decompose(2.5), CFG, real_axis_middle)
         assert len(calls) == res.evaluations == 15
         assert all(1.0 <= -x <= 36.0 for x in calls)
 
@@ -316,7 +316,7 @@ class TestOriginClosedForm:
         # the origin series takes it (above), but the assembly bounds its
         # exponential tail for z >= 0 alone, and frac = 1 - A is not in (0, 1)
         with pytest.raises(ValueError, match="frac"):
-            integrate_regularized_kernel(euler(A), QuadratureConfig(eps_rel=1e-12))
+            integrate_regularized_kernel(euler(A), QuadratureConfig(1e-12), real_axis_middle)
 
     @pytest.mark.parametrize("z", [171.5, 172.25, 300.5])
     def test_order_past_170_is_refused(self, z):
@@ -325,7 +325,7 @@ class TestOriginClosedForm:
         with pytest.raises(ValueError, match="170"):
             origin_closed_form(decompose(z), 1.0)
         with pytest.raises(ValueError, match="170"):
-            integrate_regularized_kernel(decompose(z))
+            integrate_regularized_kernel(decompose(z), CFG, real_axis_middle)
 
     def test_order_170_is_summed(self):
         # sum_{k>=170} (-1)^k / (k! (k + 1 - z)) at split 1, term by term:
@@ -335,7 +335,8 @@ class TestOriginClosedForm:
             exact = float(mpmath.fsum((-1) ** k / (mpmath.factorial(k) * (k - 169.5))
                                       for k in range(170, 200)))
         assert abs(res.value - exact) <= res.abs_error_estimate <= 1e-13 * abs(exact)
-        assert math.isfinite(integrate_regularized_kernel(decompose(170.5)).value)
+        res = integrate_regularized_kernel(decompose(170.5), CFG, real_axis_middle)
+        assert math.isfinite(res.value)
 
 
 class TestPolynomialTail:
@@ -391,7 +392,7 @@ class TestPolynomialTail:
     def test_large_z_rounding_is_flagged(self):
         # unshifted, the terms of the polynomial tail dwarf the sum at
         # z = 100.5; their rounding bound must say so
-        res = integrate_regularized_kernel(decompose(100.5), QuadratureConfig())
+        res = integrate_regularized_kernel(decompose(100.5), CFG, real_axis_middle)
         assert res.condition_flag is ConditionFlag.TOLERANCE_NOT_MET
 
 
@@ -410,7 +411,7 @@ class TestExponentialTail:
             return combine(parts, eps_rel)
 
         monkeypatch.setattr(quadrature, "combine", spy)
-        integrate_regularized_kernel(decompose(z), CFG)
+        integrate_regularized_kernel(decompose(z), CFG, real_axis_middle)
         bound = combined[-1][-1]
         assert bound.value == 0.0
         assert bound.evaluations == 0
@@ -534,7 +535,7 @@ class TestRecords:
 
     @pytest.mark.parametrize("record", [
         IntegralResult(-1.5 + 0.25j, 3e-17, 30, ConditionFlag.TOLERANCE_NOT_MET),
-        integrate_regularized_kernel(decompose(3.3)),
+        integrate_regularized_kernel(decompose(3.3), CFG, real_axis_middle),
         decompose(7.25),
     ])
     def test_pickle_round_trip(self, record):
