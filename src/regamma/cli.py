@@ -102,8 +102,8 @@ def _fmt(x: float) -> str:
 
 
 def _write_lines(path: str, lines: list[str]) -> None:
-    """Write lines to path, LF-terminated UTF-8, as sweep and bench do;
-    an OSError is a RegammaError that names the path."""
+    """Write lines to path as LF-terminated UTF-8 text; an OSError becomes
+    a RegammaError that names the path."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("\n".join(lines) + "\n")
