@@ -9,7 +9,9 @@ gamma-ratio takes real alone, and inv-laplace hankel alone.  A --method
 that the function does not take is refused with one error line that names
 the ones it does (exit 1), so the method printed by eval, and the method
 column of sweep, is always the route the result took.  sweep takes the
-functions of z alone, every one but gamma-ratio and inv-laplace.
+functions of z alone, every one but gamma-ratio and inv-laplace (default
+recip-gamma).  A --preset fixes the grid and the function, so sweep
+refuses it beside --fn, --min, --max or --step (exit 1, no file).
 
 Sweep output is deterministic CSV (header ``z,value,abs_err,method,flag``,
 17 significant digits, LF line endings) so figure pipelines can be
@@ -223,11 +225,16 @@ def cmd_sweep(args) -> int:
     # method that the function takes; every refusal comes before any work
     cfg = _config(args)
     if args.preset:
+        # a preset is its own grid and function: a flag that would change
+        # either is refused, not ignored
+        for flag in ("fn", "min", "max", "step"):
+            if getattr(args, flag) is not None:
+                raise RegammaError(f"sweep --preset {args.preset} takes no --{flag}")
         z_min, z_max, step, fn = _PRESETS[args.preset]
     else:
         if args.min is None or args.max is None or args.step is None:
             raise RegammaError("sweep needs --preset or all of --min/--max/--step")
-        z_min, z_max, step, fn = args.min, args.max, args.step, args.fn
+        z_min, z_max, step, fn = args.min, args.max, args.step, args.fn or "recip-gamma"
     tag = _method(fn, args.method)
     span = z_max - z_min
     if not step > 0 or not span > 0 or not math.isfinite(span):
@@ -420,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--min", type=float, default=None)
     p_sweep.add_argument("--max", type=float, default=None)
     p_sweep.add_argument("--step", type=float, default=None)
-    p_sweep.add_argument("--fn", default="recip-gamma", choices=_SWEPT)
+    p_sweep.add_argument("--fn", default=None, choices=_SWEPT)
     p_sweep.add_argument("--method", default=None, choices=sorted(_METHODS))
     p_sweep.add_argument("--eps-rel", type=float, default=None)
     p_sweep.add_argument("--out", required=True)

@@ -23,7 +23,9 @@ is assembled once, by integrate_regularized_kernel, split at x = 1 and
 R = 36.  On [0, split] the remainder is the series sum_{k>=n} (-x)^k/k!,
 so that stretch is summed term by term (origin_closed_form): every power
 of x it integrates is x^{k-z} with k - z > -1, and the algebraic x^{-frac}
-endpoint singularity becomes the exact factor 1/(1 - frac).  The routes
+endpoint singularity becomes the exact factor 1/(1 - frac).  Its
+coefficients are one table per order and its term count is fixed from a
+bound before the sum, as the kernel's series are.  The routes
 differ only in their change of variables on [split, R], and each is a
 function (arg, eps_rel, scale) that returns that stretch as one part,
 within eps_rel * scale, scale being a lower bound on |I(z)|:
@@ -31,7 +33,8 @@ real_axis_middle (t = log x), power_subst_middle
 (v = (x^z - 1)/z) and log_form_middle (u = e^{-x}).  In t = log x the
 integrand is entire, so the real axis takes a fixed Gauss-Legendre rule
 whose panel count, one or two, comes from _gl15_panels before any
-evaluation; the other two take the adaptive engine.
+evaluation, on nodes laid out once per panel count, split and radius; the
+other two take the adaptive engine.  combine adds the parts in one pass.
 
 The argument is a positive non-integer z = n + frac, 0 < frac < 1, as
 kernel.decompose builds it, or the same frac at the raised order n + 1
@@ -61,11 +64,12 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left
 from enum import Enum
 from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
-from .kernel import ArgDecomposition, exp_remainder
+from .kernel import _TAYLOR, ArgDecomposition, _taylor, exp_remainder
 
 # 7/15 Gauss-Kronrod abscissae and weights (positive half; node 0 last).
 # Odd-indexed abscissae carry the embedded 7-point Gauss rule.
@@ -126,6 +130,8 @@ _GL15 = ((0.0, _WGL_CENTER),) + tuple(
 # the sum's error past the bound reached 11.2 eps on two panels (on one,
 # the bound alone covered it).
 _GL_ROUNDING = 16
+# real_axis_middle's nodes per (panels, split, radius), laid out on first use
+_MIDDLE_LAYOUTS: dict[tuple[int, float, float], tuple[float, tuple]] = {}
 
 _EPMACH = sys.float_info.epsilon
 _UFLOW = sys.float_info.min
@@ -146,6 +152,11 @@ _TAIL_RADIUS = 36.0
 # The highest order whose 1/n! is a normal double: the real line's origin
 # series starts from it.
 _MAX_ORDER = 170
+# The origin series' rounding, in units of eps of the sum of its terms'
+# moduli: derived in origin_closed_form, at most 4 at split 1.
+_ORIGIN_ROUNDING = 8
+# The origin series' table per order n (_origin_table), built on first use.
+_ORIGIN_TABLES: dict[int, tuple[float, list[tuple[float, float]], list[float]]] = {}
 
 # Bisections integrate_finite may make in one integral before it flags
 # the result.
@@ -402,31 +413,74 @@ def geometric_breakpoints(a: float, b: float) -> list[float]:
     return pts
 
 
+def _origin_table(n: int, split: float) -> tuple[float, list[tuple[float, float]], list[float]]:
+    # The order's table, grown until its last radius reaches split:
+    # (-1)^n/n!, read from the kernel's table of 1/k!; the terms
+    # ((-1)^j n!/(n+j)!, j), each rounded once by int/int division; and for
+    # each count K the radius radii[K-1], a split at or below which the
+    # tail past K terms is at most _UNIT_ROUNDOFF |S| (origin_closed_form).
+    # That holds where e^s s^K <= u (n+1)_K and s <= n + K + 1; one Newton
+    # step on s + K log s from s0 = (u (n+1)_K)^{1/K}, above the root,
+    # lands below it, as the function is concave.
+    first = (-1.0) ** n * (_TAYLOR.get(n + 1) or _taylor(n + 1))[0]
+    terms, radii = _ORIGIN_TABLES.setdefault(n, (first, [], []))[1:]
+    while not radii or radii[-1] < split:
+        j = len(terms)
+        rising = math.prod(range(n + 1, n + j + 1))  # (n+1)_j
+        terms.append(((-1) ** j / rising, float(j)))
+        count = j + 1
+        rho0 = math.exp((math.log(_UNIT_ROUNDOFF) + math.log(rising * (n + count))) / count)
+        radius = rho0 * count / (rho0 + count)
+        radii.append(radius if radius < n + count + 1 else n + count + 1)
+    return _ORIGIN_TABLES[n]
+
+
 def origin_closed_form(arg: ArgDecomposition, split: float) -> IntegralResult:
     """int_0^split (e^{-x} - e_{n-1}(-x)) x^{-z} dx, summed term by term.
 
     The remainder is sum_{k>=n} (-x)^k/k!, and each term integrates to
-    (-1)^k/k! * split^{k-z+1}/(k-z+1).  Every exponent is built from n and
-    frac as (k - n) + (1 - frac), so it is exact up to one rounding and at
-    least 1 - frac > 0.  The terms fall off like split^k/k!; the sum stops
-    once a term is below eps of it, and its error is the rounding bound
-    8 eps sum |terms|.  No evaluations are spent.  The start 1/n! is a
-    double for n <= 170 (_MAX_ORDER); a higher order raises ValueError.
+    t_j = (-1)^k/k! s^{j+b}/(j+b), s = split, j = k - n, b = 1 - frac:
+    each exponent is built from n and frac, exact up to one rounding and
+    at least b > 0.  So S = (-1)^n s^b/n! sum_j c_j s^j/(j+b) with
+    c_j = (-1)^j n!/(n+j)!, one table per order (_origin_table), which
+    never leaves the normal range; the sum is Horner's rule in s from the
+    last term back, and Horner's rule in -s sums |t_j|.  No evaluations
+    are spent.  1/n! is a double for n <= 170 (_MAX_ORDER); a higher order
+    raises ValueError.
+
+    The term count K is fixed before the loop.  |R_n(-x)| >= x^n e^{-x}/n!
+    on x > 0 (the integral form of the remainder), so |S| >= e^{-s} s^b/(n! b);
+    and the terms alternate and fall from K on while s <= n + K + 1, so
+    the tail is at most |t_K|, below e^s s^K/(n+1)_K of |S| (as b/(K+b) < 1).
+    K is the least count at which that is at most u = 2^-53.
+
+    The error is _ORIGIN_ROUNDING eps sum |t_j|.  For 0 < frac < 1 and
+    split <= n + 1, where the terms fall from the first, in units u of
+    sum |t_j|: the truncation 1; b's rounding (1 + |log s|); c_j, j + b and
+    the division 3; Horner's additions 1, as each partial sum from the
+    back is at most its first term, and its products by s 1; s^b (pow, one
+    ulp), its product with the sum, 1/n! and the last product 5.  That is
+    (6 + |log s|/2) eps, and at split 1, where s^b and every product by s
+    are exact, 4 eps; so 8 eps holds the splits in [e^{-4}, n + 1], and
+    the package sums at split 1.  Only the last product can leave the
+    normal range, at order 170: one subnormal unit.
     """
-    if arg.n > _MAX_ORDER:
-        raise ValueError(f"order {arg.n} is past {_MAX_ORDER}: 1/n! leaves the normal range")
-    base = 1.0 - arg.frac
-    coeff = (-1.0) ** arg.n / math.factorial(arg.n) * split**base  # (-1)^k split^{k-z+1} / k!
-    total = abs_sum = 0.0
-    j = 0  # k - n
-    while True:
-        term = coeff / (j + base)
-        total += term
-        abs_sum += abs(term)
-        if abs(term) <= _EPMACH * abs(total):
-            return IntegralResult(total, 8.0 * _EPMACH * abs_sum, 0)
-        j += 1
-        coeff *= -split / (arg.n + j)
+    n = arg.n
+    if n > _MAX_ORDER:
+        raise ValueError(f"order {n} is past {_MAX_ORDER}: 1/n! leaves the normal range")
+    table = _ORIGIN_TABLES.get(n)
+    if table is None or table[2][-1] < split:
+        table = _origin_table(n, split)
+    first, terms, radii = table
+    base, neg = 1.0 - arg.frac, -split
+    total = size = 0.0
+    for c, j in terms[bisect_left(radii, split)::-1]:
+        term = c / (j + base)
+        total = total * split + term
+        size = size * neg + term  # sum |c_j| s^j/(j+b), as c_j alternates
+    power = split**base
+    return IntegralResult(power * total * first,
+                          _ORIGIN_ROUNDING * _EPMACH * abs(power * size * first) + _SUBNORMAL, 0)
 
 
 def polynomial_tail_closed_form(
@@ -485,10 +539,13 @@ def combine(parts: Sequence[IntegralResult], eps_rel: float) -> IntegralResult:
     missed its tolerance, if the summed estimate exceeds eps_rel times the
     sum (the parts can cancel) or if either is not finite; otherwise ok.
     """
-    value = sum(p.value for p in parts)
-    err = sum(p.abs_error_estimate for p in parts)
-    return IntegralResult(value, err, sum(p.evaluations for p in parts),
-                          _flag(value, err, parts, eps_rel))
+    value = err = 0.0
+    evaluations = 0
+    for part_value, part_err, part_evaluations, _ in parts:
+        value += part_value
+        err += part_err
+        evaluations += part_evaluations
+    return IntegralResult(value, err, evaluations, _flag(value, err, parts, eps_rel))
 
 
 def propagate(
@@ -555,6 +612,22 @@ def _gl15_panels(lo: float, hi: float, cap: int, half_height: float, log_m: floa
     return panels, bound
 
 
+def _middle_layout(panels: int, split: float, radius: float) -> tuple[float, tuple]:
+    # real_axis_middle's rule on `panels` equal panels of [log split,
+    # log radius]: the half-width h, and each node as (w_j, t_j, -e^{t_j}),
+    # placed panel by panel as the rule sums them
+    lo, hi = math.log(split), math.log(radius)
+    h = (hi - lo) / (2 * panels)
+    nodes = []
+    for p in range(panels):
+        centre = lo + (2 * p + 1) * h
+        for x, w in _GL15:
+            t = centre + h * x
+            nodes.append((w, t, -math.exp(t)))
+    layout = _MIDDLE_LAYOUTS[panels, split, radius] = h, tuple(nodes)
+    return layout
+
+
 def real_axis_middle(arg: ArgDecomposition, eps_rel: float, scale: float) -> IntegralResult:
     """The real-axis route: the stretch [split, R] in t = log x, by a fixed
     15-point Gauss-Legendre rule on one or two equal panels.
@@ -569,8 +642,12 @@ def real_axis_middle(arg: ArgDecomposition, eps_rel: float, scale: float) -> Int
     capped at two: over n <= 9 and 0 < frac < 1 the bound of two panels
     is at most 2.4e-16 of the origin part (largest as frac -> 0), below
     the rounding of the sum, so no third panel is ever needed.  The
-    nodes are placed at call time from the split and the radius, and the
-    exponent 1 - z is built from n and frac, as in the origin series.
+    nodes t_j and -e^{t_j} depend on the panel count, the split and the
+    radius alone: they are laid out once per triple, read at call time
+    (_middle_layout), so each node costs one exp_remainder(-e^{t_j}, n)
+    and one exp((1 - z) t_j), the exponent built from n and frac, as in
+    the origin series.  The value is h sum_j w_j f(t_j), as it was when
+    the nodes were placed at every call.
 
     The part is ok; its error is the bound plus the sum's rounding.  f is
     single-signed and the weights positive, so that rounding is relative
@@ -579,16 +656,13 @@ def real_axis_middle(arg: ArgDecomposition, eps_rel: float, scale: float) -> Int
     """
     n, frac = arg.n, arg.frac
     expo = (1 - n) - frac
-    lo, hi = math.log(_SPLIT_POINT), math.log(_TAIL_RADIUS)
-    panels, bound = _gl15_panels(
-        lo, hi, 2, 0.5 * math.pi, -math.lgamma(n + 1), 1.0 - frac, eps_rel * scale)
-    h = (hi - lo) / (2 * panels)
+    split, radius = _SPLIT_POINT, _TAIL_RADIUS
+    panels, bound = _gl15_panels(math.log(split), math.log(radius), 2, 0.5 * math.pi,
+                                 -math.lgamma(n + 1), 1.0 - frac, eps_rel * scale)
+    h, nodes = _MIDDLE_LAYOUTS.get((panels, split, radius)) or _middle_layout(panels, split, radius)
     total = 0.0
-    for p in range(panels):
-        centre = lo + (2 * p + 1) * h
-        for x, w in _GL15:
-            t = centre + h * x
-            total += w * exp_remainder(-math.exp(t), n) * math.exp(expo * t)
+    for w, t, x in nodes:
+        total += w * exp_remainder(x, n) * math.exp(expo * t)
     value = h * total
     return IntegralResult(value, bound + _GL_ROUNDING * _EPMACH * abs(value), 15 * panels)
 

@@ -291,6 +291,21 @@ class TestSweep:
         assert "/nonexistent/dir/x.csv" in err
 
     @pytest.mark.parametrize(
+        "flag, value",
+        [("--fn", "gamma"), ("--fn", "recip-gamma"), ("--min", "2"), ("--max", "3"),
+         ("--step", "0.1")],
+    )
+    def test_preset_refuses_a_grid_or_function_flag(self, capsys, tmp_path, flag, value):
+        # fig3 fixes its grid and function; --fn gamma --min 2 used to be
+        # ignored, and fig3's 1/Gamma grid written with exit 0
+        out_path = tmp_path / "refused.csv"
+        code, out, err = run(capsys, "sweep", "--preset", "fig3", flag, value,
+                             "--out", str(out_path))
+        assert (code, out) == (1, "")
+        assert err == f"regamma: error: sweep --preset fig3 takes no {flag}\n"
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize(
         "fn, method, step, refusal",
         [
             ("gamma-neg", "hankel", "0.25",

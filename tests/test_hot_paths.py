@@ -7,6 +7,11 @@ copies below are those bodies, renamed, and must not be edited to follow
 a later change of the module.  Two later changes are stated beside the
 tests they move: an infinite value or estimate is never flagged ok, and an
 overflowed resasc is the estimate itself.
+
+real_axis_middle is checked the same way against its body as it was while
+it placed its nodes at every call, before they were laid out once per
+panel count, split and radius; the copy reads the split and the radius
+off the module, so that a test can move them.
 """
 
 import ast
@@ -144,6 +149,24 @@ def reference_integrate_finite(
         evaluations=evaluations,
         condition_flag=flag,
     )
+
+
+def reference_real_axis_middle(arg, eps_rel: float, scale: float) -> IntegralResult:
+    n, frac = arg.n, arg.frac
+    expo = (1 - n) - frac
+    lo, hi = math.log(quadrature._SPLIT_POINT), math.log(quadrature._TAIL_RADIUS)
+    panels, bound = quadrature._gl15_panels(
+        lo, hi, 2, 0.5 * math.pi, -math.lgamma(n + 1), 1.0 - frac, eps_rel * scale)
+    h = (hi - lo) / (2 * panels)
+    total = 0.0
+    for p in range(panels):
+        centre = lo + (2 * p + 1) * h
+        for x, w in quadrature._GL15:
+            t = centre + h * x
+            total += w * exp_remainder(-math.exp(t), n) * math.exp(expo * t)
+    value = h * total
+    return IntegralResult(
+        value, bound + quadrature._GL_ROUNDING * _EPMACH * abs(value), 15 * panels)
 
 
 def _recorded(f):
@@ -315,6 +338,37 @@ class TestIntegrateFinite:
               reference_integrate_finite(f_ref, -1.0, 1.0, cfg, [0.0]))
         assert repr(at_new) == repr(at_ref)
         assert all(-1.0 <= x <= 0.0 for x in at_new[30:60])
+
+
+class TestRealAxisMiddle:
+    FRACS = [5e-324, 1e-15, 1e-9, 1e-3, 0.37, 0.5, 1.0 - 1e-3, 1.0 - 1e-9, 1.0 - 2.0**-53]
+
+    @pytest.mark.parametrize("n", range(10))
+    @pytest.mark.parametrize("split, radius", [(1.0, 36.0), (0.5, 36.0), (2.0, 36.0),
+                                               (1.0, 20.0), (1.0, 36.0)])
+    def test_equals_the_nodes_placed_per_call(self, monkeypatch, split, radius, n):
+        # a layout kept from another split or radius would move every node;
+        # the last case returns to the first, after the others were laid out
+        monkeypatch.setattr(quadrature, "_SPLIT_POINT", split)
+        monkeypatch.setattr(quadrature, "_TAIL_RADIUS", radius)
+        new_at, ref_at = [], []
+
+        def recorder(at):
+            def kernel_call(x, order):
+                at.append(x)
+                return kernel.exp_remainder(x, order)
+            return kernel_call
+
+        monkeypatch.setattr(quadrature, "exp_remainder", recorder(new_at))
+        monkeypatch.setitem(globals(), "exp_remainder", recorder(ref_at))
+        for frac in self.FRACS:
+            arg = kernel.ArgDecomposition(z=n + frac, n=n, frac=frac)
+            # scale inf lays out one panel, scale 0 two
+            for eps_rel, scale in ((1e-8, math.inf), (1e-8, 0.0), (1e-8, 1e-3), (1e-14, 1.0)):
+                _same(quadrature.real_axis_middle(arg, eps_rel, scale),
+                      reference_real_axis_middle(arg, eps_rel, scale))
+        assert len(new_at) > 15 * len(self.FRACS)
+        assert repr(new_at) == repr(ref_at)
 
 
 # The functions that run once per kernel node or once per panel.

@@ -311,6 +311,43 @@ class TestOriginClosedForm:
         assert res.condition_flag is ConditionFlag.OK
         assert abs(res.value - exact) <= res.abs_error_estimate <= 1e-13 * abs(exact)
 
+    @staticmethod
+    def draws(seed, count):
+        """count (n, frac): n from 0 to 9 and the raised order 10 of
+        cauchy_saalschutz, frac in turn within 10^U(-16, -1) of 0, within it
+        of 1, and uniform in (0, 1)."""
+        rng = random.Random(seed)
+        strata = (
+            lambda: 10.0 ** rng.uniform(-16.0, -1.0),
+            lambda: 1.0 - 10.0 ** rng.uniform(-16.0, -1.0),
+            lambda: rng.uniform(0.0, 1.0),
+        )
+        found = []
+        while len(found) < count:
+            n, frac = rng.randint(0, 10), strata[len(found) % 3]()
+            if 0.0 < frac < 1.0:
+                found.append((n, frac))
+        return found
+
+    def test_rounding_count_holds_on_a_seeded_search(self):
+        # at split 1 the sum's terms are (-1)^k/(k! (k + 1 - z)); with 45 of
+        # them, to 1/44!, mpmath's sum is exact to far below 2^-53 of it.
+        # The worst error is 1.29 eps of sum |terms| (n = 10, frac near 1),
+        # against the 4 derived, so the test fails with _ORIGIN_ROUNDING, read
+        # at call time, cut to half of that, 0.65
+        worst = (0.0, None)
+        with mpmath.workdps(40):
+            for n, frac in self.draws(2042, 1500):
+                res = origin_closed_form(ArgDecomposition(z=n + frac, n=n, frac=frac), 1.0)
+                terms = [1 / (mpmath.factorial(n + j) * (j + 1 - mpmath.mpf(frac)))
+                         for j in range(45)]
+                exact = (-1) ** n * mpmath.fsum(t * (-1) ** j for j, t in enumerate(terms))
+                err = float(abs(res.value - exact))
+                assert err <= res.abs_error_estimate, (n, frac)
+                worst = max(worst, (err / (sys.float_info.epsilon * float(mpmath.fsum(terms))),
+                                    (n, frac)))
+        print(f"origin series: worst error {worst[0]:.3f} eps of sum |terms| at {worst[1]}")
+
     @pytest.mark.parametrize("A", [10.5, 45.5])
     def test_euler_argument_is_refused_by_the_assembly(self, A):
         # the origin series takes it (above), but the assembly bounds its
