@@ -270,11 +270,11 @@ def _real_line(arg: ArgDecomposition, cfg: QuadratureConfig, method: MethodTag,
 
 def _steepest_descent(z: float, cfg: QuadratureConfig) -> IntegralResult:
     """The hankel route's record of 1/Gamma(z), z real non-integer: the
-    rule at w = z - m in [8, 9], whose record carries its truncation and
-    rounding, moved back (upward below 8), the steps' and the shift's
-    roundings counted (_moved_back)."""
+    rule at w = z - m in [8, 9], sized from cfg.eps_rel, whose record
+    carries its truncation and rounding, moved back (upward below 8), the
+    steps' and the shift's roundings counted (_moved_back)."""
     m = math.floor(z) - SHIFT_BASE
-    return _moved_back(steepest_descent_recip_gamma(z - m), z, m, cfg.eps_rel)
+    return _moved_back(steepest_descent_recip_gamma(z - m, cfg.eps_rel), z, m, cfg.eps_rel)
 
 
 def _recip_gamma(z: float, cfg: QuadratureConfig, method: MethodTag) -> GammaValue:

@@ -14,11 +14,14 @@ it converges geometrically (Weideman & Trefethen, Math. Comp. 76, 2007).
 On a path that stays off the origin the paper's regularizing polynomial
 integrates to exactly 0, so each node is the paper's integrand at order 0,
 ray_kernel(|s|, log |s|, theta, e^{i theta}, w, 0, 0.0, None).  At w in
-[8, 9], where gamma_core takes it, the 14 nodes theta_j = j pi / 14 reach
-double precision, and the record's error is counted, not the difference
-of two sums: the rule's truncation, TRAPEZOID_TRUNCATION, plus its
-rounding, TRAPEZOID_ROUNDING, both measured against mpmath over a dense
-grid of w and held by tests.  The strip bound of Weideman & Trefethen
+[8, 9], where gamma_core takes it, the nodes theta_j = j pi / N reach
+1.6e-11 at N = 9, 2.0e-14 at 11 and double precision at 13 and 14, and
+the record's error is counted, not the difference of two sums: the
+rule's truncation, TRAPEZOID_TRUNCATION[N], plus its rounding,
+TRAPEZOID_ROUNDING[N], both measured against mpmath over a dense grid of
+w and held by tests.  N is the least of 9, 11, 13 and 14 whose count is
+at most an eighth of eps_rel, and 14 where none is: 9 nodes at eps_rel
+1e-8, 11 at 1e-12.  The strip bound of Weideman & Trefethen
 asks the periodic integrand to be analytic on a strip about the real
 axis, and at theta = +-pi it is not (it vanishes there, but its
 continuation past +-pi grows without bound), so the bound gives no count.
@@ -57,12 +60,14 @@ The ray up to R, in t = log r, is entire in t, so it is summed by equal
 closed-form bound holds to an eighth of the tolerance on an a-priori
 lower bound of pi/Gamma(z), up to _PANEL_CAP, a limit on cost.  Beyond R
 the ray's polynomial part is the real line's closed-form tail with a
-phase (quadrature.polynomial_tail_closed_form); it is not shifted, so at
-large z its terms dwarf the value, and the result is flagged.  The
-exponential part is at most e^{R cos delta} R^{-z} / |cos delta|, and R
-is where that bound, R^{-z} taken as 1, is a negligible share
-(_TAIL_NEGLIGIBLE) of the ray's tolerance times min(1, z), the a-priori
-size of 1/Gamma(z) as z -> 0; it is left out, the bound kept as its
+phase (quadrature.polynomial_tail_closed_form); its terms, about
+e^R R^{1-z}, are least at the saddle R = z of e^tau tau^{-z}, so R is at
+least z, and on the default contour R is z from z of about 14 at eps_rel
+1e-8 (19 at 1e-12) up.  The exponential part is at most e^{R cos delta}
+R^{-z} / |cos delta|, and R is at least the least R at which that bound
+is a negligible share (_TAIL_NEGLIGIBLE) of the ray's target, an eighth
+of eps_rel times the a-priori lower bound on pi/Gamma(z) (_radius), and
+at least 4 r0; the exponential part is left out, the bound kept as its
 error.  These are the real line's four parts, the arc in place of the
 origin's stretch and the ray in place of the middle: no part sets a
 flag, and quadrature.combine flags their sum where its error misses the
@@ -85,6 +90,7 @@ from .quadrature import (
     IntegralResult,
     QuadratureConfig,
     _Frozen,
+    _gl15_geometry,
     _gl15_panels,
     combine,
     polynomial_tail_closed_form,
@@ -111,25 +117,29 @@ _NODE_ROUNDING = 4
 # positive real axis, where the terms all add, but no node lies there).
 _RAY_CANCELLATION = 0.25
 
-# The route's trapezoid rule at w in [8, 9]: its nodes theta_j = j pi / N,
-# j < N, on the steepest-descent path, stored as (theta, e^{i theta},
-# theta / sin theta).
-_TRAPEZOID_N = 14
-_PATH_NODES = tuple(
-    (theta, cmath.rect(1.0, theta), theta / math.sin(theta) if theta else 1.0)
-    for theta in (j * math.pi / _TRAPEZOID_N for j in range(_TRAPEZOID_N))
-)
-# The rule's truncation error relative to 1/Gamma(w), in units of 2^-53:
-# the sum of the exact nodes against mpmath at 40 digits, over 2,001 w
-# spread evenly over [8, 9], was at most 0.144 units (16.1 at 12 nodes,
-# 1.6 at 13); tests/test_hankel.py holds it.
-TRAPEZOID_TRUNCATION = 1.0
-# The rule's rounding relative to 1/Gamma(w), in units of 2^-53: the
-# kernel's exponent, tau - w log tau, has terms up to about 20 at the peak;
-# the 14-node sum in doubles was at most 21.6 units off over 3,000 w in
-# [8, 9), truncation included.  t = log w + log rho in place of
-# log(w rho) took a 24-node sum's from 26.3 to 36.5.
-TRAPEZOID_ROUNDING = 32
+# The route's trapezoid rules at w in [8, 9], by node count N: the nodes
+# theta_j = j pi / N, j < N, on the steepest-descent path, stored as
+# (theta, e^{i theta}, theta / sin theta).
+_RULE_SIZES = (9, 11, 13, 14)
+_PATH_NODES = {
+    N: tuple((theta, cmath.rect(1.0, theta), theta / math.sin(theta) if theta else 1.0)
+             for theta in (j * math.pi / N for j in range(N)))
+    for N in _RULE_SIZES
+}
+# Each rule's truncation error relative to 1/Gamma(w), in units of 2^-53:
+# the sum of the exact nodes against mpmath at 40 digits, over 501 w spread
+# evenly over [8, 9] (and 2,001, which found the same worst to 3 digits),
+# was at most 1.403e5 units at 9 nodes, 183.6 at 11, 1.595 at 13 and 0.144
+# at 14; tests/test_hankel.py holds each on the 501.
+TRAPEZOID_TRUNCATION = {9: 175_000, 11: 230, 13: 2, 14: 1}
+# Each rule's rounding relative to 1/Gamma(w), in units of 2^-53: the
+# kernel's exponent, tau - w log tau, has terms up to about 20 at the peak.
+# The sum in doubles against the exact nodes' sum at 40 digits, over
+# 45,000 seeded w in [8, 9), was at most 32.2 units off at 9 nodes, 28.5 at
+# 11, 31.9 at 13 and 29.1 at 14; 14 nodes keep the count they had when the
+# rule took 14 at every eps, so their records are the same.  t = log w +
+# log rho in place of log(w rho) took a 24-node sum's from 26.3 to 36.5.
+TRAPEZOID_ROUNDING = {9: 40, 11: 40, 13: 40, 14: 32}
 
 
 class HankelContour(_Frozen):
@@ -213,29 +223,93 @@ def ray_kernel(r: float, t: float, theta: float, unit: complex, z: float, n: int
     return (cmath.exp(tau) - total) * (scale * phases[1]), moduli * scale
 
 
-def steepest_descent_recip_gamma(w: float) -> IntegralResult:
-    """The record of 1/Gamma(w), w in [8, 9]: the 14-node trapezoid sum of
-    (w/pi) int_0^pi e^s s^{-w} dtheta, its whole error, the truncation
-    count TRAPEZOID_TRUNCATION and the rounding count TRAPEZOID_ROUNDING,
-    in units of 2^-53 of the value, which is positive."""
+def _rule_size(eps_rel: float) -> int:
+    """The least N in _RULE_SIZES whose whole count, truncation and
+    rounding, is at most eps_rel/8 of the value, or 14 where none is."""
+    for N in _RULE_SIZES:
+        if (TRAPEZOID_TRUNCATION[N] + TRAPEZOID_ROUNDING[N]) * 2.0**-53 <= eps_rel / 8.0:
+            return N
+    return _RULE_SIZES[-1]
+
+
+def steepest_descent_recip_gamma(w: float, eps_rel: float) -> IntegralResult:
+    """The record of 1/Gamma(w), w in [8, 9]: the N-node trapezoid sum of
+    (w/pi) int_0^pi e^s s^{-w} dtheta, and its whole error, the truncation
+    count TRAPEZOID_TRUNCATION[N] and the rounding count
+    TRAPEZOID_ROUNDING[N], in units of 2^-53 of the value, which is positive.
+
+    N is the least of 9, 11, 13 and 14 whose whole count is at most
+    eps_rel/8 (_rule_size), so that the rule leaves the rest of the
+    tolerance to the recurrence that moves its value.  The whole counts
+    are 175,040, 270, 42 and 33 units, and 8 times u = 2^-53 is 8.9e-16, so
+    the rule takes 9 nodes from eps_rel of about 1.55e-10 up, 11 from
+    2.40e-13, 13 from 3.73e-14, and 14 below that: its own count meets
+    eps_rel/8 down to 2.93e-14, and below no rule does.
+    """
+    N = _rule_size(eps_rel)
     terms = [ray_kernel(w * rho, math.log(w * rho), theta, unit, w, 0, 0.0, None)[0].real
-             for theta, unit, rho in _PATH_NODES]
-    value = (0.5 * terms[0] + math.fsum(terms[1:])) * (w / _TRAPEZOID_N)
-    err = (TRAPEZOID_TRUNCATION + TRAPEZOID_ROUNDING) * 2.0**-53 * value
-    return IntegralResult(value, err, _TRAPEZOID_N)
+             for theta, unit, rho in _PATH_NODES[N]]
+    value = (0.5 * terms[0] + math.fsum(terms[1:])) * (w / N)
+    err = (TRAPEZOID_TRUNCATION[N] + TRAPEZOID_ROUNDING[N]) * 2.0**-53 * value
+    return IntegralResult(value, err, N)
+
+
+def _log_floor(z: float) -> float:
+    """log of an a-priori lower bound on 1/Gamma(z), z > 0.  1/Gamma(z) is
+    at least z up to 1, as 1/Gamma(z) = z/Gamma(1 + z) and Gamma <= 1 on
+    [1, 2]; from 1 up, Stirling's upper bound Gamma(z) <= sqrt(2 pi)
+    z^{z-1/2} e^{-z + 1/(12 z)} bounds it."""
+    if z <= 1.0:
+        return math.log(z)
+    return -((z - 0.5) * math.log(z) - z + _HALF_LOG_2PI + 1.0 / (12.0 * z))
 
 
 def _target(z: float, eps_rel: float) -> float:
     """The ray's target: an eighth of eps_rel times pi/Gamma(z), the
-    contour integral's size, bounded below a priori.  1/Gamma(z) is at least
-    z up to 1, as 1/Gamma(z) = z/Gamma(1 + z) and Gamma <= 1 on [1, 2]; from
-    1 up, Stirling's upper bound Gamma(z) <= sqrt(2 pi) z^{z-1/2}
-    e^{-z + 1/(12 z)} bounds it."""
-    if z <= 1.0:
-        log_floor = math.log(z)
-    else:
-        log_floor = -((z - 0.5) * math.log(z) - z + _HALF_LOG_2PI + 1.0 / (12.0 * z))
-    return eps_rel / 8.0 * math.pi * math.exp(log_floor)
+    contour integral's size, bounded below a priori (_log_floor)."""
+    return eps_rel / 8.0 * math.pi * math.exp(_log_floor(z))
+
+
+def _radius(z: float, eps_rel: float, delta: float, r0: float) -> float:
+    """R = max(4 r0, z, R_exp), where the ray ends.
+
+    Past R the exponential part is at most e^{R cos delta} R^{-z} / |cos
+    delta|, and R_exp is the least R at which that bound is at most
+    _TAIL_NEGLIGIBLE times _target(z, eps_rel).  In logs, with c =
+    |cos delta|, that is g(R) = c R + z log R >= goal, formed from the
+    logarithms alone: the target itself is 0 at z = 1e-323, and so is
+    the share at eps_rel 5e-324.  g increases,
+    so where g(max(4 r0, z)) meets goal, R_exp is below and R is that
+    maximum, R_min.  Otherwise R_exp is the root of g(R) = goal, above
+    R_min, solved by Newton's method in x = log R, where f(x) = c e^x + z x
+    is convex and increasing, so that from a start above the root each
+    step stays above it.  Past R_min, g(R) >= c R + z log R_min, so the
+    root is at most (goal - z log R_min)/c, the start.  The last step, at
+    most 2^-40, and the rounding of f and exp may leave R a few units
+    below the root, so R then moves up by units until g(R) >= goal holds
+    in doubles.
+
+    z sets the least R: past the saddle of e^tau tau^{-z} at |tau| = z,
+    the terms of the closed-form polynomial tail, about e^R R^{1-z}, no
+    longer dwarf the value.
+    """
+    decay = abs(math.cos(delta))
+    goal = -(math.log(_TAIL_NEGLIGIBLE / 8.0 * math.pi) + math.log(eps_rel) + _log_floor(z)
+             + math.log(decay))
+    R = max(4.0 * r0, z)
+    log_R = math.log(R)
+    if decay * R + z * log_R >= goal:
+        return R
+    x = math.log((goal - z * log_R) / decay)
+    step = math.inf
+    while step > 2.0**-40:
+        size = decay * math.exp(x)
+        step = (size + z * x - goal) / (size + z)
+        x -= step
+    R = math.exp(x)
+    while decay * R + z * math.log(R) < goal:
+        R = math.nextafter(R, math.inf)
+    return R
 
 
 def _ray(arg: ArgDecomposition, contour: HankelContour, R: float, target: float) -> IntegralResult:
@@ -268,8 +342,9 @@ def _ray(arg: ArgDecomposition, contour: HankelContour, R: float, target: float)
     log_fact = math.lgamma(n + 1)
     phases = _phases(delta, power, n)
     lo, hi = math.log(r0), math.log(R)
-    panels, bound = _gl15_panels(lo, hi, _PANEL_CAP, delta - 0.5 * math.pi, -log_fact,
-                                 1.0 - frac, target)
+    half_height = delta - 0.5 * math.pi
+    geometries = (_gl15_geometry(lo, hi, p, half_height) for p in range(1, _PANEL_CAP + 1))
+    panels, bound = _gl15_panels(geometries, -log_fact, 1.0 - frac, target)
     h = (hi - lo) / (2 * panels)
     imags, moduli, cancelled = [], 0.0, 0.0
     for p in range(panels):
@@ -379,6 +454,12 @@ def contour_recip_gamma(
     eps_rel 1e-8, 1e-12 and 1e-14, and from order 172, past the kernel's
     table of 1/k!, at any eps_rel, the record of a sum that underflowed to
     0 is returned before any node.
+
+    Otherwise the ray runs from r0 to R = max(4 r0, z, R_exp) (_radius):
+    past the saddle at |tau| = z, so that the closed-form polynomial tail
+    past R does not flood the value at large z, and no further than where
+    the bound on the exponential part left out is a negligible share of
+    the ray's target.
     """
     z = arg.z
     _validate(contour, z, arg.n)
@@ -388,16 +469,7 @@ def contour_recip_gamma(
         return IntegralResult(0.0, math.inf, 0, ConditionFlag.TOLERANCE_NOT_MET)
     delta, r0 = contour.delta, contour.r0
     decay = abs(math.cos(delta))
-    # R as in the module's docstring, at least 4 r0; L is summed as logs:
-    # as a product it underflows at tiny z
-    L = -(
-        math.log(_TAIL_NEGLIGIBLE)
-        + math.log(cfg.eps_rel)
-        - math.log(8.0)
-        + math.log(min(1.0, z))
-        + math.log(decay)
-    )
-    R = max(4.0 * r0, L / decay)
+    R = _radius(z, cfg.eps_rel, delta, r0)
     target = _target(z, cfg.eps_rel)
     parts = [
         # the upper half-arc, the origin series at r0 with delta

@@ -11,9 +11,11 @@ The real axis's middle stretch and the ray of the paper's Hankel contour
 (hankel, which sums its arc term by term as a series) are entire
 in their path variable instead, and take equal 15-point Gauss-Legendre
 panels (_GL15), as many, up to a cap, as the closed-form error bound
-_gl15_bound needs (_gl15_panels); the bound is in their error, so they
-set no flag.  Every other flag comes from one rule, _flag, by way of
-combine(), which sums the parts of a composite integral, or propagate(),
+needs (_gl15_panels): its geometry, which depends on the layout alone
+(_gl15_geometry), and its evaluation (_gl15_error) are apart, so a rule
+whose layout is fixed keeps the geometry; the bound is in their error,
+so they set no flag.  Every other flag comes from one rule, _flag, by way
+of combine(), which sums the parts of a composite integral, or propagate(),
 which gives the same record to a value computed from integrals by
 products and roundings; every GammaValue's record comes from one or the
 other.
@@ -33,8 +35,9 @@ real_axis_middle (t = log x), power_subst_middle
 (v = (x^z - 1)/z) and log_form_middle (u = e^{-x}).  In t = log x the
 integrand is entire, so the real axis takes a fixed Gauss-Legendre rule
 whose panel count, one or two, comes from _gl15_panels before any
-evaluation, on nodes laid out once per panel count, split and radius; the
-other two take the adaptive engine.  combine adds the parts in one pass.
+evaluation, on nodes and bound geometries laid out once per split and
+radius; the other two take the adaptive engine.  combine adds the parts
+in one pass.
 
 The argument is a positive non-integer z = n + frac, 0 < frac < 1, as
 kernel.decompose builds it, or the same frac at the raised order n + 1
@@ -67,7 +70,7 @@ import sys
 from bisect import bisect_left
 from enum import Enum
 from operator import itemgetter
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .kernel import _TAYLOR, ArgDecomposition, _taylor, exp_remainder
 
@@ -130,8 +133,9 @@ _GL15 = ((0.0, _WGL_CENTER),) + tuple(
 # the sum's error past the bound reached 11.2 eps on two panels (on one,
 # the bound alone covered it).
 _GL_ROUNDING = 16
-# real_axis_middle's nodes per (panels, split, radius), laid out on first use
-_MIDDLE_LAYOUTS: dict[tuple[int, float, float], tuple[float, tuple]] = {}
+# real_axis_middle's bound geometries and node layouts on one and two
+# panels, per (split, radius), laid out on first use
+_MIDDLE_LAYOUTS: dict[tuple[float, float], tuple[tuple, tuple]] = {}
 
 _EPMACH = sys.float_info.epsilon
 _UFLOW = sys.float_info.min
@@ -571,61 +575,76 @@ def propagate(
     return IntegralResult(value, err, evaluations, _flag(value, err, parts, eps_rel))
 
 
-def _gl15_bound(
-    lo: float, hi: float, panels: int, half_height: float, log_m: float, growth: float = 0.0
-) -> float:
-    """Trefethen's bound (ATAP, Thm 19.3) on the error of `panels` equal
-    15-point Gauss-Legendre panels on [lo, hi] for an integrand f entire in
-    t with |f(t)| <= exp(log_m + growth Re t), growth >= 0, wherever
-    |Im t| <= half_height.
+def _gl15_geometry(lo: float, hi: float, panels: int, half_height: float) -> tuple:
+    """The part of Trefethen's bound (ATAP, Thm 19.3) on `panels` equal
+    15-point Gauss-Legendre panels on [lo, hi] that depends on the layout
+    alone, for an integrand entire in t wherever |Im t| <= half_height
+    (_gl15_error evaluates the bound).
 
     On a panel of half-width h and centre c, take the Bernstein ellipse
     E_rho of that half-height, h (rho - 1/rho)/2 = half_height:
     rho = s + sqrt(s^2 + 1) with s = half_height/h.  Its right end is
-    c + h (rho + 1/rho)/2, where M = max |f| on it is reached, and the
-    panel's error is at most (64/15) h M rho^{-30}/(rho^2 - 1).  Over the
-    panels M grows by the factor e^{2 h growth} from one to the next, so
-    their sum is a geometric series, summed in closed form.  The bound is
-    formed from its logarithm, so neither M nor rho^{-30} over- or
-    underflows on its own.
+    c + h (rho + 1/rho)/2, and the panel's error is at most (64/15) h M
+    rho^{-30}/(rho^2 - 1), M = max |f| on the ellipse.  The geometry is
+    (h, the first panel's right end lo + h + h (rho + 1/rho)/2, 30 log rho,
+    (64/15) h, rho^2 - 1, panels).
     """
     h = (hi - lo) / (2 * panels)
     s = half_height / h
     rho = s + math.sqrt(s * s + 1.0)
     reach = 0.5 * h * (rho + 1.0 / rho)
+    return h, lo + h + reach, 30.0 * math.log(rho), 64.0 / 15.0 * h, rho * rho - 1.0, panels
+
+
+def _gl15_error(geometry: tuple, log_m: float, growth: float) -> float:
+    """Trefethen's bound on the error of the panels of geometry
+    (_gl15_geometry) for an integrand f with |f(t)| <= exp(log_m + growth
+    Re t), growth >= 0, on its strip.
+
+    M is reached at the ellipse's right end, and over the panels it grows by
+    the factor e^{2 h growth} from one to the next, so their sum is a
+    geometric series, summed in closed form.  The bound is formed from its
+    logarithm, so neither M nor rho^{-30} over- or underflows on its own.
+    """
+    h, right, log_decay, scale, denominator, panels = geometry
     step = 2.0 * h * growth
     count = math.expm1(step * panels) / math.expm1(step) if step else panels
-    log_first = log_m + growth * (lo + h + reach) - 30.0 * math.log(rho)
-    return 64.0 / 15.0 * h * count * math.exp(log_first) / (rho * rho - 1.0)
+    log_first = log_m + growth * right - log_decay
+    return scale * count * math.exp(log_first) / denominator
 
 
-def _gl15_panels(lo: float, hi: float, cap: int, half_height: float, log_m: float,
-                 growth: float, target: float) -> tuple[int, float]:
-    """The least count of equal 15-point panels on [lo, hi], at most cap,
-    whose _gl15_bound meets target, and that bound, which may miss target
-    at the cap."""
-    panels = 1
-    bound = _gl15_bound(lo, hi, 1, half_height, log_m, growth)
-    while bound > target and panels < cap:
-        panels += 1
-        bound = _gl15_bound(lo, hi, panels, half_height, log_m, growth)
-    return panels, bound
+def _gl15_panels(geometries: Iterable[tuple], log_m: float, growth: float,
+                 target: float) -> tuple[int, float]:
+    """The least count of equal 15-point panels, of the geometries given for
+    1, 2, ... panels, whose _gl15_error meets target, and that bound, which
+    may miss target at the last."""
+    for geometry in geometries:
+        bound = _gl15_error(geometry, log_m, growth)
+        if not bound > target:
+            break
+    return geometry[-1], bound
 
 
-def _middle_layout(panels: int, split: float, radius: float) -> tuple[float, tuple]:
-    # real_axis_middle's rule on `panels` equal panels of [log split,
-    # log radius]: the half-width h, and each node as (w_j, t_j, -e^{t_j}),
-    # placed panel by panel as the rule sums them
+def _middle_layouts(split: float, radius: float) -> tuple[tuple, tuple]:
+    # real_axis_middle's rule on one and on two equal panels of
+    # [log split, log radius]: the bound's geometry for each, and each
+    # layout as the half-width h and the nodes (w_j, t_j, -e^{t_j}), placed
+    # panel by panel as the rule sums them
     lo, hi = math.log(split), math.log(radius)
-    h = (hi - lo) / (2 * panels)
-    nodes = []
-    for p in range(panels):
-        centre = lo + (2 * p + 1) * h
-        for x, w in _GL15:
-            t = centre + h * x
-            nodes.append((w, t, -math.exp(t)))
-    layout = _MIDDLE_LAYOUTS[panels, split, radius] = h, tuple(nodes)
-    return layout
+    geometries, layouts = [], []
+    for panels in (1, 2):
+        geometry = _gl15_geometry(lo, hi, panels, 0.5 * math.pi)
+        h = geometry[0]
+        nodes = []
+        for p in range(panels):
+            centre = lo + (2 * p + 1) * h
+            for x, w in _GL15:
+                t = centre + h * x
+                nodes.append((w, t, -math.exp(t)))
+        geometries.append(geometry)
+        layouts.append((h, tuple(nodes)))
+    entry = _MIDDLE_LAYOUTS[split, radius] = tuple(geometries), tuple(layouts)
+    return entry
 
 
 def real_axis_middle(arg: ArgDecomposition, eps_rel: float, scale: float) -> IntegralResult:
@@ -633,7 +652,7 @@ def real_axis_middle(arg: ArgDecomposition, eps_rel: float, scale: float) -> Int
     15-point Gauss-Legendre rule on one or two equal panels.
 
     dx = x dt turns the integrand into f(t) = (e^{-x} - e_{n-1}(-x)) x^{1-z}
-    at x = e^t, entire in t, so _gl15_bound bounds the rule's error in
+    at x = e^t, entire in t, so _gl15_error bounds the rule's error in
     closed form.  On the strip |Im t| <= pi/2, Re(-e^t) <= 0, so the
     integral form of the Taylor remainder,
     R_n(w) = w^n/(n-1)! int_0^1 (1-u)^{n-1} e^{uw} du, gives
@@ -642,12 +661,13 @@ def real_axis_middle(arg: ArgDecomposition, eps_rel: float, scale: float) -> Int
     capped at two: over n <= 9 and 0 < frac < 1 the bound of two panels
     is at most 2.4e-16 of the origin part (largest as frac -> 0), below
     the rounding of the sum, so no third panel is ever needed.  The
-    nodes t_j and -e^{t_j} depend on the panel count, the split and the
-    radius alone: they are laid out once per triple, read at call time
-    (_middle_layout), so each node costs one exp_remainder(-e^{t_j}, n)
-    and one exp((1 - z) t_j), the exponent built from n and frac, as in
-    the origin series.  The value is h sum_j w_j f(t_j), as it was when
-    the nodes were placed at every call.
+    nodes t_j and -e^{t_j}, and the bound's geometry, depend on the panel
+    count, the split and the radius alone: both panel counts are laid out
+    once per split and radius, read at call time (_middle_layouts), so
+    the bound costs one exp (and an expm1 pair), and each node one
+    exp_remainder(-e^{t_j}, n) and one exp((1 - z) t_j), the exponent
+    built from n and frac, as in the origin series.  The value is
+    h sum_j w_j f(t_j), as it was when the nodes were placed at every call.
 
     The part is ok; its error is the bound plus the sum's rounding.  f is
     single-signed and the weights positive, so that rounding is relative
@@ -657,9 +677,9 @@ def real_axis_middle(arg: ArgDecomposition, eps_rel: float, scale: float) -> Int
     n, frac = arg.n, arg.frac
     expo = (1 - n) - frac
     split, radius = _SPLIT_POINT, _TAIL_RADIUS
-    panels, bound = _gl15_panels(math.log(split), math.log(radius), 2, 0.5 * math.pi,
-                                 -math.lgamma(n + 1), 1.0 - frac, eps_rel * scale)
-    h, nodes = _MIDDLE_LAYOUTS.get((panels, split, radius)) or _middle_layout(panels, split, radius)
+    geometries, layouts = _MIDDLE_LAYOUTS.get((split, radius)) or _middle_layouts(split, radius)
+    panels, bound = _gl15_panels(geometries, -math.lgamma(n + 1), 1.0 - frac, eps_rel * scale)
+    h, nodes = layouts[panels - 1]
     total = 0.0
     for w, t, x in nodes:
         total += w * exp_remainder(x, n) * math.exp(expo * t)

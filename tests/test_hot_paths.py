@@ -11,7 +11,10 @@ overflowed resasc is the estimate itself.
 real_axis_middle is checked the same way against its body as it was while
 it placed its nodes at every call, before they were laid out once per
 panel count, split and radius; the copy reads the split and the radius
-off the module, so that a test can move them.
+off the module, so that a test can move them.  Its panel count and bound
+come from verbatim copies of _gl15_bound and _gl15_panels as they were
+while the bound's geometry was formed at every call, before it was kept
+beside the real axis's layouts.
 """
 
 import ast
@@ -151,11 +154,34 @@ def reference_integrate_finite(
     )
 
 
+def reference_gl15_bound(
+    lo: float, hi: float, panels: int, half_height: float, log_m: float, growth: float = 0.0
+) -> float:
+    h = (hi - lo) / (2 * panels)
+    s = half_height / h
+    rho = s + math.sqrt(s * s + 1.0)
+    reach = 0.5 * h * (rho + 1.0 / rho)
+    step = 2.0 * h * growth
+    count = math.expm1(step * panels) / math.expm1(step) if step else panels
+    log_first = log_m + growth * (lo + h + reach) - 30.0 * math.log(rho)
+    return 64.0 / 15.0 * h * count * math.exp(log_first) / (rho * rho - 1.0)
+
+
+def reference_gl15_panels(lo: float, hi: float, cap: int, half_height: float, log_m: float,
+                          growth: float, target: float) -> tuple[int, float]:
+    panels = 1
+    bound = reference_gl15_bound(lo, hi, 1, half_height, log_m, growth)
+    while bound > target and panels < cap:
+        panels += 1
+        bound = reference_gl15_bound(lo, hi, panels, half_height, log_m, growth)
+    return panels, bound
+
+
 def reference_real_axis_middle(arg, eps_rel: float, scale: float) -> IntegralResult:
     n, frac = arg.n, arg.frac
     expo = (1 - n) - frac
     lo, hi = math.log(quadrature._SPLIT_POINT), math.log(quadrature._TAIL_RADIUS)
-    panels, bound = quadrature._gl15_panels(
+    panels, bound = reference_gl15_panels(
         lo, hi, 2, 0.5 * math.pi, -math.lgamma(n + 1), 1.0 - frac, eps_rel * scale)
     h = (hi - lo) / (2 * panels)
     total = 0.0
@@ -369,6 +395,32 @@ class TestRealAxisMiddle:
                       reference_real_axis_middle(arg, eps_rel, scale))
         assert len(new_at) > 15 * len(self.FRACS)
         assert repr(new_at) == repr(ref_at)
+
+    @pytest.mark.parametrize("split, radius", [(1.0, 36.0), (0.5, 36.0), (2.0, 36.0),
+                                               (1.0, 20.0), (1.0, 36.0)])
+    def test_kept_geometry_gives_the_bound_formed_per_call(self, monkeypatch, split, radius):
+        # the geometry the real axis keeps per split and radius, read at
+        # call time, gives _gl15_bound's bound bit for bit on both panel
+        # counts, and so does the ray's, formed per call, up to its cap
+        monkeypatch.setattr(quadrature, "_SPLIT_POINT", split)
+        monkeypatch.setattr(quadrature, "_TAIL_RADIUS", radius)
+        lo, hi = math.log(split), math.log(radius)
+        for n in range(10):
+            log_m = -math.lgamma(n + 1)
+            for frac in self.FRACS:
+                arg = kernel.ArgDecomposition(z=n + frac, n=n, frac=frac)
+                quadrature.real_axis_middle(arg, 1e-8, 0.0)
+                geometries, _ = quadrature._MIDDLE_LAYOUTS[split, radius]
+                for panels, geometry in enumerate(geometries, 1):
+                    kept = quadrature._gl15_error(geometry, log_m, 1.0 - frac)
+                    assert repr(kept) == repr(
+                        reference_gl15_bound(lo, hi, panels, 0.5 * math.pi, log_m, 1.0 - frac))
+                for target in (math.inf, 1e-12, 0.0):
+                    geometries = (quadrature._gl15_geometry(lo, hi + 3.0, p, 0.3)
+                                  for p in range(1, hankel._PANEL_CAP + 1))
+                    _same(quadrature._gl15_panels(geometries, log_m, 1.0 - frac, target),
+                          reference_gl15_panels(lo, hi + 3.0, hankel._PANEL_CAP, 0.3, log_m,
+                                                1.0 - frac, target))
 
 
 # The functions that run once per kernel node or once per panel.

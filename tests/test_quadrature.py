@@ -248,8 +248,9 @@ class TestRealAxisMiddle:
             for frac in self.FRACS:
                 arg = ArgDecomposition(z=n + frac, n=n, frac=frac)
                 origin = abs(origin_closed_form(arg, 1.0).value)
-                bound = quadrature._gl15_bound(
-                    lo, hi, 2, 0.5 * math.pi, -math.lgamma(n + 1), 1.0 - frac
+                bound = quadrature._gl15_error(
+                    quadrature._gl15_geometry(lo, hi, 2, 0.5 * math.pi),
+                    -math.lgamma(n + 1), 1.0 - frac,
                 )
                 assert bound <= 2.5e-16 * origin
 

@@ -8,9 +8,12 @@ time, over TestContourProperty's box with z in (0, 30): the ray angle in
 large z: z in (100, 171.6), the ray angle pi/2 + 10^U(-3, -1) and r0 in
 [0.05, 2.5].  A third takes z past 1/Gamma's range, log-uniform in
 (171.6, 1000), on the default contour, where every result must be
-flagged.  On each draw it asserts that the value is finite, that no
-result flagged ok is off by more than eps_rel, and that every result lies
-within its own error estimate.  It costs about 0.5 s.
+flagged.  A fourth takes 200 z uniform in (0.01, 171.6) on the default
+contour, at eps 1e-8 and 1e-12, where the ray's end moves with z.  On
+each draw it asserts that the value is finite, that no result flagged ok
+is off by more than eps_rel, and that every result lies within its own
+error estimate.  It costs about 0.4 s, the default-contour stratum 0.2 s
+of it.
 
 A second scan holds the real-line entry points to the same contract, on
 three strata of |z| at both signs: log-uniform in (1e-300, 171.6);
@@ -76,6 +79,17 @@ def past_range_draws(seed: int, count: int) -> list[float]:
     return [math.exp(rng.uniform(math.log(171.6), math.log(1000.0))) for _ in range(count)]
 
 
+def default_contour_draws(seed: int, count: int) -> list[float]:
+    """z non-integer, uniform in (0.01, 171.6)."""
+    rng = random.Random(seed)
+    draws = []
+    while len(draws) < count:
+        z = rng.uniform(0.01, 171.6)
+        if z != math.floor(z):
+            draws.append(z)
+    return draws
+
+
 DRAWS = contour_draws(2026, 200)
 # There the ray runs out to R of about 30 / |cos delta|, up to 2e4, where
 # e_{n-1}(tau) overflows: two of these six draws were NaN at either
@@ -88,6 +102,11 @@ PAST_RANGE = past_range_draws(2026, 20)
 # (the adaptive Gauss-Kronrod engine certified 198 and 186): the closed-form
 # arc may not certify fewer.
 CERTIFIED = {1e-8: 199, 1e-12: 192}
+DEFAULT_CONTOUR = default_contour_draws(5, 200)
+# Results certified on DEFAULT_CONTOUR once the ray reached past the saddle
+# at |tau| = z (75 and 66 while it ended near 36 at every z, so that the
+# polynomial tail's terms flooded the value from z of about 75 on).
+DEFAULT_CERTIFIED = {1e-8: 158, 1e-12: 71}
 
 
 def check(z: float, delta: float, r0: float, eps: float) -> bool:
@@ -109,6 +128,14 @@ def test_contour_scan(eps):
     certified = sum(check(z, delta, r0, eps) for z, delta, r0 in DRAWS)
     print(f"paper's contour at eps {eps:g}: {certified} of {len(DRAWS)} ok")
     assert certified >= CERTIFIED[eps], certified
+
+
+@pytest.mark.parametrize("eps", sorted(DEFAULT_CERTIFIED))
+def test_default_contour_scan(eps):
+    contour = HankelContour()
+    certified = sum(check(z, contour.delta, contour.r0, eps) for z in DEFAULT_CONTOUR)
+    print(f"default contour at eps {eps:g}: {certified} of {len(DEFAULT_CONTOUR)} ok")
+    assert certified >= DEFAULT_CERTIFIED[eps], certified
 
 
 @pytest.mark.parametrize("eps", sorted(CERTIFIED))
