@@ -15,13 +15,12 @@ On a path that stays off the origin the paper's regularizing polynomial
 integrates to exactly 0, so each node is the paper's integrand at order 0,
 ray_kernel(|s|, log |s|, theta, e^{i theta}, w, 0, 0.0, None).  At w in
 [8, 9], where gamma_core takes it, the nodes theta_j = j pi / N reach
-1.6e-11 at N = 9, 2.0e-14 at 11 and double precision at 13 and 14, and
-the record's error is counted, not the difference of two sums: the
-rule's truncation, TRAPEZOID_TRUNCATION[N], plus its rounding,
-TRAPEZOID_ROUNDING[N], both measured against mpmath over a dense grid of
-w and held by tests.  N is the least of 9, 11, 13 and 14 whose count is
-at most an eighth of eps_rel, and 14 where none is: 9 nodes at eps_rel
-1e-8, 11 at 1e-12.  The strip bound of Weideman & Trefethen
+1.6e-11 at N = 9 and double precision at 14, and the record's error is
+counted, not the difference of two sums: the rule's truncation,
+TRAPEZOID_TRUNCATION[N], plus its rounding, TRAPEZOID_ROUNDING[N], both
+measured against mpmath over a dense grid of w and held by tests.  N is 9
+where that count is at most an eighth of eps_rel (eps_rel 1e-8), and 14
+otherwise (eps_rel 1e-12).  The strip bound of Weideman & Trefethen
 asks the periodic integrand to be analytic on a strip about the real
 axis, and at theta = +-pi it is not (it vanishes there, but its
 continuation past +-pi grows without bound), so the bound gives no count.
@@ -90,7 +89,6 @@ from .quadrature import (
     IntegralResult,
     QuadratureConfig,
     _Frozen,
-    _gl15_geometry,
     _gl15_panels,
     combine,
     polynomial_tail_closed_form,
@@ -120,7 +118,7 @@ _RAY_CANCELLATION = 0.25
 # The route's trapezoid rules at w in [8, 9], by node count N: the nodes
 # theta_j = j pi / N, j < N, on the steepest-descent path, stored as
 # (theta, e^{i theta}, theta / sin theta).
-_RULE_SIZES = (9, 11, 13, 14)
+_RULE_SIZES = (9, 14)
 _PATH_NODES = {
     N: tuple((theta, cmath.rect(1.0, theta), theta / math.sin(theta) if theta else 1.0)
              for theta in (j * math.pi / N for j in range(N)))
@@ -129,17 +127,17 @@ _PATH_NODES = {
 # Each rule's truncation error relative to 1/Gamma(w), in units of 2^-53:
 # the sum of the exact nodes against mpmath at 40 digits, over 501 w spread
 # evenly over [8, 9] (and 2,001, which found the same worst to 3 digits),
-# was at most 1.403e5 units at 9 nodes, 183.6 at 11, 1.595 at 13 and 0.144
-# at 14; tests/test_hankel.py holds each on the 501.
-TRAPEZOID_TRUNCATION = {9: 175_000, 11: 230, 13: 2, 14: 1}
+# was at most 1.403e5 units at 9 nodes and 0.144 at 14; tests/test_hankel.py
+# holds each on the 501.
+TRAPEZOID_TRUNCATION = {9: 175_000, 14: 1}
 # Each rule's rounding relative to 1/Gamma(w), in units of 2^-53: the
 # kernel's exponent, tau - w log tau, has terms up to about 20 at the peak.
 # The sum in doubles against the exact nodes' sum at 40 digits, over
-# 45,000 seeded w in [8, 9), was at most 32.2 units off at 9 nodes, 28.5 at
-# 11, 31.9 at 13 and 29.1 at 14; 14 nodes keep the count they had when the
-# rule took 14 at every eps, so their records are the same.  t = log w +
-# log rho in place of log(w rho) took a 24-node sum's from 26.3 to 36.5.
-TRAPEZOID_ROUNDING = {9: 40, 11: 40, 13: 40, 14: 32}
+# 45,000 seeded w in [8, 9), was at most 32.2 units off at 9 nodes and
+# 29.1 at 14; 14 nodes keep the count they had when the rule took 14 at
+# every eps, so their records are the same.  t = log w + log rho in place
+# of log(w rho) took a 24-node sum's from 26.3 to 36.5.
+TRAPEZOID_ROUNDING = {9: 40, 14: 32}
 
 
 class HankelContour(_Frozen):
@@ -224,12 +222,11 @@ def ray_kernel(r: float, t: float, theta: float, unit: complex, z: float, n: int
 
 
 def _rule_size(eps_rel: float) -> int:
-    """The least N in _RULE_SIZES whose whole count, truncation and
-    rounding, is at most eps_rel/8 of the value, or 14 where none is."""
-    for N in _RULE_SIZES:
-        if (TRAPEZOID_TRUNCATION[N] + TRAPEZOID_ROUNDING[N]) * 2.0**-53 <= eps_rel / 8.0:
-            return N
-    return _RULE_SIZES[-1]
+    """9 where the 9-node rule's whole count, truncation and rounding, is
+    at most eps_rel/8 of the value, and 14 otherwise."""
+    if (TRAPEZOID_TRUNCATION[9] + TRAPEZOID_ROUNDING[9]) * 2.0**-53 <= eps_rel / 8.0:
+        return 9
+    return 14
 
 
 def steepest_descent_recip_gamma(w: float, eps_rel: float) -> IntegralResult:
@@ -238,13 +235,12 @@ def steepest_descent_recip_gamma(w: float, eps_rel: float) -> IntegralResult:
     count TRAPEZOID_TRUNCATION[N] and the rounding count
     TRAPEZOID_ROUNDING[N], in units of 2^-53 of the value, which is positive.
 
-    N is the least of 9, 11, 13 and 14 whose whole count is at most
-    eps_rel/8 (_rule_size), so that the rule leaves the rest of the
-    tolerance to the recurrence that moves its value.  The whole counts
-    are 175,040, 270, 42 and 33 units, and 8 times u = 2^-53 is 8.9e-16, so
-    the rule takes 9 nodes from eps_rel of about 1.55e-10 up, 11 from
-    2.40e-13, 13 from 3.73e-14, and 14 below that: its own count meets
-    eps_rel/8 down to 2.93e-14, and below no rule does.
+    N is 9 where its whole count is at most eps_rel/8 (_rule_size), so
+    that the rule leaves the rest of the tolerance to the recurrence that
+    moves its value, and 14 otherwise.  The whole counts are 175,040 and
+    33 units, and 8 times u = 2^-53 is 8.9e-16, so the rule takes 9 nodes
+    from eps_rel of about 1.55e-10 up and 14 below that: 14's own count
+    meets eps_rel/8 down to 2.93e-14, and below no rule does.
     """
     N = _rule_size(eps_rel)
     terms = [ray_kernel(w * rho, math.log(w * rho), theta, unit, w, 0, 0.0, None)[0].real
@@ -342,9 +338,8 @@ def _ray(arg: ArgDecomposition, contour: HankelContour, R: float, target: float)
     log_fact = math.lgamma(n + 1)
     phases = _phases(delta, power, n)
     lo, hi = math.log(r0), math.log(R)
-    half_height = delta - 0.5 * math.pi
-    geometries = (_gl15_geometry(lo, hi, p, half_height) for p in range(1, _PANEL_CAP + 1))
-    panels, bound = _gl15_panels(geometries, -log_fact, 1.0 - frac, target)
+    panels, bound = _gl15_panels(lo, hi, _PANEL_CAP, delta - 0.5 * math.pi, -log_fact,
+                                 1.0 - frac, target)
     h = (hi - lo) / (2 * panels)
     imags, moduli, cancelled = [], 0.0, 0.0
     for p in range(panels):

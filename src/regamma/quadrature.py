@@ -34,9 +34,9 @@ within eps_rel * scale, scale being a lower bound on |I(z)|:
 real_axis_middle (t = log x), power_subst_middle
 (v = (x^z - 1)/z) and log_form_middle (u = e^{-x}).  In t = log x the
 integrand is entire, so the real axis takes a fixed Gauss-Legendre rule
-whose panel count, one or two, comes from _gl15_panels before any
-evaluation, on nodes and bound geometries laid out once per split and
-radius; the other two take the adaptive engine.  combine adds the parts
+whose panel count, one or two, comes from the closed-form bound
+(_gl15_error) before any evaluation, on nodes and bound geometries laid
+out once per split and radius; the other two take the adaptive engine.  combine adds the parts
 in one pass.
 
 The argument is a positive non-integer z = n + frac, 0 < frac < 1, as
@@ -70,7 +70,7 @@ import sys
 from bisect import bisect_left
 from enum import Enum
 from operator import itemgetter
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .kernel import _TAYLOR, ArgDecomposition, _taylor, exp_remainder
 
@@ -133,8 +133,8 @@ _GL15 = ((0.0, _WGL_CENTER),) + tuple(
 # the sum's error past the bound reached 11.2 eps on two panels (on one,
 # the bound alone covered it).
 _GL_ROUNDING = 16
-# real_axis_middle's bound geometries and node layouts on one and two
-# panels, per (split, radius), laid out on first use
+# real_axis_middle's rule on one and two panels, each as its bound's
+# geometry and its nodes, per (split, radius), laid out on first use
 _MIDDLE_LAYOUTS: dict[tuple[float, float], tuple[tuple, tuple]] = {}
 
 _EPMACH = sys.float_info.epsilon
@@ -587,17 +587,17 @@ def _gl15_geometry(lo: float, hi: float, panels: int, half_height: float) -> tup
     c + h (rho + 1/rho)/2, and the panel's error is at most (64/15) h M
     rho^{-30}/(rho^2 - 1), M = max |f| on the ellipse.  The geometry is
     (h, the first panel's right end lo + h + h (rho + 1/rho)/2, 30 log rho,
-    (64/15) h, rho^2 - 1, panels).
+    (64/15) h, rho^2 - 1).
     """
     h = (hi - lo) / (2 * panels)
     s = half_height / h
     rho = s + math.sqrt(s * s + 1.0)
     reach = 0.5 * h * (rho + 1.0 / rho)
-    return h, lo + h + reach, 30.0 * math.log(rho), 64.0 / 15.0 * h, rho * rho - 1.0, panels
+    return h, lo + h + reach, 30.0 * math.log(rho), 64.0 / 15.0 * h, rho * rho - 1.0
 
 
-def _gl15_error(geometry: tuple, log_m: float, growth: float) -> float:
-    """Trefethen's bound on the error of the panels of geometry
+def _gl15_error(geometry: tuple, panels: int, log_m: float, growth: float) -> float:
+    """Trefethen's bound on the error of `panels` panels of geometry
     (_gl15_geometry) for an integrand f with |f(t)| <= exp(log_m + growth
     Re t), growth >= 0, on its strip.
 
@@ -606,32 +606,33 @@ def _gl15_error(geometry: tuple, log_m: float, growth: float) -> float:
     geometric series, summed in closed form.  The bound is formed from its
     logarithm, so neither M nor rho^{-30} over- or underflows on its own.
     """
-    h, right, log_decay, scale, denominator, panels = geometry
+    h, right, log_decay, scale, denominator = geometry
     step = 2.0 * h * growth
     count = math.expm1(step * panels) / math.expm1(step) if step else panels
     log_first = log_m + growth * right - log_decay
     return scale * count * math.exp(log_first) / denominator
 
 
-def _gl15_panels(geometries: Iterable[tuple], log_m: float, growth: float,
-                 target: float) -> tuple[int, float]:
-    """The least count of equal 15-point panels, of the geometries given for
-    1, 2, ... panels, whose _gl15_error meets target, and that bound, which
-    may miss target at the last."""
-    for geometry in geometries:
-        bound = _gl15_error(geometry, log_m, growth)
-        if not bound > target:
-            break
-    return geometry[-1], bound
+def _gl15_panels(lo: float, hi: float, cap: int, half_height: float, log_m: float,
+                 growth: float, target: float) -> tuple[int, float]:
+    """The least count of equal 15-point panels on [lo, hi], at most cap,
+    whose bound (_gl15_error) meets target, and that bound, which may miss
+    target at the cap."""
+    panels = 1
+    bound = _gl15_error(_gl15_geometry(lo, hi, 1, half_height), 1, log_m, growth)
+    while bound > target and panels < cap:
+        panels += 1
+        bound = _gl15_error(_gl15_geometry(lo, hi, panels, half_height), panels, log_m, growth)
+    return panels, bound
 
 
 def _middle_layouts(split: float, radius: float) -> tuple[tuple, tuple]:
     # real_axis_middle's rule on one and on two equal panels of
-    # [log split, log radius]: the bound's geometry for each, and each
-    # layout as the half-width h and the nodes (w_j, t_j, -e^{t_j}), placed
-    # panel by panel as the rule sums them
+    # [log split, log radius]: each as the bound's geometry, whose first
+    # element is the half-width h, and the nodes (w_j, t_j, -e^{t_j}),
+    # placed panel by panel as the rule sums them
     lo, hi = math.log(split), math.log(radius)
-    geometries, layouts = [], []
+    layouts = []
     for panels in (1, 2):
         geometry = _gl15_geometry(lo, hi, panels, 0.5 * math.pi)
         h = geometry[0]
@@ -641,10 +642,9 @@ def _middle_layouts(split: float, radius: float) -> tuple[tuple, tuple]:
             for x, w in _GL15:
                 t = centre + h * x
                 nodes.append((w, t, -math.exp(t)))
-        geometries.append(geometry)
-        layouts.append((h, tuple(nodes)))
-    entry = _MIDDLE_LAYOUTS[split, radius] = tuple(geometries), tuple(layouts)
-    return entry
+        layouts.append((geometry, tuple(nodes)))
+    layouts = _MIDDLE_LAYOUTS[split, radius] = tuple(layouts)
+    return layouts
 
 
 def real_axis_middle(arg: ArgDecomposition, eps_rel: float, scale: float) -> IntegralResult:
@@ -657,8 +657,8 @@ def real_axis_middle(arg: ArgDecomposition, eps_rel: float, scale: float) -> Int
     integral form of the Taylor remainder,
     R_n(w) = w^n/(n-1)! int_0^1 (1-u)^{n-1} e^{uw} du, gives
     |R_n(-e^t)| <= |e^t|^n/n!, and |f| <= e^{(1-frac) Re t}/n!.  The panel
-    count is the least whose bound is at most eps_rel * scale (_gl15_panels),
-    capped at two: over n <= 9 and 0 < frac < 1 the bound of two panels
+    count is the least whose bound is at most eps_rel * scale, capped at
+    two: over n <= 9 and 0 < frac < 1 the bound of two panels
     is at most 2.4e-16 of the origin part (largest as frac -> 0), below
     the rounding of the sum, so no third panel is ever needed.  The
     nodes t_j and -e^{t_j}, and the bound's geometry, depend on the panel
@@ -677,9 +677,14 @@ def real_axis_middle(arg: ArgDecomposition, eps_rel: float, scale: float) -> Int
     n, frac = arg.n, arg.frac
     expo = (1 - n) - frac
     split, radius = _SPLIT_POINT, _TAIL_RADIUS
-    geometries, layouts = _MIDDLE_LAYOUTS.get((split, radius)) or _middle_layouts(split, radius)
-    panels, bound = _gl15_panels(geometries, -math.lgamma(n + 1), 1.0 - frac, eps_rel * scale)
-    h, nodes = layouts[panels - 1]
+    one, two = _MIDDLE_LAYOUTS.get((split, radius)) or _middle_layouts(split, radius)
+    log_m, growth = -math.lgamma(n + 1), 1.0 - frac
+    panels, (geometry, nodes) = 1, one
+    bound = _gl15_error(geometry, 1, log_m, growth)
+    if bound > eps_rel * scale:
+        panels, (geometry, nodes) = 2, two
+        bound = _gl15_error(geometry, 2, log_m, growth)
+    h = geometry[0]
     total = 0.0
     for w, t, x in nodes:
         total += w * exp_remainder(x, n) * math.exp(expo * t)

@@ -249,7 +249,7 @@ class TestRealAxisMiddle:
                 arg = ArgDecomposition(z=n + frac, n=n, frac=frac)
                 origin = abs(origin_closed_form(arg, 1.0).value)
                 bound = quadrature._gl15_error(
-                    quadrature._gl15_geometry(lo, hi, 2, 0.5 * math.pi),
+                    quadrature._gl15_geometry(lo, hi, 2, 0.5 * math.pi), 2,
                     -math.lgamma(n + 1), 1.0 - frac,
                 )
                 assert bound <= 2.5e-16 * origin
